@@ -15,15 +15,16 @@ paper's figure of merit for index quality — as well as wall-clock time.
 from __future__ import annotations
 
 import abc
+import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry.arrays import rectangles_to_arrays
 from ..geometry.rectangle import Rectangle
 
-__all__ = ["QueryStats", "PointMatcher", "validate_build_inputs"]
+__all__ = ["QueryStats", "PointMatcher", "finite_frame", "validate_build_inputs"]
 
 
 @dataclass
@@ -70,11 +71,23 @@ class QueryStats:
         return self.entries_tested / self.queries
 
 
+def finite_frame(*arrays: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-dimension (min, max) of the finite values; (0, 1) if none."""
+    stacked = np.concatenate(arrays, axis=0)
+    finite = np.where(np.isfinite(stacked), stacked, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+        lo = np.nanmin(finite, axis=0)
+        hi = np.nanmax(finite, axis=0)
+    missing = np.isnan(lo)
+    return np.where(missing, 0.0, lo), np.where(missing, 1.0, hi)
+
+
 def validate_build_inputs(
     lows: np.ndarray,
     highs: np.ndarray,
     ids: Optional[Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize and sanity-check raw build inputs.
 
     Returns contiguous float64 ``(k, N)`` bounds arrays and an int64
@@ -123,7 +136,7 @@ class PointMatcher(abc.ABC):
         lows: np.ndarray,
         highs: np.ndarray,
         ids: Optional[Sequence[int]] = None,
-        **kwargs,
+        **kwargs: Any,
     ) -> PointMatcher:
         """Build an index over ``(k, N)`` bounds arrays.
 
@@ -138,7 +151,7 @@ class PointMatcher(abc.ABC):
         cls,
         rectangles: Sequence[Rectangle],
         ids: Optional[Sequence[int]] = None,
-        **kwargs,
+        **kwargs: Any,
     ) -> PointMatcher:
         """Convenience builder from :class:`Rectangle` objects."""
         lows, highs = rectangles_to_arrays(list(rectangles))
@@ -148,13 +161,13 @@ class PointMatcher(abc.ABC):
 
     def match(self, point: Sequence[float]) -> List[int]:
         """Identifiers of all rectangles containing ``point`` (sorted)."""
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.ndim,):
+        at = np.asarray(point, dtype=np.float64)
+        if at.shape != (self.ndim,):
             raise ValueError(
-                f"point must have {self.ndim} coordinates, got {point.shape}"
+                f"point must have {self.ndim} coordinates, got {at.shape}"
             )
         self.stats.queries += 1
-        result = self._match_ids(point)
+        result = self._match_ids(at)
         result.sort()
         return result
 
@@ -163,16 +176,16 @@ class PointMatcher(abc.ABC):
         return len(self.match(point))
 
     def match_many(self, points: np.ndarray) -> List[List[int]]:
-        """Match a batch of points; one sorted id list per row.
-
-        The default implementation loops over :meth:`match`;
-        backends with a cheaper bulk path may override it.
-        """
+        """Match a batch of points; one sorted id list per row."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.ndim:
             raise ValueError(
                 f"points must be (m, {self.ndim}), got {points.shape}"
             )
+        return self._match_rows(points)
+
+    def _match_rows(self, points: np.ndarray) -> List[List[int]]:
+        """``match_many`` on validated points; override for a bulk path."""
         return [self.match(point) for point in points]
 
     @abc.abstractmethod

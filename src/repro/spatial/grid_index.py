@@ -13,13 +13,12 @@ are large relative to cells — a useful contrast to the trees.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..geometry.gridmath import covered_cell_range, locate_cell
-from .base import PointMatcher
+from .base import PointMatcher, finite_frame
 
 __all__ = ["GridIndexMatcher"]
 
@@ -47,34 +46,9 @@ class GridIndexMatcher(PointMatcher):
 
     def _fit_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounding frame over the finite coordinates of the data."""
-        finite_lo = np.where(np.isfinite(self._lows), self._lows, np.nan)
-        finite_hi = np.where(np.isfinite(self._highs), self._highs, np.nan)
-        stacked = np.concatenate([finite_lo, finite_hi], axis=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            lo = np.nanmin(stacked, axis=0)
-            hi = np.nanmax(stacked, axis=0)
-        lo = np.where(np.isfinite(lo), lo, 0.0)
-        hi = np.where(np.isfinite(hi), hi, 1.0)
+        lo, hi = finite_frame(self._lows, self._highs)
         hi = np.where(hi > lo, hi, lo + 1.0)
         return lo, hi
-
-    def _cell_range(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Per-dimension [first, last] cell coordinates a rectangle spans.
-
-        Delegates to the rounding-safe shared helper (see
-        :mod:`repro.geometry.gridmath`): endpoints that quantize onto a
-        cell boundary widen the range by one cell, and the exact
-        containment test at query time filters the extras.
-        """
-        first, last = covered_cell_range(
-            lo,
-            hi,
-            self._frame_lo,
-            self._span / self.cells_per_dim,
-            self.cells_per_dim,
-        )
-        return np.stack([first, last])
 
     def _populate(self) -> None:
         from itertools import product
@@ -88,7 +62,16 @@ class GridIndexMatcher(PointMatcher):
             )
             if np.any(hi <= lo) and np.any(self._highs[row] <= self._lows[row]):
                 continue  # genuinely empty rectangle matches nothing
-            first, last = self._cell_range(lo, hi)
+            # Rounding-safe (see :mod:`repro.geometry.gridmath`): an
+            # endpoint on a cell boundary widens the range by one cell;
+            # the exact test at query time filters the extras.
+            first, last = covered_cell_range(
+                lo,
+                hi,
+                self._frame_lo,
+                self._span / self.cells_per_dim,
+                self.cells_per_dim,
+            )
             ranges = [range(first[d], last[d] + 1) for d in range(self.ndim)]
             for coords in product(*ranges):
                 self._cells.setdefault(coords, []).append(row)

@@ -15,10 +15,11 @@ exact for any number of dimensions and bits-per-dimension.
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
+
+from .base import finite_frame
 
 __all__ = ["hilbert_index", "hilbert_indices", "quantize_to_lattice"]
 
@@ -109,13 +110,7 @@ def quantize_to_lattice(
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("values must be a 2-D array")
-    finite = np.where(np.isfinite(values), values, np.nan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        lo = np.nanmin(finite, axis=0)
-        hi = np.nanmax(finite, axis=0)
-    lo = np.where(np.isfinite(lo), lo, 0.0)
-    hi = np.where(np.isfinite(hi), hi, 1.0)
+    lo, hi = finite_frame(values)
     span = np.where(hi > lo, hi - lo, 1.0)
     clipped = np.clip(values, lo, hi)
     top = (1 << bits) - 1

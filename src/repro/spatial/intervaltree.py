@@ -44,15 +44,13 @@ class _Node:
         "left",
         "right",
     )
-
-    def __init__(self) -> None:
-        self.center = 0.0
-        self.by_low: Optional[np.ndarray] = None
-        self.by_low_ids: Optional[np.ndarray] = None
-        self.by_high: Optional[np.ndarray] = None
-        self.by_high_ids: Optional[np.ndarray] = None
-        self.left: Optional["_Node"] = None
-        self.right: Optional["_Node"] = None
+    center: float
+    by_low_ids: np.ndarray
+    by_low: np.ndarray
+    by_high_ids: np.ndarray
+    by_high: np.ndarray
+    left: Optional[_Node]
+    right: Optional[_Node]
 
 
 class StaticIntervalTree:
@@ -64,22 +62,20 @@ class StaticIntervalTree:
         highs: Sequence[float],
         ids: Optional[Sequence[int]] = None,
     ):
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        if lows.ndim != 1 or lows.shape != highs.shape:
+        lo = np.asarray(lows, dtype=np.float64)
+        hi = np.asarray(highs, dtype=np.float64)
+        if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("lows and highs must be equal-length 1-D")
         if ids is None:
-            id_array = np.arange(len(lows), dtype=np.int64)
+            id_array = np.arange(len(lo), dtype=np.int64)
         else:
             id_array = np.asarray(ids, dtype=np.int64)
-            if id_array.shape != lows.shape:
+            if id_array.shape != lo.shape:
                 raise ValueError("one id per interval required")
         # Empty intervals can never be stabbed; drop them up front.
-        alive = highs > lows
+        alive = hi > lo
         self.size = int(alive.sum())
-        self._root = self._build(
-            lows[alive], highs[alive], id_array[alive]
-        )
+        self._root = self._build(lo[alive], hi[alive], id_array[alive])
 
     def _build(
         self, lows: np.ndarray, highs: np.ndarray, ids: np.ndarray

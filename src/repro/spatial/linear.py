@@ -25,13 +25,8 @@ class LinearScanMatcher(PointMatcher):
         mask = np.all((self._lows < point) & (point <= self._highs), axis=1)
         return [int(i) for i in self._ids[mask]]
 
-    def match_many(self, points: np.ndarray) -> list[List[int]]:
+    def _match_rows(self, points: np.ndarray) -> List[List[int]]:
         """Bulk path: one (k, m) containment mask for the whole batch."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != self.ndim:
-            raise ValueError(
-                f"points must be (m, {self.ndim}), got {points.shape}"
-            )
         below = self._lows[:, None, :] < points[None, :, :]
         above = points[None, :, :] <= self._highs[:, None, :]
         mask = np.all(below & above, axis=2)

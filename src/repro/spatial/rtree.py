@@ -8,19 +8,22 @@ S-tree's top-down binarization this is a *bottom-up* packing (the paper
 draws this exact contrast in Section 3.1), and the result is perfectly
 height balanced.
 
-Queries are identical to the S-tree's: descend from the root, pruning
-every child whose MBR misses the query point.
+Queries are identical to the S-tree's — descend from the root, pruning
+every child whose MBR misses the query point — and literally so: the
+packing below only decides how many children and entries each node
+gets, level by level, and emits the shared breadth-first array layout
+of :mod:`repro.spatial.packed`, whose one kernel answers for both trees.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..geometry.arrays import bulk_centers
-from .base import PointMatcher
 from .hilbert import hilbert_indices, quantize_to_lattice
+from .packed import PackedTree, PackedTreeMatcher
 
 __all__ = ["HilbertRTree"]
 
@@ -28,23 +31,7 @@ __all__ = ["HilbertRTree"]
 DEFAULT_CURVE_BITS = 10
 
 
-class _RNode:
-    """R-tree node; same stacked-MBR layout as the S-tree's nodes."""
-
-    __slots__ = ("child_lows", "child_highs", "children", "entry_ids")
-
-    def __init__(self) -> None:
-        self.child_lows: Optional[np.ndarray] = None
-        self.child_highs: Optional[np.ndarray] = None
-        self.children: List["_RNode"] = []
-        self.entry_ids: Optional[np.ndarray] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.entry_ids is not None
-
-
-class HilbertRTree(PointMatcher):
+class HilbertRTree(PackedTreeMatcher):
     """Height-balanced packed R-tree over subscription rectangles."""
 
     def __init__(
@@ -62,70 +49,33 @@ class HilbertRTree(PointMatcher):
             raise ValueError("curve_bits must be positive")
         self.branch_factor = branch_factor
         self.curve_bits = curve_bits
-        self._root = self._pack()
+        self._packed = self._pack()
 
-    def _pack(self) -> _RNode:
+    def _pack(self) -> PackedTree:
         """Bottom-up bulk load along the Hilbert order of the centers."""
         centers = bulk_centers(self._lows, self._highs)
         lattice = quantize_to_lattice(centers, self.curve_bits)
         order = np.argsort(hilbert_indices(lattice, self.curve_bits))
         m = self.branch_factor
 
-        # Level 0: slice the Hilbert order into leaves of capacity M.
-        leaves: List[_RNode] = []
-        for start in range(0, self.size, m):
-            chunk = order[start : start + m]
-            leaf = _RNode()
-            leaf.entry_ids = self._ids[chunk]
-            leaf.child_lows = self._lows[chunk]
-            leaf.child_highs = self._highs[chunk]
-            leaves.append(leaf)
-
-        # Upper levels: pack M consecutive nodes under one parent.
+        # Slice the Hilbert order into leaves of capacity M, then pack M
+        # consecutive nodes under one parent until a single root is left;
+        # root level first is breadth-first order.
+        leaves = _slice_sizes(self.size, m)
+        parents: List[np.ndarray] = []
         level = leaves
         while len(level) > 1:
-            parents: List[_RNode] = []
-            for start in range(0, len(level), m):
-                group = level[start : start + m]
-                parent = _RNode()
-                parent.children = group
-                parent.child_lows = np.stack(
-                    [child.child_lows.min(axis=0) for child in group]
-                )
-                parent.child_highs = np.stack(
-                    [child.child_highs.max(axis=0) for child in group]
-                )
-                parents.append(parent)
-            level = parents
-        return level[0]
+            level = _slice_sizes(len(level), m)
+            parents.insert(0, level)
+        child_count = np.concatenate(parents + [np.zeros_like(leaves)])
+        entry_count = np.zeros_like(child_count)
+        entry_count[-len(leaves) :] = leaves
+        return PackedTree.pack(
+            self._lows, self._highs, self._ids, order, child_count, entry_count
+        )
 
-    def _match_ids(self, point: np.ndarray) -> List[int]:
-        result: List[int] = []
-        stack = [self._root]
-        stats = self.stats
-        while stack:
-            node = stack.pop()
-            mask = np.all(
-                (node.child_lows < point) & (point <= node.child_highs),
-                axis=1,
-            )
-            if node.is_leaf:
-                stats.leaves_visited += 1
-                stats.entries_tested += len(node.entry_ids)
-                if mask.any():
-                    result.extend(int(i) for i in node.entry_ids[mask])
-            else:
-                stats.nodes_visited += 1
-                for i in np.flatnonzero(mask):
-                    stack.append(node.children[i])
-        return result
 
-    @property
-    def height(self) -> int:
-        """Number of edges from root to any leaf (balanced by design)."""
-        height = 0
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-            height += 1
-        return height
+def _slice_sizes(count: int, capacity: int) -> np.ndarray:
+    """Sizes of the slices when ``count`` items are cut every ``capacity``."""
+    starts = np.arange(0, count, capacity)
+    return np.minimum(capacity, count - starts)

@@ -33,14 +33,20 @@ side) are measured against a bounded *packing frame* derived from the
 finite coordinates present in the data, so the sweep objective stays
 informative; query-time MBRs always use the true, unclipped bounds, so
 correctness never depends on the frame.
+
+The compressed node graph is not kept: it is emitted, breadth-first,
+into the packed array layout of :mod:`repro.spatial.packed` (node MBR
+arrays with contiguous children, one leaf-entry slab), and every query
+— point, batch and region — runs through that module's one
+level-synchronous kernel.  Packing decides *which* nodes a query
+reaches; the layout only changes how fast reaching them is.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +55,8 @@ from ..geometry.arrays import (
     running_mbr_backward,
     running_mbr_forward,
 )
-from .base import PointMatcher
+from .base import finite_frame
+from .packed import PackedTree, PackedTreeMatcher
 
 __all__ = ["STree", "STreeParams", "TreeShape"]
 
@@ -59,6 +66,8 @@ DEFAULT_BRANCH_FACTOR = 40
 DEFAULT_SKEW_FACTOR = 0.3
 #: Relative margin added around the data when deriving the packing frame.
 _FRAME_MARGIN = 0.5
+#: Build-only packing geometry: clipped lows, clipped highs, their centers.
+_Frame = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -146,48 +155,8 @@ class _BinaryNode:
     def is_leaf(self) -> bool:
         return self.indices is not None
 
-    def leaf_node_count(self) -> int:
-        """Number of leaf *nodes* (not objects) in this subtree."""
-        if self.is_leaf:
-            return 1
-        return sum(child.leaf_node_count() for child in self.children)
 
-    def collect_leaves(self) -> List[_BinaryNode]:
-        """All leaf nodes in this subtree, left to right."""
-        if self.is_leaf:
-            return [self]
-        result: List[_BinaryNode] = []
-        for child in self.children:
-            result.extend(child.collect_leaves())
-        return result
-
-
-class _Node:
-    """Final S-tree node with stacked child MBRs for vectorized descent."""
-
-    __slots__ = (
-        "child_lows",
-        "child_highs",
-        "children",
-        "entry_lows",
-        "entry_highs",
-        "entry_ids",
-    )
-
-    def __init__(self) -> None:
-        self.child_lows: Optional[np.ndarray] = None
-        self.child_highs: Optional[np.ndarray] = None
-        self.children: List["_Node"] = []
-        self.entry_lows: Optional[np.ndarray] = None
-        self.entry_highs: Optional[np.ndarray] = None
-        self.entry_ids: Optional[np.ndarray] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.entry_ids is not None
-
-
-class STree(PointMatcher):
+class STree(PackedTreeMatcher):
     """Point-query index over subscription rectangles (paper Section 3)."""
 
     def __init__(
@@ -200,34 +169,36 @@ class STree(PointMatcher):
         super().__init__(lows, highs, ids)
         self.params = params or STreeParams()
         pack_lows, pack_highs = _packing_frame_clip(lows, highs)
-        self._pack_lows = pack_lows
-        self._pack_highs = pack_highs
         # Centers of the *clipped* rectangles drive the sweep ordering.
         # On the finite domains the S-tree paper assumes, a half-open
         # ray's center is the midpoint of its clipped extent — far from
         # the bounded population — so rays and wildcards sort to the
         # edges and get segregated into their own subtrees instead of
         # poisoning every leaf MBR with an unbounded side.
-        self._pack_centers = bulk_centers(pack_lows, pack_highs)
-        binary_root = self._binarize(np.arange(self.size, dtype=np.int64))
-        _compress(binary_root, self.params.branch_factor)
-        self._root = self._materialize(binary_root)
+        frame = (pack_lows, pack_highs, bulk_centers(pack_lows, pack_highs))
+        binary_root = self._binarize(
+            np.arange(self.size, dtype=np.int64), frame
+        )
+        # Compression: binary tree -> M-ary tree, in place.
+        _form_penultimate_nodes(binary_root, self.params.branch_factor)
+        _collapse_top_down(binary_root, self.params.branch_factor)
+        self._packed = self._flatten(binary_root)
 
     # -- binarization -------------------------------------------------------
 
-    def _binarize(self, indices: np.ndarray) -> _BinaryNode:
+    def _binarize(self, indices: np.ndarray, frame: _Frame) -> _BinaryNode:
         """Recursively split ``indices`` per the sweep rule."""
         count = len(indices)
         if count <= self.params.branch_factor:
             return _BinaryNode(indices=indices, leaf_number=count)
-        left_idx, right_idx = self._best_split(indices)
-        left = self._binarize(left_idx)
-        right = self._binarize(right_idx)
+        left_idx, right_idx = self._best_split(indices, frame)
+        left = self._binarize(left_idx, frame)
+        right = self._binarize(right_idx, frame)
         return _BinaryNode(children=[left, right], leaf_number=count)
 
     def _best_split(
-        self, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, indices: np.ndarray, frame: _Frame
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """One binarization step.
 
         Sweeps candidate split positions (respecting the skew bounds,
@@ -235,8 +206,9 @@ class STree(PointMatcher):
         dimension's center order, and returns the split minimizing the
         summed child-MBR volumes, ties broken by total perimeter.
         """
-        lows = self._pack_lows[indices]
-        highs = self._pack_highs[indices]
+        pack_lows, pack_highs, pack_centers = frame
+        lows = pack_lows[indices]
+        highs = pack_highs[indices]
         count = len(indices)
 
         if self.params.split_dimension == "longest":
@@ -261,9 +233,7 @@ class STree(PointMatcher):
         best_q = 0
         best_order: Optional[np.ndarray] = None
         for dim in dims:
-            order = np.argsort(
-                self._pack_centers[indices, dim], kind="stable"
-            )
+            order = np.argsort(pack_centers[indices, dim], kind="stable")
             lo = lows[order]
             hi = highs[order]
             fwd_lo, fwd_hi = running_mbr_forward(lo, hi)
@@ -281,164 +251,85 @@ class STree(PointMatcher):
         sorted_indices = indices[best_order]
         return sorted_indices[:best_q], sorted_indices[best_q:]
 
-    # -- materialization ---------------------------------------------------------
+    # -- flattening --------------------------------------------------------------
 
-    def _materialize(self, binary: _BinaryNode) -> _Node:
-        """Turn the compressed node graph into query-ready nodes."""
-        node = _Node()
-        if binary.is_leaf:
-            idx = binary.indices
-            node.entry_lows = self._lows[idx]
-            node.entry_highs = self._highs[idx]
-            node.entry_ids = self._ids[idx]
-            return node
-        node.children = [self._materialize(c) for c in binary.children]
-        child_lows = np.empty((len(node.children), self.ndim))
-        child_highs = np.empty((len(node.children), self.ndim))
-        for i, child in enumerate(node.children):
-            if child.is_leaf:
-                child_lows[i] = child.entry_lows.min(axis=0)
-                child_highs[i] = child.entry_highs.max(axis=0)
-            else:
-                child_lows[i] = child.child_lows.min(axis=0)
-                child_highs[i] = child.child_highs.max(axis=0)
-        node.child_lows = child_lows
-        node.child_highs = child_highs
-        return node
+    def _flatten(self, root: _BinaryNode) -> PackedTree:
+        """Emit the compressed node graph in the packed layout."""
+        nodes = [root]
+        child_count: List[int] = []
+        entry_count: List[int] = []
+        order: List[np.ndarray] = []
+        for node in nodes:  # grows as it is walked: breadth-first
+            if node.indices is not None:
+                order.append(node.indices)
+            nodes.extend(node.children)
+            child_count.append(len(node.children))
+            entry_count.append(0 if node.indices is None else len(node.indices))
+        rows = np.concatenate(order)
+        return PackedTree.pack(
+            self._lows, self._highs, self._ids, rows, child_count, entry_count
+        )
 
     # -- queries --------------------------------------------------------------------
-
-    def _match_ids(self, point: np.ndarray) -> List[int]:
-        result: List[int] = []
-        stack = [self._root]
-        stats = self.stats
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                stats.leaves_visited += 1
-                stats.entries_tested += len(node.entry_ids)
-                mask = np.all(
-                    (node.entry_lows < point) & (point <= node.entry_highs),
-                    axis=1,
-                )
-                if mask.any():
-                    result.extend(int(i) for i in node.entry_ids[mask])
-            else:
-                stats.nodes_visited += 1
-                mask = np.all(
-                    (node.child_lows < point) & (point <= node.child_highs),
-                    axis=1,
-                )
-                for i in np.flatnonzero(mask):
-                    stack.append(node.children[i])
-        return result
 
     def region_query(self, lows: Sequence[float], highs: Sequence[float]) -> List[int]:
         """All rectangle ids intersecting the query rectangle ``(lows, highs]``.
 
-        Point queries are the special case ``lows == highs``; region
-        queries are used by the clustering grid to compute cell
-        membership lists.
+        Both sides follow the half-open convention, so a region with a
+        zero-width side is empty and intersects nothing.  Bounds with
+        ``lows > highs`` or NaN are rejected.
         """
         q_lo = np.asarray(lows, dtype=np.float64)
         q_hi = np.asarray(highs, dtype=np.float64)
         if q_lo.shape != (self.ndim,) or q_hi.shape != (self.ndim,):
             raise ValueError("query bounds must have one value per dimension")
+        if not np.all(q_lo <= q_hi):  # also false for a NaN bound
+            raise ValueError(
+                "query bounds must satisfy lows <= highs without NaN, got "
+                f"{q_lo.tolist()} and {q_hi.tolist()}"
+            )
         self.stats.queries += 1
-        result: List[int] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                self.stats.leaves_visited += 1
-                self.stats.entries_tested += len(node.entry_ids)
-                mask = np.all(
-                    (np.maximum(node.entry_lows, q_lo)
-                     < np.minimum(node.entry_highs, q_hi)),
-                    axis=1,
-                )
-                if mask.any():
-                    result.extend(int(i) for i in node.entry_ids[mask])
-            else:
-                self.stats.nodes_visited += 1
-                mask = np.all(
-                    (np.maximum(node.child_lows, q_lo)
-                     < np.minimum(node.child_highs, q_hi)),
-                    axis=1,
-                )
-                for i in np.flatnonzero(mask):
-                    stack.append(node.children[i])
-        result.sort()
-        return result
+        q_lo, q_hi = q_lo[:, None], q_hi[:, None]
+        return self._query(
+            lambda lo, hi, _: (
+                np.maximum(lo, q_lo) < np.minimum(hi, q_hi)
+            ).all(axis=0)
+        )
 
     # -- introspection ----------------------------------------------------------------
 
     def shape(self) -> TreeShape:
         """Structural summary (height, node counts, balance)."""
-        internal = 0
-        leaves = 0
-        entries = 0
-        branch_total = 0
-        min_depth = math.inf
-        max_depth = 0
-        stack: List["tuple[_Node, int]"] = [(self._root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.is_leaf:
-                leaves += 1
-                entries += len(node.entry_ids)
-                min_depth = min(min_depth, depth)
-                max_depth = max(max_depth, depth)
-            else:
-                internal += 1
-                branch_total += len(node.children)
-                for child in node.children:
-                    stack.append((child, depth + 1))
+        packed = self._packed
+        leaf_depths = packed.depths()[packed.is_leaf]
+        internal = int((~packed.is_leaf).sum())
         return TreeShape(
-            height=max_depth,
+            height=int(leaf_depths.max()),
             internal_nodes=internal,
-            leaf_nodes=leaves,
-            entries=entries,
-            min_leaf_depth=int(min_depth),
-            max_leaf_depth=max_depth,
-            mean_branch_factor=(branch_total / internal) if internal else 0.0,
+            leaf_nodes=len(leaf_depths),
+            entries=len(packed.entry_ids),
+            min_leaf_depth=int(leaf_depths.min()),
+            max_leaf_depth=int(leaf_depths.max()),
+            mean_branch_factor=(
+                int(packed.child_count.sum()) / internal if internal else 0.0
+            ),
         )
 
 
 def _packing_frame_clip(
     lows: np.ndarray, highs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Clip bounds to a finite frame for packing-geometry purposes.
 
     The frame spans the finite coordinates present in the data,
     extended by a relative margin so clipped unbounded sides remain
     strictly larger than any bounded side they dominate.
     """
-    finite_lo = np.where(np.isfinite(lows), lows, np.nan)
-    finite_hi = np.where(np.isfinite(highs), highs, np.nan)
-    stacked = np.concatenate([finite_lo, finite_hi], axis=0)
-    with warnings.catch_warnings():
-        # Dimensions with no finite coordinate yield all-NaN slices;
-        # they are patched to a unit frame right below.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        frame_lo = np.nanmin(stacked, axis=0)
-        frame_hi = np.nanmax(stacked, axis=0)
-    # Dimensions with no finite coordinate at all get a unit frame.
-    missing = ~np.isfinite(frame_lo)
-    frame_lo[missing] = 0.0
-    frame_hi[missing] = 1.0
+    frame_lo, frame_hi = finite_frame(lows, highs)
     span = np.maximum(frame_hi - frame_lo, 1.0)
     frame_lo = frame_lo - _FRAME_MARGIN * span
     frame_hi = frame_hi + _FRAME_MARGIN * span
     return np.maximum(lows, frame_lo), np.minimum(highs, frame_hi)
-
-
-def _compress(root: _BinaryNode, branch_factor: int) -> None:
-    """Compression stage: binary tree -> M-ary tree, in place."""
-    if root.is_leaf:
-        return
-    _form_penultimate_nodes(root, branch_factor)
-    _collapse_top_down(root, branch_factor)
 
 
 def _form_penultimate_nodes(root: _BinaryNode, branch_factor: int) -> None:
@@ -448,16 +339,14 @@ def _form_penultimate_nodes(root: _BinaryNode, branch_factor: int) -> None:
     swallows all internal structure beneath it and directly parents its
     leaves.
     """
-    def visit(node: _BinaryNode) -> int:
-        """Return the subtree's leaf-node count, collapsing when <= M."""
+    def visit(node: _BinaryNode) -> List[_BinaryNode]:
+        """The subtree's leaf nodes, left to right, collapsing when <= M."""
         if node.is_leaf:
-            return 1
-        count = sum(visit(child) for child in node.children)
-        if count <= branch_factor and any(
-            not child.is_leaf for child in node.children
-        ):
-            node.children = node.collect_leaves()
-        return count
+            return [node]
+        leaves = [leaf for child in node.children for leaf in visit(child)]
+        if len(leaves) <= branch_factor:
+            node.children = leaves
+        return leaves
 
     visit(root)
 

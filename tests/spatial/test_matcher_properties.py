@@ -1,7 +1,11 @@
 """Property-based cross-checks: every index answers like the brute force.
 
-This is the load-bearing invariant of the matching layer — all four
+This is the load-bearing invariant of the matching layer — all five
 backends are interchangeable implementations of the same point query.
+The second half of the file aims the generator at the half-open
+boundaries: independent floats essentially never put a point *on* a
+bound, so there the query coordinates are drawn from the rectangles'
+own ``lo`` / ``hi`` values and their floating-point neighbours.
 """
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spatial import (
+    CountingMatcher,
     GridIndexMatcher,
     HilbertRTree,
     LinearScanMatcher,
@@ -111,3 +116,84 @@ def test_all_backends_agree_3d(rects, point):
         "linear": LinearScanMatcher.build(lows, highs).match(point),
     }
     assert len({tuple(v) for v in results.values()}) == 1, results
+
+
+# -- generated boundaries ---------------------------------------------------
+
+BACKENDS = {
+    "stree": lambda lo, hi: STree.build(
+        lo, hi, params=STreeParams(branch_factor=4)
+    ),
+    "stree-longest": lambda lo, hi: STree.build(
+        lo, hi, params=STreeParams(branch_factor=4, split_dimension="longest")
+    ),
+    "rtree": lambda lo, hi: HilbertRTree.build(lo, hi, branch_factor=4),
+    "grid": lambda lo, hi: GridIndexMatcher.build(lo, hi, cells_per_dim=4),
+    "counting": CountingMatcher.build,
+    "linear": LinearScanMatcher.build,
+}
+
+#: Few distinct values, so bounds collide across rectangles too.
+lattice = st.integers(min_value=-3, max_value=3).map(float)
+
+
+@st.composite
+def side(draw):
+    """One ``(lo, hi]`` side: bounded, a ray, a wildcard or zero-width."""
+    kind = draw(st.sampled_from(["bounded", "zero", "low-ray", "high-ray", "all"]))
+    a, b = sorted([draw(lattice), draw(lattice)])
+    return {
+        "bounded": (a, b),  # a == b happens: also zero-width
+        "zero": (a, a),  # matches nothing under (lo, hi]
+        "low-ray": (-np.inf, b),
+        "high-ray": (a, np.inf),
+        "all": (-np.inf, np.inf),
+    }[kind]
+
+
+@st.composite
+def boundary_case(draw, ndim=2):
+    """Rectangles (with duplicates and unbounded rows) and points on them."""
+    rows = draw(
+        st.lists(st.lists(side(), min_size=ndim, max_size=ndim), min_size=1, max_size=12)
+    )
+    if draw(st.booleans()):
+        rows.append([(-np.inf, np.inf)] * ndim)  # a fully unbounded row
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=6))
+    bounds = np.array(rows + repeats)  # (k, ndim, 2)
+    lows, highs = bounds[:, :, 0], bounds[:, :, 1]
+
+    def coordinate(dim):
+        finite = np.concatenate([lows[:, dim], highs[:, dim]])
+        finite = finite[np.isfinite(finite)].tolist() or [0.0]
+        value = draw(st.sampled_from(finite))
+        nudge = draw(st.sampled_from([-np.inf, None, np.inf]))
+        return value if nudge is None else float(np.nextafter(value, nudge))
+
+    count = draw(st.integers(min_value=1, max_value=6))
+    points = np.array(
+        [[coordinate(dim) for dim in range(ndim)] for _ in range(count)]
+    )
+    return lows, highs, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_case())
+def test_all_backends_agree_on_boundaries(case):
+    lows, highs, points = case
+    expected = [reference(lows, highs, point) for point in points]
+    for name, build in BACKENDS.items():
+        matcher = build(lows, highs)
+        assert [matcher.match(p) for p in points] == expected, name
+        assert matcher.match_many(points) == expected, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary_case(ndim=3))
+def test_all_backends_agree_on_boundaries_3d(case):
+    lows, highs, points = case
+    expected = [reference(lows, highs, point) for point in points]
+    for name, build in BACKENDS.items():
+        matcher = build(lows, highs)
+        assert matcher.match_many(points) == expected, name
+        assert [matcher.match(p) for p in points] == expected, name

@@ -5,7 +5,7 @@ import pytest
 
 from repro.spatial import HilbertRTree
 
-from .conftest import make_workload
+from .conftest import check_packed_invariants, make_workload
 
 
 def brute_force(lows, highs, point):
@@ -31,17 +31,12 @@ class TestConstruction:
         lows, highs, _ = make_workload(rng, k=777)
 
         tree = HilbertRTree.build(lows, highs, branch_factor=8)
-        depths = set()
-
-        def walk(node, depth):
-            if node.is_leaf:
-                depths.add(depth)
-            else:
-                for child in node.children:
-                    walk(child, depth + 1)
-
-        walk(tree._root, 0)
-        assert len(depths) == 1  # all leaves at one depth
+        leaves = check_packed_invariants(tree)
+        depths = {depth for _, depth in leaves}
+        assert depths == {tree.height}  # all leaves at one depth
+        packed = tree._packed
+        assert np.all(packed.entry_count[packed.is_leaf] <= 8)
+        assert np.all(packed.child_count[~packed.is_leaf] <= 8)
 
     def test_branch_factor_validation(self, rng):
         lows, highs, _ = make_workload(rng, k=10)

@@ -1,12 +1,17 @@
 """Unit tests for the S-tree."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.geometry import Interval, Rectangle
 from repro.spatial import LinearScanMatcher, STree, STreeParams
+
+from .conftest import check_packed_invariants
 
 
 def brute_force(lows, highs, point):
@@ -66,15 +71,25 @@ class TestConstruction:
         params = STreeParams(branch_factor=8)
         tree = STree.build(lows, highs, params=params)
 
-        def check(node):
-            if node.is_leaf:
-                assert len(node.entry_ids) <= 8
-            else:
-                assert 2 <= len(node.children) <= 8
-                for child in node.children:
-                    check(child)
+        packed = tree._packed
+        leaf = packed.is_leaf
+        assert np.all(packed.entry_count[leaf] <= 8)
+        assert np.all((2 <= packed.child_count[~leaf]))
+        assert np.all(packed.child_count[~leaf] <= 8)
 
-        check(tree._root)
+    @pytest.mark.parametrize("split_dimension", ["best", "longest"])
+    def test_packed_layout_invariants(self, workload, split_dimension):
+        lows, highs, _ = workload
+        params = STreeParams(branch_factor=8, split_dimension=split_dimension)
+        tree = STree.build(lows, highs, params=params)
+        leaves = check_packed_invariants(tree)
+        shape = tree.shape()
+        assert shape.leaf_nodes == len(leaves)
+        depths = [depth for _, depth in leaves]
+        assert (shape.min_leaf_depth, shape.max_leaf_depth) == (
+            min(depths), max(depths)
+        )
+        assert tree.height == shape.height == max(depths)
 
     def test_custom_ids_reported(self):
         lows = np.zeros((3, 1))
@@ -190,6 +205,58 @@ class TestRegionQuery:
         tree = STree.build(lows, highs)
         with pytest.raises(ValueError):
             tree.region_query([0.0], [1.0])
+
+    def test_region_rejects_inverted_and_nan_bounds(self, workload):
+        lows, highs, _ = workload
+        tree = STree.build(lows, highs)
+        with pytest.raises(ValueError, match="lows <= highs"):
+            tree.region_query([0.0, 0.0, 5.0, 0.0], [9.0, 9.0, 4.0, 9.0])
+        with pytest.raises(ValueError, match="NaN"):
+            tree.region_query([0.0, math.nan, 0.0, 0.0], [9.0] * 4)
+        with pytest.raises(ValueError, match="NaN"):
+            tree.region_query([0.0] * 4, [9.0, 9.0, 9.0, math.nan])
+        assert tree.stats.queries == 0  # rejected before the traversal
+
+    def test_empty_region_matches_nothing(self, workload):
+        lows, highs, _ = workload
+        tree = STree.build(lows, highs)
+        assert tree.region_query([5.0] * 4, [5.0] * 4) == []
+
+    def test_region_validation_survives_python_O(self):
+        # The bounds check is an ``if ... raise``, not an assert, so it
+        # must still fire with assertions compiled out.
+        program = (
+            "import numpy as np\n"
+            "from repro.spatial import STree\n"
+            "tree = STree.build(np.zeros((3, 2)), np.ones((3, 2)))\n"
+            "cases = [\n"
+            "    ([0.5, 0.9], [0.7, 0.1]),\n"
+            "    ([0.5, float('nan')], [0.7, 0.9]),\n"
+            "    ([0.5, 0.1], [float('nan'), 0.9]),\n"
+            "    ([0.5], [0.7]),\n"
+            "]\n"
+            "assert False  # proves -O is active: this must not raise\n"
+            "for q_lo, q_hi in cases:\n"
+            "    try:\n"
+            "        tree.region_query(q_lo, q_hi)\n"
+            "    except ValueError as error:\n"
+            "        if not str(error).startswith('query bounds must'):\n"
+            "            raise SystemExit(f'wrong message: {error}')\n"
+            "    else:\n"
+            "        raise SystemExit('ValueError not raised under -O')\n"
+            "if tree.stats.queries:\n"
+            "    raise SystemExit('a rejected query reached the traversal')\n"
+            "print('OK')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", program],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "OK"
 
 
 class TestShapeAndStats:
