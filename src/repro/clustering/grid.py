@@ -166,6 +166,13 @@ class EventGrid:
         else:
             self.frame_lo, self.frame_hi = _fit_frame(lows, highs)
         self._width = (self.frame_hi - self.frame_lo) / cells_per_dim
+        #: The frame as ``locate_cell`` takes it (lists, made once).
+        self._locate_frame = (
+            self.frame_lo.tolist(),
+            self.frame_hi.tolist(),
+            self._width.tolist(),
+            cells_per_dim,
+        )
 
         if density is None:
             density = UniformCellProbability(self.frame_lo, self.frame_hi)
@@ -336,15 +343,9 @@ class EventGrid:
         Half-open convention: a point exactly on the frame's low edge
         is outside; one on the high edge is in the last cell.
         """
-        p = np.asarray(point, dtype=np.float64)
-        if p.shape != (self.ndim,):
+        if len(point) != self.ndim:
             raise ValueError("point dimensionality mismatch")
-        coords = locate_cell(
-            p, self.frame_lo, self.frame_hi, self._width, self.cells_per_dim
-        )
-        if coords is None:
-            return None
-        return tuple(int(x) for x in coords)
+        return locate_cell(point, *self._locate_frame)
 
     def quantize(self, point: Sequence[float]) -> Tuple[int, ...]:
         """Unclamped grid coordinates of *any* point, even out of frame.

@@ -17,6 +17,7 @@ member nodes, which is everything the distribution-method scheme needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import ClusteringResult
@@ -41,6 +42,15 @@ class MulticastGroup:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def member_set(self) -> frozenset[int]:
+        """``members`` as the one set every costing call shares.
+
+        Built once: the cost model keys its group trees on this very
+        object, so a lookup re-hashes no member and copies nothing.
+        """
+        return frozenset(self.members)
 
 
 class SpacePartition:

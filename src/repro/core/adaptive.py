@@ -223,7 +223,7 @@ def run_adaptive(
         )
         ideal_cost = broker.costs.ideal_cost(event.publisher, recipients)
         if q > 0:
-            members = broker.partition.group(q).members
+            members = broker.partition.group(q).member_set
             multicast_cost = broker.costs.multicast_cost(
                 event.publisher, members
             )

@@ -321,7 +321,7 @@ class PubSubBroker:
                     dead_nodes=faults.dead_nodes,
                 )
             else:
-                members = self.partition.group(q).members
+                members = self.partition.group(q).member_set
                 degraded = self.costs.degraded_multicast_cost(
                     event.publisher,
                     members,
@@ -345,7 +345,7 @@ class PubSubBroker:
                 ideal_cost,
             )
         else:
-            members = self.partition.group(q).members
+            members = self.partition.group(q).member_set
             record = DeliveryRecord(
                 event,
                 match,

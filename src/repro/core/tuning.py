@@ -165,7 +165,7 @@ class ThresholdTuner:
                         event.publisher, recipients
                     ),
                     multicast_cost=broker.costs.multicast_cost(
-                        event.publisher, group.members
+                        event.publisher, group.member_set
                     ),
                 )
             )
@@ -260,7 +260,7 @@ def oracle_tally(
         if q == 0:
             scheme, used_multicast = unicast, False
         else:
-            members = broker.partition.group(q).members
+            members = broker.partition.group(q).member_set
             multicast = broker.costs.multicast_cost(
                 event.publisher, members
             )

@@ -19,7 +19,8 @@ recovered, so the asymmetry is deliberate.
 
 from __future__ import annotations
 
-from typing import Tuple
+from math import ceil
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -62,19 +63,27 @@ def covered_cell_range(
 
 
 def locate_cell(
-    point: np.ndarray,
-    frame_lo: np.ndarray,
-    frame_hi: np.ndarray,
-    cell_width: np.ndarray,
+    point: Sequence[float],
+    frame_lo: Sequence[float],
+    frame_hi: Sequence[float],
+    cell_width: Sequence[float],
     cells_per_dim: int,
-) -> np.ndarray | None:
+) -> Tuple[int, ...] | None:
     """Cell coordinates of a point, or ``None`` outside the frame.
 
     Half-open convention: a point exactly on the frame's low edge is
     outside; one exactly on a cell's high boundary belongs to that
     cell (``ceil - 1``).
+
+    Runs once per published event, on a handful of coordinates: plain
+    float arithmetic, so callers keep the frame as lists (indexing an
+    array would box every element).
     """
-    if np.any(point <= frame_lo) or np.any(point > frame_hi):
-        return None
-    coords = np.ceil((point - frame_lo) / cell_width).astype(int) - 1
-    return np.clip(coords, 0, cells_per_dim - 1)
+    last = cells_per_dim - 1
+    coords = []
+    for x, lo, hi, width in zip(point, frame_lo, frame_hi, cell_width):
+        if not lo < x <= hi:
+            return None
+        cell = ceil((x - lo) / width) - 1
+        coords.append(0 if cell < 0 else last if cell > last else cell)
+    return tuple(coords)

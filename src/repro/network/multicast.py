@@ -18,10 +18,8 @@ summed over the full publication workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
-
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..telemetry.base import Telemetry, or_null
 from .routing import RoutingTable, path_cost, surviving_path
@@ -166,7 +164,7 @@ class DeliveryCostModel:
         that waste is exactly what the distribution-method threshold
         trades against the unicast fan-out cost.
         """
-        members = frozenset(int(m) for m in group_members)
+        members = _member_key(group_members)
         if self.multicast_mode == "sparse":
             rendezvous, tree_cost = self._shared_tree(members)
             return self.routing.distance(source, rendezvous) + tree_cost
@@ -202,8 +200,7 @@ class DeliveryCostModel:
         shortest-path cost to all members (a standard core-selection
         heuristic for core-based shared trees).
         """
-        members = frozenset(int(m) for m in group_members)
-        rendezvous, _ = self._shared_tree(members)
+        rendezvous, _ = self._shared_tree(_member_key(group_members))
         return rendezvous
 
     def _shared_tree(self, members: frozenset[int]) -> tuple[int, float]:
@@ -279,9 +276,9 @@ class DeliveryCostModel:
         recipients that are dead or partitioned away are reported as
         unreachable rather than silently skipped.
         """
-        dead_links = _normalize_links(dead_links)
-        dead_nodes = frozenset(int(n) for n in dead_nodes)
-        if not dead_links and not dead_nodes:
+        down_links = _normalize_links(dead_links)
+        down_nodes = frozenset(int(n) for n in dead_nodes)
+        if not down_links and not down_nodes:
             # Nothing is dead: charge the exact healthy-path cost so a
             # neutral fault snapshot is bit-for-bit free.
             recipients = [int(r) for r in recipients]
@@ -299,7 +296,7 @@ class DeliveryCostModel:
         for recipient in recipients:
             recipient = int(recipient)
             path = surviving_path(
-                graph, source, recipient, dead_links, dead_nodes
+                graph, source, recipient, down_links, down_nodes
             )
             if path is None:
                 unreachable.append(recipient)
@@ -338,52 +335,53 @@ class DeliveryCostModel:
         exists.  Uninterested stranded group members are simply not
         repaired: nobody needed the message there.
         """
-        dead_links = _normalize_links(dead_links)
-        dead_nodes = frozenset(int(n) for n in dead_nodes)
-        members = [int(m) for m in group_members]
-        member_set = set(members)
-        if not dead_links and not dead_nodes:
+        down_links = _normalize_links(dead_links)
+        down_nodes = frozenset(int(n) for n in dead_nodes)
+        members = _member_key(group_members)
+        if not down_links and not down_nodes:
             # Nothing is dead: the configured (possibly sparse/overlay)
             # multicast runs untouched, bit-for-bit.
             return DegradedDelivery(
                 cost=self.multicast_cost(source, members),
-                reached=tuple(sorted(member_set)),
+                reached=tuple(sorted(members)),
                 repaired=(),
                 unreachable=(),
             )
         wanted = (
-            member_set
+            members
             if interested is None
             else {int(n) for n in interested}
         )
         graph = self.topology.graph
 
         # Walk the healthy tree, pruning at the first dead element.
+        # Members ascending, so the surviving edges are summed in one
+        # order whether the caller held a tuple or a set.
         children: dict[int, List[int]] = {}
-        for u, v in self.routing.tree_edges(source, members):
+        for u, v in self.routing.tree_edges(source, sorted(members)):
             children.setdefault(u, []).append(v)
         cost = 0.0
-        alive_reach = set()
-        if source not in dead_nodes:
+        alive_reach: set[int] = set()
+        if source not in down_nodes:
             alive_reach.add(source)
             frontier = [source]
             while frontier:
                 node = frontier.pop()
                 for child in children.get(node, []):
                     key = (node, child) if node <= child else (child, node)
-                    if key in dead_links or child in dead_nodes:
+                    if key in down_links or child in down_nodes:
                         continue
                     cost += graph.edges[node, child]["cost"]
                     alive_reach.add(child)
                     frontier.append(child)
 
-        reached = sorted(member_set & alive_reach)
+        reached = sorted(members & alive_reach)
         stranded = sorted(wanted - alive_reach - {int(source)})
         repaired: List[int] = []
         unreachable: List[int] = []
         for subscriber in stranded:
             path = surviving_path(
-                graph, source, subscriber, dead_links, dead_nodes
+                graph, source, subscriber, down_links, down_nodes
             )
             if path is None:
                 unreachable.append(subscriber)
@@ -422,6 +420,19 @@ class DeliveryCostModel:
                 "cost.degraded.unreachable",
                 help="recipients partitioned away entirely",
             ).inc(len(unreachable))
+
+
+def _member_key(group_members: Iterable[int]) -> frozenset[int]:
+    """The members as a cache key.
+
+    A ``frozenset`` is used as it is: a group's own
+    :attr:`~repro.clustering.groups.MulticastGroup.member_set` then
+    hashes once and matches its cache entries by identity, and every
+    entry for the group shares that one object.
+    """
+    if isinstance(group_members, frozenset):
+        return group_members
+    return frozenset(int(m) for m in group_members)
 
 
 def _normalize_links(

@@ -11,7 +11,7 @@ cost evaluation during the Figure 6 sweeps is just array walks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -60,6 +60,7 @@ class RoutingTable:
             cost = float(data["cost"])
             self._cost_lookup[(u, v)] = cost
             self._cost_lookup[(v, u)] = cost
+        self._tree_rows: Dict[int, Tuple[List[int], List[float]]] = {}
 
     @classmethod
     def from_topology(cls, topology: Topology) -> RoutingTable:
@@ -106,6 +107,42 @@ class RoutingTable:
             return 0.0
         return float(self._dist[source, np.asarray(targets, dtype=np.int64)].sum())
 
+    def _tree_walk(
+        self, source: int, targets: Iterable[int]
+    ) -> Tuple[List[int], List[int], List[float]]:
+        """The nodes the dense-mode tree adds, in the order it pays them.
+
+        Each target contributes the stretch from its first
+        already-covered ancestor out to itself.  Returned with the
+        per-source rows (parent of every node, cost of the edge to that
+        parent), built from the predecessor matrix on a source's first
+        use so the walk itself touches only plain lists.
+        """
+        rows = self._tree_rows.get(source)
+        if rows is None:
+            lookup = self._cost_lookup
+            parents: List[int] = self._pred[source].tolist()
+            costs = [
+                lookup[(parent, node)] if parent >= 0 else 0.0
+                for node, parent in enumerate(parents)
+            ]
+            rows = self._tree_rows[source] = (parents, costs)
+        parents, costs = rows
+        covered = {source}
+        order: List[int] = []
+        for target in targets:
+            node = int(target)
+            walk: List[int] = []
+            while node not in covered:
+                covered.add(node)
+                walk.append(node)
+                node = parents[node]
+                if node < 0:
+                    raise ValueError(f"no path from {source} to {target}")
+            walk.reverse()
+            order += walk
+        return order, parents, costs
+
     def shortest_path_tree_cost(
         self, source: int, targets: Iterable[int]
     ) -> float:
@@ -117,48 +154,20 @@ class RoutingTable:
         cost is the summed cost of the union of root→target shortest
         paths.
         """
+        order, _, costs = self._tree_walk(source, targets)
+        # An explicit left-to-right loop: ``sum`` compensates for
+        # rounding from Python 3.12 on, which would move the last bits.
         cost = 0.0
-        visited = {source}
-        pred_row = self._pred[source]
-        for target in targets:
-            node = int(target)
-            walk: List[int] = []
-            while node not in visited:
-                walk.append(node)
-                parent = int(pred_row[node])
-                if parent < 0:
-                    raise ValueError(
-                        f"no path from {source} to {target}"
-                    )
-                node = parent
-            # ``node`` is the first already-covered ancestor; pay the
-            # new edges from there out to the target.
-            prev = node
-            for fresh in reversed(walk):
-                cost += self._cost_lookup[(prev, fresh)]
-                visited.add(fresh)
-                prev = fresh
+        for node in order:
+            cost += costs[node]
         return cost
 
     def tree_edges(
         self, source: int, targets: Iterable[int]
     ) -> List[Tuple[int, int]]:
-        """The edges of the dense-mode tree (for inspection/tests)."""
-        edges: List[Tuple[int, int]] = []
-        visited = {source}
-        pred_row = self._pred[source]
-        for target in targets:
-            node = int(target)
-            walk: List[int] = []
-            while node not in visited:
-                walk.append(node)
-                node = int(pred_row[node])
-            prev = node
-            for fresh in reversed(walk):
-                edges.append((prev, fresh))
-                visited.add(fresh)
-                prev = fresh
-        return edges
+        """The edges of the dense-mode tree, parent first, as paid."""
+        order, parents, _ = self._tree_walk(source, targets)
+        return [(parents[node], node) for node in order]
 
     def eccentricity(self, source: int) -> float:
         """Largest finite shortest-path cost out of ``source``."""
@@ -178,8 +187,8 @@ def surviving_path(
     graph: nx.Graph,
     source: int,
     target: int,
-    dead_links: frozenset[Tuple[int, int]] | set,
-    dead_nodes: frozenset[int] | set,
+    dead_links: AbstractSet[Tuple[int, int]],
+    dead_nodes: AbstractSet[int],
 ) -> List[int] | None:
     """Shortest path avoiding dead links/nodes, or ``None`` if cut off.
 

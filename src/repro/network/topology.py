@@ -95,11 +95,11 @@ class Topology:
 
     @property
     def num_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return int(self.graph.number_of_nodes())
 
     @property
     def num_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return int(self.graph.number_of_edges())
 
     @property
     def num_stubs(self) -> int:

@@ -10,7 +10,7 @@ drawing library is required or imported — the output is plain text.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional, Set, Union
 
 from .topology import Topology
 
@@ -41,7 +41,7 @@ def topology_to_dot(
         '  node [fontsize=8, width=0.15, height=0.15, fixedsize=true];',
         "  edge [color=\"#999999\"];",
     ]
-    drawn = set()
+    drawn: Set[int] = set()
     for node, data in sorted(topology.graph.nodes(data=True)):
         color = _BLOCK_COLORS[data["block"] % len(_BLOCK_COLORS)]
         if data["kind"] == "transit":
@@ -85,7 +85,7 @@ def topology_to_dot(
 def write_dot(
     topology: Topology,
     path: Union[str, Path],
-    **options,
+    **options: Any,
 ) -> Path:
     """Write the DOT document to a file; returns the path."""
     path = Path(path)

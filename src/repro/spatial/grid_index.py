@@ -40,7 +40,15 @@ class GridIndexMatcher(PointMatcher):
             raise ValueError("cells_per_dim must be positive")
         self.cells_per_dim = cells_per_dim
         self._frame_lo, self._frame_hi = self._fit_frame()
-        self._span = np.maximum(self._frame_hi - self._frame_lo, 1e-300)
+        span = np.maximum(self._frame_hi - self._frame_lo, 1e-300)
+        self._cell_width = span / cells_per_dim
+        #: The frame as ``locate_cell`` takes it (lists, made once).
+        self._locate_frame = (
+            self._frame_lo.tolist(),
+            self._frame_hi.tolist(),
+            self._cell_width.tolist(),
+            cells_per_dim,
+        )
         self._cells: Dict[Tuple[int, ...], List[int]] = {}
         self._populate()
 
@@ -69,7 +77,7 @@ class GridIndexMatcher(PointMatcher):
                 lo,
                 hi,
                 self._frame_lo,
-                self._span / self.cells_per_dim,
+                self._cell_width,
                 self.cells_per_dim,
             )
             ranges = [range(first[d], last[d] + 1) for d in range(self.ndim)]
@@ -78,16 +86,7 @@ class GridIndexMatcher(PointMatcher):
 
     def _locate(self, point: np.ndarray) -> Tuple[int, ...] | None:
         """Cell coordinates of a point, or None when outside the frame."""
-        coords = locate_cell(
-            point,
-            self._frame_lo,
-            self._frame_hi,
-            self._span / self.cells_per_dim,
-            self.cells_per_dim,
-        )
-        if coords is None:
-            return None
-        return tuple(int(x) for x in coords)
+        return locate_cell(point.tolist(), *self._locate_frame)
 
     def _match_ids(self, point: np.ndarray) -> List[int]:
         cell = self._locate(point)

@@ -1,5 +1,7 @@
 """Unit tests for the space partition and multicast groups."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,56 @@ class TestGroups:
         )
         with pytest.raises(AssertionError):
             SpacePartition(grid, bad)
+
+
+class TestMemberSet:
+    """The cached ``member_set`` is derived state: it changes nothing a
+    group or a partition persists or compares by."""
+
+    def test_one_set_per_group(self, partition):
+        group = partition.group(1)
+        assert group.member_set == frozenset(group.members)
+        assert group.member_set is group.member_set
+        assert isinstance(group.member_set, frozenset)
+
+    def test_equality_and_state_ignore_the_cache(self, partition):
+        cold = partition.to_state()
+        untouched = [pickle.loads(pickle.dumps(g)) for g in partition.groups]
+        for group in partition.groups:
+            group.member_set
+        assert partition.to_state() == cold
+        assert partition.groups == untouched
+        assert "member_set" not in repr(partition.group(1))
+
+    def test_pickle_round_trip(self, partition):
+        for group in partition.groups:
+            group.member_set
+        clone = pickle.loads(pickle.dumps(partition))
+        assert clone.groups == partition.groups
+        assert clone.to_state() == partition.to_state()
+        for ours, theirs in zip(partition.groups, clone.groups):
+            assert theirs.member_set == ours.member_set
+            assert theirs.member_set is theirs.member_set
+
+    def test_restore_round_trip(self, partition):
+        for group in partition.groups:
+            group.member_set
+        state = partition.to_state()
+        restored = SpacePartition.restore(partition.grid, state)
+        assert restored.groups == partition.groups
+        assert restored.to_state() == state
+        assert [g.member_set for g in restored.groups] == [
+            g.member_set for g in partition.groups
+        ]
+
+    def test_widening_makes_a_new_group_with_its_own_set(self, partition):
+        old = partition.group(1)
+        old.member_set
+        grown = partition.add_subscription(rect2(0.0, 1.0, 0.0, 1.0), 40)
+        assert grown == [1]
+        new = partition.group(1)
+        assert new.member_set == old.member_set | {40}
+        assert old.member_set == frozenset(old.members)  # untouched
 
 
 class TestEndToEndInvariant:

@@ -10,6 +10,7 @@ from repro.core import (
     PubSubBroker,
     ThresholdPolicy,
 )
+from repro.faults.plan import FaultState
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,96 @@ class TestPolicySweep:
             if previous is not None:
                 assert tally.multicasts_sent <= previous
             previous = tally.multicasts_sent
+
+
+class TestSharedGroupKey:
+    """Every (publisher, group) tree is cached under the group's own
+    member set — one object per group, never a per-entry copy — and the
+    keys stay by value, so a widened group can never be served the
+    tree of its narrower self."""
+
+    @pytest.fixture()
+    def fresh(self, small_topology, small_table, nine_mode_density):
+        # Own partition and cost model: the tests below mutate both.
+        return PubSubBroker.preprocess(
+            small_topology,
+            small_table,
+            ForgyKMeansClustering(),
+            num_groups=6,
+            density=nine_mode_density,
+            cells_per_dim=6,
+            max_cells=60,
+            policy=ThresholdPolicy(0.0),
+        )
+
+    def test_cache_keys_are_the_groups_own_sets(self, fresh, small_events):
+        points, publishers = small_events
+        tally, _ = fresh.run(points, publishers)
+        assert tally.multicasts_sent
+        cache = fresh.costs._group_tree_cache
+        assert cache
+        own = {id(g.member_set): g for g in fresh.partition.groups}
+        for publisher, members in cache:
+            group = own[id(members)]  # KeyError: a copy was cached
+            assert members is group.member_set
+            assert cache[(publisher, members)] == (
+                fresh.costs.routing.shortest_path_tree_cost(
+                    publisher, members
+                )
+            )
+
+    def test_fault_snapshot_arm_shares_the_set_too(self, fresh, small_events):
+        points, publishers = small_events
+        healthy = FaultState(0.0, frozenset(), frozenset())
+        for i in range(len(points)):
+            fresh.publish(
+                Event.create(i, int(publishers[i]), points[i]),
+                faults=healthy,
+            )
+        own = {id(g.member_set) for g in fresh.partition.groups}
+        assert fresh.costs._group_tree_cache
+        assert all(
+            id(members) in own for _, members in fresh.costs._group_tree_cache
+        )
+
+    def test_widened_group_is_costed_afresh(self, fresh, small_topology):
+        partition, costs = fresh.partition, fresh.costs
+        group = partition.group(1)
+        publisher = small_topology.all_stub_nodes()[0]
+        before = costs.multicast_cost(publisher, group.member_set)
+        newcomer = next(
+            node
+            for node in reversed(small_topology.all_stub_nodes())
+            if node not in group.member_set and node != publisher
+        )
+        cell = next(
+            index
+            for index, q in partition._cell_to_group.items()
+            if q == 1
+        )
+        grown = partition.add_subscription(
+            partition.grid.cells[cell].rectangle(), newcomer
+        )
+        assert 1 in grown
+        widened = partition.group(1)
+        assert widened.member_set == group.member_set | {newcomer}
+        after = costs.multicast_cost(publisher, widened.member_set)
+        assert after == costs.routing.shortest_path_tree_cost(
+            publisher, widened.member_set
+        )
+        assert after >= before
+        # The narrower group's entry is still there, under its own key.
+        assert costs._group_tree_cache[(publisher, group.member_set)] == before
+
+    def test_any_iterable_of_the_same_members_hits_the_same_entry(
+        self, fresh
+    ):
+        group = fresh.partition.group(1)
+        costs = fresh.costs
+        via_set = costs.multicast_cost(7, group.member_set)
+        assert costs.multicast_cost(7, group.members) == via_set
+        assert costs.multicast_cost(7, list(reversed(group.members))) == via_set
+        assert len(costs._group_tree_cache) == 1
 
 
 class TestPreprocessOptions:

@@ -1,5 +1,7 @@
 """Unit tests for the rounding-safe grid-cell arithmetic."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,80 @@ class TestLocateCell:
         assert locate_cell(
             np.array([-0.5]), frame_lo, frame_hi, width, 4
         ) is None
+
+
+def reference_locate_cell(point, frame_lo, frame_hi, cell_width, cells_per_dim):
+    """The array form ``locate_cell`` had before it went scalar."""
+    if np.any(point <= frame_lo) or np.any(point > frame_hi):
+        return None
+    coords = np.ceil((point - frame_lo) / cell_width).astype(int) - 1
+    return tuple(int(x) for x in np.clip(coords, 0, cells_per_dim - 1))
+
+
+class TestLocateCellAgainstArrayReference:
+    """Scalar arithmetic must quantize exactly as the array version
+    did, one ulp either side of every boundary included."""
+
+    FRAMES = [
+        # (frame_lo, frame_hi, cells_per_dim); the widths of the
+        # second and third are not exact in binary.
+        ((0.0, 0.0), (16.0, 4.0), 16),
+        ((-50.0, 0.1), (50.0, 0.7), 16),
+        ((1e-3, -7.3), (1e3, 11.9), 10),
+        ((5.0, -1.0), (6.0, 1.0), 1),
+    ]
+
+    @staticmethod
+    def probes(lo, hi, width, cells):
+        """Every cell boundary of one dimension, +/- one ulp, plus
+        points well outside the frame."""
+        values = [lo - 1.0, hi + 1.0, lo - width, hi + width]
+        for i in range(cells + 1):
+            edge = lo + i * width
+            values += [
+                edge,
+                np.nextafter(edge, -np.inf),
+                np.nextafter(edge, np.inf),
+            ]
+        values += [hi, np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)]
+        return [float(v) for v in values]
+
+    @pytest.mark.parametrize("frame_lo, frame_hi, cells", FRAMES)
+    def test_boundaries_and_outside(self, frame_lo, frame_hi, cells):
+        lo = np.array(frame_lo)
+        hi = np.array(frame_hi)
+        width = (hi - lo) / cells
+        lists = (lo.tolist(), hi.tolist(), width.tolist(), cells)
+        axes = [
+            self.probes(lo[d], hi[d], width[d], cells) for d in range(2)
+        ]
+        inside = 0
+        for point in product(*axes):
+            expected = reference_locate_cell(
+                np.array(point), lo, hi, width, cells
+            )
+            found = locate_cell(point, *lists)
+            assert found == expected, point
+            if found is not None:
+                assert all(type(c) is int for c in found)
+                inside += 1
+        assert inside  # the sweep is not all misses
+
+    def test_named_edges(self):
+        lo, hi, width = [0.0], [4.0], [1.0]
+        assert locate_cell((0.0,), lo, hi, width, 4) is None  # low edge
+        assert locate_cell((4.0,), lo, hi, width, 4) == (3,)  # high edge
+        assert locate_cell((np.nextafter(4.0, 5.0),), lo, hi, width, 4) is None
+        assert locate_cell((np.nextafter(0.0, 1.0),), lo, hi, width, 4) == (0,)
+        assert locate_cell((float("nan"),), lo, hi, width, 4) is None
+
+    def test_random_points_equal_reference(self, rng):
+        lo = np.array([-3.7, 0.0, 12.5, -1e-9])
+        hi = np.array([9.1, 1.0, 13.0, 1e-9])
+        width = (hi - lo) / 10
+        lists = (lo.tolist(), hi.tolist(), width.tolist(), 10)
+        points = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (2000, 4))
+        for point in points:
+            assert locate_cell(point.tolist(), *lists) == (
+                reference_locate_cell(point, lo, hi, width, 10)
+            )

@@ -3,8 +3,10 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.network import RoutingTable
+from repro.network import RoutingTable, TransitStubGenerator, TransitStubParams
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,71 @@ class TestAggregateCosts:
 
     def test_eccentricity(self, line_graph):
         assert RoutingTable(line_graph).eccentricity(0) == 6.0
+
+
+def reference_tree_walk(table, source, targets):
+    """The tree walk as it was before the per-source rows: predecessor
+    matrix reads and ``(prev, fresh)`` cost-dict probes, hop by hop."""
+    cost = 0.0
+    edges = []
+    visited = {source}
+    pred_row = table._pred[source]
+    for target in targets:
+        node = int(target)
+        walk = []
+        while node not in visited:
+            walk.append(node)
+            node = int(pred_row[node])
+        prev = node
+        for fresh in reversed(walk):
+            cost += table._cost_lookup[(prev, fresh)]
+            edges.append((prev, fresh))
+            visited.add(fresh)
+            prev = fresh
+    return cost, edges
+
+
+class TestTreeWalkAgainstReference:
+    """The flat rows add the same edge costs in the same order, so
+    costs are equal to the last bit, not approximately."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_cost_and_edges_equal_reference(self, seed, data):
+        params = TransitStubParams(
+            transit_blocks=2,
+            transit_nodes_per_block=2,
+            stubs_per_transit_node=2,
+            nodes_per_stub=4,
+            size_spread=1,
+        )
+        topology = TransitStubGenerator(params, seed=seed).generate()
+        table = RoutingTable.from_topology(topology)
+        node = st.integers(0, table.num_nodes - 1)
+        for _ in range(5):  # later queries reuse a source's rows
+            source = data.draw(node)
+            targets = data.draw(st.lists(node, max_size=12))
+            if targets and data.draw(st.booleans()):
+                targets += [source, targets[0]]
+            cost, edges = reference_tree_walk(table, source, targets)
+            assert table.shortest_path_tree_cost(source, targets) == cost
+            assert table.tree_edges(source, targets) == edges
+            # Sets and generators are walked in their own order too.
+            as_set = frozenset(targets)
+            assert table.shortest_path_tree_cost(source, as_set) == (
+                reference_tree_walk(table, source, as_set)[0]
+            )
+
+    def test_no_targets(self, diamond):
+        table = RoutingTable(diamond)
+        assert table.shortest_path_tree_cost(0, []) == 0.0
+        assert table.tree_edges(0, []) == []
+
+    def test_edges_are_python_ints_parent_first(self, line_graph):
+        table = RoutingTable(line_graph)
+        edges = table.tree_edges(0, np.array([3, 2]))
+        assert edges == [(0, 1), (1, 2), (2, 3)]
+        assert all(type(x) is int for edge in edges for x in edge)
 
 
 class TestRelabelling:

@@ -6,6 +6,9 @@ gracefully (empty results, catchall routing) — never silently wrong.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -46,6 +49,48 @@ class TestDisconnectedNetworks:
         table = RoutingTable(split_graph)
         with pytest.raises(ValueError, match="no path"):
             table.shortest_path_tree_cost(0, [1, 2])
+
+    def test_unreachable_tree_edges_raise_the_same(self, split_graph):
+        """``tree_edges`` used to walk off the predecessor row
+        (``IndexError: index -9999``); it is the same walk as the cost
+        now and names the unreachable target the same way."""
+        table = RoutingTable(split_graph)
+        with pytest.raises(ValueError, match="no path from 0 to 3"):
+            table.tree_edges(0, [3])
+        with pytest.raises(ValueError, match="no path from 0 to 3"):
+            table.shortest_path_tree_cost(0, [3])
+        # The reachable part of the component is still served.
+        assert table.tree_edges(0, [1]) == [(0, 1)]
+
+    def test_unreachable_tree_message_survives_dash_O(self):
+        # The guard is a plain raise, not an assert ``python -O`` strips.
+        program = (
+            "import networkx as nx\n"
+            "from repro.network import RoutingTable\n"
+            "graph = nx.Graph()\n"
+            "graph.add_edge(0, 1, cost=1.0)\n"
+            "graph.add_edge(2, 3, cost=1.0)\n"
+            "table = RoutingTable(graph)\n"
+            "assert False  # proves -O is active: this must not raise\n"
+            "for walk in (table.tree_edges, table.shortest_path_tree_cost):\n"
+            "    try:\n"
+            "        walk(0, [1, 3])\n"
+            "    except ValueError as error:\n"
+            "        if str(error) != 'no path from 0 to 3':\n"
+            "            raise SystemExit(f'wrong message: {error}')\n"
+            "    else:\n"
+            "        raise SystemExit('ValueError not raised under -O')\n"
+            "print('OK')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", program],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "OK"
 
 
 class TestDegenerateSubscriptionSets:
