@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from .analysis.report import format_table
 from .clustering import (
@@ -110,8 +110,23 @@ ALGORITHMS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        # One line and exit 2, like every other ``error: ...`` this CLI
+        # prints; the usage block of ``chaos`` alone runs to 25 lines.
+        self.exit(2, f"error: {message}\n")
+
+
+def probability(text: str) -> float:
+    """argparse ``type=`` of ``--loss`` / ``--duplicate``: within [0, 1]."""
+    value = float(text)  # not a number: argparse names this function
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1] (got {text})")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Content-based pub-sub simulation toolkit "
         "(Riabov et al., ICDCS 2003 reproduction).",
@@ -168,13 +183,13 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--threshold", type=float, default=0.15)
     chaos.add_argument(
         "--loss",
-        type=float,
+        type=probability,
         default=0.1,
         help="per-transmission drop probability on every link",
     )
     chaos.add_argument(
         "--duplicate",
-        type=float,
+        type=probability,
         default=0.0,
         help="per-transmission duplication probability on every link",
     )
@@ -469,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--subscriptions", type=int, default=300)
         sub.add_argument("--groups", type=int, default=11)
         sub.add_argument("--threshold", type=float, default=0.15)
-        sub.add_argument("--loss", type=float, default=0.05)
+        sub.add_argument("--loss", type=probability, default=0.05)
         sub.add_argument("--crashes", type=int, default=1)
         sub.add_argument("--crash-length", type=float, default=50.0)
         sub.add_argument(

@@ -1,49 +1,48 @@
 """One shard as a replicated service: primary, standbys, takeover.
 
-:class:`ReplicatedShard` is the per-shard analogue of
-:class:`~repro.replication.group.ReplicatedBrokerGroup`: the shard's
-acting primary journals every entry mutation and publish intent
-through a :class:`~repro.cluster.journal.ShardJournal`, whose taps
-feed a :class:`~repro.replication.shipping.LogShipper` streaming the
-WAL to each standby's
-:class:`~repro.replication.shipping.StandbyReplica`.  The same epoch
-fencing applies (:class:`~repro.replication.epoch.EpochState`): a
-deposed primary's stale batches and heartbeats bounce off the higher
-epoch and demote it to ``FENCED``.
+:class:`ReplicatedShard` is a :class:`~repro.replication.group.
+ReplicaSet` around one :class:`~repro.sharding.router.ShardBroker`:
+journal taps, log shipping, epoch fencing and the promote step are the
+ones a whole replicated broker uses.  What a shard adds:
 
-Two deliberate differences from the single-broker group:
-
+- **the shard broker's taps** — every entry mutation on the live
+  shard broker (scatter, migration installs, refresh withdrawals) is
+  journaled by the acting primary's
+  :class:`~repro.cluster.journal.ShardJournal`, and every message
+  carries the ``"shard"`` id so one wire serves all shards;
 - **no internal failure detectors** — suspicion and confirmation
   belong to the cluster-wide :class:`~repro.cluster.membership.
   Membership` layer, which sees every node once instead of per-shard;
-  the shard only offers :meth:`candidate` and :meth:`takeover` and
-  lets the coordinator decide *when*;
+  the shard only offers :meth:`~ReplicatedShard.candidate` and
+  :meth:`~ReplicatedShard.takeover` and lets the coordinator decide
+  *when*;
 - **cluster-stamped epochs** — takeovers are stamped with the epoch
   the coordinator passes in (the membership view epoch), so all
   shards share one monotone counter and one
   :class:`~repro.replication.epoch.EpochDirectory` for transport
   redirects.
 
-Takeover replays the candidate's shipped WAL via
-:func:`~repro.cluster.journal.recover_shard`, installs the recovered
-entry set into the live :class:`~repro.sharding.router.ShardBroker`
-(journaling suppressed — recovery is not new history), re-homes the
-shard, and rebinds journal + shipper toward the surviving standbys.
+Takeover replays the candidate's shipped WAL
+(:func:`~repro.cluster.journal.recover_shard`) and installs the
+entries into the live shard broker, which re-homes it
+(:meth:`~repro.sharding.router.ShardBroker.install`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence
 
-from ..durability.snapshot import MemorySnapshotStore, SnapshotStore
-from ..durability.wal import MemoryWAL, WriteAheadLog
-from ..replication.epoch import EpochDirectory, EpochState, ReplicaRole
-from ..replication.shipping import LogShipper, ShippingConfig, StandbyReplica
-from ..telemetry.base import Telemetry, or_null
-from .journal import RecoveredShardState, ShardJournal, recover_shard
+from ..durability.recovery import InflightDelivery
+from ..overload.breaker import BreakerBoard
+from ..replication.epoch import EpochDirectory
+from ..replication.group import Alive, Clock, ReplicaSet, Send
+from ..replication.shipping import ShippingConfig
+from ..sharding.router import ShardBroker
+from ..telemetry.base import Telemetry
+from .journal import ShardJournal, recover_shard
 
-__all__ = ["TakeoverResult", "ShardReplicationStats", "ReplicatedShard"]
+__all__ = ["TakeoverResult", "ReplicatedShard"]
 
 
 @dataclass(frozen=True)
@@ -58,283 +57,60 @@ class TakeoverResult:
     digest: str
     entries: int
     #: sequence → recovered unfinished delivery, for re-hand.
-    inflight: Dict[int, object]
+    inflight: Dict[int, InflightDelivery]
     truncated_bytes: int
 
 
-@dataclass
-class ShardReplicationStats:
-    """What one shard's replica set did during a run."""
+class ReplicatedShard(ReplicaSet):
+    """One shard broker, one ranked standby set, fenced takeover."""
 
-    takeovers: int = 0
-    takeover_digests: List[str] = field(default_factory=list)
-    heartbeats_sent: int = 0
-    stale_rejections: int = 0
-    fenced_writes: int = 0
-    final_epoch: int = 0
+    journal_class = ShardJournal
+    metrics = "cluster"
+    _FENCED_HELP = "ex-primary shard homes fenced by a higher epoch"
+    _FENCED_WRITES_HELP = "shard writes rejected by epoch fencing"
 
-
-class ReplicatedShard:
-    """One shard broker, one ranked standby set, fenced takeover.
-
-    ``send(source, target, payload)`` puts one replication message on
-    the (simulated) wire; ``None`` means synchronous lossless delivery
-    (unit tests).  ``alive(node, time)`` is the fail-stop ground truth
-    — a partitioned node is still *alive* and keeps shipping with its
-    stale epoch, which is how it eventually gets fenced.
-    """
+    journal: ShardJournal
 
     def __init__(
         self,
-        shard_broker,
+        shard_broker: ShardBroker,
         primary: int,
         standbys: Sequence[int],
-        simulator,
-        send: Optional[Callable[[int, int, Dict], None]] = None,
+        simulator: Clock,
+        send: Optional[Send] = None,
         shipping: Optional[ShippingConfig] = None,
-        alive: Optional[Callable[[int, float], bool]] = None,
+        alive: Optional[Alive] = None,
         checkpoint_every: int = 64,
-        breakers=None,
+        breakers: Optional[BreakerBoard] = None,
         telemetry: Optional[Telemetry] = None,
     ):
-        if not standbys:
-            raise ValueError(
-                "ReplicatedShard: at least one standby is required "
-                f"(shard {shard_broker.shard_id} got none)"
-            )
-        ranked = [int(s) for s in standbys]
-        if int(primary) in ranked or len(set(ranked)) != len(ranked):
-            raise ValueError(
-                "ReplicatedShard: standbys must be distinct and exclude "
-                f"the primary (primary={primary}, standbys={ranked})"
-            )
-        self.shard_broker = shard_broker
+        super().__init__(
+            shard_broker,
+            primary,
+            standbys,
+            simulator,
+            send=send,
+            shipping=shipping,
+            alive=alive,
+            checkpoint_every=checkpoint_every,
+            breakers=breakers,
+            telemetry=telemetry,
+        )
         self.shard_id = int(shard_broker.shard_id)
-        self.primary = int(primary)
-        self.ranked = ranked
-        self.members = [self.primary] + ranked
-        self.simulator = simulator
-        self._send = send
-        self.shipping = shipping or ShippingConfig()
-        self.alive = alive or (lambda node, time: True)
-        self.checkpoint_every = checkpoint_every
-        self.breakers = breakers
-        self.telemetry = or_null(telemetry)
-        #: The shard's current configuration epoch (cluster-stamped).
-        self.epoch = 0
-        self.stats = ShardReplicationStats()
-        self._suppress_journal = False
-
-        self.wals: Dict[int, WriteAheadLog] = {
-            node: MemoryWAL(clock=lambda: self.simulator.now)
-            for node in self.members
-        }
-        self.stores: Dict[int, SnapshotStore] = {
-            node: MemorySnapshotStore() for node in self.members
-        }
-        self.epochs: Dict[int, EpochState] = {
-            node: EpochState(
-                node=node,
-                role=(
-                    ReplicaRole.PRIMARY
-                    if node == self.primary
-                    else ReplicaRole.STANDBY
-                ),
-            )
-            for node in self.members
-        }
-        self.replicas: Dict[int, StandbyReplica] = {
-            node: StandbyReplica(
-                self.epochs[node],
-                self.wals[node],
-                self.stores[node],
-                telemetry=telemetry,
-            )
-            for node in ranked
-        }
-        self._shippers: Dict[int, LogShipper] = {}
-        self.journal = self._bind_primary(self.primary)
+        self._tag = {"shard": self.shard_id}
         # Every entry mutation on the live shard broker hits the acting
         # primary's journal — scatter, migration installs, withdrawals.
-        shard_broker.on_register = self._entry_registered
-        shard_broker.on_withdraw = self._entry_withdrawn
-
-    # -- wiring --------------------------------------------------------------
-
-    def _bind_primary(self, node: int) -> ShardJournal:
-        epoch_state = self.epochs[node]
-        shipper = LogShipper(
-            epoch_state,
-            [
-                s
-                for s in self.members
-                if self.epochs[s].role is ReplicaRole.STANDBY
-            ],
-            send=lambda standby, payload, source=node: self._transmit(
-                source, standby, payload
-            ),
-            wal=self.wals[node],
-            snapshots=self.stores[node],
-            config=self.shipping,
-            breakers=self.breakers,
-            telemetry=self.telemetry,
-        )
-        self._shippers[node] = shipper
-        journal = ShardJournal(
-            self.shard_broker,
-            self.wals[node],
-            self.stores[node],
-            checkpoint_every=self.checkpoint_every,
-            telemetry=self.telemetry,
-        )
-        journal.on_record = (
-            lambda lsn, kind, body, s=shipper: self._on_record(
-                s, lsn, kind, body
+        shard_broker.on_register = (
+            lambda gid, subscriber, rectangle: self.journal.log_register(
+                gid, subscriber, rectangle
             )
         )
-        journal.on_checkpoint = (
-            lambda snapshot, truncate_lsn, s=shipper: self._on_checkpoint(
-                s, snapshot, truncate_lsn
-            )
-        )
-        return journal
+        shard_broker.on_withdraw = lambda gid: self.journal.log_withdraw(gid)
 
-    def _on_record(self, shipper: LogShipper, lsn, kind, body) -> None:
-        shipper.record(lsn, kind, body)
-        if shipper.due:
-            shipper.flush(self.simulator.now)
-
-    def _on_checkpoint(self, shipper, snapshot, truncate_lsn) -> None:
-        shipper.checkpoint(snapshot, truncate_lsn)
-        # Eager: a standby holding the snapshot can take over even if
-        # it missed every incremental batch since.
-        shipper.flush(self.simulator.now)
-
-    def _entry_registered(self, gid, subscriber, rectangle) -> None:
-        if not self._suppress_journal:
-            self.journal.log_register(gid, subscriber, rectangle)
-
-    def _entry_withdrawn(self, gid) -> None:
-        if not self._suppress_journal:
-            self.journal.log_withdraw(gid)
-
-    def _transmit(self, source: int, target: int, payload: Dict) -> None:
-        payload = {**payload, "from": int(source), "shard": self.shard_id}
-        if self._send is None:
-            self.deliver(target, payload, self.simulator.now)
-        else:
-            self._send(int(source), int(target), payload)
-
-    # -- the receive path ----------------------------------------------------
-
-    def deliver(self, node: int, payload: Dict, time: float) -> None:
-        """One replication message arrived at member ``node``."""
-        node = int(node)
-        if not self.alive(node, time):
-            return
-        kind = payload.get("type")
-        sender = int(payload.get("from", -1))
-        if kind == "heartbeat":
-            if not self.epochs[node].admit(payload["epoch"]):
-                self._transmit(
-                    node,
-                    sender,
-                    {"type": "fence", "epoch": self.epochs[node].epoch},
-                )
-        elif kind in ("batch", "catchup"):
-            replica = self.replicas.get(node)
-            if replica is None:
-                # Aimed at a node that is no longer a standby (it took
-                # over); its epoch state answers for it.
-                if not self.epochs[node].admit(payload["epoch"]):
-                    self._transmit(
-                        node,
-                        sender,
-                        {"type": "fence", "epoch": self.epochs[node].epoch},
-                    )
-                return
-            reply = replica.receive(payload)
-            if reply is not None:
-                self._transmit(node, sender, reply)
-        elif kind == "ack":
-            epoch_state = self.epochs[node]
-            if not epoch_state.admit(payload["epoch"]):
-                return
-            shipper = self._shippers.get(node)
-            if shipper is not None and epoch_state.is_primary:
-                shipper.ack(
-                    payload["node"],
-                    payload["applied"],
-                    payload["end_lsn"],
-                    time,
-                )
-        elif kind == "resync":
-            epoch_state = self.epochs[node]
-            if not epoch_state.admit(payload["epoch"]):
-                return
-            shipper = self._shippers.get(node)
-            if shipper is not None and epoch_state.is_primary:
-                shipper.force_catchup(payload["node"], time)
-        elif kind == "fence":
-            was_primary = self.epochs[node].is_primary
-            self.epochs[node].adopt(payload["epoch"])
-            if was_primary and self.telemetry.enabled:
-                self.telemetry.counter(
-                    "cluster.fenced",
-                    help="ex-primary shard homes fenced by a higher epoch",
-                ).inc()
-        else:
-            raise ValueError(
-                f"ReplicatedShard: unknown payload type {kind!r}"
-            )
-
-    # -- the clock loop ------------------------------------------------------
-
-    def tick(self, now: float) -> None:
-        """One heartbeat/shipping round, driven by the coordinator.
-
-        Every member that *believes* it is primary beats and ships —
-        including a partitioned zombie, whose stale epoch is how it
-        eventually learns the truth.
-        """
-        for node, shipper in self._shippers.items():
-            epoch_state = self.epochs[node]
-            if not epoch_state.is_primary or not self.alive(node, now):
-                continue
-            for standby in shipper.standbys:
-                self._transmit(
-                    node,
-                    standby,
-                    {"type": "heartbeat", "epoch": epoch_state.epoch},
-                )
-                self.stats.heartbeats_sent += 1
-            shipper.flush(now)
-
-    # -- failover ------------------------------------------------------------
-
-    def mark_dead(self, node: int) -> None:
-        """Ground truth: ``node`` is permanently gone (fail-stop kill)."""
-        self.epochs[int(node)].role = ReplicaRole.DEAD
-
-    def candidate(
-        self,
-        now: float,
-        eligible: Optional[Callable[[int], bool]] = None,
-    ) -> Optional[int]:
-        """Highest-ranked standby able to take over right now.
-
-        ``eligible`` lets the coordinator veto standbys it cannot
-        reach (e.g. stranded on the wrong side of a partition).
-        """
-        for node in self.ranked:
-            if self.epochs[node].role is not ReplicaRole.STANDBY:
-                continue
-            if not self.alive(node, now):
-                continue
-            if eligible is not None and not eligible(node):
-                continue
-            return node
-        return None
+    # bench/layers.py times these per class and patches only what a
+    # class holds in its own ``__dict__``: bind, don't merely inherit.
+    deliver = ReplicaSet.deliver
+    tick = ReplicaSet.tick
 
     def takeover(
         self,
@@ -347,34 +123,23 @@ class ReplicatedShard:
 
         Returns ``None`` when no standby is usable — the coordinator
         falls back to ring exclusion (the pre-cluster stranding path).
+        A non-advancing ``epoch`` is refused before anything changes.
         """
-        candidate = self.candidate(now, eligible)
-        if candidate is None:
-            return None
-        old = self.primary
-        del self.replicas[candidate]
-        state = recover_shard(
-            self.wals[candidate],
-            self.stores[candidate],
-            telemetry=self.telemetry,
-        )
-        self._install(state, candidate)
         if epoch <= self.epoch:
             raise ValueError(
                 f"ReplicatedShard: takeover epoch must advance "
                 f"(have {self.epoch}, got {epoch})"
             )
-        self.epoch = int(epoch)
-        epoch_state = self.epochs[candidate]
-        epoch_state.role = ReplicaRole.PRIMARY
-        epoch_state.epoch = self.epoch
-        if directory is not None:
-            directory.advance(old, candidate, self.epoch)
-        self.primary = candidate
-        self.journal = self._bind_primary(candidate)
-        self.journal.rearm(state)
-        self.stats.takeovers += 1
-        self.stats.takeover_digests.append(state.digest())
+        candidate = self.candidate(now, eligible)
+        if candidate is None:
+            return None
+        state = recover_shard(
+            self.wals[candidate],
+            self.stores[candidate],
+            telemetry=self.telemetry,
+        )
+        self.broker.install(state.entries, candidate)
+        old = self._promote(candidate, state, epoch, directory)
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "cluster.takeovers", help="shard takeovers completed"
@@ -382,7 +147,7 @@ class ReplicatedShard:
             self.telemetry.gauge(
                 "cluster.shard_epoch",
                 help="per-shard configuration epoch",
-                shard=self.shard_id,
+                shard=str(self.shard_id),
             ).set(self.epoch)
         return TakeoverResult(
             shard_id=self.shard_id,
@@ -395,68 +160,8 @@ class ReplicatedShard:
             truncated_bytes=state.truncated_bytes,
         )
 
-    def _install(self, state: RecoveredShardState, new_home: int) -> None:
-        """Point the live shard broker at the recovered entry set.
-
-        Journaling is suppressed: recovery is not new history, and the
-        fresh primary's WAL already contains these records (it was the
-        shipped copy).
-        """
-        self._suppress_journal = True
-        try:
-            self.shard_broker._entries = dict(state.entries)
-            self.shard_broker._dirty = True
-            self.shard_broker.home = int(new_home)
-        finally:
-            self._suppress_journal = False
-
-    # -- admission & reporting ----------------------------------------------
-
-    def write_allowed(self, node: int) -> bool:
-        """Whether a write stamped with the shard's epoch may proceed
-        at ``node`` — the split-brain probe the harness asserts on."""
-        allowed = self.epochs[int(node)].admit_write(self.epoch)
-        if not allowed and self.telemetry.enabled:
-            self.telemetry.counter(
-                "cluster.fenced_writes",
-                help="shard writes rejected by epoch fencing",
-            ).inc()
-        return allowed
-
-    @property
-    def shipper(self) -> LogShipper:
-        return self._shippers[self.primary]
-
     def lag_of(self, standby: int) -> int:
         """Ops ``standby`` is behind the acting primary's stream."""
-        shipper = self._shippers[self.primary]
-        if int(standby) not in shipper.acked:
+        if int(standby) not in self.shipper.acked:
             return 0
-        return shipper.lag(int(standby))
-
-    def shipping_stats(self):
-        """Shipping counters summed over every (ex-)primary's shipper."""
-        from ..replication.shipping import ShippingStats
-
-        total = ShippingStats()
-        for shipper in self._shippers.values():
-            s = shipper.stats
-            total.batches += s.batches
-            total.ops_shipped += s.ops_shipped
-            total.acks += s.acks
-            total.catchups += s.catchups
-            total.backpressure_skips += s.backpressure_skips
-            total.breaker_failures += s.breaker_failures
-            total.trimmed_ops += s.trimmed_ops
-        return total
-
-    def finalize_stats(self) -> ShardReplicationStats:
-        """Fold per-replica counters into the shard stats."""
-        self.stats.stale_rejections = sum(
-            e.stale_rejected for e in self.epochs.values()
-        )
-        self.stats.fenced_writes = sum(
-            e.writes_rejected for e in self.epochs.values()
-        )
-        self.stats.final_epoch = self.epoch
-        return self.stats
+        return self.shipper.lag(int(standby))

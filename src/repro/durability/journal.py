@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Set
 
-from ..io import _encode_bound
+from ..geometry.rectangle import Rectangle
+from ..io import encode_bound
 from ..telemetry.base import Telemetry, or_null
-from .recovery import RecoveredState
+from .recovery import ReplayResult
 from .snapshot import Snapshot, SnapshotStore
 from .wal import RecordKind, WriteAheadLog
 
@@ -30,7 +31,9 @@ __all__ = ["BrokerJournal"]
 
 
 class BrokerJournal:
-    """Write-ahead journaling + periodic checkpoints for one broker."""
+    """Write-ahead journaling + periodic checkpoints for one broker —
+    anything whose ``durable_state()`` returns the ``table`` /
+    ``removed`` / ``partition`` (/ ``sessions``) a snapshot stores."""
 
     def __init__(
         self,
@@ -41,7 +44,10 @@ class BrokerJournal:
         telemetry: Optional[Telemetry] = None,
     ):
         if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+            raise ValueError(
+                f"{type(self).__name__}: checkpoint_every must be >= 1 "
+                f"(got {checkpoint_every})"
+            )
         self.broker = broker
         self.wal = wal
         self.store = store
@@ -88,17 +94,25 @@ class BrokerJournal:
             self.on_record(lsn, kind, body)
         return lsn
 
-    def log_subscribe(self, subscription) -> int:
-        """Journal a subscription add (call before the engine mutates)."""
-        rect = subscription.rectangle
+    def _log_entry(
+        self, sid: int, subscriber: int, rectangle: Rectangle
+    ) -> int:
         return self._append(
             RecordKind.SUBSCRIBE,
             {
-                "sid": int(subscription.subscription_id),
-                "subscriber": int(subscription.subscriber),
-                "lows": [_encode_bound(x) for x in rect.lows],
-                "highs": [_encode_bound(x) for x in rect.highs],
+                "sid": int(sid),
+                "subscriber": int(subscriber),
+                "lows": [encode_bound(x) for x in rectangle.lows],
+                "highs": [encode_bound(x) for x in rectangle.highs],
             },
+        )
+
+    def log_subscribe(self, subscription) -> int:
+        """Journal a subscription add (call before the engine mutates)."""
+        return self._log_entry(
+            subscription.subscription_id,
+            subscription.subscriber,
+            subscription.rectangle,
         )
 
     def log_unsubscribe(self, subscription_id: int) -> int:
@@ -222,7 +236,7 @@ class BrokerJournal:
 
     # -- recovery hand-off ---------------------------------------------------
 
-    def rearm(self, state: RecoveredState) -> None:
+    def rearm(self, state: ReplayResult) -> None:
         """Resume journaling after recovery.
 
         Reseeds the in-flight tracking from what recovery found (their

@@ -31,19 +31,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple, TypeVar
 
 from ..clustering.grid import EventGrid
 from ..clustering.groups import SpacePartition
 from ..core.subscription import SubscriptionTable
-from ..geometry.rectangle import Rectangle
-from ..io import table_to_dict
+from ..io import decode_rectangle, table_from_dict, table_to_dict
 from ..telemetry.base import Telemetry, or_null
-from .snapshot import SnapshotStore
+from .snapshot import Snapshot, SnapshotStore
 from .wal import RecordKind, WriteAheadLog
 
-__all__ = ["InflightDelivery", "RecoveredState", "recover", "restore_broker"]
+__all__ = [
+    "InflightDelivery",
+    "ReplayResult",
+    "RecoveredState",
+    "replay",
+    "recover",
+    "restore_broker",
+]
 
 
 @dataclass(frozen=True)
@@ -58,25 +64,15 @@ class InflightDelivery:
 
 
 @dataclass
-class RecoveredState:
-    """Everything recovery reconstructed, plus how it got there."""
+class ReplayResult:
+    """What one :func:`replay` found, whatever state it was folding."""
 
-    table: Optional[SubscriptionTable]
-    removed: Set[int]
-    partition_state: Optional[Dict]
     #: sequence → unfinished delivery (sorted targets), for redelivery.
-    inflight: Dict[int, InflightDelivery]
-    #: session id → cursor-table entry (subscriber, sids, state,
-    #: durable, cursor), rebuilt from the snapshot's session table
-    #: plus SESSION/CURSOR records past the checkpoint.  Empty for
-    #: brokers without a session layer.
-    sessions: Dict[str, Dict] = None  # type: ignore[assignment]
+    inflight: Dict[int, InflightDelivery] = field(default_factory=dict)
     checkpoint_lsn: int = 0
     snapshot_id: Optional[int] = None
     #: Records decoded and applied from the WAL (all kinds).
     replayed: int = 0
-    subscriptions_replayed: int = 0
-    removals_replayed: int = 0
     #: CRC-valid records recovery could not interpret (skipped, loud).
     skipped: int = 0
     #: Bytes cut off the WAL tail because of torn/corrupt records.
@@ -84,23 +80,53 @@ class RecoveredState:
     corruption: Optional[str] = None
     valid_end: int = 0
 
+    def _digest_body(self) -> Dict[str, object]:
+        """What :meth:`digest` covers; subclasses add their state."""
+        return {
+            "inflight": [
+                [seq, entry.publisher, list(entry.targets)]
+                for seq, entry in sorted(self.inflight.items())
+            ],
+            "checkpoint_lsn": self.checkpoint_lsn,
+        }
+
     def digest(self) -> str:
         """Deterministic fingerprint of the recovered state.
 
         Two recoveries from the same snapshot + WAL bytes produce the
         same digest — the seed-stability property the tests pin.
         """
-        body = {
-            "table": table_to_dict(self.table) if self.table else None,
-            "removed": sorted(self.removed),
-            "partition": self.partition_state,
-            "inflight": [
-                [seq, entry.publisher, list(entry.targets)]
-                for seq, entry in sorted(self.inflight.items())
-            ],
-            "checkpoint_lsn": self.checkpoint_lsn,
-            "valid_end": self.valid_end,
-        }
+        canonical = json.dumps(
+            self._digest_body(), sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.blake2b(
+            canonical.encode("utf-8"), digest_size=16
+        ).hexdigest()
+
+
+@dataclass
+class RecoveredState(ReplayResult):
+    """Everything recovery reconstructed, plus how it got there."""
+
+    table: Optional[SubscriptionTable] = None
+    removed: Set[int] = field(default_factory=set)
+    partition_state: Optional[Dict[str, Any]] = None
+    #: session id → cursor-table entry (subscriber, sids, state,
+    #: durable, cursor), rebuilt from the snapshot's session table
+    #: plus SESSION/CURSOR records past the checkpoint.  Empty for
+    #: brokers without a session layer.
+    sessions: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    subscriptions_replayed: int = 0
+    removals_replayed: int = 0
+
+    def _digest_body(self) -> Dict[str, object]:
+        body = super()._digest_body()
+        body.update(
+            table=table_to_dict(self.table) if self.table else None,
+            removed=sorted(self.removed),
+            partition=self.partition_state,
+            valid_end=self.valid_end,
+        )
         if self.sessions:
             # Only present for session-bearing brokers, so digests of
             # session-less recoveries match their pinned pre-session
@@ -109,115 +135,48 @@ class RecoveredState:
                 sid: dict(sorted(entry.items()))
                 for sid, entry in sorted(self.sessions.items())
             }
-        canonical = json.dumps(
-            body, sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.blake2b(
-            canonical.encode("utf-8"), digest_size=16
-        ).hexdigest()
+        return body
 
 
-def _decode_bound(value) -> float:
-    # Mirrors repro.io's sentinel encoding without importing privates.
-    if value == "inf":
-        return float("inf")
-    if value == "-inf":
-        return float("-inf")
-    return float(value)
+S = TypeVar("S", bound=ReplayResult)
 
 
-def recover(
+def replay(
     wal: WriteAheadLog,
     store: SnapshotStore,
-    telemetry: Optional[Telemetry] = None,
-) -> RecoveredState:
-    """Rebuild broker state from durable storage after a crash.
+    from_snapshot: Callable[[Optional[Snapshot]], S],
+    folds: Mapping[RecordKind, Callable[[S, Dict[str, Any]], None]],
+) -> S:
+    """Steps 1-3 of the restart sequence, for any journaled state.
+
+    The caller supplies only its *state fold*: ``from_snapshot`` turns
+    the newest valid snapshot (or ``None``) into the starting state —
+    setting ``checkpoint_lsn`` / ``snapshot_id`` if it accepts the
+    snapshot — and ``folds`` maps each record kind the snapshot
+    captures to the function applying one such record's body.  Those
+    records are skipped below ``checkpoint_lsn``; PUBLISH / DELIVER
+    are paired into ``inflight`` at any retained LSN, the same way for
+    every caller.
 
     Never raises on damaged input: a torn or corrupt WAL tail is
-    truncated at the last valid record (and reported via
-    ``truncated_bytes`` / ``corruption``), a damaged snapshot falls
-    back to the previous one, and undecodable record bodies are
-    counted in ``skipped``.
+    truncated at the last valid record (``truncated_bytes`` /
+    ``corruption``), a damaged snapshot falls back to the previous one,
+    and a body a fold rejects (``KeyError`` / ``TypeError`` /
+    ``ValueError``) is counted in ``skipped``.
     """
-    telemetry = or_null(telemetry)
-    span = None
-    if telemetry.enabled:
-        span = telemetry.start_span("recovery")
-        telemetry.counter(
-            "recovery.runs", help="crash recoveries performed"
-        ).inc()
-
-    snapshot = store.latest()
+    state = from_snapshot(store.latest())
     scan = wal.scan()
-    truncated = wal.end_lsn - scan.valid_end
+    state.truncated_bytes = wal.end_lsn - scan.valid_end
+    state.corruption = scan.corruption
+    state.valid_end = scan.valid_end
     if not scan.clean:
         wal.repair()
 
-    table: Optional[SubscriptionTable] = None
-    removed: Set[int] = set()
-    partition_state: Optional[Dict] = None
-    checkpoint_lsn = 0
-    snapshot_id = None
-    if snapshot is not None:
-        from ..io import table_from_dict
-
-        table = table_from_dict(snapshot.table)
-        removed = {int(x) for x in snapshot.removed}
-        partition_state = snapshot.partition
-        checkpoint_lsn = snapshot.checkpoint_lsn
-        snapshot_id = snapshot.snapshot_id
-
-    sessions: Dict[str, Dict] = {}
-    if snapshot is not None and snapshot.sessions:
-        sessions = {
-            str(sid): dict(entry)
-            for sid, entry in snapshot.sessions.items()
-        }
-
-    state = RecoveredState(
-        table=table,
-        removed=removed,
-        partition_state=partition_state,
-        inflight={},
-        sessions=sessions,
-        checkpoint_lsn=checkpoint_lsn,
-        snapshot_id=snapshot_id,
-        truncated_bytes=truncated,
-        corruption=scan.corruption,
-        valid_end=scan.valid_end,
-    )
-
-    pending: Dict[int, Dict] = {}  # seq -> {publisher, targets, lsn}
+    pending: Dict[int, Dict[str, Any]] = {}  # seq -> {publisher, targets, lsn}
     for record in scan.records:
         body = record.body
         try:
-            if record.kind is RecordKind.SUBSCRIBE:
-                if record.lsn < checkpoint_lsn:
-                    continue  # already folded into the snapshot
-                sid = int(body["sid"])
-                if state.table is None:
-                    state.table = SubscriptionTable(len(body["lows"]))
-                if sid != len(state.table):
-                    state.skipped += 1
-                    continue  # id-space gap: refuse to mis-assign
-                state.table.add(
-                    int(body["subscriber"]),
-                    Rectangle(
-                        tuple(_decode_bound(x) for x in body["lows"]),
-                        tuple(_decode_bound(x) for x in body["highs"]),
-                    ),
-                )
-                state.subscriptions_replayed += 1
-            elif record.kind is RecordKind.UNSUBSCRIBE:
-                if record.lsn < checkpoint_lsn:
-                    continue
-                sid = int(body["sid"])
-                if state.table is None or sid >= len(state.table):
-                    state.skipped += 1
-                    continue
-                state.removed.add(sid)
-                state.removals_replayed += 1
-            elif record.kind is RecordKind.PUBLISH:
+            if record.kind is RecordKind.PUBLISH:
                 pending[int(body["seq"])] = {
                     "publisher": int(body["publisher"]),
                     "targets": {int(t) for t in body["targets"]},
@@ -229,48 +188,13 @@ def recover(
                     entry["targets"].discard(int(body["target"]))
                     if not entry["targets"]:
                         del pending[int(body["seq"])]
-            elif record.kind is RecordKind.SESSION:
-                if record.lsn < checkpoint_lsn:
-                    continue  # already folded into the snapshot's table
-                action = str(body["action"])
-                sid = str(body["id"])
-                if action == "register":
-                    state.sessions[sid] = {
-                        "subscriber": int(body["subscriber"]),
-                        "sids": sorted(int(x) for x in body["sids"]),
-                        "state": "live",
-                        "durable": True,
-                        "cursor": int(body.get("cursor", 0)),
-                        "lease": float(body["lease"]),
-                    }
-                elif action in ("detach", "resume", "expire"):
-                    entry = state.sessions.get(sid)
-                    if entry is None:
-                        state.skipped += 1
-                        continue
-                    if action == "detach":
-                        entry["state"] = "detached"
-                        entry["detached_at"] = float(body["t"])
-                    elif action == "resume":
-                        entry["state"] = "live"
-                        entry.pop("detached_at", None)
-                    else:
-                        entry["durable"] = False
-                else:
-                    state.skipped += 1
-                    continue
-            elif record.kind is RecordKind.CURSOR:
-                if record.lsn < checkpoint_lsn:
-                    continue
-                entry = state.sessions.get(str(body["id"]))
-                if entry is None:
-                    state.skipped += 1
-                    continue
-                entry["cursor"] = max(
-                    int(entry.get("cursor", 0)), int(body["cursor"])
-                )
-            # CHECKPOINT markers are informational; the snapshot store
-            # is the authority on which checkpoint actually survived.
+            elif record.kind in folds:
+                if record.lsn < state.checkpoint_lsn:
+                    continue  # already folded into the snapshot
+                folds[record.kind](state, body)
+            # CHECKPOINT / MIGRATE_* markers are informational; the
+            # snapshot store is the authority on which checkpoint
+            # actually survived.
         except (KeyError, TypeError, ValueError):
             state.skipped += 1
             continue
@@ -285,6 +209,107 @@ def recover(
         )
         for seq, entry in sorted(pending.items())
     }
+    return state
+
+
+# -- the broker's state fold: dense positional table + tombstones + sessions --
+
+
+def _from_snapshot(snapshot: Optional[Snapshot]) -> RecoveredState:
+    if snapshot is None:
+        return RecoveredState()
+    return RecoveredState(
+        table=table_from_dict(snapshot.table),
+        removed={int(x) for x in snapshot.removed},
+        partition_state=snapshot.partition,
+        sessions={
+            str(sid): dict(entry)
+            for sid, entry in (snapshot.sessions or {}).items()
+        },
+        checkpoint_lsn=snapshot.checkpoint_lsn,
+        snapshot_id=snapshot.snapshot_id,
+    )
+
+
+def _fold_subscribe(state: RecoveredState, body: Dict[str, Any]) -> None:
+    sid = int(body["sid"])
+    if state.table is None:
+        state.table = SubscriptionTable(len(body["lows"]))
+    if sid != len(state.table):
+        raise ValueError("id-space gap: refusing to mis-assign")
+    state.table.add(
+        int(body["subscriber"]),
+        decode_rectangle(body["lows"], body["highs"]),
+    )
+    state.subscriptions_replayed += 1
+
+
+def _fold_unsubscribe(state: RecoveredState, body: Dict[str, Any]) -> None:
+    sid = int(body["sid"])
+    if state.table is None or sid >= len(state.table):
+        raise ValueError("tombstone for a subscription never seen")
+    state.removed.add(sid)
+    state.removals_replayed += 1
+
+
+def _fold_session(state: RecoveredState, body: Dict[str, Any]) -> None:
+    action = str(body["action"])
+    sid = str(body["id"])
+    if action == "register":
+        state.sessions[sid] = {
+            "subscriber": int(body["subscriber"]),
+            "sids": sorted(int(x) for x in body["sids"]),
+            "state": "live",
+            "durable": True,
+            "cursor": int(body.get("cursor", 0)),
+            "lease": float(body["lease"]),
+        }
+        return
+    if action not in ("detach", "resume", "expire"):
+        raise ValueError(f"unknown session action {action!r}")
+    entry = state.sessions[sid]  # KeyError: session never registered
+    if action == "detach":
+        entry["state"] = "detached"
+        entry["detached_at"] = float(body["t"])
+    elif action == "resume":
+        entry["state"] = "live"
+        entry.pop("detached_at", None)
+    else:
+        entry["durable"] = False
+
+
+def _fold_cursor(state: RecoveredState, body: Dict[str, Any]) -> None:
+    entry = state.sessions[str(body["id"])]  # KeyError: unknown session
+    entry["cursor"] = max(int(entry.get("cursor", 0)), int(body["cursor"]))
+
+
+_BROKER_FOLDS = {
+    RecordKind.SUBSCRIBE: _fold_subscribe,
+    RecordKind.UNSUBSCRIBE: _fold_unsubscribe,
+    RecordKind.SESSION: _fold_session,
+    RecordKind.CURSOR: _fold_cursor,
+}
+
+
+def recover(
+    wal: WriteAheadLog,
+    store: SnapshotStore,
+    telemetry: Optional[Telemetry] = None,
+) -> RecoveredState:
+    """Rebuild broker state from durable storage after a crash.
+
+    :func:`replay` with the broker's fold; never raises on damaged
+    input (see there).
+    """
+    telemetry = or_null(telemetry)
+    span = None
+    if telemetry.enabled:
+        span = telemetry.start_span("recovery")
+        telemetry.counter(
+            "recovery.runs", help="crash recoveries performed"
+        ).inc()
+
+    state = replay(wal, store, _from_snapshot, _BROKER_FOLDS)
 
     if telemetry.enabled:
         telemetry.counter(
@@ -303,7 +328,8 @@ def recover(
         ).set_attribute(
             "inflight", len(state.inflight)
         ).set_attribute(
-            "snapshot", snapshot_id if snapshot_id is not None else -1
+            "snapshot",
+            state.snapshot_id if state.snapshot_id is not None else -1,
         ).finish()
     return state
 

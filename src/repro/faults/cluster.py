@@ -721,14 +721,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         shipping = ShippingStats()
         for k in sorted(self.replicated):
             shard = self.replicated[k]
-            s = shard.shipping_stats()
-            shipping.batches += s.batches
-            shipping.ops_shipped += s.ops_shipped
-            shipping.acks += s.acks
-            shipping.catchups += s.catchups
-            shipping.backpressure_skips += s.backpressure_skips
-            shipping.breaker_failures += s.breaker_failures
-            shipping.trimmed_ops += s.trimmed_ops
+            shipping += shard.shipping_stats()
             stats = shard.finalize_stats()
             self.cstats.heartbeats += stats.heartbeats_sent
             self.cstats.stale_rejections += stats.stale_rejections

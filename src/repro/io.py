@@ -16,7 +16,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Sequence, Union
 
 import networkx as nx
 
@@ -28,6 +28,9 @@ __all__ = [
     "fsync_dir",
     "atomic_write_text",
     "atomic_write_bytes",
+    "encode_bound",
+    "decode_bound",
+    "decode_rectangle",
     "topology_to_dict",
     "topology_from_dict",
     "table_to_dict",
@@ -113,7 +116,8 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
 _FORMAT_VERSION = 1
 
 
-def _encode_bound(value: float) -> Union[float, str]:
+def encode_bound(value: float) -> Union[float, str]:
+    """One rectangle bound as JSON: infinities become sentinel strings."""
     if value == math.inf:
         return "inf"
     if value == -math.inf:
@@ -121,12 +125,23 @@ def _encode_bound(value: float) -> Union[float, str]:
     return float(value)
 
 
-def _decode_bound(value: Union[float, str]) -> float:
+def decode_bound(value: Union[float, str]) -> float:
+    """Inverse of :func:`encode_bound`."""
     if value == "inf":
         return math.inf
     if value == "-inf":
         return -math.inf
     return float(value)
+
+
+def decode_rectangle(
+    lows: Sequence[Union[float, str]], highs: Sequence[Union[float, str]]
+) -> Rectangle:
+    """A rectangle from its two lists of :func:`encode_bound` values."""
+    return Rectangle(
+        tuple(decode_bound(x) for x in lows),
+        tuple(decode_bound(x) for x in highs),
+    )
 
 
 def topology_to_dict(topology: Topology) -> Dict:
@@ -179,8 +194,8 @@ def table_to_dict(table: SubscriptionTable) -> Dict:
         "subscriptions": [
             {
                 "subscriber": s.subscriber,
-                "lows": [_encode_bound(x) for x in s.rectangle.lows],
-                "highs": [_encode_bound(x) for x in s.rectangle.highs],
+                "lows": [encode_bound(x) for x in s.rectangle.lows],
+                "highs": [encode_bound(x) for x in s.rectangle.highs],
             }
             for s in table
         ],
@@ -193,10 +208,7 @@ def table_from_dict(data: Dict) -> SubscriptionTable:
     for entry in data["subscriptions"]:
         table.add(
             int(entry["subscriber"]),
-            Rectangle(
-                tuple(_decode_bound(x) for x in entry["lows"]),
-                tuple(_decode_bound(x) for x in entry["highs"]),
-            ),
+            decode_rectangle(entry["lows"], entry["highs"]),
         )
     return table
 

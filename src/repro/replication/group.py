@@ -1,25 +1,25 @@
-"""The replicated broker group: primary, standbys, failover.
+"""Replica sets: one primary, ranked standbys, epoch-fenced promotion.
 
-One :class:`ReplicatedBrokerGroup` manages one home broker's replica
-set.  The **primary** runs the actual matching/routing service and
+A :class:`ReplicaSet` keeps the standbys of one journaled broker
+current.  The **primary** runs the actual matching/routing service and
 journals every mutation through a :class:`~repro.durability.journal.
 BrokerJournal`; the journal's taps feed a :class:`~repro.replication.
 shipping.LogShipper` which streams the WAL to each **standby**'s
-:class:`~repro.replication.shipping.StandbyReplica`.  A deterministic
-heartbeat :class:`~repro.replication.detector.FailureDetector` per
-standby watches the primary; all timing lives on the injected
-discrete-event simulator, so suspicion — and therefore failover — is
-a pure function of the seed.
+:class:`~repro.replication.shipping.StandbyReplica`.  All timing lives
+on the injected discrete-event simulator, so suspicion — and therefore
+failover — is a pure function of the seed.
 
-Failover is the durability stack re-run on somebody else's disk: the
-highest-ranked live standby increments the group **epoch**, runs the
-existing :func:`~repro.durability.recovery.recover` /
-:func:`~repro.durability.recovery.restore_broker` pipeline over *its
-own shipped WAL and snapshots*, re-registers as the home broker
-(via the :class:`~repro.replication.epoch.EpochDirectory`, which the
-reliable transport consults to re-route in-flight retries), and
-starts journaling + shipping to the surviving standbys.  The recovery
-digest of each takeover is kept as a determinism witness.
+Promotion is the durability stack re-run on somebody else's disk: the
+highest-ranked live standby replays *its own shipped WAL and
+snapshots*, the set's **epoch** advances, the
+:class:`~repro.replication.epoch.EpochDirectory` (which the reliable
+transport consults to re-route in-flight retries) learns the new home,
+and the new primary starts journaling + shipping to the surviving
+standbys.  The recovery digest of each takeover is kept as a
+determinism witness.  :class:`ReplicatedBrokerGroup` is a lone set
+around a whole home broker; :class:`repro.cluster.shard.
+ReplicatedShard` is one shard of a cluster whose coordinator decides
+when to promote.
 
 A deposed primary that is merely *partitioned* (not dead) keeps
 heartbeating and shipping with its stale epoch after the partition
@@ -33,23 +33,50 @@ chaos verifier asserts on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
 
+from ..core.dynamic import DynamicPubSubBroker
 from ..durability.journal import BrokerJournal
-from ..durability.recovery import RecoveredState, recover, restore_broker
-from ..durability.snapshot import MemorySnapshotStore, SnapshotStore
-from ..durability.wal import MemoryWAL, WriteAheadLog
+from ..durability.recovery import (
+    RecoveredState,
+    ReplayResult,
+    recover,
+    restore_broker,
+)
+from ..durability.snapshot import MemorySnapshotStore, Snapshot, SnapshotStore
+from ..durability.wal import MemoryWAL, RecordKind, WriteAheadLog
+from ..overload.breaker import BreakerBoard
+from ..simulation.engine import DiscreteEventSimulator
 from ..telemetry.base import Telemetry, or_null
 from .detector import FailureDetector, HeartbeatConfig
 from .epoch import EpochDirectory, EpochState, ReplicaRole
-from .shipping import LogShipper, ShippingConfig, StandbyReplica
+from .shipping import (
+    LogShipper,
+    Payload,
+    ShippingConfig,
+    ShippingStats,
+    StandbyReplica,
+)
 
-__all__ = ["ReplicationStats", "ReplicatedBrokerGroup"]
+__all__ = ["ReplicationStats", "ReplicaSet", "ReplicatedBrokerGroup"]
+
+#: ``send(source, target, payload)``: put one message on the wire.
+Send = Callable[[int, int, Payload], None]
+#: ``alive(node, time)``: the fail-stop ground truth.
+Alive = Callable[[int, float], bool]
+
+
+class Clock(Protocol):
+    """All a replica set needs of the simulator: the current time."""
+
+    @property
+    def now(self) -> float: ...
 
 
 @dataclass
 class ReplicationStats:
-    """What the replica group did during one run."""
+    """What one replica set did during one run."""
 
     failovers: int = 0
     #: Per-takeover recovery digests — the determinism witnesses.
@@ -61,12 +88,17 @@ class ReplicationStats:
     #: Write admissions refused at fenced / non-primary replicas.
     fenced_writes: int = 0
     heartbeats_sent: int = 0
-    #: The group epoch when the run ended.
+    #: The set's epoch when the run ended.
     final_epoch: int = 0
 
 
-class ReplicatedBrokerGroup:
+class ReplicaSet:
     """One primary, N ranked standbys, and the machinery between them.
+
+    Journal taps, shipping, the five-message receive path, the
+    heartbeat-and-flush round and the promote step are here; a
+    subclass decides *when* to promote and how the candidate's storage
+    becomes the live ``broker`` again (see :meth:`_promote`).
 
     ``send(source, target, payload)`` puts one message dict on the
     (simulated) wire; whatever transport the caller wires up must
@@ -75,42 +107,42 @@ class ReplicatedBrokerGroup:
     messages are delivered synchronously and losslessly, which is what
     the unit tests want.
 
-    ``alive(node, time)`` is the ground-truth liveness oracle (the
-    chaos harness backs it with the fault injector); the *detector*
-    still decides suspicion from heartbeat silence alone, so a
-    partitioned-but-alive primary is suspected exactly like a dead one
-    — and later fenced instead of resurrected.
+    ``alive(node, time)`` is the fail-stop ground truth (the chaos
+    harnesses back it with the fault injector).  A partitioned node is
+    still *alive*: it keeps beating and shipping with its stale epoch,
+    which is how it eventually gets fenced instead of resurrected.
     """
+
+    #: The journal class wrapped around ``broker`` on each primary.
+    journal_class = BrokerJournal
+    #: Prefix of the telemetry metric names (``<prefix>.fenced`` ...).
+    metrics = "replication"
+    _FENCED_HELP = "ex-primaries fenced by a higher epoch"
+    _FENCED_WRITES_HELP = "writes rejected by epoch fencing"
 
     def __init__(
         self,
-        broker,
+        broker: Any,
         primary: int,
         standbys: Sequence[int],
-        simulator,
-        send: Optional[Callable[[int, int, Dict], None]] = None,
+        simulator: Clock,
+        send: Optional[Send] = None,
         wal_factory: Optional[Callable[[int], WriteAheadLog]] = None,
         store_factory: Optional[Callable[[int], SnapshotStore]] = None,
         shipping: Optional[ShippingConfig] = None,
-        heartbeat: Optional[HeartbeatConfig] = None,
-        alive: Optional[Callable[[int, float], bool]] = None,
+        alive: Optional[Alive] = None,
         checkpoint_every: int = 64,
-        breakers=None,
+        breakers: Optional[BreakerBoard] = None,
         telemetry: Optional[Telemetry] = None,
-        on_takeover: Optional[
-            Callable[[RecoveredState, int, int, float], None]
-        ] = None,
     ):
+        name = type(self).__name__
         if not standbys:
-            raise ValueError(
-                "ReplicatedBrokerGroup: at least one standby is required"
-            )
+            raise ValueError(f"{name}: at least one standby is required")
         ranked = [int(s) for s in standbys]
         if int(primary) in ranked or len(set(ranked)) != len(ranked):
             raise ValueError(
-                "ReplicatedBrokerGroup: standbys must be distinct and "
-                f"exclude the primary (primary={primary}, "
-                f"standbys={ranked})"
+                f"{name}: standbys must be distinct and exclude the "
+                f"primary (primary={primary}, standbys={ranked})"
             )
         self.broker = broker
         self.primary = int(primary)
@@ -119,23 +151,20 @@ class ReplicatedBrokerGroup:
         self.simulator = simulator
         self._send = send
         self.shipping = shipping or ShippingConfig()
-        self.heartbeat = heartbeat or HeartbeatConfig()
         self.alive = alive or (lambda node, time: True)
         self.checkpoint_every = checkpoint_every
         self.breakers = breakers
         self.telemetry = or_null(telemetry)
-        self.on_takeover = on_takeover
-        self.directory = EpochDirectory()
+        #: The set's current configuration epoch.
         self.epoch = 0
         self.stats = ReplicationStats()
-        self.horizon: Optional[float] = None
+        #: Extra fields stamped on every outgoing message.
+        self._tag: Dict[str, int] = {}
 
         wal_factory = wal_factory or (
             lambda node: MemoryWAL(clock=lambda: self.simulator.now)
         )
-        store_factory = store_factory or (
-            lambda node: MemorySnapshotStore()
-        )
+        store_factory = store_factory or (lambda node: MemorySnapshotStore())
         self.wals: Dict[int, WriteAheadLog] = {
             node: wal_factory(node) for node in self.members
         }
@@ -143,16 +172,9 @@ class ReplicatedBrokerGroup:
             node: store_factory(node) for node in self.members
         }
         self.epochs: Dict[int, EpochState] = {
-            node: EpochState(
-                node=node,
-                role=(
-                    ReplicaRole.PRIMARY
-                    if node == self.primary
-                    else ReplicaRole.STANDBY
-                ),
-            )
-            for node in self.members
+            node: EpochState(node=node) for node in self.members
         }
+        self.epochs[self.primary].role = ReplicaRole.PRIMARY
         self.replicas: Dict[int, StandbyReplica] = {
             node: StandbyReplica(
                 self.epochs[node],
@@ -162,10 +184,6 @@ class ReplicatedBrokerGroup:
             )
             for node in ranked
         }
-        self.detectors: Dict[int, FailureDetector] = {
-            node: FailureDetector(self.heartbeat, now=self.simulator.now)
-            for node in ranked
-        }
         self._shippers: Dict[int, LogShipper] = {}
         self.journal = self._bind_primary(self.primary)
 
@@ -173,17 +191,14 @@ class ReplicatedBrokerGroup:
 
     def _bind_primary(self, node: int) -> BrokerJournal:
         """Attach journal + shipper for ``node`` as the acting primary."""
-        epoch_state = self.epochs[node]
         shipper = LogShipper(
-            epoch_state,
+            self.epochs[node],
             [
                 s
                 for s in self.members
                 if self.epochs[s].role is ReplicaRole.STANDBY
             ],
-            send=lambda standby, payload, source=node: self._transmit(
-                source, standby, payload
-            ),
+            send=partial(self._transmit, node),
             wal=self.wals[node],
             snapshots=self.stores[node],
             config=self.shipping,
@@ -191,130 +206,282 @@ class ReplicatedBrokerGroup:
             telemetry=self.telemetry,
         )
         self._shippers[node] = shipper
-        journal = BrokerJournal(
+        journal = self.journal_class(
             self.broker,
             self.wals[node],
             self.stores[node],
             checkpoint_every=self.checkpoint_every,
             telemetry=self.telemetry,
         )
-        journal.on_record = (
-            lambda lsn, kind, body, s=shipper: self._on_record(
-                s, lsn, kind, body
-            )
-        )
-        journal.on_checkpoint = (
-            lambda snapshot, truncate_lsn, s=shipper: self._on_checkpoint(
-                s, snapshot, truncate_lsn
-            )
-        )
-        self.broker.attach_journal(journal)
+        journal.on_record = partial(self._on_record, shipper)
+        journal.on_checkpoint = partial(self._on_checkpoint, shipper)
         return journal
 
-    def _on_record(self, shipper: LogShipper, lsn, kind, body) -> None:
+    def _on_record(
+        self, shipper: LogShipper, lsn: int, kind: RecordKind, body: Payload
+    ) -> None:
         shipper.record(lsn, kind, body)
         if shipper.due:
             shipper.flush(self.simulator.now)
 
-    def _on_checkpoint(self, shipper, snapshot, truncate_lsn) -> None:
+    def _on_checkpoint(
+        self, shipper: LogShipper, snapshot: Snapshot, truncate_lsn: int
+    ) -> None:
         shipper.checkpoint(snapshot, truncate_lsn)
         # Push checkpoints eagerly: a standby holding the snapshot can
         # take over even if it missed every incremental batch since.
         shipper.flush(self.simulator.now)
 
-    def _transmit(self, source: int, target: int, payload: Dict) -> None:
-        payload = {**payload, "from": int(source)}
+    def _transmit(self, source: int, target: int, payload: Payload) -> None:
+        payload = {**payload, "from": int(source), **self._tag}
         if self._send is None:
             self.deliver(target, payload, self.simulator.now)
         else:
             self._send(int(source), int(target), payload)
 
+    def _fence(self, node: int, sender: int) -> None:
+        """Answer a stale-epoch message with ``node``'s higher epoch."""
+        self._transmit(
+            node, sender, {"type": "fence", "epoch": self.epochs[node].epoch}
+        )
+
+    def _heard_primary(self, node: int, time: float) -> None:
+        """Hook: standby ``node`` got current-epoch primary traffic."""
+
     # -- the receive path ----------------------------------------------------
 
-    def deliver(self, node: int, payload: Dict, time: float) -> None:
-        """One replication message arrived at ``node`` at ``time``."""
+    def deliver(self, node: int, payload: Payload, time: float) -> None:
+        """One replication message arrived at member ``node`` at ``time``."""
         node = int(node)
         if not self.alive(node, time):
             return
         kind = payload.get("type")
         sender = int(payload.get("from", -1))
+        epoch_state = self.epochs[node]
         if kind == "heartbeat":
-            self._heartbeat_arrived(node, sender, payload["epoch"], time)
+            if epoch_state.admit(payload["epoch"]):
+                self._heard_primary(node, time)
+            else:
+                self._fence(node, sender)
         elif kind in ("batch", "catchup"):
-            self._shipping_arrived(node, sender, payload, time)
-        elif kind == "ack":
-            self._ack_arrived(node, payload, time)
-        elif kind == "resync":
-            self._resync_arrived(node, payload, time)
+            replica = self.replicas.get(node)
+            if replica is None:
+                # Shipped data aimed at a node that is no longer a
+                # standby (it took over); its epoch state answers.
+                if not epoch_state.admit(payload["epoch"]):
+                    self._fence(node, sender)
+                return
+            reply = replica.receive(payload)
+            if reply is not None:
+                if reply.get("type") != "fence":
+                    self._heard_primary(node, time)
+                self._transmit(node, sender, reply)
+        elif kind in ("ack", "resync"):
+            if not epoch_state.admit(payload["epoch"]):
+                return  # an old standby answering an even older stream
+            shipper = self._shippers.get(node)
+            if shipper is None or not epoch_state.is_primary:
+                return
+            if kind == "ack":
+                shipper.ack(
+                    payload["node"],
+                    payload["applied"],
+                    payload["end_lsn"],
+                    time,
+                )
+            else:
+                shipper.force_catchup(payload["node"], time)
         elif kind == "fence":
-            self._fenced(node, payload["epoch"])
+            was_primary = epoch_state.is_primary
+            epoch_state.adopt(payload["epoch"])
+            if was_primary and self.telemetry.enabled:
+                self.telemetry.counter(
+                    f"{self.metrics}.fenced", help=self._FENCED_HELP
+                ).inc()
         else:
             raise ValueError(
-                f"ReplicatedBrokerGroup: unknown payload type {kind!r}"
+                f"{type(self).__name__}: unknown payload type {kind!r}"
             )
 
-    def _heartbeat_arrived(
-        self, node: int, sender: int, epoch: int, time: float
-    ) -> None:
-        if not self.epochs[node].admit(epoch):
-            self._transmit(
-                node,
-                sender,
-                {"type": "fence", "epoch": self.epochs[node].epoch},
-            )
-            return
+    # -- the clock loop ------------------------------------------------------
+
+    def tick(self, now: float) -> None:
+        """One heartbeat/shipping round.
+
+        Every member that *believes* it is primary beats and ships —
+        including a partitioned zombie, whose stale epoch is how it
+        eventually learns the truth.
+        """
+        for node, shipper in self._shippers.items():
+            epoch_state = self.epochs[node]
+            if not epoch_state.is_primary or not self.alive(node, now):
+                continue
+            for standby in shipper.standbys:
+                self._transmit(
+                    node,
+                    standby,
+                    {"type": "heartbeat", "epoch": epoch_state.epoch},
+                )
+                self.stats.heartbeats_sent += 1
+            shipper.flush(now)
+
+    # -- failover ------------------------------------------------------------
+
+    def mark_dead(self, node: int) -> None:
+        """Ground truth: ``node`` is permanently gone (fail-stop kill)."""
+        self.epochs[int(node)].role = ReplicaRole.DEAD
+
+    def candidate(
+        self,
+        now: float,
+        eligible: Optional[Callable[[int], bool]] = None,
+    ) -> Optional[int]:
+        """Highest-ranked standby able to take over right now.
+
+        ``eligible`` lets a coordinator veto standbys it cannot reach
+        (e.g. stranded on the wrong side of a partition).
+        """
+        for node in self.ranked:
+            if self.epochs[node].role is not ReplicaRole.STANDBY:
+                continue
+            if not self.alive(node, now):
+                continue
+            if eligible is not None and not eligible(node):
+                continue
+            return node
+        return None
+
+    def _promote(
+        self,
+        candidate: int,
+        state: ReplayResult,
+        epoch: int,
+        directory: Optional[EpochDirectory],
+    ) -> int:
+        """Make ``candidate`` the primary under ``epoch``; returns the old.
+
+        ``state`` is what the subclass recovered from the candidate's
+        own storage and has already put back into the live broker; its
+        in-flight intents re-arm the fresh journal.
+        """
+        old = self.primary
+        del self.replicas[candidate]
+        self.epoch = int(epoch)
+        epoch_state = self.epochs[candidate]
+        epoch_state.role = ReplicaRole.PRIMARY
+        epoch_state.epoch = self.epoch
+        if directory is not None:
+            directory.advance(old, candidate, self.epoch)
+        self.primary = candidate
+        self.journal = self._bind_primary(candidate)
+        self.journal.rearm(state)
+        self.stats.failovers += 1
+        self.stats.takeover_digests.append(state.digest())
+        return old
+
+    # -- admission & reporting ----------------------------------------------
+
+    def write_allowed(self, node: int) -> bool:
+        """Whether a client write at ``node`` may proceed (fencing check).
+
+        The write is stamped with the set's current epoch; only the
+        acting primary admits it.  A fenced ex-primary — or any node
+        that merely used to matter — rejects, and the rejection is
+        counted as the split-brain proof.
+        """
+        allowed = self.epochs[int(node)].admit_write(self.epoch)
+        if not allowed and self.telemetry.enabled:
+            self.telemetry.counter(
+                f"{self.metrics}.fenced_writes",
+                help=self._FENCED_WRITES_HELP,
+            ).inc()
+        return allowed
+
+    @property
+    def shipper(self) -> LogShipper:
+        """The acting primary's shipper."""
+        return self._shippers[self.primary]
+
+    def shipping_stats(self) -> ShippingStats:
+        """Shipping counters summed over every (ex-)primary's shipper."""
+        total = ShippingStats()
+        for shipper in self._shippers.values():
+            total += shipper.stats
+        return total
+
+    def finalize_stats(self) -> ReplicationStats:
+        """Fold per-replica counters into the set's stats and return them."""
+        self.stats.stale_rejections = sum(
+            e.stale_rejected for e in self.epochs.values()
+        )
+        self.stats.fenced_writes = sum(
+            e.writes_rejected for e in self.epochs.values()
+        )
+        self.stats.final_epoch = self.epoch
+        return self.stats
+
+
+class ReplicatedBrokerGroup(ReplicaSet):
+    """A lone replica set around one home broker, failing over by itself.
+
+    It owns what a cluster would otherwise supply: a heartbeat
+    :class:`~repro.replication.detector.FailureDetector` per standby
+    (each suspects the primary from the traffic *it* hears over the
+    lossy wire, so a partitioned-but-alive primary is suspected exactly
+    like a dead one), its own ticks, epoch counter and directory, and
+    the whole-broker pipeline :func:`~repro.durability.recovery.recover`
+    then :func:`~repro.durability.recovery.restore_broker`.
+    """
+
+    simulator: DiscreteEventSimulator
+
+    def __init__(
+        self,
+        broker: DynamicPubSubBroker,
+        primary: int,
+        standbys: Sequence[int],
+        simulator: DiscreteEventSimulator,
+        send: Optional[Send] = None,
+        wal_factory: Optional[Callable[[int], WriteAheadLog]] = None,
+        store_factory: Optional[Callable[[int], SnapshotStore]] = None,
+        shipping: Optional[ShippingConfig] = None,
+        heartbeat: Optional[HeartbeatConfig] = None,
+        alive: Optional[Alive] = None,
+        checkpoint_every: int = 64,
+        breakers: Optional[BreakerBoard] = None,
+        telemetry: Optional[Telemetry] = None,
+        on_takeover: Optional[
+            Callable[[RecoveredState, int, int, float], None]
+        ] = None,
+    ):
+        super().__init__(
+            broker,
+            primary,
+            standbys,
+            simulator,
+            send=send,
+            wal_factory=wal_factory,
+            store_factory=store_factory,
+            shipping=shipping,
+            alive=alive,
+            checkpoint_every=checkpoint_every,
+            breakers=breakers,
+            telemetry=telemetry,
+        )
+        self.broker.attach_journal(self.journal)
+        self.heartbeat = heartbeat or HeartbeatConfig()
+        self.on_takeover = on_takeover
+        self.directory = EpochDirectory()
+        self.horizon: Optional[float] = None
+        self.detectors: Dict[int, FailureDetector] = {
+            node: FailureDetector(self.heartbeat, now=self.simulator.now)
+            for node in self.ranked
+        }
+
+    def _heard_primary(self, node: int, time: float) -> None:
         detector = self.detectors.get(node)
         if detector is not None:
             detector.heard(time)
-
-    def _shipping_arrived(
-        self, node: int, sender: int, payload: Dict, time: float
-    ) -> None:
-        replica = self.replicas.get(node)
-        if replica is None:
-            # Shipped data aimed at a node that is no longer a standby
-            # (e.g. it took over); its epoch state answers for it.
-            if not self.epochs[node].admit(payload["epoch"]):
-                self._transmit(
-                    node,
-                    sender,
-                    {"type": "fence", "epoch": self.epochs[node].epoch},
-                )
-            return
-        reply = replica.receive(payload)
-        if reply is not None and reply.get("type") != "fence":
-            detector = self.detectors.get(node)
-            if detector is not None:
-                detector.heard(time)
-        if reply is not None:
-            self._transmit(node, sender, reply)
-
-    def _ack_arrived(self, node: int, payload: Dict, time: float) -> None:
-        epoch_state = self.epochs[node]
-        if not epoch_state.admit(payload["epoch"]):
-            return  # an old standby acking an even older stream
-        shipper = self._shippers.get(node)
-        if shipper is not None and epoch_state.is_primary:
-            shipper.ack(
-                payload["node"], payload["applied"], payload["end_lsn"], time
-            )
-
-    def _resync_arrived(self, node: int, payload: Dict, time: float) -> None:
-        epoch_state = self.epochs[node]
-        if not epoch_state.admit(payload["epoch"]):
-            return
-        shipper = self._shippers.get(node)
-        if shipper is not None and epoch_state.is_primary:
-            shipper.force_catchup(payload["node"], time)
-
-    def _fenced(self, node: int, epoch: int) -> None:
-        was_primary = self.epochs[node].is_primary
-        self.epochs[node].adopt(epoch)
-        if was_primary and self.telemetry.enabled:
-            self.telemetry.counter(
-                "replication.fenced",
-                help="ex-primaries fenced by a higher epoch",
-            ).inc()
 
     # -- the clock loop ------------------------------------------------------
 
@@ -340,40 +507,13 @@ class ReplicatedBrokerGroup:
 
     def _tick(self) -> None:
         now = self.simulator.now
-        # Every node that *believes* it is primary beats and ships —
-        # including a partitioned zombie, whose stale epoch is how it
-        # eventually learns the truth.
-        for node, shipper in self._shippers.items():
-            epoch_state = self.epochs[node]
-            if not epoch_state.is_primary or not self.alive(node, now):
-                continue
-            for standby in shipper.standbys:
-                self._transmit(
-                    node,
-                    standby,
-                    {"type": "heartbeat", "epoch": epoch_state.epoch},
-                )
-                self.stats.heartbeats_sent += 1
-            shipper.flush(now)
-        candidate = self._candidate(now)
+        self.tick(now)
+        candidate = self.candidate(now)
         if candidate is not None and self.detectors[candidate].check(now):
             self.takeover(now)
         self._schedule_tick(now)
 
-    def _candidate(self, now: float) -> Optional[int]:
-        """Highest-ranked standby eligible to take over right now."""
-        for node in self.ranked:
-            if self.epochs[node].role is ReplicaRole.STANDBY and self.alive(
-                node, now
-            ):
-                return node
-        return None
-
     # -- failover ------------------------------------------------------------
-
-    def mark_dead(self, node: int) -> None:
-        """Ground truth: ``node`` is permanently gone (fail-stop kill)."""
-        self.epochs[int(node)].role = ReplicaRole.DEAD
 
     def takeover(self, now: float) -> bool:
         """Promote the best live standby; returns False if none exists.
@@ -385,34 +525,23 @@ class ReplicatedBrokerGroup:
         state via ``on_takeover`` and re-hands unacked deliveries to
         the transport.
         """
-        candidate = self._candidate(now)
+        candidate = self.candidate(now)
         if candidate is None:
             return False
-        old = self.primary
-        silence = now - self.detectors[candidate].last_heard
-        del self.detectors[candidate]
-        del self.replicas[candidate]
+        silence = now - self.detectors.pop(candidate).last_heard
         state = recover(
             self.wals[candidate],
             self.stores[candidate],
             telemetry=self.telemetry,
         )
         restore_broker(self.broker, state, telemetry=self.telemetry)
-        self.epoch += 1
-        epoch_state = self.epochs[candidate]
-        epoch_state.role = ReplicaRole.PRIMARY
-        epoch_state.epoch = self.epoch
-        self.directory.advance(old, candidate, self.epoch)
-        self.primary = candidate
-        self.journal = self._bind_primary(candidate)
-        self.journal.rearm(state)
+        old = self._promote(candidate, state, self.epoch + 1, self.directory)
+        self.broker.attach_journal(self.journal)
         # Surviving standbys now watch the new primary; its first
         # heartbeat lands next tick, well inside the fresh timeout.
-        for node in self._shippers[candidate].standbys:
+        for node in self.shipper.standbys:
             self.detectors[node] = FailureDetector(self.heartbeat, now=now)
-        self.stats.failovers += 1
         self.stats.failover_durations.append(float(silence))
-        self.stats.takeover_digests.append(state.digest())
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "replication.failovers", help="takeovers completed"
@@ -430,53 +559,3 @@ class ReplicatedBrokerGroup:
         if self.on_takeover is not None:
             self.on_takeover(state, old, candidate, now)
         return True
-
-    # -- admission & reporting ----------------------------------------------
-
-    def write_allowed(self, node: int) -> bool:
-        """Whether a client write at ``node`` may proceed (fencing check).
-
-        The write is stamped with the group's current epoch; only the
-        acting primary admits it.  A fenced ex-primary — or any node
-        that merely used to matter — rejects, and the rejection is
-        counted as the split-brain proof.
-        """
-        allowed = self.epochs[int(node)].admit_write(self.epoch)
-        if not allowed and self.telemetry.enabled:
-            self.telemetry.counter(
-                "replication.fenced_writes",
-                help="writes rejected by epoch fencing",
-            ).inc()
-        return allowed
-
-    @property
-    def shipper(self) -> LogShipper:
-        """The acting primary's shipper."""
-        return self._shippers[self.primary]
-
-    def shipping_stats(self):
-        """Shipping counters summed over every (ex-)primary's shipper."""
-        from .shipping import ShippingStats
-
-        total = ShippingStats()
-        for shipper in self._shippers.values():
-            s = shipper.stats
-            total.batches += s.batches
-            total.ops_shipped += s.ops_shipped
-            total.acks += s.acks
-            total.catchups += s.catchups
-            total.backpressure_skips += s.backpressure_skips
-            total.breaker_failures += s.breaker_failures
-            total.trimmed_ops += s.trimmed_ops
-        return total
-
-    def finalize_stats(self) -> ReplicationStats:
-        """Fold per-replica counters into the group stats and return them."""
-        self.stats.stale_rejections = sum(
-            e.stale_rejected for e in self.epochs.values()
-        )
-        self.stats.fenced_writes = sum(
-            e.writes_rejected for e in self.epochs.values()
-        )
-        self.stats.final_epoch = self.epoch
-        return self.stats

@@ -38,15 +38,22 @@ progress trip the breaker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..durability.snapshot import Snapshot, SnapshotStore
 from ..durability.wal import RecordKind, WriteAheadLog
+from ..overload.breaker import BreakerBoard
 from ..telemetry.base import Telemetry, or_null
 from .epoch import EpochState
 
 __all__ = ["ShippingConfig", "ShippingStats", "LogShipper", "StandbyReplica"]
+
+#: A JSON-ready dict: one replication message (self-describing via
+#: ``payload["type"]``), or one WAL record body.
+Payload = Dict[str, Any]
+#: One op of the stream: ``(tag, ...)``, see the module docstring.
+Op = Tuple[Any, ...]
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,11 @@ class ShippingStats:
     breaker_failures: int = 0
     trimmed_ops: int = 0
 
+    def __iadd__(self, other: ShippingStats) -> ShippingStats:
+        for name in vars(other):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        return self
+
 
 class LogShipper:
     """Primary-side half of the shipping protocol.
@@ -120,11 +132,11 @@ class LogShipper:
         self,
         epoch: EpochState,
         standbys: Sequence[int],
-        send: Callable[[int, Dict], None],
+        send: Callable[[int, Payload], None],
         wal: WriteAheadLog,
         snapshots: SnapshotStore,
         config: Optional[ShippingConfig] = None,
-        breakers=None,
+        breakers: Optional[BreakerBoard] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.epoch = epoch
@@ -136,7 +148,7 @@ class LogShipper:
         self.breakers = breakers
         self.telemetry = or_null(telemetry)
         self.stats = ShippingStats()
-        self._ops: List[Tuple] = []
+        self._ops: List[Op] = []
         #: Stream index of ``_ops[0]``.
         self._base_index = 0
         #: node → highest cumulative op index acked.
@@ -152,7 +164,7 @@ class LogShipper:
         """Stream index the next op will get (= total ops ever)."""
         return self._base_index + len(self._ops)
 
-    def record(self, lsn: int, kind: RecordKind, body: Dict) -> None:
+    def record(self, lsn: int, kind: RecordKind, body: Payload) -> None:
         """``BrokerJournal.on_record`` tap: buffer one append op."""
         self._ops.append(("append", int(lsn), int(kind), body))
 
@@ -305,7 +317,7 @@ class LogShipper:
             self.telemetry.gauge(
                 "replication.lag_records",
                 help="ops the standby is behind the primary",
-                standby=standby,
+                standby=str(standby),
             ).set(self.lag(standby))
 
 
@@ -338,7 +350,7 @@ class StandbyReplica:
         #: until a catch-up re-bases us onto the new stream.
         self.stream_epoch = self.epoch.epoch
 
-    def _ack(self) -> Dict:
+    def _ack(self) -> Payload:
         return {
             "type": "ack",
             "node": self.epoch.node,
@@ -347,14 +359,14 @@ class StandbyReplica:
             "end_lsn": self.wal.end_lsn,
         }
 
-    def _fence(self) -> Dict:
+    def _fence(self) -> Payload:
         return {
             "type": "fence",
             "node": self.epoch.node,
             "epoch": self.epoch.epoch,
         }
 
-    def receive(self, payload: Dict) -> Optional[Dict]:
+    def receive(self, payload: Payload) -> Optional[Payload]:
         """Handle one shipping message; returns the reply (or ``None``)."""
         kind = payload.get("type")
         if kind == "batch":
@@ -372,8 +384,8 @@ class StandbyReplica:
         raise ValueError(f"StandbyReplica: unknown payload type {kind!r}")
 
     def receive_batch(
-        self, epoch: int, start_index: int, ops: Sequence[Tuple]
-    ) -> Optional[Dict]:
+        self, epoch: int, start_index: int, ops: Sequence[Op]
+    ) -> Optional[Payload]:
         if not self.epoch.admit(epoch):
             return self._fence()
         if epoch != self.stream_epoch:
@@ -399,8 +411,8 @@ class StandbyReplica:
         start_index: int,
         base_lsn: int,
         data: bytes,
-        snapshot_payload: Optional[Dict],
-    ) -> Optional[Dict]:
+        snapshot_payload: Optional[Payload],
+    ) -> Optional[Payload]:
         if not self.epoch.admit(epoch):
             return self._fence()
         if epoch == self.stream_epoch and start_index < self.applied_index:
@@ -426,7 +438,7 @@ class StandbyReplica:
         the next batch draws a ``resync`` and a catch-up re-bases us."""
         self.stream_epoch = -1
 
-    def _apply(self, op: Tuple) -> None:
+    def _apply(self, op: Op) -> None:
         tag = op[0]
         if tag == "append":
             _, lsn, kind, body = op

@@ -38,12 +38,50 @@ from ..core.matching import MatchingEngine, MatchResult
 from ..core.subscription import Subscription, SubscriptionTable
 from ..geometry.gridmath import covered_cell_range
 from ..geometry.rectangle import Rectangle
+from ..io import decode_rectangle, encode_bound
 from ..telemetry.base import Telemetry, or_null
 from .map import ShardMap
 
-__all__ = ["ShardBroker", "ShardRouter", "RoutedPublish"]
+__all__ = [
+    "ShardBroker",
+    "ShardRouter",
+    "RoutedPublish",
+    "encode_entries",
+    "decode_entries",
+]
 
 _EMPTY_MATCH = MatchResult(subscription_ids=(), subscribers=())
+
+#: gid → (subscriber, rectangle): a shard's entry set.
+Entries = Dict[int, Tuple[int, Rectangle]]
+
+#: Marks a snapshot ``table`` as a shard's sparse entry set (a whole
+#: broker's holds the dense positional :func:`repro.io.table_to_dict`).
+_TABLE_KIND = "shard-entries"
+
+
+def encode_entries(entries: Entries) -> List[List[object]]:
+    """JSON-ready ``[gid, subscriber, lows, highs]`` rows, sorted by gid."""
+    return [
+        [
+            int(gid),
+            int(subscriber),
+            [encode_bound(x) for x in rectangle.lows],
+            [encode_bound(x) for x in rectangle.highs],
+        ]
+        for gid, (subscriber, rectangle) in sorted(entries.items())
+    ]
+
+
+def decode_entries(table: Optional[Dict]) -> Optional[Entries]:
+    """Inverse of ``ShardBroker.durable_state()["table"]``; ``None``
+    when ``table`` is not a shard's encoding (a whole broker's, say)."""
+    if not table or table.get("kind") != _TABLE_KIND:
+        return None
+    return {
+        int(gid): (int(subscriber), decode_rectangle(lows, highs))
+        for gid, subscriber, lows, highs in table.get("entries", [])
+    }
 
 
 @dataclass(frozen=True)
@@ -71,16 +109,19 @@ class ShardBroker:
         #: Network node hosting this shard (a transit/broker node).
         self.home = int(home)
         self.ndim = int(ndim)
-        self._entries: Dict[int, Tuple[int, Rectangle]] = {}
+        self._entries: Entries = {}
         self._ids: List[int] = []
         self._engine: Optional[MatchingEngine] = None
         self._dirty = True
         #: Optional taps for durability/replication layers: called after
         #: an entry is admitted / removed, with the mutation already
         #: visible in ``_entries``.  ``on_register(gid, subscriber,
-        #: rectangle)`` / ``on_withdraw(gid)``.
-        self.on_register: Optional[Callable[[int, int, Rectangle], None]] = None
-        self.on_withdraw: Optional[Callable[[int], None]] = None
+        #: rectangle)`` / ``on_withdraw(gid)``; what they return is
+        #: ignored.
+        self.on_register: Optional[
+            Callable[[int, int, Rectangle], object]
+        ] = None
+        self.on_withdraw: Optional[Callable[[int], object]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -116,6 +157,29 @@ class ShardBroker:
         if removed:
             self._dirty = True
         return removed
+
+    def durable_state(self) -> Dict[str, object]:
+        """What a checkpoint must capture: the entry set, shaped like
+        :meth:`repro.core.broker.PubSubBroker.durable_state` so one
+        journal snapshots either (no tombstones, no own partition)."""
+        return {
+            "table": {
+                "kind": _TABLE_KIND,
+                "entries": encode_entries(self._entries),
+            },
+            "removed": [],
+            "partition": None,
+        }
+
+    def install(self, entries: Entries, home: int) -> None:
+        """Replace the entry set wholesale and move to ``home``.
+
+        The takeover path: ``entries`` come from the new home's shipped
+        log, which already holds their records, so no tap fires.
+        """
+        self._entries = dict(entries)
+        self._dirty = True
+        self.home = int(home)
 
     def _rebuild(self) -> None:
         ids = sorted(self._entries)

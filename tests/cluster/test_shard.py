@@ -80,6 +80,30 @@ class TestTakeover:
         with pytest.raises(ValueError, match="takeover epoch must advance"):
             shard.takeover(clock.now, epoch=0)
 
+    def test_stale_epoch_is_refused_before_anything_changes(self):
+        """A repeated cluster epoch used to be noticed only after the
+        candidate's replica was deleted and the live shard broker
+        overwritten: the shard ended up homed on 9 with primary 7, no
+        standby left, and the entry registered in between lost."""
+        clock, shard_broker, shard = self._loaded()
+        assert shard.takeover(clock.now, epoch=5).new_home == 7
+        shard_broker.register(Subscription(6, 60, _rect(6, 7)))
+        with pytest.raises(ValueError, match="takeover epoch must advance"):
+            shard.takeover(clock.now, epoch=5)
+        assert shard.primary == 7
+        assert shard_broker.home == 7
+        assert set(shard.replicas) == {9}
+        assert shard.epochs[9].role is ReplicaRole.STANDBY
+        assert shard.epoch == 5
+        assert shard_broker.subscription_ids == list(range(7))
+        # 9 is still a working standby: ship, then promote it properly.
+        clock.now = 20.0
+        shard.tick(clock.now)
+        result = shard.takeover(clock.now, epoch=6)
+        assert result.new_home == 9
+        assert result.entries == 7
+        assert shard_broker.home == 9
+
     def test_no_candidate_returns_none(self):
         clock, _, shard = self._loaded()
         shard.mark_dead(0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +267,45 @@ class TestParser:
                     "--modes", "7",
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--loss", "1.7"],
+            ["chaos", "--loss", "-0.1"],
+            ["chaos", "--duplicate", "1.7"],
+            ["chaos", "--cluster", "--loss", "nan"],
+            ["stats", "--loss", "1.7"],
+            ["trace", "--event", "0", "--loss", "inf"],
+        ],
+    )
+    def test_probabilities_validated_at_the_boundary(self, argv, capsys):
+        """Used to escape as a ``FaultPlan`` ValueError traceback with
+        exit 1, after the testbed had been built."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"error: argument {argv[-2]}: must lie in [0, 1] "
+            f"(got {argv[-1]})"
+        )
+
+    def test_probability_must_be_a_number(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--loss", "lots"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: argument --loss: invalid probability value: 'lots'\n"
+        )
+
+    def test_probability_bounds_are_inclusive(self):
+        args = _build_parser().parse_args(
+            ["chaos", "--loss", "0", "--duplicate", "1"]
+        )
+        assert (args.loss, args.duplicate) == (0.0, 1.0)
 
 
 class TestLint:

@@ -28,6 +28,19 @@ from repro.network.topology import Topology
 from repro.spatial import STree
 
 
+def _run_dash_O(program):
+    """Run ``program`` under ``python -O``; it must print exactly OK."""
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "OK"
+
+
 class TestDisconnectedNetworks:
     @pytest.fixture()
     def split_graph(self):
@@ -82,15 +95,7 @@ class TestDisconnectedNetworks:
             "        raise SystemExit('ValueError not raised under -O')\n"
             "print('OK')\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", program],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": "src"},
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "OK"
+        _run_dash_O(program)
 
 
 class TestDegenerateSubscriptionSets:
@@ -322,6 +327,122 @@ class TestFaultRecovery:
         assert [d[:2] for d in deliveries] == [(0, 5)]
         assert transport.stats.reroutes > 0
         assert transport.failed() == []
+
+
+class TestReplicaSetMisuse:
+    """The journal and replica-set guards are written once, for the
+    whole-broker classes and the per-shard ones alike: one message per
+    check, naming the class that was misused and the offending value."""
+
+    @staticmethod
+    def _shard(**kwargs):
+        from types import SimpleNamespace
+
+        from repro.cluster import ReplicatedShard
+        from repro.sharding import ShardBroker
+
+        return ReplicatedShard(
+            ShardBroker(0, home=0, ndim=2),
+            0,
+            kwargs.pop("standbys", [7, 9]),
+            SimpleNamespace(now=0.0),
+            **kwargs,
+        )
+
+    @staticmethod
+    def _group(standbys):
+        from types import SimpleNamespace
+
+        from repro.replication import ReplicatedBrokerGroup
+
+        # Validation comes before the broker is touched.
+        return ReplicatedBrokerGroup(
+            None, 0, standbys, SimpleNamespace(now=0.0)
+        )
+
+    @pytest.mark.parametrize("name", ["BrokerJournal", "ShardJournal"])
+    def test_checkpoint_every_message(self, name):
+        import repro.cluster
+        import repro.durability
+        from repro.durability import MemorySnapshotStore, MemoryWAL
+
+        journal_class = getattr(
+            repro.cluster if name == "ShardJournal" else repro.durability,
+            name,
+        )
+        with pytest.raises(ValueError) as error:
+            journal_class(
+                None, MemoryWAL(), MemorySnapshotStore(), checkpoint_every=0
+            )
+        assert str(error.value) == (
+            f"{name}: checkpoint_every must be >= 1 (got 0)"
+        )
+
+    def test_standby_messages(self):
+        for build, name in (
+            (lambda s: self._shard(standbys=s), "ReplicatedShard"),
+            (self._group, "ReplicatedBrokerGroup"),
+        ):
+            with pytest.raises(ValueError) as error:
+                build([])
+            assert str(error.value) == (
+                f"{name}: at least one standby is required"
+            )
+            with pytest.raises(ValueError) as error:
+                build([7, 0])
+            assert str(error.value) == (
+                f"{name}: standbys must be distinct and exclude the "
+                "primary (primary=0, standbys=[7, 0])"
+            )
+
+    def test_unknown_payload_message(self):
+        with pytest.raises(ValueError) as error:
+            self._shard().deliver(7, {"type": "gossip", "from": 0}, 0.0)
+        assert str(error.value) == (
+            "ReplicatedShard: unknown payload type 'gossip'"
+        )
+
+    def test_messages_survive_dash_O(self):
+        # Plain raises, not asserts ``python -O`` strips — including
+        # the takeover-epoch guard, which must fire before any state
+        # moves (tests/cluster/test_shard.py pins the "before").
+        _run_dash_O(
+            "from types import SimpleNamespace\n"
+            "from repro.cluster import ReplicatedShard, ShardJournal\n"
+            "from repro.durability import (\n"
+            "    BrokerJournal, MemorySnapshotStore, MemoryWAL)\n"
+            "from repro.sharding import ShardBroker\n"
+            "assert False  # proves -O is active: this must not raise\n"
+            "def shard(standbys):\n"
+            "    return ReplicatedShard(ShardBroker(0, home=0, ndim=2), 0,\n"
+            "                           standbys, SimpleNamespace(now=0.0))\n"
+            "def journal(cls):\n"
+            "    return cls(None, MemoryWAL(), MemorySnapshotStore(),\n"
+            "               checkpoint_every=0)\n"
+            "good = shard([7, 9])\n"
+            "good.takeover(0.0, epoch=5)\n"
+            "for attempt, message in (\n"
+            "    (lambda: journal(BrokerJournal),\n"
+            "     'BrokerJournal: checkpoint_every must be >= 1 (got 0)'),\n"
+            "    (lambda: journal(ShardJournal),\n"
+            "     'ShardJournal: checkpoint_every must be >= 1 (got 0)'),\n"
+            "    (lambda: shard([]),\n"
+            "     'ReplicatedShard: at least one standby is required'),\n"
+            "    (lambda: good.takeover(0.0, epoch=5),\n"
+            "     'ReplicatedShard: takeover epoch must advance '\n"
+            "     '(have 5, got 5)'),\n"
+            "):\n"
+            "    try:\n"
+            "        attempt()\n"
+            "    except ValueError as error:\n"
+            "        if str(error) != message:\n"
+            "            raise SystemExit(f'wrong message: {error}')\n"
+            "    else:\n"
+            "        raise SystemExit(f'not raised under -O: {message}')\n"
+            "if good.primary != 7 or set(good.replicas) != {9}:\n"
+            "    raise SystemExit('stale takeover moved state under -O')\n"
+            "print('OK')\n"
+        )
 
 
 class TestNumericalRobustness:
