@@ -1504,9 +1504,20 @@ def _run_instrumented(args: argparse.Namespace):
         density, broker.topology.all_stub_nodes(), seed=args.seed + 9
     ).generate(args.events)
     telemetry = Telemetry(seed=args.seed)
+
+    def planned(build, *positional, **keywords):
+        # A scenario the arguments cannot describe is a usage error,
+        # reported as `repro chaos` reports it: one line, exit 2.
+        try:
+            return build(*positional, **keywords)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            raise SystemExit(2)
+
     started = perf_counter()
     if crash_recovery:
-        plan, home = build_crash_recovery_plan(
+        plan, home = planned(
+            build_crash_recovery_plan,
             broker.topology,
             seed=args.seed,
             loss=args.loss,
@@ -1522,7 +1533,8 @@ def _run_instrumented(args: argparse.Namespace):
         from .faults import FailoverChaosSimulation, build_failover_plan
 
         inter_arrival = 2.0
-        plan, primary, standbys = build_failover_plan(
+        plan, primary, standbys = planned(
+            build_failover_plan,
             broker.topology,
             seed=args.seed,
             loss=args.loss,
@@ -1544,8 +1556,9 @@ def _run_instrumented(args: argparse.Namespace):
         from .sharding import ShardMap
 
         num_shards = getattr(args, "shards", 4)
-        shard_map = ShardMap.plan(broker.partition, num_shards)
-        plan, homes, standby_map, planned, corruptions = build_cluster_plan(
+        shard_map = planned(ShardMap.plan, broker.partition, num_shards)
+        plan, homes, standby_map, migrations, corruptions = planned(
+            build_cluster_plan,
             broker.topology,
             shard_map,
             seed=args.seed,
@@ -1560,7 +1573,7 @@ def _run_instrumented(args: argparse.Namespace):
             standby_map,
             num_shards=num_shards,
             shard_homes=homes,
-            migrations=planned,
+            migrations=migrations,
             corruptions=corruptions,
             telemetry=telemetry,
         )
@@ -1835,6 +1848,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.trace_out:
         write_spans_jsonl(telemetry.tracer.spans, args.trace_out)
         print(f"wrote {args.trace_out} ({len(telemetry.tracer.spans)} spans)")
+    if events == 0:
+        # Every harness meters `broker.events` through the one publish
+        # plan; a run that counted nothing measured nothing.
+        print("error: the instrumented run counted no events", file=sys.stderr)
+        return 1
     if hasattr(report, "cluster"):
         # Full-stack guarantees: ledger closed, zero duplicates, every
         # miss explained, match parity — and the scenario's kill was

@@ -10,7 +10,7 @@ network cost accounting.
 """
 
 from .adaptive import AdaptiveThresholdPolicy, run_adaptive
-from .broker import DeliveryRecord, PubSubBroker
+from .broker import DeliveryRecord, PublishPlan, PubSubBroker
 from .distribution import (
     DeliveryMethod,
     DistributionDecision,
@@ -35,6 +35,7 @@ __all__ = [
     "AdaptiveThresholdPolicy",
     "run_adaptive",
     "DeliveryRecord",
+    "PublishPlan",
     "PubSubBroker",
     "DeliveryMethod",
     "DistributionDecision",

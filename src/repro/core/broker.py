@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from ..clustering.groups import SpacePartition
 from ..network.multicast import CostTally, DeliveryCostModel
 from ..network.topology import Topology
 from ..telemetry.base import Telemetry, or_null
+from ..telemetry.tracing import Span
 from .distribution import (
     DeliveryMethod,
     DistributionDecision,
@@ -43,7 +44,32 @@ from .event import Event
 from .matching import MatchingEngine, MatchResult
 from .subscription import SubscriptionTable
 
-__all__ = ["DeliveryRecord", "PubSubBroker"]
+__all__ = ["DeliveryRecord", "PublishPlan", "PubSubBroker"]
+
+
+class PublishPlan(NamedTuple):
+    """What :meth:`PubSubBroker.plan` decided for one event.
+
+    Everything a consumer needs to price the delivery or put it on a
+    wire: the interested set, the subset ``S_q`` the event fell in
+    (``q = 0`` is the catchall) and the distribution decision.
+    ``flooded`` marks the degraded plan, whose ``match`` is the whole
+    group ``M_q`` rather than the exact interested set.
+    """
+
+    event: Event
+    match: MatchResult
+    q: int
+    decision: DistributionDecision
+    #: The open ``event`` span; ``None`` when telemetry is off.
+    root: Optional[Span]
+    flooded: bool
+
+    @property
+    def recipients(self) -> List[int]:
+        """Everyone the event must reach, the publisher excepted."""
+        publisher = self.event.publisher
+        return [n for n in self.match.subscribers if n != publisher]
 
 
 @dataclass(frozen=True)
@@ -149,10 +175,110 @@ class PubSubBroker:
 
     # -- the dynamic path --------------------------------------------------------
 
+    def plan(
+        self,
+        event: Event,
+        matcher=None,
+        degraded: bool = False,
+        telemetry: Optional[Telemetry] = None,
+    ) -> PublishPlan:
+        """Match, locate and decide one event (paper Section 4's loop).
+
+        The one place the dynamic phase is written: S-tree point query
+        for the interested set, grid lookup for the subset ``S_q``,
+        session charge, threshold rule.  What happens to the plan next
+        is the caller's: :meth:`publish` prices it, the chaos harnesses
+        put it on a simulated wire (:func:`repro.faults.dispatch`).
+
+        ``matcher`` is whatever answers ``match(event)`` for the
+        event's region — this broker's engine by default, the owning
+        :class:`~repro.sharding.router.ShardBroker` under sharding.
+        ``telemetry`` is the caller's registry when it is not the
+        broker's (a harness meters on its own simulated clock).  The
+        plan carries the open ``event`` span; whoever consumes the plan
+        closes it.
+
+        With ``degraded=True`` (the overload HealthMonitor's DEGRADED
+        state) the exact query is skipped and the precomputed group
+        ``S_q`` falls in is flooded — the paper's multicast arm taken
+        unconditionally.  Group membership is a superset of the
+        interested set by the clustering invariant, so correctness is
+        preserved; the price is the expected-waste bandwidth the
+        paper's EW metric quantifies.  Catchall events (``q = 0``, no
+        covering group) have no group to flood and take the exact path
+        regardless.
+        """
+        if telemetry is None:
+            telemetry = self.telemetry
+        instrumented = telemetry.enabled
+        root = None
+        if instrumented:
+            telemetry.counter("broker.events").inc()
+            root = telemetry.start_span(
+                "event", trace_id=event.sequence, publisher=event.publisher
+            )
+            started = perf_counter()
+        q = self.partition.locate(event.point)
+        if degraded and q > 0:
+            group = self.partition.group(q)
+            # The exact interested set is unknown by design; the whole
+            # group is treated as interested (``M_q ⊇ interested``).
+            match = MatchResult(
+                subscription_ids=(),
+                subscribers=tuple(
+                    sorted(n for n in group.members if n != event.publisher)
+                ),
+            )
+            decision = degraded_flood(
+                interested=match.num_subscribers,
+                group_size=group.size,
+                group=q,
+            )
+            if instrumented:
+                root.set_attribute("degraded", True)
+                telemetry.counter(
+                    "broker.degraded_events",
+                    help="events delivered by group flood (match skipped)",
+                ).inc()
+            return PublishPlan(event, match, q, decision, root, True)
+        if instrumented:
+            match_span = telemetry.start_span("match", parent=root)
+        # ``is None``, not truthiness: an empty shard has length zero.
+        match = (self.engine if matcher is None else matcher).match(event)
+        if instrumented:
+            telemetry.histogram(
+                "broker.match_latency_us",
+                help="wall time of one match+locate, microseconds",
+            ).observe((perf_counter() - started) * 1e6)
+            match_span.set_attribute(
+                "subscribers", match.num_subscribers
+            ).finish()
+        if self.sessions is not None:
+            # Retain the event and charge it to every durable session
+            # it matches, *before* any delivery attempt (write-ahead).
+            self.sessions.on_publish(event, match)
+        if instrumented:
+            decision_span = telemetry.start_span(
+                "distribution-decision", parent=root
+            )
+        decision = self.policy.decide(
+            interested=match.num_subscribers,
+            group_size=self.partition.group(q).size if q > 0 else 0,
+            group=q,
+        )
+        if instrumented:
+            record_decision(telemetry, decision)
+            decision_span.set_attribute(
+                "method", decision.method.value
+            ).set_attribute("group", q).set_attribute(
+                "interested", decision.interested
+            ).finish()
+        return PublishPlan(event, match, q, decision, root, False)
+
     def publish(
         self, event: Event, faults=None, degraded: bool = False
     ) -> DeliveryRecord:
-        """Match, decide and cost one event (paper Section 4's loop).
+        """Plan one event and charge its delivery to the network links.
 
         With a fault snapshot (``faults`` exposing ``dead_links`` /
         ``dead_nodes``, e.g. a :class:`~repro.faults.plan.FaultState`),
@@ -162,148 +288,26 @@ class PubSubBroker:
         the surviving graph; unicast fan-outs pay surviving-path
         prices.  The unicast/ideal reference costs stay fault-free, so
         the repair overhead is visible in the improvement percentage.
-
-        With ``degraded=True`` (the overload HealthMonitor's DEGRADED
-        state) the broker skips the exact S-tree point query and
-        floods the precomputed cluster group ``S_q`` falls in — the
-        paper's multicast arm taken unconditionally.  Group membership
-        is a superset of the interested set by the clustering
-        invariant, so correctness is preserved; the price is the
-        expected-waste bandwidth the paper's EW metric quantifies.
-        Catchall events (``q = 0``, no covering group) have no group to
-        flood and take the exact path regardless.
+        ``degraded`` is :meth:`plan`'s.
         """
-        if degraded:
-            record = self._publish_degraded(event, faults)
-            if record is not None:
-                return record
-        telemetry = self.telemetry
-        instrumented = telemetry.enabled
-        if instrumented:
-            root = telemetry.start_span(
-                "event",
-                trace_id=event.sequence,
-                publisher=event.publisher,
-            )
-            match_span = telemetry.start_span("match", parent=root)
-            match_started = perf_counter()
-        match = self.engine.match(event)
-        q = self.partition.locate(event.point)
-        if instrumented:
-            telemetry.histogram(
-                "broker.match_latency_us",
-                help="wall time of one match+locate, microseconds",
-            ).observe((perf_counter() - match_started) * 1e6)
-            match_span.set_attribute(
-                "subscribers", match.num_subscribers
-            ).finish()
-        if self.sessions is not None:
-            # Retain the event and charge it to every durable session
-            # it matches, *before* any delivery attempt (write-ahead).
-            self.sessions.on_publish(event, match)
-        group_size = (
-            self.partition.group(q).size if q > 0 else 0
-        )
-        if instrumented:
-            decision_span = telemetry.start_span(
-                "distribution-decision", parent=root
-            )
-        decision = self.policy.decide(
-            interested=match.num_subscribers,
-            group_size=group_size,
-            group=q,
-        )
-        record_decision(telemetry, decision)
-        if instrumented:
-            decision_span.set_attribute(
-                "method", decision.method.value
-            ).set_attribute("group", q).set_attribute(
-                "interested", decision.interested
-            ).finish()
-
-        record = self._cost(
-            event,
-            match,
-            decision,
-            q,
-            faults,
-            telemetry,
-            parent_span=root if instrumented else None,
-        )
-        if instrumented:
-            telemetry.counter("broker.events").inc()
-            root.set_attribute("method", record.method.value).finish()
+        plan = self.plan(event, degraded=degraded)
+        record = self._cost(plan, faults)
+        if plan.root is not None:
+            plan.root.set_attribute("method", record.method.value).finish()
         return record
 
-    def _publish_degraded(
-        self, event: Event, faults
-    ) -> Optional[DeliveryRecord]:
-        """The DEGRADED fast path: locate, flood ``M_q``, no matching.
-
-        Returns ``None`` for catchall events (no covering group) so
-        :meth:`publish` falls back to the exact path.
-        """
-        telemetry = self.telemetry
-        q = self.partition.locate(event.point)
-        if q <= 0:
-            return None
-        members = self.partition.group(q).members
-        recipients = [node for node in members if node != event.publisher]
-        # The exact interested set is unknown by design; the whole
-        # group is treated as interested (``M_q ⊇ interested``).
-        match = MatchResult(
-            subscription_ids=(), subscribers=tuple(sorted(recipients))
-        )
-        decision = degraded_flood(
-            interested=len(recipients),
-            group_size=self.partition.group(q).size,
-            group=q,
-        )
-        instrumented = telemetry.enabled
-        if instrumented:
-            root = telemetry.start_span(
-                "event",
-                trace_id=event.sequence,
-                publisher=event.publisher,
-                degraded=True,
-            )
-            telemetry.counter(
-                "broker.degraded_events",
-                help="events delivered by group flood (match skipped)",
-            ).inc()
-        record = self._cost(
-            event,
-            match,
-            decision,
-            q,
-            faults,
-            telemetry,
-            parent_span=root if instrumented else None,
-        )
-        if instrumented:
-            telemetry.counter("broker.events").inc()
-            root.set_attribute("method", record.method.value).finish()
-        return record
-
-    def _cost(
-        self,
-        event: Event,
-        match: MatchResult,
-        decision: DistributionDecision,
-        q: int,
-        faults,
-        telemetry: Telemetry,
-        parent_span=None,
-    ) -> DeliveryRecord:
-        """The routing/costing stage of :meth:`publish` (one ``route`` span)."""
+    def _cost(self, plan: PublishPlan, faults) -> DeliveryRecord:
+        """The costing stage of :meth:`publish` (one ``route`` span)."""
+        event, match, q, decision, root, _flooded = plan
         if decision.method is DeliveryMethod.NOT_SENT:
             return DeliveryRecord(event, match, decision, 0.0, 0.0, 0.0)
 
-        if telemetry.enabled:
+        telemetry = self.telemetry
+        if root is not None:
             route_span = telemetry.start_span(
                 "route",
                 trace_id=event.sequence,
-                parent=parent_span,
+                parent=root,
                 method=decision.method.value,
             )
         recipients = [
@@ -354,7 +358,7 @@ class PubSubBroker:
                 unicast_cost,
                 ideal_cost,
             )
-        if telemetry.enabled:
+        if root is not None:
             telemetry.histogram(
                 "broker.scheme_cost", help="edge-cost units per message"
             ).observe(record.scheme_cost)

@@ -108,12 +108,16 @@ from .sharded import (
 from .verifier import (
     ChaosReport,
     ChaosSimulation,
+    DeferQueue,
     DeliveryLedger,
+    EventOutcomeStats,
+    OutcomeLedger,
     build_burst_storm_times,
     build_chaos_plan,
     build_chaos_testbed,
     build_resubscribe_storm,
     build_slow_subscriber_plan,
+    dispatch,
 )
 
 __all__ = [
@@ -159,7 +163,11 @@ __all__ = [
     "unsharded_match_digest",
     "ChaosReport",
     "ChaosSimulation",
+    "DeferQueue",
     "DeliveryLedger",
+    "EventOutcomeStats",
+    "OutcomeLedger",
+    "dispatch",
     "build_burst_storm_times",
     "build_chaos_plan",
     "build_chaos_testbed",

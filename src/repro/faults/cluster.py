@@ -544,57 +544,32 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
 
     # -- routing under failover ----------------------------------------------
 
-    def _home_unserviceable(self, shard: int, now: float) -> bool:
-        """Whether the shard's acting home cannot serve right now —
-        killed, crashed, or cut off on every incident link."""
-        home = self.homes.get(shard)
-        if home is None:
-            return True
-        if self.injector.node_down(home, now):
-            return True
-        state = self.injector.state_at(now)
-        if state.clear:
-            return False
-        neighbors = list(self.broker.topology.graph.neighbors(home))
-        return bool(neighbors) and all(
-            state.link_dead(home, n) for n in neighbors
+    def _unserviceable(self, shard: int) -> bool:
+        # A shard whose acting home is down-but-not-failed-over yet (the
+        # membership detection window) defers instead of serving from a
+        # dead node; the post-takeover flush drains it.
+        return super()._unserviceable(shard) or self._isolated(
+            self.homes[shard], self.simulator.now
         )
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        q, shard = self.router.resolve(points[sequence])
+    def _publish_event(self, sequence: int) -> None:
+        shard = self._owner(sequence)
         home = self.homes.get(shard)
         rshard = self.replicated.get(shard)
         cluster_epoch = rshard.epoch if rshard is not None else 0
         self.simulator.schedule_at(
             self.simulator.now + self.route_delay,
             lambda: self._arrive_cluster(
-                sequence,
-                q,
-                shard,
-                home,
-                cluster_epoch,
-                points,
-                publishers,
-                counters,
+                sequence, shard, home, cluster_epoch
             ),
         )
 
     def _arrive_cluster(
         self,
         sequence: int,
-        q: int,
         shard: int,
         home: Optional[int],
         cluster_epoch: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
     ) -> None:
         rshard = self.replicated.get(shard)
         if (
@@ -617,55 +592,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
                     "cluster.failover_reroutes",
                     help="publishes re-resolved after a takeover",
                 ).inc()
-        self._arrive(
-            sequence, q, shard, self.map.epoch, points, publishers, counters
-        )
-
-    def _arrive(
-        self,
-        sequence: int,
-        q: int,
-        shard: int,
-        epoch: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        # A shard whose acting home is down-but-not-failed-over yet (the
-        # membership detection window) defers instead of serving from a
-        # dead node; the post-takeover flush drains it.
-        current_q, current = self.router.resolve(points[sequence])
-        if (
-            current == shard
-            and shard not in self._dead
-            and self._home_unserviceable(shard, self.simulator.now)
-        ):
-            if len(self._deferred) >= self.defer_capacity:
-                self._finish(sequence, "shed")
-                return
-            self._deferred.append(
-                (self.simulator.now, sequence, points, publishers, counters)
-            )
-            self.sstats.deferred_events += 1
-            return
-        super()._arrive(
-            sequence, q, shard, epoch, points, publishers, counters
-        )
-
-    def _flush_deferred(self) -> None:
-        now = self.simulator.now
-        keep: List[Tuple[float, int, np.ndarray, Sequence[int], Dict]] = []
-        for at, sequence, points, publishers, counters in self._deferred:
-            if now - at > self.defer_ttl:
-                self._finish(sequence, "expired")
-                continue
-            q, shard = self.router.resolve(points[sequence])
-            if shard in self._dead or self._home_unserviceable(shard, now):
-                keep.append((at, sequence, points, publishers, counters))
-                continue
-            self._finish(sequence, "delivered")
-            self._serve(sequence, q, shard, points, publishers, counters)
-        self._deferred = keep
+        self._arrive(sequence, shard)
 
     # -- durability taps -----------------------------------------------------
 
@@ -714,10 +641,6 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ClusterReport:
         base = super().run(points, publishers, inter_arrival, arrival_times)
-        # The base classifier only knows dead *shards*; with failover a
-        # killed node usually is not any shard's current home, so
-        # reclassify misses against ground-truth killed nodes too.
-        self._reclassify_misses(base)
         shipping = ShippingStats()
         for k in sorted(self.replicated):
             shard = self.replicated[k]
@@ -743,37 +666,17 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             **vars(base), cluster=self.cstats, shipping=shipping
         )
 
-    def _reclassify_misses(self, base) -> None:
-        """Re-split misses into stranded vs unexplained with killed
-        nodes removed from the reachability graph (a stub whose only
-        gateway transit node was killed is physically unreachable from
-        any live home — an explained loss, not a protocol bug)."""
-        self.sstats.stranded_misses = 0
-        self.sstats.unexplained_misses = 0
-        if not base.missing:
-            return
+    def _lost_nodes(self) -> Set[int]:
+        # With failover a killed node usually is not any shard's current
+        # home, so ground-truth kills count too: a stub whose only
+        # gateway transit node was killed is physically unreachable
+        # from any live home — an explained loss, not a protocol bug.
         now = self.simulator.now
-        graph = self.broker.topology.graph.copy()
-        graph.remove_nodes_from(
-            [n for n in list(graph.nodes) if self.injector.node_killed(n, now)]
-        )
-        graph.remove_nodes_from(
-            [
-                self.homes[s]
-                for s in self._dead
-                if self.homes[s] in graph
-            ]
-        )
-        reachable: Set[int] = set()
-        for shard in range(self.map.num_shards):
-            home = self.homes[shard]
-            if shard not in self._dead and home in graph:
-                reachable |= nx.node_connected_component(graph, home)
-        for _sequence, target, _reason in base.missing:
-            if int(target) in reachable:
-                self.sstats.unexplained_misses += 1
-            else:
-                self.sstats.stranded_misses += 1
+        return super()._lost_nodes() | {
+            n
+            for n in self.broker.topology.graph.nodes
+            if self.injector.node_killed(n, now)
+        }
 
 
 def build_cluster_plan(

@@ -35,8 +35,9 @@ delivering anything twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from ..durability.wal import MemoryWAL, WriteAheadLog
 from ..telemetry.base import Telemetry
 from .plan import BrokerCrash, FaultPlan, WalCorruption
 from .reliable import RetryConfig
-from .verifier import ChaosReport, ChaosSimulation
+from .verifier import ChaosReport, ChaosSimulation, DeferQueue
 
 __all__ = [
     "DurabilityStats",
@@ -172,7 +173,9 @@ class CrashRecoverySimulation(ChaosSimulation):
         )
         self.dstats = DurabilityStats()
         self._down = False
-        self._deferred: List[Tuple[int, np.ndarray, Sequence[int], Dict]] = []
+        # Nothing is shed or expired here: the edge holds every event
+        # until the service is back.
+        self._defer = DeferQueue(math.inf, math.inf)
         # Bootstrap checkpoint: the preprocessed state (table, groups,
         # partition) becomes snapshot 0, so even a crash before any
         # journaled traffic recovers the full subscription set.
@@ -205,15 +208,9 @@ class CrashRecoverySimulation(ChaosSimulation):
             sequence, publisher, recipients, method=method, group=group
         )
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
+    def _publish_event(self, sequence: int) -> None:
         if self._down:
-            self._deferred.append((sequence, points, publishers, counters))
+            self._defer.offer(sequence, self.simulator.now)
             self.dstats.deferred_events += 1
             if self.telemetry.enabled:
                 self.telemetry.counter(
@@ -221,7 +218,7 @@ class CrashRecoverySimulation(ChaosSimulation):
                     help="events deferred while the home broker was down",
                 ).inc()
             return
-        super()._publish_event(sequence, points, publishers, counters)
+        super()._publish_event(sequence)
 
     # -- durability plumbing -------------------------------------------------
 
@@ -265,9 +262,8 @@ class CrashRecoverySimulation(ChaosSimulation):
                     entry.sequence, entry.publisher, list(entry.targets)
                 )
                 self.dstats.redelivered += len(entry.targets)
-        deferred, self._deferred = self._deferred, []
-        for sequence, points, publishers, counters in deferred:
-            self._publish_event(sequence, points, publishers, counters)
+        for sequence in self._defer.drain(self.simulator.now)[1]:
+            self._publish_event(sequence)
 
     # -- reporting -----------------------------------------------------------
 

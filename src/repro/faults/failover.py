@@ -43,7 +43,13 @@ from ..replication.shipping import ShippingConfig, ShippingStats
 from ..telemetry.base import Telemetry
 from .plan import FaultPlan, LinkOutage, BrokerKill
 from .reliable import RetryConfig
-from .verifier import ChaosReport, ChaosSimulation
+from .verifier import (
+    ChaosReport,
+    ChaosSimulation,
+    DeferQueue,
+    EventOutcomeStats,
+    OutcomeLedger,
+)
 
 __all__ = [
     "FailoverStats",
@@ -54,15 +60,9 @@ __all__ = [
 
 
 @dataclass
-class FailoverStats:
+class FailoverStats(EventOutcomeStats):
     """Per-event outcome accounting plus takeover bookkeeping."""
 
-    published: int = 0
-    delivered_events: int = 0
-    shed_events: int = 0
-    expired_events: int = 0
-    #: Events that spent time in the defer queue (any outcome).
-    deferred_events: int = 0
     #: In-flight (event, target) deliveries wiped at primary loss.
     wiped_inflight: int = 0
     #: (event, target) deliveries re-handed after a takeover.
@@ -71,14 +71,6 @@ class FailoverStats:
     probe_rejections: int = 0
     #: Post-takeover write probes admitted at the new primary.
     probe_admissions: int = 0
-
-    @property
-    def accounted(self) -> bool:
-        """The conservation law: every event in exactly one bucket."""
-        return (
-            self.delivered_events + self.shed_events + self.expired_events
-            == self.published
-        )
 
 
 @dataclass
@@ -148,12 +140,7 @@ class FailoverChaosSimulation(ChaosSimulation):
                 "(DynamicPubSubBroker); got "
                 f"{type(broker).__name__}"
             )
-        if defer_capacity < 0:
-            raise ValueError(
-                f"defer_capacity must be >= 0 (got {defer_capacity})"
-            )
-        if defer_ttl <= 0.0:
-            raise ValueError(f"defer_ttl must be positive (got {defer_ttl})")
+        self._defer = DeferQueue(int(defer_capacity), defer_ttl)
         super().__init__(
             broker,
             plan,
@@ -171,14 +158,14 @@ class FailoverChaosSimulation(ChaosSimulation):
                     "nothing to fail over from"
                 )
             primary = plan.broker_kills[0].node
-        self.defer_capacity = int(defer_capacity)
-        self.defer_ttl = float(defer_ttl)
         self.settle = float(settle)
         self.fstats = FailoverStats()
-        self._outcomes: Dict[int, str] = {}
-        self._deferred: List[
-            Tuple[float, int, np.ndarray, Sequence[int], Dict]
-        ] = []
+        self.outcomes = OutcomeLedger(
+            ("delivered", "shed", "expired"),
+            telemetry,
+            "failover.outcomes",
+            help="per-event outcomes under failover chaos",
+        )
         self.shipping_breakers = BreakerBoard(
             BreakerConfig(failure_threshold=3, reset_timeout=120.0)
         )
@@ -226,43 +213,6 @@ class FailoverChaosSimulation(ChaosSimulation):
             lambda node, time, p=payload: self.group.deliver(node, p, time),
         )
 
-    # -- outcome ledger ------------------------------------------------------
-
-    def _finish(self, sequence: int, outcome: str) -> None:
-        if sequence in self._outcomes:
-            raise RuntimeError(
-                f"event {sequence} accounted twice: "
-                f"{self._outcomes[sequence]} then {outcome}"
-            )
-        self._outcomes[sequence] = outcome
-        if outcome == "delivered":
-            self.fstats.delivered_events += 1
-        elif outcome == "shed":
-            self.fstats.shed_events += 1
-        elif outcome == "expired":
-            self.fstats.expired_events += 1
-        else:
-            raise ValueError(f"unknown outcome {outcome!r}")
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "failover.outcomes",
-                help="per-event outcomes under failover chaos",
-                outcome=outcome,
-            ).inc()
-
-    def _unserviceable(self, now: float) -> bool:
-        """No live, reachable primary right now?"""
-        home = self.group.primary
-        if self.injector.node_down(home, now):
-            return True
-        state = self.injector.state_at(now)
-        if state.clear:
-            return False
-        neighbors = list(self.broker.topology.graph.neighbors(home))
-        return bool(neighbors) and all(
-            state.link_dead(home, n) for n in neighbors
-        )
-
     # -- hook overrides ------------------------------------------------------
 
     def _arm(self, arrival_times: Sequence[float]) -> None:
@@ -287,25 +237,17 @@ class FailoverChaosSimulation(ChaosSimulation):
             sequence, publisher, recipients, method=method, group=group
         )
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
+    def _publish_event(self, sequence: int) -> None:
         now = self.simulator.now
-        if self._unserviceable(now):
-            if len(self._deferred) >= self.defer_capacity:
-                self._finish(sequence, "shed")
-                return
-            self._deferred.append(
-                (now, sequence, points, publishers, counters)
-            )
-            self.fstats.deferred_events += 1
+        # No live, reachable primary right now?  Wait for a takeover.
+        if self._isolated(self.group.primary, now):
+            if self._defer.offer(sequence, now):
+                self.fstats.deferred_events += 1
+            else:
+                self.outcomes.finish(sequence, "shed")
             return
-        self._finish(sequence, "delivered")
-        super()._publish_event(sequence, points, publishers, counters)
+        self.outcomes.finish(sequence, "delivered")
+        super()._publish_event(sequence)
 
     # -- failover plumbing ---------------------------------------------------
 
@@ -344,15 +286,12 @@ class FailoverChaosSimulation(ChaosSimulation):
             self.fstats.probe_admissions += 1
         if not self.group.write_allowed(old):
             self.fstats.probe_rejections += 1
-        deferred, self._deferred = self._deferred, []
-        for at, sequence, points, publishers, counters in deferred:
-            if now - at > self.defer_ttl:
-                self._finish(sequence, "expired")
-                continue
-            self._finish(sequence, "delivered")
-            ChaosSimulation._publish_event(
-                self, sequence, points, publishers, counters
-            )
+        expired, ready = self._defer.drain(now)
+        for sequence in expired:
+            self.outcomes.finish(sequence, "expired")
+        for sequence in ready:
+            self.outcomes.finish(sequence, "delivered")
+            self._deliver(self._plan(sequence))
 
     # -- reporting -----------------------------------------------------------
 
@@ -365,10 +304,7 @@ class FailoverChaosSimulation(ChaosSimulation):
     ) -> FailoverReport:
         base = super().run(points, publishers, inter_arrival, arrival_times)
         # Events still deferred at the end never found a primary.
-        leftover, self._deferred = self._deferred, []
-        for _, sequence, *_rest in leftover:
-            self._finish(sequence, "expired")
-        self.fstats.published = len(points)
+        self.fstats.settle(len(points), self.outcomes, self._defer)
         return FailoverReport(
             **vars(base),
             replication=self.group.finalize_stats(),

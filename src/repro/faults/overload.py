@@ -36,22 +36,19 @@ byte-identical :class:`OverloadReport` on every rerun.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.broker import PubSubBroker
-from ..core.distribution import DeliveryMethod, record_decision
+from ..core.distribution import DeliveryMethod
 from ..core.event import Event
 from ..overload import BrokerHealth, OverloadConfig
 from ..simulation.delivery import LatencyStats
-from ..simulation.engine import DiscreteEventSimulator
-from ..simulation.packet_network import PacketNetwork
-from ..telemetry.base import Telemetry, or_null
-from .plan import FaultInjector, FaultPlan, FaultStats
-from .reliable import ReliabilityStats, ReliableTransport, RetryConfig
-from .verifier import DeliveryLedger
+from ..telemetry.base import Telemetry
+from .plan import FaultPlan, FaultStats
+from .reliable import ReliabilityStats, RetryConfig
+from .verifier import ChaosSimulation, OutcomeLedger, dispatch
 
 __all__ = ["EventOutcome", "OverloadReport", "OverloadChaosSimulation"]
 
@@ -168,14 +165,15 @@ class OverloadReport:
         return rows
 
 
-class OverloadChaosSimulation:
+class OverloadChaosSimulation(ChaosSimulation):
     """Packet-level replay of a publish storm behind overload protection.
 
-    Parameters mirror :class:`~repro.faults.verifier.ChaosSimulation`
-    plus an :class:`~repro.overload.OverloadConfig` describing the
-    protection stack.  ``churn`` optionally schedules subscription
-    churn mid-run (the thundering-resubscribe scenario): a sequence of
-    ``(time, callable)`` pairs executed on the simulator clock.
+    A :class:`~repro.faults.verifier.ChaosSimulation` whose events
+    reach the broker through the protection stack an
+    :class:`~repro.overload.OverloadConfig` describes.  ``churn``
+    optionally schedules subscription churn mid-run (the
+    thundering-resubscribe scenario): a sequence of ``(time,
+    callable)`` pairs executed on the simulator clock.
     """
 
     def __init__(
@@ -190,66 +188,35 @@ class OverloadChaosSimulation:
         hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
-        self.broker = broker
-        self.plan = plan
         self.config = config or OverloadConfig()
-        self.reliable = reliable
-        self.simulator = DiscreteEventSimulator()
-        self.injector = FaultInjector(plan)
-        self.telemetry = or_null(telemetry)
-        self.telemetry.bind_clock(lambda: self.simulator.now)
-        self.network = PacketNetwork(
-            broker.topology,
-            self.simulator,
+        # Read by the base constructor when it builds the transport.
+        self.breakers = self.config.build_breakers()
+        super().__init__(
+            broker,
+            plan,
+            reliable=reliable,
+            retry=retry,
             transmission_time=transmission_time,
             propagation_scale=propagation_scale,
-            injector=self.injector,
-            hop_retries=hop_retries if reliable else 0,
+            hop_retries=hop_retries,
             telemetry=telemetry,
         )
         self.queue = self.config.build_queue()
         self.bucket = self.config.build_bucket()
         self.monitor = self.config.build_monitor()
-        self.breakers = self.config.build_breakers()
-        self.ledger = DeliveryLedger()
         #: sequence -> terminal bucket ("delivered" / "shed" / "expired").
-        self.outcomes: Dict[int, EventOutcome] = {}
+        self.outcomes = OutcomeLedger(("delivered", "shed", "expired"))
         self.shed_reasons: Dict[str, int] = {}
         self.degraded_events = 0
         self.late_drops = 0
         self._interested: Dict[int, frozenset] = {}
         self._deadlines: Dict[int, Optional[float]] = {}
         self._serving = False
-        self.transport: Optional[ReliableTransport] = None
-        if reliable:
-            self.transport = ReliableTransport(
-                self.network,
-                config=retry or RetryConfig.for_network(self.network),
-                seed=plan.seed + 1,
-                detector=self.injector,
-                on_deliver=self._on_deliver,
-                on_give_up=lambda target, key, reason: (
-                    self.ledger.fail_reasons.__setitem__(
-                        (key, target), reason
-                    )
-                ),
-                telemetry=telemetry,
-                breakers=self.breakers,
-            )
 
     # -- accounting helpers --------------------------------------------------
 
-    def _finish(self, sequence: int, outcome: EventOutcome) -> None:
-        """Assign the event its terminal bucket, exactly once."""
-        if sequence in self.outcomes:
-            raise RuntimeError(
-                f"event {sequence} already accounted as "
-                f"{self.outcomes[sequence]!r}"
-            )
-        self.outcomes[sequence] = outcome
-
     def _shed(self, sequence: int, reason: str) -> None:
-        self._finish(sequence, "shed")
+        self.outcomes.finish(sequence, "shed")
         self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
         if self.telemetry.enabled:
             self.telemetry.counter(
@@ -259,7 +226,7 @@ class OverloadChaosSimulation:
             ).inc()
 
     def _expire(self, sequence: int) -> None:
-        self._finish(sequence, "expired")
+        self.outcomes.finish(sequence, "expired")
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "overload.expired",
@@ -359,166 +326,40 @@ class OverloadChaosSimulation:
             self._serving = False
 
     def _publish(self, sequence: int, degraded: bool) -> None:
-        """Match (unless degraded), decide, and hand off to the network."""
-        broker = self.broker
-        telemetry = self.telemetry
-        now = self.simulator.now
+        """Plan (flooding ``M_q`` when degraded) and hand off to the network."""
         event = Event.create(
             sequence,
-            int(self._publishers[sequence]),
+            self._publishers[sequence],
             self._points[sequence],
             deadline=self._deadlines.get(sequence),
         )
-        instrumented = telemetry.enabled
-        root = match_span = None
-        match_started = 0.0
-        if instrumented:
-            telemetry.counter("broker.events").inc()
-            root = telemetry.start_span(
-                "event",
-                trace_id=sequence,
-                publisher=event.publisher,
-                degraded=degraded,
-            )
-            if not degraded:
-                # Degraded mode skips the match as *broker work*; the
-                # exact set below is verifier ground truth only, so
-                # its cost must not pollute the latency histogram.
-                match_span = telemetry.start_span("match", parent=root)
-                match_started = perf_counter()
-        # Ground truth for the delivery ledger (and the receivers'
-        # local subscription filter) is always the exact interested
-        # set; in degraded mode the *broker's decision* ignores it.
-        match = broker.engine.match(event)
-        q = broker.partition.locate(event.point)
-        if match_span is not None:
-            telemetry.histogram(
-                "broker.match_latency_us",
-                help="wall time of one match+locate, microseconds",
-            ).observe((perf_counter() - match_started) * 1e6)
-            match_span.set_attribute(
-                "subscribers", match.num_subscribers
-            ).finish()
-        recipients = [
-            node for node in match.subscribers if node != event.publisher
-        ]
-        self._interested[sequence] = frozenset(recipients)
-        self._finish(sequence, "delivered")
-
-        if degraded and q > 0:
-            # The paper's S_q fallback: flood the precomputed group,
-            # skip the threshold rule entirely.
+        plan = self.broker.plan(
+            event, degraded=degraded, telemetry=self.telemetry
+        )
+        recipients = plan.recipients
+        if plan.flooded:
+            # The paper's S_q fallback skipped the match as *broker
+            # work*.  Ground truth for the delivery ledger (and the
+            # receivers' local subscription filter) is still the exact
+            # interested set, so the verifier computes it on the side.
             self.degraded_events += 1
-            members = broker.partition.group(q).members
-            targets = [n for n in members if n != event.publisher]
-            self.ledger.expect(sequence, recipients, now)
-            if instrumented:
-                telemetry.counter(
-                    "broker.degraded_events",
-                    help="events delivered by group flood (match skipped)",
-                ).inc()
-            if targets:
-                # The broker does not know who is interested, so the
-                # whole group enters the reliable protocol; receivers
-                # run the subscription filter at the application layer.
-                self._dispatch_multicast(
-                    sequence, event, members, targets, root, restrict=None
-                )
-            if instrumented:
-                root.set_attribute("method", "degraded-multicast").finish()
-            return
-
-        group_size = broker.partition.group(q).size if q > 0 else 0
-        decision = broker.policy.decide(
-            interested=match.num_subscribers,
-            group_size=group_size,
-            group=q,
+            recipients = [
+                node
+                for node in self.broker.engine.match(event).subscribers
+                if node != event.publisher
+            ]
+        self._interested[sequence] = frozenset(recipients)
+        self.outcomes.finish(sequence, "delivered")
+        if plan.decision.method is not DeliveryMethod.NOT_SENT:
+            self.ledger.expect(sequence, recipients, self.simulator.now)
+        dispatch(
+            self.broker,
+            plan,
+            self.network,
+            lambda node, time: self._on_deliver(node, sequence, time),
+            self.transport,
+            telemetry=self.telemetry,
         )
-        record_decision(telemetry, decision)
-        if decision.method is DeliveryMethod.NOT_SENT:
-            if instrumented:
-                root.set_attribute("method", "not_sent").finish()
-            return
-        self.ledger.expect(sequence, recipients, now)
-        if not recipients:
-            if instrumented:
-                root.set_attribute("method", "self_only").finish()
-            return
-        if decision.method is DeliveryMethod.UNICAST:
-            if self.transport is not None:
-                self.transport.publish(
-                    sequence, event.publisher, recipients, parent_span=root
-                )
-            else:
-                for node in recipients:
-                    self.network.send_unicast(
-                        event.publisher,
-                        node,
-                        lambda n, t, s=sequence: self._on_deliver(n, s, t),
-                    )
-            if instrumented:
-                root.set_attribute("method", "unicast").finish()
-            return
-        members = broker.partition.group(q).members
-        self._dispatch_multicast(
-            sequence,
-            event,
-            members,
-            recipients,
-            root,
-            restrict=self._interested[sequence],
-        )
-        if instrumented:
-            root.set_attribute("method", "multicast").finish()
-
-    def _dispatch_multicast(
-        self,
-        sequence: int,
-        event: Event,
-        members: Sequence[int],
-        targets: List[int],
-        root,
-        restrict: Optional[FrozenSet[int]],
-    ) -> None:
-        """One tree flood to ``members``, reliably tracking ``targets``.
-
-        ``restrict`` keeps non-interested group members out of the
-        reliable protocol (the healthy-mode behaviour); ``None`` lets
-        every member ack — degraded mode, where the broker cannot
-        tell who is interested.
-        """
-        via = None
-        if self.broker.costs.multicast_mode == "sparse":
-            via = self.broker.costs.rendezvous_point(members)
-        if self.transport is not None:
-            def first_pass(receive, m=members, v=via, allow=restrict):
-                self.network.send_multicast(
-                    event.publisher,
-                    m,
-                    receive
-                    if allow is None
-                    else (
-                        lambda node, time: (
-                            receive(node, time) if node in allow else None
-                        )
-                    ),
-                    via=v,
-                )
-
-            self.transport.publish(
-                sequence,
-                event.publisher,
-                targets,
-                first_pass,
-                parent_span=root,
-            )
-        else:
-            self.network.send_multicast(
-                event.publisher,
-                members,
-                lambda node, time, s=sequence: self._on_deliver(node, s, time),
-                via=via,
-            )
 
     # -- the run -------------------------------------------------------------
 
@@ -530,15 +371,7 @@ class OverloadChaosSimulation:
         churn: Sequence[Tuple[float, Callable[[], None]]] = (),
     ) -> OverloadReport:
         """Replay the storm and report what the protection stack did."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] != len(publishers):
-            raise ValueError(
-                "points must be (m, N) with one publisher per row"
-            )
-        if len(arrival_times) != len(points):
-            raise ValueError("one arrival time per event required")
-        self._points = points
-        self._publishers = [int(p) for p in publishers]
+        self._load(points, publishers, arrival_times)
         for sequence, time in enumerate(arrival_times):
             self.simulator.schedule_at(
                 float(time), lambda s=sequence: self._ingress(s)
@@ -557,16 +390,14 @@ class OverloadChaosSimulation:
                 break
             self._shed(sequence, "unserved at simulation end")
 
-        counts = {"delivered": 0, "shed": 0, "expired": 0}
-        for outcome in self.outcomes.values():
-            counts[outcome] += 1
+        counts = self.outcomes.counts
         default_reason = (
             "unacknowledged at simulation end"
             if self.reliable
             else "lost (no retransmission)"
         )
         return OverloadReport(
-            published=len(points),
+            published=len(self._points),
             delivered_events=counts["delivered"],
             shed_events=counts["shed"],
             expired_events=counts["expired"],

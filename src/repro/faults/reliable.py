@@ -555,6 +555,13 @@ class ReliableTransport:
                     "transport.duplicates_suppressed",
                     help="data copies deduped at receivers",
                 ).inc()
+                pending = self._pending.get((key, target))
+                if pending is not None and pending.span is not None:
+                    # A delivery re-handed after a crash or a takeover
+                    # to a receiver that already had the event closes
+                    # here (no-op once closed at first arrival), or its
+                    # ``retry`` / ``ack`` children would hang off nothing.
+                    pending.span.finish(time=time, status="duplicate")
         else:
             seen.add(key)
             if self.telemetry.enabled:

@@ -62,7 +62,7 @@ from ..telemetry.base import Telemetry, or_null
 from ..workload import PublicationGenerator
 from .plan import BrokerCrash, FaultInjector, FaultPlan, FaultStats
 from .reliable import ReliabilityStats, ReliableTransport, RetryConfig
-from .verifier import build_chaos_testbed
+from .verifier import OutcomeLedger, build_chaos_testbed
 
 __all__ = [
     "SESSION_SCENARIOS",
@@ -320,7 +320,9 @@ class SessionChaosSimulation:
             )
         # -- the ledger ------------------------------------------------------
         #: (sequence, session_id) -> terminal bucket, exactly once.
-        self.outcomes: Dict[Tuple[int, str], SessionOutcome] = {}
+        self.outcomes = OutcomeLedger(
+            ("delivered", "deadlettered", "expired")
+        )
         self.matched_at: Dict[Tuple[int, str], float] = {}
         self.matched_seqs: Dict[str, Set[int]] = {
             s.session_id: set() for s in self._session_by_node.values()
@@ -339,19 +341,6 @@ class SessionChaosSimulation:
         self.demotions = 0
         self.shed_retained = 0
         self._published = 0
-
-    # -- accounting ----------------------------------------------------------
-
-    def _finish(
-        self, pair: Tuple[int, str], outcome: SessionOutcome
-    ) -> None:
-        """Assign one obligation its terminal bucket, exactly once."""
-        if pair in self.outcomes:
-            raise RuntimeError(
-                f"obligation {pair} already accounted as "
-                f"{self.outcomes[pair]!r}"
-            )
-        self.outcomes[pair] = outcome
 
     # -- matching helpers ----------------------------------------------------
 
@@ -514,7 +503,9 @@ class SessionChaosSimulation:
         for session, sequences in self.manager.expire_leases(now):
             self._expired_counts[session.session_id] = len(sequences)
             for sequence in sequences:
-                self._finish((sequence, session.session_id), "expired")
+                self.outcomes.finish(
+                    (sequence, session.session_id), "expired"
+                )
 
     # -- transport callbacks -------------------------------------------------
 
@@ -528,7 +519,7 @@ class SessionChaosSimulation:
         if pair in self.outcomes:
             self.duplicates += 1
             return
-        self._finish(pair, "delivered")
+        self.outcomes.finish(pair, "delivered")
         self.delivered_seqs[session.session_id].add(key)
         latency = time - self.matched_at[pair]
         self.session_latencies[session.session_id].append(latency)
@@ -553,7 +544,7 @@ class SessionChaosSimulation:
                 return
         self.dlq.quarantine(key, session.session_id, target, reason)
         self.manager.discard(session.session_id, key)
-        self._finish(pair, "deadlettered")
+        self.outcomes.finish(pair, "deadlettered")
 
     # -- the scenario script -------------------------------------------------
 
@@ -652,9 +643,7 @@ class SessionChaosSimulation:
         # so the report's retained count reflects steady state.
         self.log.enforce_retention(finished_at, self.manager.low_water())
 
-        counts = {"delivered": 0, "deadlettered": 0, "expired": 0}
-        for outcome in self.outcomes.values():
-            counts[outcome] += 1
+        counts = self.outcomes.counts
         unsettled = sorted(
             pair for pair in self.matched_at if pair not in self.outcomes
         )

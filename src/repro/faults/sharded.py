@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 import numpy as np
 
-from ..core.distribution import DeliveryMethod, record_decision
 from ..core.event import Event
 from ..sharding.map import ShardMap
 from ..sharding.rebalance import MigrationPhase, MigrationTicket, Rebalancer
@@ -50,7 +49,13 @@ from ..sharding.router import ShardRouter
 from ..telemetry.base import Telemetry
 from .plan import BrokerKill, FaultPlan
 from .reliable import RetryConfig
-from .verifier import ChaosReport, ChaosSimulation
+from .verifier import (
+    ChaosReport,
+    ChaosSimulation,
+    DeferQueue,
+    EventOutcomeStats,
+    OutcomeLedger,
+)
 
 __all__ = [
     "PlannedMigration",
@@ -74,15 +79,9 @@ class PlannedMigration:
 
 
 @dataclass
-class ShardedStats:
+class ShardedStats(EventOutcomeStats):
     """Per-event outcome accounting plus scale-out bookkeeping."""
 
-    published: int = 0
-    delivered_events: int = 0
-    shed_events: int = 0
-    expired_events: int = 0
-    #: Events that spent time in the defer queue (any outcome).
-    deferred_events: int = 0
     #: Stale-epoch publications bounced by a live old owner.
     fenced_publishes: int = 0
     #: Publications re-routed after arriving at a non-owner.
@@ -112,14 +111,6 @@ class ShardedStats:
     match_parity: bool = True
     #: BLAKE2b digest over per-event MatchResults (determinism pin).
     match_digest: str = ""
-
-    @property
-    def accounted(self) -> bool:
-        """The conservation law: every event in exactly one bucket."""
-        return (
-            self.delivered_events + self.shed_events + self.expired_events
-            == self.published
-        )
 
 
 @dataclass
@@ -230,12 +221,7 @@ class ShardedChaosSimulation(ChaosSimulation):
         hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
-        if defer_capacity < 0:
-            raise ValueError(
-                f"defer_capacity must be >= 0 (got {defer_capacity})"
-            )
-        if defer_ttl <= 0.0:
-            raise ValueError(f"defer_ttl must be positive (got {defer_ttl})")
+        self._defer = DeferQueue(int(defer_capacity), defer_ttl)
         super().__init__(
             broker,
             plan,
@@ -273,18 +259,18 @@ class ShardedChaosSimulation(ChaosSimulation):
         )
         self.planned = tuple(migrations)
         self.route_delay = float(route_delay)
-        self.defer_capacity = int(defer_capacity)
-        self.defer_ttl = float(defer_ttl)
         self.rebalance_delay = float(rebalance_delay)
         self.sstats = ShardedStats()
         self.routed_per_shard: Dict[int, int] = {
             k: 0 for k in range(num_shards)
         }
-        self._outcomes: Dict[int, str] = {}
+        self.outcomes = OutcomeLedger(
+            ("delivered", "shed", "expired"),
+            telemetry,
+            "sharding.outcomes",
+            help="per-event outcomes under sharded chaos",
+        )
         self._dead: Set[int] = set()
-        self._deferred: List[
-            Tuple[float, int, np.ndarray, Sequence[int], Dict]
-        ] = []
         #: sequence -> (global ids, subscribers, q, shard) at service.
         self._records: Dict[
             int, Tuple[Tuple[int, ...], Tuple[int, ...], int, int]
@@ -303,28 +289,6 @@ class ShardedChaosSimulation(ChaosSimulation):
         if pending is not None:
             pending.discard(int(target))
 
-    def _finish(self, sequence: int, outcome: str) -> None:
-        if sequence in self._outcomes:
-            raise RuntimeError(
-                f"event {sequence} accounted twice: "
-                f"{self._outcomes[sequence]} then {outcome}"
-            )
-        self._outcomes[sequence] = outcome
-        if outcome == "delivered":
-            self.sstats.delivered_events += 1
-        elif outcome == "shed":
-            self.sstats.shed_events += 1
-        elif outcome == "expired":
-            self.sstats.expired_events += 1
-        else:
-            raise ValueError(f"unknown outcome {outcome!r}")
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "sharding.outcomes",
-                help="per-event outcomes under sharded chaos",
-                outcome=outcome,
-            ).inc()
-
     # -- hook overrides ------------------------------------------------------
 
     def _arm(self, arrival_times: Sequence[float]) -> None:
@@ -340,38 +304,29 @@ class ShardedChaosSimulation(ChaosSimulation):
                 lambda p=planned: self._begin_planned(p),
             )
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
+    def _publish_event(self, sequence: int) -> None:
         # The router resolves immediately and stamps the current map
         # epoch; the publication then spends route_delay in flight, so
         # a cutover can depose the addressed shard before arrival.
-        q, shard = self.router.resolve(points[sequence])
-        epoch = self.map.epoch
+        shard = self._owner(sequence)
         self.simulator.schedule_at(
             self.simulator.now + self.route_delay,
-            lambda: self._arrive(
-                sequence, q, shard, epoch, points, publishers, counters
-            ),
+            lambda: self._arrive(sequence, shard),
         )
 
     # -- arrival, fencing, service -------------------------------------------
 
-    def _arrive(
-        self,
-        sequence: int,
-        q: int,
-        shard: int,
-        epoch: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        current_q, current = self.router.resolve(points[sequence])
+    def _owner(self, sequence: int) -> int:
+        """The shard the current map routes event ``sequence`` to."""
+        return self.router.resolve(self._points[sequence])[1]
+
+    def _unserviceable(self, shard: int) -> bool:
+        """Whether ``shard`` cannot serve right now (the base harness
+        only knows dead; the cluster adds "home down, not failed over")."""
+        return shard in self._dead
+
+    def _arrive(self, sequence: int, shard: int) -> None:
+        current = self._owner(sequence)
         if current != shard:
             # Stale routing: ownership moved while the publication was
             # in flight.  A live old owner fences it (the stamped epoch
@@ -384,41 +339,18 @@ class ShardedChaosSimulation(ChaosSimulation):
                         help="stale-epoch publishes bounced by old owners",
                     ).inc()
             self.sstats.rerouted += 1
-            self._arrive(
-                sequence,
-                current_q,
-                current,
-                self.map.epoch,
-                points,
-                publishers,
-                counters,
-            )
-            return
-        if shard in self._dead:
-            if len(self._deferred) >= self.defer_capacity:
-                self._finish(sequence, "shed")
-                return
-            self._deferred.append(
-                (self.simulator.now, sequence, points, publishers, counters)
-            )
+            self._arrive(sequence, current)
+        elif not self._unserviceable(shard):
+            self.outcomes.finish(sequence, "delivered")
+            self._serve(sequence, shard)
+        elif self._defer.offer(sequence, self.simulator.now):
             self.sstats.deferred_events += 1
-            return
-        self._finish(sequence, "delivered")
-        self._serve(sequence, q, shard, points, publishers, counters)
+        else:
+            self.outcomes.finish(sequence, "shed")
 
-    def _serve(
-        self,
-        sequence: int,
-        q: int,
-        shard: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        event = Event.create(
-            sequence, int(publishers[sequence]), points[sequence]
-        )
-        match = self.router.shards[shard].match(event)
+    def _serve(self, sequence: int, shard: int) -> None:
+        plan = self._plan(sequence, matcher=self.router.shards[shard])
+        match, q = plan.match, plan.q
         self._records[sequence] = (
             match.subscription_ids,
             match.subscribers,
@@ -426,55 +358,16 @@ class ShardedChaosSimulation(ChaosSimulation):
             shard,
         )
         cell = (
-            self.router.catchall_cell(points[sequence]) if q == 0 else None
+            self.router.catchall_cell(self._points[sequence])
+            if q == 0
+            else None
         )
         self._routing[sequence] = (q, cell)
         self.routed_per_shard[shard] += 1
-        group_size = self.broker.partition.group(q).size if q > 0 else 0
-        decision = self.broker.policy.decide(
-            interested=match.num_subscribers,
-            group_size=group_size,
-            group=q,
-        )
-        record_decision(self.telemetry, decision)
-        if decision.method is DeliveryMethod.NOT_SENT:
-            counters["not_sent"] += 1
-            return
-        now = self.simulator.now
-        home = self.homes[shard]
-        recipients = [
-            node for node in match.subscribers if node != event.publisher
-        ]
-        self.ledger.expect(sequence, recipients, now)
-        self._record_intent(
-            sequence, event.publisher, recipients, decision.method.value, q
-        )
-        if not recipients:
-            return
+        # Who sent it and who still owes an ack: what a kill re-hands.
         self._sender_shard[sequence] = shard
-        self._pending_of[sequence] = set(recipients)
-        interested = set(recipients)
-        if decision.method is DeliveryMethod.UNICAST:
-            counters["unicast"] += 1
-            self.transport.publish(sequence, home, recipients)
-            return
-        counters["multicast"] += 1
-        members = self.broker.partition.group(q).members
-        via = None
-        if self.broker.costs.multicast_mode == "sparse":
-            via = self.broker.costs.rendezvous_point(members)
-
-        def first_pass(receive, m=members, v=via, h=home):
-            self.network.send_multicast(
-                h,
-                m,
-                lambda node, time: (
-                    receive(node, time) if node in interested else None
-                ),
-                via=v,
-            )
-
-        self.transport.publish(sequence, home, recipients, first_pass)
+        self._pending_of[sequence] = set(plan.recipients)
+        self._deliver(plan, sender=self.homes[shard])
 
     # -- kills, rebalance, re-hand -------------------------------------------
 
@@ -609,19 +502,15 @@ class ShardedChaosSimulation(ChaosSimulation):
         self._orphans = remaining
 
     def _flush_deferred(self) -> None:
-        now = self.simulator.now
-        keep: List[Tuple[float, int, np.ndarray, Sequence[int], Dict]] = []
-        for at, sequence, points, publishers, counters in self._deferred:
-            if now - at > self.defer_ttl:
-                self._finish(sequence, "expired")
-                continue
-            q, shard = self.router.resolve(points[sequence])
-            if shard in self._dead:
-                keep.append((at, sequence, points, publishers, counters))
-                continue
-            self._finish(sequence, "delivered")
-            self._serve(sequence, q, shard, points, publishers, counters)
-        self._deferred = keep
+        expired, ready = self._defer.drain(
+            self.simulator.now,
+            lambda sequence: not self._unserviceable(self._owner(sequence)),
+        )
+        for sequence in expired:
+            self.outcomes.finish(sequence, "expired")
+        for sequence in ready:
+            self.outcomes.finish(sequence, "delivered")
+            self._serve(sequence, self._owner(sequence))
 
     # -- planned migrations ---------------------------------------------------
 
@@ -659,6 +548,31 @@ class ShardedChaosSimulation(ChaosSimulation):
 
     # -- reporting -----------------------------------------------------------
 
+    def _lost_nodes(self) -> Set[int]:
+        """Nodes nothing routes through any more: dead shards' homes."""
+        return {self.homes[s] for s in self._dead}
+
+    def _classify_misses(self, missing) -> None:
+        """Split delivery misses into stranded and unexplained.
+
+        A target disconnected from every live home by the lost nodes is
+        an *explained* loss (its only link died — see
+        :attr:`ShardedStats.stranded_misses`); a miss to a
+        still-reachable target is a protocol bug.
+        """
+        reachable: Set[int] = set()
+        if missing:
+            graph = self.broker.topology.graph.copy()
+            graph.remove_nodes_from(self._lost_nodes())
+            for shard, home in self.homes.items():
+                if shard not in self._dead and home in graph:
+                    reachable |= nx.node_connected_component(graph, home)
+        for _sequence, target, _reason in missing:
+            if int(target) in reachable:
+                self.sstats.unexplained_misses += 1
+            else:
+                self.sstats.stranded_misses += 1
+
     def run(
         self,
         points: np.ndarray,
@@ -667,32 +581,11 @@ class ShardedChaosSimulation(ChaosSimulation):
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ShardedReport:
         base = super().run(points, publishers, inter_arrival, arrival_times)
-        leftover, self._deferred = self._deferred, []
-        for _at, sequence, *_rest in leftover:
-            self._finish(sequence, "expired")
-        self.sstats.published = len(points)
+        self.sstats.settle(len(points), self.outcomes, self._defer)
         self.sstats.migrations_completed = self.rebalancer.completed
         self.sstats.migrations_aborted = self.rebalancer.aborted
         self.sstats.imbalance = self.map.imbalance()
-        # Classify delivery misses: a target disconnected from every
-        # live home by a killed transit node is an *explained* loss
-        # (its only link died — see ShardedStats.stranded_misses); a
-        # miss to a still-reachable target is a protocol bug.
-        reachable: Set[int] = set()
-        if base.missing:
-            graph = self.broker.topology.graph.copy()
-            graph.remove_nodes_from(
-                self.homes[s] for s in self._dead if self.homes[s] in graph
-            )
-            for shard in range(self.map.num_shards):
-                home = self.homes[shard]
-                if shard not in self._dead and home in graph:
-                    reachable |= nx.node_connected_component(graph, home)
-        for _sequence, target, _reason in base.missing:
-            if int(target) in reachable:
-                self.sstats.unexplained_misses += 1
-            else:
-                self.sstats.stranded_misses += 1
+        self._classify_misses(base.missing)
         if self.telemetry.enabled:
             self.telemetry.gauge(
                 "sharding.imbalance",
@@ -700,27 +593,25 @@ class ShardedChaosSimulation(ChaosSimulation):
             ).set(self.sstats.imbalance)
         # Determinism pin: each serviced event's shard-local match must
         # equal the unsharded broker's, digest-for-digest.
-        points = np.asarray(points, dtype=np.float64)
-        items: List[List[object]] = []
-        parity = True
-        for sequence in sorted(self._records):
-            gids, subscribers, q, _shard = self._records[sequence]
-            event = Event.create(sequence, 0, points[sequence])
-            reference = self.broker.engine.match(event)
-            if list(gids) != sorted(
-                int(i) for i in reference.subscription_ids
-            ) or tuple(subscribers) != tuple(reference.subscribers):
-                parity = False
-            items.append(
+        self.sstats.match_digest = _digest_items(
+            [
                 [
                     int(sequence),
                     [int(i) for i in gids],
                     [int(n) for n in subscribers],
                     int(q),
                 ]
+                for sequence, (gids, subscribers, q, _shard) in sorted(
+                    self._records.items()
+                )
+            ]
+        )
+        self.sstats.match_parity = (
+            self.sstats.match_digest
+            == unsharded_match_digest(
+                self.broker, self._points, self._records
             )
-        self.sstats.match_parity = parity
-        self.sstats.match_digest = _digest_items(items)
+        )
         return ShardedReport(
             **vars(base),
             sharded=self.sstats,

@@ -25,15 +25,15 @@ the protocol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..clustering import ForgyKMeansClustering
-from ..core.broker import PubSubBroker
-from ..core.distribution import DeliveryMethod, record_decision
+from ..core.broker import PublishPlan, PubSubBroker
+from ..core.distribution import DeliveryMethod
 from ..core.event import Event
 from ..core.subscription import SubscriptionTable
 from ..network.topology import TransitStubGenerator, TransitStubParams
@@ -52,6 +52,10 @@ from .reliable import ReliabilityStats, ReliableTransport, RetryConfig
 __all__ = [
     "DeliveryLedger",
     "ChaosReport",
+    "OutcomeLedger",
+    "EventOutcomeStats",
+    "DeferQueue",
+    "dispatch",
     "ChaosSimulation",
     "build_chaos_testbed",
     "build_chaos_plan",
@@ -191,8 +195,232 @@ class ChaosReport:
         return rows
 
 
+class OutcomeLedger(dict):
+    """``key -> terminal bucket``, assigned exactly once.
+
+    The conservation law every harness proves — each published event
+    (or each session obligation) ends in exactly one bucket — rests on
+    :meth:`finish` refusing a second verdict for a key and a bucket
+    the ledger was not built with.  With a ``metric``, every verdict
+    also counts into ``telemetry`` under an ``outcome`` label.
+    """
+
+    def __init__(
+        self,
+        buckets: Sequence[str],
+        telemetry: Optional[Telemetry] = None,
+        metric: Optional[str] = None,
+        help: str = "",
+    ):
+        super().__init__()
+        self.buckets = tuple(buckets)
+        self.telemetry = or_null(telemetry)
+        self.metric = metric
+        self.help = help
+
+    def finish(self, key, outcome: str) -> None:
+        """Give ``key`` its terminal bucket; a second verdict raises."""
+        if outcome not in self.buckets:
+            raise ValueError(f"unknown outcome {outcome!r}")
+        if key in self:
+            raise RuntimeError(
+                f"{key!r} accounted twice: {self[key]} then {outcome}"
+            )
+        self[key] = outcome
+        if self.metric is not None and self.telemetry.enabled:
+            self.telemetry.counter(
+                self.metric, help=self.help, outcome=outcome
+            ).inc()
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Keys per bucket (every bucket present, empty ones at 0)."""
+        counts = dict.fromkeys(self.buckets, 0)
+        for outcome in self.values():
+            counts[outcome] += 1
+        return counts
+
+
+@dataclass
+class EventOutcomeStats:
+    """The per-event ledger of a harness that can defer, shed or expire."""
+
+    published: int = 0
+    delivered_events: int = 0
+    shed_events: int = 0
+    expired_events: int = 0
+    #: Events that spent time in the defer queue (any outcome).
+    deferred_events: int = 0
+
+    def settle(
+        self, published: int, outcomes: OutcomeLedger, waiting: DeferQueue
+    ) -> None:
+        """Close the books at the end of a run: what still waits never
+        found a serviceable owner, and expires."""
+        for sequence in waiting.drain(math.inf)[0]:
+            outcomes.finish(sequence, "expired")
+        counts = outcomes.counts
+        self.published = published
+        self.delivered_events = counts["delivered"]
+        self.shed_events = counts["shed"]
+        self.expired_events = counts["expired"]
+
+    @property
+    def accounted(self) -> bool:
+        """The conservation law: every event in exactly one bucket."""
+        return (
+            self.delivered_events + self.shed_events + self.expired_events
+            == self.published
+        )
+
+
+class DeferQueue:
+    """Events waiting for a serviceable owner: bounded, and not forever.
+
+    ``offer`` refuses (the caller sheds) once ``capacity`` events wait;
+    ``drain`` hands back, in arrival order, what waited longer than
+    ``ttl`` and what is ready now, and keeps the rest.
+    """
+
+    def __init__(self, capacity: float, ttl: float):
+        if capacity < 0:
+            raise ValueError(f"defer_capacity must be >= 0 (got {capacity})")
+        if ttl <= 0.0:
+            raise ValueError(f"defer_ttl must be positive (got {ttl})")
+        self.capacity = capacity
+        self.ttl = float(ttl)
+        self._waiting: List[Tuple[float, int]] = []
+
+    def __len__(self) -> int:
+        return len(self._waiting)
+
+    def offer(self, sequence: int, now: float) -> bool:
+        """Queue ``sequence``; False when the queue is full."""
+        if len(self._waiting) >= self.capacity:
+            return False
+        self._waiting.append((now, sequence))
+        return True
+
+    def drain(
+        self, now: float, ready: Callable[[int], bool] = lambda sequence: True
+    ) -> Tuple[List[int], List[int]]:
+        """``(expired, ready)`` sequences; the others keep waiting.
+
+        ``now = inf`` expires everything: the end-of-run drain.
+        """
+        expired: List[int] = []
+        served: List[int] = []
+        keep: List[Tuple[float, int]] = []
+        for at, sequence in self._waiting:
+            if now - at > self.ttl:
+                expired.append(sequence)
+            elif ready(sequence):
+                served.append(sequence)
+            else:
+                keep.append((at, sequence))
+        self._waiting = keep
+        return expired, served
+
+
+def dispatch(
+    broker: PubSubBroker,
+    plan: PublishPlan,
+    network: PacketNetwork,
+    on_arrival: Callable[[int, float], None],
+    transport: Optional[ReliableTransport] = None,
+    sender: Optional[int] = None,
+    telemetry: Optional[Telemetry] = None,
+) -> str:
+    """Put one publish plan on the wire; return what was done.
+
+    Nothing for ``not_sent`` / ``self_only``; one message per
+    recipient for ``unicast``; one tree flood of ``M_q`` — through the
+    group's rendezvous point under a sparse-mode cost model — for
+    ``multicast``.  Group members outside the interested set filter
+    the message out at the application layer, so only interested
+    arrivals reach ``on_arrival`` (or enter the reliable protocol);
+    a flooded plan does not know who is interested, so every member
+    receives and the receivers run the subscription filter.
+
+    With a ``transport`` the first pass rides
+    :meth:`ReliableTransport.publish` and retries are its business;
+    without one, arrivals go straight to ``on_arrival(node, time)``.
+    ``sender`` is the node the messages leave from when that is not
+    the publisher (a shard's home).  The ``route`` span opens here —
+    the transport hangs ``deliver`` → ``retry`` / ``ack`` off it — and
+    the plan's ``event`` root closes here.
+    """
+    event, _match, q, decision, root, flooded = plan
+    recipients = plan.recipients
+    if decision.method is DeliveryMethod.NOT_SENT:
+        done = "not_sent"
+    elif not recipients:
+        done = "self_only"
+    else:
+        done = "degraded-multicast" if flooded else decision.method.value
+        source = event.publisher if sender is None else sender
+        route_span = None
+        if root is not None:
+            route_span = telemetry.start_span(
+                "route",
+                parent=root,
+                method=decision.method.value,
+                targets=len(recipients),
+            )
+        if decision.method is DeliveryMethod.UNICAST:
+            if transport is not None:
+                transport.publish(
+                    event.sequence, source, recipients, parent_span=route_span
+                )
+            else:
+                for node in recipients:
+                    network.send_unicast(source, node, on_arrival)
+        else:
+            members = broker.partition.group(q).members
+            via = None
+            if broker.costs.multicast_mode == "sparse":
+                via = broker.costs.rendezvous_point(members)
+            interested = frozenset(recipients)
+
+            def first_pass(receive):
+                network.send_multicast(
+                    source,
+                    members,
+                    receive
+                    if flooded
+                    else lambda node, time: (
+                        receive(node, time) if node in interested else None
+                    ),
+                    via=via,
+                )
+
+            if transport is not None:
+                transport.publish(
+                    event.sequence,
+                    source,
+                    recipients,
+                    first_pass,
+                    parent_span=route_span,
+                )
+            else:
+                first_pass(on_arrival)
+            if route_span is not None:
+                route_span.set_attribute("group", q).set_attribute(
+                    "group_size", len(members)
+                )
+        if route_span is not None:
+            route_span.finish()
+    if root is not None:
+        root.set_attribute("method", done).finish()
+    return done
+
+
 class ChaosSimulation:
     """Packet-level workload replay under an active fault plan."""
+
+    #: Per-target circuit breakers for the reliable transport; the
+    #: overload harness sets a board before the base constructor runs.
+    breakers = None
 
     def __init__(
         self,
@@ -235,15 +463,14 @@ class ChaosSimulation:
                 config=retry or RetryConfig.for_network(self.network),
                 seed=plan.seed + 1,
                 detector=self.injector,
-                on_deliver=lambda target, key, time: self.ledger.record(
-                    key, target, time
-                ),
+                on_deliver=self._on_deliver,
                 on_give_up=lambda target, key, reason: (
                     self.ledger.fail_reasons.__setitem__(
                         (key, target), reason
                     )
                 ),
                 telemetry=telemetry,
+                breakers=self.breakers,
             )
 
     # -- subclass hooks ------------------------------------------------------
@@ -271,158 +498,91 @@ class ChaosSimulation:
         harness does nothing.
         """
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        """Match, decide and route one event (the per-event hot path).
+    def _on_deliver(self, target: int, key: int, time: float) -> None:
+        """One application-level arrival (post-dedup if reliable)."""
+        self.ledger.record(key, target, time)
 
-        The span tree mirrors the lifecycle: `event` (root) →
-        `match` / `distribution-decision` / `route`; the
-        reliable transport hangs `deliver` (→ `retry` / `ack`)
-        spans off `route`.  Synchronous spans close at publish
+    def _publish_event(self, sequence: int) -> None:
+        """Event ``sequence`` arrives at the broker (the per-event path)."""
+        self._deliver(self._plan(sequence))
+
+    # -- the pipeline --------------------------------------------------------
+
+    def _plan(self, sequence: int, matcher=None) -> PublishPlan:
+        """The broker's plan for workload event ``sequence``, metered
+        into this harness's (simulated-clock) telemetry."""
+        event = Event.create(
+            sequence, self._publishers[sequence], self._points[sequence]
+        )
+        return self.broker.plan(
+            event, matcher=matcher, telemetry=self.telemetry
+        )
+
+    def _deliver(self, plan: PublishPlan, sender: Optional[int] = None) -> None:
+        """Expect the plan's deliveries, note the intent, send it.
+
+        The span tree mirrors the lifecycle: ``event`` (root) →
+        ``match`` / ``distribution-decision`` / ``route``; the
+        reliable transport hangs ``deliver`` (→ ``retry`` / ``ack``)
+        spans off ``route``.  Synchronous spans close at publish
         time (simulated clock); deliver spans close at
         application arrival.
         """
-        telemetry = self.telemetry
-        instrumented = telemetry.enabled
-        event = Event.create(
-            sequence, int(publishers[sequence]), points[sequence]
-        )
-        if instrumented:
-            telemetry.counter("broker.events").inc()
-            root = telemetry.start_span(
-                "event", trace_id=sequence, publisher=event.publisher
-            )
-            match_span = telemetry.start_span("match", parent=root)
-            match_started = perf_counter()
-        match = self.broker.engine.match(event)
-        q = self.broker.partition.locate(event.point)
-        if instrumented:
-            telemetry.histogram(
-                "broker.match_latency_us",
-                help="wall time of one match+locate, microseconds",
-            ).observe((perf_counter() - match_started) * 1e6)
-            match_span.set_attribute(
-                "subscribers", match.num_subscribers
-            ).finish()
-        group_size = (
-            self.broker.partition.group(q).size if q > 0 else 0
-        )
-        if instrumented:
-            decision_span = telemetry.start_span(
-                "distribution-decision", parent=root
-            )
-        decision = self.broker.policy.decide(
-            interested=match.num_subscribers,
-            group_size=group_size,
-            group=q,
-        )
-        record_decision(telemetry, decision)
-        if instrumented:
-            decision_span.set_attribute(
-                "method", decision.method.value
-            ).set_attribute("group", q).finish()
-        if decision.method is DeliveryMethod.NOT_SENT:
-            counters["not_sent"] += 1
-            if instrumented:
-                root.set_attribute("method", "not_sent").finish()
-            return
-        now = self.simulator.now
-        recipients = [
-            node
-            for node in match.subscribers
-            if node != event.publisher
-        ]
-        self.ledger.expect(sequence, recipients, now)
-        self._record_intent(
-            sequence, event.publisher, recipients,
-            decision.method.value, q,
-        )
-        if not recipients:
-            if instrumented:
-                root.set_attribute("method", "self_only").finish()
-            return
-        interested = set(recipients)
-        route_span = None
-        if instrumented:
-            route_span = telemetry.start_span(
-                "route",
-                parent=root,
-                method=decision.method.value,
-                targets=len(recipients),
-            )
-
-        if decision.method is DeliveryMethod.UNICAST:
-            counters["unicast"] += 1
-            if self.transport is not None:
-                self.transport.publish(
-                    sequence,
-                    event.publisher,
-                    recipients,
-                    parent_span=route_span,
-                )
-            else:
-                for node in recipients:
-                    self.network.send_unicast(
-                        event.publisher,
-                        node,
-                        lambda n, t, s=sequence: self.ledger.record(
-                            s, n, t
-                        ),
-                    )
-            if instrumented:
-                route_span.finish()
-                root.set_attribute("method", "unicast").finish()
-            return
-
-        counters["multicast"] += 1
-        members = self.broker.partition.group(q).members
-        via = None
-        if self.broker.costs.multicast_mode == "sparse":
-            via = self.broker.costs.rendezvous_point(members)
-        if self.transport is not None:
-            def first_pass(receive, m=members, v=via):
-                # Group members outside the interested set filter
-                # the message out at the application layer; only
-                # interested arrivals enter the reliable protocol.
-                self.network.send_multicast(
-                    event.publisher,
-                    m,
-                    lambda node, time: (
-                        receive(node, time)
-                        if node in interested
-                        else None
-                    ),
-                    via=v,
-                )
-
-            self.transport.publish(
+        event = plan.event
+        sequence = event.sequence
+        if plan.decision.method is not DeliveryMethod.NOT_SENT:
+            recipients = plan.recipients
+            self.ledger.expect(sequence, recipients, self.simulator.now)
+            self._record_intent(
                 sequence,
                 event.publisher,
                 recipients,
-                first_pass,
-                parent_span=route_span,
+                plan.decision.method.value,
+                plan.q,
             )
-        else:
-            self.network.send_multicast(
-                event.publisher,
-                members,
-                lambda node, time, s=sequence: (
-                    self.ledger.record(s, node, time)
-                    if node in interested
-                    else None
-                ),
-                via=via,
+        done = dispatch(
+            self.broker,
+            plan,
+            self.network,
+            lambda node, time: self._on_deliver(node, sequence, time),
+            self.transport,
+            sender,
+            self.telemetry,
+        )
+        self._counters[done] += 1
+
+    def _isolated(self, node: int, now: float) -> bool:
+        """Whether ``node`` cannot serve right now — killed, crashed,
+        or cut off on every incident link."""
+        if self.injector.node_down(node, now):
+            return True
+        state = self.injector.state_at(now)
+        if state.clear:
+            return False
+        neighbors = list(self.broker.topology.graph.neighbors(node))
+        return bool(neighbors) and all(
+            state.link_dead(node, n) for n in neighbors
+        )
+
+    def _load(
+        self,
+        points: np.ndarray,
+        publishers: Sequence[int],
+        arrival_times: Sequence[float],
+    ) -> None:
+        """Validate the workload and keep it for the length of the run."""
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[0] != len(publishers):
+            raise ValueError(
+                "points must be (m, N) with one publisher per row"
             )
-        if instrumented:
-            route_span.set_attribute(
-                "group", q
-            ).set_attribute("group_size", len(members)).finish()
-            root.set_attribute("method", "multicast").finish()
+        if len(arrival_times) != len(points):
+            raise ValueError("one arrival time per event required")
+        self._points = points
+        self._publishers = [int(p) for p in publishers]
+        self._counters = dict.fromkeys(
+            ("multicast", "unicast", "not_sent", "self_only"), 0
+        )
 
     def run(
         self,
@@ -432,24 +592,13 @@ class ChaosSimulation:
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ChaosReport:
         """Publish the workload under faults and verify the guarantee."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] != len(publishers):
-            raise ValueError(
-                "points must be (m, N) with one publisher per row"
-            )
         if arrival_times is None:
             arrival_times = [i * inter_arrival for i in range(len(points))]
-        if len(arrival_times) != len(points):
-            raise ValueError("one arrival time per event required")
-
-        counters = {"multicast": 0, "unicast": 0, "not_sent": 0}
+        self._load(points, publishers, arrival_times)
         self._arm(arrival_times)
         for sequence, time in enumerate(arrival_times):
             self.simulator.schedule_at(
-                float(time),
-                lambda s=sequence: self._publish_event(
-                    s, points, publishers, counters
-                ),
+                float(time), lambda s=sequence: self._publish_event(s)
             )
         finished_at = self.simulator.run()
 
@@ -459,7 +608,7 @@ class ChaosSimulation:
             else "lost (no retransmission)"
         )
         return ChaosReport(
-            events=len(points),
+            events=len(self._points),
             reliable=self.reliable,
             expected=self.ledger.expected_total,
             delivered=self.ledger.delivered_distinct,
@@ -469,9 +618,9 @@ class ChaosSimulation:
             transmissions=self.network.log.transmissions,
             link_retransmissions=self.network.log.retransmissions,
             queueing_delay=self.network.log.queueing_delay,
-            multicasts=counters["multicast"],
-            unicasts=counters["unicast"],
-            not_sent=counters["not_sent"],
+            multicasts=self._counters["multicast"],
+            unicasts=self._counters["unicast"],
+            not_sent=self._counters["not_sent"],
             finished_at=finished_at,
             fault_stats=self.injector.stats,
             reliability=(

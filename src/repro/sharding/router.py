@@ -392,13 +392,9 @@ class ShardRouter:
     def route(self, event: Event) -> RoutedPublish:
         """Resolve, match at the owner, and decide the delivery method."""
         q, shard = self.resolve(event.point)
-        match = self.shards[shard].match(event)
-        group_size = self.partition.group(q).size if q > 0 else 0
-        decision = self.broker.policy.decide(
-            interested=match.num_subscribers,
-            group_size=group_size,
-            group=q,
-        )
+        plan = self.broker.plan(event, matcher=self.shards[shard])
+        if plan.root is not None:
+            plan.root.set_attribute("shard", shard).finish()
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "sharding.routed",
@@ -409,8 +405,8 @@ class ShardRouter:
             q=q,
             shard=shard,
             epoch=self.map.epoch,
-            match=match,
-            decision=decision,
+            match=plan.match,
+            decision=plan.decision,
         )
 
     # -- diagnostics ----------------------------------------------------------

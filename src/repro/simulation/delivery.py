@@ -118,19 +118,13 @@ class DeliverySimulation:
         counters = {"multicast": 0, "unicast": 0, "not_sent": 0}
 
         def publish(sequence: int) -> None:
-            event = Event.create(
-                sequence, int(publishers[sequence]), points[sequence]
+            event, match, q, decision, root, _flooded = self.broker.plan(
+                Event.create(
+                    sequence, int(publishers[sequence]), points[sequence]
+                )
             )
-            match = self.broker.engine.match(event)
-            q = self.broker.partition.locate(event.point)
-            group_size = (
-                self.broker.partition.group(q).size if q > 0 else 0
-            )
-            decision = self.broker.policy.decide(
-                interested=match.num_subscribers,
-                group_size=group_size,
-                group=q,
-            )
+            if root is not None:
+                root.set_attribute("method", decision.method.value).finish()
             if decision.method is DeliveryMethod.NOT_SENT:
                 counters["not_sent"] += 1
                 return

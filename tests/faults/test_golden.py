@@ -1,0 +1,45 @@
+"""A cross-commit oracle: ``repro chaos`` stdout, pinned byte for byte.
+
+Every other chaos oracle compares a run with another run of the same
+commit (same seed twice, sharded against unsharded), so a change that
+moved *all* the digests would still pass them.  These files were
+captured on the commit before the harnesses were moved onto
+``PubSubBroker.plan`` / ``repro.faults.dispatch`` and pin one scenario
+per mode — ledgers, counters, match / recovery / takeover / session
+digests.
+
+Only ROADMAP item 3 (failover as a preset of the cluster, the one
+change allowed to move digests) may regenerate them, with::
+
+    PYTHONPATH=src python -m repro.cli chaos <arguments> \\
+        --events 100 --subscriptions 150 > tests/golden/chaos/<name>.txt
+
+and says so in CHANGES.md.  Any other change that fails here changed
+behaviour it should not have.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+GOLDEN = Path(__file__).parent.parent / "golden" / "chaos"
+
+SCENARIOS = {
+    "default": [],
+    "overload": ["--overload"],
+    "crash-recovery": ["--crash-recovery", "--crash-length", "20"],
+    "failover": ["--failover"],
+    "sharded": ["--sharded", "--sharded-scenario", "shard-kill"],
+    "cluster": ["--cluster"],
+    "sessions": ["--sessions"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_chaos_stdout_is_byte_identical(name, capsys):
+    main(
+        ["chaos", *SCENARIOS[name], "--events", "100", "--subscriptions", "150"]
+    )
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()

@@ -140,9 +140,9 @@ class TestHarnessContracts:
         simulation = FailoverChaosSimulation(
             broker, plan, standbys, primary=primary
         )
-        simulation._finish(0, "delivered")
+        simulation.outcomes.finish(0, "delivered")
         with pytest.raises(RuntimeError, match="accounted twice"):
-            simulation._finish(0, "shed")
+            simulation.outcomes.finish(0, "shed")
 
     def test_plan_builder_validates_scenario(self):
         broker, _ = build_chaos_testbed(seed=7, subscriptions=50)

@@ -167,9 +167,9 @@ class TestHarnessGuards:
         simulation = ShardedChaosSimulation(
             broker, plan, num_shards=SHARDS, shard_homes=homes
         )
-        simulation._finish(0, "delivered")
+        simulation.outcomes.finish(0, "delivered")
         with pytest.raises(RuntimeError, match="accounted twice"):
-            simulation._finish(0, "shed")
+            simulation.outcomes.finish(0, "shed")
 
     def test_too_many_shards_for_topology_raises(self):
         broker, _, _ = _build()

@@ -191,6 +191,79 @@ class TestStats:
         assert {"event", "match", "route", "deliver"} <= names
 
 
+    def test_cluster_run_counts_its_events(self, capsys):
+        """The sharded copy of the publish loop had dropped the
+        ``broker.events`` counter: this printed ``events 0``."""
+        import re
+
+        code = main(["stats", "--cluster", *self.ARGS[:8]])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^ *events +60$", out, re.MULTILINE)
+        rate = re.search(r"^ *events/sec +([0-9.]+)$", out, re.MULTILINE)
+        assert float(rate.group(1)) > 0.0
+
+    def test_a_run_that_counted_nothing_fails(self, capsys, monkeypatch):
+        from repro.core.broker import PubSubBroker
+
+        plan = PubSubBroker.plan
+        # Meter into the broker's own (null) registry, as a harness
+        # that forgot to pass its telemetry would.
+        monkeypatch.setattr(
+            PubSubBroker,
+            "plan",
+            lambda self, event, matcher=None, degraded=False, telemetry=None: (
+                plan(self, event, matcher, degraded)
+            ),
+        )
+        assert main(["stats", *self.ARGS]) == 1
+        assert "counted no events" in capsys.readouterr().err
+
+
+class TestInstrumentedUsageErrors:
+    """A scenario the arguments cannot describe: one line, exit 2 —
+    what ``repro chaos`` does with the same arguments."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--crash-recovery", "--events", "80"],
+            ["trace", "--crash-recovery", "--events", "80", "--event", "5"],
+        ],
+    )
+    def test_crash_windows_that_do_not_fit(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            "error: crash_length 50.0 leaves no up-time between windows"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, builder",
+        [
+            ("--crash-recovery", "repro.faults.build_crash_recovery_plan"),
+            ("--failover", "repro.faults.build_failover_plan"),
+            ("--cluster", "repro.faults.build_cluster_plan"),
+            ("--cluster", "repro.sharding.ShardMap.plan"),
+        ],
+    )
+    def test_every_plan_builder_is_covered(
+        self, flag, builder, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise ValueError("no such scenario")
+
+        monkeypatch.setattr(builder, refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats", flag, "--events", "30", "--subscriptions", "60"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == "error: no such scenario\n"
+
+
 class TestTrace:
     ARGS = [
         "--events", "60",
@@ -233,6 +306,17 @@ class TestTrace:
         out = capsys.readouterr().out
         assert out.startswith("event ")
         assert "\n  " in out  # children are indented
+
+    def test_cluster_trace_has_its_root(self, capsys):
+        """Used to print bare ``deliver`` spans with no ``event`` root."""
+        code = main(
+            ["trace", "--cluster", "--event", "3", "--pretty", *self.ARGS[:8]]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("event ")
+        assert "\n  distribution-decision " in out
+        assert "\n  route " in out
 
     def test_out_of_range_event_rejected(self, capsys):
         code = main(["trace", "--event", "999", *self.ARGS])

@@ -445,6 +445,53 @@ class TestReplicaSetMisuse:
         )
 
 
+class TestOutcomeLedgerMisuse:
+    """The conservation law rests on these two refusals."""
+
+    def test_second_verdict_for_a_key_raises(self):
+        from repro.faults import OutcomeLedger
+
+        ledger = OutcomeLedger(("delivered", "shed"))
+        ledger.finish(3, "delivered")
+        with pytest.raises(RuntimeError, match="accounted twice") as error:
+            ledger.finish(3, "shed")
+        assert str(error.value) == "3 accounted twice: delivered then shed"
+        assert ledger.counts == {"delivered": 1, "shed": 0}
+
+    def test_unknown_bucket_raises_and_accounts_nothing(self):
+        from repro.faults import OutcomeLedger
+
+        ledger = OutcomeLedger(("delivered", "shed"))
+        with pytest.raises(ValueError) as error:
+            ledger.finish((3, "sess-9"), "lost")
+        assert str(error.value) == "unknown outcome 'lost'"
+        assert (3, "sess-9") not in ledger
+
+    def test_refusals_survive_dash_O(self):
+        _run_dash_O(
+            "from repro.faults import OutcomeLedger\n"
+            "assert False  # proves -O is active: this must not raise\n"
+            "ledger = OutcomeLedger(('delivered', 'shed'))\n"
+            "ledger.finish(3, 'delivered')\n"
+            "for attempt, kind, message in (\n"
+            "    (lambda: ledger.finish(3, 'shed'), RuntimeError,\n"
+            "     '3 accounted twice: delivered then shed'),\n"
+            "    (lambda: ledger.finish(4, 'lost'), ValueError,\n"
+            "     \"unknown outcome 'lost'\"),\n"
+            "):\n"
+            "    try:\n"
+            "        attempt()\n"
+            "    except kind as error:\n"
+            "        if str(error) != message:\n"
+            "            raise SystemExit(f'wrong message: {error}')\n"
+            "    else:\n"
+            "        raise SystemExit(f'not raised under -O: {message}')\n"
+            "if dict(ledger) != {3: 'delivered'}:\n"
+            "    raise SystemExit('a refused verdict was recorded under -O')\n"
+            "print('OK')\n"
+        )
+
+
 class TestNumericalRobustness:
     def test_nan_rejected_at_index_build(self):
         with pytest.raises(ValueError, match="NaN"):

@@ -20,6 +20,13 @@ SUBPACKAGES = [
     "repro.relay",
     "repro.faults",
     "repro.replication",
+    "repro.durability",
+    "repro.sharding",
+    "repro.cluster",
+    "repro.sessions",
+    "repro.overload",
+    "repro.telemetry",
+    "repro.statics",
     "repro.io",
 ]
 
