@@ -7,65 +7,69 @@ The subcommands cover the library's main workflows::
                     --groups 11 --modes 9 --threshold 0.15
     repro tune      --testbed testbed.json --groups 11 --modes 9
     repro experiments [--small]
-    repro chaos     --events 500 --loss 0.1 --crashes 2
-    repro chaos     --overload --scenario burst --queue-capacity 32
-    repro chaos     --crash-recovery --corrupt-wal torn-tail \\
-                    --wal-out broker.wal
-    repro chaos     --failover --failover-scenario partition --standbys 2
-    repro chaos     --sharded --shards 4 --sharded-scenario shard-kill
-    repro shard     plan --shards 4
-    repro shard     stats --shards 8 --subscriptions 500
+    repro chaos     SCENARIO
+    repro stats     SCENARIO [--top-links 5] [--metrics-out m.prom]
+    repro trace     SCENARIO --event 3 [--pretty]
+    repro sessions  stats --scenario flap | dlq --redrive
+    repro shard     plan --shards 4 | stats --shards 8
     repro wal       --path broker.wal
-    repro stats     --events 200 --loss 0.1 \\
-                    [--overload|--crash-recovery|--failover]
-    repro trace     --event 3 --events 200
     repro lint      [--rule DET01] [--format json] [--baseline write] src
+    repro dot       --testbed testbed.json --out topology.dot
 
-``repro chaos`` replays a workload through the packet simulator with
-injected faults (lossy links, broker crash/restart windows) and
-verifies the exactly-once delivery guarantee of the reliable
-protocol — or, with ``--unreliable``, reports precisely what the raw
-substrate loses.  With ``--overload`` the same replay runs behind the
-full overload-protection stack (token-bucket admission, bounded
-ingress queue with pluggable shedding, degraded group-flood mode,
-per-subscriber circuit breakers) against a canned saturation
-scenario: a burst storm, a slow or permanently-dead subscriber, or a
-thundering-resubscribe herd.  With ``--crash-recovery`` the home
-broker journals subscriptions, publish intents and delivery
-completions to a write-ahead log; each crash window wipes its
-volatile state (and, with ``--corrupt-wal``, damages the log), and
-each restart recovers from snapshot + WAL replay — the ledger then
-proves the guarantee held across the restarts.  With ``--failover``
-the home broker becomes a replicated group: the primary ships its WAL
-to ranked standbys, a permanent kill (or a partition manufacturing a
-zombie primary) forces an epoch-fenced takeover, and the per-event
-outcome ledger proves ``delivered + shed + expired == published``
-with zero duplicate deliveries across the takeover.  With
-``--sharded`` the broker scales *out*: publications route to the
-shard owning their subset, subscriptions scatter onto every owning
-shard, live migrations move subsets under traffic, and shard kills /
-mid-migration crashes must preserve both the outcome ledger and
-digest-exact match parity with a single unsharded broker.  ``repro
-shard`` prints the subset→shard plan (greedy bin-pack over expected
-load) and the scatter statistics without running chaos.  ``repro wal``
-inspects a log file written with ``--wal-out``: record counts,
-corruption status (exit 1 when the tail is damaged), and the last
-few records.
+**One scenario, three verbs.**  ``SCENARIO`` is one option list
+(``--seed --events --subscriptions --loss --crashes ...`` plus at most
+one mode flag) and one assembly (`_assemble`): the same arguments build
+the same testbed, event stream, fault plan and harness, hence the same
+simulated timeline, under all three verbs.  ``chaos`` verifies it
+(delivery ledger, digests), ``stats`` meters it (events/sec,
+match-latency percentiles, the multicast/unicast split, retry and
+duplicate counters, per-link traffic, one section per subsystem that
+ran) and ``trace`` follows one event through it (match →
+distribution-decision → route → deliver → ack/retry, JSONL or
+``--pretty``).  ``chaos`` and ``stats`` exit on the same verdict, 0
+iff the mode's guarantee held; ``trace`` exits 0 iff the event left
+spans.  The modes:
 
-``repro stats`` runs the same pipeline with live telemetry and prints
-the operational picture: events/sec, match-latency percentiles, the
-multicast/unicast split, retry/duplicate counters, and per-link
-traffic.  ``repro trace`` replays the identical deterministic run and
-dumps the span tree of one event (match → distribution-decision →
-route → deliver → ack/retry) as JSONL.
+- *(none)*: lossy links and broker crash/restart windows under the
+  reliable protocol, verified exactly-once; ``--unreliable`` reports
+  what the raw substrate loses instead (informational, exit 0).
+- ``--overload --scenario burst|slow-subscriber|dead-subscriber|
+  resubscribe``: the same replay behind token-bucket admission, a
+  bounded ingress queue with pluggable shedding, degraded group-flood
+  mode and per-subscriber circuit breakers; every event must be
+  delivered, shed or expired and the queue stay within capacity.
+- ``--crash-recovery [--corrupt-wal torn-tail|bit-flip] [--wal-out F]``:
+  the home broker journals subscriptions, publish intents and delivery
+  completions to a write-ahead log; each crash window wipes its
+  volatile state (and can damage the log) and each restart recovers
+  from snapshot + WAL replay.
+- ``--failover --failover-scenario kill|partition|catchup``: the home
+  broker ships its WAL to ranked standbys; a permanent kill (or a
+  partition manufacturing a zombie primary) forces an epoch-fenced
+  takeover, and ``delivered + shed + expired == published`` with zero
+  duplicates across it.
+- ``--sharded --sharded-scenario clean|shard-kill|migration-crash``:
+  publications route to the shard owning their subset, subscriptions
+  scatter, live migrations move subsets under traffic; the ledger must
+  close and every match equal a single unsharded broker's, by digest.
+- ``--cluster --cluster-scenario kill|partition|double-kill|
+  migrate-under-kill``: every shard replicated under a cluster-wide
+  membership detector; fenced takeovers must answer the faults with
+  the same ledger and digest parity.
+- ``--sessions --session-scenario crash|flap|slow-consumer|poison``
+  (``chaos`` only: that harness meters no ``broker.events``): durable
+  sessions with journaled cursors, catch-up replay and dead-letter
+  quarantine against the per-(event, session) ledger.
 
-``repro lint`` runs the AST-based invariant linter (`repro.statics`)
-over the tree: determinism rules (no wall clock, no unseeded
-randomness, no hash-order iteration), crash-safety rules (atomic
-writes on durable paths, no swallowed excepts) and hygiene rules,
-with ``# repro: noqa`` suppressions and a checked-in fingerprint
-baseline.  ``--list-rules`` documents every rule; exit status 1 means
-a non-baselined finding.
+``repro sessions`` prints the cursor table or the dead-letter queue of
+one session run; ``repro shard`` the subset→shard plan (greedy
+bin-pack over expected load) and scatter statistics, without chaos;
+``repro wal`` inspects a log written with ``--wal-out`` (exit 1 when
+the tail is damaged); ``repro lint`` runs the invariant linter
+(`repro.statics`: determinism, crash-safety and hygiene rules,
+``# repro: noqa`` suppressions, a checked-in baseline; exit 1 on a
+non-baselined finding, ``--list-rules`` documents every rule).
+Every usage error is one ``error: ...`` line on stderr and exit 2.
 
 (Installed as the ``repro`` console script; also runnable as
 ``python -m repro.cli``.)
@@ -74,8 +78,9 @@ a non-baselined finding.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import List, NoReturn, Optional
+from typing import Any, Callable, List, NamedTuple, NoReturn, Optional, Tuple
 
 from .analysis.report import format_table
 from .clustering import (
@@ -171,212 +176,236 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suppress campaign output (warnings still shown)",
     )
 
+    def add_scenario_options(
+        sub: argparse.ArgumentParser,
+        events: int,
+        loss: float,
+        crashes: int,
+        crash_length: float,
+    ) -> None:
+        # The one option list of `chaos`, `stats` and `trace`: the same
+        # arguments assemble the same scenario under all three (identical
+        # seeds → identical simulated timeline).  Only these four
+        # defaults differ per verb.
+        sub.add_argument("--seed", type=int, default=2003)
+        sub.add_argument("--events", type=int, default=events)
+        sub.add_argument("--subscriptions", type=int, default=300)
+        sub.add_argument("--groups", type=int, default=11)
+        sub.add_argument("--threshold", type=float, default=0.15)
+        sub.add_argument(
+            "--loss",
+            type=probability,
+            default=loss,
+            help="per-transmission drop probability on every link",
+        )
+        sub.add_argument(
+            "--duplicate",
+            type=probability,
+            default=0.0,
+            help="per-transmission duplication probability on every link",
+        )
+        sub.add_argument(
+            "--crashes",
+            type=int,
+            default=crashes,
+            help="number of broker crash/restart windows",
+        )
+        sub.add_argument(
+            "--crash-length",
+            type=float,
+            default=crash_length,
+            help="duration of each crash window (simulation time units)",
+        )
+        sub.add_argument(
+            "--max-attempts",
+            type=int,
+            default=6,
+            help="reliable-protocol retry budget per delivery",
+        )
+        sub.add_argument(
+            "--unreliable",
+            action="store_true",
+            help="disable acks/retries/dedup (demonstrates what gets lost)",
+        )
+        overload = sub.add_argument_group(
+            "overload protection (with --overload)"
+        )
+        overload.add_argument(
+            "--overload",
+            action="store_true",
+            help="run the saturation harness: token-bucket admission, "
+            "bounded ingress queue, degraded group-flood mode, and "
+            "per-subscriber circuit breakers",
+        )
+        overload.add_argument(
+            "--scenario",
+            choices=(
+                "burst",
+                "slow-subscriber",
+                "dead-subscriber",
+                "resubscribe",
+            ),
+            default="burst",
+            help="canned overload scenario (default: burst storm)",
+        )
+        overload.add_argument(
+            "--queue-capacity",
+            type=int,
+            default=64,
+            help="bounded ingress queue capacity",
+        )
+        overload.add_argument(
+            "--shed-policy",
+            choices=sorted(SHED_POLICIES),
+            default="drop-newest",
+            help="what the full queue sheds",
+        )
+        overload.add_argument(
+            "--ttl",
+            type=float,
+            default=None,
+            help="per-event lifetime (simulation time units; default: none)",
+        )
+        overload.add_argument(
+            "--admission-rate",
+            type=float,
+            default=None,
+            help="token-bucket refill rate, events/time unit "
+            "(default: admission control off)",
+        )
+        overload.add_argument(
+            "--admission-burst",
+            type=float,
+            default=32.0,
+            help="token-bucket burst size",
+        )
+        overload.add_argument(
+            "--service-time",
+            type=float,
+            default=0.5,
+            help="simulated broker cost of serving one queued event",
+        )
+        durability = sub.add_argument_group(
+            "durable broker state (with --crash-recovery)"
+        )
+        durability.add_argument(
+            "--crash-recovery",
+            action="store_true",
+            help="journal the home broker to a write-ahead log and "
+            "recover from every crash window (snapshot load + WAL "
+            "replay + in-flight redelivery)",
+        )
+        durability.add_argument(
+            "--corrupt-wal",
+            choices=("torn-tail", "bit-flip"),
+            default=None,
+            help="damage the WAL at every crash, so each restart must "
+            "also truncate/repair the log",
+        )
+        durability.add_argument(
+            "--checkpoint-every",
+            type=int,
+            default=64,
+            help="take a snapshot + truncate the WAL prefix every N "
+            "journaled deliveries",
+        )
+        durability.add_argument(
+            "--wal-out",
+            default=None,
+            help="back the journal with this WAL file (inspect it "
+            "afterwards with `repro wal`)",
+        )
+        replication = sub.add_argument_group(
+            "broker replication (with --failover)"
+        )
+        replication.add_argument(
+            "--failover",
+            action="store_true",
+            help="replicate the home broker: ship its WAL to ranked "
+            "standbys, kill or partition the primary mid-stream, and "
+            "verify the epoch-fenced takeover against the outcome ledger",
+        )
+        replication.add_argument(
+            "--failover-scenario",
+            choices=("kill", "partition", "catchup"),
+            default="kill",
+            help="kill: permanent primary kill; partition: isolate a "
+            "live primary (fenced zombie); catchup: lagging standby must "
+            "take over from an anti-entropy snapshot (default: kill)",
+        )
+        replication.add_argument(
+            "--standbys",
+            type=int,
+            default=2,
+            help="number of ranked standby replicas",
+        )
+        sharding = sub.add_argument_group(
+            "partition-aligned sharding (with --sharded)"
+        )
+        sharding.add_argument(
+            "--sharded",
+            action="store_true",
+            help="scale the broker out over K shards: routed publish, "
+            "scattered subscriptions, live migrations, shard kills and "
+            "mid-migration crashes, verified against the outcome ledger "
+            "and per-event match parity with one unsharded broker",
+        )
+        sharding.add_argument(
+            "--shards",
+            type=int,
+            default=4,
+            help="number of shard brokers (homes: first K transit nodes)",
+        )
+        sharding.add_argument(
+            "--migrations",
+            type=int,
+            default=2,
+            help="live subset migrations in the clean scenario",
+        )
+        sharding.add_argument(
+            "--sharded-scenario",
+            choices=("clean", "shard-kill", "migration-crash"),
+            default="clean",
+            help="clean: loss + live migrations; shard-kill: the busiest "
+            "shard's home is permanently killed; migration-crash: the "
+            "migration source dies mid-copy and the journaled cutover "
+            "must roll forward (default: clean)",
+        )
+        cluster = sub.add_argument_group(
+            "replicated shard cluster (with --cluster)"
+        )
+        cluster.add_argument(
+            "--cluster",
+            action="store_true",
+            help="run the full stack: every shard replicated to ranked "
+            "standbys under a cluster-wide membership detector, with "
+            "shard kills, partitions, mid-copy migration crashes and "
+            "standby WAL corruption answered by fenced takeovers, "
+            "verified against the outcome ledger and unsharded digest "
+            "parity",
+        )
+        cluster.add_argument(
+            "--cluster-scenario",
+            choices=("kill", "partition", "double-kill", "migrate-under-kill"),
+            default="kill",
+            help="kill: the busiest shard's home is permanently killed; "
+            "partition: it is isolated (fenced zombie primary); "
+            "double-kill: the two busiest homes die in sequence; "
+            "migrate-under-kill: the migration source dies mid-copy "
+            "(default: kill)",
+        )
+        # The sessions harness charges sessions without going through
+        # `PubSubBroker.plan`, so it meters no `broker.events`: `chaos`
+        # alone declares that flag group.
+        sub.set_defaults(sessions=False)
+
     chaos = commands.add_parser(
         "chaos",
         help="replay a workload under injected faults and verify "
         "the delivery guarantee",
     )
-    chaos.add_argument("--seed", type=int, default=2003)
-    chaos.add_argument("--events", type=int, default=500)
-    chaos.add_argument("--subscriptions", type=int, default=300)
-    chaos.add_argument("--groups", type=int, default=11)
-    chaos.add_argument("--threshold", type=float, default=0.15)
-    chaos.add_argument(
-        "--loss",
-        type=probability,
-        default=0.1,
-        help="per-transmission drop probability on every link",
-    )
-    chaos.add_argument(
-        "--duplicate",
-        type=probability,
-        default=0.0,
-        help="per-transmission duplication probability on every link",
-    )
-    chaos.add_argument(
-        "--crashes",
-        type=int,
-        default=2,
-        help="number of broker crash/restart windows",
-    )
-    chaos.add_argument(
-        "--crash-length",
-        type=float,
-        default=150.0,
-        help="duration of each crash window (simulation time units)",
-    )
-    chaos.add_argument(
-        "--max-attempts",
-        type=int,
-        default=6,
-        help="reliable-protocol retry budget per delivery",
-    )
-    chaos.add_argument(
-        "--unreliable",
-        action="store_true",
-        help="disable acks/retries/dedup (demonstrates what gets lost)",
-    )
-    overload = chaos.add_argument_group(
-        "overload protection (with --overload)"
-    )
-    overload.add_argument(
-        "--overload",
-        action="store_true",
-        help="run the saturation harness: token-bucket admission, "
-        "bounded ingress queue, degraded group-flood mode, and "
-        "per-subscriber circuit breakers",
-    )
-    overload.add_argument(
-        "--scenario",
-        choices=("burst", "slow-subscriber", "dead-subscriber", "resubscribe"),
-        default="burst",
-        help="canned overload scenario (default: burst storm)",
-    )
-    overload.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=64,
-        help="bounded ingress queue capacity",
-    )
-    overload.add_argument(
-        "--shed-policy",
-        choices=sorted(SHED_POLICIES),
-        default="drop-newest",
-        help="what the full queue sheds",
-    )
-    overload.add_argument(
-        "--ttl",
-        type=float,
-        default=None,
-        help="per-event lifetime (simulation time units; default: none)",
-    )
-    overload.add_argument(
-        "--admission-rate",
-        type=float,
-        default=None,
-        help="token-bucket refill rate, events/time unit "
-        "(default: admission control off)",
-    )
-    overload.add_argument(
-        "--admission-burst",
-        type=float,
-        default=32.0,
-        help="token-bucket burst size",
-    )
-    overload.add_argument(
-        "--service-time",
-        type=float,
-        default=0.5,
-        help="simulated broker cost of serving one queued event",
-    )
-    durability = chaos.add_argument_group(
-        "durable broker state (with --crash-recovery)"
-    )
-    durability.add_argument(
-        "--crash-recovery",
-        action="store_true",
-        help="journal the home broker to a write-ahead log and "
-        "recover from every crash window (snapshot load + WAL "
-        "replay + in-flight redelivery)",
-    )
-    durability.add_argument(
-        "--corrupt-wal",
-        choices=("torn-tail", "bit-flip"),
-        default=None,
-        help="damage the WAL at every crash, so each restart must "
-        "also truncate/repair the log",
-    )
-    durability.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=64,
-        help="take a snapshot + truncate the WAL prefix every N "
-        "journaled deliveries",
-    )
-    durability.add_argument(
-        "--wal-out",
-        default=None,
-        help="back the journal with this WAL file (inspect it "
-        "afterwards with `repro wal`)",
-    )
-    replication = chaos.add_argument_group(
-        "broker replication (with --failover)"
-    )
-    replication.add_argument(
-        "--failover",
-        action="store_true",
-        help="replicate the home broker: ship its WAL to ranked "
-        "standbys, kill or partition the primary mid-stream, and "
-        "verify the epoch-fenced takeover against the outcome ledger",
-    )
-    replication.add_argument(
-        "--failover-scenario",
-        choices=("kill", "partition", "catchup"),
-        default="kill",
-        help="kill: permanent primary kill; partition: isolate a "
-        "live primary (fenced zombie); catchup: lagging standby must "
-        "take over from an anti-entropy snapshot (default: kill)",
-    )
-    replication.add_argument(
-        "--standbys",
-        type=int,
-        default=2,
-        help="number of ranked standby replicas",
-    )
-    sharding = chaos.add_argument_group(
-        "partition-aligned sharding (with --sharded)"
-    )
-    sharding.add_argument(
-        "--sharded",
-        action="store_true",
-        help="scale the broker out over K shards: routed publish, "
-        "scattered subscriptions, live migrations, shard kills and "
-        "mid-migration crashes, verified against the outcome ledger "
-        "and per-event match parity with one unsharded broker",
-    )
-    sharding.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="number of shard brokers (homes: first K transit nodes)",
-    )
-    sharding.add_argument(
-        "--migrations",
-        type=int,
-        default=2,
-        help="live subset migrations in the clean scenario",
-    )
-    sharding.add_argument(
-        "--sharded-scenario",
-        choices=("clean", "shard-kill", "migration-crash"),
-        default="clean",
-        help="clean: loss + live migrations; shard-kill: the busiest "
-        "shard's home is permanently killed; migration-crash: the "
-        "migration source dies mid-copy and the journaled cutover "
-        "must roll forward (default: clean)",
-    )
-    cluster = chaos.add_argument_group(
-        "replicated shard cluster (with --cluster)"
-    )
-    cluster.add_argument(
-        "--cluster",
-        action="store_true",
-        help="run the full stack: every shard replicated to ranked "
-        "standbys under a cluster-wide membership detector, with "
-        "shard kills, partitions, mid-copy migration crashes and "
-        "standby WAL corruption answered by fenced takeovers, "
-        "verified against the outcome ledger and unsharded digest "
-        "parity",
-    )
-    cluster.add_argument(
-        "--cluster-scenario",
-        choices=("kill", "partition", "double-kill", "migrate-under-kill"),
-        default="kill",
-        help="kill: the busiest shard's home is permanently killed; "
-        "partition: it is isolated (fenced zombie primary); "
-        "double-kill: the two busiest homes die in sequence; "
-        "migrate-under-kill: the migration source dies mid-copy "
-        "(default: kill)",
+    add_scenario_options(
+        chaos, events=500, loss=0.1, crashes=2, crash_length=150.0
     )
     sessions_group = chaos.add_argument_group(
         "durable subscriber sessions (with --sessions)"
@@ -475,61 +504,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "fixed the consumer) and show the before/after queue",
     )
 
-    def add_telemetry_workload_options(sub: argparse.ArgumentParser) -> None:
-        # Same knobs as `repro chaos` so `stats`/`trace` replay the
-        # exact workload a chaos run saw (identical seeds → identical
-        # simulated timeline).
-        sub.add_argument("--seed", type=int, default=2003)
-        sub.add_argument("--events", type=int, default=200)
-        sub.add_argument("--subscriptions", type=int, default=300)
-        sub.add_argument("--groups", type=int, default=11)
-        sub.add_argument("--threshold", type=float, default=0.15)
-        sub.add_argument("--loss", type=probability, default=0.05)
-        sub.add_argument("--crashes", type=int, default=1)
-        sub.add_argument("--crash-length", type=float, default=50.0)
-        sub.add_argument(
-            "--overload",
-            action="store_true",
-            help="replay a burst storm through the overload-protected "
-            "pipeline instead of the plain chaos run",
-        )
-        sub.add_argument(
-            "--crash-recovery",
-            action="store_true",
-            help="journal the home broker to a write-ahead log and "
-            "recover it from every crash window (durability "
-            "counters appear in the report)",
-        )
-        sub.add_argument(
-            "--failover",
-            action="store_true",
-            help="replicate the home broker and kill the primary "
-            "mid-stream (replication counters appear in the report)",
-        )
-        sub.add_argument(
-            "--cluster",
-            action="store_true",
-            help="run the replicated shard cluster (membership, "
-            "per-shard failover and takeover counters appear in "
-            "the report)",
-        )
-        sub.add_argument(
-            "--cluster-scenario",
-            choices=(
-                "kill",
-                "partition",
-                "double-kill",
-                "migrate-under-kill",
-            ),
-            default="kill",
-            help="fault scenario for --cluster (default: kill)",
-        )
-
     stats = commands.add_parser(
         "stats",
         help="run an instrumented workload and print pipeline metrics",
     )
-    add_telemetry_workload_options(stats)
+    trace = commands.add_parser(
+        "trace",
+        help="dump the span tree of one event as JSONL",
+    )
+    for sub in (stats, trace):
+        # One set of defaults for both: `trace --event N` dumps the
+        # event of the run `stats` counted.
+        add_scenario_options(
+            sub, events=200, loss=0.05, crashes=1, crash_length=50.0
+        )
     stats.add_argument(
         "--top-links",
         type=int,
@@ -547,11 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write every span as JSONL",
     )
 
-    trace = commands.add_parser(
-        "trace",
-        help="dump the span tree of one event as JSONL",
-    )
-    add_telemetry_workload_options(trace)
     trace.add_argument(
         "--event",
         type=int,
@@ -742,47 +725,126 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return runner_main(argv)
 
 
-def _overload_config(args: argparse.Namespace):
-    """Overload-protection knobs shared by ``chaos --overload``."""
-    from .overload import OverloadConfig
-
-    return OverloadConfig(
-        queue_capacity=args.queue_capacity,
-        shed_policy=args.shed_policy,
-        service_time=args.service_time,
-        ttl=args.ttl,
-        admission_rate=args.admission_rate,
-        admission_burst=args.admission_burst,
-    )
+def _usage(message: object) -> NoReturn:
+    """A usage error: one ``error: …`` line on stderr, exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
-def _cmd_chaos_overload(args: argparse.Namespace) -> int:
-    from .faults import OverloadChaosSimulation
-    from .faults.verifier import (
-        build_burst_storm_times,
-        build_chaos_plan,
-        build_chaos_testbed,
-        build_resubscribe_storm,
-        build_slow_subscriber_plan,
-    )
+class Scenario(NamedTuple):
+    """One assembled run: what ``chaos``, ``stats`` and ``trace`` share."""
 
-    scenario = args.scenario
+    simulation: object
+    #: Publishes the workload and returns the harness's report.
+    run: Callable[[], Any]
+    header: str
+    #: ``report -> (witness lines, guarantee held)``: what ``chaos``
+    #: prints under its table, and what all three verbs exit on.
+    verdict: Callable[[Any], Tuple[List[str], bool]]
+
+
+def _testbed(args: argparse.Namespace, dynamic: bool = False):
+    """The broker and event stream of every mode that routes."""
+    from .faults.verifier import build_chaos_testbed
+
     broker, density = build_chaos_testbed(
         seed=args.seed,
         subscriptions=args.subscriptions,
         num_groups=args.groups,
-        dynamic=scenario == "resubscribe",
+        dynamic=dynamic,
     )
-    # ``with_policy`` builds a plain sibling broker; the resubscribe
-    # scenario must keep its DynamicPubSubBroker, so set in place.
+    # ``with_policy`` builds a plain sibling broker, and recovery,
+    # takeover and the resubscribe storm rebuild the engine through
+    # the dynamic machinery, so the DynamicPubSubBroker must survive:
+    # set the policy in place (it is read per decision).
     broker.policy = ThresholdPolicy(args.threshold)
     points, publishers = PublicationGenerator(
         density, broker.topology.all_stub_nodes(), seed=args.seed + 9
     ).generate(args.events)
+    return broker, points, publishers
+
+
+def _link_faults(args: argparse.Namespace) -> dict:
+    """The seeded link faults every mode's plan builder takes."""
+    return dict(seed=args.seed, loss=args.loss, duplicate=args.duplicate)
+
+
+def _retry_budget(simulation, args: argparse.Namespace) -> None:
+    """Apply ``--max-attempts`` to a reliable harness's transport."""
+    from .faults import RetryConfig
+
+    if simulation.transport is not None:
+        simulation.transport.config = RetryConfig.for_network(
+            simulation.network, max_attempts=args.max_attempts
+        )
+
+
+def _missing_lines(report) -> List[str]:
+    if not report.missing:
+        return []
+    lines = ["", "first missing deliveries (event, subscriber, reason):"]
+    for sequence, subscriber, reason in report.missing[:10]:
+        lines.append(f"  event {sequence} -> node {subscriber}: {reason}")
+    if len(report.missing) > 10:
+        lines.append(f"  ... and {len(report.missing) - 10} more")
+    return lines
+
+
+def _assemble_default(args: argparse.Namespace, telemetry) -> Scenario:
+    from .faults import ChaosSimulation
+    from .faults.verifier import build_chaos_plan
+
+    broker, points, publishers = _testbed(args)
+    plan = build_chaos_plan(
+        broker.topology,
+        crashes=args.crashes,
+        crash_length=args.crash_length,
+        horizon=float(args.events),
+        **_link_faults(args),
+    )
+    simulation = ChaosSimulation(
+        broker, plan, reliable=not args.unreliable, telemetry=telemetry
+    )
+    _retry_budget(simulation, args)
+
+    def verdict(report):
+        # ``--unreliable`` shows what fire-and-forget loses; it is
+        # informational and never fails the build.
+        return _missing_lines(report), args.unreliable or report.exactly_once
+
+    return Scenario(
+        simulation,
+        lambda: simulation.run(points, publishers),
+        f"chaos run: {broker.topology.num_nodes} nodes, "
+        f"{len(points)} events, loss={args.loss}, "
+        f"crashes={args.crashes}x{args.crash_length}",
+        verdict,
+    )
+
+
+def _assemble_overload(args: argparse.Namespace, telemetry) -> Scenario:
+    from .faults import OverloadChaosSimulation
+    from .faults.verifier import (
+        build_burst_storm_times,
+        build_chaos_plan,
+        build_resubscribe_storm,
+        build_slow_subscriber_plan,
+    )
+    from .overload import OverloadConfig
+
+    scenario = args.scenario
+    broker, points, publishers = _testbed(
+        args, dynamic=scenario == "resubscribe"
+    )
     arrival_times = build_burst_storm_times(args.events)
     horizon = max(arrival_times[-1] * 2.0, 500.0)
     churn = []
-    victim = None
+    header = (
+        f"overload run ({scenario}): {broker.topology.num_nodes} nodes, "
+        f"{len(points)} events, queue={args.queue_capacity} "
+        f"({args.shed_policy}), ttl={args.ttl}, "
+        f"admission={args.admission_rate}"
+    )
     if scenario in ("slow-subscriber", "dead-subscriber"):
         plan, victim = build_slow_subscriber_plan(
             broker.topology,
@@ -792,15 +854,14 @@ def _cmd_chaos_overload(args: argparse.Namespace) -> int:
             horizon=1e9 if scenario == "dead-subscriber" else horizon,
             dead=scenario == "dead-subscriber",
         )
+        header += f"\nvictim subscriber: node {victim}"
     else:
         plan = build_chaos_plan(
             broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            duplicate=args.duplicate,
             crashes=args.crashes,
             crash_length=args.crash_length,
             horizon=horizon,
+            **_link_faults(args),
         )
         if scenario == "resubscribe":
             churn = build_resubscribe_storm(
@@ -812,153 +873,118 @@ def _cmd_chaos_overload(args: argparse.Namespace) -> int:
     simulation = OverloadChaosSimulation(
         broker,
         plan,
-        config=_overload_config(args),
+        config=OverloadConfig(
+            queue_capacity=args.queue_capacity,
+            shed_policy=args.shed_policy,
+            service_time=args.service_time,
+            ttl=args.ttl,
+            admission_rate=args.admission_rate,
+            admission_burst=args.admission_burst,
+        ),
         reliable=not args.unreliable,
+        telemetry=telemetry,
     )
-    report = simulation.run(points, publishers, arrival_times, churn=churn)
-    print(
-        f"overload run ({scenario}): {broker.topology.num_nodes} nodes, "
-        f"{len(points)} events, queue={args.queue_capacity} "
-        f"({args.shed_policy}), ttl={args.ttl}, "
-        f"admission={args.admission_rate}"
+    return Scenario(
+        simulation,
+        lambda: simulation.run(
+            points, publishers, arrival_times, churn=churn
+        ),
+        header,
+        lambda report: ([], report.accounted and report.within_capacity),
     )
-    if victim is not None:
-        print(f"victim subscriber: node {victim}")
-    print(format_table(("metric", "value"), report.summary_rows()))
-    return 0 if report.accounted and report.within_capacity else 1
 
 
-def _cmd_chaos_crash_recovery(args: argparse.Namespace) -> int:
-    import os
-
+def _assemble_crash_recovery(
+    args: argparse.Namespace, telemetry
+) -> Scenario:
     from .durability import FileWAL
-    from .faults import (
-        CrashRecoverySimulation,
-        RetryConfig,
-        build_crash_recovery_plan,
-    )
-    from .faults.verifier import build_chaos_testbed
+    from .faults import CrashRecoverySimulation, build_crash_recovery_plan
 
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-        dynamic=True,
+    broker, points, publishers = _testbed(args, dynamic=True)
+    plan, home = build_crash_recovery_plan(
+        broker.topology,
+        crashes=args.crashes,
+        crash_length=args.crash_length,
+        horizon=float(args.events),
+        corrupt=args.corrupt_wal,
+        **_link_faults(args),
     )
-    # Recovery rebuilds the engine through the dynamic machinery, so
-    # the DynamicPubSubBroker must survive: set the policy in place.
-    broker.policy = ThresholdPolicy(args.threshold)
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
-    try:
-        plan, home = build_crash_recovery_plan(
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            duplicate=args.duplicate,
-            crashes=args.crashes,
-            crash_length=args.crash_length,
-            horizon=float(args.events),
-            corrupt=args.corrupt_wal,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     wal = None
     if args.wal_out:
         # A fresh run wants a fresh log, not appends onto a stale one.
         if os.path.exists(args.wal_out):
             os.unlink(args.wal_out)
-        wal = FileWAL(args.wal_out)
+        try:
+            wal = FileWAL(args.wal_out)
+        except OSError as error:
+            _usage(error)
     simulation = CrashRecoverySimulation(
         broker,
         plan,
         home=home,
         wal=wal,
         checkpoint_every=args.checkpoint_every,
+        telemetry=telemetry,
     )
     if wal is not None:
         wal.clock = lambda: simulation.simulator.now
-    simulation.transport.config = RetryConfig.for_network(
-        simulation.network, max_attempts=args.max_attempts
-    )
-    report = simulation.run(points, publishers)
+    _retry_budget(simulation, args)
     corrupt = f", corrupting ({args.corrupt_wal})" if args.corrupt_wal else ""
-    print(
+
+    def verdict(report):
+        durability = report.durability
+        lines = []
+        if durability.corruptions:
+            lines += ["", "wal corruptions applied:"]
+            lines += [f"  {entry}" for entry in durability.corruptions]
+        if durability.recovery_digests:
+            lines += ["", "recovery state digests (determinism witnesses):"]
+            lines += [
+                f"  recovery {index}: {digest}"
+                for index, digest in enumerate(durability.recovery_digests)
+            ]
+        lines += _missing_lines(report)
+        if args.wal_out:
+            lines += [
+                "",
+                f"wrote {args.wal_out} "
+                f"(inspect with `repro wal --path {args.wal_out}`)",
+            ]
+        if args.corrupt_wal:
+            # A damaged log may legitimately lose intents journaled in
+            # the torn tail; the hard guarantees are that every crash
+            # window produced a recovery and that nothing was
+            # delivered twice.
+            return lines, (
+                durability.recoveries == len(simulation.windows)
+                and report.duplicate_deliveries == 0
+            )
+        return lines, report.exactly_once
+
+    return Scenario(
+        simulation,
+        lambda: simulation.run(points, publishers),
         f"crash-recovery run: {broker.topology.num_nodes} nodes, "
         f"{len(points)} events, home broker {home}, "
-        f"{len(simulation.windows)} crash windows{corrupt}"
+        f"{len(simulation.windows)} crash windows{corrupt}",
+        verdict,
     )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    if report.durability.corruptions:
-        print("\nwal corruptions applied:")
-        for entry in report.durability.corruptions:
-            print(f"  {entry}")
-    if report.durability.recovery_digests:
-        print("\nrecovery state digests (determinism witnesses):")
-        for index, digest in enumerate(report.durability.recovery_digests):
-            print(f"  recovery {index}: {digest}")
-    if report.missing:
-        print("\nfirst missing deliveries (event, subscriber, reason):")
-        for sequence, subscriber, reason in report.missing[:10]:
-            print(f"  event {sequence} -> node {subscriber}: {reason}")
-        if len(report.missing) > 10:
-            print(f"  ... and {len(report.missing) - 10} more")
-    if args.wal_out:
-        print(
-            f"\nwrote {args.wal_out} "
-            f"(inspect with `repro wal --path {args.wal_out}`)"
-        )
-    if args.corrupt_wal:
-        # A damaged log may legitimately lose intents journaled in the
-        # torn tail; the hard guarantees are that every crash window
-        # produced a recovery and that nothing was delivered twice.
-        healthy = (
-            report.durability.recoveries == len(simulation.windows)
-            and report.duplicate_deliveries == 0
-        )
-        return 0 if healthy else 1
-    return 0 if report.exactly_once else 1
 
 
-def _cmd_chaos_failover(args: argparse.Namespace) -> int:
-    from .faults import (
-        FailoverChaosSimulation,
-        RetryConfig,
-        build_failover_plan,
-    )
-    from .faults.verifier import build_chaos_testbed
+def _assemble_failover(args: argparse.Namespace, telemetry) -> Scenario:
+    from .faults import FailoverChaosSimulation, build_failover_plan
     from .replication import ShippingConfig
 
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-        dynamic=True,
-    )
-    # Takeover rebuilds the engine through the dynamic machinery, so
-    # the DynamicPubSubBroker must survive: set the policy in place.
-    broker.policy = ThresholdPolicy(args.threshold)
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
+    broker, points, publishers = _testbed(args, dynamic=True)
     inter_arrival = 2.0
-    horizon = max(args.events * inter_arrival, 500.0)
     scenario = args.failover_scenario
-    try:
-        plan, primary, standbys = build_failover_plan(
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            duplicate=args.duplicate,
-            scenario=scenario,
-            horizon=horizon,
-            standby_count=args.standbys,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    plan, primary, standbys = build_failover_plan(
+        broker.topology,
+        scenario=scenario,
+        horizon=max(args.events * inter_arrival, 500.0),
+        standby_count=args.standbys,
+        **_link_faults(args),
+    )
     # The catch-up scenario must overflow the shipping buffer while
     # the laggard is partitioned, so takeover exercises anti-entropy.
     shipping = (
@@ -973,157 +999,138 @@ def _cmd_chaos_failover(args: argparse.Namespace) -> int:
         primary=primary,
         shipping=shipping,
         checkpoint_every=args.checkpoint_every,
+        telemetry=telemetry,
     )
-    simulation.transport.config = RetryConfig.for_network(
-        simulation.network, max_attempts=args.max_attempts
-    )
-    report = simulation.run(points, publishers, inter_arrival=inter_arrival)
-    print(
+    _retry_budget(simulation, args)
+
+    def verdict(report):
+        replication = report.replication
+        lines = []
+        if replication.takeover_digests:
+            lines += ["", "takeover state digests (determinism witnesses):"]
+            lines += [
+                f"  takeover {index}: {digest}"
+                for index, digest in enumerate(replication.takeover_digests)
+            ]
+        # The replication guarantees: every event accounted exactly
+        # once, nobody delivered twice across the takeover (a permanent
+        # kill leaves the killed node's own subscribers unreachable, so
+        # exactly-once cannot hold), at least one takeover actually
+        # happened, and the fencing probe fired.  A partitioned zombie
+        # must additionally have provoked stale-epoch rejections (the
+        # split-brain evidence).
+        healthy = (
+            report.failover.accounted
+            and report.duplicate_deliveries == 0
+            and replication.failovers >= 1
+            and replication.fenced_writes >= 1
+        )
+        if scenario == "partition":
+            healthy = healthy and replication.stale_rejections >= 1
+        return lines, healthy
+
+    return Scenario(
+        simulation,
+        lambda: simulation.run(
+            points, publishers, inter_arrival=inter_arrival
+        ),
         f"failover run ({scenario}): {broker.topology.num_nodes} nodes, "
         f"{len(points)} events, primary {primary}, "
-        f"standbys {standbys}"
+        f"standbys {standbys}",
+        verdict,
     )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    if report.replication.takeover_digests:
-        print("\ntakeover state digests (determinism witnesses):")
-        for index, digest in enumerate(report.replication.takeover_digests):
-            print(f"  takeover {index}: {digest}")
-    # The replication guarantees: every event accounted exactly once,
-    # nobody delivered twice across the takeover, at least one
-    # takeover actually happened, and the fencing probe fired.  A
-    # partitioned zombie must additionally have provoked stale-epoch
-    # rejections (the split-brain evidence).
-    healthy = (
-        report.failover.accounted
-        and report.duplicate_deliveries == 0
-        and report.replication.failovers >= 1
-        and report.replication.fenced_writes >= 1
-    )
-    if scenario == "partition":
-        healthy = healthy and report.replication.stale_rejections >= 1
-    return 0 if healthy else 1
 
 
-def _cmd_chaos_sharded(args: argparse.Namespace) -> int:
-    from .faults import (
-        RetryConfig,
-        ShardedChaosSimulation,
-        build_sharded_plan,
-        unsharded_match_digest,
-    )
-    from .faults.verifier import build_chaos_testbed
-    from .sharding import ShardMap
+def _parity(simulation, points, report) -> Tuple[List[str], bool]:
+    """What ``--sharded`` and ``--cluster`` both guarantee: every event
+    in exactly one outcome bucket, nobody delivered twice, every miss
+    explained by a physically-severed target, and the sharded
+    MatchResults digest-identical to one unsharded never-failed
+    broker's."""
+    from .faults import unsharded_match_digest
 
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-    )
-    broker = broker.with_policy(ThresholdPolicy(args.threshold))
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
-    horizon = max(float(args.events), 300.0)
-    scenario = args.sharded_scenario
-    try:
-        shard_map = ShardMap.plan(broker.partition, args.shards)
-        plan, homes, planned = build_sharded_plan(
-            broker.topology,
-            shard_map,
-            seed=args.seed,
-            loss=args.loss,
-            duplicate=args.duplicate,
-            scenario=scenario,
-            horizon=horizon,
-            migrations=args.migrations,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    simulation = ShardedChaosSimulation(
-        broker,
-        plan,
-        num_shards=args.shards,
-        shard_homes=homes,
-        migrations=planned,
-    )
-    simulation.transport.config = RetryConfig.for_network(
-        simulation.network, max_attempts=args.max_attempts
-    )
-    report = simulation.run(points, publishers)
-    print(
-        f"sharded run ({scenario}): {broker.topology.num_nodes} nodes, "
-        f"{len(points)} events, {args.shards} shards at homes {homes}"
-    )
-    print(format_table(("metric", "value"), report.summary_rows()))
     reference = unsharded_match_digest(
-        broker, points, simulation.serviced_sequences
+        simulation.broker, points, simulation.serviced_sequences
     )
     agreed = reference == report.sharded.match_digest
-    print(f"\nunsharded reference digest: {reference}")
-    print(f"digest agreement: {'yes' if agreed else 'NO'}")
-    # The scale-out guarantees: every event in exactly one outcome
-    # bucket, nobody delivered twice, every miss explained by a
-    # physically-severed target, and the sharded MatchResults
-    # digest-identical to a single unsharded broker's.
-    healthy = (
+    lines = [
+        "",
+        f"unsharded reference digest: {reference}",
+        f"digest agreement: {'yes' if agreed else 'NO'}",
+    ]
+    return lines, (
         report.sharded.accounted
         and report.duplicate_deliveries == 0
         and report.sharded.unexplained_misses == 0
         and report.sharded.match_parity
         and agreed
     )
-    if scenario == "shard-kill":
-        healthy = healthy and report.sharded.shard_kills >= 1
-    if scenario == "migration-crash":
-        healthy = (
-            healthy
-            and report.sharded.shard_kills >= 1
-            and report.sharded.migrations_completed
-            + report.sharded.migrations_aborted
-            >= 1
-        )
-    if scenario == "clean":
-        healthy = healthy and report.exactly_once
-    return 0 if healthy else 1
 
 
-def _cmd_chaos_cluster(args: argparse.Namespace) -> int:
-    from .faults import (
-        FullStackChaosSimulation,
-        RetryConfig,
-        build_cluster_plan,
-        unsharded_match_digest,
-    )
-    from .faults.verifier import build_chaos_testbed
+def _assemble_sharded(args: argparse.Namespace, telemetry) -> Scenario:
+    from .faults import ShardedChaosSimulation, build_sharded_plan
     from .sharding import ShardMap
 
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
+    broker, points, publishers = _testbed(args)
+    scenario = args.sharded_scenario
+    plan, homes, planned = build_sharded_plan(
+        broker.topology,
+        ShardMap.plan(broker.partition, args.shards),
+        scenario=scenario,
+        horizon=max(float(args.events), 300.0),
+        migrations=args.migrations,
+        **_link_faults(args),
     )
-    broker = broker.with_policy(ThresholdPolicy(args.threshold))
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
-    horizon = max(float(args.events), 300.0)
+    simulation = ShardedChaosSimulation(
+        broker,
+        plan,
+        num_shards=args.shards,
+        shard_homes=homes,
+        migrations=planned,
+        telemetry=telemetry,
+    )
+    _retry_budget(simulation, args)
+
+    def verdict(report):
+        lines, healthy = _parity(simulation, points, report)
+        sharded = report.sharded
+        if scenario == "shard-kill":
+            healthy = healthy and sharded.shard_kills >= 1
+        if scenario == "migration-crash":
+            healthy = (
+                healthy
+                and sharded.shard_kills >= 1
+                and sharded.migrations_completed
+                + sharded.migrations_aborted
+                >= 1
+            )
+        if scenario == "clean":
+            healthy = healthy and report.exactly_once
+        return lines, healthy
+
+    return Scenario(
+        simulation,
+        lambda: simulation.run(points, publishers),
+        f"sharded run ({scenario}): {broker.topology.num_nodes} nodes, "
+        f"{len(points)} events, {args.shards} shards at homes {homes}",
+        verdict,
+    )
+
+
+def _assemble_cluster(args: argparse.Namespace, telemetry) -> Scenario:
+    from .faults import FullStackChaosSimulation, build_cluster_plan
+    from .sharding import ShardMap
+
+    broker, points, publishers = _testbed(args)
     scenario = args.cluster_scenario
-    try:
-        shard_map = ShardMap.plan(broker.partition, args.shards)
-        plan, homes, standby_map, planned, corruptions = build_cluster_plan(
-            broker.topology,
-            shard_map,
-            seed=args.seed,
-            loss=args.loss,
-            duplicate=args.duplicate,
-            scenario=scenario,
-            horizon=horizon,
-            standby_count=args.standbys,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    plan, homes, standby_map, planned, corruptions = build_cluster_plan(
+        broker.topology,
+        ShardMap.plan(broker.partition, args.shards),
+        scenario=scenario,
+        horizon=max(float(args.events), 300.0),
+        standby_count=args.standbys,
+        **_link_faults(args),
+    )
     simulation = FullStackChaosSimulation(
         broker,
         plan,
@@ -1132,117 +1139,150 @@ def _cmd_chaos_cluster(args: argparse.Namespace) -> int:
         shard_homes=homes,
         migrations=planned,
         corruptions=corruptions,
+        telemetry=telemetry,
     )
-    simulation.transport.config = RetryConfig.for_network(
-        simulation.network, max_attempts=args.max_attempts
-    )
-    report = simulation.run(points, publishers)
-    print(
+    _retry_budget(simulation, args)
+
+    def verdict(report):
+        # On top of parity, the scenario's takeovers actually happened
+        # instead of falling back to ring exclusion.
+        lines, healthy = _parity(simulation, points, report)
+        cluster = report.cluster
+        if scenario == "kill":
+            healthy = (
+                healthy
+                and cluster.takeovers >= 1
+                and cluster.probe_rejections >= 1
+            )
+        if scenario == "partition":
+            healthy = (
+                healthy
+                and cluster.takeovers >= 1
+                and cluster.stale_rejections >= 1
+            )
+        if scenario == "double-kill":
+            healthy = healthy and cluster.takeovers >= 2
+        if scenario == "migrate-under-kill":
+            healthy = (
+                healthy
+                and cluster.takeovers >= 1
+                and report.sharded.migrations_completed
+                + report.sharded.migrations_aborted
+                >= 1
+            )
+        return lines, healthy
+
+    return Scenario(
+        simulation,
+        lambda: simulation.run(points, publishers),
         f"cluster run ({scenario}): {broker.topology.num_nodes} nodes, "
         f"{len(points)} events, {args.shards} replicated shards at "
-        f"homes {homes}, standbys {standby_map}"
+        f"homes {homes}, standbys {standby_map}",
+        verdict,
     )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    reference = unsharded_match_digest(
-        broker, points, simulation.serviced_sequences
-    )
-    agreed = reference == report.sharded.match_digest
-    print(f"\nunsharded reference digest: {reference}")
-    print(f"digest agreement: {'yes' if agreed else 'NO'}")
-    # The full-stack guarantees: every event in exactly one outcome
-    # bucket, nobody delivered twice, every miss explained by a
-    # physically-severed target, digest parity with one unsharded
-    # never-failed broker — plus the scenario's takeovers actually
-    # happened instead of falling back to ring exclusion.
-    healthy = (
-        report.sharded.accounted
-        and report.duplicate_deliveries == 0
-        and report.sharded.unexplained_misses == 0
-        and report.sharded.match_parity
-        and agreed
-    )
-    if scenario == "kill":
-        healthy = (
-            healthy
-            and report.cluster.takeovers >= 1
-            and report.cluster.probe_rejections >= 1
-        )
-    if scenario == "partition":
-        healthy = (
-            healthy
-            and report.cluster.takeovers >= 1
-            and report.cluster.stale_rejections >= 1
-        )
-    if scenario == "double-kill":
-        healthy = healthy and report.cluster.takeovers >= 2
-    if scenario == "migrate-under-kill":
-        healthy = (
-            healthy
-            and report.cluster.takeovers >= 1
-            and report.sharded.migrations_completed
-            + report.sharded.migrations_aborted
-            >= 1
-        )
-    return 0 if healthy else 1
 
 
-def _cmd_chaos_sessions(args: argparse.Namespace) -> int:
+def _assemble_sessions(args: argparse.Namespace, telemetry) -> Scenario:
     from .faults.sessions import build_session_chaos
 
     scenario = args.session_scenario
     overrides = {"replay_rate": args.replay_rate}
     if args.lease is not None:
         overrides["lease"] = args.lease
-    try:
-        simulation, points, publishers, arrival_times = (
-            build_session_chaos(
-                scenario,
-                seed=args.seed,
-                events=args.events,
-                subscriptions=args.subscriptions,
-                loss=args.loss,
-                **overrides,
-            )
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    report = simulation.run(points, publishers, arrival_times)
-    print(
-        f"session run ({scenario}): "
-        f"{simulation.broker.topology.num_nodes} nodes, "
-        f"{len(points)} events, {len(report.sessions)} durable "
-        f"sessions (victim {simulation.victim.session_id}, "
-        f"ghost {simulation.ghost.session_id})"
+    simulation, points, publishers, arrival_times = build_session_chaos(
+        scenario,
+        seed=args.seed,
+        events=args.events,
+        subscriptions=args.subscriptions,
+        loss=args.loss,
+        telemetry=telemetry,
+        **overrides,
     )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    # The session guarantees: every matched obligation in exactly one
-    # terminal bucket, no application-level duplicates, the ghost
-    # demoted by lease — plus the scenario's machinery actually fired.
-    healthy = report.at_least_once and report.lease_expirations >= 1
-    if scenario in ("crash", "flap"):
-        victim = simulation.victim.session_id
-        settled = (
-            simulation.delivered_seqs[victim]
-            | {
+    victim = simulation.victim.session_id
+
+    def verdict(report):
+        # The session guarantees: every matched obligation in exactly
+        # one terminal bucket, no application-level duplicates, the
+        # ghost demoted by lease — plus the scenario's machinery
+        # actually fired.
+        lines = []
+        healthy = report.at_least_once and report.lease_expirations >= 1
+        if scenario in ("crash", "flap"):
+            delivered = simulation.delivered_seqs[victim]
+            matched = simulation.matched_seqs[victim]
+            settled = delivered | {
                 entry.sequence
                 for entry in simulation.dlq.entries()
                 if entry.session_id == victim
             }
-        )
-        parity = settled == simulation.matched_seqs[victim]
-        print(
-            f"\nvictim catch-up parity: "
-            f"{'yes' if parity else 'NO'} "
-            f"({len(simulation.delivered_seqs[victim])} delivered of "
-            f"{len(simulation.matched_seqs[victim])} matched)"
-        )
-        healthy = healthy and parity and report.replay_sends >= 1
-    if scenario == "slow-consumer":
-        healthy = healthy and report.shed_retained >= 1
-    if scenario == "poison":
-        healthy = healthy and report.dlq_by_reason.get("nack", 0) >= 1
-    return 0 if healthy else 1
+            parity = settled == matched
+            lines = [
+                "",
+                f"victim catch-up parity: {'yes' if parity else 'NO'} "
+                f"({len(delivered)} delivered of {len(matched)} matched)",
+            ]
+            healthy = healthy and parity and report.replay_sends >= 1
+        if scenario == "slow-consumer":
+            healthy = healthy and report.shed_retained >= 1
+        if scenario == "poison":
+            healthy = healthy and report.dlq_by_reason.get("nack", 0) >= 1
+        return lines, healthy
+
+    return Scenario(
+        simulation,
+        lambda: simulation.run(points, publishers, arrival_times),
+        f"session run ({scenario}): "
+        f"{simulation.broker.topology.num_nodes} nodes, "
+        f"{len(points)} events, {len(simulation.matched_seqs)} durable "
+        f"sessions (victim {victim}, "
+        f"ghost {simulation.ghost.session_id})",
+        verdict,
+    )
+
+
+_ASSEMBLERS = {
+    "--overload": _assemble_overload,
+    "--crash-recovery": _assemble_crash_recovery,
+    "--failover": _assemble_failover,
+    "--sharded": _assemble_sharded,
+    "--cluster": _assemble_cluster,
+    "--sessions": _assemble_sessions,
+}
+
+
+def _assemble(args: argparse.Namespace, telemetry=None) -> Scenario:
+    """The scenario the arguments describe, built but not yet run.
+
+    ``chaos`` runs it as it is; ``stats`` and ``trace`` pass a live
+    ``Telemetry`` — so all three verbs replay the same testbed, event
+    stream, fault plan and harness parameters.
+    """
+    chosen = [
+        flag
+        for flag in _ASSEMBLERS
+        if getattr(args, flag[2:].replace("-", "_"))
+    ]
+    if len(chosen) > 1:
+        _usage(f"{' and '.join(chosen)} are mutually exclusive")
+    assemble = _ASSEMBLERS[chosen[0]] if chosen else _assemble_default
+    try:
+        return assemble(args, telemetry)
+    except ValueError as error:
+        # A scenario the arguments cannot describe (crash windows that
+        # do not fit, no shards, an empty retry budget, …) is a usage
+        # error, in the library's own sentence.
+        _usage(error)
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    scenario = _assemble(args)
+    report = scenario.run()
+    lines, held = scenario.verdict(report)
+    print(scenario.header)
+    print(format_table(("metric", "value"), report.summary_rows()))
+    for line in lines:
+        print(line)
+    return 0 if held else 1
 
 
 def _cmd_sessions(args: argparse.Namespace) -> int:
@@ -1251,9 +1291,12 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     scenario = (
         args.scenario if args.sessions_command == "stats" else "poison"
     )
-    simulation, points, publishers, arrival_times = build_session_chaos(
-        scenario, seed=args.seed, events=args.events
-    )
+    try:
+        simulation, points, publishers, arrival_times = build_session_chaos(
+            scenario, seed=args.seed, events=args.events
+        )
+    except ValueError as error:
+        _usage(error)
     report = simulation.run(points, publishers, arrival_times)
 
     if args.sessions_command == "stats":
@@ -1315,18 +1358,17 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     from .faults.verifier import build_chaos_testbed
     from .sharding import ShardMap, ShardRouter
 
-    broker, _density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-    )
     try:
+        broker, _density = build_chaos_testbed(
+            seed=args.seed,
+            subscriptions=args.subscriptions,
+            num_groups=args.groups,
+        )
         shard_map = ShardMap.plan(
             broker.partition, args.shards, virtual_nodes=args.virtual_nodes
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        _usage(error)
     if args.shard_command == "plan":
         rows = [
             (
@@ -1370,254 +1412,152 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .faults import ChaosSimulation, RetryConfig
-    from .faults.verifier import build_chaos_plan, build_chaos_testbed
-
-    modes = [
-        name
-        for name, active in [
-            ("--overload", args.overload),
-            ("--crash-recovery", args.crash_recovery),
-            ("--failover", args.failover),
-            ("--sharded", args.sharded),
-            ("--cluster", args.cluster),
-            ("--sessions", args.sessions),
-        ]
-        if active
-    ]
-    if len(modes) > 1:
-        print(
-            f"error: {' and '.join(modes)} are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.overload:
-        return _cmd_chaos_overload(args)
-    if args.crash_recovery:
-        return _cmd_chaos_crash_recovery(args)
-    if args.failover:
-        return _cmd_chaos_failover(args)
-    if args.sharded:
-        return _cmd_chaos_sharded(args)
-    if args.cluster:
-        return _cmd_chaos_cluster(args)
-    if args.sessions:
-        return _cmd_chaos_sessions(args)
-
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-    )
-    broker = broker.with_policy(ThresholdPolicy(args.threshold))
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
-    plan = build_chaos_plan(
-        broker.topology,
-        seed=args.seed,
-        loss=args.loss,
-        duplicate=args.duplicate,
-        crashes=args.crashes,
-        crash_length=args.crash_length,
-        horizon=float(args.events),
-    )
-    simulation = ChaosSimulation(
-        broker, plan, reliable=not args.unreliable
-    )
-    if not args.unreliable:
-        simulation.transport.config = RetryConfig.for_network(
-            simulation.network, max_attempts=args.max_attempts
-        )
-    report = simulation.run(points, publishers)
-    print(
-        f"chaos run: {broker.topology.num_nodes} nodes, "
-        f"{len(points)} events, loss={args.loss}, "
-        f"crashes={args.crashes}x{args.crash_length}"
-    )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    if report.missing:
-        print("\nfirst missing deliveries (event, subscriber, reason):")
-        for sequence, subscriber, reason in report.missing[:10]:
-            print(f"  event {sequence} -> node {subscriber}: {reason}")
-        if len(report.missing) > 10:
-            print(f"  ... and {len(report.missing) - 10} more")
-    if args.unreliable:
-        return 0
-    return 0 if report.exactly_once else 1
-
-
 def _run_instrumented(args: argparse.Namespace):
-    """One fully-instrumented reliable chaos run (stats/trace share it).
+    """The scenario ``repro chaos`` would run, with telemetry on.
 
-    Both verbs build the workload from the same seeds, so a given
-    ``--seed/--events/...`` combination always produces the identical
-    simulated timeline — ``repro trace --event N`` dumps exactly the
-    event ``repro stats`` counted.
+    Returns ``(held, telemetry, wall seconds of the run)``; ``held()``
+    is the verdict ``chaos`` exits on (``trace`` never asks, so it
+    never pays for a reference digest).  ``stats`` and ``trace`` share
+    this, so ``repro trace --event N`` dumps exactly the event ``repro
+    stats`` counted and ``repro chaos`` verified.
     """
     from time import perf_counter
 
-    from .faults import (
-        ChaosSimulation,
-        CrashRecoverySimulation,
-        OverloadChaosSimulation,
-        build_crash_recovery_plan,
-    )
-    from .faults.verifier import (
-        build_burst_storm_times,
-        build_chaos_plan,
-        build_chaos_testbed,
-    )
     from .telemetry import Telemetry
 
-    crash_recovery = getattr(args, "crash_recovery", False)
-    failover = getattr(args, "failover", False)
-    cluster = getattr(args, "cluster", False)
-    if sum(
-        (
-            crash_recovery,
-            failover,
-            cluster,
-            bool(getattr(args, "overload", False)),
-        )
-    ) > 1:
-        print(
-            "error: --overload, --crash-recovery, --failover and "
-            "--cluster are mutually exclusive",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-        dynamic=crash_recovery or failover,
-    )
-    if crash_recovery or failover:
-        # Recovery rebuilds the engine through the dynamic machinery,
-        # so the DynamicPubSubBroker must survive: set in place.
-        broker.policy = ThresholdPolicy(args.threshold)
-    else:
-        broker = broker.with_policy(ThresholdPolicy(args.threshold))
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
     telemetry = Telemetry(seed=args.seed)
-
-    def planned(build, *positional, **keywords):
-        # A scenario the arguments cannot describe is a usage error,
-        # reported as `repro chaos` reports it: one line, exit 2.
-        try:
-            return build(*positional, **keywords)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            raise SystemExit(2)
-
+    scenario = _assemble(args, telemetry)
     started = perf_counter()
-    if crash_recovery:
-        plan, home = planned(
-            build_crash_recovery_plan,
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            crashes=args.crashes,
-            crash_length=args.crash_length,
-            horizon=float(args.events),
-        )
-        simulation = CrashRecoverySimulation(
-            broker, plan, home=home, telemetry=telemetry
-        )
-        report = simulation.run(points, publishers)
-    elif failover:
-        from .faults import FailoverChaosSimulation, build_failover_plan
-
-        inter_arrival = 2.0
-        plan, primary, standbys = planned(
-            build_failover_plan,
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            scenario="kill",
-            horizon=max(args.events * inter_arrival, 500.0),
-        )
-        simulation = FailoverChaosSimulation(
-            broker, plan, standbys, primary=primary, telemetry=telemetry
-        )
-        report = simulation.run(
-            points, publishers, inter_arrival=inter_arrival
-        )
-    elif cluster:
-        from .faults import (
-            FullStackChaosSimulation,
-            RetryConfig,
-            build_cluster_plan,
-        )
-        from .sharding import ShardMap
-
-        num_shards = getattr(args, "shards", 4)
-        shard_map = planned(ShardMap.plan, broker.partition, num_shards)
-        plan, homes, standby_map, migrations, corruptions = planned(
-            build_cluster_plan,
-            broker.topology,
-            shard_map,
-            seed=args.seed,
-            loss=args.loss,
-            scenario=getattr(args, "cluster_scenario", "kill"),
-            horizon=max(float(args.events), 300.0),
-            standby_count=getattr(args, "standbys", 2),
-        )
-        simulation = FullStackChaosSimulation(
-            broker,
-            plan,
-            standby_map,
-            num_shards=num_shards,
-            shard_homes=homes,
-            migrations=migrations,
-            corruptions=corruptions,
-            telemetry=telemetry,
-        )
-        simulation.transport.config = RetryConfig.for_network(
-            simulation.network,
-            max_attempts=getattr(args, "max_attempts", 6),
-        )
-        report = simulation.run(points, publishers)
-    elif getattr(args, "overload", False):
-        plan = build_chaos_plan(
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            crashes=args.crashes,
-            crash_length=args.crash_length,
-            horizon=float(args.events),
-        )
-        simulation = OverloadChaosSimulation(
-            broker, plan, reliable=True, telemetry=telemetry
-        )
-        report = simulation.run(
-            points, publishers, build_burst_storm_times(args.events)
-        )
-    else:
-        plan = build_chaos_plan(
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            crashes=args.crashes,
-            crash_length=args.crash_length,
-            horizon=float(args.events),
-        )
-        simulation = ChaosSimulation(
-            broker, plan, reliable=True, telemetry=telemetry
-        )
-        report = simulation.run(points, publishers)
+    report = scenario.run()
     wall = perf_counter() - started
-    return report, telemetry, wall
+    return (lambda: scenario.verdict(report)[1]), telemetry, wall
+
+
+# The optional sections of `repro stats`: (mode, title, hint printed
+# when the mode is off, probe metric, rows).  A section is live when
+# its probe metric was registered (`--cluster` journals too, so it
+# shows the durability section as well).  A row is (label, metric) for
+# one counter or gauge, or (label, metric, kind): "each" is one row per
+# label child of the family, the label formatted from the child's
+# labels; "sum" is the family's total; "p95" is a histogram's 95th
+# percentile, shown once it observed something.
+_STATS_SECTIONS = (
+    (
+        "overload",
+        "broker health (overload protection):",
+        "broker health: overload protection inactive "
+        "(re-run with --overload for the saturation pipeline)",
+        "overload.queue_depth",
+        (
+            ("ingress queue depth (at last arrival)", "overload.queue_depth"),
+            ("entered {state}", "overload.health_transitions", "each"),
+            ("shed: {reason}", "overload.shed", "each"),
+            ("expired in broker", "overload.expired"),
+            ("late drops at receiver", "overload.late_drops"),
+            ("degraded (group flood)", "broker.degraded_events"),
+            ("short-circuited (breaker open)", "transport.short_circuited"),
+        ),
+    ),
+    (
+        "crash_recovery",
+        "broker durability (write-ahead log):",
+        "broker durability: journaling inactive "
+        "(re-run with --crash-recovery for the WAL pipeline)",
+        "wal.appends",
+        (
+            ("wal appends (total)", "wal.appends", "sum"),
+            ("wal appends: {kind}", "wal.appends", "each"),
+            ("checkpoints", "wal.checkpoints"),
+            ("recoveries", "recovery.runs"),
+            ("records replayed", "recovery.replayed"),
+            ("wal bytes truncated", "recovery.truncated"),
+            ("in-flight found on recovery", "recovery.inflight"),
+            ("in-flight wiped by crash", "transport.wiped"),
+            ("events deferred while down", "broker.deferred"),
+        ),
+    ),
+    (
+        "failover",
+        "broker replication (WAL shipping + failover):",
+        "broker replication: inactive "
+        "(re-run with --failover for the replicated-group pipeline)",
+        "replication.epoch",
+        (
+            ("failovers", "replication.failovers"),
+            ("group epoch", "replication.epoch"),
+            ("writes rejected by fencing", "replication.fenced_writes"),
+            (
+                "shipping lag @ standby {standby}",
+                "replication.lag_records",
+                "each",
+            ),
+            ("events {outcome}", "failover.outcomes", "each"),
+            (
+                "failover duration p95",
+                "replication.failover_duration",
+                "p95",
+            ),
+        ),
+    ),
+    (
+        "cluster",
+        "shard cluster (membership + per-shard failover):",
+        "shard cluster: inactive "
+        "(re-run with --cluster for the replicated-shard pipeline)",
+        "cluster.epoch",
+        (
+            ("membership view epoch", "cluster.epoch"),
+            ("shard takeovers", "cluster.takeovers"),
+            ("ring exclusions (last resort)", "cluster.ring_exclusions"),
+            ("ex-primaries fenced", "cluster.fenced"),
+            ("writes rejected by fencing", "cluster.fenced_writes"),
+            (
+                "publishes rerouted after takeover",
+                "cluster.failover_reroutes",
+            ),
+            ("shard {shard} epoch", "cluster.shard_epoch", "each"),
+            (
+                "shard {shard} lag @ standby {standby}",
+                "cluster.shard_lag",
+                "each",
+            ),
+            ("takeover duration p95", "cluster.takeover_duration", "p95"),
+        ),
+    ),
+)
+
+
+def _section_rows(metrics, rows) -> List[Tuple[str, object]]:
+    """Render one `_STATS_SECTIONS` row list against the registry."""
+    rendered: List[Tuple[str, object]] = []
+    for label, name, *rest in rows:
+        kind = rest[0] if rest else "value"
+        if kind == "value":
+            rendered.append((label, int(metrics.value(name))))
+        elif kind == "p95":
+            histogram = metrics.histogram(name)
+            if histogram.count:
+                rendered.append((label, f"{histogram.p95:.1f}"))
+        else:
+            family = metrics.get(name)
+            children = (
+                sorted(family.children.items()) if family is not None else []
+            )
+            if kind == "sum":
+                total = sum(int(metric.value) for _, metric in children)
+                rendered.append((label, total))
+            else:
+                rendered.extend(
+                    (label.format(**dict(labels)), int(metric.value))
+                    for labels, metric in children
+                )
+    return rendered
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from .telemetry.exporters import write_prometheus, write_spans_jsonl
 
-    report, telemetry, wall = _run_instrumented(args)
+    held, telemetry, wall = _run_instrumented(args)
     metrics = telemetry.metrics
 
     def counter(name: str, **labels) -> int:
@@ -1654,169 +1594,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     )
     print(format_table(("metric", "value"), rows))
 
-    # Broker health summary (live when the overload stack ran).
-    overload_active = metrics.get("overload.queue_depth") is not None
-    if overload_active:
-        health_rows = [
-            (
-                "ingress queue depth (at last arrival)",
-                int(metrics.value("overload.queue_depth")),
-            ),
-        ]
-        family = metrics.get("overload.health_transitions")
-        if family is not None:
-            for labels, metric in sorted(family.children.items()):
-                state = dict(labels).get("state", "?")
-                health_rows.append(
-                    (f"entered {state}", int(metric.value))
-                )
-        family = metrics.get("overload.shed")
-        if family is not None:
-            for labels, metric in sorted(family.children.items()):
-                reason = dict(labels).get("reason", "?")
-                health_rows.append((f"shed: {reason}", int(metric.value)))
-        health_rows.extend(
-            [
-                ("expired in broker", counter("overload.expired")),
-                ("late drops at receiver", counter("overload.late_drops")),
-                (
-                    "degraded (group flood)",
-                    counter("broker.degraded_events"),
-                ),
-                (
-                    "short-circuited (breaker open)",
-                    counter("transport.short_circuited"),
-                ),
-            ]
-        )
-        print("\nbroker health (overload protection):")
-        print(format_table(("signal", "value"), health_rows))
-    else:
-        print(
-            "\nbroker health: overload protection inactive "
-            "(re-run with --overload for the saturation pipeline)"
-        )
-
-    # Durability summary (live when the home broker journaled to a WAL).
-    family = metrics.get("wal.appends")
-    if family is not None:
-        durability_rows = []
-        total_appends = 0
-        for labels, metric in sorted(family.children.items()):
-            kind = dict(labels).get("kind", "?")
-            durability_rows.append(
-                (f"wal appends: {kind}", int(metric.value))
-            )
-            total_appends += int(metric.value)
-        durability_rows[:0] = [("wal appends (total)", total_appends)]
-        durability_rows.extend(
-            [
-                ("checkpoints", counter("wal.checkpoints")),
-                ("recoveries", counter("recovery.runs")),
-                ("records replayed", counter("recovery.replayed")),
-                ("wal bytes truncated", counter("recovery.truncated")),
-                ("in-flight found on recovery", counter("recovery.inflight")),
-                ("in-flight wiped by crash", counter("transport.wiped")),
-                ("events deferred while down", counter("broker.deferred")),
-            ]
-        )
-        print("\nbroker durability (write-ahead log):")
-        print(format_table(("signal", "value"), durability_rows))
-    elif getattr(args, "crash_recovery", False) is False:
-        print(
-            "\nbroker durability: journaling inactive "
-            "(re-run with --crash-recovery for the WAL pipeline)"
-        )
-
-    # Replication summary (live when the home broker was replicated).
-    if metrics.get("replication.epoch") is not None:
-        replication_rows = [
-            ("failovers", counter("replication.failovers")),
-            ("group epoch", int(metrics.value("replication.epoch"))),
-            (
-                "writes rejected by fencing",
-                counter("replication.fenced_writes"),
-            ),
-        ]
-        family = metrics.get("replication.lag_records")
-        if family is not None:
-            for labels, metric in sorted(family.children.items()):
-                standby = dict(labels).get("standby", "?")
-                replication_rows.append(
-                    (f"shipping lag @ standby {standby}", int(metric.value))
-                )
-        family = metrics.get("failover.outcomes")
-        if family is not None:
-            for labels, metric in sorted(family.children.items()):
-                outcome = dict(labels).get("outcome", "?")
-                replication_rows.append(
-                    (f"events {outcome}", int(metric.value))
-                )
-        duration = metrics.histogram("replication.failover_duration")
-        if duration.count:
-            replication_rows.append(
-                ("failover duration p95", f"{duration.p95:.1f}")
-            )
-        print("\nbroker replication (WAL shipping + failover):")
-        print(format_table(("signal", "value"), replication_rows))
-    elif getattr(args, "failover", False) is False:
-        print(
-            "\nbroker replication: inactive "
-            "(re-run with --failover for the replicated-group pipeline)"
-        )
-
-    # Cluster summary (live when the sharded cluster ran).
-    if metrics.get("cluster.epoch") is not None:
-        cluster_rows = [
-            ("membership view epoch", int(metrics.value("cluster.epoch"))),
-            ("shard takeovers", counter("cluster.takeovers")),
-            (
-                "ring exclusions (last resort)",
-                counter("cluster.ring_exclusions"),
-            ),
-            (
-                "ex-primaries fenced",
-                counter("cluster.fenced"),
-            ),
-            (
-                "writes rejected by fencing",
-                counter("cluster.fenced_writes"),
-            ),
-            (
-                "publishes rerouted after takeover",
-                counter("cluster.failover_reroutes"),
-            ),
-        ]
-        family = metrics.get("cluster.shard_epoch")
-        if family is not None:
-            for labels, metric in sorted(family.children.items()):
-                shard = dict(labels).get("shard", "?")
-                cluster_rows.append(
-                    (f"shard {shard} epoch", int(metric.value))
-                )
-        family = metrics.get("cluster.shard_lag")
-        if family is not None:
-            for labels, metric in sorted(family.children.items()):
-                pair = dict(labels)
-                cluster_rows.append(
-                    (
-                        f"shard {pair.get('shard', '?')} lag @ standby "
-                        f"{pair.get('standby', '?')}",
-                        int(metric.value),
-                    )
-                )
-        duration = metrics.histogram("cluster.takeover_duration")
-        if duration.count:
-            cluster_rows.append(
-                ("takeover duration p95", f"{duration.p95:.1f}")
-            )
-        print("\nshard cluster (membership + per-shard failover):")
-        print(format_table(("signal", "value"), cluster_rows))
-    elif getattr(args, "cluster", False) is False:
-        print(
-            "\nshard cluster: inactive "
-            "(re-run with --cluster for the replicated-shard pipeline)"
-        )
+    for mode, title, hint, probe, section in _STATS_SECTIONS:
+        if metrics.get(probe) is not None:
+            print("\n" + title)
+            table = _section_rows(metrics, section)
+            print(format_table(("signal", "value"), table))
+        elif not getattr(args, mode):
+            print("\n" + hint)
 
     per_link = []
     family = metrics.get("net.link.bytes")
@@ -1853,31 +1637,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         # plan; a run that counted nothing measured nothing.
         print("error: the instrumented run counted no events", file=sys.stderr)
         return 1
-    if hasattr(report, "cluster"):
-        # Full-stack guarantees: ledger closed, zero duplicates, every
-        # miss explained, match parity — and the scenario's kill was
-        # answered by a takeover, not ring exclusion.
-        healthy = (
-            report.sharded.accounted
-            and report.duplicate_deliveries == 0
-            and report.sharded.unexplained_misses == 0
-            and report.sharded.match_parity
-            and report.cluster.takeovers >= 1
-        )
-        return 0 if healthy else 1
-    if hasattr(report, "failover"):
-        # A permanent kill leaves the killed node's own subscribers
-        # unreachable, so exactly-once cannot hold; the replication
-        # guarantees are the outcome ledger and zero duplicates.
-        healthy = (
-            report.failover.accounted
-            and report.duplicate_deliveries == 0
-            and report.replication.failovers >= 1
-        )
-        return 0 if healthy else 1
-    if hasattr(report, "exactly_once"):
-        return 0 if report.exactly_once else 1
-    return 0 if report.accounted and report.within_capacity else 1
+    return 0 if held() else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -1918,7 +1678,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_wal(args: argparse.Namespace) -> int:
     import json
-    import os
     from collections import Counter as TallyCounter
 
     from .durability import FileWAL, RecordKind
@@ -2050,7 +1809,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint": _cmd_lint,
         "dot": _cmd_dot,
     }
-    return handlers[args.command](args)
+    try:
+        status = handlers[args.command](args)
+        # Flush inside the `try`: a reader that closed the pipe early
+        # (`repro trace ... --pretty | head -n 1`) must surface here, not
+        # as a traceback when the interpreter flushes at shutdown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point fd 1 at devnull so that shutdown flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -8,6 +8,9 @@ tallies, the same chaos verdicts, the same numbers everywhere.
 
 import dataclasses
 
+import pytest
+
+from repro.cli import _assemble, _build_parser
 from repro.clustering import ForgyKMeansClustering
 from repro.core import PubSubBroker, ThresholdPolicy
 from repro.faults.verifier import (
@@ -18,6 +21,7 @@ from repro.faults.verifier import (
 from repro.relay.delivery import RelayDeliveryService
 from repro.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from repro.workload import PublicationGenerator
+from tests.faults.test_golden import SCENARIOS
 
 
 def _broker(topology, table, density, telemetry):
@@ -124,3 +128,19 @@ class TestChaosRunsUnchanged:
             instrumented
         )
         assert baseline.exactly_once
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_harness_reports_the_same_run(self, name):
+        """Each harness threads ``telemetry=`` through 5-10
+        constructors; none of them may perturb a digest or a verdict.
+        The CLI's one scenario assembly builds both runs."""
+        args = _build_parser().parse_args(
+            ["chaos", *SCENARIOS[name], "--events", "100",
+             "--subscriptions", "150"]
+        )
+        baseline = _assemble(args)
+        instrumented = _assemble(args, Telemetry(seed=args.seed))
+        report = baseline.run()
+        metered = instrumented.run()
+        assert report.summary_rows() == metered.summary_rows()
+        assert baseline.verdict(report) == instrumented.verdict(metered)

@@ -203,6 +203,23 @@ class TestStats:
         rate = re.search(r"^ *events/sec +([0-9.]+)$", out, re.MULTILINE)
         assert float(rate.group(1)) > 0.0
 
+    def test_sharded_run_is_metered_and_verified(self, capsys):
+        """``stats`` used to declare its own, shorter option list: it
+        had no ``--sharded`` at all."""
+        import re
+
+        code = main(
+            [
+                "stats", "--sharded", "--sharded-scenario", "shard-kill",
+                "--events", "100", "--subscriptions", "150",
+            ]
+        )
+        assert code == 0
+        events = re.search(
+            r"^ *events +([0-9]+)$", capsys.readouterr().out, re.MULTILINE
+        )
+        assert int(events.group(1)) > 0
+
     def test_a_run_that_counted_nothing_fails(self, capsys, monkeypatch):
         from repro.core.broker import PubSubBroker
 
@@ -220,27 +237,108 @@ class TestStats:
         assert "counted no events" in capsys.readouterr().err
 
 
-class TestInstrumentedUsageErrors:
-    """A scenario the arguments cannot describe: one line, exit 2 —
-    what ``repro chaos`` does with the same arguments."""
+SMALL = ["--events", "40", "--subscriptions", "80"]
+
+
+class TestUsageErrors:
+    """Arguments no scenario can be built from: exit 2, nothing on
+    stdout and the library's sentence as exactly one ``error: ...``
+    line on stderr.  Apart from the first two, and the last (which
+    recited four flags instead of the two given), every row used to
+    die with a traceback and exit 1, because each copy of the scenario
+    assembly guarded only its own plan builder."""
+
+    CASES = [
+        (
+            ["stats", "--crash-recovery", "--events", "80"],
+            "crash_length 50.0 leaves no up-time between windows",
+        ),
+        (
+            ["trace", "--crash-recovery", "--events", "80", "--event", "5"],
+            "crash_length 50.0 leaves no up-time between windows",
+        ),
+        (["chaos", "--crashes", "99", *SMALL], "cannot crash 99 brokers"),
+        (["chaos", "--crash-length", "-5", *SMALL], "BrokerCrash: window"),
+        (["chaos", "--max-attempts", "0", *SMALL], "max_attempts must be"),
+        (
+            ["chaos", "--subscriptions", "0", "--events", "40"],
+            "need at least one rectangle",
+        ),
+        (["chaos", "--groups", "0", *SMALL], "num_groups must be positive"),
+        (["chaos", "--threshold", "-1", *SMALL], "threshold must lie in"),
+        (
+            ["chaos", "--overload", "--queue-capacity", "0", *SMALL],
+            "OverloadConfig: queue_capacity",
+        ),
+        (
+            ["chaos", "--overload", "--service-time", "-1", *SMALL],
+            "OverloadConfig: service_time",
+        ),
+        (
+            ["chaos", "--overload", "--ttl", "-1", *SMALL],
+            "OverloadConfig: ttl",
+        ),
+        (
+            ["chaos", "--overload", "--admission-rate", "-1", *SMALL],
+            "OverloadConfig: admission_rate",
+        ),
+        (
+            [
+                "chaos", "--overload", "--admission-rate", "1",
+                "--admission-burst", "0", *SMALL,
+            ],
+            "TokenBucket: burst",
+        ),
+        (
+            [
+                "chaos", "--crash-recovery", "--crash-length", "5",
+                "--checkpoint-every", "0", *SMALL,
+            ],
+            "BrokerJournal: checkpoint_every",
+        ),
+        (
+            ["chaos", "--failover", "--checkpoint-every", "0", *SMALL],
+            "BrokerJournal: checkpoint_every",
+        ),
+        (["stats", "--crashes", "99", *SMALL], "cannot crash 99 brokers"),
+        (
+            ["trace", "--event", "2", "--crashes", "99", *SMALL],
+            "cannot crash 99 brokers",
+        ),
+        (["sessions", "stats", "--events", "0"], "BrokerCrash: window"),
+        (
+            ["shard", "plan", "--subscriptions", "0"],
+            "need at least one rectangle",
+        ),
+        (
+            [
+                "chaos", "--crash-recovery", "--crash-length", "5",
+                "--wal-out", "/no/such/dir/x.wal", *SMALL,
+            ],
+            "[Errno 2] No such file or directory",
+        ),
+        (
+            ["stats", "--overload", "--failover", *SMALL],
+            "--overload and --failover are mutually exclusive",
+        ),
+    ]
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["stats", "--crash-recovery", "--events", "80"],
-            ["trace", "--crash-recovery", "--events", "80", "--event", "5"],
-        ],
+        "argv, sentence", CASES, ids=[str(n) for n in range(len(CASES))]
     )
-    def test_crash_windows_that_do_not_fit(self, argv, capsys):
+    def test_one_error_line_and_exit_two(self, argv, sentence, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith(
-            "error: crash_length 50.0 leaves no up-time between windows"
-        )
+        assert line.startswith("error: " + sentence)
+
+
+class TestInstrumentedUsageErrors:
+    """Whichever builder refuses, the refusal reaches the one ``try``
+    around scenario assembly."""
 
     @pytest.mark.parametrize(
         "flag, builder",
@@ -390,6 +488,52 @@ class TestParser:
             ["chaos", "--loss", "0", "--duplicate", "1"]
         )
         assert (args.loss, args.duplicate) == (0.0, 1.0)
+
+    def test_one_scenario_option_list(self):
+        """``stats`` and ``trace`` take what ``chaos`` takes (less the
+        sessions group, whose harness meters no ``broker.events``) plus
+        their own output options: a second list cannot grow back."""
+        (verbs,) = _build_parser()._subparsers._group_actions
+
+        def options(verb):
+            return {
+                option
+                for action in verbs.choices[verb]._actions
+                for option in action.option_strings
+            }
+
+        scenario = options("chaos") - {
+            "--sessions", "--session-scenario", "--lease", "--replay-rate"
+        }
+        assert options("stats") == scenario | {
+            "--top-links", "--metrics-out", "--trace-out"
+        }
+        assert options("trace") == scenario | {"--event", "--pretty", "--out"}
+
+
+class TestClosedPipe:
+    def test_reader_that_leaves_early_is_a_quiet_exit(self):
+        """``repro trace ... --pretty | head -n 1`` used to end in a
+        ``BrokenPipeError`` traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "lint", "--list-rules"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=source),
+        )
+        process.stdout.close()  # the reader is gone before the first byte
+        stderr = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 1
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
 
 
 class TestLint:
