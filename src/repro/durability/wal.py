@@ -21,6 +21,13 @@ corruption (CRC mismatch, absurd length, bad kind).  Recovery then
 tail at the last valid record, which is exactly the "truncate, don't
 replay garbage" contract crash recovery needs.
 
+The log also keeps an in-memory **index**: the LSNs at which a walk (or
+its own ``append``) has already framed and validated a record.  It says
+where records *start* — so a seek reads only the records it returns,
+and a cut inside a record is refused — never that the stored bytes are
+still good: every record any walk returns is re-checked, length, CRC,
+kind and body, against what storage holds at that moment.
+
 *Appends* are fsync-free by design (the simulation's crash model
 decides what survives, not the page cache), but the file-backed log
 does fsync the containing *directory* after creating a fresh file and
@@ -35,11 +42,13 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import struct
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Generator, List, Optional, Tuple, Union
 
 from ..io import atomic_write_bytes
 
@@ -85,12 +94,9 @@ class WalRecord:
     lsn: int
     kind: RecordKind
     body: dict
-
-    @property
-    def end_lsn(self) -> int:
-        """LSN of the byte just past this record."""
-        payload = 1 + len(_encode_body(self.body))
-        return self.lsn + _RECORD_HEADER.size + payload
+    #: LSN of the byte just past this record, as the walk found it (the
+    #: stored JSON need not be the canonical encoding of ``body``).
+    end_lsn: int
 
 
 @dataclass(frozen=True)
@@ -126,43 +132,82 @@ def encode_record(kind: RecordKind, body: dict) -> bytes:
 
 
 class WriteAheadLog:
-    """The storage-agnostic WAL contract (and its shared scan logic).
+    """The storage-agnostic WAL contract (and its shared walk).
 
-    Subclasses supply raw-byte primitives (:meth:`_load`,
-    :meth:`_append_bytes`, :meth:`_store`); everything else — framing,
-    CRC verification, torn-tail detection, LSN arithmetic, corruption
-    injection — lives here, so the in-memory and file-backed logs are
-    bit-compatible.
+    Subclasses supply raw-byte primitives (:meth:`_size`, :meth:`_read`,
+    :meth:`_append_bytes`, :meth:`_replace`); everything else — framing,
+    CRC verification, torn-tail detection, LSN arithmetic, the record
+    index, corruption injection — lives here, so the in-memory and
+    file-backed logs are bit-compatible.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.appends = 0
+        self._base = 0
+        #: The index, ascending: the LSN of every record walks have
+        #: validated so far, contiguous from the base, then the LSN just
+        #: past the last.  Bytes stored behind its back lie past it.
+        self._marks: List[int] = [0]
 
     # -- storage primitives (subclass responsibility) -----------------------
 
-    def _load(self) -> bytes:
-        """Every byte after the header, in LSN order."""
+    def _size(self) -> int:
+        """How many bytes storage holds after the header, right now."""
+        raise NotImplementedError
+
+    def _read(self, offset: int, size: int) -> bytes:
+        """``size`` bytes starting ``offset`` bytes after the header."""
         raise NotImplementedError
 
     def _append_bytes(self, data: bytes) -> None:
         raise NotImplementedError
 
-    def _store(self, base_lsn: int, data: bytes) -> None:
-        """Atomically replace the whole log body (and its base LSN)."""
+    def _replace(self, base_lsn: int, data: bytes) -> None:
+        """Atomically replace the stored header and body."""
         raise NotImplementedError
 
-    @property
-    def base_lsn(self) -> int:
-        """LSN of the first physically retained byte."""
-        raise NotImplementedError
+    # -- bytes and the index -------------------------------------------------
+
+    def _load(self) -> bytes:
+        """Every byte after the header, in LSN order."""
+        return self._read(0, self._size())
+
+    def _store(self, base_lsn: int, data: bytes) -> None:
+        """Replace the whole log body (and its base LSN); drops the index."""
+        self._replace(base_lsn, data)
+        self._base = base_lsn
+        self._forget()
+
+    def _forget(self) -> None:
+        self._marks = [self._base]
+
+    def _index(self) -> List[int]:
+        """The index, once a walk has covered every stored byte it can."""
+        end = self.end_lsn
+        if self._marks[-1] < end:
+            for _ in self.records(self._marks[-1]):
+                pass
+        return self._marks
 
     # -- the public contract -------------------------------------------------
 
     @property
+    def base_lsn(self) -> int:
+        """LSN of the first physically retained byte."""
+        return self._base
+
+    @property
     def end_lsn(self) -> int:
         """LSN one past the last physically stored byte."""
-        return self.base_lsn + len(self._load())
+        end = self._base + self._size()
+        if end < self._marks[-1]:
+            self._forget()  # storage shrank behind the index's back
+        return end
+
+    def lsns(self) -> List[int]:
+        """The LSN of every valid record, oldest first, off the index."""
+        return self._index()[:-1]
 
     def append(self, kind: RecordKind, body: dict) -> int:
         """Durably append one record; returns its LSN.
@@ -172,92 +217,117 @@ class WriteAheadLog:
         """
         if "t" not in body:
             body = {**body, "t": float(self.clock())}
+        data = encode_record(kind, body)
         lsn = self.end_lsn
-        self._append_bytes(encode_record(kind, body))
+        self._append_bytes(data)
+        if lsn == self._marks[-1]:
+            self._marks.append(lsn + len(data))
         self.appends += 1
         return lsn
 
-    def scan(self, from_lsn: Optional[int] = None) -> ScanResult:
-        """Decode records front to back, stopping at the first damage.
+    def records(
+        self, from_lsn: Optional[int] = None
+    ) -> Generator[WalRecord, None, Tuple[int, Optional[str]]]:
+        """Decode records front to back, lazily, stopping at the first damage.
 
-        ``from_lsn`` (a record boundary, e.g. a checkpoint LSN) seeks
-        before decoding; records are never split across the base, so
-        seeking below ``base_lsn`` reads from the physical start.
+        The one place a record is decoded.  ``from_lsn`` (a record
+        boundary, e.g. a checkpoint LSN) seeks before decoding; records
+        are never split across the base, so seeking below ``base_lsn``
+        reads from the physical start.  A walk from the start loads the
+        body once; a seek reads only the records it yields, in windows
+        sized by the index (a first seek completes it with one walk)
+        that double as the reader goes on.  The generator *returns*
+        ``(valid_end, corruption)`` as :class:`ScanResult` reports them.
         """
-        data = self._load()
-        base = self.base_lsn
-        offset = 0
-        if from_lsn is not None and from_lsn > base:
-            offset = from_lsn - base
-            if offset > len(data):
-                return ScanResult(records=(), valid_end=base + len(data))
-        records: List[WalRecord] = []
-        while offset < len(data):
-            lsn = base + offset
-            remaining = len(data) - offset
-            if remaining < _RECORD_HEADER.size:
-                return ScanResult(
-                    records=tuple(records),
-                    valid_end=lsn,
-                    corruption=(
-                        f"torn record header at lsn {lsn} "
-                        f"({remaining} of {_RECORD_HEADER.size} bytes)"
-                    ),
+        base, end = self._base, self.end_lsn
+        if from_lsn is None:
+            lsn, data = base, self._load()
+            end = base + len(data)
+        else:
+            lsn, data = max(from_lsn, base), b""
+            if self._marks[-1] < lsn <= end:
+                self._index()
+        origin, reach, corruption = lsn, 1, None
+        window = origin + len(data)  # LSN just past the bytes in hand
+        header = _RECORD_HEADER.size
+        while lsn < end:
+            remaining = end - lsn
+            if remaining < header:
+                corruption = (
+                    f"torn record header at lsn {lsn} "
+                    f"({remaining} of {header} bytes)"
                 )
-            length, crc = _RECORD_HEADER.unpack_from(data, offset)
+                break
+            if lsn + header > window:
+                marks = self._marks
+                i = bisect_left(marks, lsn)
+                span = remaining
+                if i + 1 < len(marks) and marks[i] == lsn:
+                    span = marks[min(i + reach, len(marks) - 1)] - lsn
+                    reach *= 2
+                origin, data = lsn, self._read(lsn - base, span)
+                window = origin + len(data)
+            length, crc = _RECORD_HEADER.unpack_from(data, lsn - origin)
             if length == 0 or length > MAX_PAYLOAD:
-                return ScanResult(
-                    records=tuple(records),
-                    valid_end=lsn,
-                    corruption=(
-                        f"implausible payload length {length} at lsn {lsn}"
-                    ),
+                corruption = (
+                    f"implausible payload length {length} at lsn {lsn}"
                 )
-            start = offset + _RECORD_HEADER.size
-            if start + length > len(data):
-                return ScanResult(
-                    records=tuple(records),
-                    valid_end=lsn,
-                    corruption=(
-                        f"torn payload at lsn {lsn} "
-                        f"({len(data) - start} of {length} bytes)"
-                    ),
+                break
+            stop = lsn + header + length  # where this record ends
+            if stop > end:
+                corruption = (
+                    f"torn payload at lsn {lsn} "
+                    f"({remaining - header} of {length} bytes)"
                 )
+                break
+            if stop > window:
+                # The index only sizes reads; the stored length decides.
+                origin, data = lsn, self._read(lsn - base, remaining)
+                window = origin + len(data)
+            start = lsn - origin + header
             payload = data[start : start + length]
             if zlib.crc32(payload) != crc:
-                return ScanResult(
-                    records=tuple(records),
-                    valid_end=lsn,
-                    corruption=f"CRC mismatch at lsn {lsn}",
-                )
+                corruption = f"CRC mismatch at lsn {lsn}"
+                break
             try:
                 kind = RecordKind(payload[0])
                 body = json.loads(payload[1:].decode("utf-8"))
                 if not isinstance(body, dict):
                     raise ValueError("body is not an object")
             except (ValueError, UnicodeDecodeError) as error:
-                return ScanResult(
-                    records=tuple(records),
-                    valid_end=lsn,
-                    corruption=f"undecodable payload at lsn {lsn}: {error}",
-                )
-            records.append(WalRecord(lsn=lsn, kind=kind, body=body))
-            offset = start + length
-        return ScanResult(records=tuple(records), valid_end=base + offset)
+                corruption = f"undecodable payload at lsn {lsn}: {error}"
+                break
+            if lsn == self._marks[-1]:
+                self._marks.append(stop)
+            yield WalRecord(lsn, kind, body, stop)
+            lsn = stop
+        if corruption is not None and lsn < self._marks[-1]:
+            self._forget()  # damage where the index promised a record
+        return min(lsn, end), corruption
+
+    def scan(self, from_lsn: Optional[int] = None) -> ScanResult:
+        """:meth:`records`, all of them, plus why the walk stopped."""
+        walk = self.records(from_lsn)
+        records: List[WalRecord] = []
+        try:
+            while True:
+                records.append(next(walk))
+        except StopIteration as stop:
+            return ScanResult(tuple(records), *stop.value)
 
     def repair(self) -> int:
         """Truncate the physical tail at the last valid record.
 
         Returns the number of bytes discarded (0 for a clean log).
-        Idempotent: repairing a clean log is a no-op.
+        Idempotent: repairing a clean log is a no-op.  Walks only what
+        no walk has validated yet.
         """
-        result = self.scan()
-        if result.clean:
-            return 0
-        data = self._load()
-        keep = result.valid_end - self.base_lsn
-        removed = len(data) - keep
-        self._store(self.base_lsn, data[:keep])
+        end = self.end_lsn
+        marks = self._index()
+        removed = end - marks[-1]
+        if removed:
+            self._store(self._base, self._read(0, marks[-1] - self._base))
+            self._marks = marks  # the bytes kept are the ones it covers
         return removed
 
     def truncate_prefix(self, lsn: int) -> int:
@@ -271,23 +341,34 @@ class WriteAheadLog:
         ``lsn`` must not exceed :attr:`end_lsn`: silently clamping a
         past-head cut would discard records the caller believes are
         retained (the retention low-water contract — truncating at
-        exactly a live cursor's LSN must *keep* that record).
-        Truncating at or below ``base_lsn`` is a no-op, and truncating
-        at exactly ``end_lsn`` empties the log.
+        exactly a live cursor's LSN must *keep* that record).  Nor may
+        it fall inside a valid record: what is left of that record
+        would read as corruption and the next ``repair`` would discard
+        every record after it.  Truncating at or below ``base_lsn`` is
+        a no-op, truncating at exactly ``end_lsn`` empties the log, and
+        past the valid records (a damaged tail) any byte may be cut.
         """
-        base = self.base_lsn
+        base = self._base
         if lsn <= base:
             return 0
-        data = self._load()
-        end = base + len(data)
+        end = self.end_lsn
         if lsn > end:
             raise ValueError(
                 f"truncate_prefix: lsn {lsn} lies past the log head "
                 f"{end} (base_lsn {base})"
             )
-        cut = lsn - base
-        self._store(base + cut, data[cut:])
-        return cut
+        marks = self._index()
+        i = bisect_left(marks, lsn)
+        if i < len(marks) and marks[i] != lsn:
+            raise ValueError(
+                f"truncate_prefix: lsn {lsn} is not a record boundary "
+                f"(it falls inside the record at lsn {marks[i - 1]}, "
+                f"which ends at {marks[i]})"
+            )
+        self._store(lsn, self._read(lsn - base, end - lsn))
+        if i < len(marks):
+            self._marks = marks[i:]
+        return lsn - base
 
     # -- corruption injection (the fault plan's hooks) ----------------------
 
@@ -360,21 +441,18 @@ class MemoryWAL(WriteAheadLog):
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         super().__init__(clock=clock)
-        self._base = 0
         self._data = bytearray()
 
-    @property
-    def base_lsn(self) -> int:
-        return self._base
+    def _size(self) -> int:
+        return len(self._data)
 
-    def _load(self) -> bytes:
-        return bytes(self._data)
+    def _read(self, offset: int, size: int) -> bytes:
+        return bytes(memoryview(self._data)[offset : offset + size])
 
     def _append_bytes(self, data: bytes) -> None:
         self._data.extend(data)
 
-    def _store(self, base_lsn: int, data: bytes) -> None:
-        self._base = base_lsn
+    def _replace(self, base_lsn: int, data: bytes) -> None:
         self._data = bytearray(data)
 
 
@@ -384,7 +462,8 @@ class FileWAL(WriteAheadLog):
     Appends go straight to the file (no fsync — see the module note);
     prefix truncation and repair rewrite through a temp file in the
     same directory and :func:`os.replace`, so a crash mid-rewrite
-    leaves either the old or the new log, never a hybrid.
+    leaves either the old or the new log, never a hybrid.  ``end_lsn``
+    asks the file every time, so a second handle's appends are seen.
     """
 
     def __init__(
@@ -398,7 +477,6 @@ class FileWAL(WriteAheadLog):
             raw = self.path.read_bytes()
             self._read_header(raw)
         else:
-            self._base = 0
             # Atomic creation + directory fsync: without the fsync, a
             # host crash after creation leaves no WAL at all and
             # recovery would silently start from nothing.
@@ -418,13 +496,15 @@ class FileWAL(WriteAheadLog):
                 f"{self.path}: unsupported WAL version {version}"
             )
         self._base = int(base)
+        self._forget()
 
-    @property
-    def base_lsn(self) -> int:
-        return self._base
+    def _size(self) -> int:
+        return max(0, os.stat(self.path).st_size - _HEADER.size)
 
-    def _load(self) -> bytes:
-        return self.path.read_bytes()[_HEADER.size :]
+    def _read(self, offset: int, size: int) -> bytes:
+        with self.path.open("rb") as handle:
+            handle.seek(_HEADER.size + offset)
+            return handle.read(size)
 
     def _append_bytes(self, data: bytes) -> None:
         # Append-only framing IS the durability primitive here: a torn
@@ -434,8 +514,7 @@ class FileWAL(WriteAheadLog):
         with self.path.open("ab") as handle:  # repro: noqa IO01
             handle.write(data)
 
-    def _store(self, base_lsn: int, data: bytes) -> None:
+    def _replace(self, base_lsn: int, data: bytes) -> None:
         atomic_write_bytes(
             self.path, _HEADER.pack(_MAGIC, _VERSION, base_lsn) + data
         )
-        self._base = base_lsn

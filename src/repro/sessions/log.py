@@ -7,13 +7,13 @@ published: a session that reconnects after a crash replays the gap
 per published event, reusing the durability layer's framing, CRC
 protection, LSN arithmetic and torn-tail repair wholesale.
 
-Retention is the interesting part.  The log is bounded three ways —
+Retention is the interesting part.  The log is bounded two ways —
 by count (keep at most ``max_events``), by age (drop events older
 than ``max_age``) — but both bounds yield to the **cursor low-water
 mark**: the smallest delivery cursor over all durable sessions.  No
 retention pass may drop a record a live cursor still points at, so
 :meth:`RetainedEventLog.enforce_retention` truncates at
-``min(count_cut, age_cut, low_water)`` — and truncating at *exactly*
+``min(max(count_cut, age_cut), low_water)`` — and truncating at *exactly*
 the low-water LSN keeps that record, because an LSN names a record's
 first byte and :meth:`~repro.durability.wal.WriteAheadLog.
 truncate_prefix` drops only the bytes strictly below it.  A session
@@ -150,10 +150,11 @@ class RetainedEventLog:
         start (retention guarantees no durable cursor ever falls below
         the base, so this only happens for already-settled positions);
         reading at the head returns ``[]``.  Non-EVENT or undecodable
-        records are skipped, never raised on.
+        records are skipped, never raised on.  Only the records
+        returned (and any skipped between them) are decoded.
         """
         out: List[RetainedEvent] = []
-        for record in self.wal.scan(from_lsn=from_lsn).records:
+        for record in self.wal.records(from_lsn):
             event = self._decode(record)
             if event is None:
                 continue
@@ -166,7 +167,7 @@ class RetainedEventLog:
         """How many events the log physically holds right now."""
         return sum(
             1
-            for record in self.wal.scan().records
+            for record in self.wal.records()
             if record.kind is RecordKind.EVENT
         )
 
@@ -196,17 +197,17 @@ class RetainedEventLog:
 
         The count/age bounds each nominate a cut; the cursor low-water
         mark caps both.  The record *at* the returned LSN survives.
+        The count bound is read off the WAL's index; the age bound
+        decodes only the prefix old enough to drop.
         """
-        records = self.wal.scan().records
         cut = self.base
-        if (
-            self.policy.max_events is not None
-            and len(records) > self.policy.max_events
-        ):
-            cut = max(cut, records[len(records) - self.policy.max_events].lsn)
+        if self.policy.max_events is not None:
+            lsns = self.wal.lsns()
+            if len(lsns) > self.policy.max_events:
+                cut = lsns[len(lsns) - self.policy.max_events]
         if self.policy.max_age is not None:
             horizon = now - self.policy.max_age
-            for record in records:
+            for record in self.wal.records(self.base):
                 if float(record.body.get("t", 0.0)) >= horizon:
                     break
                 cut = max(cut, record.end_lsn)

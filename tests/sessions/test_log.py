@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import pytest
 
 from repro.core.event import Event
@@ -58,6 +61,30 @@ class TestAppendRead:
         log.append(ev(1))
         assert [e.sequence for e in log.read(log.base)] == [0, 1]
         assert log.retained() == 2
+
+    def test_every_end_lsn_reads_the_next_event(self):
+        # A replay cursor is an ``end_lsn``: it must name the next
+        # record's first byte even when a record's stored JSON is not
+        # the canonical encoding (here: default separators, as another
+        # writer could leave) — ``end_lsn`` is where the record ended
+        # in storage, not the length of its body re-encoded.
+        wal = MemoryWAL(clock=Clock(2.0))
+        log = RetainedEventLog(wal=wal)
+        log.append(ev(0))
+        payload = bytes([int(RecordKind.EVENT)]) + (
+            b'{"seq": 1, "publisher": 99, "point": [0.25, 0.75], "t": 2.0}'
+        )
+        wal._append_bytes(
+            struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        )
+        log.append(ev(2))
+        log.append(ev(3))
+        events = log.read(log.base)
+        assert [e.sequence for e in events] == [0, 1, 2, 3]
+        for event, following in zip(events, events[1:]):
+            assert log.read(event.end_lsn, max_events=1) == [following]
+        assert events[-1].end_lsn == log.head
+        assert log.read(events[-1].end_lsn, max_events=1) == []
 
     def test_file_backed_log_survives_reopen(self, tmp_path):
         path = tmp_path / "retained.wal"
