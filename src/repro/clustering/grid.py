@@ -13,7 +13,10 @@ For every cell the grid records:
 - ``l(g)`` — the set of subscribers with a subscription intersecting
   the cell, stored as a bitmask over compact subscriber indices so
   unions and difference counts during clustering are single integer
-  operations;
+  operations.  "Intersecting" is defined by :meth:`EventGrid.locate`
+  — some point of the rectangle locates to ``g`` — so ``M_q ⊇
+  {subscribers interested in an event of S_q}`` holds on cell
+  boundaries too;
 - ``p(g)`` — the publication probability mass of the cell under the
   event distribution ``p_p(.)``;
 - the cell's *weight* ``p(g) * n(g)`` with ``n(g) = |l(g)|``, used to
@@ -29,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.gridmath import covered_cell_range, locate_cell
+from ..geometry.gridmath import locate_cell, overlapped_cell_range
 from ..geometry.rectangle import Rectangle
 
 __all__ = ["CellProbability", "UniformCellProbability", "GridCell", "EventGrid"]
@@ -189,35 +192,54 @@ class EventGrid:
         highs: np.ndarray,
         subscriber_ids: Sequence[int],
     ) -> None:
-        c = self.cells_per_dim
-        for row in range(lows.shape[0]):
-            lo = np.maximum(
-                np.where(np.isfinite(lows[row]), lows[row], self.frame_lo),
-                self.frame_lo,
-            )
-            hi = np.minimum(
-                np.where(np.isfinite(highs[row]), highs[row], self.frame_hi),
-                self.frame_hi,
-            )
-            if np.any(highs[row] <= lows[row]):
-                continue  # empty subscription matches nothing
-            if np.any(hi <= lo):
-                continue  # entirely outside the frame
-            first, last = covered_cell_range(
-                lo, hi, self.frame_lo, self._width, c
-            )
-            bit = 1 << self._bit_of[int(subscriber_ids[row])]
-            ranges = [range(first[d], last[d] + 1) for d in range(self.ndim)]
-            for index in product(*ranges):
-                if not self._cell_intersects(index, lo, hi):
-                    continue  # boundary-adjacent candidate, empty overlap
-                cell = self.cells.get(index)
-                if cell is None:
-                    cell = self._make_cell(index)
-                    self.cells[index] = cell
-                cell.members |= bit
-
+        for row, indices in self._overlapped_cells(lows, highs):
+            self._mark(indices, int(subscriber_ids[row]))
         self._assign_probabilities()
+
+    def _overlapped_cells(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> Iterable[Tuple[int, Iterable[Tuple[int, ...]]]]:
+        """``(row, its cell indices)`` for each rectangle of a table
+        that meets the frame.
+
+        A rectangle's cells are a product of per-axis index ranges, so
+        no cell is tested: clipping, the two emptiness tests and the
+        ranges are computed for the whole ``(n, ndim)`` table at once.
+        A row's numbers become Python ints only as it is reached.
+        """
+        lo = np.maximum(
+            np.where(np.isfinite(lows), lows, self.frame_lo), self.frame_lo
+        )
+        hi = np.minimum(
+            np.where(np.isfinite(highs), highs, self.frame_hi), self.frame_hi
+        )
+        # An empty subscription matches nothing; one entirely outside
+        # the frame meets no cell.
+        meets = ~np.any((highs <= lows) | (hi <= lo), axis=1)
+        first, last = overlapped_cell_range(
+            lo, hi, self.frame_lo, self._width, self.cells_per_dim
+        )
+        stop = last + 1
+        for row in np.flatnonzero(meets).tolist():
+            yield row, product(
+                *map(range, first[row].tolist(), stop[row].tolist())
+            )
+
+    def _mark(
+        self, indices: Iterable[Tuple[int, ...]], subscriber: int
+    ) -> List[GridCell]:
+        """Add ``subscriber`` to ``l(g)`` of every listed cell; returns
+        the cells that had to be created (``p(g)`` still unset)."""
+        bit = 1 << self._bit_of[subscriber]
+        cells = self.cells
+        created: List[GridCell] = []
+        for index in indices:
+            cell = cells.get(index)
+            if cell is None:
+                cell = cells[index] = self._make_cell(index)
+                created.append(cell)
+            cell.members |= bit
+        return created
 
     def _assign_probabilities(self) -> None:
         """Fill ``p(g)`` for every occupied cell.
@@ -247,30 +269,11 @@ class EventGrid:
                     cell.lows, cell.highs
                 )
 
-    def _cell_intersects(
-        self, index: Tuple[int, ...], lo: np.ndarray, hi: np.ndarray
-    ) -> bool:
-        """Exact half-open overlap test between a cell and ``(lo, hi]``.
-
-        The candidate range from :func:`covered_cell_range` is
-        deliberately one cell wide of exact boundaries; this filter
-        keeps membership semantics tight (``l(g)`` contains only
-        subscribers whose rectangles truly intersect ``g``).
-        """
-        cell_lo = self.frame_lo + np.asarray(index) * self._width
-        cell_hi = cell_lo + self._width
-        return bool(
-            np.all(np.maximum(lo, cell_lo) < np.minimum(hi, cell_hi))
-        )
-
     def _make_cell(self, index: Tuple[int, ...]) -> GridCell:
-        lo = self.frame_lo + np.asarray(index) * self._width
-        hi = lo + self._width
-        return GridCell(
-            index=index,
-            lows=tuple(float(x) for x in lo),
-            highs=tuple(float(x) for x in hi),
-        )
+        frame_lo, _, width, _ = self._locate_frame
+        lows = tuple(f + i * w for f, i, w in zip(frame_lo, index, width))
+        highs = tuple(lo + w for lo, w in zip(lows, width))
+        return GridCell(index=index, lows=lows, highs=highs)
 
     # -- incremental maintenance ---------------------------------------------
 
@@ -296,43 +299,18 @@ class EventGrid:
                 f"{self.ndim}"
             )
         subscriber = int(subscriber)
-        bit_index = self._bit_of.get(subscriber)
-        if bit_index is None:
-            bit_index = len(self.subscribers)
+        if subscriber not in self._bit_of:
+            self._bit_of[subscriber] = len(self.subscribers)
             self.subscribers.append(subscriber)
-            self._bit_of[subscriber] = bit_index
-        bit = 1 << bit_index
 
-        lows = np.asarray(rectangle.lows, dtype=np.float64)
-        highs = np.asarray(rectangle.highs, dtype=np.float64)
-        if np.any(highs <= lows):
-            return []
-        lo = np.maximum(
-            np.where(np.isfinite(lows), lows, self.frame_lo), self.frame_lo
-        )
-        hi = np.minimum(
-            np.where(np.isfinite(highs), highs, self.frame_hi),
-            self.frame_hi,
-        )
-        if np.any(hi <= lo):
-            return []
-        first, last = covered_cell_range(
-            lo, hi, self.frame_lo, self._width, self.cells_per_dim
-        )
+        lows, highs = rectangle.to_arrays()
         affected: List[Tuple[int, ...]] = []
-        ranges = [range(first[d], last[d] + 1) for d in range(self.ndim)]
-        for index in product(*ranges):
-            if not self._cell_intersects(index, lo, hi):
-                continue  # boundary-adjacent candidate, empty overlap
-            cell = self.cells.get(index)
-            if cell is None:
-                cell = self._make_cell(index)
+        for _, indices in self._overlapped_cells(lows[None], highs[None]):
+            affected = list(indices)
+            for cell in self._mark(affected, subscriber):
                 cell.probability = self.density.cell_probability(
                     cell.lows, cell.highs
                 )
-                self.cells[index] = cell
-            cell.members |= bit
-            affected.append(index)
         return affected
 
     # -- queries --------------------------------------------------------------
@@ -361,16 +339,6 @@ class EventGrid:
             raise ValueError("point dimensionality mismatch")
         coords = np.ceil((p - self.frame_lo) / self._width).astype(int) - 1
         return tuple(int(x) for x in coords)
-
-    def cell_overlaps(
-        self, index: Tuple[int, ...], lows: Sequence[float], highs: Sequence[float]
-    ) -> bool:
-        """Exact half-open overlap between cell ``index`` and ``(lows, highs]``."""
-        return self._cell_intersects(
-            index,
-            np.asarray(lows, dtype=np.float64),
-            np.asarray(highs, dtype=np.float64),
-        )
 
     @property
     def cell_width(self) -> np.ndarray:

@@ -130,7 +130,7 @@ class SpacePartition:
             if q is None:
                 continue
             group = self.groups[q - 1]
-            if subscriber in group.members:
+            if subscriber in group.member_set:
                 continue
             self.groups[q - 1] = MulticastGroup(
                 q=q,

@@ -76,8 +76,10 @@ class DynamicMatchingEngine:
         self._removed: Set[int] = set(removed) if removed else set()
         self._removals_since_rebuild = 0
         self._overflow_ids: List[int] = []
-        self._overflow_lows: List[np.ndarray] = []
-        self._overflow_highs: List[np.ndarray] = []
+        self._overflow_rows: List[np.ndarray] = []  # each (lows, highs)
+        #: The rows stacked for the scan, ``(2, n, ndim)``; ``add`` and
+        #: ``_build_base`` drop it (the rows change, their count may not).
+        self._overflow_table: Optional[np.ndarray] = None
         self.rebuilds = 0
         self._build_base()
 
@@ -97,8 +99,8 @@ class DynamicMatchingEngine:
         else:
             self._base = None
         self._overflow_ids.clear()
-        self._overflow_lows.clear()
-        self._overflow_highs.clear()
+        self._overflow_rows.clear()
+        self._overflow_table = None
         self._removals_since_rebuild = 0
 
     # -- updates -------------------------------------------------------------
@@ -107,9 +109,8 @@ class DynamicMatchingEngine:
         """Register a new subscription; visible to queries immediately."""
         subscription = self.table.add(subscriber, rectangle)
         self._overflow_ids.append(subscription.subscription_id)
-        lows, highs = rectangle.to_arrays()
-        self._overflow_lows.append(lows)
-        self._overflow_highs.append(highs)
+        self._overflow_rows.append(np.array(rectangle.to_arrays()))
+        self._overflow_table = None
         self._maybe_rebuild()
         return subscription
 
@@ -145,8 +146,9 @@ class DynamicMatchingEngine:
         if self._base is not None:
             matched.extend(self._base.match(point))
         if self._overflow_ids:
-            lows = np.stack(self._overflow_lows)
-            highs = np.stack(self._overflow_highs)
+            if self._overflow_table is None:
+                self._overflow_table = np.stack(self._overflow_rows, axis=1)
+            lows, highs = self._overflow_table
             p = np.asarray(point, dtype=np.float64)
             mask = np.all((lows < p) & (p <= highs), axis=1)
             matched.extend(

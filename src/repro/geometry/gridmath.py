@@ -6,15 +6,25 @@ and the grid-bucket matcher) must answer the same two questions:
 - which cells does a half-open rectangle ``(lo, hi]`` intersect, and
 - which cell contains a point?
 
-The subtlety is floating-point rounding at cell boundaries: an
-endpoint one ulp away from a boundary can quantize *onto* it, which —
-with exact-arithmetic formulas — silently shifts the first/last
-covered cell by one and loses matches.  Correctness is preserved by
-being conservative in rectangle registration: whenever a quantized
-endpoint lands exactly on a boundary, the range is widened by one cell
-in that direction.  Spurious extra candidates are filtered by the
-exact containment test downstream; missing candidates can never be
-recovered, so the asymmetry is deliberate.
+The second has one answer, :func:`locate_cell`: ``cell(x) =
+clamp(ceil((x - frame_lo) / w) - 1)``.  The first is always answered
+*through* that quantisation, never through the cells' edges: an edge
+computed as ``frame_lo + i * w`` and a point quantised by ``ceil``
+round differently, so an "exact" edge comparison can list a rectangle
+in one cell while a point inside it lands in the next — and a missing
+candidate is never recovered downstream.  A rectangle meets a cell iff
+it does on every axis, so an answer is a ``[first, last]`` per axis and
+the cells are their product; no cell is tested.  There are two:
+
+- :func:`overlapped_cell_range`, **tight**: from the cell of the
+  smallest representable point above ``lo`` to the cell of ``hi`` —
+  exactly the cells a point of the rectangle can locate to.  The
+  clustering grid takes it: its lists ``l(g)`` become multicast groups
+  and shard placements and nothing re-tests them later.
+- :func:`covered_cell_range`, **wide**: both ends quantised as points,
+  so a low edge on a boundary also admits the cell below it.  The
+  bucket matcher keeps it: it runs the exact containment test on every
+  candidate at query time anyway, so a spurious one costs a comparison.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["covered_cell_range", "locate_cell"]
+__all__ = ["covered_cell_range", "locate_cell", "overlapped_cell_range"]
 
 
 def covered_cell_range(
@@ -46,12 +56,11 @@ def covered_cell_range(
     can shift by one when an endpoint sits within an ulp of a
     boundary and silently lose matches.
 
-    The price is that an endpoint lying exactly on a boundary admits
-    the neighbouring cell as a candidate even though the half-open
-    overlap is empty; callers that need tight membership (the
-    clustering grid) filter candidates with an exact intersection
-    test, and candidate-bucket callers (the grid matcher) simply carry
-    the extra candidate.
+    The price is that a low endpoint lying exactly on a boundary
+    admits the cell below it as a candidate even though the half-open
+    overlap is empty; the grid matcher carries the extra candidate to
+    its exact test at query time.  Callers that need tight membership
+    take :func:`overlapped_cell_range`.
     """
     t = (lo - frame_lo) / cell_width
     u = (hi - frame_lo) / cell_width
@@ -60,6 +69,30 @@ def covered_cell_range(
     first = np.clip(first, 0, cells_per_dim - 1)
     last = np.clip(last, 0, cells_per_dim - 1)
     return first, np.maximum(last, first)
+
+
+def overlapped_cell_range(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    frame_lo: np.ndarray,
+    cell_width: np.ndarray,
+    cells_per_dim: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Tight per-dimension ``[first, last]`` cells meeting ``(lo, hi]``.
+
+    :func:`locate_cell`'s quantisation and clamp, applied to the
+    smallest representable point above ``lo`` and to ``hi``.  Subtract,
+    divide and ceil are monotone, so every point of the rectangle
+    locates inside the range, and its two ends are the cells of two
+    such points, so nothing narrower would do.  Sides beyond the frame,
+    unbounded ones included, clamp to its first / last cell.  Takes
+    one rectangle ``(ndim,)`` or a table ``(n, ndim)``, ``lo < hi``.
+    """
+    # ``maximum``: a ``-inf`` side would overflow the division.
+    ends = np.stack([np.nextafter(np.maximum(lo, frame_lo), np.inf), hi])
+    cells = np.ceil((ends - frame_lo) / cell_width) - 1
+    first, last = np.clip(cells, 0, cells_per_dim - 1).astype(int)
+    return first, last
 
 
 def locate_cell(

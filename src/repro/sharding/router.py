@@ -36,7 +36,7 @@ from ..core.distribution import DistributionDecision
 from ..core.event import Event
 from ..core.matching import MatchingEngine, MatchResult
 from ..core.subscription import Subscription, SubscriptionTable
-from ..geometry.gridmath import covered_cell_range
+from ..geometry.gridmath import overlapped_cell_range
 from ..geometry.rectangle import Rectangle
 from ..io import decode_rectangle, encode_bound
 from ..telemetry.base import Telemetry, or_null
@@ -250,8 +250,10 @@ class ShardRouter:
     ) -> Optional[List[Tuple[int, ...]]]:
         """Grid cells a rectangle overlaps, or ``None`` if it escapes.
 
-        ``None`` means the rectangle extends beyond the grid frame on
-        some side — it may match out-of-frame publications, so no cell
+        "Overlaps" as the grid itself marks ``l(g)``: the cells a point
+        of the rectangle can locate to, no more and no fewer.  ``None``
+        means the rectangle extends beyond the grid frame on some side
+        — it may match out-of-frame publications, so no cell
         enumeration can bound where it must live.
         """
         grid = self.partition.grid
@@ -261,17 +263,12 @@ class ShardRouter:
             return []  # empty rectangle: matches nothing anywhere
         if np.any(lo < grid.frame_lo) or np.any(hi > grid.frame_hi):
             return None
-        first, last = covered_cell_range(
+        first, last = overlapped_cell_range(
             lo, hi, grid.frame_lo, grid.cell_width, grid.cells_per_dim
         )
-        ranges = [
-            range(int(first[d]), int(last[d]) + 1) for d in range(grid.ndim)
-        ]
-        return [
-            index
-            for index in product(*ranges)
-            if grid.cell_overlaps(index, lo, hi)
-        ]
+        return list(
+            product(*map(range, first.tolist(), (last + 1).tolist()))
+        )
 
     def shards_of_rectangle(self, rectangle: Rectangle) -> List[int]:
         """Every shard that must hold this subscription (sorted)."""

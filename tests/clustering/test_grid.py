@@ -1,11 +1,16 @@
 """Unit tests for the event grid."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import EventGrid, UniformCellProbability
 from repro.geometry import Interval, Rectangle
 from repro.workload import nine_mode_distribution
+from tests.geometry.test_gridmath import probes_inside
 
 
 def rect2(x0, x1, y0, y1):
@@ -231,3 +236,222 @@ class TestFastPathConsistency:
             assert cell.probability == pytest.approx(
                 density.cell_probability(cell.lows, cell.highs), abs=1e-12
             )
+
+
+# -- l(g) is defined by locate ------------------------------------------------
+#
+# The invariant the paper's scheme rests on: ``M_q`` holds every
+# subscriber interested in *any* event of ``S_q``.  Cell by cell that
+# is: for every rectangle and every point inside it and the frame, the
+# cell the point locates to lists the rectangle's subscriber.  A walk
+# that decides membership from the cells' computed edges
+# (``frame_lo + i * w``) while ``locate`` quantises
+# ``ceil((x - frame_lo) / w) - 1`` breaks it on boundaries, because the
+# two round differently.
+
+
+def boundary_cases(rng, frames):
+    """Seeded one-dimensional search: per random frame, every interior
+    boundary ``b`` *as the grid computes it*, the rectangles
+    ``(b - w/2, b]`` and ``(b, b + w/2]``, and the one point of each
+    that sits on the boundary.  Yields ``(frame, cells, [(rectangle,
+    point), ...])``."""
+    for _ in range(frames):
+        lo = float(rng.uniform(-20.0, 20.0))
+        hi = lo + float(rng.uniform(0.5, 30.0))
+        cells = int(rng.integers(2, 21))
+        width = (np.float64(hi) - np.float64(lo)) / cells
+        cases = []
+        for i in range(1, cells):
+            b = float(lo + i * width)
+            above = float(np.nextafter(b, np.inf))
+            cases.append((Rectangle((b - width / 2,), (b,)), b))
+            cases.append((Rectangle((b,), (b + width / 2,)), above))
+        yield ((lo,), (hi,)), cells, cases
+
+
+def missing_members(grid, cases):
+    """Cases whose point locates to a cell that lacks the subscriber
+    (subscriber ``k`` owns rectangle ``k``)."""
+    missing = 0
+    for subscriber, (rectangle, point) in enumerate(cases):
+        assert rectangle.contains_point((point,))
+        cell = grid.cells.get(grid.locate((point,)))
+        if cell is None or subscriber not in grid.members_of(cell.members):
+            missing += 1
+    return missing
+
+
+def axis_probes(grid, d, lo, hi):
+    """Points of ``(lo, hi]`` inside the frame on axis ``d``."""
+    return sorted(
+        set(
+            probes_inside(
+                float(grid.frame_lo[d]),
+                float(grid.frame_hi[d]),
+                grid.cells_per_dim,
+                float(grid.cell_width[d]),
+                lo,
+                hi,
+            )
+        )
+    )
+
+
+@st.composite
+def boundary_hugging_tables(draw):
+    """A 1–3-dimensional explicit frame and rectangles whose edges are
+    computed boundaries, one ulp off them, arbitrary, beyond the frame
+    or unbounded."""
+    ndim = draw(st.integers(1, 3))
+    cells = draw(st.integers(1, 6))
+    frame_lo = [
+        draw(st.floats(-50.0, 50.0, allow_nan=False)) for _ in range(ndim)
+    ]
+    frame_hi = [
+        lo + draw(st.floats(0.5, 60.0, allow_nan=False)) for lo in frame_lo
+    ]
+    width = (np.array(frame_hi) - np.array(frame_lo)) / cells
+
+    def edge(d, unbounded):
+        def boundary(i, ulps):
+            b = frame_lo[d] + i * width[d]
+            for _ in range(abs(ulps)):
+                b = np.nextafter(b, np.inf if ulps > 0 else -np.inf)
+            return float(b)
+
+        span = frame_hi[d] - frame_lo[d]
+        on_boundary = st.builds(
+            boundary, st.integers(0, cells), st.integers(-1, 1)
+        )
+        return st.one_of(
+            on_boundary,
+            on_boundary,
+            st.floats(
+                frame_lo[d] - span / 4, frame_hi[d] + span / 4, allow_nan=False
+            ),
+            st.just(unbounded),
+        )
+
+    rectangles = []
+    for _ in range(draw(st.integers(1, 5))):
+        sides = [
+            sorted((draw(edge(d, -np.inf)), draw(edge(d, np.inf))))
+            for d in range(ndim)
+        ]
+        rectangles.append(
+            Rectangle(
+                tuple(lo for lo, _ in sides), tuple(hi for _, hi in sides)
+            )
+        )
+    return rectangles, cells, (frame_lo, frame_hi)
+
+
+def assert_located_cells_list_the_subscriber(grid, rectangles):
+    """Subscriber ``k`` owns rectangle ``k``; every probe point inside
+    it lands in a cell that lists ``k``, and no cell lists ``k`` unless
+    one of the probes lands there (the marks are tight)."""
+    for subscriber, rectangle in enumerate(rectangles):
+        axes = [
+            axis_probes(grid, d, rectangle.lows[d], rectangle.highs[d])
+            for d in range(grid.ndim)
+        ]
+        reached = set()
+        for point in product(*axes):
+            assert rectangle.contains_point(point)
+            index = grid.locate(point)
+            reached.add(index)
+            cell = grid.cells.get(index)
+            assert cell is not None, (rectangle, point, index)
+            assert subscriber in grid.members_of(cell.members), (
+                rectangle,
+                point,
+                index,
+            )
+        listed = {
+            index
+            for index, cell in grid.cells.items()
+            if subscriber in grid.members_of(cell.members)
+        }
+        assert listed == reached
+
+
+class TestMembershipFollowsLocate:
+    def test_the_reported_boundary_case(self):
+        """Frame (2.535…, 13.344…], C = 10: the rectangle ends exactly
+        on the boundary the grid computes for cells 6 | 7, ``locate``
+        puts that point in cell 7, and edge arithmetic listed the
+        subscriber in cell 6 only."""
+        frame = ((2.5351310867480663,), (13.344183019811702,))
+        point = 10.101467439892613
+        rectangle = Rectangle((9.561014843239431,), (point,))
+        assert rectangle.contains_point((point,))
+        grid = EventGrid([rectangle], [5], cells_per_dim=10, frame=frame)
+        located = grid.locate((point,))
+        assert located == (7,)
+        assert grid.members_of(grid.cells[located].members) == [5]
+
+    def test_seeded_boundary_search_batch_build(self):
+        rng = np.random.default_rng(20031)
+        total = missing = 0
+        for frame, cells, cases in boundary_cases(rng, 3000):
+            grid = EventGrid(
+                [rectangle for rectangle, _ in cases],
+                list(range(len(cases))),
+                cells_per_dim=cells,
+                frame=frame,
+            )
+            total += len(cases)
+            missing += missing_members(grid, cases)
+        assert total > 30_000
+        assert missing == 0
+
+    def test_seeded_boundary_search_add_subscription(self):
+        rng = np.random.default_rng(20032)
+        total = missing = 0
+        for frame, cells, cases in boundary_cases(rng, 1000):
+            grid = EventGrid(
+                [Rectangle(frame[0], frame[1])],
+                [10**6],
+                cells_per_dim=cells,
+                frame=frame,
+            )
+            for subscriber, (rectangle, _) in enumerate(cases):
+                # Half a cell wide: its own cell, and the next when the
+                # boundary point rounds across.
+                assert 1 <= len(
+                    grid.add_subscription(rectangle, subscriber)
+                ) <= 2
+            total += len(cases)
+            missing += missing_members(grid, cases)
+        assert total > 10_000
+        assert missing == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(boundary_hugging_tables())
+    def test_batch_build(self, table):
+        rectangles, cells, frame = table
+        grid = EventGrid(
+            rectangles,
+            list(range(len(rectangles))),
+            cells_per_dim=cells,
+            frame=frame,
+        )
+        assert_located_cells_list_the_subscriber(grid, rectangles)
+
+    @settings(max_examples=150, deadline=None)
+    @given(boundary_hugging_tables())
+    def test_add_subscription(self, table):
+        rectangles, cells, frame = table
+        grid = EventGrid(
+            rectangles[:1], [0], cells_per_dim=cells, frame=frame
+        )
+        for subscriber, rectangle in enumerate(rectangles[1:], start=1):
+            affected = grid.add_subscription(rectangle, subscriber)
+            assert len(affected) == len(set(affected))
+            assert {
+                index
+                for index, cell in grid.cells.items()
+                if subscriber in grid.members_of(cell.members)
+            } == set(affected)
+        assert_located_cells_list_the_subscriber(grid, rectangles)

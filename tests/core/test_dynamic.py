@@ -122,6 +122,34 @@ class TestDynamicMatchingEngine:
             actual = list(engine.match_point(point).subscription_ids)
             assert actual == expected
 
+    def test_overflow_rows_are_not_reused_across_a_rebuild(self, engine):
+        """The overflow scan keeps its stacked arrays between queries.
+        Fill the overflow and query it, force a rebuild (the overflow
+        empties into the base), then add *as many again*: a cache
+        checked by length would still hold the first batch's rows."""
+
+        def batch(offset):
+            added = {}
+            for i in range(10):
+                lo = offset + 10.0 * i
+                sid = engine.add(7, rect4(lo, lo + 1.0)).subscription_id
+                added[sid] = (lo + 0.5,) * 4
+            return added
+
+        first = batch(1000.0)
+        assert engine.pending_churn == 10
+        for sid, point in first.items():
+            assert engine.match_point(point).subscription_ids == (sid,)
+        engine.rebuild()
+        assert engine.pending_churn == 0
+        second = batch(5000.0)
+        assert engine.pending_churn == 10
+        for sid, point in {**first, **second}.items():
+            assert engine.match_point(point).subscription_ids == (sid,)
+        # ... and an add between two queries is seen by the second.
+        late = engine.add(7, rect4(9000.0, 9001.0)).subscription_id
+        assert engine.match_point((9000.5,) * 4).subscription_ids == (late,)
+
     def test_empty_table_then_adds(self):
         table = SubscriptionTable(2)
         engine = DynamicMatchingEngine(table)

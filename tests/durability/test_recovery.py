@@ -16,7 +16,8 @@ from repro.durability import (
 from repro.faults.verifier import build_chaos_testbed
 from repro.geometry.rectangle import Rectangle
 from repro.io import table_to_dict
-from repro.workload import PublicationGenerator
+from repro.workload import PublicationGenerator, StockSubscriptionGenerator
+from tests.clustering.test_grid_walk import members_by_id
 
 
 def subscribe_record(sid, subscriber=7, lows=(0.0, 0.0), highs=(1.0, 1.0)):
@@ -200,6 +201,49 @@ class TestRestoreBroker:
                 reference.partition.group(q).members
                 == broker.partition.group(q).members
             )
+
+    def test_rebuilt_grid_and_groups_equal_the_grown_ones(self):
+        """The grid a broker *grew* (``preprocess`` then ``subscribe``)
+        and the grid ``restore_broker`` *rebuilds* from the recovered
+        table hold the same ``l(g)`` — as subscriber ids, bit positions
+        may differ — and every group the same members, with tombstoned
+        subscriptions inside the snapshot and replayed ones after it."""
+
+        def testbed():
+            return build_chaos_testbed(
+                seed=5, subscriptions=400, num_groups=5, dynamic=True
+            )
+
+        broker, _ = testbed()
+        wal = MemoryWAL()
+        store = MemorySnapshotStore()
+        journal = BrokerJournal(broker, wal, store, checkpoint_every=10_000)
+        broker.attach_journal(journal)
+        arrivals = StockSubscriptionGenerator(broker.topology, seed=91)
+
+        def churn(victims):
+            for victim in victims:
+                for _ in range(2):
+                    placed = arrivals.generate_one(len(broker.table))
+                    broker.subscribe(placed.node, placed.rectangle)
+                broker.unsubscribe(victim)
+
+        churn([3, 50, 120, 260, 399])  # tombstones the snapshot holds
+        journal.checkpoint()
+        churn([7, 90, 200, 401, 405])  # ... and churn it does not
+
+        state = recover(wal, store)
+        assert state.subscriptions_replayed == 10
+        assert state.removals_replayed == 5
+        assert len(state.removed) == 10
+        recovered, _ = testbed()
+        restore_broker(recovered, state)
+
+        grown, rebuilt = broker.partition.grid, recovered.partition.grid
+        assert members_by_id(rebuilt) == members_by_id(grown)
+        assert [g.members for g in recovered.partition.groups] == [
+            g.members for g in broker.partition.groups
+        ]
 
 
 def _testbed():

@@ -1,5 +1,7 @@
 """ShardRouter: routing, scatter, and exact match parity per shard."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,46 @@ class TestScatter:
         rect = Rectangle(lo, hi)
         assert router.cells_of_rectangle(rect) == []
         assert router.shards_of_rectangle(rect) == []
+
+    def test_cells_are_the_cells_the_rectangles_points_locate_to(
+        self, router, rng
+    ):
+        """Scatter's geometric invariant on cell boundaries: a
+        subscription lives on the shard owning every cell one of its
+        points can land in.  Rectangles are cut along the boundaries
+        the grid computes (and one ulp either side), where a filter on
+        the cells' edges and ``locate`` used to round differently."""
+        grid = router.partition.grid
+        c = grid.cells_per_dim
+        assert c >= 4
+
+        def boundary(d, i):
+            b = grid.frame_lo[d] + i * grid.cell_width[d]
+            return float(
+                np.nextafter(b, rng.choice([-np.inf, b, np.inf]))
+            )
+
+        for _ in range(300):
+            lows, highs = [], []
+            for d in range(grid.ndim):
+                i = int(rng.integers(1, c - 1))
+                j = int(rng.integers(i + 1, c))
+                lows.append(boundary(d, i))
+                highs.append(boundary(d, j))
+            rectangle = Rectangle(tuple(lows), tuple(highs))
+            # The two extreme points of the half-open rectangle.
+            lowest = tuple(float(np.nextafter(x, np.inf)) for x in lows)
+            highest = tuple(highs)
+            assert rectangle.contains_point(lowest)
+            assert rectangle.contains_point(highest)
+            first, last = grid.locate(lowest), grid.locate(highest)
+            cells = router.cells_of_rectangle(rectangle)
+            assert cells == list(
+                product(*(range(a, b + 1) for a, b in zip(first, last)))
+            )
+            owners = router.shards_of_rectangle(rectangle)
+            for point in (lowest, highest):
+                assert router.resolve(point)[1] in owners
 
 
 class TestIdempotency:
