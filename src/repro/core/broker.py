@@ -124,6 +124,10 @@ class PubSubBroker:
         #: Optional :class:`~repro.sessions.session.SessionManager`
         #: observing the publish path (see :meth:`attach_sessions`).
         self.sessions = None
+        from ..io import TableEncoder  # here: repro.io imports repro.core
+
+        #: What :meth:`durable_state` has already encoded of ``table``.
+        self._table_encoder = TableEncoder()
 
     # -- construction -------------------------------------------------------
 
@@ -414,12 +418,15 @@ class PubSubBroker:
         withdrawn ids, and the partition's group assignment.  The
         S-tree, the grid's membership lists and the routing caches are
         all recomputed from these on recovery (see
-        :mod:`repro.durability`).
+        :mod:`repro.durability`).  ``table_text`` is ``table``'s
+        canonical JSON, so a checkpoint need not encode it again; both
+        are shared with the next call until the table grows or is
+        replaced — values, not scratch space.
         """
-        from .. import io as _io
-
+        table, table_text = self._table_encoder.encode(self.table)
         state = {
-            "table": _io.table_to_dict(self.table),
+            "table": table,
+            "table_text": table_text,
             "removed": sorted(getattr(self, "_removed", ()) or ()),
             "partition": self.partition.to_state(),
         }

@@ -33,7 +33,8 @@ __all__ = ["BrokerJournal"]
 class BrokerJournal:
     """Write-ahead journaling + periodic checkpoints for one broker —
     anything whose ``durable_state()`` returns the ``table`` /
-    ``removed`` / ``partition`` (/ ``sessions``) a snapshot stores."""
+    ``removed`` / ``partition`` (/ ``sessions`` / ``table_text``) a
+    snapshot stores."""
 
     def __init__(
         self,
@@ -215,6 +216,7 @@ class BrokerJournal:
             partition=state["partition"],
             taken_at=self.wal.clock(),
             sessions=state.get("sessions"),
+            table_text=state.get("table_text"),
         )
         self.store.save(snapshot)
         self._next_snapshot_id += 1

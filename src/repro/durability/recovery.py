@@ -30,14 +30,18 @@ usable broker and an honest report of what it could not salvage.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple, TypeVar
 
 from ..clustering.grid import EventGrid
 from ..clustering.groups import SpacePartition
 from ..core.subscription import SubscriptionTable
-from ..io import decode_rectangle, table_from_dict, table_to_dict
+from ..io import (
+    canonical_json,
+    decode_rectangle,
+    table_from_dict,
+    table_to_dict,
+)
 from ..telemetry.base import Telemetry, or_null
 from .snapshot import Snapshot, SnapshotStore
 from .wal import RecordKind, WriteAheadLog
@@ -96,9 +100,7 @@ class ReplayResult:
         Two recoveries from the same snapshot + WAL bytes produce the
         same digest — the seed-stability property the tests pin.
         """
-        canonical = json.dumps(
-            self._digest_body(), sort_keys=True, separators=(",", ":")
-        )
+        canonical = canonical_json(self._digest_body())
         return hashlib.blake2b(
             canonical.encode("utf-8"), digest_size=16
         ).hexdigest()

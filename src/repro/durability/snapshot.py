@@ -15,8 +15,34 @@ the WAL prefix below it (subject to the in-flight low-water mark).
 Stores are torn-write-safe in both directions: writes go to a temp
 file in the same directory and :func:`os.replace` in (a crash leaves
 the previous snapshot intact), and reads verify an embedded BLAKE2b
-digest — a damaged newest snapshot is skipped, falling back to the
-newest *valid* one, mirroring the WAL's truncate-don't-trust policy.
+digest — a damaged newest snapshot, or one whose digest is missing, is
+skipped, falling back to the newest *valid* one, mirroring the WAL's
+truncate-don't-trust policy.
+
+**Each thing is encoded once.**  The stored text is
+``canonical_json(snapshot.to_dict())`` and the digest is BLAKE2b-16
+over the canonical text of the same payload without its ``digest`` and
+``format_version`` members — the bytes they have always been.  Neither
+is produced by encoding the payload whole: both are assembled by
+:func:`repro.io.canonical_object` from one canonical text per
+top-level field, and ``table``'s — nearly all of the payload — is the
+producer's (``durable_state()["table_text"]``, kept by a
+:class:`repro.io.TableEncoder` across checkpoints) whenever the
+producer has one, so a checkpoint of an unchanged table encodes the
+partition and a handful of scalars.  A snapshot computes its digest at
+most once and remembers the 32 characters, not the text they cover:
+memory stores keep every snapshot they are given.
+
+That memo, and the sharing of one encoded table between consecutive
+snapshots, rest on a contract: **a ``Snapshot`` and the dicts it holds
+are immutable once constructed.**  ``LogShipper`` re-ships one
+snapshot's ``to_dict()`` in every catch-up, ``MemorySnapshotStore``
+hands the same instance to every ``latest()``, and recovery reads
+``table`` / ``partition`` / ``sessions`` without copying the parts it
+does not change — all three rely on it.  Verification never does:
+:meth:`Snapshot.from_dict` builds a new snapshot from the payload it
+was handed and computes that snapshot's digest from those values; a
+payload's own ``digest`` member is only ever compared against.
 """
 
 from __future__ import annotations
@@ -27,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..io import atomic_write_text
+from ..io import atomic_write_text, canonical_json, canonical_object
 
 __all__ = [
     "Snapshot",
@@ -37,10 +63,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-
-
-def _canonical(payload: Dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -65,6 +87,14 @@ class Snapshot:
     #: serialized payload (and the digest) when absent, so snapshots
     #: from session-less brokers are byte-identical to format v1.
     sessions: Optional[Dict] = None
+    #: ``canonical_json(table)`` when the producer already holds it
+    #: (see the module docstring); encoded on demand otherwise.
+    table_text: Optional[str] = field(
+        default=None, compare=False, repr=False
+    )
+    _digest: Optional[str] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def _payload_body(self) -> Dict:
         body = {
@@ -87,10 +117,37 @@ class Snapshot:
         payload["digest"] = self.digest()
         return payload
 
+    def _body_texts(self) -> Dict[str, str]:
+        """Canonical text of each body field, ``table``'s encoded only
+        when the producer did not hand its text over."""
+        body = self._payload_body()
+        table = body.pop("table")
+        texts = {key: canonical_json(body[key]) for key in body}
+        texts["table"] = self.table_text or canonical_json(table)
+        return texts
+
+    def _digest_of(self, texts: Dict[str, str]) -> str:
+        """The digest over ``texts``, computed once and remembered."""
+        if self._digest is None:
+            body = canonical_object(texts).encode("utf-8")
+            object.__setattr__(
+                self,
+                "_digest",
+                hashlib.blake2b(body, digest_size=16).hexdigest(),
+            )
+        return self._digest
+
     def digest(self) -> str:
         """Content digest (excludes the digest field itself)."""
-        body = _canonical(self._payload_body())
-        return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
+        return self._digest or self._digest_of(self._body_texts())
+
+    def canonical(self) -> str:
+        """``canonical_json(self.to_dict())``, assembled per field."""
+        texts = self._body_texts()
+        self._digest_of(texts)  # so digest() below encodes nothing again
+        texts["digest"] = canonical_json(self.digest())
+        texts["format_version"] = canonical_json(_FORMAT_VERSION)
+        return canonical_object(texts)
 
     @classmethod
     def from_dict(cls, payload: Dict) -> Snapshot:
@@ -108,8 +165,12 @@ class Snapshot:
             taken_at=float(payload.get("taken_at", 0.0)),
             sessions=payload.get("sessions"),
         )
-        stored = payload.get("digest")
-        if stored is not None and stored != snapshot.digest():
+        if "digest" not in payload:
+            raise ValueError(
+                f"snapshot {snapshot.snapshot_id}: digest missing "
+                "(cannot be verified)"
+            )
+        if payload["digest"] != snapshot.digest():
             raise ValueError(
                 f"snapshot {snapshot.snapshot_id}: digest mismatch "
                 "(corrupt or tampered)"
@@ -170,8 +231,7 @@ class FileSnapshotStore(SnapshotStore):
         # directory; a freshly written snapshot must survive a host
         # crash, or recovery falls back to a stale checkpoint.
         atomic_write_text(
-            self._path(snapshot.snapshot_id),
-            _canonical(snapshot.to_dict()),
+            self._path(snapshot.snapshot_id), snapshot.canonical()
         )
 
     def ids(self) -> List[int]:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Generator, List, Optional, Tuple, Union
 
-from ..io import atomic_write_bytes
+from ..io import atomic_write_bytes, canonical_json
 
 __all__ = [
     "RecordKind",
@@ -118,9 +118,7 @@ class ScanResult:
 
 def _encode_body(body: dict) -> bytes:
     """Canonical JSON: sorted keys, no whitespace — digest-stable."""
-    return json.dumps(
-        body, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return canonical_json(body).encode("utf-8")
 
 
 def encode_record(kind: RecordKind, body: dict) -> bytes:

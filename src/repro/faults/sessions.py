@@ -37,7 +37,6 @@ so nothing retries forever.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -45,6 +44,7 @@ import numpy as np
 
 from ..core.broker import PubSubBroker
 from ..core.event import Event
+from ..io import canonical_json
 from ..overload import BoundedQueue, BreakerBoard, TokenBucket
 from ..sessions import (
     DeadLetterQueue,
@@ -604,7 +604,7 @@ class SessionChaosSimulation:
                 for entry in self.dlq.entries()
             ],
         }
-        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        canonical = canonical_json(body)
         return hashlib.blake2b(
             canonical.encode("utf-8"), digest_size=16
         ).hexdigest()

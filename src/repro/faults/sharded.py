@@ -35,7 +35,6 @@ broker's, pinned by a BLAKE2b digest over the per-event results
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -43,6 +42,7 @@ import networkx as nx
 import numpy as np
 
 from ..core.event import Event
+from ..io import canonical_json
 from ..sharding.map import ShardMap
 from ..sharding.rebalance import MigrationPhase, MigrationTicket, Rebalancer
 from ..sharding.router import ShardRouter
@@ -160,7 +160,7 @@ class ShardedReport(ChaosReport):
 
 
 def _digest_items(items: List[List[object]]) -> str:
-    body = json.dumps(items, sort_keys=True, separators=(",", ":"))
+    body = canonical_json(items)
     return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
 
 

@@ -7,6 +7,12 @@ testbed can be generated once and shared or replayed elsewhere.
 
 Infinities are JSON-unfriendly, so rectangle bounds are encoded with
 the string sentinels ``"-inf"`` / ``"inf"``.
+
+The same codecs carry the durability layer's checkpoints, taken far
+more often than the subscription set changes: :class:`EntryCodec`
+remembers each entry it has encoded and :class:`TableEncoder` keeps a
+table's encoding until the table grows, so a checkpoint of a table
+that gained *k* subscriptions encodes *k* entries.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Sequence, Tuple, Union
 
 import networkx as nx
 
@@ -28,11 +35,15 @@ __all__ = [
     "fsync_dir",
     "atomic_write_text",
     "atomic_write_bytes",
+    "canonical_json",
+    "canonical_object",
     "encode_bound",
     "decode_bound",
     "decode_rectangle",
     "topology_to_dict",
     "topology_from_dict",
+    "EntryCodec",
+    "TableEncoder",
     "table_to_dict",
     "table_from_dict",
     "save_testbed",
@@ -187,19 +198,119 @@ def topology_from_dict(data: Dict) -> Topology:
     return topology
 
 
+def canonical_json(value: object) -> str:
+    """The one canonical JSON text of ``value``: keys sorted, no
+    whitespace.  Digests and stored bytes are defined over it."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_object(members: Mapping[str, str]) -> str:
+    """:func:`canonical_json` of an object, from its members' texts.
+
+    Canonical JSON is compositional: an object's text is its
+    ``"key":text`` pairs in key order, joined by commas, in braces, and
+    an array's is its elements' texts joined by commas, in brackets.
+    So ``canonical_object({k: canonical_json(v) for k, v in d.items()})
+    == canonical_json(d)``, and a member whose text is already known
+    need not be encoded again — every assembled text in this package is
+    built by this rule and checked against the whole-payload encode in
+    ``tests/durability/test_snapshot_bytes.py``.
+    """
+    return "{%s}" % ",".join(
+        f"{canonical_json(key)}:{members[key]}" for key in sorted(members)
+    )
+
+
+class EntryCodec:
+    """Subscription entries as JSON rows, each encoded once.
+
+    ``row(key, subscriber, lows, highs)`` lays one entry out (a dict in
+    a broker's table, a list in a shard's); the codec remembers the row
+    and its canonical text under ``key``.  The premise is that an entry
+    never changes while it keeps its key — true of a subscription id —
+    so whoever lets a key be reused must :meth:`forget` it.
+    """
+
+    def __init__(self, row: Callable[[int, int, List, List], object]):
+        self._row = row
+        self._known: Dict[int, Tuple[object, str]] = {}
+
+    def encode(
+        self, entries: Iterable[Tuple[int, int, Rectangle]]
+    ) -> Tuple[List[object], str]:
+        """The rows of ``(key, subscriber, rectangle)`` entries in the
+        order given, and the canonical text of that list."""
+        known = self._known
+        rows, texts = [], []
+        for key, subscriber, rectangle in entries:
+            hit = known.get(key)
+            if hit is None:
+                row = self._row(
+                    int(key),
+                    int(subscriber),
+                    [encode_bound(x) for x in rectangle.lows],
+                    [encode_bound(x) for x in rectangle.highs],
+                )
+                hit = known[key] = (row, canonical_json(row))
+            rows.append(hit[0])
+            texts.append(hit[1])
+        return rows, "[%s]" % ",".join(texts)
+
+    def forget(self, key: int) -> None:
+        self._known.pop(key, None)
+
+
+def _table_row(_sid: int, subscriber: int, lows: List, highs: List) -> Dict:
+    return {"subscriber": subscriber, "lows": lows, "highs": highs}
+
+
+class TableEncoder:
+    """A subscription table's JSON encoding and canonical text, kept.
+
+    A :class:`SubscriptionTable` is append-only — ids are positions and
+    nothing is edited or deleted in place (an unsubscribe is a
+    tombstone held elsewhere) — so what was encoded for one length is a
+    prefix of what any later length needs.  Three events end that, and
+    all three install a **different table object**:
+    ``DynamicPubSubBroker.repreprocess`` (compacts the live rows into a
+    new table), ``restore_broker`` (the recovered table) and plain
+    assignment to ``broker.table``.  The new table may be exactly as
+    long as the old one, so the encoder holds the table it encoded and
+    starts over when handed one that ``is not`` it.
+
+    What :meth:`encode` returns is shared between calls until the table
+    grows: callers treat it as a value and do not mutate it.
+    """
+
+    def __init__(self) -> None:
+        self._table: Optional[SubscriptionTable] = None
+        self._codec = EntryCodec(_table_row)
+        self._encoded: Optional[Tuple[Dict, str]] = None
+
+    def encode(self, table: SubscriptionTable) -> Tuple[Dict, str]:
+        """``(table_to_dict(table), canonical_json of it)``."""
+        if table is not self._table:
+            self._table = table
+            self._codec = EntryCodec(_table_row)
+            self._encoded = None
+        done = self._encoded
+        if done is None or len(done[0]["subscriptions"]) != len(table):
+            rows, text = self._codec.encode(
+                (sid, s.subscriber, s.rectangle)
+                for sid, s in enumerate(table)
+            )
+            ndim = canonical_json(table.ndim)
+            done = self._encoded = (
+                {"ndim": table.ndim, "subscriptions": rows},
+                canonical_object({"ndim": ndim, "subscriptions": text}),
+            )
+        return done
+
+
 def table_to_dict(table: SubscriptionTable) -> Dict:
-    """JSON-ready encoding of a subscription table."""
-    return {
-        "ndim": table.ndim,
-        "subscriptions": [
-            {
-                "subscriber": s.subscriber,
-                "lows": [encode_bound(x) for x in s.rectangle.lows],
-                "highs": [encode_bound(x) for x in s.rectangle.highs],
-            }
-            for s in table
-        ],
-    }
+    """JSON-ready encoding of a subscription table (a
+    :class:`TableEncoder` run from empty)."""
+    return TableEncoder().encode(table)[0]
 
 
 def table_from_dict(data: Dict) -> SubscriptionTable:

@@ -421,7 +421,7 @@ class StandbyReplica:
             return self._ack()
         self.wal.copy_in(base_lsn, data)
         if snapshot_payload is not None:
-            self.store.save(Snapshot.from_dict(snapshot_payload))
+            self._install_snapshot(snapshot_payload)
         self.applied_index = int(start_index)
         self.stream_epoch = int(epoch)
         self.catchups_applied += 1
@@ -431,6 +431,11 @@ class StandbyReplica:
                 help="catch-up transfers installed on standbys",
             ).inc()
         return self._ack()
+
+    def _install_snapshot(self, payload: Payload) -> None:
+        """Store a shipped snapshot, its digest recomputed from the
+        payload as received (raises on a mismatch or a missing one)."""
+        self.store.save(Snapshot.from_dict(payload))
 
     def invalidate_stream(self) -> None:
         """Drop off the incremental stream (local WAL was damaged and
@@ -449,7 +454,7 @@ class StandbyReplica:
                     f"local lsn {got}"
                 )
         elif tag == "snapshot":
-            self.store.save(Snapshot.from_dict(op[1]))
+            self._install_snapshot(op[1])
         elif tag == "truncate":
             self.wal.truncate_prefix(int(op[1]))
         else:

@@ -35,7 +35,7 @@ from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
 from ..core.subscription import Subscription, SubscriptionTable
 from ..durability.snapshot import Snapshot
 from ..durability.wal import MemoryWAL, RecordKind, WriteAheadLog
-from ..io import table_from_dict, table_to_dict
+from ..io import TableEncoder, table_from_dict
 from ..overload.health import BrokerHealth
 from ..telemetry.base import Telemetry, or_null
 from .router import ShardRouter
@@ -157,11 +157,13 @@ class Rebalancer:
         table = SubscriptionTable(self.router.broker.table.ndim)
         for subscription in ordered:
             table.add(subscription.subscriber, subscription.rectangle)
+        encoded, text = TableEncoder().encode(table)
         return Snapshot(
             snapshot_id=self._next_id,
             checkpoint_lsn=self.wal.end_lsn,
-            table=table_to_dict(table),
+            table=encoded,
             taken_at=now,
+            table_text=text,
         )
 
     def _install(

@@ -38,7 +38,12 @@ from ..core.matching import MatchingEngine, MatchResult
 from ..core.subscription import Subscription, SubscriptionTable
 from ..geometry.gridmath import overlapped_cell_range
 from ..geometry.rectangle import Rectangle
-from ..io import decode_rectangle, encode_bound
+from ..io import (
+    EntryCodec,
+    canonical_json,
+    canonical_object,
+    decode_rectangle,
+)
 from ..telemetry.base import Telemetry, or_null
 from .map import ShardMap
 
@@ -60,17 +65,20 @@ Entries = Dict[int, Tuple[int, Rectangle]]
 _TABLE_KIND = "shard-entries"
 
 
+def _entry_row(gid: int, subscriber: int, lows: List, highs: List) -> List:
+    return [gid, subscriber, lows, highs]
+
+
+def _encode(entries: Entries, codec: EntryCodec) -> Tuple[List[object], str]:
+    return codec.encode(
+        (gid, subscriber, rectangle)
+        for gid, (subscriber, rectangle) in sorted(entries.items())
+    )
+
+
 def encode_entries(entries: Entries) -> List[List[object]]:
     """JSON-ready ``[gid, subscriber, lows, highs]`` rows, sorted by gid."""
-    return [
-        [
-            int(gid),
-            int(subscriber),
-            [encode_bound(x) for x in rectangle.lows],
-            [encode_bound(x) for x in rectangle.highs],
-        ]
-        for gid, (subscriber, rectangle) in sorted(entries.items())
-    ]
+    return _encode(entries, EntryCodec(_entry_row))[0]
 
 
 def decode_entries(table: Optional[Dict]) -> Optional[Entries]:
@@ -113,6 +121,9 @@ class ShardBroker:
         self._ids: List[int] = []
         self._engine: Optional[MatchingEngine] = None
         self._dirty = True
+        #: Rows :meth:`durable_state` has encoded, by gid; a gid is
+        #: forgotten wherever its entry can leave or be replaced.
+        self._codec = EntryCodec(_entry_row)
         #: Optional taps for durability/replication layers: called after
         #: an entry is admitted / removed, with the mutation already
         #: visible in ``_entries``.  ``on_register(gid, subscriber,
@@ -151,6 +162,7 @@ class ShardBroker:
         removed = 0
         for gid in global_ids:
             if self._entries.pop(int(gid), None) is not None:
+                self._codec.forget(int(gid))
                 removed += 1
                 if self.on_withdraw is not None:
                     self.on_withdraw(int(gid))
@@ -162,11 +174,12 @@ class ShardBroker:
         """What a checkpoint must capture: the entry set, shaped like
         :meth:`repro.core.broker.PubSubBroker.durable_state` so one
         journal snapshots either (no tombstones, no own partition)."""
+        rows, text = _encode(self._entries, self._codec)
         return {
-            "table": {
-                "kind": _TABLE_KIND,
-                "entries": encode_entries(self._entries),
-            },
+            "table": {"kind": _TABLE_KIND, "entries": rows},
+            "table_text": canonical_object(
+                {"kind": canonical_json(_TABLE_KIND), "entries": text}
+            ),
             "removed": [],
             "partition": None,
         }
@@ -178,6 +191,7 @@ class ShardBroker:
         log, which already holds their records, so no tap fires.
         """
         self._entries = dict(entries)
+        self._codec = EntryCodec(_entry_row)
         self._dirty = True
         self.home = int(home)
 

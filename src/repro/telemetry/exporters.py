@@ -16,9 +16,9 @@ helpers behind ``repro trace``.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, IO, Iterable, Iterator, List, Optional, Sequence, Union
 
+from ..io import canonical_json
 from .metrics import Histogram, MetricsRegistry
 from .tracing import Span, TraceId
 
@@ -38,9 +38,7 @@ __all__ = [
 def spans_to_jsonl(spans: Iterable[Span]) -> Iterator[str]:
     """One compact JSON line per span (no trailing newline)."""
     for span in spans:
-        yield json.dumps(
-            span.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        yield canonical_json(span.to_dict())
 
 
 def write_spans_jsonl(

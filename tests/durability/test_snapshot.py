@@ -43,6 +43,26 @@ class TestCodec:
         assert snap().digest() == snap().digest()
         assert snap().digest() != snap(checkpoint_lsn=99).digest()
 
+    def test_missing_digest_is_rejected_not_trusted(self):
+        """Every producer writes the key; a payload without it cannot
+        be verified, so it is refused like a mismatch — even when
+        nothing else was touched."""
+        payload = snap().to_dict()
+        del payload["digest"]
+        with pytest.raises(ValueError, match="digest missing"):
+            Snapshot.from_dict(payload)
+        payload["digest"] = None
+        with pytest.raises(ValueError, match="digest mismatch"):
+            Snapshot.from_dict(payload)
+
+    def test_digest_is_computed_from_the_payload_never_copied(self):
+        payload = snap().to_dict()
+        payload["digest"] = "0" * 32
+        with pytest.raises(ValueError, match="digest mismatch"):
+            Snapshot.from_dict(payload)
+        payload["digest"] = snap().digest()
+        assert Snapshot.from_dict(payload).digest() == snap().digest()
+
     def test_unknown_format_version_rejected(self):
         payload = snap().to_dict()
         payload["format_version"] = 99
@@ -90,6 +110,21 @@ class TestFileStore:
         payload["checkpoint_lsn"] = 9999  # digest no longer matches
         newest.write_text(json.dumps(payload))
         assert store.latest().snapshot_id == 0
+
+    def test_newest_with_digest_deleted_is_skipped(self, tmp_path):
+        """Deleting the key while editing the body must not defeat the
+        check: ``latest`` falls back to the previous valid snapshot."""
+        store = FileSnapshotStore(tmp_path)
+        store.save(snap(snapshot_id=0))
+        store.save(snap(snapshot_id=1, checkpoint_lsn=40))
+        newest = store._path(1)
+        payload = json.loads(newest.read_text())
+        del payload["digest"]
+        payload["checkpoint_lsn"] = 9999
+        newest.write_text(json.dumps(payload))
+        latest = store.latest()
+        assert latest.snapshot_id == 0
+        assert latest.checkpoint_lsn == 17
 
     def test_all_corrupt_returns_none(self, tmp_path):
         store = FileSnapshotStore(tmp_path)

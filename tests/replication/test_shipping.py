@@ -3,7 +3,7 @@
 import pytest
 
 from repro.durability import MemoryWAL, RecordKind
-from repro.durability.snapshot import MemorySnapshotStore
+from repro.durability.snapshot import MemorySnapshotStore, Snapshot
 from repro.overload.breaker import BreakerBoard, BreakerConfig
 from repro.replication import (
     EpochState,
@@ -175,6 +175,31 @@ class TestCatchUp:
         )
         assert reply["applied"] == 6
         assert rig.replicas[9].applied_index == 6
+
+
+    def test_catchup_snapshot_without_a_digest_is_not_installed(self):
+        """A catch-up's snapshot is verified on arrival; one that
+        carries no digest cannot be, and must not reach the store."""
+        rig = _Rig()
+        rig.journal(6)
+        good = Snapshot(
+            snapshot_id=0, checkpoint_lsn=0, table={"ndim": 2, "subscriptions": []}
+        )
+        rig.snapshots.save(good)
+        rig.shipper.force_catchup(9, 0.0)
+        payload = rig.outbox.pop()[1]
+        assert payload["snapshot"]["digest"] == good.digest()
+        stripped = dict(payload["snapshot"], checkpoint_lsn=9999)
+        del stripped["digest"]
+        with pytest.raises(ValueError, match="digest missing"):
+            rig.replicas[9].receive_catchup(
+                payload["epoch"], payload["start_index"],
+                payload["base_lsn"], payload["wal"], stripped,
+            )
+        assert rig.replicas[9].store.latest() is None
+        # The same transfer as the primary sent it installs.
+        rig.replicas[9].receive(payload)
+        assert rig.replicas[9].store.latest() == good
 
 
 class TestEpochHandling:
