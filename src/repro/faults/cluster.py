@@ -30,7 +30,7 @@ unsharded broker that never failed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -270,6 +270,8 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         self.membership = Membership(
             nodes, membership or MembershipConfig(), now=0.0
         )
+        #: ``(dead_nodes, dead_links)`` -> the majority component.
+        self._majority: Dict[tuple, FrozenSet[int]] = {}
 
     # -- replication wire ----------------------------------------------------
 
@@ -321,26 +323,28 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
 
     # -- the cluster clock ---------------------------------------------------
 
-    def _majority_component(self, state) -> Set[int]:
+    def _majority_component(self, state) -> FrozenSet[int]:
         """Largest surviving network component, weighted by how many
-        cluster members it holds (ties: size, then lowest node)."""
-        graph = self.broker.topology.graph.copy()
-        graph.remove_nodes_from(
-            [n for n in list(graph.nodes) if state.node_dead(n)]
-        )
-        graph.remove_edges_from(
-            [(u, v) for u, v in list(graph.edges) if state.link_dead(u, v)]
-        )
-        components = list(nx.connected_components(graph))
-        if not components:
-            return set()
-        members = set(self.membership.nodes)
-        return set(
-            max(
-                components,
-                key=lambda c: (len(c & members), len(c), -min(c)),
+        cluster members it holds (ties: size, then lowest node).
+
+        A function of the fault state alone — the member list is fixed
+        — so it is worked out once per state, on the surviving graph
+        the transport's detours already use.
+        """
+        key = (state.dead_nodes, state.dead_links)
+        majority = self._majority.get(key)
+        if majority is None:
+            members = set(self.membership.nodes)
+            majority = self._majority[key] = frozenset(
+                max(
+                    nx.connected_components(
+                        self.transport.surviving.without(*key)
+                    ),
+                    key=lambda c: (len(c & members), len(c), -min(c)),
+                    default=(),
+                )
             )
-        )
+        return majority
 
     def _cluster_tick(self) -> None:
         now = self.simulator.now

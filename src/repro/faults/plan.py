@@ -25,8 +25,10 @@ zero-cost when disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Tuple
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -379,6 +381,28 @@ class FaultInjector:
     One injector instance is bound to one simulation run; call
     :meth:`reset` (or build a fresh injector) before replaying, so the
     probabilistic stream restarts from the plan's seed.
+
+    The simulator asks about every transmission, and in most plans
+    most nodes and links are never faulty, so the plan is indexed once
+    and the common answers are one probe each:
+
+    - ``_ever_down`` — the nodes some crash window or kill names.  Any
+      other node is up at every instant: :meth:`node_down`,
+      :meth:`arrival_blocked` and :meth:`filter_transmission` answer
+      for it after one membership test, without converting it.
+    - ``_outages`` / ``_faults`` — outage windows and stochastic
+      faults per canonical link.  When a table is empty (no outage
+      anywhere, no per-link fault anywhere) its probe, and the
+      canonical key it would need, are skipped.
+    - ``_edges`` — every instant at which the plan's fault picture can
+      change: each window's start and end, each kill.  Windows are
+      half-open ``[start, end)`` and a kill holds from ``at`` on, so
+      :meth:`state_at` is **constant between consecutive edges**; it
+      bisects the edges and computes an interval's dead sets the first
+      time the interval is asked about.
+
+    None of the tables touches the random stream: draws happen per
+    transmission, in transmission order.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -405,6 +429,21 @@ class FaultInjector:
             at = float(kill.at)
             if node not in self._kills or at < self._kills[node]:
                 self._kills[node] = at
+        self._ever_down: FrozenSet[int] = frozenset(self._crashes) | frozenset(
+            self._kills
+        )
+        self._edges: List[float] = sorted(
+            {
+                edge
+                for window in plan.outages + plan.crashes
+                for edge in (window.start, window.end)
+            }
+            | set(self._kills.values())
+        )
+        #: Per interval between edges: ``(dead_nodes, dead_links)``, lazily.
+        self._dead_between: List[Optional[tuple]] = [None] * (
+            len(self._edges) + 1
+        )
         self._rng = np.random.default_rng(plan.seed)
         self.stats = FaultStats()
 
@@ -417,6 +456,8 @@ class FaultInjector:
 
     def node_down(self, node: int, time: float) -> bool:
         """Whether a node is inside a crash window or permanently killed."""
+        if node not in self._ever_down:
+            return False
         node = int(node)
         kill = self._kills.get(node)
         if kill is not None and time >= kill:
@@ -440,7 +481,7 @@ class FaultInjector:
 
     def arrival_blocked(self, node: int, time: float) -> bool:
         """Receiver-side check: a down node swallows arriving copies."""
-        if self.node_down(node, time):
+        if node in self._ever_down and self.node_down(node, time):
             self.stats.receiver_down_drops += 1
             return True
         return False
@@ -452,6 +493,18 @@ class FaultInjector:
         simplification standing in for a real link-state detector,
         which would learn the same fact from repeated timeouts.
         """
+        interval = bisect_right(self._edges, time)
+        dead = self._dead_between[interval]
+        if dead is None:
+            # The interval's own left end stands for all of it.
+            start = self._edges[interval - 1] if interval else -math.inf
+            dead = self._dead_between[interval] = self._dead_at(start)
+        return FaultState(time=time, dead_nodes=dead[0], dead_links=dead[1])
+
+    def _dead_at(
+        self, time: float
+    ) -> Tuple[FrozenSet[int], FrozenSet[Tuple[int, int]]]:
+        """Every window and kill tested at ``time``."""
         dead_nodes = frozenset(
             node
             for node, windows in self._crashes.items()
@@ -464,9 +517,7 @@ class FaultInjector:
             for key, windows in self._outages.items()
             if any(w.active(time) for w in windows)
         ) | self._permanently_dead
-        return FaultState(
-            time=time, dead_nodes=dead_nodes, dead_links=dead_links
-        )
+        return dead_nodes, dead_links
 
     # -- the per-transmission decision -------------------------------------
 
@@ -475,13 +526,13 @@ class FaultInjector:
     ) -> TransmissionFate:
         """Decide the fate of one copy entering link ``(u, v)`` at ``time``."""
         self.stats.transmissions_seen += 1
-        if self.node_down(u, time):
+        if u in self._ever_down and self.node_down(u, time):
             self.stats.sender_down_drops += 1
             return _SENDER_DOWN
-        if self.link_down(u, v, time):
+        if self._outages and self.link_down(u, v, time):
             self.stats.outage_drops += 1
             return _LOST
-        fault = self._faults.get(_link_key(u, v))
+        fault = self._faults.get(_link_key(u, v)) if self._faults else None
         if fault is not None:
             loss, duplicate, delay = fault.loss, fault.duplicate, fault.delay
         else:

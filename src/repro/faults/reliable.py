@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 import numpy as np
 
+from ..network.routing import SurvivingGraphs
 from ..overload.breaker import BreakerBoard
 from ..simulation.packet_network import PacketNetwork
 from ..telemetry.base import Telemetry, or_null
@@ -245,6 +246,9 @@ class ReliableTransport:
         self.seed = int(seed)
         self.detector = detector
         self.graph = graph if graph is not None else network.topology.graph
+        #: ``graph`` minus each fault state's dead parts, one per state;
+        #: the harness driving this transport asks it too.
+        self.surviving = SurvivingGraphs(self.graph)
         self.on_deliver = on_deliver or (lambda target, key, time: None)
         self.on_give_up = on_give_up or (lambda target, key, reason: None)
         self.on_ack = on_ack or (lambda target, key, time: None)
@@ -507,20 +511,9 @@ class ReliableTransport:
         cache_key = (state.dead_nodes, state.dead_links, source, target)
         if cache_key in self._path_cache:
             return self._path_cache[cache_key]
-        hidden_edges = [
-            pair for (u, v) in state.dead_links for pair in ((u, v), (v, u))
-        ]
-        path: Optional[List[int]]
-        try:
-            alive = nx.restricted_view(
-                self.graph, list(state.dead_nodes), hidden_edges
-            )
-            path = [
-                int(n)
-                for n in nx.dijkstra_path(alive, source, target, weight="cost")
-            ]
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            path = None
+        path = self.surviving.path(
+            source, target, state.dead_nodes, state.dead_links
+        )
         if path is not None and path == self.network.routing.path(
             source, target
         ):

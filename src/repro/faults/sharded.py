@@ -425,11 +425,13 @@ class ShardedChaosSimulation(ChaosSimulation):
         ]
         if not live:
             return []
-        graph = self.broker.topology.graph.copy()
-        graph.remove_nodes_from(
-            self.homes[s] for s in self._dead if self.homes[s] in graph
+        components = list(
+            nx.connected_components(
+                self.transport.surviving.without(
+                    {self.homes[s] for s in self._dead}, ()
+                )
+            )
         )
-        components = list(nx.connected_components(graph))
         if not components:
             return []
         majority = max(
@@ -562,8 +564,7 @@ class ShardedChaosSimulation(ChaosSimulation):
         """
         reachable: Set[int] = set()
         if missing:
-            graph = self.broker.topology.graph.copy()
-            graph.remove_nodes_from(self._lost_nodes())
+            graph = self.transport.surviving.without(self._lost_nodes(), ())
             for shard, home in self.homes.items():
                 if shard not in self._dead and home in graph:
                     reachable |= nx.node_connected_component(graph, home)

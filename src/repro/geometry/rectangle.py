@@ -184,7 +184,9 @@ class Rectangle:
         result = 1.0
         for lo, hi in zip(self.lows, self.highs):
             result *= hi - lo
-        return result
+        # Every side is positive here, so NaN can only be ``0.0 * inf``:
+        # finite sides underflowed the product before an unbounded one.
+        return math.inf if result != result else result
 
     def clipped_volume(self, frame: Rectangle) -> float:
         """Volume of the intersection with a (typically bounded) frame."""

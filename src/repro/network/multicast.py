@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..telemetry.base import Telemetry, or_null
-from .routing import RoutingTable, path_cost, surviving_path
+from .routing import RoutingTable, SurvivingGraphs, path_cost
 from .topology import Topology
 
 __all__ = ["DeliveryCostModel", "CostTally", "DegradedDelivery"]
@@ -289,15 +289,16 @@ class DeliveryCostModel:
                 unreachable=(),
             )
         graph = self.topology.graph
+        # One surviving graph for this snapshot, every recipient's
+        # detour found on it.
+        surviving = SurvivingGraphs(graph)
         cost = 0.0
         reached: List[int] = []
         repaired: List[int] = []
         unreachable: List[int] = []
         for recipient in recipients:
             recipient = int(recipient)
-            path = surviving_path(
-                graph, source, recipient, down_links, down_nodes
-            )
+            path = surviving.path(source, recipient, down_nodes, down_links)
             if path is None:
                 unreachable.append(recipient)
                 continue
@@ -379,10 +380,9 @@ class DeliveryCostModel:
         stranded = sorted(wanted - alive_reach - {int(source)})
         repaired: List[int] = []
         unreachable: List[int] = []
+        surviving = SurvivingGraphs(graph)
         for subscriber in stranded:
-            path = surviving_path(
-                graph, source, subscriber, down_links, down_nodes
-            )
+            path = surviving.path(source, subscriber, down_nodes, down_links)
             if path is None:
                 unreachable.append(subscriber)
             else:

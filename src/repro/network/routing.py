@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .topology import Topology
 
-__all__ = ["RoutingTable", "surviving_path", "path_cost"]
+__all__ = ["RoutingTable", "SurvivingGraphs", "surviving_path", "path_cost"]
 
 
 class RoutingTable:
@@ -78,10 +78,11 @@ class RoutingTable:
             return [source]
         if not np.isfinite(self._dist[source, target]):
             raise ValueError(f"no path from {source} to {target}")
+        parents = self._rows(source)[0]
         path = [target]
         node = target
         while node != source:
-            node = int(self._pred[source, node])
+            node = parents[node]
             path.append(node)
         path.reverse()
         return path
@@ -107,16 +108,13 @@ class RoutingTable:
             return 0.0
         return float(self._dist[source, np.asarray(targets, dtype=np.int64)].sum())
 
-    def _tree_walk(
-        self, source: int, targets: Iterable[int]
-    ) -> Tuple[List[int], List[int], List[float]]:
-        """The nodes the dense-mode tree adds, in the order it pays them.
+    def _rows(self, source: int) -> Tuple[List[int], List[float]]:
+        """``source``'s shortest-path tree as two plain lists: the parent
+        of every node and the cost of the edge to that parent.
 
-        Each target contributes the stretch from its first
-        already-covered ancestor out to itself.  Returned with the
-        per-source rows (parent of every node, cost of the edge to that
-        parent), built from the predecessor matrix on a source's first
-        use so the walk itself touches only plain lists.
+        Built from the predecessor matrix on a source's first use, so
+        the walks over it (:meth:`path`, :meth:`_tree_walk`) touch no
+        numpy scalar.
         """
         rows = self._tree_rows.get(source)
         if rows is None:
@@ -127,7 +125,18 @@ class RoutingTable:
                 for node, parent in enumerate(parents)
             ]
             rows = self._tree_rows[source] = (parents, costs)
-        parents, costs = rows
+        return rows
+
+    def _tree_walk(
+        self, source: int, targets: Iterable[int]
+    ) -> Tuple[List[int], List[int], List[float]]:
+        """The nodes the dense-mode tree adds, in the order it pays them.
+
+        Each target contributes the stretch from its first
+        already-covered ancestor out to itself.  Returned with the
+        per-source rows (:meth:`_rows`).
+        """
+        parents, costs = self._rows(source)
         covered = {source}
         order: List[int] = []
         for target in targets:
@@ -183,6 +192,72 @@ class RoutingTable:
         return float(self._dist[np.isfinite(self._dist)].max())
 
 
+class SurvivingGraphs:
+    """``graph`` without its dead parts, materialised once per fault state.
+
+    The fault picture changes at a handful of instants in a run while
+    detours and reachability questions are asked all through it, so the
+    surviving graph is built once per ``(dead_nodes, dead_links)`` — as
+    a plain :class:`networkx.Graph`, which algorithms walk without a
+    filter call per node and edge — and kept for the life of this
+    object.  Whoever owns one shares it with everyone asking about the
+    same graph (the reliable transport owns the chaos harnesses').
+
+    ``dead_links`` holds undirected node pairs, in either orientation.
+    """
+
+    def __init__(self, graph: nx.Graph):
+        self.graph = graph
+        self._alive: Dict[tuple, nx.Graph] = {}
+
+    def without(
+        self,
+        dead_nodes: AbstractSet[int],
+        dead_links: AbstractSet[Tuple[int, int]],
+    ) -> nx.Graph:
+        """The surviving graph (shared: callers must not modify it)."""
+        key = (frozenset(dead_nodes), frozenset(dead_links))
+        alive = self._alive.get(key)
+        if alive is None:
+            hidden_edges = [
+                pair for (u, v) in dead_links for pair in ((u, v), (v, u))
+            ]
+            view = nx.restricted_view(
+                self.graph, list(dead_nodes), hidden_edges
+            )
+            alive = nx.Graph()
+            alive.add_nodes_from(view)
+            # Filled row by row, not by ``add_edge``: that would order a
+            # node's neighbours by when its edges were re-added, and
+            # Dijkstra breaks equal-cost ties in adjacency order.  Edge
+            # data is shared with ``graph``, not copied.
+            for node, neighbours in view.adj.items():
+                alive._adj[node].update(neighbours.items())
+            self._alive[key] = alive
+        return alive
+
+    def path(
+        self,
+        source: int,
+        target: int,
+        dead_nodes: AbstractSet[int],
+        dead_links: AbstractSet[Tuple[int, int]],
+    ) -> List[int] | None:
+        """Shortest surviving path, or ``None`` if ``target`` is cut off
+        (partitioned away, or an endpoint is itself dead)."""
+        source, target = int(source), int(target)
+        if source in dead_nodes or target in dead_nodes:
+            return None
+        if source == target:
+            return [source]
+        alive = self.without(dead_nodes, dead_links)
+        try:
+            path = nx.dijkstra_path(alive, source, target, weight="cost")
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            return None
+        return [int(n) for n in path]
+
+
 def surviving_path(
     graph: nx.Graph,
     source: int,
@@ -192,27 +267,10 @@ def surviving_path(
 ) -> List[int] | None:
     """Shortest path avoiding dead links/nodes, or ``None`` if cut off.
 
-    ``dead_links`` holds undirected node pairs (any orientation).  Used
-    by the graceful-degradation paths to reroute deliveries around
-    failed components; a ``None`` return means the target is currently
-    partitioned away (or itself dead).
+    One question about one fault state; callers with several go through
+    a :class:`SurvivingGraphs` they keep.
     """
-    source, target = int(source), int(target)
-    if source in dead_nodes or target in dead_nodes:
-        return None
-    if source == target:
-        return [source]
-    hidden_edges = [
-        pair for (u, v) in dead_links for pair in ((u, v), (v, u))
-    ]
-    try:
-        alive = nx.restricted_view(graph, list(dead_nodes), hidden_edges)
-        return [
-            int(n)
-            for n in nx.dijkstra_path(alive, source, target, weight="cost")
-        ]
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        return None
+    return SurvivingGraphs(graph).path(source, target, dead_nodes, dead_links)
 
 
 def path_cost(graph: nx.Graph, path: Sequence[int]) -> float:

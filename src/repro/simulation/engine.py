@@ -11,6 +11,17 @@ The engine is a classic event-list design: a priority queue of
 ``(time, sequence, callback)`` entries, with the monotone sequence
 number making same-time ordering deterministic (FIFO in scheduling
 order), so every simulation run is exactly reproducible.
+
+A scheduled callable takes **no arguments**, and ``schedule`` /
+``schedule_at`` take exactly ``(when, callback)``.  Whatever an event
+needs travels inside the callable — the packet network schedules small
+``__slots__`` objects defined under :mod:`repro.simulation`, one per
+arriving copy.  ``bench/tracing.py`` relies on both halves:
+it wraps the two scheduling methods with that two-positional signature,
+and it books each callback's time to the package named by the
+callable's ``__module__`` — so an argument tuple pushed beside the
+callback cannot run traced, and a ``functools.partial`` would be
+booked to no layer of this repository.
 """
 
 from __future__ import annotations
@@ -79,15 +90,17 @@ class DiscreteEventSimulator:
         """Process events in time order; returns the final clock.
 
         With ``until`` set, stops before the first event beyond it and
-        advances the clock to ``until`` exactly.
+        advances the clock to ``until`` exactly.  Only then is the head
+        of the queue looked at before it is popped; a run to exhaustion
+        pops once per event.
         """
-        while self._queue:
-            time, _, callback = self._queue[0]
-            if until is not None and time > until:
+        queue = self._queue
+        pop = heapq.heappop
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
-                return self._now
-            heapq.heappop(self._queue)
-            self._now = time
+                return until
+            self._now, _, callback = pop(queue)
             self._processed += 1
             callback()
         if until is not None and until > self._now:

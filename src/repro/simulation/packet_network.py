@@ -12,6 +12,27 @@ down a tree: each relay node forwards one copy per child link.  With
 these two rules the classic effect emerges naturally: a unicast storm
 from one publisher serializes on the publisher's access links, while a
 multicast tree crosses each link once.
+
+**What a hop costs.**  A message in flight along a path is a
+:class:`_Transit` — ``(network, path, position, on_delivered)`` — and an
+arrival waiting in the event list is an :class:`_Arrival` —
+``(on_arrival, time)``.  One link transmission allocates one of each
+per copy and nothing else: no closure, no per-hop tuple besides the
+link key.  What is static for the network's life is looked up, not
+recomputed: a link's propagation delay is kept per directed link beside
+its busy-until time (the first use of a link goes through
+``RoutingTable.edge_cost``, which is what rejects a non-edge).
+
+**A position is never shared between copies.**  Each forward hands the
+link a *new* transit for ``position + 1``.  An injected duplicate puts
+two copies on one link and both call that same transit when they
+arrive; each call forwards a fresh transit again, so both copies
+continue from the hop they reached.  One mutable position advanced on
+arrival would let the second copy skip a hop
+(``tests/simulation/test_duplicates.py``).
+
+**Scheduled callables are zero-argument and defined in this module** —
+see :mod:`repro.simulation.engine` for who relies on that.
 """
 
 from __future__ import annotations
@@ -28,6 +49,58 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> simulation
     from ..faults.plan import FaultInjector
 
 __all__ = ["PacketNetwork", "TransferLog"]
+
+
+class _Arrival:
+    """One copy's arrival, as the event list holds it."""
+
+    __slots__ = ("on_arrival", "time")
+
+    def __init__(
+        self, on_arrival: Callable[[float], None], time: float
+    ) -> None:
+        self.on_arrival = on_arrival
+        self.time = time
+
+    def __call__(self) -> None:
+        self.on_arrival(self.time)
+
+
+class _Transit:
+    """A message that has reached ``path[position]``.
+
+    Called with the time it got there; immutable, so the two copies of
+    a duplicated transmission can both be handed the same one.
+    """
+
+    __slots__ = ("network", "path", "position", "on_delivered")
+
+    def __init__(
+        self,
+        network: PacketNetwork,
+        path: List[int],
+        position: int,
+        on_delivered: Callable[[int, float], None],
+    ) -> None:
+        self.network = network
+        self.path = path
+        self.position = position
+        self.on_delivered = on_delivered
+
+    def __call__(self, ready_time: float) -> None:
+        path = self.path
+        position = self.position
+        following = position + 1
+        if following == len(path):
+            self.on_delivered(path[position], ready_time)
+            return
+        network = self.network
+        network._forward(
+            path[position],
+            path[following],
+            ready_time,
+            _Transit(network, path, following, self.on_delivered),
+        )
 
 
 @dataclass
@@ -73,6 +146,8 @@ class PacketNetwork:
         self.hop_retries = hop_retries
         self.telemetry = or_null(telemetry)
         self._busy_until: Dict[Tuple[int, int], float] = {}
+        #: Propagation delay per directed link, filled on first use.
+        self._propagation: Dict[Tuple[int, int], float] = {}
         self.log = TransferLog()
 
     #: Modelled payload size of one link-level copy.  The simulator has
@@ -130,56 +205,48 @@ class PacketNetwork:
         outlive the budget and are left to the end-to-end protocol.
         """
         key = (u, v)
-        if self.injector is None:
-            # Fault-free fast path: bit-for-bit the original behaviour.
-            depart = max(ready_time, self._busy_until.get(key, 0.0))
-            wait = depart - ready_time
-            if wait > 0:
-                self.log.record_wait(wait)
-            self._busy_until[key] = depart + self.transmission_time
-            propagation = (
-                self.routing.edge_cost(u, v) * self.propagation_scale
-            )
-            arrival = depart + self.transmission_time + propagation
-            self.log.transmissions += 1
-            if self.telemetry.enabled:
-                self._meter_copies(u, v, 1, wait)
-            self.simulator.schedule_at(arrival, lambda: on_arrival(arrival))
-            return
-
-        depart = max(ready_time, self._busy_until.get(key, 0.0))
-        fate = self.injector.filter_transmission(u, v, depart)
-        if not fate.sent:
-            return
+        transmission_time = self.transmission_time
+        busy = self._busy_until.get(key, 0.0)
+        depart = busy if busy > ready_time else ready_time
+        injector = self.injector
+        if injector is None:
+            arriving, extra_delay = 1, 0.0
+        else:
+            fate = injector.filter_transmission(u, v, depart)
+            if not fate.sent:
+                return
+            arriving, extra_delay = fate.copies, fate.extra_delay
         wait = depart - ready_time
         if wait > 0:
             self.log.record_wait(wait)
-        copies = max(1, fate.copies)
-        self._busy_until[key] = depart + self.transmission_time * copies
+        copies = arriving if arriving > 1 else 1
+        self._busy_until[key] = depart + transmission_time * copies
         self.log.transmissions += copies
         if self.telemetry.enabled:
             self._meter_copies(u, v, copies, wait)
-        propagation = self.routing.edge_cost(u, v) * self.propagation_scale
+        propagation = self._propagation.get(key)
+        if propagation is None:
+            # First use of the link; ``edge_cost`` rejects a non-edge.
+            propagation = self._propagation[key] = (
+                self.routing.edge_cost(u, v) * self.propagation_scale
+            )
         delivered_any = False
-        if not fate.lost:
-            for copy in range(fate.copies):
-                arrival = (
-                    depart
-                    + self.transmission_time * (copy + 1)
-                    + propagation
-                    + fate.extra_delay
-                )
-                if self.injector.arrival_blocked(v, arrival):
-                    continue
-                delivered_any = True
-                self.simulator.schedule_at(
-                    arrival, lambda a=arrival: on_arrival(a)
-                )
+        for copy in range(arriving):
+            arrival = (
+                depart
+                + transmission_time * (copy + 1)
+                + propagation
+                + extra_delay
+            )
+            if injector is not None and injector.arrival_blocked(v, arrival):
+                continue
+            delivered_any = True
+            self.simulator.schedule_at(arrival, _Arrival(on_arrival, arrival))
         if delivered_any or attempt >= self.hop_retries:
             return
         # Link-layer ARQ: one link round trip with no acknowledgment,
         # so the sender retransmits this copy.
-        retry_ready = depart + self.transmission_time + 2.0 * propagation
+        retry_ready = depart + transmission_time + 2.0 * propagation
         self.log.retransmissions += 1
         if self.telemetry.enabled:
             self.telemetry.counter(
@@ -231,18 +298,7 @@ class PacketNetwork:
             self.simulator.schedule(0.0, lambda: on_delivered(target, now))
             return
 
-        def hop(position: int, ready_time: float) -> None:
-            if position == len(path) - 1:
-                on_delivered(target, ready_time)
-                return
-            self._forward(
-                path[position],
-                path[position + 1],
-                ready_time,
-                lambda arrival: hop(position + 1, arrival),
-            )
-
-        hop(0, self.simulator.now)
+        _Transit(self, path, 0, on_delivered)(self.simulator.now)
 
     def send_multicast(
         self,

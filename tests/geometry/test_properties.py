@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Interval, Rectangle
@@ -28,6 +28,14 @@ def intervals(draw):
 def rectangles(draw, ndim=3):
     sides = [draw(intervals()) for _ in range(ndim)]
     return Rectangle.from_intervals(sides)
+
+
+#: Two sides whose product underflows to 0.0 before the unbounded side
+#: is multiplied in: ``0.0 * inf`` made ``volume`` NaN.
+UNDERFLOWING_UNBOUNDED = Rectangle(
+    lows=(0.0, 0.0, 0.0),
+    highs=(1.380352967461389e-226, 1.380352967461389e-226, math.inf),
+)
 
 
 class TestIntervalProperties:
@@ -91,6 +99,7 @@ class TestRectangleProperties:
             assert a.hull(b).contains_point(point)
 
     @given(rectangles())
+    @example(UNDERFLOWING_UNBOUNDED)
     def test_volume_nonnegative(self, r):
         assert r.volume >= 0.0
 
@@ -101,6 +110,7 @@ class TestRectangleProperties:
             assert inter.volume <= min(a.volume, b.volume) + 1e-6
 
     @given(rectangles())
+    @example(UNDERFLOWING_UNBOUNDED)
     def test_hull_with_self_has_same_volume(self, r):
         if not r.is_empty:
             assert r.hull(r).volume == r.volume

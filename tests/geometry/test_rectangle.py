@@ -156,6 +156,15 @@ class TestMeasures:
     def test_volume_unbounded_is_inf(self):
         assert rect((0, math.inf), (0, 1)).volume == math.inf
 
+    def test_volume_unbounded_is_inf_when_finite_sides_underflow(self):
+        tiny = 1.380352967461389e-226
+        r = rect((0, tiny), (0, tiny), (0, math.inf))
+        assert tiny * tiny == 0.0
+        assert r.volume == math.inf
+        # Clipped to a bounded frame the same sides give a finite volume.
+        frame = rect((0, 1), (0, 1), (0, 1))
+        assert r.clipped_volume(frame) == 0.0
+
     def test_clipped_volume(self):
         unbounded = rect((0, math.inf), (0, 1))
         frame = rect((0, 10), (0, 10))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import RoutingTable, TransitStubGenerator, TransitStubParams
+from repro.network.routing import SurvivingGraphs
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +233,71 @@ class TestRelabelling:
         table = RoutingTable(graph)
         # Relabelled to 0..2 in sorted order.
         assert table.distance(0, 2) == 3.0
+
+
+class TestPathWalksTheParentRow:
+    def test_every_pair_equals_the_predecessor_matrix_walk(self):
+        params = TransitStubParams(
+            transit_blocks=2,
+            transit_nodes_per_block=2,
+            stubs_per_transit_node=1,
+            nodes_per_stub=5,
+            size_spread=1,
+        )
+        table = RoutingTable.from_topology(
+            TransitStubGenerator(params, seed=3).generate()
+        )
+        for source in range(table.num_nodes):
+            for target in range(table.num_nodes):
+                expected = [target]
+                while expected[-1] != source:
+                    expected.append(int(table._pred[source, expected[-1]]))
+                expected.reverse()
+                path = table.path(source, target)
+                assert path == expected
+                assert all(type(node) is int for node in path)
+
+
+class TestSurvivingGraphs:
+    @pytest.fixture()
+    def surviving(self, line_graph):
+        return SurvivingGraphs(line_graph)
+
+    def test_one_graph_per_state_whatever_the_set_type(self, surviving):
+        whole = surviving.without(frozenset(), frozenset())
+        cut = surviving.without(frozenset(), frozenset({(2, 1)}))
+        assert surviving.without((), ()) is whole
+        assert surviving.without(set(), {(2, 1)}) is cut
+        assert sorted(whole.edges) == [(0, 1), (1, 2), (2, 3)]
+        assert sorted(cut.edges) == [(0, 1), (2, 3)]
+        assert sorted(surviving.without({3}, ()).nodes) == [0, 1, 2]
+
+    def test_paths(self, surviving):
+        assert surviving.path(0, 3, (), ()) == [0, 1, 2, 3]
+        assert surviving.path(0, 3, (), {(1, 2)}) is None
+        assert surviving.path(0, 3, {2}, ()) is None
+        assert surviving.path(0, 1, {0}, ()) is None
+        assert surviving.path(2, 2, {0}, {(1, 2)}) == [2]
+
+    def test_the_topology_is_never_modified(self, surviving, line_graph):
+        alive = surviving.without({1}, {(2, 3)})
+        assert alive.number_of_edges() == 0
+        assert line_graph.number_of_edges() == 3
+        assert line_graph.number_of_nodes() == 4
+        # Edge data is shared with the topology, not copied.
+        whole = surviving.without((), ())
+        assert whole.edges[0, 1] is line_graph.edges[0, 1]
+
+    def test_adjacency_order_is_the_topology_s(self):
+        """Dijkstra breaks equal-cost ties in adjacency order, so a
+        surviving graph rebuilt edge by edge would route differently."""
+        graph = nx.Graph()
+        # Node 3's neighbours go in as 2 then 1; a rebuild that walks
+        # nodes in order would meet the edge (1, 3) first.
+        for u, v in [(0, 1), (0, 2), (2, 3), (1, 3), (3, 4), (0, 4)]:
+            graph.add_edge(u, v, cost=1.0)
+        alive = SurvivingGraphs(graph).without((), {(0, 4)})
+        for node in graph:
+            kept = [n for n in graph.adj[node] if (node, n) not in {(0, 4), (4, 0)}]
+            assert list(alive.adj[node]) == kept
+        assert list(alive.adj[3]) == [2, 1, 4]
