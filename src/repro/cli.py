@@ -80,6 +80,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from typing import Any, Callable, List, NamedTuple, NoReturn, Optional, Tuple
 
 from .analysis.report import format_table
@@ -961,9 +962,13 @@ def _assemble_crash_recovery(
             )
         return lines, report.exactly_once
 
+    def run():
+        with wal or nullcontext():
+            return simulation.run(points, publishers)
+
     return Scenario(
         simulation,
-        lambda: simulation.run(points, publishers),
+        run,
         f"crash-recovery run: {broker.topology.num_nodes} nodes, "
         f"{len(points)} events, home broker {home}, "
         f"{len(simulation.windows)} crash windows{corrupt}",
@@ -1690,7 +1695,8 @@ def _cmd_wal(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    result = wal.scan()
+    with wal:
+        result = wal.scan()
     by_kind = TallyCounter(record.kind for record in result.records)
     rows = [
         ("base lsn", wal.base_lsn),

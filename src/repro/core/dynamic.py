@@ -76,10 +76,9 @@ class DynamicMatchingEngine:
         self._removed: Set[int] = set(removed) if removed else set()
         self._removals_since_rebuild = 0
         self._overflow_ids: List[int] = []
-        self._overflow_rows: List[np.ndarray] = []  # each (lows, highs)
-        #: The rows stacked for the scan, ``(2, n, ndim)``; ``add`` and
-        #: ``_build_base`` drop it (the rows change, their count may not).
-        self._overflow_table: Optional[np.ndarray] = None
+        #: Their rectangles, ``(2, ndim, capacity)``: lows and highs, one
+        #: column per id, filled in place by ``add`` (doubled when full).
+        self._overflow_table = np.empty((2, table.ndim, 16))
         self.rebuilds = 0
         self._build_base()
 
@@ -98,9 +97,7 @@ class DynamicMatchingEngine:
             )
         else:
             self._base = None
-        self._overflow_ids.clear()
-        self._overflow_rows.clear()
-        self._overflow_table = None
+        self._overflow_ids.clear()  # the columns are overwritten
         self._removals_since_rebuild = 0
 
     # -- updates -------------------------------------------------------------
@@ -108,9 +105,13 @@ class DynamicMatchingEngine:
     def add(self, subscriber: int, rectangle: Rectangle) -> Subscription:
         """Register a new subscription; visible to queries immediately."""
         subscription = self.table.add(subscriber, rectangle)
+        used = len(self._overflow_ids)
+        if used == self._overflow_table.shape[2]:
+            grown = np.empty((2, self.table.ndim, 2 * used))
+            grown[:, :, :used] = self._overflow_table
+            self._overflow_table = grown
+        self._overflow_table[:, :, used] = rectangle.to_arrays()
         self._overflow_ids.append(subscription.subscription_id)
-        self._overflow_rows.append(np.array(rectangle.to_arrays()))
-        self._overflow_table = None
         self._maybe_rebuild()
         return subscription
 
@@ -145,15 +146,12 @@ class DynamicMatchingEngine:
         matched: List[int] = []
         if self._base is not None:
             matched.extend(self._base.match(point))
-        if self._overflow_ids:
-            if self._overflow_table is None:
-                self._overflow_table = np.stack(self._overflow_rows, axis=1)
-            lows, highs = self._overflow_table
-            p = np.asarray(point, dtype=np.float64)
-            mask = np.all((lows < p) & (p <= highs), axis=1)
-            matched.extend(
-                self._overflow_ids[i] for i in np.flatnonzero(mask)
-            )
+        ids = self._overflow_ids
+        if ids:
+            lows, highs = self._overflow_table[:, :, : len(ids)]
+            p = np.asarray(point, dtype=np.float64)[:, None]
+            mask = np.all((lows < p) & (p <= highs), axis=0)
+            matched.extend(ids[i] for i in np.flatnonzero(mask).tolist())
         live = sorted(
             sid for sid in matched if sid not in self._removed
         )

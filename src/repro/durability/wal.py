@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Generator, List, Optional, Tuple, Union
 
-from ..io import atomic_write_bytes, canonical_json
+from ..io import atomic_write_bytes, canonical_json, open_append
 
 __all__ = [
     "RecordKind",
@@ -65,6 +65,7 @@ _MAGIC = b"REPROWAL"
 _VERSION = 1
 _HEADER = struct.Struct("<8sBQ")          # magic, version, base_lsn
 _RECORD_HEADER = struct.Struct("<II")     # payload length, crc32(payload)
+_RECORD_START = struct.Struct("<IIB")     # ... and the payload's kind byte
 
 #: Upper bound on one payload; anything larger in a length prefix is
 #: treated as corruption, not as a 4 GiB allocation request.
@@ -116,17 +117,20 @@ class ScanResult:
         return self.corruption is None
 
 
-def _encode_body(body: dict) -> bytes:
-    """Canonical JSON: sorted keys, no whitespace — digest-stable."""
-    return canonical_json(body).encode("utf-8")
+#: crc32 of each kind byte alone: a payload's CRC continues from it.
+_KIND_CRC = {int(kind): zlib.crc32(bytes([kind])) for kind in RecordKind}
 
 
 def encode_record(kind: RecordKind, body: dict) -> bytes:
-    """One length-prefixed, CRC-protected record as raw bytes."""
-    payload = bytes([int(kind)]) + _encode_body(body)
-    return (
-        _RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-    )
+    """One length-prefixed, CRC-protected record as raw bytes (the body
+    as canonical JSON); a payload no walk would accept is refused."""
+    text = canonical_json(body).encode("utf-8")
+    if len(text) >= MAX_PAYLOAD:
+        raise ValueError(
+            f"a {len(text) + 1}-byte payload exceeds MAX_PAYLOAD {MAX_PAYLOAD}"
+        )
+    crc = zlib.crc32(text, _KIND_CRC[kind])
+    return _RECORD_START.pack(len(text) + 1, crc, kind) + text
 
 
 class WriteAheadLog:
@@ -460,9 +464,21 @@ class FileWAL(WriteAheadLog):
     Appends go straight to the file (no fsync — see the module note);
     prefix truncation and repair rewrite through a temp file in the
     same directory and :func:`os.replace`, so a crash mid-rewrite
-    leaves either the old or the new log, never a hybrid.  ``end_lsn``
-    asks the file every time, so a second handle's appends are seen.
+    leaves either the old or the new log, never a hybrid.
+
+    **The file stays the authority.**  The one ``O_APPEND`` descriptor
+    the handle keeps is a cache of the open, not state: every operation
+    starts with one ``os.stat`` of the *path* (behind ``end_lsn``) that
+    says how long the log is *and* which file the path leads to, and
+    the descriptor is reopened first unless it holds that file.  So a
+    second handle's appends and rewrites (``os.replace``: a new file)
+    and outside damage are seen as if the path were opened every time.
+    :meth:`close`, ``with`` and garbage collection release the
+    descriptor; the next operation reopens it.
     """
+
+    #: The descriptor and the ``(st_dev, st_ino)`` of the file it holds.
+    _fd = _held = None
 
     def __init__(
         self,
@@ -472,8 +488,9 @@ class FileWAL(WriteAheadLog):
         super().__init__(clock=clock)
         self.path = Path(path)
         if self.path.exists():
-            raw = self.path.read_bytes()
-            self._read_header(raw)
+            with self:  # refused or not, an unused handle holds no file
+                raw = os.pread(self._descriptor(), _HEADER.size, 0)
+                self._read_header(raw)
         else:
             # Atomic creation + directory fsync: without the fsync, a
             # host crash after creation leaves no WAL at all and
@@ -496,23 +513,47 @@ class FileWAL(WriteAheadLog):
         self._base = int(base)
         self._forget()
 
+    def close(self) -> None:
+        """Release the descriptor (idempotent; the next operation reopens)."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
+    __del__ = close
+
+    def __enter__(self) -> FileWAL:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _descriptor(self) -> int:
+        if self._fd is None:
+            self._fd = open_append(self.path)
+            status = os.fstat(self._fd)
+            self._held = (status.st_dev, status.st_ino)
+        return self._fd
+
     def _size(self) -> int:
-        return max(0, os.stat(self.path).st_size - _HEADER.size)
+        status = os.stat(self.path)
+        if (status.st_dev, status.st_ino) != self._held:
+            self.close()  # the path leads to another file now
+        return max(0, status.st_size - _HEADER.size)
 
     def _read(self, offset: int, size: int) -> bytes:
-        with self.path.open("rb") as handle:
-            handle.seek(_HEADER.size + offset)
-            return handle.read(size)
+        return os.pread(self._descriptor(), size, _HEADER.size + offset)
 
     def _append_bytes(self, data: bytes) -> None:
         # Append-only framing IS the durability primitive here: a torn
         # append is detected by the CRC scan and truncated by repair,
         # so the atomic-rewrite helper would be wrong (it would copy
-        # the whole log per record).  The one sanctioned raw write.
-        with self.path.open("ab") as handle:  # repro: noqa IO01
-            handle.write(data)
+        # the whole log per record).  The one sanctioned raw write
+        # (retried while short: a full disk then raises its error).
+        fd, rest = self._descriptor(), memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]  # repro: noqa IO01
 
     def _replace(self, base_lsn: int, data: bytes) -> None:
         atomic_write_bytes(
             self.path, _HEADER.pack(_MAGIC, _VERSION, base_lsn) + data
         )
+        self.close()  # the path leads to the new file now

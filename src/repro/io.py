@@ -35,6 +35,7 @@ __all__ = [
     "fsync_dir",
     "atomic_write_text",
     "atomic_write_bytes",
+    "open_append",
     "canonical_json",
     "canonical_object",
     "encode_bound",
@@ -124,6 +125,16 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
         raise
 
 
+def open_append(path: Union[str, Path]) -> int:
+    """A descriptor that reads an existing file anywhere and writes
+    only at its end (``O_APPEND``: the kernel places every write) — or,
+    where writing is not permitted, only reads, for inspection."""
+    try:
+        return os.open(path, os.O_RDWR | os.O_APPEND)
+    except PermissionError:
+        return os.open(path, os.O_RDONLY)
+
+
 _FORMAT_VERSION = 1
 
 
@@ -198,10 +209,13 @@ def topology_from_dict(data: Dict) -> Topology:
     return topology
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: object) -> str:
     """The one canonical JSON text of ``value``: keys sorted, no
     whitespace.  Digests and stored bytes are defined over it."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 def canonical_object(members: Mapping[str, str]) -> str:

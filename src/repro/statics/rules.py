@@ -463,6 +463,7 @@ class ERR01EmptyErrorMessage(Rule):
 
 _DURABLE_PARTS = frozenset({"durability", "sessions", "replication"})
 _WRITE_MODE_CHARS = frozenset("wax+")
+_WRITE_FLAGS = frozenset("O_WRONLY O_RDWR O_APPEND O_CREAT O_TRUNC".split())
 
 
 def _mode_is_write(mode: Optional[ast.expr]) -> bool:
@@ -473,11 +474,20 @@ def _mode_is_write(mode: Optional[ast.expr]) -> bool:
     return True  # dynamic mode: assume the worst
 
 
+def _flags_are_write(flags: Optional[ast.expr]) -> bool:
+    """``os.open`` flags: read-only iff an ``|`` of ``O_*`` names, none
+    of them a write flag; anything computed is assumed the worst."""
+    if isinstance(flags, ast.BinOp) and isinstance(flags.op, ast.BitOr):
+        return _flags_are_write(flags.left) or _flags_are_write(flags.right)
+    name = getattr(flags, "attr", None) or getattr(flags, "id", "")
+    return not name.startswith("O_") or name in _WRITE_FLAGS
+
+
 def _mode_argument(node: ast.Call, position: int) -> Optional[ast.expr]:
     if len(node.args) > position:
         return node.args[position]
     for kw in node.keywords:
-        if kw.arg == "mode":
+        if kw.arg in ("mode", "flags"):  # open()'s name, os.open()'s
             return kw.value
     return None
 
@@ -508,15 +518,12 @@ class IO01NonAtomicWrite(Rule):
         if not isinstance(node, ast.Call):
             return
         name = resolve_call(node.func, ctx.imports)
-        if name == "open" and _mode_is_write(_mode_argument(node, 1)):
-            yield ctx.finding(
-                self, node, "raw open() for writing durable state"
-            )
-            return
-        if name == "os.fdopen" and _mode_is_write(_mode_argument(node, 1)):
-            yield ctx.finding(
-                self, node, "raw os.fdopen() for writing durable state"
-            )
+        if name in ("open", "os.fdopen", "os.open", "os.write"):
+            check = _flags_are_write if name == "os.open" else _mode_is_write
+            if name == "os.write" or check(_mode_argument(node, 1)):
+                yield ctx.finding(
+                    self, node, f"raw {name}() for writing durable state"
+                )
             return
         if isinstance(node.func, ast.Attribute):
             attr = node.func.attr

@@ -150,6 +150,63 @@ class TestDynamicMatchingEngine:
         late = engine.add(7, rect4(9000.0, 9001.0)).subscription_id
         assert engine.match_point((9000.5,) * 4).subscription_ids == (late,)
 
+    def test_overflow_scan_restacks_nothing(self, engine, monkeypatch):
+        """``add`` fills the overflow table in place: the query after it
+        makes the base index's array-joining calls and no more."""
+        joins = []
+        for name in ("stack", "concatenate"):
+
+            def counted(*args, _real=getattr(np, name), **kwargs):
+                joins.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        point = (1.0,) * 4
+        engine.match_point(point)
+        base_index_joins = len(joins)
+        for i in range(20):  # past the table's first doubling, no rebuild
+            sid = engine.add(7, rect4(0.5 - i, 1.5 + i)).subscription_id
+            del joins[:]
+            assert sid in engine.match_point(point).subscription_ids
+            assert len(joins) == base_index_joins
+        assert engine.rebuilds == 0
+
+    def test_every_step_equals_brute_force_across_rebuilds(self, engine):
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-5, 20, size=(12, 4))
+        live = {s.subscription_id for s in engine.table}
+
+        def brute_force(point):
+            return tuple(
+                s.subscription_id
+                for s in engine.table
+                if s.subscription_id in live
+                and all(
+                    lo < x <= hi
+                    for lo, x, hi in zip(
+                        s.rectangle.lows, point, s.rectangle.highs
+                    )
+                )
+            )
+
+        for step in range(160):
+            if rng.random() < 0.4:
+                # Tombstones land in the base and in the overflow alike.
+                victim = int(rng.choice(sorted(live)))
+                engine.remove(victim)
+                live.discard(victim)
+            else:
+                lo = rng.uniform(-5, 15, size=4)
+                hi = lo + rng.uniform(0.5, 12, size=4)
+                added = engine.add(step, Rectangle.from_bounds(lo, hi))
+                live.add(added.subscription_id)
+            for point in points:
+                assert (
+                    engine.match_point(point).subscription_ids
+                    == brute_force(point)
+                )
+        assert engine.rebuilds >= 2
+
     def test_empty_table_then_adds(self):
         table = SubscriptionTable(2)
         engine = DynamicMatchingEngine(table)

@@ -35,7 +35,7 @@ from repro.durability import (
 )
 from repro.faults.verifier import build_chaos_testbed
 from repro.geometry.rectangle import Rectangle
-from repro.io import table_to_dict
+from repro.io import canonical_json, table_to_dict
 from repro.sharding.router import ShardBroker
 from repro.workload import StockSubscriptionGenerator
 
@@ -117,6 +117,10 @@ def assert_bytes(snapshot: Snapshot, directory) -> None:
     assert written == ref_file(snapshot).encode("utf-8")
     assert snapshot.digest() == ref_digest(snapshot)
     assert ref_canonical(snapshot.to_dict()) == ref_file(snapshot)
+    # The codec's shared encoder writes what a fresh ``json.dumps`` does.
+    assert canonical_json(ref_body(snapshot)) == ref_canonical(
+        ref_body(snapshot)
+    )
     # What comes back is the snapshot as stored: tombstones sorted, an
     # empty session table absent.
     stored = replace(

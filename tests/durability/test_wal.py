@@ -298,6 +298,30 @@ class TestDamage:
         assert "implausible" in result.corruption
         assert [r.lsn for r in result.records] == lsns
 
+    def test_an_oversize_append_is_refused_before_a_byte_moves(
+        self, make_wal
+    ):
+        """A payload over ``MAX_PAYLOAD`` would read back as that very
+        corruption, and ``repair`` would discard it *and every
+        acknowledged record after it*."""
+        wal = make_wal()
+        first = wal.append(RecordKind.DELIVER, {"seq": 0, "target": 0})
+        end, dump = wal.end_lsn, wal.dump()
+        with pytest.raises(ValueError, match="exceeds MAX_PAYLOAD"):
+            wal.append(RecordKind.EVENT, {"blob": "x" * (MAX_PAYLOAD + 10)})
+        assert (wal.end_lsn, wal.dump(), wal.appends) == (end, dump, 1)
+        last = wal.append(RecordKind.DELIVER, {"seq": 2, "target": 2})
+        assert [r.lsn for r in wal.scan().records] == [first, last]
+        assert wal.repair() == 0
+        # The largest payload a walk accepts is still accepted.
+        text = len('{"blob":"","t":0.0}')
+        big = wal.append(
+            RecordKind.EVENT, {"blob": "x" * (MAX_PAYLOAD - 1 - text)}
+        )
+        result = wal.scan(big)
+        assert result.clean and len(result.records) == 1
+        assert result.valid_end - big == _RECORD_HEADER.size + MAX_PAYLOAD
+
     def test_undecodable_payload_is_corruption(self, make_wal):
         import zlib
 

@@ -6,9 +6,13 @@ rule flags — and, just as importantly, the neighbouring shapes it must
 leave alone (seeded generators, typed excepts, Literal-style strings).
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.statics import lint_source
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def codes(source, path="src/repro/core/example.py", rules=None):
@@ -250,6 +254,57 @@ class TestIO01NonAtomicWrite:
             "    data = f.read()\n"
         )
         assert codes(source, path=self.DURABLE) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "os.O_RDWR | os.O_APPEND",
+            "os.O_WRONLY",
+            "os.O_RDONLY | os.O_CREAT",
+            "os.O_TRUNC | os.O_CLOEXEC",
+            "flags",  # computed elsewhere: assume the worst
+            "os.O_RDONLY | extra",
+            "0",
+        ],
+    )
+    def test_os_open_with_write_flags_triggers(self, flags):
+        source = f"import os\nfd = os.open(path, {flags})\n"
+        findings = lint_source(source, self.DURABLE)[0]
+        assert [f.rule for f in findings] == ["IO01"]
+        assert "os.open()" in findings[0].message
+
+    def test_os_open_is_resolved_by_name(self):
+        source = (
+            "from os import O_APPEND, open as raw_open\n"
+            "fd = raw_open(path, flags=O_APPEND)\n"
+        )
+        assert codes(source, path=self.DURABLE) == ["IO01"]
+
+    @pytest.mark.parametrize(
+        "flags", ["os.O_RDONLY", "os.O_RDONLY | os.O_CLOEXEC"]
+    )
+    def test_os_open_read_only_is_a_near_miss(self, flags):
+        # A dynamic first argument is not what makes an open a write.
+        source = (
+            f"import os\nfd = os.open(path, {flags})\n"
+            "data = os.pread(fd, 17, 0)\nos.close(fd)\n"
+        )
+        assert codes(source, path=self.DURABLE) == []
+
+    def test_os_write_triggers(self):
+        source = "import os\nos.write(fd, data)\n"
+        assert codes(source, path=self.DURABLE) == ["IO01"]
+        assert codes(source, path="src/repro/io.py") == []
+
+    def test_the_wal_marks_its_one_raw_write(self):
+        wal = REPO_ROOT / "src" / "repro" / "durability" / "wal.py"
+        text = wal.read_text()
+        assert text.count("# repro: noqa IO01") == 1
+        active, suppressed = lint_source(text, str(wal))
+        assert active == []
+        assert [f.message for f in suppressed] == [
+            "raw os.write() for writing durable state"
+        ]
 
     def test_atomic_helper_is_the_sanctioned_route(self):
         source = (
