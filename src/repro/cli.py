@@ -43,19 +43,17 @@ spans.  The modes:
   completions to a write-ahead log; each crash window wipes its
   volatile state (and can damage the log) and each restart recovers
   from snapshot + WAL replay.
-- ``--failover --failover-scenario kill|partition|catchup``: the home
-  broker ships its WAL to ranked standbys; a permanent kill (or a
-  partition manufacturing a zombie primary) forces an epoch-fenced
-  takeover, and ``delivered + shed + expired == published`` with zero
-  duplicates across it.
 - ``--sharded --sharded-scenario clean|shard-kill|migration-crash``:
   publications route to the shard owning their subset, subscriptions
   scatter, live migrations move subsets under traffic; the ledger must
   close and every match equal a single unsharded broker's, by digest.
-- ``--cluster --cluster-scenario kill|partition|double-kill|
-  migrate-under-kill``: every shard replicated under a cluster-wide
-  membership detector; fenced takeovers must answer the faults with
-  the same ledger and digest parity.
+- ``--cluster --cluster-scenario kill|partition|catchup|double-kill|
+  migrate-under-kill``: every shard shipping its WAL to ``--standbys``
+  ranked standbys under a cluster-wide membership detector; fenced
+  takeovers must answer the faults with the same ledger and digest
+  parity.  ``--shards 1`` replicates one whole broker: its home is
+  killed, partitioned into a zombie primary, or killed after its
+  first standby fell behind and must catch up.
 - ``--sessions --session-scenario crash|flap|slow-consumer|poison``
   (``chaos`` only: that harness meters no ``broker.events``): durable
   sessions with journaled cursors, catch-up replay and dead-letter
@@ -316,30 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="back the journal with this WAL file (inspect it "
             "afterwards with `repro wal`)",
         )
-        replication = sub.add_argument_group(
-            "broker replication (with --failover)"
-        )
-        replication.add_argument(
-            "--failover",
-            action="store_true",
-            help="replicate the home broker: ship its WAL to ranked "
-            "standbys, kill or partition the primary mid-stream, and "
-            "verify the epoch-fenced takeover against the outcome ledger",
-        )
-        replication.add_argument(
-            "--failover-scenario",
-            choices=("kill", "partition", "catchup"),
-            default="kill",
-            help="kill: permanent primary kill; partition: isolate a "
-            "live primary (fenced zombie); catchup: lagging standby must "
-            "take over from an anti-entropy snapshot (default: kill)",
-        )
-        replication.add_argument(
-            "--standbys",
-            type=int,
-            default=2,
-            help="number of ranked standby replicas",
-        )
         sharding = sub.add_argument_group(
             "partition-aligned sharding (with --sharded)"
         )
@@ -387,13 +361,26 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cluster.add_argument(
             "--cluster-scenario",
-            choices=("kill", "partition", "double-kill", "migrate-under-kill"),
+            choices=(
+                "kill",
+                "partition",
+                "catchup",
+                "double-kill",
+                "migrate-under-kill",
+            ),
             default="kill",
             help="kill: the busiest shard's home is permanently killed; "
             "partition: it is isolated (fenced zombie primary); "
-            "double-kill: the two busiest homes die in sequence; "
+            "catchup: its first standby is isolated, then its home is "
+            "killed; double-kill: the two busiest homes die in sequence; "
             "migrate-under-kill: the migration source dies mid-copy "
             "(default: kill)",
+        )
+        cluster.add_argument(
+            "--standbys",
+            type=int,
+            default=2,
+            help="number of ranked standby replicas per shard",
         )
         # The sessions harness charges sessions without going through
         # `PubSubBroker.plan`, so it meters no `broker.events`: `chaos`
@@ -976,76 +963,6 @@ def _assemble_crash_recovery(
     )
 
 
-def _assemble_failover(args: argparse.Namespace, telemetry) -> Scenario:
-    from .faults import FailoverChaosSimulation, build_failover_plan
-    from .replication import ShippingConfig
-
-    broker, points, publishers = _testbed(args, dynamic=True)
-    inter_arrival = 2.0
-    scenario = args.failover_scenario
-    plan, primary, standbys = build_failover_plan(
-        broker.topology,
-        scenario=scenario,
-        horizon=max(args.events * inter_arrival, 500.0),
-        standby_count=args.standbys,
-        **_link_faults(args),
-    )
-    # The catch-up scenario must overflow the shipping buffer while
-    # the laggard is partitioned, so takeover exercises anti-entropy.
-    shipping = (
-        ShippingConfig(batch_ops=8, retain_ops=32, catchup_lag=24)
-        if scenario == "catchup"
-        else None
-    )
-    simulation = FailoverChaosSimulation(
-        broker,
-        plan,
-        standbys,
-        primary=primary,
-        shipping=shipping,
-        checkpoint_every=args.checkpoint_every,
-        telemetry=telemetry,
-    )
-    _retry_budget(simulation, args)
-
-    def verdict(report):
-        replication = report.replication
-        lines = []
-        if replication.takeover_digests:
-            lines += ["", "takeover state digests (determinism witnesses):"]
-            lines += [
-                f"  takeover {index}: {digest}"
-                for index, digest in enumerate(replication.takeover_digests)
-            ]
-        # The replication guarantees: every event accounted exactly
-        # once, nobody delivered twice across the takeover (a permanent
-        # kill leaves the killed node's own subscribers unreachable, so
-        # exactly-once cannot hold), at least one takeover actually
-        # happened, and the fencing probe fired.  A partitioned zombie
-        # must additionally have provoked stale-epoch rejections (the
-        # split-brain evidence).
-        healthy = (
-            report.failover.accounted
-            and report.duplicate_deliveries == 0
-            and replication.failovers >= 1
-            and replication.fenced_writes >= 1
-        )
-        if scenario == "partition":
-            healthy = healthy and replication.stale_rejections >= 1
-        return lines, healthy
-
-    return Scenario(
-        simulation,
-        lambda: simulation.run(
-            points, publishers, inter_arrival=inter_arrival
-        ),
-        f"failover run ({scenario}): {broker.topology.num_nodes} nodes, "
-        f"{len(points)} events, primary {primary}, "
-        f"standbys {standbys}",
-        verdict,
-    )
-
-
 def _parity(simulation, points, report) -> Tuple[List[str], bool]:
     """What ``--sharded`` and ``--cluster`` both guarantee: every event
     in exactly one outcome bucket, nobody delivered twice, every miss
@@ -1124,6 +1041,7 @@ def _assemble_sharded(args: argparse.Namespace, telemetry) -> Scenario:
 
 def _assemble_cluster(args: argparse.Namespace, telemetry) -> Scenario:
     from .faults import FullStackChaosSimulation, build_cluster_plan
+    from .replication import ShippingConfig
     from .sharding import ShardMap
 
     broker, points, publishers = _testbed(args)
@@ -1136,6 +1054,13 @@ def _assemble_cluster(args: argparse.Namespace, telemetry) -> Scenario:
         standby_count=args.standbys,
         **_link_faults(args),
     )
+    # The catch-up scenario must overflow the shipping buffer while
+    # the laggard is isolated, so its way back is anti-entropy.
+    shipping = (
+        ShippingConfig(batch_ops=8, retain_ops=32, catchup_lag=24)
+        if scenario == "catchup"
+        else None
+    )
     simulation = FullStackChaosSimulation(
         broker,
         plan,
@@ -1144,27 +1069,29 @@ def _assemble_cluster(args: argparse.Namespace, telemetry) -> Scenario:
         shard_homes=homes,
         migrations=planned,
         corruptions=corruptions,
+        shipping=shipping,
         telemetry=telemetry,
     )
     _retry_budget(simulation, args)
 
     def verdict(report):
         # On top of parity, the scenario's takeovers actually happened
-        # instead of falling back to ring exclusion.
+        # instead of falling back to ring exclusion.  Where one shard
+        # lost its home, the write probe at the deposed primary was
+        # fenced; a partitioned zombie must also have drawn stale-epoch
+        # rejections, and a lagging standby an anti-entropy catch-up.
         lines, healthy = _parity(simulation, points, report)
         cluster = report.cluster
-        if scenario == "kill":
+        if scenario in ("kill", "partition", "catchup"):
             healthy = (
                 healthy
                 and cluster.takeovers >= 1
                 and cluster.probe_rejections >= 1
             )
         if scenario == "partition":
-            healthy = (
-                healthy
-                and cluster.takeovers >= 1
-                and cluster.stale_rejections >= 1
-            )
+            healthy = healthy and cluster.stale_rejections >= 1
+        if scenario == "catchup":
+            healthy = healthy and report.shipping.catchups >= 1
         if scenario == "double-kill":
             healthy = healthy and cluster.takeovers >= 2
         if scenario == "migrate-under-kill":
@@ -1248,7 +1175,6 @@ def _assemble_sessions(args: argparse.Namespace, telemetry) -> Scenario:
 _ASSEMBLERS = {
     "--overload": _assemble_overload,
     "--crash-recovery": _assemble_crash_recovery,
-    "--failover": _assemble_failover,
     "--sharded": _assemble_sharded,
     "--cluster": _assemble_cluster,
     "--sessions": _assemble_sessions,
@@ -1479,29 +1405,6 @@ _STATS_SECTIONS = (
             ("in-flight found on recovery", "recovery.inflight"),
             ("in-flight wiped by crash", "transport.wiped"),
             ("events deferred while down", "broker.deferred"),
-        ),
-    ),
-    (
-        "failover",
-        "broker replication (WAL shipping + failover):",
-        "broker replication: inactive "
-        "(re-run with --failover for the replicated-group pipeline)",
-        "replication.epoch",
-        (
-            ("failovers", "replication.failovers"),
-            ("group epoch", "replication.epoch"),
-            ("writes rejected by fencing", "replication.fenced_writes"),
-            (
-                "shipping lag @ standby {standby}",
-                "replication.lag_records",
-                "each",
-            ),
-            ("events {outcome}", "failover.outcomes", "each"),
-            (
-                "failover duration p95",
-                "replication.failover_duration",
-                "p95",
-            ),
         ),
     ),
     (

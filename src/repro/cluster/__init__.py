@@ -3,9 +3,9 @@
 The paper's §4 placement maps clustered subsets S_1..S_n onto servers
 and assumes the servers stay up.  This package is the high-availability
 closure of that assignment: each shard (one subset group from
-:mod:`repro.sharding`) becomes a :class:`ReplicatedShard` — the
-:class:`~repro.replication.group.ReplicaSet` a whole replicated broker
-is, around one shard broker — while a cluster-wide :class:`Membership`
+:mod:`repro.sharding`) becomes a :class:`ReplicatedShard` — the one
+:class:`~repro.replication.group.ReplicaSet` subclass; with one shard
+it replicates the whole broker — while a cluster-wide :class:`Membership`
 detector (suspicion → confirmed-dead hysteresis, epoch-stamped views)
 decides when a shard home is gone and a fenced standby takeover must
 re-home the subset.  The hash ring's ``exclude()`` stranding path from

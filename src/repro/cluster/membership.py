@@ -1,12 +1,13 @@
 """Cluster membership: who is alive, suspected, or confirmed dead.
 
-The sharded cluster needs one shared answer to "which nodes are up?"
-— per-shard failure detectors would let two shards disagree about a
-node that hosts a primary for one and a standby for the other.
-:class:`Membership` keeps that answer: every participating node
-(shard homes and standbys alike) is tracked by a per-node
-:class:`~repro.replication.detector.FailureDetector`-style silence
-clock, and transitions run through a two-stage hysteresis:
+:class:`Membership` is the one failure detector of the replicated
+stack, for a one-shard cluster (a whole broker replicated) as for K
+shards.  The cluster needs one shared answer to "which nodes are up?"
+— per-shard or per-standby detectors would let two shards disagree
+about a node that hosts a primary for one and a standby for the other.
+Every participating node (shard homes and standbys alike) has a
+silence clock — the last instant it was heard, never rewound by a
+late heartbeat — and transitions run through a two-stage hysteresis:
 
 - ``ALIVE → SUSPECT`` after ``suspect_after`` of silence — cheap to
   enter, cheap to leave (one heartbeat recovers the node);

@@ -3,7 +3,8 @@
 :class:`ReplicatedShard` is a :class:`~repro.replication.group.
 ReplicaSet` around one :class:`~repro.sharding.router.ShardBroker`:
 journal taps, log shipping, epoch fencing and the promote step are the
-ones a whole replicated broker uses.  What a shard adds:
+set's.  With one shard it is the whole broker replicated (``repro
+chaos --cluster --shards 1``).  What a shard adds:
 
 - **the shard broker's taps** — every entry mutation on the live
   shard broker (scatter, migration installs, refresh withdrawals) is

@@ -244,6 +244,12 @@ class BrokerJournal:
         Reseeds the in-flight tracking from what recovery found (their
         original intent LSNs keep holding the truncation low-water
         mark) and realigns the snapshot-id counter with the store.
+
+        If the repaired log ends below the newest snapshot's checkpoint
+        LSN, anything appended there would be skipped by the next
+        replay as already snapshotted, so the broker — just restored to
+        exactly snapshot + replay — is checkpointed at the new end
+        before the first append.
         """
         self._intent_lsn = {
             seq: entry.lsn for seq, entry in state.inflight.items()
@@ -255,6 +261,8 @@ class BrokerJournal:
         self._appends_since_checkpoint = 0
         existing = self.store.ids()
         self._next_snapshot_id = (max(existing) + 1) if existing else 0
+        if self.wal.end_lsn < state.checkpoint_lsn:
+            self.checkpoint()
 
     @property
     def inflight_sequences(self) -> Set[int]:

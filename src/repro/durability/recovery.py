@@ -179,11 +179,15 @@ def replay(
         body = record.body
         try:
             if record.kind is RecordKind.PUBLISH:
-                pending[int(body["seq"])] = {
+                intent = {
                     "publisher": int(body["publisher"]),
                     "targets": {int(t) for t in body["targets"]},
                     "lsn": record.lsn,
                 }
+                # An intent with no targets owes nobody a delivery; the
+                # journal never tracked it, so it is not in flight.
+                if intent["targets"]:
+                    pending[int(body["seq"])] = intent
             elif record.kind is RecordKind.DELIVER:
                 entry = pending.get(int(body["seq"]))
                 if entry is not None:

@@ -25,12 +25,6 @@ story, in three layers:
   and may corrupt the log, and deterministic snapshot + WAL-replay
   recovery verified against the delivery ledger
   (``repro chaos --crash-recovery``);
-- :mod:`repro.faults.failover` — the replication harness: the home
-  broker becomes a :mod:`repro.replication` group shipping its WAL to
-  ranked standbys, permanent broker kills and partitions force
-  epoch-fenced takeovers, and a per-event outcome ledger proves
-  ``delivered + shed + expired == published`` with zero duplicates
-  across failovers (``repro chaos --failover``);
 - :mod:`repro.faults.sharded` — the scale-out harness: the workload
   routed across K shard brokers (:mod:`repro.sharding`) with live
   migrations, permanent shard kills, mid-migration crashes and
@@ -42,7 +36,9 @@ story, in three layers:
   membership detector, and simultaneous shard kills, partitions,
   mid-copy migration crashes and standby WAL corruption are answered
   by fenced standby takeovers instead of stranding, under the same
-  ledger and unsharded-digest parity (``repro chaos --cluster``);
+  ledger and unsharded-digest parity (``repro chaos --cluster``; with
+  ``--shards 1`` it is one whole broker replicated, killed, partitioned
+  or caught up from a lagging standby);
 - :mod:`repro.faults.sessions` — the subscriber-side harness: durable
   sessions (:mod:`repro.sessions`) at deterministic stub nodes abused
   by scripted crash / flap / slow-consumer / poison scenarios, with a
@@ -64,12 +60,6 @@ from .crash_recovery import (
     CrashRecoverySimulation,
     DurabilityStats,
     build_crash_recovery_plan,
-)
-from .failover import (
-    FailoverChaosSimulation,
-    FailoverReport,
-    FailoverStats,
-    build_failover_plan,
 )
 from .overload import OverloadChaosSimulation, OverloadReport
 from .plan import (
@@ -130,10 +120,6 @@ __all__ = [
     "CrashRecoverySimulation",
     "DurabilityStats",
     "build_crash_recovery_plan",
-    "FailoverChaosSimulation",
-    "FailoverReport",
-    "FailoverStats",
-    "build_failover_plan",
     "OverloadChaosSimulation",
     "OverloadReport",
     "BrokerCrash",

@@ -14,7 +14,9 @@ the sub-broker, reconcile its entry set against the authoritative
 scatter, re-hand unacked in-flight deliveries, and stamp everything
 with a cluster epoch so the deposed primary's writes bounce.  Ring
 exclusion survives only as the last resort when a shard loses its
-primary *and* every standby.
+primary *and* every standby.  With one shard the harness verifies a
+whole replicated broker: its home killed, partitioned, or killed after
+its first standby fell behind (``kill`` / ``partition`` / ``catchup``).
 
 The adversary combines, in one run: permanent shard-home kills,
 network partitions (the deposed primary keeps running and must be
@@ -58,8 +60,14 @@ __all__ = [
     "build_cluster_plan",
 ]
 
-#: The four combined-chaos scenarios the harness knows how to build.
-CLUSTER_SCENARIOS = ("kill", "partition", "double-kill", "migrate-under-kill")
+#: The combined-chaos scenarios the harness knows how to build.
+CLUSTER_SCENARIOS = (
+    "kill",
+    "partition",
+    "catchup",
+    "double-kill",
+    "migrate-under-kill",
+)
 
 
 @dataclass(frozen=True)
@@ -717,6 +725,11 @@ def build_cluster_plan(
       home is dead during ``[0.35, 0.7)`` of the horizon; the cluster
       confirms it dead and fails over, and the *still-running* old
       primary must be fenced when the partition heals.
+    - ``"catchup"`` — the busiest shard's first standby is isolated
+      during ``[0.2, 0.5)`` of the horizon (falling behind the shipping
+      stream) and that shard's home is killed at 60%.  Pair with a
+      small ``ShippingConfig.retain_ops`` so the laggard can only come
+      back through an anti-entropy catch-up.
     - ``"double-kill"`` — the two busiest shards' homes are killed at
       40% and 55% of the horizon (two independent takeovers).
     - ``"migrate-under-kill"`` — the busiest shard's heaviest subset
@@ -768,18 +781,21 @@ def build_cluster_plan(
     kills: Tuple[BrokerKill, ...] = ()
     outages: Tuple[LinkOutage, ...] = ()
     planned: List[PlannedMigration] = []
+
+    def isolated(node: int, start: float, end: float) -> Tuple[LinkOutage, ...]:
+        """Every link of ``node`` dead during ``[start, end)`` x horizon."""
+        return tuple(
+            LinkOutage(node, int(n), start * horizon, end * horizon)
+            for n in sorted(topology.graph.neighbors(node))
+        )
+
     if scenario == "kill":
         kills = (BrokerKill(node=homes[busiest], at=0.4 * horizon),)
     elif scenario == "partition":
-        outages = tuple(
-            LinkOutage(
-                u=homes[busiest],
-                v=int(n),
-                start=0.35 * horizon,
-                end=0.7 * horizon,
-            )
-            for n in sorted(topology.graph.neighbors(homes[busiest]))
-        )
+        outages = isolated(homes[busiest], 0.35, 0.7)
+    elif scenario == "catchup":
+        outages = isolated(standby_map[busiest][0], 0.2, 0.5)
+        kills = (BrokerKill(node=homes[busiest], at=0.6 * horizon),)
     elif scenario == "double-kill":
         ranked_shards = sorted(
             range(num_shards), key=lambda s: (-loads[s], s)

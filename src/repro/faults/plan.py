@@ -247,7 +247,7 @@ class FaultPlan:
     link_faults: Tuple[LinkFault, ...] = ()
     outages: Tuple[LinkOutage, ...] = ()
     crashes: Tuple[BrokerCrash, ...] = ()
-    #: Permanent fail-stop kills (replication/failover harness).
+    #: Permanent fail-stop kills (sharded and cluster harnesses).
     broker_kills: Tuple[BrokerKill, ...] = ()
     #: Storage damage riding on crash windows (crash-recovery harness).
     wal_corruptions: Tuple[WalCorruption, ...] = ()

@@ -6,19 +6,18 @@ from its own WAL.  This package removes the "itself": a
 primary's journal to ranked standbys (:mod:`~repro.replication.
 shipping`) and promotes the best live one by replaying its shipped WAL
 through the existing recovery pipeline, fenced against the old primary
-by monotonic epochs (:mod:`~repro.replication.epoch`).
-:class:`ReplicatedBrokerGroup` is a lone set around a whole broker,
-watched by a clock-injected heartbeat detector per standby
-(:mod:`~repro.replication.detector`);
-:class:`repro.cluster.ReplicatedShard` is one shard of a cluster.  The
-chaos-harness integration — with the per-event ledger proving
-exactly-once across takeovers — is
-:class:`repro.faults.FailoverChaosSimulation`.
+by monotonic epochs (:mod:`~repro.replication.epoch`).  There is one
+replica class and one failure detector: :class:`repro.cluster.
+ReplicatedShard` is the set around one shard broker, and the
+cluster-wide :class:`repro.cluster.Membership` decides when its
+primary is gone.  A one-shard cluster (``repro chaos --cluster
+--shards 1``) is a whole broker replicated, verified by
+:class:`repro.faults.FullStackChaosSimulation`'s per-event ledger
+across takeovers.
 """
 
-from .detector import FailureDetector, HeartbeatConfig
 from .epoch import EpochDirectory, EpochState, ReplicaRole
-from .group import ReplicaSet, ReplicatedBrokerGroup, ReplicationStats
+from .group import ReplicaSet, ReplicationStats
 from .shipping import (
     LogShipper,
     ShippingConfig,
@@ -27,13 +26,10 @@ from .shipping import (
 )
 
 __all__ = [
-    "FailureDetector",
-    "HeartbeatConfig",
     "EpochDirectory",
     "EpochState",
     "ReplicaRole",
     "ReplicaSet",
-    "ReplicatedBrokerGroup",
     "ReplicationStats",
     "LogShipper",
     "ShippingConfig",

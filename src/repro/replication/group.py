@@ -6,8 +6,8 @@ journals every mutation through a :class:`~repro.durability.journal.
 BrokerJournal`; the journal's taps feed a :class:`~repro.replication.
 shipping.LogShipper` which streams the WAL to each **standby**'s
 :class:`~repro.replication.shipping.StandbyReplica`.  All timing lives
-on the injected discrete-event simulator, so suspicion — and therefore
-failover — is a pure function of the seed.
+on the injected discrete-event simulator, so failover is a pure
+function of the seed.
 
 Promotion is the durability stack re-run on somebody else's disk: the
 highest-ranked live standby replays *its own shipped WAL and
@@ -15,11 +15,11 @@ snapshots*, the set's **epoch** advances, the
 :class:`~repro.replication.epoch.EpochDirectory` (which the reliable
 transport consults to re-route in-flight retries) learns the new home,
 and the new primary starts journaling + shipping to the surviving
-standbys.  The recovery digest of each takeover is kept as a
-determinism witness.  :class:`ReplicatedBrokerGroup` is a lone set
-around a whole home broker; :class:`repro.cluster.shard.
-ReplicatedShard` is one shard of a cluster whose coordinator decides
-when to promote.
+standbys.  The set decides nothing by itself: its one subclass,
+:class:`repro.cluster.shard.ReplicatedShard`, is one shard of a
+cluster whose :class:`~repro.cluster.membership.Membership` detector
+decides when to promote (a one-shard cluster replicates a whole
+broker's worth of subscriptions).
 
 A deposed primary that is merely *partitioned* (not dead) keeps
 heartbeating and shipping with its stale epoch after the partition
@@ -32,24 +32,16 @@ chaos verifier asserts on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Any, Callable, Dict, Optional, Protocol, Sequence
 
-from ..core.dynamic import DynamicPubSubBroker
 from ..durability.journal import BrokerJournal
-from ..durability.recovery import (
-    RecoveredState,
-    ReplayResult,
-    recover,
-    restore_broker,
-)
+from ..durability.recovery import ReplayResult
 from ..durability.snapshot import MemorySnapshotStore, Snapshot, SnapshotStore
 from ..durability.wal import MemoryWAL, RecordKind, WriteAheadLog
 from ..overload.breaker import BreakerBoard
-from ..simulation.engine import DiscreteEventSimulator
 from ..telemetry.base import Telemetry, or_null
-from .detector import FailureDetector, HeartbeatConfig
 from .epoch import EpochDirectory, EpochState, ReplicaRole
 from .shipping import (
     LogShipper,
@@ -59,7 +51,7 @@ from .shipping import (
     StandbyReplica,
 )
 
-__all__ = ["ReplicationStats", "ReplicaSet", "ReplicatedBrokerGroup"]
+__all__ = ["ReplicationStats", "ReplicaSet"]
 
 #: ``send(source, target, payload)``: put one message on the wire.
 Send = Callable[[int, int, Payload], None]
@@ -78,18 +70,11 @@ class Clock(Protocol):
 class ReplicationStats:
     """What one replica set did during one run."""
 
-    failovers: int = 0
-    #: Per-takeover recovery digests — the determinism witnesses.
-    takeover_digests: List[str] = field(default_factory=list)
-    #: Simulated time from last primary contact to takeover complete.
-    failover_durations: List[float] = field(default_factory=list)
     #: Messages rejected as stale-epoch across all replicas.
     stale_rejections: int = 0
     #: Write admissions refused at fenced / non-primary replicas.
     fenced_writes: int = 0
     heartbeats_sent: int = 0
-    #: The set's epoch when the run ended.
-    final_epoch: int = 0
 
 
 class ReplicaSet:
@@ -245,9 +230,6 @@ class ReplicaSet:
             node, sender, {"type": "fence", "epoch": self.epochs[node].epoch}
         )
 
-    def _heard_primary(self, node: int, time: float) -> None:
-        """Hook: standby ``node`` got current-epoch primary traffic."""
-
     # -- the receive path ----------------------------------------------------
 
     def deliver(self, node: int, payload: Payload, time: float) -> None:
@@ -259,9 +241,7 @@ class ReplicaSet:
         sender = int(payload.get("from", -1))
         epoch_state = self.epochs[node]
         if kind == "heartbeat":
-            if epoch_state.admit(payload["epoch"]):
-                self._heard_primary(node, time)
-            else:
+            if not epoch_state.admit(payload["epoch"]):
                 self._fence(node, sender)
         elif kind in ("batch", "catchup"):
             replica = self.replicas.get(node)
@@ -273,8 +253,6 @@ class ReplicaSet:
                 return
             reply = replica.receive(payload)
             if reply is not None:
-                if reply.get("type") != "fence":
-                    self._heard_primary(node, time)
                 self._transmit(node, sender, reply)
         elif kind in ("ack", "resync"):
             if not epoch_state.admit(payload["epoch"]):
@@ -375,8 +353,6 @@ class ReplicaSet:
         self.primary = candidate
         self.journal = self._bind_primary(candidate)
         self.journal.rearm(state)
-        self.stats.failovers += 1
-        self.stats.takeover_digests.append(state.digest())
         return old
 
     # -- admission & reporting ----------------------------------------------
@@ -417,145 +393,4 @@ class ReplicaSet:
         self.stats.fenced_writes = sum(
             e.writes_rejected for e in self.epochs.values()
         )
-        self.stats.final_epoch = self.epoch
         return self.stats
-
-
-class ReplicatedBrokerGroup(ReplicaSet):
-    """A lone replica set around one home broker, failing over by itself.
-
-    It owns what a cluster would otherwise supply: a heartbeat
-    :class:`~repro.replication.detector.FailureDetector` per standby
-    (each suspects the primary from the traffic *it* hears over the
-    lossy wire, so a partitioned-but-alive primary is suspected exactly
-    like a dead one), its own ticks, epoch counter and directory, and
-    the whole-broker pipeline :func:`~repro.durability.recovery.recover`
-    then :func:`~repro.durability.recovery.restore_broker`.
-    """
-
-    simulator: DiscreteEventSimulator
-
-    def __init__(
-        self,
-        broker: DynamicPubSubBroker,
-        primary: int,
-        standbys: Sequence[int],
-        simulator: DiscreteEventSimulator,
-        send: Optional[Send] = None,
-        wal_factory: Optional[Callable[[int], WriteAheadLog]] = None,
-        store_factory: Optional[Callable[[int], SnapshotStore]] = None,
-        shipping: Optional[ShippingConfig] = None,
-        heartbeat: Optional[HeartbeatConfig] = None,
-        alive: Optional[Alive] = None,
-        checkpoint_every: int = 64,
-        breakers: Optional[BreakerBoard] = None,
-        telemetry: Optional[Telemetry] = None,
-        on_takeover: Optional[
-            Callable[[RecoveredState, int, int, float], None]
-        ] = None,
-    ):
-        super().__init__(
-            broker,
-            primary,
-            standbys,
-            simulator,
-            send=send,
-            wal_factory=wal_factory,
-            store_factory=store_factory,
-            shipping=shipping,
-            alive=alive,
-            checkpoint_every=checkpoint_every,
-            breakers=breakers,
-            telemetry=telemetry,
-        )
-        self.broker.attach_journal(self.journal)
-        self.heartbeat = heartbeat or HeartbeatConfig()
-        self.on_takeover = on_takeover
-        self.directory = EpochDirectory()
-        self.horizon: Optional[float] = None
-        self.detectors: Dict[int, FailureDetector] = {
-            node: FailureDetector(self.heartbeat, now=self.simulator.now)
-            for node in self.ranked
-        }
-
-    def _heard_primary(self, node: int, time: float) -> None:
-        detector = self.detectors.get(node)
-        if detector is not None:
-            detector.heard(time)
-
-    # -- the clock loop ------------------------------------------------------
-
-    def start(self, horizon: float) -> None:
-        """Begin heartbeating/shipping ticks until ``horizon``.
-
-        The horizon bounds the periodic loop so the discrete-event
-        queue drains once the workload is done; pick it past the last
-        scheduled arrival plus settling slack.
-        """
-        if horizon <= self.simulator.now:
-            raise ValueError(
-                f"start: horizon {horizon} is not in the future "
-                f"(now {self.simulator.now})"
-            )
-        self.horizon = float(horizon)
-        self._schedule_tick(self.simulator.now)
-
-    def _schedule_tick(self, now: float) -> None:
-        nxt = now + self.heartbeat.interval
-        if self.horizon is not None and nxt <= self.horizon:
-            self.simulator.schedule_at(nxt, self._tick)
-
-    def _tick(self) -> None:
-        now = self.simulator.now
-        self.tick(now)
-        candidate = self.candidate(now)
-        if candidate is not None and self.detectors[candidate].check(now):
-            self.takeover(now)
-        self._schedule_tick(now)
-
-    # -- failover ------------------------------------------------------------
-
-    def takeover(self, now: float) -> bool:
-        """Promote the best live standby; returns False if none exists.
-
-        The promotion is the crash-recovery pipeline pointed at the
-        standby's own storage: recover → restore_broker → re-journal,
-        then advance the epoch and the directory so clients (and
-        in-flight retries) re-route.  The caller learns the recovered
-        state via ``on_takeover`` and re-hands unacked deliveries to
-        the transport.
-        """
-        candidate = self.candidate(now)
-        if candidate is None:
-            return False
-        silence = now - self.detectors.pop(candidate).last_heard
-        state = recover(
-            self.wals[candidate],
-            self.stores[candidate],
-            telemetry=self.telemetry,
-        )
-        restore_broker(self.broker, state, telemetry=self.telemetry)
-        old = self._promote(candidate, state, self.epoch + 1, self.directory)
-        self.broker.attach_journal(self.journal)
-        # Surviving standbys now watch the new primary; its first
-        # heartbeat lands next tick, well inside the fresh timeout.
-        for node in self.shipper.standbys:
-            self.detectors[node] = FailureDetector(self.heartbeat, now=now)
-        self.stats.failover_durations.append(float(silence))
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "replication.failovers", help="takeovers completed"
-            ).inc()
-            self.telemetry.gauge(
-                "replication.epoch", help="current group epoch"
-            ).set(self.epoch)
-            self.telemetry.histogram(
-                "replication.failover_duration",
-                help="silence from last primary contact to takeover",
-            ).observe(float(silence))
-            self.telemetry.event(
-                "failover", old=old, new=candidate, epoch=self.epoch
-            )
-        if self.on_takeover is not None:
-            self.on_takeover(state, old, candidate, now)
-        return True

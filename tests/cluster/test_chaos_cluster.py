@@ -32,7 +32,7 @@ def _build(seed=29):
     return broker, points, publishers
 
 
-def _run(scenario, seed=29, shards=SHARDS):
+def _run(scenario, seed=29, shards=SHARDS, shipping=None):
     broker, points, publishers = _build(seed)
     shard_map = ShardMap.plan(broker.partition, shards)
     plan, homes, standby_map, planned, corruptions = build_cluster_plan(
@@ -50,6 +50,7 @@ def _run(scenario, seed=29, shards=SHARDS):
         shard_homes=homes,
         migrations=planned,
         corruptions=corruptions,
+        shipping=shipping,
     )
     report = simulation.run(points, publishers)
     return broker, points, simulation, report

@@ -37,6 +37,19 @@ class TestHysteresis:
         assert m.suspicions == 1
         assert m.confirmed_deaths == 1
 
+    def test_suspicion_starts_strictly_past_suspect_after(self):
+        m = _membership()
+        assert m.tick(25.0) == []  # silence == suspect_after: not yet
+        assert [state for _, state in m.tick(25.001)] == [
+            MemberState.SUSPECT
+        ] * 3
+
+    def test_a_delayed_heartbeat_does_not_rewind_the_clock(self):
+        m = _membership()
+        m.heard(1, 60.0)
+        m.heard(1, 10.0)  # a straggler arriving late
+        assert m.last_heard(1) == 60.0
+
     def test_heartbeat_recovers_a_suspect(self):
         m = _membership()
         m.tick(30.0)

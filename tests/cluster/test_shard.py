@@ -127,7 +127,6 @@ class TestTakeover:
             result = shard.takeover(clock.now, epoch=1)
             digests.append(result.digest)
         assert digests[0] == digests[1]
-        assert digests[0] == shard.stats.takeover_digests[0]
 
 
 class TestFencing:
@@ -140,7 +139,7 @@ class TestFencing:
         assert not shard.write_allowed(0)  # old epoch 0 < shard epoch 1
         stats = shard.finalize_stats()
         assert stats.fenced_writes >= 1
-        assert stats.final_epoch == 1
+        assert shard.epoch == 1
 
     def test_zombie_heartbeat_draws_a_fence(self):
         clock, _, shard = _replicated()

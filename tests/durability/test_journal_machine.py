@@ -20,17 +20,12 @@ broker's dense positional table with tombstones (``BrokerJournal``,
 entry set (``ShardJournal``, ``recover_shard``, ``ShardBroker.
 install``).
 
-Two things the generators stay clear of, both recorded in ROADMAP.md
-item 5 because fixing either moves pinned recovery digests:
-
-- an intent with *no* targets.  The journal does not track one (nobody
-  has to ack it) but the replay loop reports it as in flight for ever,
-  and ``rearm`` then lets it hold the log's low-water mark — the first
-  thing this machine found;
-- damage below the newest snapshot's checkpoint LSN.  A torn write
-  loses what was written last, and the harnesses tear a few bytes; a
-  deeper cut leaves the log ending under ``checkpoint_lsn``, where the
-  next recovery would skip fresh records as already snapshotted.
+The generators reach two recovery defects this machine found, and so
+are their regression tests: an intent may have *no* targets (the
+journal does not track one, and replay used to report it in flight for
+ever), and a crash's damage may reach anywhere in the retained log,
+below the newest snapshot's checkpoint LSN too (the next recovery used
+to skip what was appended under it as already snapshotted).
 """
 
 from __future__ import annotations
@@ -55,9 +50,8 @@ from repro.durability import MemoryWAL, recover, restore_broker
 from repro.faults.verifier import build_chaos_testbed
 from repro.geometry import Rectangle
 from repro.network import TransitStubParams
-from repro.replication import ReplicatedBrokerGroup
+from repro.replication import ReplicaSet
 from repro.sharding import ShardBroker
-from repro.simulation import DiscreteEventSimulator
 
 #: Small enough that auto-checkpoints fire inside a 20-step schedule.
 CHECKPOINT_EVERY = 5
@@ -104,13 +98,14 @@ class _BrokerKit:
         self.broker = copy.deepcopy(_broker_template())
         topology = self.broker.topology
         primary = topology.all_transit_nodes()[0]
-        self.set = ReplicatedBrokerGroup(
+        self.set = ReplicaSet(
             self.broker,
             primary,
             topology.replica_candidates(primary, 2),
-            DiscreteEventSimulator(),
+            SimpleNamespace(now=0.0),
             checkpoint_every=CHECKPOINT_EVERY,
         )
+        self.broker.attach_journal(self.set.journal)
         self.ndim = self.broker.table.ndim
         self.subscribers = topology.all_stub_nodes()
 
@@ -210,12 +205,15 @@ class JournalMachine(RuleBasedStateMachine):
         # journal becomes snapshot 0 on the primary and every standby.
         self.set.journal.checkpoint()
         #: The model.  ``ops`` is every journaled mutation with the LSN
-        #: its record got; the two dicts are its fold.
-        self.base = self.kit.live()
+        #: its record got; the two dicts are its fold on top of
+        #: ``snapshot``, the entries the newest checkpoint captured and
+        #: its checkpoint LSN.
         self.ops = []
-        self.entries = dict(self.base)
+        self.entries = self.kit.live()
         self.inflight = {}
         self.intent_lsn = {}
+        self.snapshot = None
+        self._note_checkpoint()
         self.next_sequence = 0
 
     # -- the model -----------------------------------------------------------
@@ -229,8 +227,9 @@ class JournalMachine(RuleBasedStateMachine):
             self.entries.pop(rest[0], None)
         elif kind == "publish":
             sequence, targets = rest
-            self.inflight[sequence] = set(targets)
-            self.intent_lsn[sequence] = op[0]
+            if targets:  # nobody owes an ack for an empty intent
+                self.inflight[sequence] = set(targets)
+                self.intent_lsn[sequence] = op[0]
         else:
             sequence, target = rest
             remaining = self.inflight.get(sequence)
@@ -244,12 +243,30 @@ class JournalMachine(RuleBasedStateMachine):
         self.ops.append((lsn, *op))
         self._apply(self.ops[-1])
 
+    def _note_checkpoint(self):
+        """Remember what a checkpoint taken since the last call holds."""
+        latest = self.store.latest()
+        if self.snapshot is None or latest.snapshot_id != self.snapshot[0]:
+            self.snapshot = (
+                latest.snapshot_id,
+                dict(self.entries),
+                latest.checkpoint_lsn,
+            )
+
     def _forget_from(self, valid_end):
-        """Roll the model back to what was journaled before the damage."""
+        """Roll the model back to the snapshot plus what was journaled
+        before the damage — which may have reached below the snapshot:
+        entries it captured survive, intents only in the log do not."""
+        _, entries, checkpoint_lsn = self.snapshot
         self.ops = [op for op in self.ops if op[0] < valid_end]
-        self.entries = dict(self.base)
+        self.entries = dict(entries)
         self.inflight, self.intent_lsn = {}, {}
         for op in self.ops:
+            entry_op = op[1] in ("add", "remove")
+            if op[0] < (checkpoint_lsn if entry_op else self.wal.base_lsn):
+                # In the snapshot's entries, or a finished intent the
+                # prefix cut took (its lost acks do not revive it).
+                continue
             self._apply(op)
 
     # -- rules ---------------------------------------------------------------
@@ -287,7 +304,7 @@ class JournalMachine(RuleBasedStateMachine):
         self.kit.remove(key)
         self._journaled(lsn, "remove", key)
 
-    @rule(recipients=st.sets(st.integers(0, 5), min_size=1, max_size=3))
+    @rule(recipients=st.sets(st.integers(0, 5), max_size=3))
     def publish_intent(self, recipients):
         sequence = self.next_sequence
         self.next_sequence += 1
@@ -303,10 +320,12 @@ class JournalMachine(RuleBasedStateMachine):
         target = targets[pick % len(targets)]
         lsn = self.set.journal.log_delivery(sequence, target)
         self._journaled(lsn, "ack", sequence, target)
+        self._note_checkpoint()  # log_delivery may have checkpointed
 
     @rule()
     def checkpoint(self):
         self.set.journal.checkpoint()
+        self._note_checkpoint()
 
     @rule(
         damage=st.sampled_from(["none", "tear", "flip"]),
@@ -314,11 +333,8 @@ class JournalMachine(RuleBasedStateMachine):
         bit=st.integers(0, 7),
     )
     def crash_and_restart(self, damage, reach, bit):
-        """The primary dies with a damaged tail and restarts in place."""
-        snapshot = self.store.latest()
-        exposed = self.wal.end_lsn - max(
-            self.wal.base_lsn, snapshot.checkpoint_lsn
-        )
+        """The primary dies with a damaged log and restarts in place."""
+        exposed = self.wal.end_lsn - self.wal.base_lsn
         if exposed > 0 and damage == "tear":
             self.wal.tear_tail(1 + reach % exposed)
         elif exposed > 0 and damage == "flip":
@@ -328,12 +344,14 @@ class JournalMachine(RuleBasedStateMachine):
             assert state.corruption is None
         assert state.valid_end == self.wal.end_lsn  # repaired in place
         self.kit.restore(state)
-        self.set.journal.rearm(state)
-        self._forget_from(state.valid_end)
         # Standbys may hold the records the primary just lost; the
-        # protocol's answer is anti-entropy from the survivor.
+        # protocol's answer is anti-entropy from the survivor, before
+        # the restarted primary appends (or checkpoints) again.
         for standby in self.set.shipper.standbys:
             self.set.shipper.force_catchup(standby, 0.0)
+        self.set.journal.rearm(state)
+        self._forget_from(state.valid_end)
+        self._note_checkpoint()
 
     # -- what must hold after every step -------------------------------------
 

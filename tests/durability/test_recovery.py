@@ -246,6 +246,52 @@ class TestRestoreBroker:
         ]
 
 
+class TestRearm:
+    """What a recovered journal must do before its first append."""
+
+    @staticmethod
+    def _journaled():
+        broker, _ = _testbed()
+        wal, store = MemoryWAL(), MemorySnapshotStore()
+        journal = BrokerJournal(broker, wal, store, checkpoint_every=10_000)
+        broker.attach_journal(journal)
+        journal.checkpoint()
+        return broker, wal, store, journal
+
+    def test_targetless_intent_is_not_in_flight(self):
+        """Used to be reported in flight for ever and, once re-armed,
+        to hold the log's low-water mark until the process ended."""
+        _, wal, store, journal = self._journaled()
+        intent = journal.log_publish(0, 1, [])  # nobody to deliver to
+        state = recover(wal, store)
+        journal.rearm(state)
+        journal.checkpoint()
+        assert state.inflight == {}
+        assert wal.base_lsn > intent
+
+    def test_appends_below_the_checkpoint_survive_the_next_recovery(self):
+        """Damage below the snapshot's checkpoint LSN used to leave the
+        repaired log ending under it, and the next recovery skipped
+        what was appended there as already snapshotted."""
+        broker, wal, store, journal = self._journaled()
+        stub = int(broker.topology.all_stub_nodes()[0])
+        template = broker.table[0].rectangle
+        journal.log_publish(0, 1, [stub])  # unacked: keeps the prefix
+        broker.subscribe(stub, template)
+        journal.checkpoint()
+        checkpoint_lsn = store.latest().checkpoint_lsn
+        wal.tear_tail(wal.end_lsn - checkpoint_lsn + 1)
+        state = recover(wal, store)
+        assert wal.end_lsn < checkpoint_lsn
+        restore_broker(broker, state)
+        journal.rearm(state)
+        added = broker.subscribe(stub, template)
+        state = recover(wal, store)
+        assert len(state.table) == added.subscription_id + 1
+        assert state.table[added.subscription_id].subscriber == stub
+        assert added.subscription_id not in state.removed
+
+
 def _testbed():
     return build_chaos_testbed(
         seed=5, subscriptions=60, num_groups=5, dynamic=True

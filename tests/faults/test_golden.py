@@ -8,14 +8,16 @@ captured on the commit before the harnesses were moved onto
 per mode — ledgers, counters, match / recovery / takeover / session
 digests.
 
-Only ROADMAP item 3 (failover as a preset of the cluster, the one
-change allowed to move digests) may regenerate them, with::
+``cluster-k1`` was added when the whole-broker failover harness became
+the one-shard cluster (it pins that mode's ``catchup`` scenario, the
+one the K = 4 files do not cover); a change that means to move a
+digest regenerates the file with::
 
     PYTHONPATH=src python -m repro.cli chaos <arguments> \\
         --events 100 --subscriptions 150 > tests/golden/chaos/<name>.txt
 
-and says so in CHANGES.md.  Any other change that fails here changed
-behaviour it should not have.
+and says so, with the cause, in CHANGES.md.  Any other change that
+fails here changed behaviour it should not have.
 """
 
 import re
@@ -31,9 +33,11 @@ SCENARIOS = {
     "default": [],
     "overload": ["--overload"],
     "crash-recovery": ["--crash-recovery", "--crash-length", "20"],
-    "failover": ["--failover"],
     "sharded": ["--sharded", "--sharded-scenario", "shard-kill"],
     "cluster": ["--cluster"],
+    "cluster-k1": [
+        "--cluster", "--shards", "1", "--cluster-scenario", "catchup"
+    ],
     "sessions": ["--sessions"],
 }
 
@@ -63,13 +67,14 @@ def _normalised(stats_stdout):
 def test_stats_stdout_is_pinned(name, capsys):
     """``repro stats`` on the chaos goldens' scenarios, wall clock aside.
 
-    ``default``, ``crash-recovery``, ``failover`` and ``cluster`` were
-    captured on the commit before ``stats`` was moved onto the scenario
-    assembly of ``chaos`` and its section ladder became a table.
-    ``overload`` was captured after it: the move put its crash windows
-    where ``chaos --overload`` puts them, which changed its retry, ack
-    and link rows.  ``sharded`` is new with that commit (``stats`` had
-    no ``--sharded``).
+    ``default``, ``crash-recovery`` and ``cluster`` were captured on
+    the commit before ``stats`` was moved onto the scenario assembly of
+    ``chaos`` and its section ladder became a table.  ``overload`` was
+    captured after it: the move put its crash windows where ``chaos
+    --overload`` puts them, which changed its retry, ack and link rows.
+    ``sharded`` is new with that commit (``stats`` had no
+    ``--sharded``), ``cluster-k1`` with the one-shard cluster; every
+    file lost the replication section's "inactive" hint with it.
     """
     code = main(
         ["stats", *SCENARIOS[name], "--events", "100", "--subscriptions", "150"]

@@ -1,126 +1,29 @@
 """Failover determinism: same seed, same takeover, same state.
 
-Three witnesses:
-
-- **byte-identical standby WALs** — shipping reproduces the primary's
-  log exactly, so every standby holds the same bytes;
-- **identical takeover digests** — two seeded runs suspect, promote
-  and recover at the same instants with the same state fingerprint;
-- **equal post-failover matching** — the promoted broker answers
-  every match query exactly like a broker that never failed.
+Run on the one-shard cluster, where the shard is the whole broker.
+Byte-identical standby WALs are an invariant of the journal state
+machine (``tests/durability/test_journal_machine.py``) and matching
+after a takeover is held to an unsharded never-failed broker by every
+cluster run's digest parity; what is left to pin here is that two
+seeded runs suspect, promote and recover at the same instants with the
+same state fingerprint.
 """
 
-import numpy as np
-
-from repro.core import Event
-from repro.faults import FailoverChaosSimulation, build_failover_plan
-from repro.faults.verifier import build_chaos_testbed
-from repro.replication import ReplicatedBrokerGroup
-from repro.simulation import DiscreteEventSimulator
-from repro.workload import PublicationGenerator
-
-EVENTS = 100
-INTER_ARRIVAL = 2.0
-
-
-def _seeded_run(seed=2003):
-    broker, density = build_chaos_testbed(
-        seed=seed, subscriptions=200, dynamic=True
-    )
-    plan, primary, standbys = build_failover_plan(
-        broker.topology,
-        seed=seed,
-        scenario="kill",
-        horizon=EVENTS * INTER_ARRIVAL,
-    )
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=seed + 9
-    ).generate(EVENTS)
-    simulation = FailoverChaosSimulation(
-        broker, plan, standbys, primary=primary
-    )
-    report = simulation.run(points, publishers, inter_arrival=INTER_ARRIVAL)
-    return broker, density, report
-
-
-class TestShippingDeterminism:
-    def test_standby_wals_are_byte_identical(self):
-        # A loss-free synchronous group: after a full flush, every
-        # standby's physical WAL equals the primary's, byte for byte.
-        broker, _ = build_chaos_testbed(
-            seed=11, subscriptions=100, dynamic=True
-        )
-        primary = broker.topology.all_transit_nodes()[0]
-        standbys = broker.topology.replica_candidates(primary, 2)
-        group = ReplicatedBrokerGroup(
-            broker, primary, standbys, DiscreteEventSimulator()
-        )
-        group.journal.checkpoint()
-        for sequence in range(40):
-            group.journal.log_publish(sequence, 1, [2, 3])
-            group.journal.log_delivery(sequence, 2)
-        group.shipper.flush(0.0)
-        reference = group.wals[primary].copy_out()
-        assert reference[1]  # non-empty log
-        for standby in standbys:
-            assert group.wals[standby].copy_out() == reference
-
-    def test_replicated_snapshots_share_the_digest(self):
-        broker, _ = build_chaos_testbed(
-            seed=11, subscriptions=100, dynamic=True
-        )
-        primary = broker.topology.all_transit_nodes()[0]
-        standbys = broker.topology.replica_candidates(primary, 2)
-        group = ReplicatedBrokerGroup(
-            broker, primary, standbys, DiscreteEventSimulator()
-        )
-        group.journal.checkpoint()
-        reference = group.stores[primary].latest()
-        assert reference is not None
-        for standby in standbys:
-            shipped = group.stores[standby].latest()
-            assert shipped is not None
-            assert shipped.digest() == reference.digest()
+from tests.cluster.test_chaos_cluster import _run
 
 
 class TestTakeoverDeterminism:
     def test_repeated_runs_produce_identical_takeover_digests(self):
-        _, _, first = _seeded_run(seed=2003)
-        _, _, second = _seeded_run(seed=2003)
-        assert first.replication.failovers == 1
+        _, _, _, first = _run("kill", seed=2003, shards=1)
+        _, _, _, second = _run("kill", seed=2003, shards=1)
+        assert first.cluster.takeovers == 1
         assert (
-            first.replication.takeover_digests
-            == second.replication.takeover_digests
+            first.cluster.takeover_digests
+            == second.cluster.takeover_digests
         )
         assert (
-            first.replication.failover_durations
-            == second.replication.failover_durations
+            first.cluster.takeover_durations
+            == second.cluster.takeover_durations
         )
         assert first.delivered == second.delivered
         assert first.finished_at == second.finished_at
-
-    def test_different_seeds_change_the_timeline(self):
-        _, _, first = _seeded_run(seed=2003)
-        _, _, second = _seeded_run(seed=2004)
-        assert first.finished_at != second.finished_at
-
-
-class TestPostFailoverMatching:
-    def test_promoted_broker_matches_like_a_never_failed_one(self):
-        broker, density, report = _seeded_run(seed=2003)
-        assert report.replication.failovers == 1
-        # The same seeds rebuild the identical testbed, untouched by
-        # any failure: the reference answers.
-        pristine, _ = build_chaos_testbed(
-            seed=2003, subscriptions=200, dynamic=True
-        )
-        probes = density.sample(np.random.default_rng(99), 50)
-        for sequence, point in enumerate(probes):
-            event = Event.create(sequence, 1, point)
-            recovered = broker.engine.match(event)
-            reference = pristine.engine.match(event)
-            assert recovered.subscribers == reference.subscribers
-            assert recovered.subscription_ids == reference.subscription_ids
-            assert broker.partition.locate(event.point) == (
-                pristine.partition.locate(event.point)
-            )

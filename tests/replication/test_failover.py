@@ -1,61 +1,62 @@
-"""Failover chaos scenarios: the replication guarantees, end to end."""
+"""Failover of one whole broker: the one-shard cluster, end to end.
+
+A cluster of one shard replicates every subscription the broker holds,
+so these are the ``shards=1`` cases of the cluster harness
+(``tests/cluster/test_chaos_cluster.py``).  Every scenario must land a
+takeover and fence the deposed primary's write probe; a partitioned
+zombie must also draw stale-epoch rejections, and a lagging standby an
+anti-entropy catch-up.
+"""
 
 import pytest
 
-from repro.faults import (
-    BrokerKill,
-    FailoverChaosSimulation,
-    build_failover_plan,
-)
-from repro.faults.verifier import build_chaos_testbed
+from repro.faults import BrokerKill, build_cluster_plan
 from repro.replication import ShippingConfig
-from repro.workload import PublicationGenerator
+from repro.sharding import ShardMap
+from tests.cluster.test_chaos_cluster import (
+    EVENTS,
+    _assert_invariants,
+    _build,
+    _run,
+)
 
-EVENTS = 120
-INTER_ARRIVAL = 2.0
+#: What `repro chaos --cluster --cluster-scenario catchup` ships with: a
+#: buffer the isolated standby overflows.
+CATCHUP_SHIPPING = ShippingConfig(batch_ops=8, retain_ops=32, catchup_lag=24)
 
 
-def _run(scenario, seed=2003, shipping=None, **kwargs):
-    broker, density = build_chaos_testbed(
-        seed=seed, subscriptions=200, dynamic=True
-    )
-    plan, primary, standbys = build_failover_plan(
-        broker.topology,
-        seed=seed,
-        scenario=scenario,
-        horizon=EVENTS * INTER_ARRIVAL,
-    )
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=seed + 9
-    ).generate(EVENTS)
-    simulation = FailoverChaosSimulation(
-        broker, plan, standbys, primary=primary, shipping=shipping, **kwargs
-    )
-    return simulation, simulation.run(
-        points, publishers, inter_arrival=INTER_ARRIVAL
-    )
+def _one_shard(scenario, **kwargs):
+    """``(simulation, report)`` of a one-shard run whose ledger, digest
+    parity and standby scrub already passed the cluster's checks, and
+    that landed a takeover fencing the deposed primary's write probe."""
+    run = _run(scenario, shards=1, **kwargs)
+    _assert_invariants(*run)
+    _, _, simulation, report = run
+    assert report.cluster.takeovers >= 1
+    assert report.cluster.probe_rejections >= 1
+    return simulation, report
 
 
 @pytest.fixture(scope="module")
 def kill_run():
-    return _run("kill")
+    return _one_shard("kill")
 
 
 class TestKillScenario:
     def test_takeover_happens(self, kill_run):
         _, report = kill_run
-        assert report.replication.failovers == 1
-        assert report.replication.final_epoch == 1
-        assert len(report.replication.takeover_digests) == 1
+        assert report.cluster.takeovers == 1
+        assert report.cluster.ring_exclusions == 0
+        assert len(report.cluster.takeover_digests) == 1
 
     def test_outcome_ledger_balances(self, kill_run):
         _, report = kill_run
-        f = report.failover
-        assert f.published == EVENTS
+        s = report.sharded
+        assert s.published == EVENTS
         assert (
-            f.delivered_events + f.shed_events + f.expired_events == EVENTS
+            s.delivered_events + s.shed_events + s.expired_events == EVENTS
         )
-        assert f.accounted
+        assert s.accounted
 
     def test_no_duplicate_deliveries_across_the_takeover(self, kill_run):
         _, report = kill_run
@@ -63,91 +64,60 @@ class TestKillScenario:
 
     def test_fencing_probe_fired(self, kill_run):
         _, report = kill_run
-        f = report.failover
-        assert f.probe_rejections == 1
-        assert f.probe_admissions == 1
-        assert report.replication.fenced_writes >= 1
+        assert report.cluster.probe_rejections == 1
+        assert report.cluster.probe_admissions == 1
+        assert report.cluster.fenced_writes >= 1
 
     def test_killed_primary_rejects_writes_forever(self, kill_run):
         simulation, _ = kill_run
         old = simulation.plan.broker_kills[0].node
-        assert not simulation.group.write_allowed(old)
-        assert simulation.group.write_allowed(simulation.group.primary)
+        shard = simulation.replicated[0]
+        assert not shard.write_allowed(old)
+        assert shard.write_allowed(shard.primary)
 
     def test_inflight_rehanded_to_the_new_primary(self, kill_run):
         _, report = kill_run
-        assert report.failover.wiped_inflight > 0
-        assert report.failover.redelivered > 0
+        assert report.sharded.wiped_inflight > 0
+        assert report.cluster.redelivered_after_takeover > 0
 
     def test_transport_redirects_point_at_the_successor(self, kill_run):
         simulation, _ = kill_run
         old = simulation.plan.broker_kills[0].node
-        assert simulation.transport.directory is simulation.group.directory
+        assert simulation.transport.directory is simulation.directory
         assert (
             simulation.transport.directory.resolve(old)
-            == simulation.group.primary
+            == simulation.replicated[0].primary
         )
 
 
 class TestPartitionScenario:
     def test_zombie_primary_is_fenced_not_resurrected(self):
-        _, report = _run("partition")
-        assert report.replication.failovers == 1
+        _, report = _one_shard("partition")
         # The healed zombie's stale traffic bounced off higher epochs.
-        assert report.replication.stale_rejections >= 1
-        assert report.replication.fenced_writes >= 1
-        assert report.failover.accounted
-        assert report.duplicate_deliveries == 0
+        assert report.cluster.stale_rejections >= 1
+        assert report.cluster.fenced_writes >= 1
 
 
 class TestCatchupScenario:
     def test_lagging_standby_takes_over_via_anti_entropy(self):
-        _, report = _run(
-            "catchup",
-            shipping=ShippingConfig(batch_ops=8, retain_ops=32,
-                                    catchup_lag=24),
-        )
-        assert report.replication.failovers == 1
+        _, report = _one_shard("catchup", shipping=CATCHUP_SHIPPING)
         assert report.shipping.catchups >= 1
-        assert report.failover.accounted
-        assert report.duplicate_deliveries == 0
 
 
 class TestHarnessContracts:
-    def test_requires_a_churn_capable_broker(self):
-        broker, _ = build_chaos_testbed(seed=7, subscriptions=50)
-        plan, primary, standbys = build_failover_plan(
-            broker.topology, seed=7
-        )
-        with pytest.raises(TypeError, match="churn-capable"):
-            FailoverChaosSimulation(broker, plan, standbys, primary=primary)
-
-    def test_needs_a_primary_or_a_kill(self):
-        broker, _ = build_chaos_testbed(seed=7, subscriptions=50,
-                                        dynamic=True)
-        _, _, standbys = build_failover_plan(broker.topology, seed=7)
-        from repro.faults import FaultPlan
-
-        with pytest.raises(ValueError, match="primary"):
-            FailoverChaosSimulation(broker, FaultPlan(), standbys)
-
-    def test_double_accounting_is_loud(self):
-        broker, _ = build_chaos_testbed(seed=7, subscriptions=50,
-                                        dynamic=True)
-        plan, primary, standbys = build_failover_plan(
-            broker.topology, seed=7
-        )
-        simulation = FailoverChaosSimulation(
-            broker, plan, standbys, primary=primary
-        )
-        simulation.outcomes.finish(0, "delivered")
+    def test_double_accounting_is_loud(self, kill_run):
+        simulation, _ = kill_run  # every event already has its bucket
         with pytest.raises(RuntimeError, match="accounted twice"):
             simulation.outcomes.finish(0, "shed")
 
     def test_plan_builder_validates_scenario(self):
-        broker, _ = build_chaos_testbed(seed=7, subscriptions=50)
+        broker, _, _ = _build()
         with pytest.raises(ValueError, match="scenario"):
-            build_failover_plan(broker.topology, scenario="meteor")
+            build_cluster_plan(
+                broker.topology,
+                ShardMap.plan(broker.partition, 1),
+                scenario="meteor",
+            )
 
     def test_broker_kill_validation(self):
         with pytest.raises(ValueError):

@@ -297,8 +297,8 @@ class TestUsageErrors:
             "BrokerJournal: checkpoint_every",
         ),
         (
-            ["chaos", "--failover", "--checkpoint-every", "0", *SMALL],
-            "BrokerJournal: checkpoint_every",
+            ["chaos", "--cluster", "--standbys", "0", *SMALL],
+            "standby_count must be >= 1 (got 0)",
         ),
         (["stats", "--crashes", "99", *SMALL], "cannot crash 99 brokers"),
         (
@@ -318,8 +318,8 @@ class TestUsageErrors:
             "[Errno 2] No such file or directory",
         ),
         (
-            ["stats", "--overload", "--failover", *SMALL],
-            "--overload and --failover are mutually exclusive",
+            ["stats", "--overload", "--cluster", *SMALL],
+            "--overload and --cluster are mutually exclusive",
         ),
     ]
 
@@ -344,7 +344,6 @@ class TestInstrumentedUsageErrors:
         "flag, builder",
         [
             ("--crash-recovery", "repro.faults.build_crash_recovery_plan"),
-            ("--failover", "repro.faults.build_failover_plan"),
             ("--cluster", "repro.faults.build_cluster_plan"),
             ("--cluster", "repro.sharding.ShardMap.plan"),
         ],

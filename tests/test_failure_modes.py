@@ -350,15 +350,13 @@ class TestReplicaSetMisuse:
         )
 
     @staticmethod
-    def _group(standbys):
+    def _set(standbys):
         from types import SimpleNamespace
 
-        from repro.replication import ReplicatedBrokerGroup
+        from repro.replication import ReplicaSet
 
         # Validation comes before the broker is touched.
-        return ReplicatedBrokerGroup(
-            None, 0, standbys, SimpleNamespace(now=0.0)
-        )
+        return ReplicaSet(None, 0, standbys, SimpleNamespace(now=0.0))
 
     @pytest.mark.parametrize("name", ["BrokerJournal", "ShardJournal"])
     def test_checkpoint_every_message(self, name):
@@ -381,7 +379,7 @@ class TestReplicaSetMisuse:
     def test_standby_messages(self):
         for build, name in (
             (lambda s: self._shard(standbys=s), "ReplicatedShard"),
-            (self._group, "ReplicatedBrokerGroup"),
+            (self._set, "ReplicaSet"),
         ):
             with pytest.raises(ValueError) as error:
                 build([])
