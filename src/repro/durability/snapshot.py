@@ -31,18 +31,24 @@ producer's (``durable_state()["table_text"]``, kept by a
 producer has one, so a checkpoint of an unchanged table encodes the
 partition and a handful of scalars.  A snapshot computes its digest at
 most once and remembers the 32 characters, not the text they cover:
-memory stores keep every snapshot they are given.
+memory stores keep every snapshot they are given.  Only a snapshot that
+is shipped also keeps its field texts, and ``table``'s is the
+``table_text`` it already holds.
 
 That memo, and the sharing of one encoded table between consecutive
 snapshots, rest on a contract: **a ``Snapshot`` and the dicts it holds
 are immutable once constructed.**  ``LogShipper`` re-ships one
-snapshot's ``to_dict()`` in every catch-up, ``MemorySnapshotStore``
-hands the same instance to every ``latest()``, and recovery reads
-``table`` / ``partition`` / ``sessions`` without copying the parts it
-does not change — all three rely on it.  Verification never does:
-:meth:`Snapshot.from_dict` builds a new snapshot from the payload it
-was handed and computes that snapshot's digest from those values; a
-payload's own ``digest`` member is only ever compared against.
+snapshot's :meth:`~Snapshot.shipped` form (each body field's canonical
+text, ``table``'s being ``table_text``, beside the digest) in every
+catch-up, ``MemorySnapshotStore`` hands the same instance to every
+``latest()``, and recovery reads ``table`` / ``partition`` /
+``sessions`` without copying the parts it does not change — all three
+rely on it.  Verification never does: :meth:`Snapshot.from_dict` and
+:meth:`Snapshot.from_shipped` build a new snapshot from what they were
+handed and compute that snapshot's digest from it — over the table
+text that arrived, which is also the text its ``table`` is parsed
+from — on every install; a payload's own ``digest`` member is only
+ever compared against.
 """
 
 from __future__ import annotations
@@ -93,6 +99,9 @@ class Snapshot:
         default=None, compare=False, repr=False
     )
     _digest: Optional[str] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _shipped: Optional[Dict] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -149,6 +158,31 @@ class Snapshot:
         texts["format_version"] = canonical_json(_FORMAT_VERSION)
         return canonical_object(texts)
 
+    def shipped(self) -> Dict:
+        """The wire form: ``{"texts": canonical text per body field,
+        "digest": …}``, built once and shared by every re-ship."""
+        if self._shipped is None:
+            texts = self._body_texts()
+            shipped = {"texts": texts, "digest": self._digest_of(texts)}
+            object.__setattr__(self, "_shipped", shipped)
+        return self._shipped
+
+    @classmethod
+    def from_shipped(
+        cls, shipped: Dict, held: Optional[Snapshot] = None
+    ) -> Snapshot:
+        """Decode and verify a :meth:`shipped` form.  The table is the
+        one that arrived: its text is kept as ``table_text`` and parsed
+        — unless ``held`` already holds that very text parsed."""
+        texts = shipped["texts"]
+        text = texts["table"]
+        body = {k: json.loads(v) for k, v in texts.items() if k != "table"}
+        if held is not None and held.table_text == text:
+            body["table"] = held.table
+        else:
+            body["table"] = json.loads(text)
+        return cls._verified(body, shipped, table_text=text)
+
     @classmethod
     def from_dict(cls, payload: Dict) -> Snapshot:
         version = payload.get("format_version")
@@ -156,14 +190,23 @@ class Snapshot:
             raise ValueError(
                 f"unsupported snapshot format version: {version!r}"
             )
+        return cls._verified(payload, payload)
+
+    @classmethod
+    def _verified(
+        cls, body: Dict, payload: Dict, table_text: Optional[str] = None
+    ) -> Snapshot:
+        """A snapshot of ``body``'s values, whose own digest must equal
+        the ``digest`` member ``payload`` carries."""
         snapshot = cls(
-            snapshot_id=int(payload["snapshot_id"]),
-            checkpoint_lsn=int(payload["checkpoint_lsn"]),
-            table=payload["table"],
-            removed=[int(x) for x in payload.get("removed", [])],
-            partition=payload.get("partition"),
-            taken_at=float(payload.get("taken_at", 0.0)),
-            sessions=payload.get("sessions"),
+            snapshot_id=int(body["snapshot_id"]),
+            checkpoint_lsn=int(body["checkpoint_lsn"]),
+            table=body["table"],
+            removed=[int(x) for x in body.get("removed", [])],
+            partition=body.get("partition"),
+            taken_at=float(body.get("taken_at", 0.0)),
+            sessions=body.get("sessions"),
+            table_text=table_text,
         )
         if "digest" not in payload:
             raise ValueError(

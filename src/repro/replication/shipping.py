@@ -7,7 +7,8 @@ BrokerJournal` did to its storage:
 - ``("append", lsn, kind, body)`` — one WAL record, body verbatim
   (clock stamp included), so the standby's ``wal.append`` reproduces
   the record *byte for byte*;
-- ``("snapshot", payload)`` — a checkpoint's snapshot dict;
+- ``("snapshot", shipped)`` — a checkpoint's snapshot in its
+  :meth:`~repro.durability.snapshot.Snapshot.shipped` form;
 - ``("truncate", lsn)`` — the matching WAL prefix cut.
 
 Ops are indexed from 0 over the stream's lifetime.  The primary-side
@@ -170,7 +171,7 @@ class LogShipper:
 
     def checkpoint(self, snapshot: Snapshot, truncate_lsn: int) -> None:
         """``BrokerJournal.on_checkpoint`` tap: snapshot + prefix cut."""
-        self._ops.append(("snapshot", snapshot.to_dict()))
+        self._ops.append(("snapshot", snapshot.shipped()))
         self._ops.append(("truncate", int(truncate_lsn)))
 
     def pending_ops(self) -> int:
@@ -258,7 +259,7 @@ class LogShipper:
                 "start_index": self.next_index,
                 "base_lsn": base_lsn,
                 "wal": data,
-                "snapshot": snapshot.to_dict() if snapshot else None,
+                "snapshot": snapshot.shipped() if snapshot else None,
             },
         )
         self.stats.catchups += 1
@@ -344,6 +345,9 @@ class StandbyReplica:
         self.applied_index = 0
         self.batches_applied = 0
         self.catchups_applied = 0
+        #: The snapshot installed last: a shipped table with its text
+        #: is taken from it rather than parsed again.
+        self._held: Optional[Snapshot] = None
         #: Epoch whose op-stream indexing ``applied_index`` refers to.
         #: A takeover starts a fresh stream at index 0; incremental
         #: batches from a newer epoch are refused with a ``resync``
@@ -419,9 +423,14 @@ class StandbyReplica:
             # Stale catch-up from before acks we already sent; applying
             # it would rewind the WAL below what we acked.
             return self._ack()
-        self.wal.copy_in(base_lsn, data)
+        # Verify before touching the WAL: a refused snapshot must leave
+        # it as ``applied_index`` describes it.
+        snapshot = None
         if snapshot_payload is not None:
-            self._install_snapshot(snapshot_payload)
+            snapshot = Snapshot.from_shipped(snapshot_payload, self._held)
+        self.wal.copy_in(base_lsn, data)
+        if snapshot is not None:
+            self._install(snapshot)
         self.applied_index = int(start_index)
         self.stream_epoch = int(epoch)
         self.catchups_applied += 1
@@ -432,10 +441,11 @@ class StandbyReplica:
             ).inc()
         return self._ack()
 
-    def _install_snapshot(self, payload: Payload) -> None:
-        """Store a shipped snapshot, its digest recomputed from the
-        payload as received (raises on a mismatch or a missing one)."""
-        self.store.save(Snapshot.from_dict(payload))
+    def _install(self, snapshot: Snapshot) -> None:
+        """Store a snapshot :meth:`Snapshot.from_shipped` verified (its
+        digest recomputed over the texts as received)."""
+        self._held = snapshot
+        self.store.save(snapshot)
 
     def invalidate_stream(self) -> None:
         """Drop off the incremental stream (local WAL was damaged and
@@ -454,7 +464,7 @@ class StandbyReplica:
                     f"local lsn {got}"
                 )
         elif tag == "snapshot":
-            self._install_snapshot(op[1])
+            self._install(Snapshot.from_shipped(op[1], self._held))
         elif tag == "truncate":
             self.wal.truncate_prefix(int(op[1]))
         else:

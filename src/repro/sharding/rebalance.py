@@ -126,6 +126,9 @@ class Rebalancer:
             for s in sorted(moving, key=lambda s: s.subscription_id)
         )
         handoff = self._pack(moving, now)
+        # The destination's copy, decoded and verified before anything
+        # is journaled: a refused handoff leaves no trace.
+        arrived = Snapshot.from_shipped(handoff.shipped())
         self.wal.append(
             RecordKind.MIGRATE_BEGIN,
             {
@@ -148,7 +151,7 @@ class Rebalancer:
         )
         self._next_id += 1
         self._active[q] = ticket
-        self._install(handoff, moved_ids, dest)
+        self._install(arrived, moved_ids, dest)
         return ticket
 
     def _pack(self, moving: List[Subscription], now: float) -> Snapshot:
@@ -167,11 +170,10 @@ class Rebalancer:
         )
 
     def _install(
-        self, handoff: Snapshot, moved_ids: Tuple[int, ...], dest: int
+        self, arrived: Snapshot, moved_ids: Tuple[int, ...], dest: int
     ) -> int:
-        """Decode the handoff on the destination (digest re-verified)."""
-        verified = Snapshot.from_dict(handoff.to_dict())
-        decoded = table_from_dict(verified.table)
+        """Register a verified handoff's subscriptions on ``dest``."""
+        decoded = table_from_dict(arrived.table)
         target = self.router.shards[dest]
         installed = 0
         for local, gid in enumerate(moved_ids):

@@ -3,18 +3,22 @@
 A checkpoint used to encode the whole durable state twice (once for the
 digest, once for the file) whether or not anything had changed: ~290 000
 characters at 1000 subscriptions.  It now encodes what changed since the
-last one.  The guard counts the characters every ``JSONEncoder.encode``
-call returns, from here (nothing in ``src/`` counts), so it reads the
-same on any machine.
+last one.  A standby verifies a shipped snapshot over the table text
+that arrived and parses that text at most once.  The guards count the
+characters every ``JSONEncoder.encode`` call returns and the texts every
+``JSONDecoder.decode`` call is handed, from here (nothing in ``src/``
+counts), so they read the same on any machine.
 """
 
 from __future__ import annotations
 
 import json
+import json.decoder
 import json.encoder
 
 import pytest
 
+from repro.core.subscription import Subscription
 from repro.durability import (
     BrokerJournal,
     FileSnapshotStore,
@@ -22,7 +26,13 @@ from repro.durability import (
     MemoryWAL,
 )
 from repro.faults.verifier import build_chaos_testbed
-from repro.replication import EpochState, LogShipper, ReplicaRole
+from repro.replication import (
+    EpochState,
+    LogShipper,
+    ReplicaRole,
+    StandbyReplica,
+)
+from repro.sharding.router import ShardBroker
 from repro.workload import StockSubscriptionGenerator
 
 #: What is left to encode when the table did not change: the partition
@@ -43,6 +53,20 @@ def encoded(monkeypatch):
 
     monkeypatch.setattr(json.encoder.JSONEncoder, "encode", counting)
     return total
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """A list of every text JSON-decoded since it was cleared."""
+    texts = []
+    decode = json.decoder.JSONDecoder.decode
+
+    def recording(self, text, *args, **kwargs):
+        texts.append(text)
+        return decode(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(json.decoder.JSONDecoder, "decode", recording)
+    return texts
 
 
 @pytest.fixture(scope="module")
@@ -105,4 +129,49 @@ def test_a_reshipped_snapshot_is_encoded_once(churn_broker, encoded):
         shipper.force_catchup(9, 0.0)
     assert encoded[0] <= 1_000
     assert [p["snapshot"]["digest"] for p in sent] == [snapshot.digest()] * 3
-    assert all(p["snapshot"] == snapshot.to_dict() for p in sent)
+    # One shipped form, built once and shared: its table is the text the
+    # broker's encoder already held.
+    assert all(p["snapshot"] is snapshot.shipped() for p in sent)
+    assert snapshot.shipped()["texts"]["table"] is snapshot.table_text
+
+
+def test_a_standby_verifies_an_unchanged_snapshot_without_encoding_it(
+    churn_broker, encoded, decoded
+):
+    """Three catch-ups carry one shard's unchanged snapshot (a shard has
+    no partition: what every cluster standby is sent).  The standby
+    hashes the table text that arrived, parses it on the first install
+    and takes the parse it holds on the next two."""
+    shard = ShardBroker(0, 0, churn_broker.table.ndim)
+    for gid, entry in enumerate(churn_broker.table):
+        shard.register(Subscription(gid, entry.subscriber, entry.rectangle))
+    sent = []
+    wal, snapshots = MemoryWAL(), MemorySnapshotStore()
+    shipper = LogShipper(
+        EpochState(node=4, role=ReplicaRole.PRIMARY),
+        [9],
+        send=lambda standby, payload: sent.append(payload),
+        wal=wal,
+        snapshots=snapshots,
+    )
+    snapshot = BrokerJournal(shard, wal, snapshots).checkpoint()
+    assert len(snapshot.table_text) > 100_000
+    for _ in range(3):
+        shipper.force_catchup(9, 0.0)
+    standby = StandbyReplica(
+        EpochState(node=9, role=ReplicaRole.STANDBY),
+        MemoryWAL(),
+        MemorySnapshotStore(),
+    )
+
+    encoded[0] = 0
+    decoded.clear()
+    installed = []
+    for payload in sent:
+        assert standby.receive(payload)["type"] == "ack"
+        installed.append(standby.store.latest())
+    assert encoded[0] <= 1_000
+    assert decoded.count(snapshot.table_text) == 1
+    assert sum(map(len, decoded)) <= len(snapshot.table_text) + 1_000
+    assert installed == [snapshot] * 3
+    assert installed[0].table is installed[2].table

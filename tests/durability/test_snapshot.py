@@ -3,15 +3,26 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from repro.durability import FileSnapshotStore, MemorySnapshotStore, Snapshot
+from repro.io import canonical_json
+from tests.durability.test_snapshot_bytes import snapshots
 
 TABLE = {
     "ndim": 2,
     "subscriptions": [
         {"subscriber": 3, "lows": [0.0, "-inf"], "highs": [1.0, "inf"]},
+    ],
+}
+
+TABLE_2 = {
+    "ndim": 2,
+    "subscriptions": [
+        {"subscriber": 5, "lows": ["-inf", 0.5], "highs": ["inf", 2.0]},
     ],
 }
 
@@ -68,6 +79,60 @@ class TestCodec:
         payload["format_version"] = 99
         with pytest.raises(ValueError, match="format version"):
             Snapshot.from_dict(payload)
+
+
+class TestShipped:
+    """The wire form: canonical text per body field beside the digest."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(snapshot=snapshots())
+    def test_round_trip(self, snapshot):
+        arrived = Snapshot.from_shipped(snapshot.shipped())
+        assert arrived == replace(
+            snapshot,
+            removed=sorted(snapshot.removed),
+            sessions=snapshot.sessions or None,
+        )
+        assert arrived.digest() == snapshot.digest()
+        assert arrived.table_text == canonical_json(snapshot.table)
+
+    def test_built_once(self):
+        original = snap()
+        assert original.shipped() is original.shipped()
+        assert original.shipped()["digest"] == original.digest()
+
+    def test_table_text_altered_digest_kept(self):
+        shipped = snap().shipped()
+        texts = dict(shipped["texts"])
+        texts["table"] = texts["table"].replace(
+            '"subscriber":3', '"subscriber":4'
+        )
+        with pytest.raises(ValueError, match="digest mismatch"):
+            Snapshot.from_shipped({**shipped, "texts": texts})
+
+    def test_scalar_altered(self):
+        shipped = snap().shipped()
+        texts = {**shipped["texts"], "taken_at": "8.25"}
+        with pytest.raises(ValueError, match="digest mismatch"):
+            Snapshot.from_shipped({**shipped, "texts": texts})
+
+    def test_digest_missing(self):
+        with pytest.raises(ValueError, match="digest missing"):
+            Snapshot.from_shipped({"texts": snap().shipped()["texts"]})
+
+    def test_identical_table_text_reuses_the_held_parse(self):
+        held = Snapshot.from_shipped(snap().shipped())
+        again = Snapshot.from_shipped(snap(snapshot_id=1).shipped(), held)
+        assert again.table is held.table
+        assert again.snapshot_id == 1
+
+    def test_different_table_text_is_parsed(self):
+        held = Snapshot.from_shipped(snap().shipped())
+        other = Snapshot(snapshot_id=1, checkpoint_lsn=20, table=TABLE_2)
+        arrived = Snapshot.from_shipped(other.shipped(), held)
+        assert arrived.table is not held.table
+        assert arrived.table == json.loads(canonical_json(TABLE_2))
+        assert arrived == other
 
 
 class TestMemoryStore:

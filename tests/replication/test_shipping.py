@@ -4,6 +4,7 @@ import pytest
 
 from repro.durability import MemoryWAL, RecordKind
 from repro.durability.snapshot import MemorySnapshotStore, Snapshot
+from repro.faults.verifier import build_chaos_testbed
 from repro.overload.breaker import BreakerBoard, BreakerConfig
 from repro.replication import (
     EpochState,
@@ -12,6 +13,42 @@ from repro.replication import (
     ShippingConfig,
     StandbyReplica,
 )
+from repro.sharding import Rebalancer, ShardMap, ShardRouter
+
+GOOD = Snapshot(
+    snapshot_id=0,
+    checkpoint_lsn=3,
+    table={
+        "ndim": 2,
+        "subscriptions": [
+            {"subscriber": 3, "lows": [0.0, "-inf"], "highs": [1.0, "inf"]},
+        ],
+    },
+)
+
+
+def _alter_table(shipped):
+    """One subscriber renumbered in the table text; digest kept."""
+    table = shipped["texts"]["table"].replace(
+        '"subscriber":', '"subscriber":1', 1
+    )
+    return {**shipped, "texts": {**shipped["texts"], "table": table}}
+
+
+def _alter_scalar(shipped):
+    return {**shipped, "texts": {**shipped["texts"], "checkpoint_lsn": "9"}}
+
+
+def _drop_digest(shipped):
+    return {"texts": shipped["texts"]}
+
+
+#: Each way a shipped snapshot can arrive wrong, and how it is refused.
+TAMPERINGS = [
+    pytest.param(_alter_table, "digest mismatch", id="table-text"),
+    pytest.param(_alter_scalar, "digest mismatch", id="scalar"),
+    pytest.param(_drop_digest, "digest missing", id="no-digest"),
+]
 
 
 def _standby(node=9, epoch=0):
@@ -189,8 +226,8 @@ class TestCatchUp:
         rig.shipper.force_catchup(9, 0.0)
         payload = rig.outbox.pop()[1]
         assert payload["snapshot"]["digest"] == good.digest()
-        stripped = dict(payload["snapshot"], checkpoint_lsn=9999)
-        del stripped["digest"]
+        texts = dict(payload["snapshot"]["texts"], checkpoint_lsn="9999")
+        stripped = {"texts": texts}
         with pytest.raises(ValueError, match="digest missing"):
             rig.replicas[9].receive_catchup(
                 payload["epoch"], payload["start_index"],
@@ -200,6 +237,30 @@ class TestCatchUp:
         # The same transfer as the primary sent it installs.
         rig.replicas[9].receive(payload)
         assert rig.replicas[9].store.latest() == good
+
+    def test_refused_catchup_leaves_the_wal_alone(self):
+        """The snapshot is verified before the shipped WAL replaces the
+        standby's, so after a refusal ``applied_index`` still describes
+        the standby's bytes and the next batch applies cleanly."""
+        rig = _Rig()
+        rig.journal(6)
+        rig.shipper.flush(0.0)
+        rig.deliver()
+        replica = rig.replicas[9]
+        before = replica.wal.copy_out()
+        rig.snapshots.save(GOOD)
+        rig.journal(4, start=6)
+        rig.shipper.force_catchup(9, 1.0)
+        payload = rig.outbox.pop()[1]
+        tampered = {**payload, "snapshot": _alter_table(payload["snapshot"])}
+        with pytest.raises(ValueError, match="digest mismatch"):
+            replica.receive(tampered)
+        assert replica.wal.copy_out() == before
+        assert replica.applied_index == 6
+        rig.shipper.flush(2.0)
+        rig.deliver()
+        assert replica.applied_index == 10
+        assert replica.wal.copy_out() == rig.wal.copy_out()
 
 
 class TestEpochHandling:
@@ -284,3 +345,82 @@ class TestBackpressure:
         rig.deliver()  # ack lands: progress
         assert rig.shipper.stats.breaker_failures == 0
         assert not breakers.open_targets()
+
+
+@pytest.fixture(scope="module")
+def sharded_broker():
+    broker, _ = build_chaos_testbed(seed=19, subscriptions=120, num_groups=9)
+    return broker
+
+
+class TestTamperedSnapshots:
+    """A shipped snapshot that does not verify is refused on every path
+    that receives one, and reaches neither the store nor the WAL."""
+
+    @pytest.mark.parametrize("tamper, refusal", TAMPERINGS)
+    def test_batch_op(self, tamper, refusal):
+        rig = _Rig()
+        rig.journal(2)
+        cut = rig.wal.end_lsn
+        rig.journal(2, start=2)
+        rig.shipper.flush(0.0)
+        rig.deliver()
+        replica = rig.replicas[9]
+        before = replica.wal.copy_out()
+        rig.shipper.checkpoint(GOOD, truncate_lsn=cut)
+        rig.shipper.flush(1.0)
+        payload = rig.outbox.pop()[1]
+        ops = [
+            (op[0], tamper(op[1])) if op[0] == "snapshot" else op
+            for op in payload["ops"]
+        ]
+        with pytest.raises(ValueError, match=refusal):
+            replica.receive({**payload, "ops": ops})
+        assert replica.store.latest() is None
+        assert replica.wal.copy_out() == before  # the cut never ran
+        assert replica.applied_index == 4
+        replica.receive(payload)
+        assert replica.store.latest() == GOOD
+        assert replica.wal.base_lsn == cut
+
+    @pytest.mark.parametrize("tamper, refusal", TAMPERINGS)
+    def test_catchup(self, tamper, refusal):
+        rig = _Rig()
+        rig.journal(3)
+        rig.snapshots.save(GOOD)
+        rig.shipper.force_catchup(9, 0.0)
+        payload = rig.outbox.pop()[1]
+        replica = rig.replicas[9]
+        tampered = {**payload, "snapshot": tamper(payload["snapshot"])}
+        with pytest.raises(ValueError, match=refusal):
+            replica.receive(tampered)
+        assert replica.store.latest() is None
+        assert replica.wal.end_lsn == 0
+        assert replica.catchups_applied == 0
+        replica.receive(payload)
+        assert replica.store.latest() == GOOD
+        assert replica.wal.copy_out() == rig.wal.copy_out()
+
+    @pytest.mark.parametrize("tamper, refusal", TAMPERINGS)
+    def test_migration_handoff(
+        self, sharded_broker, monkeypatch, tamper, refusal
+    ):
+        router = ShardRouter(
+            sharded_broker, ShardMap.plan(sharded_broker.partition, 4)
+        )
+        rebalancer = Rebalancer(router)
+        q = router.map.subsets_of(0)[0]
+        held = router.shards[1].subscription_ids
+        shipped = Snapshot.shipped
+        monkeypatch.setattr(
+            Snapshot, "shipped", lambda self: tamper(shipped(self))
+        )
+        with pytest.raises(ValueError, match=refusal):
+            rebalancer.begin(q, 1)
+        assert router.shards[1].subscription_ids == held
+        assert rebalancer.wal.end_lsn == 0
+        monkeypatch.undo()
+        ticket = rebalancer.begin(q, 1)
+        assert ticket.moved_ids
+        assert set(ticket.moved_ids) <= set(router.shards[1].subscription_ids)
+        assert len(rebalancer.wal.scan().records) == 1
