@@ -38,7 +38,7 @@ from ..sharding.router import (
     decode_entries,
     encode_entries,
 )
-from ..telemetry.base import Telemetry, or_null
+from ..telemetry.base import Telemetry
 
 __all__ = ["ShardJournal", "RecoveredShardState", "recover_shard"]
 
@@ -136,14 +136,4 @@ def recover_shard(
     :func:`~repro.durability.recovery.replay` with the shard's fold;
     never raises on damaged input (see there).
     """
-    telemetry = or_null(telemetry)
-    state = replay(wal, store, _from_snapshot, _SHARD_FOLDS)
-    if telemetry.enabled:
-        telemetry.counter(
-            "cluster.recoveries", help="shard recoveries performed"
-        ).inc()
-        telemetry.counter(
-            "cluster.recovery_replayed",
-            help="WAL records replayed during shard recoveries",
-        ).inc(state.replayed)
-    return state
+    return replay(wal, store, _from_snapshot, _SHARD_FOLDS, telemetry)

@@ -12,10 +12,12 @@ late heartbeat — and transitions run through a two-stage hysteresis:
 - ``ALIVE → SUSPECT`` after ``suspect_after`` of silence — cheap to
   enter, cheap to leave (one heartbeat recovers the node);
 - ``SUSPECT → DEAD`` after ``confirm_after`` of *total* silence — the
-  irreversible verdict that triggers a shard takeover.  ``DEAD`` is
-  sticky: a partitioned zombie that heals and beats again stays dead
-  in the view (its heartbeats are counted as stale, and epoch fencing
-  rejects its writes at the replication layer).
+  verdict that triggers a shard takeover.  ``DEAD`` is sticky to
+  heartbeats: a partitioned zombie that heals and beats again stays
+  dead in the view (its heartbeats are counted as stale, and epoch
+  fencing rejects its writes at the replication layer).  Only a home
+  restarted from its own storage leaves it, through
+  :meth:`Membership.rejoin`, as a new incarnation.
 
 Every transition bumps the cluster **view epoch**, and takeovers bump
 it again through :meth:`advance_epoch` — one monotone counter stamps
@@ -60,7 +62,7 @@ class MembershipConfig:
     heartbeat_interval: float = 10.0
     #: Silence longer than this moves ALIVE → SUSPECT (recoverable).
     suspect_after: float = 25.0
-    #: Silence longer than this moves SUSPECT → DEAD (irreversible).
+    #: Silence longer than this moves SUSPECT → DEAD (sticky).
     confirm_after: float = 55.0
 
     def __post_init__(self) -> None:
@@ -155,6 +157,15 @@ class Membership:
         if self._state[node] is not MemberState.DEAD:
             self._state[node] = MemberState.DEAD
             self.confirmed_deaths += 1
+            self.epoch += 1
+
+    def rejoin(self, node: int, now: float) -> None:
+        """``node`` restarted from its own storage: unlike a zombie's
+        heartbeat, the new incarnation is ALIVE again (epoch bump)."""
+        node = int(node)
+        if self._state[node] is MemberState.DEAD:
+            self._state[node] = MemberState.ALIVE
+            self._last_heard[node] = float(now)
             self.epoch += 1
 
     def tick(self, now: float) -> List[Tuple[int, MemberState]]:

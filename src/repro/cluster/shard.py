@@ -26,7 +26,9 @@ chaos --cluster --shards 1``).  What a shard adds:
 Takeover replays the candidate's shipped WAL
 (:func:`~repro.cluster.journal.recover_shard`) and installs the
 entries into the live shard broker, which re-homes it
-(:meth:`~repro.sharding.router.ShardBroker.install`).
+(:meth:`~repro.sharding.router.ShardBroker.install`).  A crashed home
+that comes back is the same step with the home as its own candidate
+(:meth:`~ReplicatedShard.restart`): its own WAL, no standby needed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, Dict, Optional, Sequence
 from ..durability.recovery import InflightDelivery
 from ..overload.breaker import BreakerBoard
 from ..replication.epoch import EpochDirectory
-from ..replication.group import Alive, Clock, ReplicaSet, Send
+from ..replication.group import Alive, Clock, ReplicaSet, Send, WalFactory
 from ..replication.shipping import ShippingConfig
 from ..sharding.router import ShardBroker
 from ..telemetry.base import Telemetry
@@ -48,7 +50,8 @@ __all__ = ["TakeoverResult", "ReplicatedShard"]
 
 @dataclass(frozen=True)
 class TakeoverResult:
-    """What one fenced standby takeover produced."""
+    """What one fenced standby takeover (or in-place restart,
+    ``old_home == new_home``) produced."""
 
     shard_id: int
     old_home: int
@@ -63,7 +66,8 @@ class TakeoverResult:
 
 
 class ReplicatedShard(ReplicaSet):
-    """One shard broker, one ranked standby set, fenced takeover."""
+    """One shard broker, a ranked (possibly empty) standby set, fenced
+    takeover and in-place restart."""
 
     journal_class = ShardJournal
     metrics = "cluster"
@@ -79,6 +83,7 @@ class ReplicatedShard(ReplicaSet):
         standbys: Sequence[int],
         simulator: Clock,
         send: Optional[Send] = None,
+        wal_factory: Optional[WalFactory] = None,
         shipping: Optional[ShippingConfig] = None,
         alive: Optional[Alive] = None,
         checkpoint_every: int = 64,
@@ -91,6 +96,7 @@ class ReplicatedShard(ReplicaSet):
             standbys,
             simulator,
             send=send,
+            wal_factory=wal_factory,
             shipping=shipping,
             alive=alive,
             checkpoint_every=checkpoint_every,
@@ -123,17 +129,36 @@ class ReplicatedShard(ReplicaSet):
         """Promote the best standby under cluster epoch ``epoch``.
 
         Returns ``None`` when no standby is usable — the coordinator
-        falls back to ring exclusion (the pre-cluster stranding path).
-        A non-advancing ``epoch`` is refused before anything changes.
+        waits for the home or falls back to ring exclusion.  A
+        non-advancing ``epoch`` is refused before anything changes.
         """
+        self._check_epoch(epoch)
+        candidate = self.candidate(now, eligible)
+        if candidate is None:
+            return None
+        return self._recover_onto(candidate, epoch, directory)
+
+    def restart(
+        self, epoch: int, directory: Optional[EpochDirectory] = None
+    ) -> TakeoverResult:
+        """The crashed primary comes back: :meth:`takeover` with the
+        primary as its own candidate, recovering from its own WAL and
+        store under cluster epoch ``epoch``."""
+        self._check_epoch(epoch)
+        return self._recover_onto(self.primary, epoch, directory)
+
+    def _check_epoch(self, epoch: int) -> None:
         if epoch <= self.epoch:
             raise ValueError(
                 f"ReplicatedShard: takeover epoch must advance "
                 f"(have {self.epoch}, got {epoch})"
             )
-        candidate = self.candidate(now, eligible)
-        if candidate is None:
-            return None
+
+    def _recover_onto(
+        self, candidate: int, epoch: int, directory: Optional[EpochDirectory]
+    ) -> TakeoverResult:
+        """Replay ``candidate``'s storage into the live shard broker and
+        make it the primary."""
         state = recover_shard(
             self.wals[candidate],
             self.stores[candidate],
@@ -142,9 +167,10 @@ class ReplicatedShard(ReplicaSet):
         self.broker.install(state.entries, candidate)
         old = self._promote(candidate, state, epoch, directory)
         if self.telemetry.enabled:
-            self.telemetry.counter(
-                "cluster.takeovers", help="shard takeovers completed"
-            ).inc()
+            if candidate != old:
+                self.telemetry.counter(
+                    "cluster.takeovers", help="shard takeovers completed"
+                ).inc()
             self.telemetry.gauge(
                 "cluster.shard_epoch",
                 help="per-shard configuration epoch",

@@ -148,6 +148,7 @@ def replay(
     store: SnapshotStore,
     from_snapshot: Callable[[Optional[Snapshot]], S],
     folds: Mapping[RecordKind, Callable[[S, Dict[str, Any]], None]],
+    telemetry: Optional[Telemetry] = None,
 ) -> S:
     """Steps 1-3 of the restart sequence, for any journaled state.
 
@@ -158,7 +159,9 @@ def replay(
     captures to the function applying one such record's body.  Those
     records are skipped below ``checkpoint_lsn``; PUBLISH / DELIVER
     are paired into ``inflight`` at any retained LSN, the same way for
-    every caller.
+    every caller.  The ``recovery`` span and the ``recovery.*``
+    counters are metered here too, so a broker restart and a shard
+    takeover count alike.
 
     Never raises on damaged input: a torn or corrupt WAL tail is
     truncated at the last valid record (``truncated_bytes`` /
@@ -166,6 +169,13 @@ def replay(
     and a body a fold rejects (``KeyError`` / ``TypeError`` /
     ``ValueError``) is counted in ``skipped``.
     """
+    telemetry = or_null(telemetry)
+    span = None
+    if telemetry.enabled:
+        span = telemetry.start_span("recovery")
+        telemetry.counter(
+            "recovery.runs", help="WAL replays (restarts and takeovers)"
+        ).inc()
     state = from_snapshot(store.latest())
     scan = wal.scan()
     state.truncated_bytes = wal.end_lsn - scan.valid_end
@@ -215,6 +225,26 @@ def replay(
         )
         for seq, entry in sorted(pending.items())
     }
+    if telemetry.enabled:
+        telemetry.counter(
+            "recovery.replayed", help="WAL records replayed on recovery"
+        ).inc(state.replayed)
+        telemetry.counter(
+            "recovery.truncated",
+            help="WAL bytes truncated as torn/corrupt on recovery",
+        ).inc(state.truncated_bytes)
+        telemetry.counter(
+            "recovery.inflight",
+            help="unacked (event, target) deliveries found on recovery",
+        ).inc(sum(len(e.targets) for e in state.inflight.values()))
+        span.set_attribute("replayed", state.replayed).set_attribute(
+            "truncated_bytes", state.truncated_bytes
+        ).set_attribute(
+            "inflight", len(state.inflight)
+        ).set_attribute(
+            "snapshot",
+            state.snapshot_id if state.snapshot_id is not None else -1,
+        ).finish()
     return state
 
 
@@ -307,37 +337,7 @@ def recover(
     :func:`replay` with the broker's fold; never raises on damaged
     input (see there).
     """
-    telemetry = or_null(telemetry)
-    span = None
-    if telemetry.enabled:
-        span = telemetry.start_span("recovery")
-        telemetry.counter(
-            "recovery.runs", help="crash recoveries performed"
-        ).inc()
-
-    state = replay(wal, store, _from_snapshot, _BROKER_FOLDS)
-
-    if telemetry.enabled:
-        telemetry.counter(
-            "recovery.replayed", help="WAL records replayed on recovery"
-        ).inc(state.replayed)
-        telemetry.counter(
-            "recovery.truncated",
-            help="WAL bytes truncated as torn/corrupt on recovery",
-        ).inc(state.truncated_bytes)
-        telemetry.counter(
-            "recovery.inflight",
-            help="unacked (event, target) deliveries found on recovery",
-        ).inc(sum(len(e.targets) for e in state.inflight.values()))
-        span.set_attribute("replayed", state.replayed).set_attribute(
-            "truncated_bytes", state.truncated_bytes
-        ).set_attribute(
-            "inflight", len(state.inflight)
-        ).set_attribute(
-            "snapshot",
-            state.snapshot_id if state.snapshot_id is not None else -1,
-        ).finish()
-    return state
+    return replay(wal, store, _from_snapshot, _BROKER_FOLDS, telemetry)
 
 
 def restore_broker(

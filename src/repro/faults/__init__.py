@@ -19,12 +19,6 @@ story, in three layers:
   replay behind the full overload-protection stack
   (:mod:`repro.overload`), with strict shed/expire accounting and
   per-subscriber circuit breakers (``repro chaos --overload``);
-- :mod:`repro.faults.crash_recovery` — the durability harness: the
-  chaos replay with a home broker journaling to a write-ahead log
-  (:mod:`repro.durability`), crash windows that wipe volatile state
-  and may corrupt the log, and deterministic snapshot + WAL-replay
-  recovery verified against the delivery ledger
-  (``repro chaos --crash-recovery``);
 - :mod:`repro.faults.sharded` — the scale-out harness: the workload
   routed across K shard brokers (:mod:`repro.sharding`) with live
   migrations, permanent shard kills, mid-migration crashes and
@@ -32,13 +26,16 @@ story, in three layers:
   per-event match parity with a single unsharded broker
   (``repro chaos --sharded``);
 - :mod:`repro.faults.cluster` — the full-stack harness: every shard
-  becomes a :mod:`repro.cluster` replicated group with a cluster-wide
-  membership detector, and simultaneous shard kills, partitions,
-  mid-copy migration crashes and standby WAL corruption are answered
-  by fenced standby takeovers instead of stranding, under the same
-  ledger and unsharded-digest parity (``repro chaos --cluster``; with
-  ``--shards 1`` it is one whole broker replicated, killed, partitioned
-  or caught up from a lagging standby);
+  becomes a :mod:`repro.cluster` replicated group, journaling to a
+  write-ahead log (:mod:`repro.durability`), under a cluster-wide
+  membership detector, and one recovery rule answers its failures: a
+  crashed home restarts from its own WAL (crash windows wipe volatile
+  state and may corrupt that log), a killed or partitioned one is
+  succeeded by a fenced standby takeover from a shipped copy, with
+  ring exclusion only for a killed home without standbys — all under
+  the same ledger and unsharded-digest parity (``repro chaos
+  --cluster``; with ``--shards 1`` it is one whole broker, and with
+  ``--standbys 0 --cluster-scenario restart`` the durability harness);
 - :mod:`repro.faults.sessions` — the subscriber-side harness: durable
   sessions (:mod:`repro.sessions`) at deterministic stub nodes abused
   by scripted crash / flap / slow-consumer / poison scenarios, with a
@@ -53,13 +50,6 @@ from .cluster import (
     FullStackChaosSimulation,
     StandbyWALCorruption,
     build_cluster_plan,
-)
-
-from .crash_recovery import (
-    CrashRecoveryReport,
-    CrashRecoverySimulation,
-    DurabilityStats,
-    build_crash_recovery_plan,
 )
 from .overload import OverloadChaosSimulation, OverloadReport
 from .plan import (
@@ -116,10 +106,6 @@ __all__ = [
     "FullStackChaosSimulation",
     "StandbyWALCorruption",
     "build_cluster_plan",
-    "CrashRecoveryReport",
-    "CrashRecoverySimulation",
-    "DurabilityStats",
-    "build_crash_recovery_plan",
     "OverloadChaosSimulation",
     "OverloadReport",
     "BrokerCrash",

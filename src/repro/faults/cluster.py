@@ -13,15 +13,19 @@ shipped WAL via :func:`~repro.cluster.journal.recover_shard`, re-home
 the sub-broker, reconcile its entry set against the authoritative
 scatter, re-hand unacked in-flight deliveries, and stamp everything
 with a cluster epoch so the deposed primary's writes bounce.  Ring
-exclusion survives only as the last resort when a shard loses its
-primary *and* every standby.  With one shard the harness verifies a
-whole replicated broker: its home killed, partitioned, or killed after
-its first standby fell behind (``kill`` / ``partition`` / ``catchup``).
+exclusion survives only as the last resort when a *killed* home leaves
+no standby behind.  A home that merely crashes keeps its role and its
+storage, and at the window's end restarts in place from its own WAL:
+the takeover step with the home as its own candidate.  With one shard
+the harness verifies a whole broker: killed, partitioned, killed after
+its first standby fell behind, or crashed and restarted (``kill`` /
+``partition`` / ``catchup`` / ``restart``).
 
 The adversary combines, in one run: permanent shard-home kills,
 network partitions (the deposed primary keeps running and must be
-fenced, not killed), mid-copy migration crashes, and torn-tail WAL
-corruption on a standby that is later promoted.  The invariants are
+fenced, not killed), mid-copy migration crashes, home crashes that may
+damage the home's WAL, and torn-tail WAL corruption on a standby that
+is later promoted.  The invariants are
 unchanged and absolute: ``delivered + shed + expired == published``
 with zero duplicates, zero *unexplained* misses (a miss is explained
 only by physical disconnection from every live home), and per-event
@@ -41,10 +45,11 @@ from ..cluster.membership import MemberState, Membership, MembershipConfig
 from ..cluster.shard import ReplicatedShard
 from ..overload.breaker import BreakerBoard, BreakerConfig
 from ..replication.epoch import EpochDirectory
+from ..replication.group import WalFactory
 from ..replication.shipping import ShippingConfig, ShippingStats
 from ..sharding.map import ShardMap
 from ..telemetry.base import Telemetry
-from .plan import BrokerKill, FaultPlan, LinkOutage
+from .plan import BrokerCrash, BrokerKill, FaultPlan, LinkOutage, WalCorruption
 from .reliable import RetryConfig
 from .sharded import (
     PlannedMigration,
@@ -67,6 +72,7 @@ CLUSTER_SCENARIOS = (
     "catchup",
     "double-kill",
     "migrate-under-kill",
+    "restart",
 )
 
 
@@ -125,6 +131,18 @@ class ClusterStats:
     confirmed_deaths: int = 0
     #: Heartbeats from nodes the view already confirmed dead.
     stale_heartbeats: int = 0
+    #: Crash windows that opened on a shard's acting home.
+    home_crashes: int = 0
+    #: In-place restarts of a crashed home from its own WAL.
+    restarts: int = 0
+    #: Recovery digest per restart (the determinism witness).
+    restart_digests: List[str] = field(default_factory=list)
+    #: (event, target) deliveries a restarted home re-handed.
+    redelivered_after_restart: int = 0
+    #: WAL bytes the restarts truncated as torn or corrupt.
+    restart_truncated: int = 0
+    #: Corruptions of a crashed home's own WAL the plan applied.
+    home_wal_corruptions: int = 0
 
 
 @dataclass
@@ -180,21 +198,31 @@ class ClusterReport(ShardedReport):
                 ("shipping backpressure skips", self.shipping.backpressure_skips),
             ]
         )
+        if c.home_crashes:
+            digests = " ".join(d[:8] for d in c.restart_digests) or "-"
+            rows += [
+                ("home crashes/restarts", f"{c.home_crashes}/{c.restarts}"),
+                ("restart digests", digests),
+                ("re-handed after restart", c.redelivered_after_restart),
+                ("home WAL corruptions", c.home_wal_corruptions),
+                ("wal bytes truncated at restart", c.restart_truncated),
+            ]
         return rows
 
 
 class FullStackChaosSimulation(ShardedChaosSimulation):
-    """Sharded chaos where every shard has a replicated standby set.
+    """Sharded chaos where every shard is a replicated group.
 
     ``standby_map`` maps shard id → ranked standby nodes (see
-    :func:`build_cluster_plan`).  A cluster tick loop (cadence
-    ``membership.heartbeat_interval``) feeds the membership detector
-    from the fault injector's ground truth — a node is *heard* iff it
-    is up and inside the majority network component, a deterministic
-    stand-in for gossip — drives per-shard replication heartbeats and
-    shipping flushes, and reacts to confirmed deaths: a dead standby
-    just leaves the candidate list, a dead acting primary triggers
-    :meth:`_fail_over`.
+    :func:`build_cluster_plan`); a list may be empty.  A cluster tick
+    loop (cadence ``membership.heartbeat_interval``) feeds the
+    membership detector from the fault injector's ground truth — a
+    node is *heard* iff it is up and inside the majority network
+    component, a deterministic stand-in for gossip — drives per-shard
+    replication heartbeats and shipping flushes, and reacts to
+    confirmed deaths: a dead standby just leaves the candidate list, a
+    dead acting primary triggers :meth:`_fail_over`.  A crash window on
+    a shard home is a :meth:`_crash` / :meth:`_restart` cycle.
     """
 
     def __init__(
@@ -209,6 +237,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         membership: Optional[MembershipConfig] = None,
         shipping: Optional[ShippingConfig] = None,
         checkpoint_every: int = 64,
+        wal_factory: Optional[WalFactory] = None,
         settle: float = 250.0,
         route_delay: float = 0.5,
         defer_capacity: int = 256,
@@ -238,12 +267,6 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             hop_retries=hop_retries,
             telemetry=telemetry,
         )
-        missing = [k for k in range(num_shards) if not standby_map.get(k)]
-        if missing:
-            raise ValueError(
-                f"FullStackChaosSimulation: every shard needs at least one "
-                f"standby (got none for shards {missing})"
-            )
         self.settle = float(settle)
         self.corruptions = tuple(corruptions)
         self.cstats = ClusterStats()
@@ -262,6 +285,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
                 [int(s) for s in standby_map[k]],
                 self.simulator,
                 send=self._ship,
+                wal_factory=wal_factory,
                 shipping=shipping,
                 alive=alive,
                 checkpoint_every=checkpoint_every,
@@ -309,6 +333,14 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             self.simulator.schedule_at(
                 float(kill.at),
                 lambda n=int(kill.node): self._node_killed(n),
+            )
+        for index, crash in enumerate(self.plan.crashes):
+            node = int(crash.node)
+            self.simulator.schedule_at(
+                float(crash.start), lambda n=node, i=index: self._crash(n, i)
+            )
+            self.simulator.schedule_at(
+                float(crash.end), lambda n=node: self._restart(n)
             )
         for planned in self.planned:
             self.simulator.schedule_at(
@@ -412,6 +444,13 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             None if component is None else (lambda node: node in component)
         )
         old = shard.primary
+        if not self.injector.node_killed(old, now) and (
+            shard.candidate(now, eligible) is None
+        ):
+            # Nobody to promote, but the home was not killed: a crash
+            # restarts it, a partition heals.  The shard waits for it
+            # (its events defer) instead of giving its subsets away.
+            return
         with self.telemetry.span(
             "cluster.takeover", shard=shard_id, old_home=old
         ):
@@ -420,7 +459,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
                 now, epoch, directory=self.directory, eligible=eligible
             )
             if result is None:
-                # Primary and every standby are gone: the pre-cluster
+                # A killed primary and no standby left: the pre-cluster
                 # stranding path (ring exclusion + rebalance) is all
                 # that is left.
                 self.cstats.ring_exclusions += 1
@@ -498,6 +537,10 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             shard = self.replicated[k]
             if node in shard.members:
                 shard.mark_dead(node)
+        self._wipe_sender_state(node)
+
+    def _wipe_sender_state(self, node: int) -> None:
+        """``node`` stopped: its volatile sender-side retry state is gone."""
         now = self.simulator.now
         wiped = self.transport.wipe_pending()
         self.sstats.wiped_inflight += sum(
@@ -506,7 +549,8 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             if self.homes.get(self._sender_shard.get(key, -1)) == node
         )
         # Re-arm in-flight deliveries whose owning shard's home is
-        # still up; the dead home's keys wait for its takeover.
+        # still up; the stopped home's keys wait for its takeover or
+        # its restart.
         for key in sorted(self._pending_of):
             pending = self._pending_of[key]
             if not pending:
@@ -518,6 +562,65 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             if self.injector.node_down(home, now):
                 continue
             self.transport.publish(key, home, sorted(pending))
+
+    def _homed(self, node: int) -> List[int]:
+        """Live shards whose acting home is ``node``."""
+        return [
+            k
+            for k, home in sorted(self.homes.items())
+            if home == node and k not in self._dead
+        ]
+
+    def _crash(self, node: int, index: int) -> None:
+        """Crash window ``index`` opens on ``node``: a home loses its
+        volatile sender state but keeps its roles and its storage,
+        which the window's :class:`~repro.faults.plan.WalCorruption`
+        may damage."""
+        homed = self._homed(node)
+        if not homed:
+            return  # not a shard home: the injector's downtime is all
+        if self.telemetry.enabled:
+            self.telemetry.event("broker-crash", node=node)
+        self._wipe_sender_state(node)
+        for k in homed:
+            self.cstats.home_crashes += 1
+            wal = self.replicated[k].wals[node]
+            for corruption in self.plan.wal_corruptions:
+                if corruption.crash_index == index and corruption.apply(wal):
+                    self.cstats.home_wal_corruptions += 1
+
+    def _restart(self, node: int) -> None:
+        """The crash window on ``node`` closes: every shard it still
+        homes recovers in place from the home's own WAL, re-hands what
+        that WAL says was in flight (receiver dedup keeps the wire
+        exactly-once), and serves what waited."""
+        homed = self._homed(node)
+        if not homed:
+            return
+        now = self.simulator.now
+        self.membership.rejoin(node, now)
+        for k in homed:
+            result = self.replicated[k].restart(
+                self.membership.advance_epoch(), self.directory
+            )
+            self.cstats.restarts += 1
+            self.cstats.restart_digests.append(result.digest)
+            self.cstats.restart_truncated += result.truncated_bytes
+            for entry in result.inflight.values():
+                self.transport.publish(
+                    entry.sequence, node, list(entry.targets)
+                )
+                self.cstats.redelivered_after_restart += len(entry.targets)
+            if self.telemetry.enabled:
+                self.telemetry.event(
+                    "restart", shard=k, home=node, epoch=result.epoch
+                )
+        if self.telemetry.enabled:
+            self.telemetry.counter(
+                "broker.deferred",
+                help="events a crashed home found waiting at its restart",
+            ).inc(len(self._defer))
+        self._flush_deferred()
 
     def _corrupt_standby(self, corruption: StandbyWALCorruption) -> None:
         """Tear the first live standby's WAL tail, then scrub it.
@@ -702,6 +805,9 @@ def build_cluster_plan(
     horizon: float = 300.0,
     standby_count: int = 2,
     copy_time: float = 20.0,
+    crashes: int = 2,
+    crash_length: float = 100.0,
+    corrupt: Optional[str] = None,
 ) -> Tuple[
     FaultPlan,
     List[int],
@@ -737,6 +843,11 @@ def build_cluster_plan(
       killed halfway through the copy: the journaled cutover completes
       onto the destination while the standby takeover re-homes what
       remains.
+    - ``"restart"`` — ``crashes`` windows of ``crash_length``, spread
+      evenly over the horizon, crash the busiest shard's home; each
+      restarts it in place from its own WAL.  ``corrupt``
+      (``"torn-tail"`` or ``"bit-flip"``) damages that WAL at every
+      crash, so each restart must also repair the log.
 
     Returns ``(plan, homes, standby_map, planned_migrations,
     corruptions)``.
@@ -746,9 +857,9 @@ def build_cluster_plan(
             f"scenario must be one of {', '.join(CLUSTER_SCENARIOS)} "
             f"(got {scenario!r})"
         )
-    if standby_count < 1:
+    if standby_count < 0:
         raise ValueError(
-            f"standby_count must be >= 1 (got {standby_count})"
+            f"standby_count must be >= 0 (got {standby_count})"
         )
     transit = sorted(int(n) for n in topology.all_transit_nodes())
     num_shards = shard_map.num_shards
@@ -780,6 +891,7 @@ def build_cluster_plan(
     busiest = max(range(num_shards), key=lambda s: (loads[s], -s))
     kills: Tuple[BrokerKill, ...] = ()
     outages: Tuple[LinkOutage, ...] = ()
+    windows: Tuple[BrokerCrash, ...] = ()
     planned: List[PlannedMigration] = []
 
     def isolated(node: int, start: float, end: float) -> Tuple[LinkOutage, ...]:
@@ -794,6 +906,8 @@ def build_cluster_plan(
     elif scenario == "partition":
         outages = isolated(homes[busiest], 0.35, 0.7)
     elif scenario == "catchup":
+        if not standby_map[busiest]:
+            raise ValueError("catchup needs at least one standby")
         outages = isolated(standby_map[busiest][0], 0.2, 0.5)
         kills = (BrokerKill(node=homes[busiest], at=0.6 * horizon),)
     elif scenario == "double-kill":
@@ -808,6 +922,24 @@ def build_cluster_plan(
         kills = (
             BrokerKill(node=homes[ranked_shards[0]], at=0.4 * horizon),
             BrokerKill(node=homes[ranked_shards[1]], at=0.55 * horizon),
+        )
+    elif scenario == "restart":
+        if crashes < 1:
+            raise ValueError(f"crashes must be >= 1 (got {crashes})")
+        span = horizon / (crashes + 1)
+        if crash_length >= span:
+            raise ValueError(
+                f"crash_length {crash_length} leaves no up-time between "
+                f"windows spaced {span:.1f} apart; shorten the crashes or "
+                "stretch the horizon"
+            )
+        windows = tuple(
+            BrokerCrash(
+                node=homes[busiest],
+                start=span * (index + 1),
+                end=span * (index + 1) + crash_length,
+            )
+            for index in range(crashes)
         )
     else:  # migrate-under-kill
         subsets = shard_map.subsets_of(busiest)
@@ -833,6 +965,12 @@ def build_cluster_plan(
         default_duplicate=duplicate,
         default_delay=delay,
         outages=outages,
+        crashes=windows,
         broker_kills=kills,
+        wal_corruptions=tuple(
+            WalCorruption(crash_index=index, kind=corrupt)
+            for index in range(len(windows))
+            if corrupt is not None
+        ),
     )
     return plan, homes, standby_map, planned, corruptions

@@ -171,12 +171,16 @@ class BrokerKill:
 
 @dataclass(frozen=True)
 class WalCorruption:
-    """Storage damage applied to a broker's WAL when it crashes.
+    """Storage damage applied to a broker's own WAL when it crashes.
 
-    ``crash_index`` selects which crash window (in plan order, per the
-    crash-recovery harness) the damage rides on — the crash *is* the
-    corruption moment: a torn tail models an append cut short by the
-    power loss, a bit flip models media rot discovered on restart.
+    One recovery rule covers both failures: a crashed broker restarts
+    from its own WAL, a killed one (:class:`BrokerKill`) is succeeded
+    by a standby holding a shipped copy.  This damage belongs to the
+    first: ``crash_index`` selects which crash window (in plan order)
+    it rides on, and the crashed shard home's WAL takes it — the crash
+    *is* the corruption moment: a torn tail models an append cut short
+    by the power loss, a bit flip models media rot discovered on
+    restart.
 
     ``kind``:
 
@@ -249,7 +253,8 @@ class FaultPlan:
     crashes: Tuple[BrokerCrash, ...] = ()
     #: Permanent fail-stop kills (sharded and cluster harnesses).
     broker_kills: Tuple[BrokerKill, ...] = ()
-    #: Storage damage riding on crash windows (crash-recovery harness).
+    #: Storage damage riding on crash windows: a crashed shard home
+    #: restarts from its own damaged WAL (cluster harness, ``restart``).
     wal_corruptions: Tuple[WalCorruption, ...] = ()
 
     def __post_init__(self) -> None:

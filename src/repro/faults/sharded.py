@@ -86,7 +86,8 @@ class ShardedStats(EventOutcomeStats):
     fenced_publishes: int = 0
     #: Publications re-routed after arriving at a non-owner.
     rerouted: int = 0
-    #: In-flight (event, target) deliveries wiped at a shard kill.
+    #: In-flight (event, target) deliveries wiped at a shard kill (or,
+    #: in the cluster harness, at a home crash).
     wiped_inflight: int = 0
     #: (event, target) deliveries re-handed by a new owner.
     redelivered: int = 0

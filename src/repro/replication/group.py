@@ -57,6 +57,8 @@ __all__ = ["ReplicationStats", "ReplicaSet"]
 Send = Callable[[int, int, Payload], None]
 #: ``alive(node, time)``: the fail-stop ground truth.
 Alive = Callable[[int, float], bool]
+#: ``wal_factory(node)``: the write-ahead log backing one member.
+WalFactory = Callable[[int], WriteAheadLog]
 
 
 class Clock(Protocol):
@@ -112,7 +114,7 @@ class ReplicaSet:
         standbys: Sequence[int],
         simulator: Clock,
         send: Optional[Send] = None,
-        wal_factory: Optional[Callable[[int], WriteAheadLog]] = None,
+        wal_factory: Optional[WalFactory] = None,
         store_factory: Optional[Callable[[int], SnapshotStore]] = None,
         shipping: Optional[ShippingConfig] = None,
         alive: Optional[Alive] = None,
@@ -120,14 +122,11 @@ class ReplicaSet:
         breakers: Optional[BreakerBoard] = None,
         telemetry: Optional[Telemetry] = None,
     ):
-        name = type(self).__name__
-        if not standbys:
-            raise ValueError(f"{name}: at least one standby is required")
         ranked = [int(s) for s in standbys]
         if int(primary) in ranked or len(set(ranked)) != len(ranked):
             raise ValueError(
-                f"{name}: standbys must be distinct and exclude the "
-                f"primary (primary={primary}, standbys={ranked})"
+                f"{type(self).__name__}: standbys must be distinct and "
+                f"exclude the primary (primary={primary}, standbys={ranked})"
             )
         self.broker = broker
         self.primary = int(primary)
@@ -190,6 +189,10 @@ class ReplicaSet:
             breakers=self.breakers,
             telemetry=self.telemetry,
         )
+        if node in self._shippers:
+            # A restarted primary: its buffer died with it, its counts
+            # did not.
+            shipper.stats = self._shippers[node].stats
         self._shippers[node] = shipper
         journal = self.journal_class(
             self.broker,
@@ -340,15 +343,16 @@ class ReplicaSet:
 
         ``state`` is what the subclass recovered from the candidate's
         own storage and has already put back into the live broker; its
-        in-flight intents re-arm the fresh journal.
+        in-flight intents re-arm the fresh journal.  The candidate may
+        be the primary itself, restarted in place: nothing to redirect.
         """
         old = self.primary
-        del self.replicas[candidate]
+        self.replicas.pop(candidate, None)
         self.epoch = int(epoch)
         epoch_state = self.epochs[candidate]
         epoch_state.role = ReplicaRole.PRIMARY
         epoch_state.epoch = self.epoch
-        if directory is not None:
+        if directory is not None and candidate != old:
             directory.advance(old, candidate, self.epoch)
         self.primary = candidate
         self.journal = self._bind_primary(candidate)

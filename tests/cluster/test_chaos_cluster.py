@@ -32,7 +32,9 @@ def _build(seed=29):
     return broker, points, publishers
 
 
-def _run(scenario, seed=29, shards=SHARDS, shipping=None):
+def _run(
+    scenario, seed=29, shards=SHARDS, shipping=None, standbys=2, telemetry=None
+):
     broker, points, publishers = _build(seed)
     shard_map = ShardMap.plan(broker.partition, shards)
     plan, homes, standby_map, planned, corruptions = build_cluster_plan(
@@ -41,6 +43,7 @@ def _run(scenario, seed=29, shards=SHARDS, shipping=None):
         seed=seed,
         scenario=scenario,
         horizon=float(EVENTS),
+        standby_count=standbys,
     )
     simulation = FullStackChaosSimulation(
         broker,
@@ -51,6 +54,7 @@ def _run(scenario, seed=29, shards=SHARDS, shipping=None):
         migrations=planned,
         corruptions=corruptions,
         shipping=shipping,
+        telemetry=telemetry,
     )
     report = simulation.run(points, publishers)
     return broker, points, simulation, report
@@ -192,27 +196,60 @@ class TestHarnessGuards:
     def test_standby_count_validated(self):
         broker, _, _ = _build()
         with pytest.raises(
-            ValueError, match=r"standby_count must be >= 1 \(got 0\)"
+            ValueError, match=r"standby_count must be >= 0 \(got -1\)"
         ):
             build_cluster_plan(
                 broker.topology,
                 ShardMap.plan(broker.partition, 2),
+                standby_count=-1,
+            )
+
+    def test_catchup_needs_a_standby_to_isolate(self):
+        broker, _, _ = _build()
+        with pytest.raises(ValueError, match="catchup needs at least one"):
+            build_cluster_plan(
+                broker.topology,
+                ShardMap.plan(broker.partition, 1),
+                scenario="catchup",
                 standby_count=0,
             )
 
-    def test_every_shard_needs_a_standby(self):
-        broker, _, _ = _build()
-        shard_map = ShardMap.plan(broker.partition, SHARDS)
-        plan, homes, standby_map, _, _ = build_cluster_plan(
-            broker.topology, shard_map, horizon=float(EVENTS)
+    def test_a_killed_home_without_standbys_is_excluded(self):
+        """Zero standbys are allowed; a *killed* home then leaves only
+        the last resort, ring exclusion, and the ledger still closes."""
+        broker, points, simulation, report = _run("kill", standbys=0)
+        assert all(not s.ranked for s in simulation.replicated.values())
+        assert report.cluster.takeovers == 0
+        assert report.cluster.ring_exclusions == 1
+        assert report.sharded.accounted
+        assert report.duplicate_deliveries == 0
+        assert report.sharded.match_parity
+
+
+class TestRecoveryMeters:
+    def test_a_takeover_replay_is_counted_as_a_recovery(self, monkeypatch):
+        """``stats --cluster`` used to read ``recoveries 0`` next to
+        ``shard takeovers 1``: the shard replay fed counters the
+        durability section never read."""
+        import repro.cluster.shard
+        from repro.telemetry import Telemetry
+
+        replays = []
+        recover_shard = repro.cluster.shard.recover_shard
+
+        def counted(*args, **kwargs):
+            replays.append(recover_shard(*args, **kwargs))
+            return replays[-1]
+
+        monkeypatch.setattr(repro.cluster.shard, "recover_shard", counted)
+        # Seed 2003: the promoted standby's log holds records to replay.
+        telemetry = Telemetry(seed=2003)
+        _, _, _, report = _run(
+            "kill", seed=2003, shards=1, telemetry=telemetry
         )
-        incomplete = dict(standby_map)
-        incomplete[0] = []
-        with pytest.raises(ValueError, match="needs at least one standby"):
-            FullStackChaosSimulation(
-                broker,
-                plan,
-                incomplete,
-                num_shards=SHARDS,
-                shard_homes=homes,
-            )
+        metrics = telemetry.metrics
+        assert report.cluster.takeovers == len(replays) == 1
+        assert metrics.value("recovery.runs") == report.cluster.takeovers
+        assert metrics.value("recovery.replayed") == sum(
+            state.replayed for state in replays
+        ) > 0

@@ -1,4 +1,4 @@
-"""Membership: suspicion hysteresis, sticky death, view epochs."""
+"""Membership: suspicion hysteresis, sticky death, rejoin, view epochs."""
 
 import subprocess
 import sys
@@ -68,6 +68,18 @@ class TestHysteresis:
         assert m.state_of(1) is MemberState.DEAD
         assert m.stale_heartbeats == 2
         assert not m.is_usable(1)
+
+    def test_a_restarted_node_rejoins_as_a_new_incarnation(self):
+        m = _membership()
+        m.mark_dead(1)
+        epoch = m.epoch
+        m.rejoin(1, 70.0)
+        assert m.state_of(1) is MemberState.ALIVE
+        assert m.epoch == epoch + 1
+        assert m.last_heard(1) == 70.0
+        assert m.heard(1, 75.0)  # its heartbeats count again
+        m.rejoin(2, 80.0)  # a live node has nothing to rejoin
+        assert m.epoch == epoch + 1
 
     def test_mark_dead_is_idempotent(self):
         m = _membership()

@@ -30,9 +30,31 @@ def _replicated(standbys=(7, 9), primary=0, **kwargs):
 
 
 class TestConstruction:
-    def test_requires_standbys(self):
-        with pytest.raises(ValueError, match="at least one standby"):
-            _replicated(standbys=())
+    def test_zero_standbys_restart_in_place(self):
+        """With nobody to promote, the primary's own WAL and store are
+        what it restarts from: takeover with itself as the candidate."""
+        clock, shard_broker, shard = _replicated(standbys=())
+        for gid in range(3):
+            shard_broker.register(
+                Subscription(gid, gid * 10, _rect(gid, gid + 1))
+            )
+        shard.journal.log_publish(42, publisher=3, targets=[30, 31])
+        shard.journal.log_delivery(42, 30)
+        assert shard.takeover(clock.now, epoch=1) is None
+        shard_broker.install({}, 0)  # the crash lost what was in memory
+        directory = EpochDirectory()
+        result = shard.restart(epoch=2, directory=directory)
+        assert (result.old_home, result.new_home, result.epoch) == (0, 0, 2)
+        assert result.entries == 3
+        assert shard_broker.subscription_ids == [0, 1, 2]
+        assert result.inflight[42].targets == (31,)
+        assert shard.primary == 0 and shard.write_allowed(0)
+        assert directory.entries() == ()  # nothing to redirect
+        with pytest.raises(ValueError, match="takeover epoch must advance"):
+            shard.restart(epoch=2)
+        # The rebound journal keeps appending to the same log.
+        shard_broker.register(Subscription(3, 30, _rect(3, 4)))
+        assert shard.restart(epoch=3).entries == 4
 
     def test_standbys_distinct_and_exclude_primary(self):
         with pytest.raises(ValueError, match="distinct and exclude"):

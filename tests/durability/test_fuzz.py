@@ -4,8 +4,8 @@ The WAL's contract is "truncate, don't trust": any torn tail or
 flipped bit inside the log body must leave :func:`repro.durability.
 recover` with a clean, usable prefix.  These tests hammer that with
 seeded random damage — every truncation point and every bit position
-in a realistic log — and are the `crash-recovery-smoke` CI job's
-fuzz leg.
+in a realistic log — and are the `durability-smoke` CI job's fuzz
+leg.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Crash/outage window edges: half-open ``[start, end)``, validated loudly.
 
-The crash-recovery harness schedules its crash callback at ``start``
-and its recovery callback at ``end``; these tests pin the window
-semantics those callbacks assume — down *at* ``start``, up again *at*
-``end`` — and that zero-length/inverted windows are rejected even
-under ``python -O``.
+One recovery rule covers both failures of a shard home: a crashed home
+restarts from its own WAL, a killed one is succeeded by a standby.
+For the first, the cluster harness schedules its crash callback at
+``start`` and its restart callback at ``end``; these tests pin the
+window semantics those callbacks assume — down *at* ``start``, up
+again *at* ``end`` — and that zero-length/inverted windows are
+rejected even under ``python -O``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ digests.
 
 ``cluster-k1`` was added when the whole-broker failover harness became
 the one-shard cluster (it pins that mode's ``catchup`` scenario, the
-one the K = 4 files do not cover); a change that means to move a
-digest regenerates the file with::
+one the K = 4 files do not cover), and ``cluster-restart`` replaced
+``crash-recovery`` when that harness became the zero-standby one-shard
+cluster, its home restarting from its own WAL; a change that means to
+move a digest regenerates the file with::
 
     PYTHONPATH=src python -m repro.cli chaos <arguments> \\
         --events 100 --subscriptions 150 > tests/golden/chaos/<name>.txt
@@ -32,11 +34,14 @@ GOLDEN = Path(__file__).parent.parent / "golden" / "chaos"
 SCENARIOS = {
     "default": [],
     "overload": ["--overload"],
-    "crash-recovery": ["--crash-recovery", "--crash-length", "20"],
     "sharded": ["--sharded", "--sharded-scenario", "shard-kill"],
     "cluster": ["--cluster"],
     "cluster-k1": [
         "--cluster", "--shards", "1", "--cluster-scenario", "catchup"
+    ],
+    "cluster-restart": [
+        "--cluster", "--shards", "1", "--standbys", "0",
+        "--cluster-scenario", "restart", "--crash-length", "20",
     ],
     "sessions": ["--sessions"],
 }
@@ -67,14 +72,16 @@ def _normalised(stats_stdout):
 def test_stats_stdout_is_pinned(name, capsys):
     """``repro stats`` on the chaos goldens' scenarios, wall clock aside.
 
-    ``default``, ``crash-recovery`` and ``cluster`` were captured on
-    the commit before ``stats`` was moved onto the scenario assembly of
-    ``chaos`` and its section ladder became a table.  ``overload`` was
-    captured after it: the move put its crash windows where ``chaos
-    --overload`` puts them, which changed its retry, ack and link rows.
-    ``sharded`` is new with that commit (``stats`` had no
-    ``--sharded``), ``cluster-k1`` with the one-shard cluster; every
-    file lost the replication section's "inactive" hint with it.
+    ``default`` and ``cluster`` were captured on the commit before
+    ``stats`` was moved onto the scenario assembly of ``chaos`` and its
+    section ladder became a table.  ``overload`` was captured after it:
+    the move put its crash windows where ``chaos --overload`` puts
+    them, which changed its retry, ack and link rows.  ``sharded`` is
+    new with that commit (``stats`` had no ``--sharded``),
+    ``cluster-k1`` with the one-shard cluster; every file lost the
+    replication section's "inactive" hint with it.  ``cluster-restart``
+    is new with the zero-standby restart; the two older cluster files
+    then began counting their takeover's replay under "recoveries".
     """
     code = main(
         ["stats", *SCENARIOS[name], "--events", "100", "--subscriptions", "150"]

@@ -13,14 +13,12 @@ import pytest
 
 from repro.faults import (
     ChaosSimulation,
-    CrashRecoverySimulation,
     FullStackChaosSimulation,
     OverloadChaosSimulation,
     build_burst_storm_times,
     build_chaos_plan,
     build_chaos_testbed,
     build_cluster_plan,
-    build_crash_recovery_plan,
 )
 from repro.sharding import ShardMap
 from repro.telemetry import Telemetry, span_tree, spans_to_jsonl
@@ -40,36 +38,48 @@ EXPECTED_PARENT = {
 }
 
 
-def _instrumented_run(harness=ChaosSimulation):
+#: The cluster runs: K = 4 under a kill, and the zero-standby one-shard
+#: cluster whose home crashes and restarts from its own WAL.
+CLUSTER_RUNS = {
+    "full": dict(shards=4),
+    "wal": dict(
+        shards=1,
+        scenario="restart",
+        standby_count=0,
+        crash_length=8.0,
+        loss=0.12,
+    ),
+}
+
+
+def _instrumented_run(harness=ChaosSimulation, cluster="full"):
     """One seeded, instrumented run of ``harness``: (report, telemetry)."""
-    broker, density = build_chaos_testbed(
-        seed=SEED,
-        subscriptions=150,
-        dynamic=harness is CrashRecoverySimulation,
-    )
+    broker, density = build_chaos_testbed(seed=SEED, subscriptions=150)
     points, publishers = PublicationGenerator(
         density, broker.topology.all_stub_nodes(), seed=SEED + 9
     ).generate(EVENTS)
     telemetry = Telemetry(seed=SEED)
     if harness is FullStackChaosSimulation:
-        shard_map = ShardMap.plan(broker.partition, 4)
+        options = dict(CLUSTER_RUNS[cluster])
+        shards = options.pop("shards")
+        shard_map = ShardMap.plan(broker.partition, shards)
         plan, homes, standbys, migrations, corruptions = build_cluster_plan(
-            broker.topology, shard_map, seed=SEED, horizon=float(EVENTS)
+            broker.topology,
+            shard_map,
+            seed=SEED,
+            horizon=float(EVENTS),
+            **options,
         )
         simulation = harness(
             broker,
             plan,
             standbys,
+            num_shards=shards,
             shard_homes=homes,
             migrations=migrations,
             corruptions=corruptions,
             telemetry=telemetry,
         )
-    elif harness is CrashRecoverySimulation:
-        plan, home = build_crash_recovery_plan(
-            broker.topology, seed=SEED, crash_length=8.0, horizon=float(EVENTS)
-        )
-        simulation = harness(broker, plan, home=home, telemetry=telemetry)
     else:
         plan = build_chaos_plan(
             broker.topology, seed=SEED, loss=0.12, horizon=float(EVENTS)
@@ -102,17 +112,17 @@ def _planned(report):
     scope="module",
     # Short ids: the suite's listing cuts test names at 100 characters.
     params=[
-        pytest.param(ChaosSimulation, id="base"),
-        pytest.param(OverloadChaosSimulation, id="load"),
-        pytest.param(CrashRecoverySimulation, id="wal"),
-        pytest.param(FullStackChaosSimulation, id="full"),
+        pytest.param((ChaosSimulation, None), id="base"),
+        pytest.param((OverloadChaosSimulation, None), id="load"),
+        pytest.param((FullStackChaosSimulation, "wal"), id="wal"),
+        pytest.param((FullStackChaosSimulation, "full"), id="full"),
     ],
 )
 def harness_run(request):
     """Every harness that routes, not the base one only: the overload
     copy of the publish loop had lost the decision and route spans, the
     sharded one every span above ``deliver``."""
-    return _instrumented_run(request.param)
+    return _instrumented_run(*request.param)
 
 
 class TestSpanIntegrity:

@@ -250,11 +250,17 @@ class TestUsageErrors:
 
     CASES = [
         (
-            ["stats", "--crash-recovery", "--events", "80"],
+            [
+                "stats", "--cluster", "--cluster-scenario", "restart",
+                "--events", "80",
+            ],
             "crash_length 50.0 leaves no up-time between windows",
         ),
         (
-            ["trace", "--crash-recovery", "--events", "80", "--event", "5"],
+            [
+                "trace", "--cluster", "--cluster-scenario", "restart",
+                "--events", "80", "--event", "5",
+            ],
             "crash_length 50.0 leaves no up-time between windows",
         ),
         (["chaos", "--crashes", "99", *SMALL], "cannot crash 99 brokers"),
@@ -291,14 +297,14 @@ class TestUsageErrors:
         ),
         (
             [
-                "chaos", "--crash-recovery", "--crash-length", "5",
-                "--checkpoint-every", "0", *SMALL,
+                "chaos", "--cluster", "--cluster-scenario", "restart",
+                "--crash-length", "5", "--checkpoint-every", "0", *SMALL,
             ],
-            "BrokerJournal: checkpoint_every",
+            "ShardJournal: checkpoint_every",
         ),
         (
-            ["chaos", "--cluster", "--standbys", "0", *SMALL],
-            "standby_count must be >= 1 (got 0)",
+            ["chaos", "--cluster", "--standbys", "-1", *SMALL],
+            "standby_count must be >= 0 (got -1)",
         ),
         (["stats", "--crashes", "99", *SMALL], "cannot crash 99 brokers"),
         (
@@ -312,8 +318,9 @@ class TestUsageErrors:
         ),
         (
             [
-                "chaos", "--crash-recovery", "--crash-length", "5",
-                "--wal-out", "/no/such/dir/x.wal", *SMALL,
+                "chaos", "--cluster", "--cluster-scenario", "restart",
+                "--crash-length", "5", "--wal-out", "/no/such/dir/x.wal",
+                *SMALL,
             ],
             "[Errno 2] No such file or directory",
         ),
@@ -343,7 +350,11 @@ class TestInstrumentedUsageErrors:
     @pytest.mark.parametrize(
         "flag, builder",
         [
-            ("--crash-recovery", "repro.faults.build_crash_recovery_plan"),
+            pytest.param(
+                "--cluster --cluster-scenario restart",
+                "repro.faults.build_cluster_plan",
+                id="restart",
+            ),
             ("--cluster", "repro.faults.build_cluster_plan"),
             ("--cluster", "repro.sharding.ShardMap.plan"),
         ],
@@ -356,7 +367,12 @@ class TestInstrumentedUsageErrors:
 
         monkeypatch.setattr(builder, refuse)
         with pytest.raises(SystemExit) as exit_info:
-            main(["stats", flag, "--events", "30", "--subscriptions", "60"])
+            main(
+                [
+                    "stats", *flag.split(),
+                    "--events", "30", "--subscriptions", "60",
+                ]
+            )
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == "error: no such scenario\n"
 

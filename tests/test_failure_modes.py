@@ -382,11 +382,6 @@ class TestReplicaSetMisuse:
             (self._set, "ReplicaSet"),
         ):
             with pytest.raises(ValueError) as error:
-                build([])
-            assert str(error.value) == (
-                f"{name}: at least one standby is required"
-            )
-            with pytest.raises(ValueError) as error:
                 build([7, 0])
             assert str(error.value) == (
                 f"{name}: standbys must be distinct and exclude the "
@@ -424,8 +419,9 @@ class TestReplicaSetMisuse:
             "     'BrokerJournal: checkpoint_every must be >= 1 (got 0)'),\n"
             "    (lambda: journal(ShardJournal),\n"
             "     'ShardJournal: checkpoint_every must be >= 1 (got 0)'),\n"
-            "    (lambda: shard([]),\n"
-            "     'ReplicatedShard: at least one standby is required'),\n"
+            "    (lambda: shard([0]),\n"
+            "     'ReplicatedShard: standbys must be distinct and exclude'\n"
+            "     ' the primary (primary=0, standbys=[0])'),\n"
             "    (lambda: good.takeover(0.0, epoch=5),\n"
             "     'ReplicatedShard: takeover epoch must advance '\n"
             "     '(have 5, got 5)'),\n"
