@@ -38,20 +38,20 @@ spans.  The modes:
   bounded ingress queue with pluggable shedding, degraded group-flood
   mode and per-subscriber circuit breakers; every event must be
   delivered, shed or expired and the queue stay within capacity.
-- ``--sharded --sharded-scenario clean|shard-kill|migration-crash``:
-  publications route to the shard owning their subset, subscriptions
-  scatter, live migrations move subsets under traffic; the ledger must
-  close and every match equal a single unsharded broker's, by digest.
-- ``--cluster --cluster-scenario kill|partition|catchup|double-kill|
-  migrate-under-kill|restart``: every shard journals to a write-ahead
-  log (``--checkpoint-every``; ``--wal-out F`` for shard 0's home)
-  shipped to ``--standbys`` ranked standbys (zero allowed) under a
-  cluster-wide membership detector.  One recovery rule answers the
-  faults, with the same ledger and digest parity: a crashed home
-  restarts from its own WAL (``restart``: ``--crashes`` windows, each
-  damaging the log under ``--corrupt-wal torn-tail|bit-flip``), a
-  killed or partitioned one is succeeded by a fenced standby
-  takeover.  ``--shards 1`` is one whole broker.
+- ``--cluster --cluster-scenario migrate|kill|partition|catchup|
+  double-kill|migrate-under-kill|restart``: publications route to the
+  ``--shards`` shard owning their subset, subscriptions scatter, live
+  migrations move subsets under traffic (``migrate``: ``--migrations``
+  of them), and every shard journals to a write-ahead log
+  (``--checkpoint-every``; ``--wal-out F`` for shard 0's home)
+  shipped to ``--standbys`` ranked standbys under a cluster-wide
+  membership detector.  The ledger must close and every match equal a
+  single unsharded broker's, by digest.  One recovery rule answers the
+  faults: a dead home is succeeded by a fenced standby takeover, or
+  else (``--standbys 0``) excluded and rebalanced onto the survivors;
+  a crashed home restarts from its own WAL (``restart``: ``--crashes``
+  windows, each damaging the log under ``--corrupt-wal
+  torn-tail|bit-flip``).  ``--shards 1`` is one whole broker.
 - ``--sessions --session-scenario crash|flap|slow-consumer|poison``
   (``chaos`` only: that harness meters no ``broker.events``): durable
   sessions with journaled cursors, catch-up replay and dead-letter
@@ -282,55 +282,36 @@ def _build_parser() -> argparse.ArgumentParser:
             default=0.5,
             help="simulated broker cost of serving one queued event",
         )
-        sharding = sub.add_argument_group(
-            "partition-aligned sharding (with --sharded)"
-        )
-        sharding.add_argument(
-            "--sharded",
-            action="store_true",
-            help="scale the broker out over K shards: routed publish, "
-            "scattered subscriptions, live migrations, shard kills and "
-            "mid-migration crashes, verified against the outcome ledger "
-            "and per-event match parity with one unsharded broker",
-        )
-        sharding.add_argument(
-            "--shards",
-            type=int,
-            default=4,
-            help="number of shard brokers (homes: first K transit nodes)",
-        )
-        sharding.add_argument(
-            "--migrations",
-            type=int,
-            default=2,
-            help="live subset migrations in the clean scenario",
-        )
-        sharding.add_argument(
-            "--sharded-scenario",
-            choices=("clean", "shard-kill", "migration-crash"),
-            default="clean",
-            help="clean: loss + live migrations; shard-kill: the busiest "
-            "shard's home is permanently killed; migration-crash: the "
-            "migration source dies mid-copy and the journaled cutover "
-            "must roll forward (default: clean)",
-        )
         cluster = sub.add_argument_group(
             "replicated shard cluster (with --cluster)"
         )
         cluster.add_argument(
             "--cluster",
             action="store_true",
-            help="run the full stack: every shard journaled to a "
+            help="scale the broker out over K shards, each journaled to a "
             "write-ahead log and replicated to ranked standbys under a "
-            "cluster-wide membership detector; a crashed home restarts "
-            "from its own WAL, and shard kills, partitions, mid-copy "
-            "migration crashes and standby WAL corruption are answered "
-            "by fenced takeovers, verified against the outcome ledger "
-            "and unsharded digest parity",
+            "cluster-wide membership detector: a dead home is succeeded "
+            "by a fenced standby takeover or else excluded and "
+            "rebalanced, a crashed home restarts from its own WAL; "
+            "verified against the outcome ledger and per-event match "
+            "parity with one unsharded broker",
+        )
+        cluster.add_argument(
+            "--shards",
+            type=int,
+            default=4,
+            help="number of shard brokers (homes: first K transit nodes)",
+        )
+        cluster.add_argument(
+            "--migrations",
+            type=int,
+            default=2,
+            help="live subset migrations in the migrate scenario",
         )
         cluster.add_argument(
             "--cluster-scenario",
             choices=(
+                "migrate",
                 "kill",
                 "partition",
                 "catchup",
@@ -339,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "restart",
             ),
             default="kill",
-            help="kill: the busiest shard's home is permanently killed; "
+            help="migrate: --migrations live migrations, no kill; "
+            "kill: the busiest shard's home is permanently killed; "
             "partition: it is isolated (fenced zombie primary); "
             "catchup: its first standby is isolated, then its home is "
             "killed; double-kill: the two busiest homes die in sequence; "
@@ -875,7 +857,7 @@ def _assemble_overload(args: argparse.Namespace, telemetry) -> Scenario:
 
 
 def _parity(simulation, points, report, lossy=False) -> Tuple[List[str], bool]:
-    """What ``--sharded`` and ``--cluster`` both guarantee: every event
+    """What every ``--cluster`` scenario guarantees: every event
     in exactly one outcome bucket, nobody delivered twice, every miss
     explained by a physically-severed target, and the sharded
     MatchResults digest-identical to one unsharded never-failed
@@ -901,56 +883,6 @@ def _parity(simulation, points, report, lossy=False) -> Tuple[List[str], bool]:
     )
 
 
-def _assemble_sharded(args: argparse.Namespace, telemetry) -> Scenario:
-    from .faults import ShardedChaosSimulation, build_sharded_plan
-    from .sharding import ShardMap
-
-    broker, points, publishers = _testbed(args)
-    scenario = args.sharded_scenario
-    plan, homes, planned = build_sharded_plan(
-        broker.topology,
-        ShardMap.plan(broker.partition, args.shards),
-        scenario=scenario,
-        horizon=max(float(args.events), 300.0),
-        migrations=args.migrations,
-        **_link_faults(args),
-    )
-    simulation = ShardedChaosSimulation(
-        broker,
-        plan,
-        num_shards=args.shards,
-        shard_homes=homes,
-        migrations=planned,
-        telemetry=telemetry,
-    )
-    _retry_budget(simulation, args)
-
-    def verdict(report):
-        lines, healthy = _parity(simulation, points, report)
-        sharded = report.sharded
-        if scenario == "shard-kill":
-            healthy = healthy and sharded.shard_kills >= 1
-        if scenario == "migration-crash":
-            healthy = (
-                healthy
-                and sharded.shard_kills >= 1
-                and sharded.migrations_completed
-                + sharded.migrations_aborted
-                >= 1
-            )
-        if scenario == "clean":
-            healthy = healthy and report.exactly_once
-        return lines, healthy
-
-    return Scenario(
-        simulation,
-        lambda: simulation.run(points, publishers),
-        f"sharded run ({scenario}): {broker.topology.num_nodes} nodes, "
-        f"{len(points)} events, {args.shards} shards at homes {homes}",
-        verdict,
-    )
-
-
 def _assemble_cluster(args: argparse.Namespace, telemetry) -> Scenario:
     from .durability import FileWAL, MemoryWAL
     from .faults import FullStackChaosSimulation, build_cluster_plan
@@ -963,7 +895,7 @@ def _assemble_cluster(args: argparse.Namespace, telemetry) -> Scenario:
         broker.topology,
         ShardMap.plan(broker.partition, args.shards),
         scenario=scenario,
-        # Crash windows fall among the arrivals; a takeover needs room
+        # Crash windows fall among the arrivals; a successor needs room
         # after its kill for detection and settling.
         horizon=(
             float(args.events)
@@ -971,6 +903,7 @@ def _assemble_cluster(args: argparse.Namespace, telemetry) -> Scenario:
             else max(float(args.events), 300.0)
         ),
         standby_count=args.standbys,
+        migrations=args.migrations,
         crashes=args.crashes,
         crash_length=args.crash_length,
         corrupt=args.corrupt_wal,
@@ -1017,35 +950,45 @@ def _assemble_cluster(args: argparse.Namespace, telemetry) -> Scenario:
     _retry_budget(simulation, args)
 
     def verdict(report):
-        # On top of parity, the scenario's takeovers actually happened
-        # instead of falling back to ring exclusion.  Where one shard
-        # lost its home, the write probe at the deposed primary was
-        # fenced; a partitioned zombie must also have drawn stale-epoch
-        # rejections, and a lagging standby an anti-entropy catch-up.
-        # Each crashed home restarted (or, with a standby, was taken
-        # over) and a damaged log was cut back to its valid prefix.
-        cluster = report.cluster
+        # On top of parity, every home the run lost was succeeded: by a
+        # takeover whose write probe at the deposed primary was fenced,
+        # or, with no standby, by ring exclusion and a rebalance.  A
+        # partitioned zombie must also have drawn stale-epoch
+        # rejections (with nobody to succeed it, it must be back in the
+        # view), and a lagging standby an anti-entropy catch-up.  Each
+        # crashed home restarted (or, with a standby, was taken over)
+        # and a damaged log was cut back to its valid prefix.
+        cluster, sharded = report.cluster, report.sharded
         lines, healthy = _parity(
             simulation, points, report, lossy=cluster.home_wal_corruptions > 0
         )
-        if scenario in ("kill", "partition", "catchup"):
-            healthy = (
-                healthy
-                and cluster.takeovers >= 1
-                and cluster.probe_rejections >= 1
-            )
+        lost = len(plan.broker_kills) + int(
+            scenario == "partition" and args.standbys > 0
+        )
+        if args.standbys:
+            healthy = healthy and cluster.takeovers >= lost
+            healthy = healthy and (not lost or cluster.probe_rejections >= 1)
+        else:
+            healthy = healthy and sharded.rebalances >= lost
+            healthy = healthy and (not lost or cluster.ring_exclusions >= 1)
         if scenario == "partition":
-            healthy = healthy and cluster.stale_rejections >= 1
+            healthy = healthy and (
+                cluster.stale_rejections >= 1
+                if args.standbys
+                else cluster.members_dead == 0
+            )
         if scenario == "catchup":
             healthy = healthy and report.shipping.catchups >= 1
-        if scenario == "double-kill":
-            healthy = healthy and cluster.takeovers >= 2
+        if scenario == "migrate":
+            healthy = (
+                healthy
+                and report.exactly_once
+                and sharded.migrations_completed == args.migrations
+            )
         if scenario == "migrate-under-kill":
             healthy = (
                 healthy
-                and cluster.takeovers >= 1
-                and report.sharded.migrations_completed
-                + report.sharded.migrations_aborted
+                and sharded.migrations_completed + sharded.migrations_aborted
                 >= 1
             )
         if scenario == "restart":
@@ -1139,7 +1082,6 @@ def _assemble_sessions(args: argparse.Namespace, telemetry) -> Scenario:
 
 _ASSEMBLERS = {
     "--overload": _assemble_overload,
-    "--sharded": _assemble_sharded,
     "--cluster": _assemble_cluster,
     "--sessions": _assemble_sessions,
 }

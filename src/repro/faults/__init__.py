@@ -19,23 +19,21 @@ story, in three layers:
   replay behind the full overload-protection stack
   (:mod:`repro.overload`), with strict shed/expire accounting and
   per-subscriber circuit breakers (``repro chaos --overload``);
-- :mod:`repro.faults.sharded` — the scale-out harness: the workload
-  routed across K shard brokers (:mod:`repro.sharding`) with live
-  migrations, permanent shard kills, mid-migration crashes and
-  partition-stranded shards, proving the same outcome ledger *and*
-  per-event match parity with a single unsharded broker
-  (``repro chaos --sharded``);
-- :mod:`repro.faults.cluster` — the full-stack harness: every shard
-  becomes a :mod:`repro.cluster` replicated group, journaling to a
-  write-ahead log (:mod:`repro.durability`), under a cluster-wide
-  membership detector, and one recovery rule answers its failures: a
+- :mod:`repro.faults.cluster` — the sharded, full-stack harness: the
+  workload routed across K shard brokers (:mod:`repro.sharding`, whose
+  half of the harness is :mod:`repro.faults.sharded`) with live
+  migrations, every shard a :mod:`repro.cluster` replicated group
+  journaling to a write-ahead log (:mod:`repro.durability`), under a
+  cluster-wide membership detector.  One rule answers a dead home: a
+  standby succeeds it, or else it is excluded and rebalanced; a
   crashed home restarts from its own WAL (crash windows wipe volatile
-  state and may corrupt that log), a killed or partitioned one is
-  succeeded by a fenced standby takeover from a shipped copy, with
-  ring exclusion only for a killed home without standbys — all under
-  the same ledger and unsharded-digest parity (``repro chaos
-  --cluster``; with ``--shards 1`` it is one whole broker, and with
-  ``--standbys 0 --cluster-scenario restart`` the durability harness);
+  state and may corrupt that log), and a partitioned one nobody can
+  succeed is waited for.  Every run proves the same outcome ledger
+  *and* per-event match parity with a single unsharded broker
+  (``repro chaos --cluster``; with ``--standbys 0`` it is the plain
+  sharded harness, with ``--shards 1`` one whole broker, and with
+  ``--shards 1 --standbys 0 --cluster-scenario restart`` the
+  durability harness);
 - :mod:`repro.faults.sessions` — the subscriber-side harness: durable
   sessions (:mod:`repro.sessions`) at deterministic stub nodes abused
   by scripted crash / flap / slow-consumer / poison scenarios, with a
@@ -82,7 +80,6 @@ from .sharded import (
     ShardedChaosSimulation,
     ShardedReport,
     ShardedStats,
-    build_sharded_plan,
     unsharded_match_digest,
 )
 from .verifier import (
@@ -131,7 +128,6 @@ __all__ = [
     "ShardedChaosSimulation",
     "ShardedReport",
     "ShardedStats",
-    "build_sharded_plan",
     "unsharded_match_digest",
     "ChaosReport",
     "ChaosSimulation",

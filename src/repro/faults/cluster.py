@@ -1,29 +1,32 @@
 """Full-stack chaos: replicated shards under combined failures.
 
-:class:`FullStackChaosSimulation` is the capstone harness: it runs the
-sharded workload of :class:`~repro.faults.sharded.
+:class:`FullStackChaosSimulation` is the one sharded harness: it runs
+the sharding half of :class:`~repro.faults.sharded.
 ShardedChaosSimulation` with every shard upgraded to a
 :class:`~repro.cluster.shard.ReplicatedShard` (primary + ranked
 standby set, log shipping, epoch fencing) and a cluster-wide
 :class:`~repro.cluster.membership.Membership` detector deciding when a
-shard home is gone.  Where PR 6's harness answered a shard kill with
-cascade stranding — ring ``exclude()`` plus survivor rebalancing —
-this one answers with a **fenced standby takeover**: replay the
-shipped WAL via :func:`~repro.cluster.journal.recover_shard`, re-home
-the sub-broker, reconcile its entry set against the authoritative
-scatter, re-hand unacked in-flight deliveries, and stamp everything
-with a cluster epoch so the deposed primary's writes bounce.  Ring
-exclusion survives only as the last resort when a *killed* home leaves
-no standby behind.  A home that merely crashes keeps its role and its
-storage, and at the window's end restarts in place from its own WAL:
-the takeover step with the home as its own candidate.  With one shard
-the harness verifies a whole broker: killed, partitioned, killed after
-its first standby fell behind, or crashed and restarted (``kill`` /
-``partition`` / ``catchup`` / ``restart``).
+shard home is gone.  One rule answers a dead home: it is succeeded by
+a standby, or else excluded and rebalanced.  A **fenced standby
+takeover** replays the shipped WAL via
+:func:`~repro.cluster.journal.recover_shard`, re-homes the sub-broker,
+reconciles its entry set against the authoritative scatter, re-hands
+unacked in-flight deliveries, and stamps everything with a cluster
+epoch so the deposed primary's writes bounce.  A *killed* home with no
+standby left is ring-excluded once the view confirms it dead, and the
+survivors inherit its subsets (``--standbys 0`` is the plain sharded
+harness).  A home that merely crashes keeps its role and its storage,
+and at the window's end restarts in place from its own WAL: the
+takeover step with the home as its own candidate; a partitioned home
+nobody can succeed is waited for and served again once it is heard.
+With one shard the harness verifies a whole broker: killed,
+partitioned, killed after its first standby fell behind, or crashed
+and restarted (``kill`` / ``partition`` / ``catchup`` / ``restart``).
 
-The adversary combines, in one run: permanent shard-home kills,
-network partitions (the deposed primary keeps running and must be
-fenced, not killed), mid-copy migration crashes, home crashes that may
+The adversary combines, in one run: planned live migrations, permanent
+shard-home kills, network partitions (the deposed primary keeps
+running and must be fenced, not killed), mid-copy migration crashes,
+home crashes that may
 damage the home's WAL, and torn-tail WAL corruption on a standby that
 is later promoted.  The invariants are
 unchanged and absolute: ``delivered + shed + expired == published``
@@ -67,6 +70,7 @@ __all__ = [
 
 #: The combined-chaos scenarios the harness knows how to build.
 CLUSTER_SCENARIOS = (
+    "migrate",
     "kill",
     "partition",
     "catchup",
@@ -230,8 +234,8 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         broker,
         plan: FaultPlan,
         standby_map: Dict[int, Sequence[int]],
-        num_shards: int = 4,
-        shard_homes: Optional[Sequence[int]] = None,
+        num_shards: int,
+        shard_homes: Sequence[int],
         migrations: Sequence[PlannedMigration] = (),
         corruptions: Sequence[StandbyWALCorruption] = (),
         membership: Optional[MembershipConfig] = None,
@@ -304,6 +308,8 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         )
         #: ``(dead_nodes, dead_links)`` -> the majority component.
         self._majority: Dict[tuple, FrozenSet[int]] = {}
+        #: Homes confirmed dead that nobody could succeed: waited for.
+        self._awaited: Set[int] = set()
 
     # -- replication wire ----------------------------------------------------
 
@@ -342,11 +348,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             self.simulator.schedule_at(
                 float(crash.end), lambda n=node: self._restart(n)
             )
-        for planned in self.planned:
-            self.simulator.schedule_at(
-                float(planned.at),
-                lambda p=planned: self._begin_planned(p),
-            )
+        super()._arm(arrival_times)
         for corruption in self.corruptions:
             self.simulator.schedule_at(
                 float(corruption.at),
@@ -397,12 +399,23 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         for node in self.membership.nodes:
             up = not self.injector.node_down(node, now)
             if up and (component is None or node in component):
-                self.membership.heard(node, now)
+                dead = self.membership.state_of(node) is MemberState.DEAD
+                if dead and node in self._awaited:
+                    # Confirmed dead, yet nobody deposed it: the
+                    # partition healed, and the home is no zombie.
+                    self._awaited.discard(node)
+                    self.membership.rejoin(node, now)
+                else:
+                    self.membership.heard(node, now)
         for shard in self.replicated.values():
             shard.tick(now)
         for node, mstate in self.membership.tick(now):
             if mstate is MemberState.DEAD:
                 self._member_dead(node, now)
+        if len(self._defer):
+            # A healed partition raises no other signal: serve what
+            # waited for a home that is reachable again.
+            self._flush_deferred()
         if self.telemetry.enabled:
             self.telemetry.gauge(
                 "cluster.epoch", help="membership view epoch"
@@ -449,7 +462,9 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         ):
             # Nobody to promote, but the home was not killed: a crash
             # restarts it, a partition heals.  The shard waits for it
-            # (its events defer) instead of giving its subsets away.
+            # (its events defer until the tick hears it again) instead
+            # of giving its subsets away.
+            self._awaited.add(old)
             return
         with self.telemetry.span(
             "cluster.takeover", shard=shard_id, old_home=old
@@ -459,9 +474,8 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
                 now, epoch, directory=self.directory, eligible=eligible
             )
             if result is None:
-                # A killed primary and no standby left: the pre-cluster
-                # stranding path (ring exclusion + rebalance) is all
-                # that is left.
+                # A killed primary and no standby left: the shard is
+                # ring-excluded and the survivors rebalance its subsets.
                 self.cstats.ring_exclusions += 1
                 if self.telemetry.enabled:
                     self.telemetry.counter(
@@ -470,10 +484,8 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
                     ).inc()
                 self._kill_shard(shard_id)
                 return
+            self._awaited.discard(old)
             self.homes[shard_id] = result.new_home
-            self.home_to_shard = {
-                home: s for s, home in self.homes.items()
-            }
             duration = now - self.membership.last_heard(old)
             self.cstats.takeovers += 1
             self.cstats.takeover_digests.append(result.digest)
@@ -537,31 +549,10 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             shard = self.replicated[k]
             if node in shard.members:
                 shard.mark_dead(node)
-        self._wipe_sender_state(node)
+        self._wipe_senders(self._home_down)
 
-    def _wipe_sender_state(self, node: int) -> None:
-        """``node`` stopped: its volatile sender-side retry state is gone."""
-        now = self.simulator.now
-        wiped = self.transport.wipe_pending()
-        self.sstats.wiped_inflight += sum(
-            1
-            for key, _target in wiped
-            if self.homes.get(self._sender_shard.get(key, -1)) == node
-        )
-        # Re-arm in-flight deliveries whose owning shard's home is
-        # still up; the stopped home's keys wait for its takeover or
-        # its restart.
-        for key in sorted(self._pending_of):
-            pending = self._pending_of[key]
-            if not pending:
-                continue
-            owner = self._sender_shard.get(key)
-            if owner is None or owner in self._dead:
-                continue
-            home = self.homes[owner]
-            if self.injector.node_down(home, now):
-                continue
-            self.transport.publish(key, home, sorted(pending))
+    def _home_down(self, shard: int) -> bool:
+        return self.injector.node_down(self.homes[shard], self.simulator.now)
 
     def _homed(self, node: int) -> List[int]:
         """Live shards whose acting home is ``node``."""
@@ -581,7 +572,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             return  # not a shard home: the injector's downtime is all
         if self.telemetry.enabled:
             self.telemetry.event("broker-crash", node=node)
-        self._wipe_sender_state(node)
+        self._wipe_senders(self._home_down)
         for k in homed:
             self.cstats.home_crashes += 1
             wal = self.replicated[k].wals[node]
@@ -805,6 +796,7 @@ def build_cluster_plan(
     horizon: float = 300.0,
     standby_count: int = 2,
     copy_time: float = 20.0,
+    migrations: int = 2,
     crashes: int = 2,
     crash_length: float = 100.0,
     corrupt: Optional[str] = None,
@@ -823,8 +815,13 @@ def build_cluster_plan(
     preferring transit nodes that host no shard home.  Every scenario
     additionally tears the tail of the target shard's first standby
     WAL at 25% of the horizon — the promoted standby must have scrubbed
-    and caught back up by the time it is needed.  ``scenario``:
+    and caught back up by the time it is needed.  A killed home is
+    succeeded by its first live standby or, with none, ring-excluded
+    and rebalanced onto the survivors.  ``scenario``:
 
+    - ``"migrate"`` — no kill: ``migrations`` live subset migrations
+      spread over the horizon (heaviest subsets first, each to the
+      initially least-loaded other shard).
     - ``"kill"`` — the busiest shard's home is permanently killed at
       40% of the horizon; its first standby takes over.
     - ``"partition"`` — every incident link of the busiest shard's
@@ -841,7 +838,7 @@ def build_cluster_plan(
     - ``"migrate-under-kill"`` — the busiest shard's heaviest subset
       starts migrating at 35% of the horizon and the *source* home is
       killed halfway through the copy: the journaled cutover completes
-      onto the destination while the standby takeover re-homes what
+      onto the destination while the shard's successor takes what
       remains.
     - ``"restart"`` — ``crashes`` windows of ``crash_length``, spread
       evenly over the horizon, crash the busiest shard's home; each
@@ -901,7 +898,24 @@ def build_cluster_plan(
             for n in sorted(topology.graph.neighbors(node))
         )
 
-    if scenario == "kill":
+    def migration(q: int, at: float) -> PlannedMigration:
+        """Subset ``q`` to the initially least-loaded other shard."""
+        owner = shard_map.owner_of_subset(q)
+        others = [s for s in range(num_shards) if s != owner]
+        dest = min(others, key=lambda s: (loads[s], s))
+        return PlannedMigration(at=at, q=q, dest=dest, copy_time=copy_time)
+
+    if scenario == "migrate":
+        ranked = sorted(
+            (q for s in range(num_shards) for q in shard_map.subsets_of(s)),
+            key=lambda q: (-shard_map.load_of_subset(q), q),
+        )
+        count = min(migrations, len(ranked)) if num_shards > 1 else 0
+        planned = [
+            migration(ranked[i], horizon * (i + 1) / (migrations + 1))
+            for i in range(count)
+        ]
+    elif scenario == "kill":
         kills = (BrokerKill(node=homes[busiest], at=0.4 * horizon),)
     elif scenario == "partition":
         outages = isolated(homes[busiest], 0.35, 0.7)
@@ -944,17 +958,13 @@ def build_cluster_plan(
     else:  # migrate-under-kill
         subsets = shard_map.subsets_of(busiest)
         q = max(subsets, key=lambda s: (shard_map.load_of_subset(s), -s))
-        others = [s for s in range(num_shards) if s != busiest]
-        if not others:
+        if num_shards < 2:
             raise ValueError(
                 "migrate-under-kill needs at least two shards "
                 f"(got {num_shards})"
             )
-        dest = min(others, key=lambda s: (loads[s], s))
         at = 0.35 * horizon
-        planned = [
-            PlannedMigration(at=at, q=q, dest=dest, copy_time=copy_time)
-        ]
+        planned = [migration(q, at)]
         kills = (
             BrokerKill(node=homes[busiest], at=at + copy_time / 2.0),
         )

@@ -1,22 +1,27 @@
-"""Sharded chaos: shard kills and mid-migration crashes, verified.
+"""The sharding half of the full-stack chaos harness.
 
-:class:`ShardedChaosSimulation` replays a workload through the full
-scale-out stack: every publication resolves to its owning shard via
-the :class:`~repro.sharding.router.ShardRouter` (with a routing hop of
+:class:`ShardedChaosSimulation` holds what a run over K shard brokers
+needs whether or not the shards are replicated: every publication
+resolves to its owning shard via the
+:class:`~repro.sharding.router.ShardRouter` (after a routing hop of
 ``route_delay``, so a publication can be *in flight* when ownership
 changes under it), gets matched by the shard's scattered subscription
 slice, and rides the reliable transport from the shard's home node.
-
-The adversary kills shard homes permanently and crashes migrations
-between their journaled phases.  The defenses under test:
+:class:`~repro.faults.cluster.FullStackChaosSimulation` runs it: that
+harness publishes, schedules the faults, and decides through its
+membership detector when a home is dead.  One rule answers a dead
+home: a standby succeeds it, or else the shard is excluded and
+rebalanced here.  The defenses under test:
 
 - **epoch fencing** — a publication stamped with a stale shard-map
   epoch that reaches the old owner after a cutover bounces and
   re-routes to the current owner;
-- **rebalancing** — a dead shard's subsets migrate to the survivors
-  (durability snapshot handoff + journaled cutover), its catchall
-  cells redistribute by consistent-hash exclusion, and deferred
-  publications flush to the new owners;
+- **rebalancing** — an excluded shard's subsets migrate to the
+  survivors (durability snapshot handoff + journaled cutover), its
+  catchall cells redistribute by consistent-hash exclusion, and
+  deferred publications flush to the new owners; planned live
+  migrations use the same journaled protocol, and a kill landing
+  mid-copy rolls the cutover forward or back;
 - **re-hand** — unacked in-flight deliveries whose sending shard died
   are re-published by the new owner; receiver dedup keeps the wire
   exactly-once.
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -47,7 +52,7 @@ from ..sharding.map import ShardMap
 from ..sharding.rebalance import MigrationPhase, MigrationTicket, Rebalancer
 from ..sharding.router import ShardRouter
 from ..telemetry.base import Telemetry
-from .plan import BrokerKill, FaultPlan
+from .plan import FaultPlan
 from .reliable import RetryConfig
 from .verifier import (
     ChaosReport,
@@ -62,7 +67,6 @@ __all__ = [
     "ShardedStats",
     "ShardedReport",
     "ShardedChaosSimulation",
-    "build_sharded_plan",
     "unsharded_match_digest",
 ]
 
@@ -196,20 +200,21 @@ def unsharded_match_digest(
 class ShardedChaosSimulation(ChaosSimulation):
     """A chaos run over K shard brokers with live rebalancing.
 
-    Shard homes default to the first ``num_shards`` transit nodes (in
-    node order); a :class:`~repro.faults.plan.BrokerKill` at a home
-    kills its shard permanently.  ``migrations`` schedules live subset
-    migrations (see :class:`PlannedMigration`); kills landing between
-    a migration's begin and cutover exercise the journal's
-    roll-forward/roll-back semantics.
+    ``shard_homes`` places shard ``k`` on node ``shard_homes[k]``;
+    :meth:`_kill_shard` excludes a shard whose home is gone for good.
+    ``migrations`` schedules live subset migrations (see
+    :class:`PlannedMigration`); kills landing between a migration's
+    begin and cutover exercise the journal's roll-forward/roll-back
+    semantics.  The publish path and the fault schedule belong to the
+    subclass that runs it.
     """
 
     def __init__(
         self,
         broker,
         plan: FaultPlan,
-        num_shards: int = 4,
-        shard_homes: Optional[Sequence[int]] = None,
+        num_shards: int,
+        shard_homes: Sequence[int],
         migrations: Sequence[PlannedMigration] = (),
         route_delay: float = 0.5,
         defer_capacity: int = 256,
@@ -233,20 +238,11 @@ class ShardedChaosSimulation(ChaosSimulation):
             hop_retries=hop_retries,
             telemetry=telemetry,
         )
-        transit = sorted(int(n) for n in broker.topology.all_transit_nodes())
-        if shard_homes is None:
-            if num_shards > len(transit):
-                raise ValueError(
-                    f"cannot place {num_shards} shards on a topology with "
-                    f"{len(transit)} transit nodes"
-                )
-            shard_homes = transit[:num_shards]
         if len(shard_homes) != num_shards:
             raise ValueError("one home node per shard required")
         self.homes: Dict[int, int] = {
             k: int(shard_homes[k]) for k in range(num_shards)
         }
-        self.home_to_shard = {home: k for k, home in self.homes.items()}
         self.map = ShardMap.plan(
             broker.partition, num_shards, virtual_nodes=virtual_nodes
         )
@@ -293,27 +289,11 @@ class ShardedChaosSimulation(ChaosSimulation):
     # -- hook overrides ------------------------------------------------------
 
     def _arm(self, arrival_times: Sequence[float]) -> None:
-        for kill in self.plan.broker_kills:
-            shard = self.home_to_shard.get(int(kill.node))
-            if shard is not None:
-                self.simulator.schedule_at(
-                    float(kill.at), lambda s=shard: self._kill_shard(s)
-                )
         for planned in self.planned:
             self.simulator.schedule_at(
                 float(planned.at),
                 lambda p=planned: self._begin_planned(p),
             )
-
-    def _publish_event(self, sequence: int) -> None:
-        # The router resolves immediately and stamps the current map
-        # epoch; the publication then spends route_delay in flight, so
-        # a cutover can depose the addressed shard before arrival.
-        shard = self._owner(sequence)
-        self.simulator.schedule_at(
-            self.simulator.now + self.route_delay,
-            lambda: self._arrive(sequence, shard),
-        )
 
     # -- arrival, fencing, service -------------------------------------------
 
@@ -385,33 +365,34 @@ class ShardedChaosSimulation(ChaosSimulation):
         # reach most subscribers, so the failure detector declares it
         # stranded and it gets evacuated exactly like a dead one.
         newly = [shard] + self._cascade_stranded()
-        # The dead homes' volatile sender-side retry state is gone;
-        # wipe the transport, then re-arm entries whose owning shard is
-        # still alive (their durable intent survives on a live home).
-        wiped = self.transport.wipe_pending()
-        self.sstats.wiped_inflight += sum(
-            1
-            for key, _target in wiped
-            if self._sender_shard.get(key) in self._dead
-        )
-        for key in sorted(self._pending_of):
-            pending = self._pending_of[key]
-            if not pending:
-                continue
-            owner = self._sender_shard.get(key)
-            if owner is None:
-                continue
-            if owner in self._dead:
-                self._orphans[key] = set(pending)
-            else:
-                self.transport.publish(
-                    key, self.homes[owner], sorted(pending)
-                )
+        self._wipe_senders(lambda s: s in self._dead)
         for dead in newly:
             self.simulator.schedule_at(
                 self.simulator.now + self.rebalance_delay,
                 lambda s=dead: self._rebalance_away(s),
             )
+
+    def _wipe_senders(self, stopped: Callable[[int], bool]) -> None:
+        """The shards ``stopped`` names lost their volatile sender-side
+        retry state: wipe the transport, count their share of it, and
+        re-arm every other owner's in-flight deliveries (the durable
+        intent survives on a running home).  A dead shard's become
+        orphans for its heir to re-hand; a stopped live shard's wait
+        for its takeover or its restart."""
+        wiped = self.transport.wipe_pending()
+        senders = [self._sender_shard.get(key) for key, _target in wiped]
+        self.sstats.wiped_inflight += sum(
+            1 for owner in senders if owner is not None and stopped(owner)
+        )
+        for key in sorted(self._pending_of):
+            pending = self._pending_of[key]
+            owner = self._sender_shard.get(key)
+            if not pending or owner is None:
+                continue
+            if owner in self._dead:
+                self._orphans[key] = set(pending)
+            elif not stopped(owner):
+                self.transport.publish(key, self.homes[owner], sorted(pending))
 
     def _cascade_stranded(self) -> List[int]:
         """Live shards partitioned away from the majority component.
@@ -627,93 +608,3 @@ class ShardedChaosSimulation(ChaosSimulation):
         """Sequences that reached a shard's matcher (digest domain)."""
         return sorted(self._records)
 
-
-def build_sharded_plan(
-    topology,
-    shard_map: ShardMap,
-    seed: int = 2003,
-    loss: float = 0.05,
-    duplicate: float = 0.0,
-    delay: float = 0.0,
-    scenario: str = "clean",
-    horizon: float = 500.0,
-    migrations: int = 2,
-    copy_time: float = 20.0,
-) -> Tuple[FaultPlan, List[int], List[PlannedMigration]]:
-    """A plan, shard placement, and migration schedule for one scenario.
-
-    Shard homes are the first K transit nodes (node order — the same
-    default the harness applies).  ``scenario``:
-
-    - ``"clean"`` — link loss only, plus ``migrations`` live subset
-      migrations spread over the horizon (heaviest subsets first, each
-      to the initially least-loaded other shard).
-    - ``"shard-kill"`` — the most-loaded shard's home is permanently
-      killed at 40% of the horizon; the survivors must rebalance.
-    - ``"migration-crash"`` — one migration begins at 35% of the
-      horizon and its *source* home is killed halfway through the
-      copy: the journaled cutover must roll forward onto the
-      destination while the rest of the dead shard rebalances.
-
-    Returns ``(plan, homes, planned_migrations)``.
-    """
-    if scenario not in ("clean", "shard-kill", "migration-crash"):
-        raise ValueError(
-            "scenario must be 'clean', 'shard-kill' or 'migration-crash' "
-            f"(got {scenario!r})"
-        )
-    transit = sorted(int(n) for n in topology.all_transit_nodes())
-    num_shards = shard_map.num_shards
-    if num_shards > len(transit):
-        raise ValueError(
-            f"cannot place {num_shards} shards on a topology with "
-            f"{len(transit)} transit nodes"
-        )
-    homes = transit[:num_shards]
-    loads = shard_map.shard_loads()
-    busiest = max(range(num_shards), key=lambda s: (loads[s], -s))
-    kills: Tuple[BrokerKill, ...] = ()
-    planned: List[PlannedMigration] = []
-    if scenario == "clean":
-        ranked = sorted(
-            (
-                q
-                for shard in range(num_shards)
-                for q in shard_map.subsets_of(shard)
-            ),
-            key=lambda q: (-shard_map.load_of_subset(q), q),
-        )
-        for q in ranked:
-            if len(planned) >= migrations:
-                break
-            owner = shard_map.owner_of_subset(q)
-            others = [s for s in range(num_shards) if s != owner]
-            if not others:
-                break
-            dest = min(others, key=lambda s: (loads[s], s))
-            at = horizon * (len(planned) + 1) / (migrations + 1)
-            planned.append(
-                PlannedMigration(at=at, q=q, dest=dest, copy_time=copy_time)
-            )
-    elif scenario == "shard-kill":
-        kills = (BrokerKill(node=homes[busiest], at=0.4 * horizon),)
-    else:  # migration-crash
-        subsets = shard_map.subsets_of(busiest)
-        q = max(subsets, key=lambda s: (shard_map.load_of_subset(s), -s))
-        others = [s for s in range(num_shards) if s != busiest]
-        dest = min(others, key=lambda s: (loads[s], s))
-        at = 0.35 * horizon
-        planned = [
-            PlannedMigration(at=at, q=q, dest=dest, copy_time=copy_time)
-        ]
-        kills = (
-            BrokerKill(node=homes[busiest], at=at + copy_time / 2.0),
-        )
-    plan = FaultPlan(
-        seed=seed,
-        default_loss=loss,
-        default_duplicate=duplicate,
-        default_delay=delay,
-        broker_kills=kills,
-    )
-    return plan, homes, planned

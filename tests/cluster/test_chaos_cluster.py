@@ -81,6 +81,7 @@ def migrate_run():
 
 
 def _assert_invariants(broker, points, simulation, report):
+    """The guarantees of every cluster run, with or without standbys."""
     sharded = report.sharded
     assert sharded.accounted, (
         sharded.delivered_events,
@@ -94,10 +95,10 @@ def _assert_invariants(broker, points, simulation, report):
     assert sharded.match_digest == unsharded_match_digest(
         broker, points, simulation.serviced_sequences
     )
-    # The corruption leg ran in every scenario: the standby scrubbed
-    # its torn WAL and rebased instead of dying or diverging.
-    assert report.cluster.wal_corruptions == 1
-    assert report.cluster.wal_scrubs == 1
+    # The corruption leg ran wherever there was a standby to tear: it
+    # scrubbed its torn WAL and rebased instead of dying or diverging.
+    torn = int(any(shard.ranked for shard in simulation.replicated.values()))
+    assert report.cluster.wal_corruptions == report.cluster.wal_scrubs == torn
 
 
 class TestKillScenario:
@@ -155,6 +156,25 @@ class TestPartitionScenario:
     def test_no_stranding_under_partition(self, partition_run):
         _, _, _, report = partition_run
         assert report.sharded.stranded_misses == 0
+
+
+class TestPartitionWithoutStandby:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_the_waited_for_home_serves_again(self, shards):
+        """Nobody can succeed a partitioned home without standbys, so
+        the shard waits for it.  Its deferred events used to sit in the
+        queue after the heal until they expired, and at K = 4 the view,
+        which had confirmed it dead, kept it dead while it served."""
+        broker, points, simulation, report = _run(
+            "partition", shards=shards, standbys=0
+        )
+        _assert_invariants(broker, points, simulation, report)
+        assert report.sharded.deferred_events > 0
+        assert report.sharded.expired_events == 0
+        assert report.exactly_once
+        assert report.cluster.takeovers == report.cluster.ring_exclusions == 0
+        assert set(simulation.homes.values()) <= simulation.membership.view().alive
+        assert report.cluster.stale_heartbeats == 0
 
 
 class TestDoubleKillScenario:

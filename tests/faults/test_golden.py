@@ -12,8 +12,13 @@ digests.
 the one-shard cluster (it pins that mode's ``catchup`` scenario, the
 one the K = 4 files do not cover), and ``cluster-restart`` replaced
 ``crash-recovery`` when that harness became the zero-standby one-shard
-cluster, its home restarting from its own WAL; a change that means to
-move a digest regenerates the file with::
+cluster, its home restarting from its own WAL.  ``cluster-no-standby``
+replaced ``sharded`` when the sharded harness became the zero-standby
+cluster: the same ledger, verdict and match digest, but the killed home
+is excluded once the membership view confirms it dead rather than at
+the kill, so the wire rows moved (4 442 link transmissions against
+3 552).  A change that means to move a digest regenerates the file
+with::
 
     PYTHONPATH=src python -m repro.cli chaos <arguments> \\
         --events 100 --subscriptions 150 > tests/golden/chaos/<name>.txt
@@ -34,8 +39,8 @@ GOLDEN = Path(__file__).parent.parent / "golden" / "chaos"
 SCENARIOS = {
     "default": [],
     "overload": ["--overload"],
-    "sharded": ["--sharded", "--sharded-scenario", "shard-kill"],
     "cluster": ["--cluster"],
+    "cluster-no-standby": ["--cluster", "--standbys", "0"],
     "cluster-k1": [
         "--cluster", "--shards", "1", "--cluster-scenario", "catchup"
     ],
@@ -76,12 +81,13 @@ def test_stats_stdout_is_pinned(name, capsys):
     ``stats`` was moved onto the scenario assembly of ``chaos`` and its
     section ladder became a table.  ``overload`` was captured after it:
     the move put its crash windows where ``chaos --overload`` puts
-    them, which changed its retry, ack and link rows.  ``sharded`` is
-    new with that commit (``stats`` had no ``--sharded``),
-    ``cluster-k1`` with the one-shard cluster; every file lost the
-    replication section's "inactive" hint with it.  ``cluster-restart``
-    is new with the zero-standby restart; the two older cluster files
-    then began counting their takeover's replay under "recoveries".
+    them, which changed its retry, ack and link rows.  ``cluster-k1``
+    is new with the one-shard cluster; every file lost the replication
+    section's "inactive" hint with it.  ``cluster-restart`` is new with
+    the zero-standby restart; the two older cluster files then began
+    counting their takeover's replay under "recoveries".
+    ``cluster-no-standby`` replaced ``sharded`` (the first file ``stats``
+    pinned for a sharded run) with the chaos file of that name.
     """
     code = main(
         ["stats", *SCENARIOS[name], "--events", "100", "--subscriptions", "150"]

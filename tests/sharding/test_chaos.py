@@ -1,6 +1,9 @@
 """Sharded chaos: the scale-out guarantees, end to end.
 
-Every scenario must keep the outcome ledger balanced
+The sharded harness is the zero-standby cluster: every shard home is a
+lone primary, so a killed one is ring-excluded once the membership view
+confirms it dead and the survivors rebalance its subsets.  Every
+scenario must keep the outcome ledger balanced
 (``delivered + shed + expired == published``) with zero duplicate
 deliveries, route every serviced event to exactly the MatchResult a
 single unsharded broker computes (digest-pinned), and explain every
@@ -9,80 +12,34 @@ missing delivery by a physically-severed target.
 
 import pytest
 
-from repro.faults import (
-    ShardedChaosSimulation,
-    build_sharded_plan,
-    unsharded_match_digest,
-)
-from repro.faults.verifier import build_chaos_testbed
+from repro.faults import FullStackChaosSimulation, build_cluster_plan
 from repro.sharding import ShardMap
-from repro.workload import PublicationGenerator
-
-EVENTS = 200
-SHARDS = 4
-
-
-def _build(seed=29):
-    broker, density = build_chaos_testbed(
-        seed=seed, subscriptions=200, num_groups=9
-    )
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=seed + 9
-    ).generate(EVENTS)
-    return broker, points, publishers
+from tests.cluster.test_chaos_cluster import (
+    EVENTS,
+    SHARDS,
+    _assert_invariants,
+    _build,
+)
+from tests.cluster.test_chaos_cluster import _run as _run_cluster
 
 
-def _run(scenario, seed=29, shards=SHARDS, migrations=2):
-    broker, points, publishers = _build(seed)
-    shard_map = ShardMap.plan(broker.partition, shards)
-    plan, homes, planned = build_sharded_plan(
-        broker.topology,
-        shard_map,
-        seed=seed,
-        scenario=scenario,
-        horizon=float(EVENTS),
-        migrations=migrations,
-    )
-    simulation = ShardedChaosSimulation(
-        broker,
-        plan,
-        num_shards=shards,
-        shard_homes=homes,
-        migrations=planned,
-    )
-    report = simulation.run(points, publishers)
-    return broker, points, simulation, report
+def _run(scenario, shards=SHARDS):
+    return _run_cluster(scenario, shards=shards, standbys=0)
 
 
 @pytest.fixture(scope="module")
 def clean_run():
-    return _run("clean")
+    return _run("migrate")
 
 
 @pytest.fixture(scope="module")
 def kill_run():
-    return _run("shard-kill")
+    return _run("kill")
 
 
 @pytest.fixture(scope="module")
 def crash_run():
-    return _run("migration-crash")
-
-
-def _assert_invariants(broker, points, simulation, report):
-    sharded = report.sharded
-    assert sharded.accounted, (
-        sharded.delivered_events,
-        sharded.shed_events,
-        sharded.expired_events,
-        sharded.published,
-    )
-    assert report.duplicate_deliveries == 0
-    assert sharded.unexplained_misses == 0
-    assert sharded.match_parity
-    assert sharded.match_digest == unsharded_match_digest(
-        broker, points, simulation.serviced_sequences
-    )
+    return _run("migrate-under-kill")
 
 
 class TestCleanScenario:
@@ -107,9 +64,10 @@ class TestCleanScenario:
 
     def test_deterministic_across_identical_runs(self, clean_run):
         _, _, _, first = clean_run
-        _, _, _, second = _run("clean")
+        _, _, _, second = _run("migrate")
         assert first.sharded.match_digest == second.sharded.match_digest
         assert first.sharded == second.sharded
+        assert first.cluster == second.cluster
         assert first.routed_per_shard == second.routed_per_shard
 
 
@@ -122,6 +80,10 @@ class TestShardKillScenario:
         sharded = report.sharded
         assert sharded.shard_kills >= 1
         assert sharded.rebalances >= 1
+        # The view confirmed the death; nobody could take over.
+        assert report.cluster.confirmed_deaths >= 1
+        assert report.cluster.ring_exclusions == 1
+        assert report.cluster.takeovers == 0
         # Every subset the dead shards owned now lives on a survivor.
         for dead in simulation._dead:
             assert simulation.map.subsets_of(dead) == []
@@ -159,13 +121,15 @@ class TestMigrationCrashScenario:
 
 class TestHarnessGuards:
     def test_double_accounting_raises(self):
-        broker, points, publishers = _build()
-        shard_map = ShardMap.plan(broker.partition, SHARDS)
-        plan, homes, _ = build_sharded_plan(
-            broker.topology, shard_map, scenario="clean", horizon=100.0
+        broker, _, _ = _build()
+        plan, homes, standby_map, _, _ = build_cluster_plan(
+            broker.topology,
+            ShardMap.plan(broker.partition, SHARDS),
+            scenario="migrate",
+            standby_count=0,
         )
-        simulation = ShardedChaosSimulation(
-            broker, plan, num_shards=SHARDS, shard_homes=homes
+        simulation = FullStackChaosSimulation(
+            broker, plan, standby_map, num_shards=SHARDS, shard_homes=homes
         )
         simulation.outcomes.finish(0, "delivered")
         with pytest.raises(RuntimeError, match="accounted twice"):
@@ -173,38 +137,26 @@ class TestHarnessGuards:
 
     def test_too_many_shards_for_topology_raises(self):
         broker, _, _ = _build()
-        plan, _, _ = build_sharded_plan(
-            broker.topology,
-            ShardMap.plan(broker.partition, 2),
-            scenario="clean",
-        )
         with pytest.raises(ValueError, match="transit nodes"):
-            ShardedChaosSimulation(broker, plan, num_shards=999)
+            build_cluster_plan(
+                broker.topology,
+                ShardMap.plan(broker.partition, 999),
+                standby_count=0,
+            )
 
     def test_scenario_validated(self):
         broker, _, _ = _build()
         with pytest.raises(ValueError, match="scenario must be"):
-            build_sharded_plan(
+            build_cluster_plan(
                 broker.topology,
                 ShardMap.plan(broker.partition, 2),
                 scenario="nope",
+                standby_count=0,
             )
 
     def test_single_shard_degenerates_to_unsharded(self):
-        broker, points, simulation, report = (None, None, None, None)
-        broker, points, publishers = _build()
-        shard_map = ShardMap.plan(broker.partition, 1)
-        plan, homes, planned = build_sharded_plan(
-            broker.topology,
-            shard_map,
-            scenario="clean",
-            horizon=float(EVENTS),
-        )
-        simulation = ShardedChaosSimulation(
-            broker, plan, num_shards=1, shard_homes=homes, migrations=planned
-        )
-        report = simulation.run(points, publishers)
-        assert planned == []  # nowhere to migrate with one shard
+        _, _, simulation, report = _run("migrate", shards=1)
+        assert simulation.planned == ()  # nowhere to migrate with one shard
         assert report.sharded.accounted
         assert report.sharded.match_parity
         assert report.routed_per_shard == {0: EVENTS}

@@ -205,12 +205,14 @@ class TestStats:
 
     def test_sharded_run_is_metered_and_verified(self, capsys):
         """``stats`` used to declare its own, shorter option list: it
-        had no ``--sharded`` at all."""
+        had no sharded mode at all.  The sharded run is the
+        zero-standby cluster; its killed home is excluded, which the
+        verdict requires and the run exits 0 on."""
         import re
 
         code = main(
             [
-                "stats", "--sharded", "--sharded-scenario", "shard-kill",
+                "stats", "--cluster", "--standbys", "0",
                 "--events", "100", "--subscriptions", "150",
             ]
         )
@@ -243,10 +245,11 @@ SMALL = ["--events", "40", "--subscriptions", "80"]
 class TestUsageErrors:
     """Arguments no scenario can be built from: exit 2, nothing on
     stdout and the library's sentence as exactly one ``error: ...``
-    line on stderr.  Apart from the first two, and the last (which
-    recited four flags instead of the two given), every row used to
-    die with a traceback and exit 1, because each copy of the scenario
-    assembly guarded only its own plan builder."""
+    line on stderr.  Apart from the first two, the ``--overload
+    --cluster`` row (which recited four flags instead of the two given)
+    and the retired ``--sharded`` flag, every row used to die with a
+    traceback and exit 1, because each copy of the scenario assembly
+    guarded only its own plan builder."""
 
     CASES = [
         (
@@ -327,6 +330,11 @@ class TestUsageErrors:
         (
             ["stats", "--overload", "--cluster", *SMALL],
             "--overload and --cluster are mutually exclusive",
+        ),
+        # The sharded harness is `--cluster --standbys 0` now.
+        (
+            ["chaos", "--sharded", *SMALL],
+            "unrecognized arguments: --sharded",
         ),
     ]
 
