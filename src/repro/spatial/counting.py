@@ -38,24 +38,21 @@ class CountingMatcher(PointMatcher):
 
     def __init__(self, lows: np.ndarray, highs: np.ndarray, ids: np.ndarray):
         super().__init__(lows, highs, ids)
-        unbounded = ~np.isfinite(lows) & ~np.isfinite(highs)
+        #: ``(-inf, +inf]`` sides: pre-counted, never indexed.  An empty
+        #: side such as ``(+inf, +inf]`` is indexed (and matches nothing).
+        self._wildcard = (lows == -np.inf) & (highs == np.inf)
         #: per-subscription number of non-wildcard predicates.
-        self._required = (self.ndim - unbounded.sum(axis=1)).astype(
+        self._required = (self.ndim - self._wildcard.sum(axis=1)).astype(
             np.int64
         )
         self._trees: List[StaticIntervalTree] = []
-        self._tree_rows: List[np.ndarray] = []
         for dim in range(self.ndim):
-            indexed = ~unbounded[:, dim]
-            rows = np.flatnonzero(indexed)
+            rows = np.flatnonzero(~self._wildcard[:, dim])
             self._trees.append(
                 StaticIntervalTree(
                     lows[rows, dim], highs[rows, dim], ids=rows
                 )
             )
-            self._tree_rows.append(rows)
-        # Rows that are all-wildcard match every event unconditionally.
-        self._match_all_rows = np.flatnonzero(self._required == 0)
 
     def _match_ids(self, point: np.ndarray) -> List[int]:
         counts = np.zeros(self.size, dtype=np.int64)
@@ -65,9 +62,9 @@ class CountingMatcher(PointMatcher):
             self.stats.nodes_visited += 1
             if stabbed:
                 counts[stabbed] += 1
-        matched = np.flatnonzero(
-            (counts == self._required) & (self._required > 0)
-        )
-        result = [int(i) for i in self._ids[matched]]
-        result.extend(int(i) for i in self._ids[self._match_all_rows])
-        return result
+        matched = counts == self._required
+        # A wildcard holds every value but -inf (and NaN).
+        outside = ~(point > -np.inf)
+        if outside.any():
+            matched &= ~self._wildcard[:, outside].any(axis=1)
+        return [int(i) for i in self._ids[matched]]

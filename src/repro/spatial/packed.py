@@ -10,18 +10,25 @@ breadth-first (root 0) in parallel arrays: MBRs ``lows`` / ``highs``,
 Bounds are dimension-major, ``(N, count)``: a column ``take`` and a test
 reduced along the short axis cost 3-6x less than the row-major forms.
 
-:meth:`PackedTree.search` is level-synchronous: the children of the
-whole frontier are tested in one numpy call per level, leaves reached on
-any level are collected (the S-tree is unbalanced) and their entries
-tested in one call.  :class:`~repro.spatial.base.QueryStats` reads what
-a node-at-a-time recursive walk reads: each internal node and leaf
-reached counts once per query, each entry of a reached leaf as tested.
+A query (:meth:`PackedTree.reach`) takes the *flat reach*.  Every MBR
+is built bottom-up, so a box lies inside its parent's and, under
+``(lo, hi]``, a node is reached exactly when its own box passes (the
+root always): one test over every node box, one over the entries of the
+leaves it kept, whatever the depth.  ``match_many`` loops over it.
+Point tests read the bounds folded (``folds`` / ``entry_folds``):
+``[nextafter(lo, +inf) ; -hi]``, NaN where ``lo`` is ``+inf``, so
+``lo < x <= hi`` is one ``<=`` against ``[x ; -x]``, exact for every
+``x`` including ±inf and NaN (EXPERIMENTS.md Section 3 weighs the
+speed it buys against the bytes it stores).
+:class:`~repro.spatial.base.QueryStats` reads what a node-at-a-time
+recursive walk reads: each internal node and leaf reached counts once
+per query, each entry of a reached leaf as tested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,20 +36,11 @@ from .base import PointMatcher, QueryStats
 
 __all__ = ["PackedTree", "PackedTreeMatcher"]
 
-#: ``inside(lows, highs, owner) -> mask``: which boxes the query reaches.
-#: ``owner`` is each box's query number in a batch, ``None`` otherwise.
-Predicate = Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], np.ndarray]
-
-#: Most (point, entry) pairs one ``match_many`` chunk should test.
-#: Measured (EXPERIMENTS.md Section 3, a fresh process per cell), µs per
-#: point at 1k / 4k / 8k / 16k stock subscriptions: 1k pairs 10 / 24 /
-#: 45 / 101, **8k pairs 6 / 19 / 36 / 79**, 32k 10 / 31 / 56 / 105, the
-#: whole 2000-point batch 8 / 24 / 51 / 112.  Small chunks pay per-call
-#: overhead; big ones gather into arrays that the allocator maps afresh
-#: on every call and that no longer fit the cache.
-_CHUNK_PAIRS = 8192
-#: Points in the first chunk, before any pairs-per-point was observed.
-_FIRST_CHUNK = 16
+#: ``inside(*boxes) -> mask``: which boxes one query reaches.
+Tester = Callable[..., np.ndarray]
+#: Bounds of a set of boxes, one column per box, in the form a
+#: ``Tester`` reads: ``(lows, highs)`` or ``(folds,)``.
+Boxes = Tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -59,6 +57,8 @@ class PackedTree:
     entry_lows: np.ndarray
     entry_highs: np.ndarray
     entry_ids: np.ndarray
+    folds: np.ndarray
+    entry_folds: np.ndarray
 
     @classmethod
     def pack(
@@ -102,6 +102,7 @@ class PackedTree:
         return cls(
             node_lows, node_highs, child_start, children, is_leaf,
             entry_start, entries, entry_lows, entry_highs, ids[order],
+            _fold(node_lows, node_highs), _fold(entry_lows, entry_highs),
         )
 
     def depths(self) -> np.ndarray:
@@ -114,73 +115,31 @@ class PackedTree:
             start, end, level = end, end + below, level + 1
         return depth
 
-    def search(
-        self,
-        inside: Predicate,
-        stats: QueryStats,
-        owner: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Slab rows of the entries the query reaches and ``inside`` keeps.
+    def reach(
+        self, inside: Tester, nodes: Boxes, entries: Boxes, stats: QueryStats
+    ) -> np.ndarray:
+        """Slab rows of the entries one query reaches and ``inside`` keeps.
 
-        With ``owner`` (one number per query) the frontier holds (query,
-        node) pairs and each returned row comes with its query's number.
+        ``inside`` reads boxes as columns of the arrays it is given:
+        ``nodes`` (one column per node) or ``entries`` (per slab row).
         """
-        nodes = np.zeros(1 if owner is None else owner.size, np.int64)
-        leaf_nodes: List[np.ndarray] = []
-        leaf_owner: List[np.ndarray] = []
-        while nodes.size:
-            leaf = self.is_leaf.take(nodes)
-            inner = ~leaf
-            leaf_nodes.append(nodes[leaf])
-            nodes = nodes[inner]
-            if owner is not None:
-                leaf_owner.append(owner[leaf])
-                owner = owner[inner]
-            if nodes.size:
-                stats.nodes_visited += nodes.size
-                nodes, owner = _descend(
-                    inside, nodes, owner, self.child_start,
-                    self.child_count, self.lows, self.highs,
-                )
-        leaves = np.concatenate(leaf_nodes)
-        if not leaves.size:
-            return leaves, owner
-        stats.leaves_visited += leaves.size
-        stats.entries_tested += int(self.entry_count.take(leaves).sum())
-        if owner is not None:
-            owner = np.concatenate(leaf_owner)
-        return _descend(
-            inside, leaves, owner, self.entry_start,
-            self.entry_count, self.entry_lows, self.entry_highs,
-        )
+        hit = inside(*nodes)
+        hit[0] = True  # the root is entered untested
+        leaves = np.count_nonzero(hit & self.is_leaf)
+        stats.nodes_visited += np.count_nonzero(hit) - leaves
+        stats.leaves_visited += leaves
+        # Internal nodes own no entries; leaves own theirs in slab order.
+        rows = np.flatnonzero(hit.repeat(self.entry_count))
+        stats.entries_tested += rows.size
+        return rows[inside(*(box.take(rows, axis=1) for box in entries))]
 
 
-def _descend(
-    inside: Predicate,
-    parents: np.ndarray,
-    owner: Optional[np.ndarray],
-    start: np.ndarray,
-    count: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The boxes under ``parents`` that ``inside`` keeps, in one test.
-
-    A parent's boxes are the rows ``start .. start + count`` of ``lows``
-    / ``highs``: child nodes of a node, slab entries of a leaf.
-    """
-    counts = count.take(parents)
-    if parents.size == 1:  # every single query starts here, at the root
-        below = np.arange(counts[0]) + start[parents[0]]
-    else:
-        ends = counts.cumsum()
-        below = np.arange(ends[-1]) + (
-            start.take(parents) - ends + counts
-        ).repeat(counts)
-    if owner is not None:
-        owner = owner.repeat(counts)
-    hit = inside(lows.take(below, axis=1), highs.take(below, axis=1), owner)
-    return below[hit], None if owner is None else owner[hit]
+def _fold(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """``[nextafter(lows, +inf) ; -highs]``, NaN where a low is ``+inf``."""
+    with np.errstate(over="ignore"):
+        above = np.nextafter(lows, np.inf)
+    above[lows == np.inf] = np.nan
+    return np.concatenate((above, -highs))
 
 
 class PackedTreeMatcher(PointMatcher):
@@ -188,53 +147,22 @@ class PackedTreeMatcher(PointMatcher):
 
     _packed: PackedTree
 
-    def _query(self, inside: Predicate) -> List[int]:
-        rows, _ = self._packed.search(inside, self.stats)
+    def _query(
+        self, inside: Tester, nodes: Boxes, entries: Boxes
+    ) -> List[int]:
+        rows = self._packed.reach(inside, nodes, entries, self.stats)
         ids = self._packed.entry_ids.take(rows)
         ids.sort()
         result: List[int] = ids.tolist()
         return result
 
     def _match_ids(self, point: np.ndarray) -> List[int]:
-        at = point[:, None]
+        at = np.concatenate((point, -point))[:, None]
+        packed = self._packed
         return self._query(
-            lambda lows, highs, _: ((lows < at) & (at <= highs)).all(axis=0)
+            lambda fold: (fold <= at).all(axis=0),
+            (packed.folds,), (packed.entry_folds,),
         )
-
-    def _match_rows(self, points: np.ndarray) -> List[List[int]]:
-        """Chunks sized to ~``_CHUNK_PAIRS`` pairs, each one pair frontier."""
-        result: List[List[int]] = []
-        step = _FIRST_CHUNK
-        while len(result) < len(points):
-            chunk = points[len(result) : len(result) + step]
-            before = self.stats.entries_tested
-            result.extend(self._match_chunk(chunk))
-            tested = self.stats.entries_tested - before
-            step = max(1, _CHUNK_PAIRS * len(chunk) // max(tested, 1))
-        return result
-
-    def _match_chunk(self, points: np.ndarray) -> List[List[int]]:
-        columns = np.ascontiguousarray(points.T)
-
-        def inside(
-            lows: np.ndarray, highs: np.ndarray, owner: Optional[np.ndarray]
-        ) -> np.ndarray:
-            at = columns.take(owner, axis=1)
-            return ((lows < at) & (at <= highs)).all(axis=0)
-
-        self.stats.queries += len(points)
-        rows, owner = self._packed.search(
-            inside, self.stats, np.arange(len(points))
-        )
-        ids = self._packed.entry_ids.take(rows)
-        # Sorted by (owner, id); two plain sorts beat one ``lexsort``.
-        by_id = np.argsort(ids)
-        order = by_id[np.argsort(np.take(owner, by_id), kind="stable")]
-        flat = ids.take(order).tolist()
-        cuts = np.searchsorted(
-            np.take(owner, order), np.arange(len(points) + 1)
-        ).tolist()
-        return [flat[a:b] for a, b in zip(cuts, cuts[1:])]
 
     @property
     def height(self) -> int:

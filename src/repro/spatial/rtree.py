@@ -12,7 +12,8 @@ Queries are identical to the S-tree's — descend from the root, pruning
 every child whose MBR misses the query point — and literally so: the
 packing below only decides how many children and entries each node
 gets, level by level, and emits the shared breadth-first array layout
-of :mod:`repro.spatial.packed`, whose one kernel answers for both trees.
+of :mod:`repro.spatial.packed`, whose one kernel, the flat reach,
+answers for both trees.
 """
 
 from __future__ import annotations

@@ -36,10 +36,9 @@ correctness never depends on the frame.
 
 The compressed node graph is not kept: it is emitted, breadth-first,
 into the packed array layout of :mod:`repro.spatial.packed` (node MBR
-arrays with contiguous children, one leaf-entry slab), and every query
-— point, batch and region — runs through that module's one
-level-synchronous kernel.  Packing decides *which* nodes a query
-reaches; the layout only changes how fast reaching them is.
+arrays with contiguous children, one leaf-entry slab).  Every query,
+point and region, takes that module's flat reach.  Packing decides *which* nodes a query reaches; the layout
+only changes how fast reaching them is.
 """
 
 from __future__ import annotations
@@ -290,10 +289,13 @@ class STree(PackedTreeMatcher):
             )
         self.stats.queries += 1
         q_lo, q_hi = q_lo[:, None], q_hi[:, None]
+        packed = self._packed
         return self._query(
-            lambda lo, hi, _: (
+            lambda lo, hi: (
                 np.maximum(lo, q_lo) < np.minimum(hi, q_hi)
-            ).all(axis=0)
+            ).all(axis=0),
+            (packed.lows, packed.highs),
+            (packed.entry_lows, packed.entry_highs),
         )
 
     # -- introspection ----------------------------------------------------------------

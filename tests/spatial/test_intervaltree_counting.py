@@ -135,6 +135,26 @@ class TestCountingMatcher:
         assert matcher.match([123.0, 5.0]) == [0]
         assert matcher.match([123.0, 50.0]) == []
 
+    def test_empty_infinite_sides_are_not_wildcards(self):
+        # (+inf, +inf] and (-inf, -inf] hold nothing; only (-inf, +inf]
+        # is a wildcard.
+        lows = np.array([[np.inf, 0.0], [-np.inf, 0.0], [1.0, 0.0]])
+        highs = np.array([[np.inf, 5.0], [-np.inf, 5.0], [3.0, 5.0]])
+        matcher = CountingMatcher.build(lows, highs)
+        assert matcher.match([2.0, 3.0]) == [2]
+        assert matcher.match([np.inf, 3.0]) == []
+        assert matcher.match([-np.inf, 3.0]) == []
+
+    def test_wildcard_excludes_minus_infinity(self):
+        # -inf < -inf is false: a wildcard side does not hold -inf.
+        lows = np.array([[-np.inf, 0.0], [-np.inf, -np.inf]])
+        highs = np.array([[np.inf, 5.0], [np.inf, np.inf]])
+        matcher = CountingMatcher.build(lows, highs)
+        assert matcher.match([-np.inf, 3.0]) == []
+        assert matcher.match([3.0, -np.inf]) == []
+        assert matcher.match([np.inf, 3.0]) == [0, 1]
+        assert matcher.match([np.nan, 3.0]) == []
+
     def test_custom_ids(self):
         lows = np.zeros((2, 1))
         highs = np.ones((2, 1))

@@ -2,10 +2,13 @@
 
 This is the load-bearing invariant of the matching layer — all five
 backends are interchangeable implementations of the same point query.
+Points may sit at ±inf, and a side may be empty at infinity —
+``(+inf, +inf]`` or ``(-inf, -inf]`` — which is not a wildcard.
 The second half of the file aims the generator at the half-open
 boundaries: independent floats essentially never put a point *on* a
 bound, so there the query coordinates are drawn from the rectangles'
-own ``lo`` / ``hi`` values and their floating-point neighbours.
+own ``lo`` / ``hi`` values (and ±inf) and their floating-point
+neighbours.
 """
 
 import numpy as np
@@ -26,6 +29,9 @@ coordinate = st.floats(
 )
 maybe_unbounded_low = st.one_of(coordinate, st.just(-np.inf))
 maybe_unbounded_high = st.one_of(coordinate, st.just(np.inf))
+infinity = st.sampled_from([-np.inf, np.inf])
+#: Sides that hold nothing, out at either infinity.
+empty_at_infinity = st.sampled_from([(np.inf, np.inf), (-np.inf, -np.inf)])
 
 
 @st.composite
@@ -40,6 +46,8 @@ def rectangle_set(draw, ndim=2):
             a = draw(maybe_unbounded_low)
             b = draw(maybe_unbounded_high)
             lo, hi = (a, b) if a <= b else (b, a)
+            if draw(st.integers(min_value=0, max_value=9)) == 0:
+                lo, hi = draw(empty_at_infinity)
             row_lo.append(lo)
             row_hi.append(hi)
         lows.append(row_lo)
@@ -49,7 +57,8 @@ def rectangle_set(draw, ndim=2):
 
 @st.composite
 def query_points(draw, ndim=2):
-    return np.array([draw(coordinate) for _ in range(ndim)])
+    value = st.one_of(coordinate, coordinate, coordinate, infinity)
+    return np.array([draw(value) for _ in range(ndim)])
 
 
 def reference(lows, highs, point):
@@ -95,6 +104,14 @@ def test_grid_equals_reference(rects, point):
 
 @settings(max_examples=60, deadline=None)
 @given(rectangle_set(), query_points())
+def test_counting_equals_reference(rects, point):
+    lows, highs = rects
+    matcher = CountingMatcher.build(lows, highs)
+    assert matcher.match(point) == reference(lows, highs, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rectangle_set(), query_points())
 def test_linear_equals_reference(rects, point):
     lows, highs = rects
     matcher = LinearScanMatcher.build(lows, highs)
@@ -113,9 +130,11 @@ def test_all_backends_agree_3d(rects, point):
             point
         ),
         "grid": GridIndexMatcher.build(lows, highs).match(point),
+        "counting": CountingMatcher.build(lows, highs).match(point),
         "linear": LinearScanMatcher.build(lows, highs).match(point),
     }
     assert len({tuple(v) for v in results.values()}) == 1, results
+    assert results["linear"] == reference(lows, highs, point)
 
 
 # -- generated boundaries ---------------------------------------------------
@@ -139,8 +158,14 @@ lattice = st.integers(min_value=-3, max_value=3).map(float)
 
 @st.composite
 def side(draw):
-    """One ``(lo, hi]`` side: bounded, a ray, a wildcard or zero-width."""
-    kind = draw(st.sampled_from(["bounded", "zero", "low-ray", "high-ray", "all"]))
+    """One ``(lo, hi]`` side: bounded, a ray, a wildcard or empty."""
+    kind = draw(
+        st.sampled_from(
+            ["bounded", "zero", "low-ray", "high-ray", "all", "infinite"]
+        )
+    )
+    if kind == "infinite":
+        return draw(empty_at_infinity)
     a, b = sorted([draw(lattice), draw(lattice)])
     return {
         "bounded": (a, b),  # a == b happens: also zero-width
@@ -166,7 +191,7 @@ def boundary_case(draw, ndim=2):
     def coordinate(dim):
         finite = np.concatenate([lows[:, dim], highs[:, dim]])
         finite = finite[np.isfinite(finite)].tolist() or [0.0]
-        value = draw(st.sampled_from(finite))
+        value = draw(st.sampled_from(finite + [-np.inf, np.inf]))
         nudge = draw(st.sampled_from([-np.inf, None, np.inf]))
         return value if nudge is None else float(np.nextafter(value, nudge))
 

@@ -1,11 +1,14 @@
 """Counter fidelity of the packed traversal.
 
 The paper's figure of merit for an index is the work a query does:
-internal nodes and leaves reached, entries tested.  The level-synchronous
-kernel must report, query for query, exactly what a node-at-a-time
-recursive walk reports.  The reference here is that walk, in plain
-Python over the packed arrays, sharing nothing with the kernel.
+internal nodes and leaves reached, entries tested.  The flat reach of a
+query (``match_many`` loops over it) must report, query for query,
+exactly what a node-at-a-time recursive walk reports.  The reference
+here is that walk, in plain Python over the packed arrays, sharing
+nothing with the kernel.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -79,7 +82,11 @@ BUILDERS = {
     "rtree-4": lambda lo, hi: HilbertRTree.build(lo, hi, branch_factor=4),
     "rtree-40": lambda lo, hi: HilbertRTree.build(lo, hi),
 }
-CASES = [(name, data) for name in BUILDERS for data in ("stock", "one-leaf")]
+CASES = [
+    (name, data)
+    for name in BUILDERS
+    for data in ("stock", "one-leaf", "infinite")
+]
 BUILDERS["stree-chain"] = lambda lo, hi: STree.build(lo, hi, params=CHAIN)
 CASES.append(("stree-chain", "skewed"))
 STREE_CASES = [case for case in CASES if case[0].startswith("stree")]
@@ -102,6 +109,20 @@ def one_leaf():
     return lows, highs, points
 
 
+def infinite():
+    """Rays, wildcards and sides empty at infinity, with points out at
+    ±inf and at the largest floats: the corners of the folded bounds."""
+    sides = [
+        (-np.inf, np.inf), (-np.inf, 0.0), (0.0, np.inf), (np.inf, np.inf),
+        (-np.inf, -np.inf), (-1.0, 1.0), (1.0, 2.0),
+    ]
+    bounds = np.array([(a, b) for a in sides for b in sides])
+    big = np.finfo(np.float64).max
+    values = [-np.inf, -big, -1.0, 0.0, 0.5, 1.0, big, np.inf]
+    points = np.array([(x, y) for x in values for y in values])
+    return bounds[:, :, 0], bounds[:, :, 1], points
+
+
 def skewed():
     """Doubling gaps on a line: every best split peels off one end."""
     starts = 2.0 ** np.arange(40)
@@ -121,7 +142,8 @@ def every(cases):
 def tree_and_points(request, stock):
     name, data = request.param
     lows, highs, points = {
-        "stock": lambda: stock, "one-leaf": one_leaf, "skewed": skewed
+        "stock": lambda: stock, "one-leaf": one_leaf, "skewed": skewed,
+        "infinite": infinite,
     }[data]()
     return BUILDERS[name](lows, highs), points
 
@@ -152,7 +174,6 @@ class TestCounterFidelity:
 
     @every(CASES)
     def test_match_many_per_query(self, tree_and_points):
-        # One-row batches: the pair frontier, query by query.
         tree, points = tree_and_points
         for point in points[:40]:
             expected_ids, expected = reference_walk(
@@ -163,14 +184,16 @@ class TestCounterFidelity:
             assert counters_of(tree) == expected
 
     @every(CASES)
-    @pytest.mark.parametrize("chunk_pairs", [1, 64, 1 << 40])
-    def test_match_many_batch(self, tree_and_points, chunk_pairs, monkeypatch):
-        # From one point per chunk to the whole batch as one frontier.
-        monkeypatch.setattr(packed_module, "_CHUNK_PAIRS", chunk_pairs)
+    @pytest.mark.parametrize("batch", [1, 64, 1 << 40])
+    def test_match_many_batch(self, tree_and_points, batch):
+        # From one point per call to the whole set in one call.
         tree, points = tree_and_points
         walks = [reference_walk(tree._packed, contains(p)) for p in points]
         tree.stats.reset()
-        assert tree.match_many(points) == [ids for ids, _ in walks]
+        found = []
+        for first in range(0, len(points), batch):
+            found.extend(tree.match_many(points[first : first + batch]))
+        assert found == [ids for ids, _ in walks]
         totals = tuple(
             sum(counters[i] for _, counters in walks) for i in range(3)
         )
@@ -189,6 +212,61 @@ class TestCounterFidelity:
             tree.stats.reset()
             assert tree.region_query(q_lo, q_hi) == expected_ids
             assert counters_of(tree) == expected
+
+
+def box_tests(action):
+    """How many box tests (``logical_and`` reductions) ``action()`` makes."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and getattr(arg, "__self__", None) is np.logical_and:
+            calls += getattr(arg, "__name__", "") == "reduce"
+
+    sys.setprofile(profiler)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+#: Thirteen values whose every (lo, hi, x) triple the fold must get right.
+SPECIAL = [
+    -np.inf, -np.finfo(np.float64).max, -1.0, -np.finfo(np.float64).tiny,
+    -5e-324, -0.0, 0.0, 5e-324, np.finfo(np.float64).tiny, 1.0,
+    np.finfo(np.float64).max, np.inf, np.nan,
+]
+
+
+class TestFlatReach:
+    def test_fold_is_exact_on_special_values(self):
+        lo, hi, x = (
+            axis.ravel()[None, :] for axis in np.meshgrid(*[SPECIAL] * 3)
+        )
+        assert lo.size == 13**3
+        expected = (lo < x) & (x <= hi)
+        folded = packed_module._fold(lo, hi) <= np.concatenate((x, -x))
+        assert np.array_equal(folded.all(axis=0), expected[0])
+
+    def test_box_tests_do_not_grow_with_depth(self):
+        # The chain's leaves sit at every depth from 1 to >= 30; a walk
+        # level by level tests once per level, the flat reach does not.
+        lows, highs, points = skewed()
+        tree = STree.build(lows, highs, params=CHAIN)
+        tests = {box_tests(lambda: tree.match(point)) for point in points}
+        assert tests == {2}  # every node box, then the reached entries
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_nan_point_enters_only_the_root(self, name, stock):
+        lows, highs, points = stock
+        tree = BUILDERS[name](lows, highs)
+        point = points[0].copy()
+        point[1] = np.nan
+        expected = reference_walk(tree._packed, contains(point))
+        assert expected[0] == []
+        assert tree.match(point) == []
+        assert counters_of(tree) == expected[1]
 
 
 class TestBatchEdges:
