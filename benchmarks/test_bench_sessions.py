@@ -36,8 +36,8 @@ EPSILON = 1.10
 class _NoAbuseSimulation(SessionChaosSimulation):
     """The control arm: same stack, same sessions, nothing detaches."""
 
-    def _scenario_schedule(self, horizon):
-        return []
+    def _arm(self, arrival_times):
+        pass
 
 
 def _build(seed, abuse):

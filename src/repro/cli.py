@@ -52,10 +52,10 @@ spans.  The modes:
   a crashed home restarts from its own WAL (``restart``: ``--crashes``
   windows, each damaging the log under ``--corrupt-wal
   torn-tail|bit-flip``).  ``--shards 1`` is one whole broker.
-- ``--sessions --session-scenario crash|flap|slow-consumer|poison``
-  (``chaos`` only: that harness meters no ``broker.events``): durable
-  sessions with journaled cursors, catch-up replay and dead-letter
-  quarantine against the per-(event, session) ledger.
+- ``--sessions --session-scenario crash|flap|slow-consumer|poison``:
+  durable sessions with ack-driven cursors, catch-up replay and
+  dead-letter quarantine against the per-(event, session) ledger; a
+  replayed delivery joins its event's trace.
 
 ``repro sessions`` prints the cursor table or the dead-letter queue of
 one session run; ``repro shard`` the subset→shard plan (greedy
@@ -356,10 +356,43 @@ def _build_parser() -> argparse.ArgumentParser:
             help="back shard 0's home with this WAL file (inspect it "
             "afterwards with `repro wal`)",
         )
-        # The sessions harness charges sessions without going through
-        # `PubSubBroker.plan`, so it meters no `broker.events`: `chaos`
-        # alone declares that flag group.
-        sub.set_defaults(sessions=False)
+        sessions = sub.add_argument_group(
+            "durable subscriber sessions (with --sessions)"
+        )
+        sessions.add_argument(
+            "--sessions",
+            action="store_true",
+            help="run the subscriber-side harness: durable sessions "
+            "under scripted crash/flap/slow-consumer/poison abuse, "
+            "catch-up replay and dead-letter quarantine, verified "
+            "against the per-(event, session) ledger",
+        )
+        sessions.add_argument(
+            "--session-scenario",
+            choices=("crash", "flap", "slow-consumer", "poison"),
+            default="crash",
+            help="crash: the victim subscriber's node crashes and the "
+            "session resumes after the window; flap: three rapid "
+            "detach/resume cycles; slow-consumer: the victim's outbound "
+            "queue sheds under ttl-priority and replay must recover the "
+            "sheds; poison: the victim nacks selected events forever, "
+            "which must land in the dead-letter queue (default: crash)",
+        )
+        sessions.add_argument(
+            "--lease",
+            type=float,
+            default=None,
+            help="session lease: how long a detached session holds "
+            "retention before being demoted to ephemeral "
+            "(default: 0.35 x horizon)",
+        )
+        sessions.add_argument(
+            "--replay-rate",
+            type=float,
+            default=2.0,
+            help="catch-up replay token-bucket refill rate, "
+            "events/time unit",
+        )
 
     chaos = commands.add_parser(
         "chaos",
@@ -368,43 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_scenario_options(
         chaos, events=500, loss=0.1, crashes=2, crash_length=150.0
-    )
-    sessions_group = chaos.add_argument_group(
-        "durable subscriber sessions (with --sessions)"
-    )
-    sessions_group.add_argument(
-        "--sessions",
-        action="store_true",
-        help="run the subscriber-side harness: durable sessions with "
-        "journaled cursors, scripted crash/flap/slow-consumer/poison "
-        "abuse, catch-up replay and dead-letter quarantine, verified "
-        "against the per-(event, session) ledger",
-    )
-    sessions_group.add_argument(
-        "--session-scenario",
-        choices=("crash", "flap", "slow-consumer", "poison"),
-        default="crash",
-        help="crash: the victim subscriber's node crashes and the "
-        "session resumes after the window; flap: three rapid "
-        "detach/resume cycles; slow-consumer: the victim's outbound "
-        "queue sheds under ttl-priority and replay must recover the "
-        "sheds; poison: the victim nacks selected events forever, "
-        "which must land in the dead-letter queue (default: crash)",
-    )
-    sessions_group.add_argument(
-        "--lease",
-        type=float,
-        default=None,
-        help="session lease: how long a detached session holds "
-        "retention before being demoted to ephemeral "
-        "(default: 0.35 x horizon)",
-    )
-    sessions_group.add_argument(
-        "--replay-rate",
-        type=float,
-        default=2.0,
-        help="catch-up replay token-bucket refill rate, "
-        "events/time unit",
     )
 
     shard = commands.add_parser(
@@ -1271,13 +1267,14 @@ def _run_instrumented(args: argparse.Namespace):
 
 
 # The optional sections of `repro stats`: (mode, title, hint printed
-# when the mode is off, probe metric, rows).  A section is live when
-# its probe metric was registered (`--cluster` journals, so it shows
-# the durability section and its own).  A row is (label, metric) for
-# one counter or gauge, or (label, metric, kind): "each" is one row per
-# label child of the family, the label formatted from the child's
-# labels; "sum" is the family's total; "p95" is a histogram's 95th
-# percentile, shown once it observed something.
+# when the mode is off or None for none, probe metric, rows).  A
+# section is live when its probe metric was registered (`--cluster`
+# journals, so it shows the durability section and its own).  A row
+# is (label, metric) for one counter or gauge, or (label, metric,
+# kind): "each" is one row per label child of the family, the label
+# formatted from the child's labels; "sum" is the family's total;
+# "p95" is a histogram's 95th percentile, shown once it observed
+# something.
 _STATS_SECTIONS = (
     (
         "overload",
@@ -1336,6 +1333,23 @@ _STATS_SECTIONS = (
                 "each",
             ),
             ("takeover duration p95", "cluster.takeover_duration", "p95"),
+        ),
+    ),
+    (
+        "sessions",
+        "durable sessions (retained log + catch-up replay):",
+        None,
+        "sessions.events_retained",
+        (
+            ("events retained", "sessions.events_retained"),
+            ("replay sends", "sessions.replay_sends"),
+            ("lease expirations", "sessions.lease_expired"),
+            ("dead-lettered: {reason}", "sessions.deadlettered", "each"),
+            ("shed but retained", "sessions.shed_retained"),
+            (
+                "retention reclaimed (bytes)",
+                "sessions.retention_truncated_bytes",
+            ),
         ),
     ),
 )
@@ -1413,7 +1427,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print("\n" + title)
             table = _section_rows(metrics, section)
             print(format_table(("signal", "value"), table))
-        elif not getattr(args, mode):
+        elif hint is not None and not getattr(args, mode):
             print("\n" + hint)
 
     per_link = []

@@ -743,10 +743,9 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         self,
         points: np.ndarray,
         publishers: Sequence[int],
-        inter_arrival: float = 1.0,
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ClusterReport:
-        base = super().run(points, publishers, inter_arrival, arrival_times)
+        base = super().run(points, publishers, arrival_times)
         shipping = ShippingStats()
         for k in sorted(self.replicated):
             shard = self.replicated[k]

@@ -24,21 +24,27 @@ terminal buckets —
 so ``delivered + deadlettered + expired == matched`` with **zero**
 application-level duplicates, on every run, byte-identically per seed.
 
-Delivery is per-session unicast from the home broker through the
-ordinary :class:`~repro.faults.reliable.ReliableTransport` (acks,
-retries, dedup, breakers); catch-up replay rides the same transport
-under a token-bucket budget.  A timed-out delivery self-heals: the
-session demotes to CATCHING_UP and the replayer re-derives it from
-the retained log — after ``max_replay_requeues`` such cycles the
-event is declared poison and dead-lettered with a ``timeout`` reason,
-so nothing retries forever.
+The harness is a :class:`~repro.faults.verifier.ChaosSimulation`: it
+replays the workload through the base loop, and every event is
+planned by :meth:`~repro.core.broker.PubSubBroker.plan` (match,
+locate, decide, metered and traced like every other harness's).  The
+plan's match charges the sessions; delivery is then per-session
+unicast from the home broker through the ordinary
+:class:`~repro.faults.reliable.ReliableTransport` (acks, retries,
+dedup, breakers), and catch-up replay rides the same transport under a
+token-bucket budget, keyed by the event's sequence, so a replayed
+``deliver`` span lands in the event's trace.  A timed-out delivery
+self-heals: the session demotes to CATCHING_UP and the replayer
+re-derives it from the retained log — after :data:`MAX_REPLAY_REQUEUES`
+such cycles the event is declared poison and dead-lettered with a
+``timeout`` reason, so nothing retries forever.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,13 +62,12 @@ from ..sessions import (
 )
 from ..sessions.replay import CatchupReplayer
 from ..simulation.delivery import LatencyStats
-from ..simulation.engine import DiscreteEventSimulator
-from ..simulation.packet_network import PacketNetwork
-from ..telemetry.base import Telemetry, or_null
+from ..telemetry.base import Telemetry
+from ..telemetry.tracing import Span
 from ..workload import PublicationGenerator
-from .plan import BrokerCrash, FaultInjector, FaultPlan, FaultStats
-from .reliable import ReliabilityStats, ReliableTransport, RetryConfig
-from .verifier import OutcomeLedger, build_chaos_testbed
+from .plan import BrokerCrash, FaultPlan, FaultStats
+from .reliable import ReliabilityStats, RetryConfig
+from .verifier import ChaosSimulation, OutcomeLedger, build_chaos_testbed
 
 __all__ = [
     "SESSION_SCENARIOS",
@@ -78,6 +83,20 @@ SESSION_SCENARIOS = ("crash", "flap", "slow-consumer", "poison")
 
 #: Terminal buckets of the per-(event, session) ledger.
 SessionOutcome = str  # "delivered" | "deadlettered" | "expired"
+
+#: The home broker's retained log keeps at most this many events (the
+#: cursor low-water mark always wins).
+RETENTION = RetentionPolicy(max_events=192)
+#: A retention pass runs every this many publishes (and once at the end).
+RETENTION_INTERVAL = 25
+#: Catch-up replay's token-bucket burst, and events read per pump.
+REPLAY_BURST = 4.0
+REPLAY_BATCH = 4
+#: Timed-out replay cycles after which a delivery is dead-lettered.
+MAX_REPLAY_REQUEUES = 3
+#: The poison scenario's victim rejects every this-many-th event charged
+#: to it.
+POISON_EVERY = 5
 
 
 @dataclass
@@ -180,7 +199,7 @@ class SessionReport:
         return rows
 
 
-class SessionChaosSimulation:
+class SessionChaosSimulation(ChaosSimulation):
     """Scripted subscriber abuse against the durable-session stack.
 
     ``session_nodes`` are the stub nodes that hold durable sessions;
@@ -199,17 +218,10 @@ class SessionChaosSimulation:
         scenario: str = "crash",
         session_nodes: Optional[Sequence[int]] = None,
         lease: float = 150.0,
-        journal=None,
-        retention: Optional[RetentionPolicy] = None,
-        retention_interval: int = 25,
         replay_rate: float = 2.0,
-        replay_burst: float = 4.0,
-        replay_batch: int = 4,
-        max_replay_requeues: int = 3,
         slow_queue_capacity: int = 4,
         slow_service_time: float = 10.0,
         slow_ttl: float = 15.0,
-        poison_every: int = 5,
         retry: Optional[RetryConfig] = None,
         transmission_time: float = 0.25,
         propagation_scale: float = 1.0,
@@ -221,67 +233,42 @@ class SessionChaosSimulation:
                 f"unknown session scenario {scenario!r}; "
                 f"expected one of {', '.join(SESSION_SCENARIOS)}"
             )
-        if max_replay_requeues < 1:
-            raise ValueError(
-                f"max_replay_requeues must be >= 1 "
-                f"(got {max_replay_requeues})"
-            )
-        if poison_every < 2:
-            raise ValueError(
-                f"poison_every must be >= 2 (got {poison_every})"
-            )
-        self.broker = broker
-        self.plan = plan
-        self.scenario = scenario
-        self.simulator = DiscreteEventSimulator()
-        self.injector = FaultInjector(plan)
-        self.telemetry = or_null(telemetry)
-        self.telemetry.bind_clock(lambda: self.simulator.now)
-        self.network = PacketNetwork(
-            broker.topology,
-            self.simulator,
+        # Read by the base constructor when it builds the transport.
+        self.breakers = BreakerBoard()
+        super().__init__(
+            broker,
+            plan,
+            retry=retry,
             transmission_time=transmission_time,
             propagation_scale=propagation_scale,
-            injector=self.injector,
             hop_retries=hop_retries,
             telemetry=telemetry,
         )
+        if retry is None:
+            # Four attempts, not six: a delivery that keeps timing out
+            # is re-derived by catch-up replay rather than retried.
+            self.transport.config = RetryConfig.for_network(
+                self.network, max_attempts=4
+            )
+        self.transport.acceptor = self._accept
+        self.scenario = scenario
         self.home = int(broker.topology.all_transit_nodes()[0])
         clock = lambda: self.simulator.now
         self.log = RetainedEventLog(
-            clock=clock,
-            policy=retention or RetentionPolicy(max_events=192),
-            telemetry=telemetry,
+            clock=clock, policy=RETENTION, telemetry=telemetry
         )
         self.manager = SessionManager(
-            self.log,
-            journal=journal,
-            clock=clock,
-            default_lease=lease,
-            telemetry=telemetry,
+            self.log, clock=clock, default_lease=lease, telemetry=telemetry
         )
         self.dlq = DeadLetterQueue(clock=clock, telemetry=telemetry)
-        self.breakers = BreakerBoard()
-        self.transport = ReliableTransport(
-            self.network,
-            config=retry
-            or RetryConfig.for_network(self.network, max_attempts=4),
-            seed=plan.seed + 1,
-            detector=self.injector,
-            on_deliver=self._on_deliver,
-            on_give_up=self._on_give_up,
-            breakers=self.breakers,
-            acceptor=self._accept,
-            telemetry=telemetry,
-        )
         self.replayer = CatchupReplayer(
             self.manager,
             self.transport,
             self.home,
             self.simulator,
             rematch=self._rematch,
-            bucket=TokenBucket(replay_rate, replay_burst),
-            batch=replay_batch,
+            bucket=TokenBucket(replay_rate, REPLAY_BURST),
+            batch=REPLAY_BATCH,
             pump_interval=2.0,
             telemetry=telemetry,
         )
@@ -307,9 +294,6 @@ class SessionChaosSimulation:
             self._session_by_node[node] = session
         self.victim = self._session_by_node[int(session_nodes[0])]
         self.ghost = self._session_by_node[int(session_nodes[-1])]
-        self.max_replay_requeues = int(max_replay_requeues)
-        self.retention_interval = int(retention_interval)
-        self.poison_every = int(poison_every)
         self.slow_ttl = float(slow_ttl)
         self.slow_service_time = float(slow_service_time)
         self._victim_queue: Optional[BoundedQueue] = None
@@ -374,14 +358,16 @@ class SessionChaosSimulation:
     # -- the publish path ----------------------------------------------------
 
     def _publish_event(self, sequence: int) -> None:
-        event = Event.create(
-            sequence,
-            int(self._publishers[sequence]),
-            self._points[sequence],
-        )
-        match = self.broker.engine.match(event)
+        """Plan the event, charge the sessions it matched, send live.
+
+        The plan's ``event`` root closes here with the ``method`` the
+        live path used: one unicast per LIVE session it matched, or
+        ``not_sent`` — the broker's multicast decision is never put on
+        this harness's wire, so the trace does not claim it.
+        """
+        plan = self._plan(sequence)
         now = self.simulator.now
-        _lsn, charged, live = self.manager.on_publish(event, match)
+        _lsn, charged, live = self.manager.on_publish(plan.event, plan.match)
         for session in charged:
             pair = (sequence, session.session_id)
             self.matched_at[pair] = now
@@ -391,15 +377,31 @@ class SessionChaosSimulation:
                 and session is self.victim
             ):
                 self._victim_charges += 1
-                if self._victim_charges % self.poison_every == 0:
+                if self._victim_charges % POISON_EVERY == 0:
                     self._poison.add(sequence)
+        route = None
+        if plan.root is not None and live:
+            route = self.telemetry.start_span(
+                "route", parent=plan.root, method="unicast", targets=len(live)
+            )
         for session in live:
-            self._dispatch(session, sequence)
+            self._dispatch(session, sequence, route)
+        if route is not None:
+            route.finish()
+        if plan.root is not None:
+            plan.root.set_attribute(
+                "method", "unicast" if live else "not_sent"
+            ).finish()
         self._published += 1
-        if self._published % self.retention_interval == 0:
+        if self._published % RETENTION_INTERVAL == 0:
             self.log.enforce_retention(now, self.manager.low_water())
 
-    def _dispatch(self, session: SubscriberSession, sequence: int) -> None:
+    def _dispatch(
+        self,
+        session: SubscriberSession,
+        sequence: int,
+        route: Optional[Span],
+    ) -> None:
         """Send one live-path delivery (through the victim's queue if slow)."""
         if (
             self._victim_queue is not None
@@ -417,7 +419,9 @@ class SessionChaosSimulation:
                     return
             self._ensure_victim_serving()
             return
-        self.transport.publish(sequence, self.home, [session.subscriber])
+        self.transport.publish(
+            sequence, self.home, [session.subscriber], parent_span=route
+        )
 
     # -- the slow consumer ---------------------------------------------------
 
@@ -539,7 +543,7 @@ class SessionChaosSimulation:
             # replay cycles is declared poison.
             cycles = self._timeout_giveups.get(pair, 0) + 1
             self._timeout_giveups[pair] = cycles
-            if cycles < self.max_replay_requeues:
+            if cycles < MAX_REPLAY_REQUEUES:
                 self._demote(session, key)
                 return
         self.dlq.quarantine(key, session.session_id, target, reason)
@@ -548,21 +552,19 @@ class SessionChaosSimulation:
 
     # -- the scenario script -------------------------------------------------
 
-    def _scenario_schedule(
-        self, horizon: float
-    ) -> List[Tuple[float, object]]:
-        """The scripted abuse, as (time, action) pairs.
+    def _arm(self, arrival_times: Sequence[float]) -> None:
+        """Schedule the scripted abuse before the publishes.
 
-        Scheduled before the publishes so same-time actions win the
-        engine's FIFO tie (a detach at ``t`` precedes an event
-        published at ``t``).  Every scenario includes the ghost leg:
-        detach at ``0.2·horizon``, never resume, demote by lease.
+        Same-time actions therefore win the engine's FIFO tie (a
+        detach at ``t`` precedes an event published at ``t``).  Every
+        scenario includes the ghost leg: detach at ``0.2·horizon``,
+        never resume, demote by lease.
         """
-        schedule: List[Tuple[float, object]] = [
+        horizon = float(arrival_times[-1]) if len(arrival_times) else 0.0
+        schedule: List[Tuple[float, Callable[[], None]]] = [
             (0.2 * horizon, lambda: self._detach(self.ghost)),
+            (0.2 * horizon + self.ghost.lease + 1.0, self._expire_leases),
         ]
-        ghost_deadline = 0.2 * horizon + self.ghost.lease
-        schedule.append((ghost_deadline + 1.0, self._expire_leases))
         if self.scenario == "crash":
             schedule.append(
                 (0.35 * horizon, lambda: self._detach(self.victim))
@@ -584,7 +586,8 @@ class SessionChaosSimulation:
                 )
         # slow-consumer and poison leave the victim attached; their
         # abuse lives in the dispatch queue / acceptor instead.
-        return sorted(schedule, key=lambda entry: entry[0])
+        for time, action in sorted(schedule, key=lambda entry: entry[0]):
+            self.simulator.schedule_at(float(time), action)
 
     # -- the run -------------------------------------------------------------
 
@@ -614,31 +617,9 @@ class SessionChaosSimulation:
         points: np.ndarray,
         publishers: Sequence[int],
         arrival_times: Optional[Sequence[float]] = None,
-        inter_arrival: float = 1.0,
     ) -> SessionReport:
         """Publish the workload under the scenario; verify the ledger."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] != len(publishers):
-            raise ValueError(
-                "points must be (m, N) with one publisher per row"
-            )
-        if arrival_times is None:
-            arrival_times = [
-                i * inter_arrival for i in range(len(points))
-            ]
-        if len(arrival_times) != len(points):
-            raise ValueError("one arrival time per event required")
-        self._points = points
-        self._publishers = [int(p) for p in publishers]
-        horizon = float(arrival_times[-1]) if len(arrival_times) else 0.0
-        for time, action in self._scenario_schedule(horizon):
-            self.simulator.schedule_at(float(time), action)
-        for sequence, time in enumerate(arrival_times):
-            self.simulator.schedule_at(
-                float(time),
-                lambda s=sequence: self._publish_event(s),
-            )
-        finished_at = self.simulator.run()
+        finished_at = self._simulate(points, publishers, arrival_times)
         # One final retention pass with the end-state low-water mark,
         # so the report's retained count reflects steady state.
         self.log.enforce_retention(finished_at, self.manager.low_water())
@@ -669,7 +650,7 @@ class SessionChaosSimulation:
         ]
         return SessionReport(
             scenario=self.scenario,
-            events=len(points),
+            events=len(self._points),
             matched=len(self.matched_at),
             delivered=counts["delivered"],
             deadlettered=counts["deadlettered"],
@@ -730,7 +711,6 @@ def build_session_chaos(
     scenario: str,
     seed: int = 2003,
     events: int = 160,
-    inter_arrival: float = 1.0,
     subscriptions: int = 300,
     num_sessions: int = 6,
     loss: float = 0.05,
@@ -749,7 +729,7 @@ def build_session_chaos(
         seed=seed, subscriptions=subscriptions
     )
     nodes = select_session_nodes(broker, num_sessions)
-    horizon = events * inter_arrival
+    horizon = float(events)
     crashes = ()
     if scenario == "crash":
         crashes = (
@@ -772,5 +752,5 @@ def build_session_chaos(
     points, publishers = PublicationGenerator(
         density, broker.topology.all_stub_nodes(), seed=seed + 7
     ).generate(events)
-    arrival_times = [i * inter_arrival for i in range(events)]
+    arrival_times = [float(i) for i in range(events)]
     return simulation, points, publishers, arrival_times

@@ -560,10 +560,9 @@ class ShardedChaosSimulation(ChaosSimulation):
         self,
         points: np.ndarray,
         publishers: Sequence[int],
-        inter_arrival: float = 1.0,
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ShardedReport:
-        base = super().run(points, publishers, inter_arrival, arrival_times)
+        base = super().run(points, publishers, arrival_times)
         self.sstats.settle(len(points), self.outcomes, self._defer)
         self.sstats.migrations_completed = self.rebalancer.completed
         self.sstats.migrations_aborted = self.rebalancer.aborted

@@ -464,11 +464,7 @@ class ChaosSimulation:
                 seed=plan.seed + 1,
                 detector=self.injector,
                 on_deliver=self._on_deliver,
-                on_give_up=lambda target, key, reason: (
-                    self.ledger.fail_reasons.__setitem__(
-                        (key, target), reason
-                    )
-                ),
+                on_give_up=self._on_give_up,
                 telemetry=telemetry,
                 breakers=self.breakers,
             )
@@ -501,6 +497,10 @@ class ChaosSimulation:
     def _on_deliver(self, target: int, key: int, time: float) -> None:
         """One application-level arrival (post-dedup if reliable)."""
         self.ledger.record(key, target, time)
+
+    def _on_give_up(self, target: int, key: int, reason: str) -> None:
+        """The transport abandoned one delivery; the report says why."""
+        self.ledger.fail_reasons[(key, target)] = reason
 
     def _publish_event(self, sequence: int) -> None:
         """Event ``sequence`` arrives at the broker (the per-event path)."""
@@ -584,23 +584,33 @@ class ChaosSimulation:
             ("multicast", "unicast", "not_sent", "self_only"), 0
         )
 
-    def run(
+    def _simulate(
         self,
         points: np.ndarray,
         publishers: Sequence[int],
-        inter_arrival: float = 1.0,
-        arrival_times: Optional[Sequence[float]] = None,
-    ) -> ChaosReport:
-        """Publish the workload under faults and verify the guarantee."""
+        arrival_times: Optional[Sequence[float]],
+    ) -> float:
+        """Load the workload, arm the harness, schedule every publish
+        (one a time unit unless ``arrival_times`` says otherwise) and
+        run the simulator dry; returns when it finished."""
         if arrival_times is None:
-            arrival_times = [i * inter_arrival for i in range(len(points))]
+            arrival_times = [float(i) for i in range(len(points))]
         self._load(points, publishers, arrival_times)
         self._arm(arrival_times)
         for sequence, time in enumerate(arrival_times):
             self.simulator.schedule_at(
                 float(time), lambda s=sequence: self._publish_event(s)
             )
-        finished_at = self.simulator.run()
+        return self.simulator.run()
+
+    def run(
+        self,
+        points: np.ndarray,
+        publishers: Sequence[int],
+        arrival_times: Optional[Sequence[float]] = None,
+    ) -> ChaosReport:
+        """Publish the workload under faults and verify the guarantee."""
+        finished_at = self._simulate(points, publishers, arrival_times)
 
         default_reason = (
             "unacknowledged at simulation end"

@@ -73,7 +73,7 @@ def _normalised(stats_stdout):
     return re.sub(r"-+", "-", re.sub(r" +", " ", text))
 
 
-@pytest.mark.parametrize("name", sorted(set(SCENARIOS) - {"sessions"}))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_stats_stdout_is_pinned(name, capsys):
     """``repro stats`` on the chaos goldens' scenarios, wall clock aside.
 
@@ -88,6 +88,8 @@ def test_stats_stdout_is_pinned(name, capsys):
     counting their takeover's replay under "recoveries".
     ``cluster-no-standby`` replaced ``sharded`` (the first file ``stats``
     pinned for a sharded run) with the chaos file of that name.
+    ``sessions`` is new with the sessions harness publishing through
+    ``PubSubBroker.plan``: before it, ``stats`` refused ``--sessions``.
     """
     code = main(
         ["stats", *SCENARIOS[name], "--events", "100", "--subscriptions", "150"]

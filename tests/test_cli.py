@@ -439,6 +439,43 @@ class TestTrace:
         assert "\n  distribution-decision " in out
         assert "\n  route " in out
 
+    def test_sessions_trace_follows_a_replayed_delivery(self, capsys):
+        """An event the crashed victim received by catch-up replay: its
+        ``event`` root and the replayed ``deliver`` share a trace id."""
+        import json
+
+        from repro.faults import build_session_chaos
+
+        args = ["--sessions", "--events", "100", "--subscriptions", "150"]
+        simulation, points, publishers, times = build_session_chaos(
+            "crash", events=100, subscriptions=150, loss=0.05
+        )
+        simulation.run(points, publishers, times)
+        victim = simulation.victim
+        # The victim is detached over [35, 65): what it matched there
+        # and still received came by replay after the resume at 65.
+        replayed = sorted(
+            sequence
+            for sequence in simulation.delivered_seqs[victim.session_id]
+            if 35 <= sequence < 65
+        )
+        assert replayed
+        event = replayed[0]
+        assert main(["trace", "--event", str(event), *args]) == 0
+        spans = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        assert {span["trace_id"] for span in spans} == {event}
+        assert spans[0]["name"] == "event"
+        assert spans[0]["parent_id"] is None
+        assert [
+            span
+            for span in spans
+            if span["name"] == "deliver"
+            and span["attributes"]["target"] == victim.subscriber
+            and span["start"] >= 65.0
+        ]
+
     def test_out_of_range_event_rejected(self, capsys):
         code = main(["trace", "--event", "999", *self.ARGS])
         assert code == 2
@@ -513,9 +550,8 @@ class TestParser:
         assert (args.loss, args.duplicate) == (0.0, 1.0)
 
     def test_one_scenario_option_list(self):
-        """``stats`` and ``trace`` take what ``chaos`` takes (less the
-        sessions group, whose harness meters no ``broker.events``) plus
-        their own output options: a second list cannot grow back."""
+        """``stats`` and ``trace`` take what ``chaos`` takes plus their
+        own output options: a second list cannot grow back."""
         (verbs,) = _build_parser()._subparsers._group_actions
 
         def options(verb):
@@ -525,9 +561,7 @@ class TestParser:
                 for option in action.option_strings
             }
 
-        scenario = options("chaos") - {
-            "--sessions", "--session-scenario", "--lease", "--replay-rate"
-        }
+        scenario = options("chaos")
         assert options("stats") == scenario | {
             "--top-links", "--metrics-out", "--trace-out"
         }
