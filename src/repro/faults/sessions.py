@@ -360,10 +360,9 @@ class SessionChaosSimulation(ChaosSimulation):
     def _publish_event(self, sequence: int) -> None:
         """Plan the event, charge the sessions it matched, send live.
 
-        The plan's ``event`` root closes here with the ``method`` the
-        live path used: one unicast per LIVE session it matched, or
-        ``not_sent`` — the broker's multicast decision is never put on
-        this harness's wire, so the trace does not claim it.
+        The ``event`` root closes with the ``method`` the live path
+        used — one unicast per LIVE session matched, or ``not_sent`` —
+        not the broker's decision, which is metered but never sent.
         """
         plan = self._plan(sequence)
         now = self.simulator.now
@@ -397,10 +396,7 @@ class SessionChaosSimulation(ChaosSimulation):
             self.log.enforce_retention(now, self.manager.low_water())
 
     def _dispatch(
-        self,
-        session: SubscriberSession,
-        sequence: int,
-        route: Optional[Span],
+        self, session: SubscriberSession, sequence: int, route: Optional[Span]
     ) -> None:
         """Send one live-path delivery (through the victim's queue if slow)."""
         if (
