@@ -155,10 +155,7 @@ class DynamicMatchingEngine:
         live = sorted(
             sid for sid in matched if sid not in self._removed
         )
-        return MatchResult(
-            subscription_ids=tuple(live),
-            subscribers=tuple(self.table.subscribers_of(live)),
-        )
+        return MatchResult.from_ids(live, self.table)
 
     def match(self, event: Event) -> MatchResult:
         """Event-typed wrapper around :meth:`match_point`."""

@@ -83,6 +83,8 @@ class SubscriptionTable:
             raise ValueError("ndim must be positive")
         self.ndim = ndim
         self._subscriptions: List[Subscription] = []
+        #: ``_owners[i]`` is subscription ``i``'s subscriber.
+        self._owners: List[int] = []
 
     # -- population ---------------------------------------------------------
 
@@ -99,6 +101,7 @@ class SubscriptionTable:
             rectangle=rectangle,
         )
         self._subscriptions.append(subscription)
+        self._owners.append(subscription.subscriber)
         return subscription
 
     def add_predicates(
@@ -139,19 +142,14 @@ class SubscriptionTable:
     @property
     def subscribers(self) -> List[int]:
         """Distinct subscriber identities, sorted."""
-        return sorted({s.subscriber for s in self._subscriptions})
+        return sorted(set(self._owners))
 
     def subscriber_of(self, subscription_id: int) -> int:
-        return self._subscriptions[subscription_id].subscriber
+        return self._owners[subscription_id]
 
     def subscribers_of(self, subscription_ids: Iterable[int]) -> List[int]:
         """Distinct subscribers behind a set of matched subscriptions."""
-        return sorted(
-            {
-                self._subscriptions[sid].subscriber
-                for sid in subscription_ids
-            }
-        )
+        return sorted(set(map(self._owners.__getitem__, subscription_ids)))
 
     def rectangles(self) -> List[Rectangle]:
         return [s.rectangle for s in self._subscriptions]
