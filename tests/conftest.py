@@ -6,6 +6,11 @@ third-party plugin needed): any single test that runs longer than
 message instead of hanging the suite — chaos and overload scenarios
 are event-driven loops, and a regression there would otherwise stall
 CI until the job-level timeout.
+
+Hypothesis profiles: ``small`` (loaded here) is derandomized, so every
+run draws the same examples, and keeps ``max_examples`` low for the
+property tests that leave it to the profile; ``pytest
+--hypothesis-profile ci`` runs those at 500 examples, with fresh draws.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import SubscriptionTable
 from repro.network import DeliveryCostModel, TransitStubGenerator, TransitStubParams
@@ -23,6 +29,12 @@ from repro.workload import (
     StockSubscriptionGenerator,
     publication_distribution,
 )
+
+settings.register_profile(
+    "small", max_examples=50, derandomize=True, deadline=None
+)
+settings.register_profile("ci", max_examples=500, deadline=None)
+settings.load_profile("small")
 
 _TEST_TIMEOUT = int(os.environ.get("REPRO_TEST_TIMEOUT", "120"))
 _HAS_ALARM = hasattr(signal, "SIGALRM")

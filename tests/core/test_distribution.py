@@ -1,8 +1,12 @@
 """Unit tests for the distribution-method policy."""
 
-import pytest
+import itertools
 
-from repro.core import DeliveryMethod, ThresholdPolicy
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import DeliveryMethod, PerGroupThresholdPolicy, ThresholdPolicy
 
 
 class TestThresholdPolicy:
@@ -90,3 +94,44 @@ class TestDegradedFlood:
         assert str(excinfo.value) == (
             "degraded_flood: group must be >= 1 (got 0)"
         )
+
+
+THRESHOLDS = (0.0, 0.05, 0.1, 0.15, 0.2, 1 / 3, 0.5, 1.0)
+
+
+class TestPerGroupAgreesWithThresholdPolicy:
+    """Both policies apply one rule; a per-group policy decides for a
+    group as a global policy at that group's threshold does."""
+
+    @staticmethod
+    def assert_agree(policy, interested, group_size, group):
+        expected = ThresholdPolicy(policy.threshold_for(group))
+        assert policy.decide(interested, group_size, group) == (
+            expected.decide(interested, group_size, group)
+        )
+
+    def test_on_a_grid(self):
+        # Ratios land on, just under and just over every threshold.
+        sizes = (0, 1, 2, 3, 5, 7, 10, 20, 100)
+        for default, special in itertools.product(THRESHOLDS, repeat=2):
+            policy = PerGroupThresholdPolicy(default, {2: special})
+            for size, group in itertools.product(sizes, (0, 1, 2)):
+                for interested in range(size + 2):
+                    self.assert_agree(policy, interested, size, group)
+
+    @settings(deadline=None)
+    @given(
+        interested=st.integers(-2, 120),
+        group_size=st.integers(-2, 120),
+        group=st.integers(0, 5),
+        default=st.floats(0.0, 1.0),
+        per_group=st.dictionaries(st.integers(0, 5), st.floats(0.0, 1.0)),
+    )
+    def test_generated(self, interested, group_size, group, default, per_group):
+        policy = PerGroupThresholdPolicy(default, per_group)
+        if interested < 0 or group_size < 0:
+            for each in (policy, ThresholdPolicy(policy.threshold_for(group))):
+                with pytest.raises(ValueError, match="non-negative"):
+                    each.decide(interested, group_size, group)
+            return
+        self.assert_agree(policy, interested, group_size, group)
