@@ -263,6 +263,80 @@ class TestAgainstTheReplacedWalk:
                 )
 
 
+# -- masks past one 64-bit word ---------------------------------------------
+
+#: Subscriber counts on either side of a word boundary of the masks.
+WORD_EDGES = (63, 64, 65, 128, 129)
+
+
+@st.composite
+def many_subscriber_tables(draw, counts=st.integers(1, 200)):
+    """One rectangle per distinct subscriber, plus a few more rows for
+    subscribers already seen, with ids unrelated to row order.  The
+    edges come from a seeded generator (a few hundred of them would be
+    slow to draw one by one); about one side in eight is unbounded and
+    one rectangle in twelve is left inverted."""
+    count = draw(counts)
+    ndim = draw(st.integers(1, 4))
+    cells = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = (rng.choice(10 * count, size=count, replace=False) * 7).tolist()
+    subscribers = ids + rng.choice(ids, size=count // 4).tolist()
+    frame_lo = rng.uniform(-50.0, 50.0, ndim)
+    width = rng.uniform(0.5, 100.0, ndim) / cells
+    rectangles = []
+    for _ in subscribers:
+        start = rng.uniform(-2.0, cells + 1.0, ndim)
+        lows = frame_lo + start * width
+        highs = frame_lo + (start + rng.uniform(0.05, 2.5, ndim)) * width
+        lows[rng.random(ndim) < 0.125] = -INF
+        highs[rng.random(ndim) < 0.125] = INF
+        if rng.random() < 1 / 12:
+            lows, highs = highs, lows
+        rectangles.append(Rectangle(tuple(lows.tolist()), tuple(highs.tolist())))
+    frame = None
+    if draw(st.booleans()):
+        frame = (frame_lo.tolist(), (frame_lo + cells * width).tolist())
+    return rectangles, subscribers, cells, frame
+
+
+def check_many_subscribers(table):
+    rectangles, subscribers, cells, frame = table
+    batch = EventGrid(rectangles, subscribers, cells_per_dim=cells, frame=frame)
+    assume(clear_of_boundaries(batch, rectangles))
+    assert batch.num_subscribers == len(set(subscribers))
+    assert rows_of(batch) == reference_rows(batch, rectangles, subscribers)
+    # One rectangle at a time through ``add_subscription`` reaches the
+    # same lists as the table-wide build.
+    grown = EventGrid(
+        rectangles[:1],
+        subscribers[:1],
+        cells_per_dim=cells,
+        frame=(batch.frame_lo, batch.frame_hi),
+    )
+    for rectangle, subscriber in zip(rectangles[1:], subscribers[1:]):
+        grown.add_subscription(rectangle, subscriber)
+    assert members_by_id(grown) == members_by_id(batch)
+
+
+class TestMasksPastOneWord:
+    @given(
+        many_subscriber_tables(
+            st.one_of(st.sampled_from(WORD_EDGES), st.integers(1, 200))
+        )
+    )
+    def test_batch_build_equals_reference(self, table):
+        check_many_subscribers(table)
+
+    @pytest.mark.parametrize("count", WORD_EDGES)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_word_edges_equal_reference(self, count, data):
+        check_many_subscribers(
+            data.draw(many_subscriber_tables(st.just(count)))
+        )
+
+
 # -- the paper's testbed, pinned from the commit before the rewrite ---------
 
 #: BLAKE2b over the ordered ``(index, lows, highs, members,
