@@ -28,7 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -188,24 +188,78 @@ class EventGrid:
 
     def _populate(
         self,
-        lows: np.ndarray,
-        highs: np.ndarray,
+        table_lows: np.ndarray,
+        table_highs: np.ndarray,
         subscriber_ids: Sequence[int],
     ) -> None:
-        for row, indices in self._overlapped_cells(lows, highs):
-            self._mark(indices, int(subscriber_ids[row]))
-        self._assign_probabilities()
+        """Fill every ``l(g)`` and ``p(g)`` of a table in bulk.
 
-    def _overlapped_cells(
+        Each rectangle makes two writes over its box of cells: its
+        subscriber's bit is ORed into a dense table of 64-bit mask
+        words, and its row is painted into a first-touch table, last
+        row first.  One pass then creates the touched cells in the
+        order a walk rectangle by rectangle would: by first row, then
+        C order.  Product-form densities price a cell as the product of
+        its per-axis masses, left to right; any other is asked per cell.
+        """
+        shape = (self.cells_per_dim,) * self.ndim
+        words = -(-len(self.subscribers) // 64)
+        masks = np.zeros(shape + (words,), dtype="<u8")
+        untouched = len(table_lows)
+        first_row = np.full(shape, untouched)
+        word_bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        rows, first, stop = self._boxes(table_lows, table_highs)
+        for row in reversed(rows):
+            bit = self._bit_of[int(subscriber_ids[row])]
+            box = tuple(map(slice, first[row], stop[row]))
+            word = masks[box + (bit >> 6,)]
+            word |= word_bit[bit & 63]
+            first_row[box] = row
+        touched = np.flatnonzero(first_row != untouched)
+        order = touched[np.argsort(first_row.ravel()[touched], kind="stable")]
+        columns = np.unravel_index(order, shape)
+        # ``C + 1`` edges an axis, and bounds as ``_make_cell`` has them.
+        frame_lo, _, width, cells = self._locate_frame
+        edges = [
+            [f + i * w for i in range(cells + 1)]
+            for f, w in zip(frame_lo, width)
+        ]
+        hi_edges = [[lo + w for lo in e[:-1]] for e, w in zip(edges, width)]
+        probabilities = np.ones(len(order))
+        per_dim = getattr(self.density, "per_dimension_masses", None)
+        if per_dim is not None:
+            masses = per_dim([np.array(axis) for axis in edges])
+            for mass, column in zip(masses, columns):
+                probabilities *= np.asarray(mass, dtype=np.float64)[column]
+        cols = [column.tolist() for column in columns]
+        lows = zip(*(map(e.__getitem__, c) for e, c in zip(edges, cols)))
+        highs = zip(*(map(e.__getitem__, c) for e, c in zip(hi_edges, cols)))
+        view, step = memoryview(masks).cast("B"), 8 * words
+        members = (
+            int.from_bytes(view[c * step : c * step + step], "little")
+            for c in order.tolist()
+        )
+        self.cells = {
+            index: GridCell(index, lo, hi, mask, probability)
+            for index, lo, hi, mask, probability in zip(
+                zip(*cols), lows, highs, members, probabilities.tolist()
+            )
+        }
+        if per_dim is None:
+            for cell in self.cells.values():
+                cell.probability = self.density.cell_probability(
+                    cell.lows, cell.highs
+                )
+
+    def _boxes(
         self, lows: np.ndarray, highs: np.ndarray
-    ) -> Iterable[Tuple[int, Iterable[Tuple[int, ...]]]]:
-        """``(row, its cell indices)`` for each rectangle of a table
-        that meets the frame.
+    ) -> Tuple[List[int], List[List[int]], List[List[int]]]:
+        """The rows of a table that meet the frame, and every row's
+        per-axis ``[first, stop)`` cell ranges, as lists.
 
         A rectangle's cells are a product of per-axis index ranges, so
         no cell is tested: clipping, the two emptiness tests and the
         ranges are computed for the whole ``(n, ndim)`` table at once.
-        A row's numbers become Python ints only as it is reached.
         """
         lo = np.maximum(
             np.where(np.isfinite(lows), lows, self.frame_lo), self.frame_lo
@@ -219,55 +273,8 @@ class EventGrid:
         first, last = overlapped_cell_range(
             lo, hi, self.frame_lo, self._width, self.cells_per_dim
         )
-        stop = last + 1
-        for row in np.flatnonzero(meets).tolist():
-            yield row, product(
-                *map(range, first[row].tolist(), stop[row].tolist())
-            )
-
-    def _mark(
-        self, indices: Iterable[Tuple[int, ...]], subscriber: int
-    ) -> List[GridCell]:
-        """Add ``subscriber`` to ``l(g)`` of every listed cell; returns
-        the cells that had to be created (``p(g)`` still unset)."""
-        bit = 1 << self._bit_of[subscriber]
-        cells = self.cells
-        created: List[GridCell] = []
-        for index in indices:
-            cell = cells.get(index)
-            if cell is None:
-                cell = cells[index] = self._make_cell(index)
-                created.append(cell)
-            cell.members |= bit
-        return created
-
-    def _assign_probabilities(self) -> None:
-        """Fill ``p(g)`` for every occupied cell.
-
-        Densities exposing ``per_dimension_masses`` (product-form joint
-        distributions — the mixtures of Section 5 and the uniform
-        default) get a fast path: ``C`` masses per dimension computed
-        once, each cell a product lookup.  Anything else falls back to
-        one ``cell_probability`` call per cell.
-        """
-        per_dim = getattr(self.density, "per_dimension_masses", None)
-        if per_dim is not None:
-            edges = [
-                self.frame_lo[d]
-                + self._width[d] * np.arange(self.cells_per_dim + 1)
-                for d in range(self.ndim)
-            ]
-            masses = per_dim(edges)
-            for index, cell in self.cells.items():
-                probability = 1.0
-                for d, i in enumerate(index):
-                    probability *= float(masses[d][i])
-                cell.probability = probability
-        else:
-            for cell in self.cells.values():
-                cell.probability = self.density.cell_probability(
-                    cell.lows, cell.highs
-                )
+        rows = np.flatnonzero(meets).tolist()
+        return rows, first.tolist(), (last + 1).tolist()
 
     def _make_cell(self, index: Tuple[int, ...]) -> GridCell:
         frame_lo, _, width, _ = self._locate_frame
@@ -304,13 +311,19 @@ class EventGrid:
             self.subscribers.append(subscriber)
 
         lows, highs = rectangle.to_arrays()
-        affected: List[Tuple[int, ...]] = []
-        for _, indices in self._overlapped_cells(lows[None], highs[None]):
-            affected = list(indices)
-            for cell in self._mark(affected, subscriber):
+        rows, first, stop = self._boxes(lows[None], highs[None])
+        if not rows:
+            return []
+        affected = list(product(*map(range, first[0], stop[0])))
+        bit = 1 << self._bit_of[subscriber]
+        for index in affected:
+            cell = self.cells.get(index)
+            if cell is None:
+                cell = self.cells[index] = self._make_cell(index)
                 cell.probability = self.density.cell_probability(
                     cell.lows, cell.highs
                 )
+            cell.members |= bit
         return affected
 
     # -- queries --------------------------------------------------------------

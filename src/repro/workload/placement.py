@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..network.topology import Topology
-from .zipf import ZipfSampler
+from .zipf import CategoricalSampler, ZipfSampler
 
 __all__ = ["SubscriberPlacement", "DEFAULT_BLOCK_SHARES"]
 
@@ -55,6 +55,9 @@ class SubscriberPlacement:
                     "block shares for the available blocks sum to zero"
                 )
         self.block_probabilities = shares / shares.sum()
+        self._block_sampler = CategoricalSampler(
+            self.block_probabilities, self._rng
+        )
 
         # One Zipf sampler per block over that block's stubs; the stub
         # order is randomly permuted once so "popularity" is not tied to
@@ -85,15 +88,13 @@ class SubscriberPlacement:
 
     def place_one(self) -> tuple[int, int, int]:
         """Draw ``(block, stub, node)`` for one subscription."""
-        block = int(
-            self._rng.choice(
-                self.topology.num_blocks, p=self.block_probabilities
-            )
-        )
-        stub_rank = int(self._block_stub_samplers[block].sample())
-        stub = self._block_stub_choices[block][stub_rank]
-        node_rank = int(self._stub_node_samplers[stub].sample())
-        node = self._stub_node_choices[stub][node_rank]
+        block = self._block_sampler.sample()
+        stub = self._block_stub_choices[block][
+            self._block_stub_samplers[block].sample()
+        ]
+        node = self._stub_node_choices[stub][
+            self._stub_node_samplers[stub].sample()
+        ]
         return block, stub, node
 
     def place(self, count: int) -> List[tuple[int, int, int]]:

@@ -35,7 +35,7 @@ from ..network.topology import Topology
 from .pareto import ParetoSampler
 from .placement import DEFAULT_BLOCK_SHARES, SubscriberPlacement
 from .schema import BST_PROBABILITIES, bst_interval
-from .zipf import ZipfSampler
+from .zipf import CategoricalSampler, ZipfSampler
 
 __all__ = [
     "IntervalDistributionParams",
@@ -171,17 +171,14 @@ class StockSubscriptionGenerator:
             name_params.max_length, name_params.length_theta, self._rng
         )
         self._bst_symbols = sorted(BST_PROBABILITIES)
-        self._bst_probs = np.asarray(
-            [BST_PROBABILITIES[s] for s in self._bst_symbols]
+        self._bst = CategoricalSampler(
+            [BST_PROBABILITIES[s] for s in self._bst_symbols], self._rng
         )
 
     # -- per-field draws -----------------------------------------------------
 
     def _draw_bst(self) -> Interval:
-        symbol = self._bst_symbols[
-            int(self._rng.choice(len(self._bst_symbols), p=self._bst_probs))
-        ]
-        return bst_interval(symbol)
+        return bst_interval(self._bst_symbols[self._bst.sample()])
 
     def _draw_name(self, block: int) -> Interval:
         center = self._rng.normal(

@@ -11,11 +11,12 @@ A *Zipf-like* distribution over ranks ``1..n`` assigns
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["zipf_weights", "ZipfSampler"]
+__all__ = ["zipf_weights", "CategoricalSampler", "ZipfSampler"]
 
 
 def zipf_weights(n: int, theta: float = 1.0) -> np.ndarray:
@@ -29,7 +30,34 @@ def zipf_weights(n: int, theta: float = 1.0) -> np.ndarray:
     return weights / weights.sum()
 
 
-class ZipfSampler:
+class CategoricalSampler:
+    """Draws indices ``0..n-1`` with fixed probabilities.
+
+    ``Generator.choice(n, p=p)``'s own algorithm — the CDF
+    ``p.cumsum() / cdf[-1]`` and one uniform per draw, placed by a
+    right-sided search — with the CDF built once rather than on every
+    call, so it consumes the same stream and returns the same values.
+    """
+
+    def __init__(
+        self, probabilities: Sequence[float], rng: np.random.Generator
+    ):
+        self.probabilities = np.asarray(probabilities, dtype=np.float64)
+        self.n = len(self.probabilities)
+        self._rng = rng
+        cdf = self.probabilities.cumsum()
+        self._cdf = cdf / cdf[-1]
+        # One draw bisects floats: cheaper than a numpy call.
+        self._cdf_list = self._cdf.tolist()
+
+    def sample(self, size: Optional[int] = None):
+        """One index (``size=None``) or an array of indices."""
+        if size is None:
+            return bisect_right(self._cdf_list, self._rng.random())
+        return self._cdf.searchsorted(self._rng.random(size), side="right")
+
+
+class ZipfSampler(CategoricalSampler):
     """Draws ranks ``0..n-1`` with Zipf-like probabilities.
 
     Ranks are returned zero-based so they can index Python sequences
@@ -43,16 +71,13 @@ class ZipfSampler:
         rng: Optional[np.random.Generator] = None,
         seed: int = 0,
     ):
-        self.n = n
-        self.theta = theta
-        self.probabilities = zipf_weights(n, theta)
         # No ambient entropy: without an explicit generator the sampler
         # is seeded (deterministically) rather than drawn from the OS.
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
-
-    def sample(self, size: Optional[int] = None):
-        """One rank (``size=None``) or an array of ranks."""
-        return self._rng.choice(self.n, size=size, p=self.probabilities)
+        super().__init__(
+            zipf_weights(n, theta),
+            rng if rng is not None else np.random.default_rng(seed),
+        )
+        self.theta = theta
 
     def sample_shuffled(
         self, items: Sequence, size: int
@@ -60,14 +85,14 @@ class ZipfSampler:
         """Draw ``size`` items Zipf-weighted by their position.
 
         Convenience for "popularity follows a Zipf-like distribution":
-        ``items[0]`` is the most popular.
+        ``items[0]`` is the most popular.  A mismatched ``items`` is
+        rejected before anything is drawn.
         """
-        ranks = self.sample(size)
         if len(items) != self.n:
             raise ValueError(
                 f"items has {len(items)} entries but sampler covers {self.n}"
             )
-        return [items[int(r)] for r in np.atleast_1d(ranks)]
+        return [items[r] for r in np.atleast_1d(self.sample(size)).tolist()]
 
     def expected_counts(self, total: int) -> np.ndarray:
         """Expected number of draws per rank out of ``total`` draws."""

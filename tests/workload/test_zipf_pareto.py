@@ -64,6 +64,15 @@ class TestZipfSampler:
         with pytest.raises(ValueError):
             ZipfSampler(3, rng=rng).sample_shuffled(["a"], 5)
 
+    def test_rejected_shuffled_call_draws_nothing(self):
+        # The generator is shared with the rest of a workload: a call
+        # that is refused must not shift the draws after it.
+        sampler = ZipfSampler(3, rng=np.random.default_rng(8))
+        with pytest.raises(ValueError):
+            sampler.sample_shuffled(["a"], 5)
+        fresh = ZipfSampler(3, rng=np.random.default_rng(8))
+        assert sampler.sample(20).tolist() == fresh.sample(20).tolist()
+
 
 class TestParetoSampler:
     def test_support(self, rng):
