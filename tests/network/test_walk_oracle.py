@@ -1,11 +1,15 @@
 """The dense-mode tree walk against a set-based reference walk.
 
-``reference_walk`` is the walk as it stood with a fresh ``covered`` set
-per call.  Over generated weighted graphs — disconnected ones included
-— and generated target lists, the table's costs must be float-equal to
-the reference's (the same edge costs added in the same order) and its
-edge lists list-equal, and a target with no path must raise without
-spoiling the next call.
+``reference_walk`` is the walk one Python step per node, with a fresh
+``covered`` set per call, over the predecessor matrix and
+:meth:`~repro.network.RoutingTable.edge_cost`.  Over generated weighted
+graphs — disconnected ones included — and generated target lists, and
+over the paper-scale network with target lists drawn like the
+workload's, the table's costs must be float-equal to the reference's
+(the same edge costs added in the same order) and its edge lists
+list-equal, and a target with no path must raise without spoiling the
+next call.  :meth:`~repro.network.RoutingTable.path` is held to the
+same predecessor walk for every pair of nodes.
 """
 
 from __future__ import annotations
@@ -13,17 +17,19 @@ from __future__ import annotations
 import re
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import RoutingTable
+from repro.workload import StockSubscriptionGenerator
 
 
 def reference_walk(table, source, targets):
     """``(cost, edges)`` of the tree reaching ``targets``, walked with
     a per-call set of covered nodes."""
-    parents, costs = table._rows(source)
+    parents = table._pred[source].tolist()
     covered = {source}
     order = []
     for target in targets:
@@ -39,8 +45,23 @@ def reference_walk(table, source, targets):
         order += walk
     cost = 0.0
     for node in order:
-        cost += costs[node]
+        cost += table.edge_cost(parents[node], node)
     return cost, [(parents[node], node) for node in order]
+
+
+def reference_path(table, source, target):
+    """The predecessor walk from ``target`` back to ``source``."""
+    if source == target:
+        return [source]
+    parents = table._pred[source].tolist()
+    path = [target]
+    while path[-1] != source:
+        parent = parents[path[-1]]
+        if parent < 0:
+            raise ValueError(f"no path from {source} to {target}")
+        path.append(parent)
+    path.reverse()
+    return path
 
 
 #: Costs over six orders of magnitude, so the order of addition shows
@@ -153,3 +174,61 @@ def test_unreachable_target_raises_then_walks_clean():
     # 1 and 2 were walked before the raise; they are paid again.
     assert table.shortest_path_tree_cost(0, [2]) == 3.0
     assert table.tree_edges(0, [2, 1]) == [(0, 1), (1, 2)]
+
+
+@settings(deadline=None)
+@given(graph=weighted_graphs())
+def test_path_equals_reference(graph):
+    """Every (source, target) pair, unreachable ones included."""
+    table = RoutingTable(graph)
+    for source in range(table.num_nodes):
+        for target in range(table.num_nodes):
+            try:
+                expected = reference_path(table, source, target)
+            except ValueError as error:
+                with pytest.raises(ValueError, match=re.escape(str(error))):
+                    table.path(source, target)
+            else:
+                assert table.path(source, target) == expected
+
+
+class TestPaperScale:
+    """The walk on the paper-scale network, with target lists drawn
+    like the workload's: sorted recipient lists (what the ideal tree is
+    charged for) and group ``member_set`` frozensets (what a group
+    tree is charged for), from the subscriber nodes of a generated
+    subscription set."""
+
+    @pytest.fixture(scope="class")
+    def drawn(self, paper_topology):
+        table = RoutingTable.from_topology(paper_topology)
+        generator = StockSubscriptionGenerator(paper_topology, seed=2003)
+        placed = generator.generate(2000)
+        subscribers = sorted({p.subscriber for p in placed})
+        publishers = paper_topology.all_stub_nodes()
+        rng = np.random.default_rng(33)
+        lists = []
+        for draw in range(240):
+            size = int(rng.integers(1, min(300, len(subscribers)) + 1))
+            chosen = rng.choice(subscribers, size=size, replace=False).tolist()
+            source = int(rng.choice(publishers))
+            # Alternate the two shapes the cost model passes.
+            lists.append(
+                (source, sorted(chosen) if draw % 2 else frozenset(chosen))
+            )
+        return table, lists
+
+    def test_recipients_and_groups_equal_reference(self, drawn):
+        table, lists = drawn
+        sizes = [len(targets) for _, targets in lists]
+        assert min(sizes) < 10 and max(sizes) > 250
+        for source, targets in lists:
+            assert not assert_walks_agree(table, source, targets)
+
+    def test_paths_equal_reference(self, drawn):
+        table, lists = drawn
+        for source, targets in lists[:20]:
+            for target in targets:
+                assert table.path(source, target) == reference_path(
+                    table, source, target
+                )
