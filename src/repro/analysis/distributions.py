@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["NormalFit", "PowerLawFit", "fit_normal", "fit_zipf", "fit_pareto_tail"]
 
@@ -54,6 +53,8 @@ class PowerLawFit:
 
 def fit_normal(data: np.ndarray) -> NormalFit:
     """Fit N(mu, sigma) and run a Kolmogorov-Smirnov check."""
+    from scipy.stats import kstest  # here: it costs ~35 MB resident
+
     data = np.asarray(data, dtype=np.float64)
     if data.size < 8:
         raise ValueError(
@@ -66,7 +67,7 @@ def fit_normal(data: np.ndarray) -> NormalFit:
             f"fit_normal: sample standard deviation must be positive "
             f"(got {std})"
         )
-    statistic, pvalue = stats.kstest(data, "norm", args=(mean, std))
+    statistic, pvalue = kstest(data, "norm", args=(mean, std))
     return NormalFit(mean, std, float(statistic), float(pvalue))
 
 
@@ -117,9 +118,11 @@ def fit_pareto_tail(data: np.ndarray, tail_fraction: float = 0.5) -> PowerLawFit
 
 def _loglog_regression(x: np.ndarray, y: np.ndarray) -> PowerLawFit:
     """Ordinary least squares in log-log coordinates."""
+    from scipy.stats import linregress
+
     log_x = np.log(x)
     log_y = np.log(y)
-    slope, intercept, r_value, _, _ = stats.linregress(log_x, log_y)
+    slope, intercept, r_value, _, _ = linregress(log_x, log_y)
     return PowerLawFit(
         slope=float(slope),
         intercept=float(intercept),

@@ -308,8 +308,9 @@ class PubSubBroker:
             )
         publisher = event.publisher
         recipients = plan.recipients
-        unicast_cost = self.costs.unicast_cost(publisher, recipients)
-        ideal_cost = self.costs.ideal_cost(publisher, recipients)
+        nodes = self.costs.routing.node_array(recipients)
+        unicast_cost = self.costs.unicast_cost(publisher, nodes)
+        ideal_cost = self.costs.ideal_cost(publisher, nodes)
         unicast = decision.method is DeliveryMethod.UNICAST
         repaired = undeliverable = ()
         if faults is not None:

@@ -11,7 +11,7 @@ late.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..geometry.point import as_point
@@ -45,12 +45,6 @@ class Event:
             publisher=int(publisher),
             point=as_point(coords),
             deadline=deadline,
-        )
-
-    def with_deadline(self, deadline: Optional[float]) -> Event:
-        """The same event carrying a (new) absolute expiry time."""
-        return replace(
-            self, deadline=float(deadline) if deadline is not None else None
         )
 
     def expired(self, now: float) -> bool:

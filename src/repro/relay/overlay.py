@@ -91,20 +91,6 @@ class BrokerOverlay:
             if not faults.link_dead(broker, neighbor)
         ]
 
-    def reachable_brokers(self, entry: int, faults) -> set[int]:
-        """Brokers reachable from ``entry`` over the alive overlay tree."""
-        if faults.node_dead(entry):
-            return set()
-        reached = {entry}
-        frontier = [entry]
-        while frontier:
-            broker = frontier.pop()
-            for neighbor in self.alive_neighbors(broker, faults):
-                if neighbor not in reached:
-                    reached.add(neighbor)
-                    frontier.append(neighbor)
-        return reached
-
     def link_cost(self, u: int, v: int) -> float:
         """Physical cost of one overlay (backbone) link."""
         try:

@@ -174,14 +174,6 @@ class LogShipper:
         self._ops.append(("snapshot", snapshot.shipped()))
         self._ops.append(("truncate", int(truncate_lsn)))
 
-    def pending_ops(self) -> int:
-        """Ops buffered past the *slowest* standby's ack (diagnostics)."""
-        if not self.standbys:
-            return 0
-        return self.next_index - min(
-            self.acked[s] for s in self.standbys
-        )
-
     def lag(self, standby: int) -> int:
         """How many ops ``standby`` is behind the stream head."""
         return self.next_index - self.acked[int(standby)]

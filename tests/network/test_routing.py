@@ -258,6 +258,55 @@ class TestPathWalksTheParentRow:
                 assert all(type(node) is int for node in path)
 
 
+class TestNodesOutsideTheNetwork:
+    """An id outside ``0..num_nodes-1`` names itself in a ``ValueError``.
+
+    A negative id used to index the predecessor row from its end
+    (``tree_edges(0, [-1])`` on 0-1-2 gave ``[(0, 1), (1, -1)]``, the
+    costs priced node 2) and an id past the end raised ``IndexError``.
+    """
+
+    @pytest.fixture()
+    def table(self):
+        graph = nx.Graph()
+        graph.add_edge(0, 1, cost=1.0)
+        graph.add_edge(1, 2, cost=2.0)
+        return RoutingTable(graph)
+
+    @pytest.mark.parametrize("node", [-1, -3, 3, 255, 256, 70_000])
+    def test_every_entry_point_names_the_node(self, table, node):
+        message = f"node {node} is not in the network"
+        calls = [
+            lambda: table.path(0, node),
+            lambda: table.tree_edges(0, [1, node]),
+            lambda: table.shortest_path_tree_cost(0, [2, node]),
+            lambda: table.unicast_cost(0, [node, 1]),
+            lambda: table.path(node, 0),
+            lambda: table.shortest_path_tree_cost(node, [0]),
+        ]
+        if node < 0:  # past the end fails where the array is used
+            calls.append(lambda: table.node_array([1, node]))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+    def test_arrays_and_iterators_are_checked_too(self, table):
+        with pytest.raises(ValueError, match="node -1 is not"):
+            table.unicast_cost(0, np.array([1, -1]))
+        with pytest.raises(ValueError, match="node 3 is not"):
+            table.shortest_path_tree_cost(0, iter([2, 3]))
+        with pytest.raises(ValueError, match="node 3 is not"):
+            table.tree_edges(0, table.node_array([1]) + 2)
+
+    def test_the_table_serves_after_a_raise(self, table):
+        with pytest.raises(ValueError):
+            table.shortest_path_tree_cost(0, [1, -1])
+        assert table.shortest_path_tree_cost(0, [2, 1]) == 3.0
+        assert table.tree_edges(0, [2]) == [(0, 1), (1, 2)]
+        assert table.path(0, 2) == [0, 1, 2]
+        assert table.unicast_cost(0, [1, 2]) == 4.0
+
+
 class TestSurvivingGraphs:
     @pytest.fixture()
     def surviving(self, line_graph):
