@@ -167,10 +167,6 @@ class ReplicatedShard(ReplicaSet):
         self.broker.install(state.entries, candidate)
         old = self._promote(candidate, state, epoch, directory)
         if self.telemetry.enabled:
-            if candidate != old:
-                self.telemetry.counter(
-                    "cluster.takeovers", help="shard takeovers completed"
-                ).inc()
             self.telemetry.gauge(
                 "cluster.shard_epoch",
                 help="per-shard configuration epoch",

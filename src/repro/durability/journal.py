@@ -62,6 +62,9 @@ class BrokerJournal:
         existing = self.store.ids()
         self._next_snapshot_id = (max(existing) + 1) if existing else 0
         self.checkpoints = 0
+        self.telemetry.expose(
+            "wal.checkpoints", self, "checkpoints", help="checkpoints taken"
+        )
         #: Replication taps.  ``on_record(lsn, kind, body)`` fires after
         #: every append with the *exact* body stored (clock stamp
         #: included), so a log shipper can reproduce the record
@@ -230,10 +233,6 @@ class BrokerJournal:
         self.checkpoints += 1
         if self.on_checkpoint is not None:
             self.on_checkpoint(snapshot, truncate_lsn)
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "wal.checkpoints", help="checkpoints taken"
-            ).inc()
         return snapshot
 
     # -- recovery hand-off ---------------------------------------------------

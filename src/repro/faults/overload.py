@@ -209,6 +209,10 @@ class OverloadChaosSimulation(ChaosSimulation):
         self.shed_reasons: Dict[str, int] = {}
         self.degraded_events = 0
         self.late_drops = 0
+        self.telemetry.expose(
+            "overload.late_drops", self, "late_drops",
+            help="arrivals discarded at the receiver past deadline",
+        )
         self._interested: Dict[int, frozenset] = {}
         self._deadlines: Dict[int, Optional[float]] = {}
         self._serving = False
@@ -238,11 +242,6 @@ class OverloadChaosSimulation(ChaosSimulation):
         deadline = self._deadlines.get(key)
         if deadline is not None and time >= deadline:
             self.late_drops += 1
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "overload.late_drops",
-                    help="arrivals discarded at the receiver past deadline",
-                ).inc()
             return
         if target in self._interested.get(key, ()):
             self.ledger.record(key, target, time)

@@ -36,7 +36,7 @@ import numpy as np
 from ..network.routing import SurvivingGraphs
 from ..overload.breaker import BreakerBoard
 from ..simulation.packet_network import PacketNetwork
-from ..telemetry.base import Telemetry, or_null
+from ..telemetry.base import Telemetry, or_null, tally
 from ..telemetry.tracing import Span
 from .plan import FaultState
 
@@ -128,22 +128,24 @@ class RetryConfig:
 
 @dataclass
 class ReliabilityStats:
-    """Protocol-level counters for one run."""
+    """Protocol-level counters for one run, exposed as ``transport.*``."""
 
-    messages: int = 0             # publish() calls
+    messages: int = tally()       # publish() calls
     tracked: int = 0              # (message, target) deliveries tracked
-    acked: int = 0
-    retries: int = 0              # data retransmissions
-    reroutes: int = 0             # retries sent on a detector-chosen path
-    redirected: int = 0           # targets re-addressed via the directory
-    acks_sent: int = 0
-    duplicates_suppressed: int = 0  # data copies deduped at receivers
-    gave_up: int = 0              # targets abandoned after the budget
-    short_circuited: int = 0      # targets fast-failed by an open breaker
-    wiped: int = 0                # in-flight deliveries lost to a crash
-    nacks_sent: int = 0           # receiver-side rejections sent
-    nacks_received: int = 0       # rejections that reached the sender
-    cancelled: int = 0            # deliveries withdrawn via cancel_target
+    acked: int = tally()
+    retries: int = tally("data retransmissions")
+    reroutes: int = tally("retries sent on a detector-chosen path")
+    redirected: int = tally("deliveries re-addressed to an epoch successor")
+    acks_sent: int = tally()
+    duplicates_suppressed: int = tally("data copies deduped at receivers")
+    gave_up: int = tally("targets abandoned after the retry budget")
+    short_circuited: int = tally(
+        "targets fast-failed by an open circuit breaker"
+    )
+    wiped: int = tally("in-flight deliveries lost to a broker crash")
+    nacks_sent: int = tally("receiver-side delivery rejections sent")
+    nacks_received: int = tally("delivery rejections that reached the sender")
+    cancelled: int = tally("in-flight deliveries withdrawn on session detach")
 
 
 class _Pending:
@@ -257,6 +259,7 @@ class ReliableTransport:
         self.directory = directory
         self.acceptor = acceptor
         self.stats = ReliabilityStats()
+        self.telemetry.expose_tallies("transport", self.stats)
         self._pending: Dict[Tuple[int, int], _Pending] = {}
         self._seen: Dict[int, Set[int]] = {}
         self._path_cache: Dict[tuple, Optional[List[int]]] = {}
@@ -291,8 +294,6 @@ class ReliableTransport:
         targets = [self._resolve(t) for t in targets]
         self.stats.messages += 1
         telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.counter("transport.messages").inc()
         if self.breakers is not None:
             targets = self._gate_targets(key, targets, parent_span)
         for target in targets:
@@ -342,10 +343,6 @@ class ReliableTransport:
             self._pending[(key, target)] = pending
             self.stats.short_circuited += 1
             if telemetry.enabled:
-                telemetry.counter(
-                    "transport.short_circuited",
-                    help="targets fast-failed by an open circuit breaker",
-                ).inc()
                 telemetry.event(
                     "short-circuit", parent=parent_span, target=target
                 )
@@ -378,10 +375,6 @@ class ReliableTransport:
         pending = self._pending.pop((key, target))
         self.stats.redirected += 1
         if self.telemetry.enabled:
-            self.telemetry.counter(
-                "transport.redirected",
-                help="deliveries re-addressed to an epoch successor",
-            ).inc()
             self.telemetry.event(
                 "redirect", parent=pending.span, target=target, new=new
             )
@@ -411,9 +404,6 @@ class ReliableTransport:
         if pending.attempts > 1:
             self.stats.retries += 1
             if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "transport.retries", help="data retransmissions"
-                ).inc()
                 self.telemetry.event(
                     "retry",
                     parent=pending.span,
@@ -460,13 +450,8 @@ class ReliableTransport:
         if pending.attempts >= self.config.max_attempts:
             pending.failed = True
             self.stats.gave_up += 1
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "transport.gave_up",
-                    help="targets abandoned after the retry budget",
-                ).inc()
-                if pending.span is not None:
-                    pending.span.finish(status="gave_up")
+            if pending.span is not None:
+                pending.span.finish(status="gave_up")
             if self.breakers is not None:
                 self.breakers.record_failure(target, self.simulator.now)
             if pending.nacks > 0:
@@ -489,11 +474,6 @@ class ReliableTransport:
             path = self._alternate_path(pending.source, target)
             if path is not None:
                 self.stats.reroutes += 1
-                if self.telemetry.enabled:
-                    self.telemetry.counter(
-                        "transport.reroutes",
-                        help="retries sent on a detector-chosen path",
-                    ).inc()
         self._send_data(key, target, path)
 
     def _alternate_path(
@@ -544,10 +524,6 @@ class ReliableTransport:
         if key in seen:
             self.stats.duplicates_suppressed += 1
             if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "transport.duplicates_suppressed",
-                    help="data copies deduped at receivers",
-                ).inc()
                 pending = self._pending.get((key, target))
                 if pending is not None and pending.span is not None:
                     # A delivery re-handed after a crash or a takeover
@@ -574,7 +550,6 @@ class ReliableTransport:
         self.stats.acks_sent += 1
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.counter("transport.acks_sent").inc()
             pending = self._pending.get((key, target))
             if (
                 pending is not None
@@ -607,11 +582,6 @@ class ReliableTransport:
     def _send_nack(self, key: int, source: int, target: int) -> None:
         """Return a rejection to the sender over the same lossy network."""
         self.stats.nacks_sent += 1
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "transport.nacks_sent",
-                help="receiver-side delivery rejections sent",
-            ).inc()
         if target == source:
             self._nack_arrived(key, target)
             return
@@ -624,15 +594,10 @@ class ReliableTransport:
             return
         pending.nacks += 1
         self.stats.nacks_received += 1
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "transport.nacks_received",
-                help="delivery rejections that reached the sender",
-            ).inc()
-            if pending.span is not None:
-                self.telemetry.event(
-                    "nack", parent=pending.span, nacks=pending.nacks
-                )
+        if pending.span is not None:
+            self.telemetry.event(
+                "nack", parent=pending.span, nacks=pending.nacks
+            )
 
     def _ack_arrived(self, key: int, target: int) -> None:
         pending = self._pending.get((key, target))
@@ -643,7 +608,6 @@ class ReliableTransport:
         if self.breakers is not None:
             self.breakers.record_success(target, self.simulator.now)
         if self.telemetry.enabled:
-            self.telemetry.counter("transport.acked").inc()
             ack_span = self._ack_spans.pop((key, target), None)
             if ack_span is not None:
                 ack_span.finish()
@@ -680,11 +644,6 @@ class ReliableTransport:
             if ack_span is not None:
                 ack_span.finish(status="wiped")
         self.stats.wiped += len(wiped)
-        if wiped and self.telemetry.enabled:
-            self.telemetry.counter(
-                "transport.wiped",
-                help="in-flight deliveries lost to a broker crash",
-            ).inc(len(wiped))
         return wiped
 
     def cancel_target(self, target: int) -> List[int]:
@@ -715,11 +674,6 @@ class ReliableTransport:
             if ack_span is not None:
                 ack_span.finish(status="cancelled")
         self.stats.cancelled += len(cancelled)
-        if cancelled and self.telemetry.enabled:
-            self.telemetry.counter(
-                "transport.cancelled",
-                help="in-flight deliveries withdrawn on session detach",
-            ).inc(len(cancelled))
         return cancelled
 
     # -- introspection -------------------------------------------------------

@@ -324,6 +324,10 @@ class SessionChaosSimulation(ChaosSimulation):
         self.duplicates = 0
         self.demotions = 0
         self.shed_retained = 0
+        self.telemetry.expose(
+            "sessions.shed_retained", self, "shed_retained",
+            help="slow-consumer sheds recovered via replay",
+        )
         self._published = 0
 
     # -- matching helpers ----------------------------------------------------
@@ -465,11 +469,6 @@ class SessionChaosSimulation(ChaosSimulation):
         if not self.victim.is_outstanding(sequence):
             return
         self.shed_retained += 1
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "sessions.shed_retained",
-                help="slow-consumer sheds recovered via replay",
-            ).inc()
         self._demote(self.victim, sequence)
 
     # -- session lifecycle hooks ---------------------------------------------

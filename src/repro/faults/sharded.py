@@ -51,7 +51,7 @@ from ..io import canonical_json
 from ..sharding.map import ShardMap
 from ..sharding.rebalance import MigrationPhase, MigrationTicket, Rebalancer
 from ..sharding.router import ShardRouter
-from ..telemetry.base import Telemetry
+from ..telemetry.base import Telemetry, tally
 from .plan import FaultPlan
 from .reliable import RetryConfig
 from .verifier import (
@@ -87,14 +87,16 @@ class ShardedStats(EventOutcomeStats):
     """Per-event outcome accounting plus scale-out bookkeeping."""
 
     #: Stale-epoch publications bounced by a live old owner.
-    fenced_publishes: int = 0
+    fenced_publishes: int = tally(
+        "stale-epoch publishes bounced by old owners", name="fenced"
+    )
     #: Publications re-routed after arriving at a non-owner.
     rerouted: int = 0
     #: In-flight (event, target) deliveries wiped at a shard kill (or,
     #: in the cluster harness, at a home crash).
     wiped_inflight: int = 0
     #: (event, target) deliveries re-handed by a new owner.
-    redelivered: int = 0
+    redelivered: int = tally("in-flight deliveries re-handed by a new owner")
     #: Dead-shard rebalances executed.
     rebalances: int = 0
     shard_kills: int = 0
@@ -258,6 +260,7 @@ class ShardedChaosSimulation(ChaosSimulation):
         self.route_delay = float(route_delay)
         self.rebalance_delay = float(rebalance_delay)
         self.sstats = ShardedStats()
+        self.telemetry.expose_tallies("sharding", self.sstats)
         self.routed_per_shard: Dict[int, int] = {
             k: 0 for k in range(num_shards)
         }
@@ -314,11 +317,6 @@ class ShardedChaosSimulation(ChaosSimulation):
             # is below the map's); either way it re-routes.
             if shard not in self._dead:
                 self.sstats.fenced_publishes += 1
-                if self.telemetry.enabled:
-                    self.telemetry.counter(
-                        "sharding.fenced",
-                        help="stale-epoch publishes bounced by old owners",
-                    ).inc()
             self.sstats.rerouted += 1
             self._arrive(sequence, current)
         elif not self._unserviceable(shard):
@@ -478,11 +476,6 @@ class ShardedChaosSimulation(ChaosSimulation):
             self._sender_shard[key] = owner
             self.transport.publish(key, self.homes[owner], sorted(pending))
             self.sstats.redelivered += len(pending)
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "sharding.redelivered",
-                    help="in-flight deliveries re-handed by a new owner",
-                ).inc(len(pending))
         self._orphans = remaining
 
     def _flush_deferred(self) -> None:

@@ -57,6 +57,10 @@ class DeadLetterQueue:
         self._entries: List[DeadLetterEntry] = []
         self.quarantined = 0
         self.redriven = 0
+        self.telemetry.expose(
+            "sessions.redriven", self, "redriven",
+            help="quarantined deliveries successfully re-driven",
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -120,11 +124,6 @@ class DeadLetterQueue:
             if handler(entry):
                 succeeded.append(entry)
                 self.redriven += 1
-                if self.telemetry.enabled:
-                    self.telemetry.counter(
-                        "sessions.redriven",
-                        help="quarantined deliveries successfully re-driven",
-                    ).inc()
             else:
                 entry.attempts += 1
                 self._entries.append(entry)

@@ -86,6 +86,14 @@ class RetainedEventLog:
         self.telemetry = or_null(telemetry)
         self.appended = 0
         self.truncated_bytes = 0
+        self.telemetry.expose(
+            "sessions.events_retained", self, "appended",
+            help="published events appended to the retained log",
+        )
+        self.telemetry.expose(
+            "sessions.retention_truncated_bytes", self, "truncated_bytes",
+            help="retained-log bytes reclaimed by retention",
+        )
         self.retention_passes = 0
 
     # -- writing -------------------------------------------------------------
@@ -101,11 +109,6 @@ class RetainedEventLog:
             body["deadline"] = float(event.deadline)
         lsn = self.wal.append(RecordKind.EVENT, body)
         self.appended += 1
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "sessions.events_retained",
-                help="published events appended to the retained log",
-            ).inc()
         return lsn
 
     # -- reading -------------------------------------------------------------
@@ -223,9 +226,4 @@ class RetainedEventLog:
         dropped = self.wal.truncate_prefix(cut)
         self.truncated_bytes += dropped
         self.retention_passes += 1
-        if self.telemetry.enabled and dropped:
-            self.telemetry.counter(
-                "sessions.retention_truncated_bytes",
-                help="retained-log bytes reclaimed by retention",
-            ).inc(dropped)
         return dropped

@@ -95,6 +95,10 @@ class CatchupReplayer:
         self.telemetry = or_null(telemetry)
         self._pumping: Set[str] = set()
         self.replay_sends = 0
+        self.telemetry.expose(
+            "sessions.replay_sends", self, "replay_sends",
+            help="retained events re-sent by catch-up replay",
+        )
         self.throttled = 0
         self.convergences = 0
 
@@ -195,11 +199,6 @@ class CatchupReplayer:
             session.replayed += 1
             self.replay_sends += 1
             sent += 1
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "sessions.replay_sends",
-                    help="retained events re-sent by catch-up replay",
-                ).inc()
         self._lag_gauge(session, session.frontier - session.replay_pos)
         self.simulator.schedule(
             self.pump_interval, lambda: self._pump(session_id)

@@ -200,6 +200,10 @@ class SessionManager:
         self.telemetry = or_null(telemetry)
         self.sessions: Dict[str, SubscriberSession] = {}
         self.lease_expirations = 0
+        self.telemetry.expose(
+            "sessions.lease_expired", self, "lease_expirations",
+            help="sessions demoted to ephemeral by lease expiry",
+        )
 
     # -- journaling ----------------------------------------------------------
 
@@ -324,11 +328,6 @@ class SessionManager:
                 {"action": "expire", "id": session.session_id}
             )
             self.lease_expirations += 1
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "sessions.lease_expired",
-                    help="sessions demoted to ephemeral by lease expiry",
-                ).inc()
             demoted.append((session, expired))
         return demoted
 

@@ -100,6 +100,10 @@ class Rebalancer:
         self.telemetry = or_null(telemetry)
         self.on_cutover = on_cutover
         self.completed = 0
+        self.telemetry.expose(
+            "sharding.migrations", self, "completed",
+            help="completed subset migrations",
+        )
         self.aborted = 0
         self._next_id = 0
         self._active: Dict[int, MigrationTicket] = {}
@@ -235,10 +239,6 @@ class Rebalancer:
         self._active.pop(ticket.q, None)
         self.completed += 1
         if self.telemetry.enabled:
-            self.telemetry.counter(
-                "sharding.migrations",
-                help="completed subset migrations",
-            ).inc()
             self.telemetry.histogram(
                 "sharding.migration_duration",
                 help="begin-to-finish migration time, simulated units",

@@ -248,6 +248,10 @@ class ShardRouter:
         self.telemetry = or_null(telemetry)
         self.down: Set[int] = set()
         self.scattered = 0
+        self.telemetry.expose(
+            "sharding.scattered", self, "scattered",
+            help="shard-level subscription registrations",
+        )
         ndim = broker.table.ndim
         homes = homes or {k: k for k in range(shard_map.num_shards)}
         self.shards: Dict[int, ShardBroker] = {
@@ -324,11 +328,6 @@ class ShardRouter:
             if self.shards[shard].register(subscription):
                 added += 1
         self.scattered += added
-        if added and self.telemetry.enabled:
-            self.telemetry.counter(
-                "sharding.scattered",
-                help="shard-level subscription registrations",
-            ).inc(added)
         return added
 
     def subscriptions_of_subset(self, q: int) -> List[Subscription]:

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 
 from ..network.routing import RoutingTable
 from ..network.topology import Topology
-from ..telemetry.base import Telemetry, or_null
+from ..telemetry.base import Telemetry, or_null, tally
 from .engine import DiscreteEventSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> simulation)
@@ -110,7 +110,7 @@ class TransferLog:
     transmissions: int = 0  # link-level message copies sent
     queueing_delay: float = 0.0  # total time spent waiting for links
     max_link_queue: float = 0.0  # worst single wait
-    retransmissions: int = 0  # link-layer (ARQ) retransmission attempts
+    retransmissions: int = tally("link-layer ARQ retransmission attempts")
 
     def record_wait(self, wait: float) -> None:
         self.queueing_delay += wait
@@ -149,6 +149,7 @@ class PacketNetwork:
         #: Propagation delay per directed link, filled on first use.
         self._propagation: Dict[Tuple[int, int], float] = {}
         self.log = TransferLog()
+        self.telemetry.expose_tallies("net.link", self.log)
 
     #: Modelled payload size of one link-level copy.  The simulator has
     #: no byte-level content; this fixed size turns per-link copy
@@ -248,11 +249,6 @@ class PacketNetwork:
         # so the sender retransmits this copy.
         retry_ready = depart + transmission_time + 2.0 * propagation
         self.log.retransmissions += 1
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "net.link.retransmissions",
-                help="link-layer ARQ retransmission attempts",
-            ).inc()
         self.simulator.schedule_at(
             retry_ready,
             lambda: self._forward(u, v, retry_ready, on_arrival, attempt + 1),
@@ -366,5 +362,7 @@ class PacketNetwork:
         """Clear link occupancy and statistics (fresh run, same tables)."""
         self._busy_until.clear()
         self.log = TransferLog()
+        # The old log stays exposed too: the metrics stay cumulative.
+        self.telemetry.expose_tallies("net.link", self.log)
         if self.injector is not None:
             self.injector.reset()

@@ -9,8 +9,10 @@ exact same decision/cost code paths it always did.
 
 A real :class:`Telemetry` bundles one :class:`~repro.telemetry.metrics.
 MetricsRegistry` and one :class:`~repro.telemetry.tracing.Tracer`
-behind convenience pass-throughs, so call sites read as::
+behind convenience pass-throughs.  A count an object keeps is exposed
+once, at construction; ``.inc()`` is for counts no object keeps::
 
+    telemetry.expose("sessions.replay_sends", self, "replay_sends")
     telemetry.counter("broker.events").inc()
     with telemetry.span("match", trace_id=event.sequence) as span:
         ...
@@ -32,10 +34,11 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
+    tally,
 )
 from .tracing import NULL_SPAN, NullTracer, Span, Tracer
 
-__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "or_null"]
+__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "or_null", "tally"]
 
 
 class Telemetry:
@@ -68,6 +71,14 @@ class Telemetry:
 
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         return self.metrics.counter(name, help, **labels)
+
+    def expose(
+        self, name: str, source, attr: str, help: str = "", **labels: str
+    ) -> None:
+        self.metrics.expose(name, source, attr, help, **labels)
+
+    def expose_tallies(self, prefix: str, stats) -> None:
+        self.metrics.expose_tallies(prefix, stats)
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
         return self.metrics.gauge(name, help, **labels)

@@ -91,7 +91,8 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         name = _prom_name(family.name)
         if family.help:
             lines.append(f"# HELP {name} {family.help}")
-        lines.append(f"# TYPE {name} {family.kind}")
+        kind = "counter" if family.kind == "exposed" else family.kind
+        lines.append(f"# TYPE {name} {kind}")
         for labels, instrument in family.children.items():
             if isinstance(instrument, Histogram):
                 cumulative = 0

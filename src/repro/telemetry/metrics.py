@@ -16,18 +16,21 @@ float arithmetic only:
 A :class:`MetricsRegistry` names metrics and fans each name out into
 label children (``registry.counter("net.link.tx", link="3-7")``), so
 per-link / per-group series stay cheap: one dict lookup per
-observation.  The :class:`NullMetricsRegistry` twin returns shared
-do-nothing instruments, which is what makes ``NullTelemetry`` a true
-no-op (see :mod:`repro.telemetry.base`).
+observation.  A count an object already keeps is exposed, not counted
+again (:meth:`MetricsRegistry.expose`).  The :class:`NullMetricsRegistry`
+twin returns shared do-nothing instruments, which is what makes
+``NullTelemetry`` a true no-op (see :mod:`repro.telemetry.base`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import field, fields
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
+    "Exposure",
     "Gauge",
     "Histogram",
     "MetricFamily",
@@ -35,6 +38,7 @@ __all__ = [
     "NullMetricsRegistry",
     "DEFAULT_BUCKETS",
     "exponential_buckets",
+    "tally",
 ]
 
 
@@ -69,6 +73,29 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
         self.value += amount
+
+
+class Exposure:
+    """A counter read from other objects: ``getattr(source, attr)``
+    summed over the distinct sources added (re-adding one is a no-op)."""
+
+    __slots__ = ("_sources",)
+
+    def __init__(self) -> None:
+        self._sources: Dict[int, Tuple[object, str]] = {}
+
+    def add(self, source: object, attr: str) -> None:
+        self._sources.setdefault(id(source), (source, attr))
+
+    @property
+    def value(self) -> float:
+        return float(sum(getattr(s, a) for s, a in self._sources.values()))
+
+
+def tally(help: str = "", name: str = "") -> Any:
+    """A zero dataclass field, declared with its metric's help text;
+    :meth:`MetricsRegistry.expose_tallies` exposes it."""
+    return field(default=0, metadata={"help": help, "name": name})
 
 
 class Gauge:
@@ -178,7 +205,8 @@ _LabelKey = Tuple[Tuple[str, str], ...]
 
 
 class MetricFamily:
-    """All label children of one metric name."""
+    """All label children of one metric name (``kind`` ``"exposed"``
+    is a counter whose children are :class:`Exposure` views)."""
 
     __slots__ = ("name", "kind", "help", "bounds", "children")
 
@@ -200,6 +228,8 @@ class MetricFamily:
         if instrument is None:
             if self.kind == "counter":
                 instrument = Counter()
+            elif self.kind == "exposed":
+                instrument = Exposure()
             elif self.kind == "gauge":
                 instrument = Gauge()
             else:
@@ -215,7 +245,7 @@ class MetricsRegistry:
     ``registry.counter("x")`` twice returns the same object, so
     instrumented code never needs set-up ceremony.  Re-registering a
     name as a different kind is an error (it would silently fork the
-    series).
+    series), including incrementing a name that is exposed.
     """
 
     def __init__(self) -> None:
@@ -242,6 +272,22 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         family = self._family(name, "counter", help)
         return family.child(tuple(sorted(labels.items())))
+
+    def expose(
+        self, name: str, source, attr: str, help: str = "", **labels: str
+    ) -> None:
+        """Count ``name`` as ``getattr(source, attr)``, read when asked;
+        distinct sources exposed under one name and labels add up."""
+        family = self._family(name, "exposed", help)
+        family.child(tuple(sorted(labels.items()))).add(source, attr)
+
+    def expose_tallies(self, prefix: str, stats) -> None:
+        """Expose each :func:`tally` field of ``stats`` as
+        ``<prefix>.<the tally's name, or the field's>``."""
+        for spec in fields(stats):
+            if "help" in spec.metadata:
+                name = f"{prefix}.{spec.metadata['name'] or spec.name}"
+                self.expose(name, stats, spec.name, spec.metadata["help"])
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
         family = self._family(name, "gauge", help)
@@ -312,6 +358,11 @@ class NullMetricsRegistry(MetricsRegistry):
 
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         return _NULL_COUNTER
+
+    def expose(
+        self, name: str, source, attr: str, help: str = "", **labels: str
+    ) -> None:
+        pass
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
         return _NULL_GAUGE

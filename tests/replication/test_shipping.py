@@ -14,6 +14,7 @@ from repro.replication import (
     StandbyReplica,
 )
 from repro.sharding import Rebalancer, ShardMap, ShardRouter
+from repro.telemetry import Telemetry
 
 GOOD = Snapshot(
     snapshot_id=0,
@@ -175,6 +176,32 @@ class TestIncrementalShipping:
         assert not rig.shipper.due
         rig.journal(1, start=3)
         assert rig.shipper.due
+
+
+class TestExposedCounts:
+    def test_counts_handed_to_a_restarted_shipper_are_exposed_once(self):
+        telemetry = Telemetry()
+        epoch = EpochState(node=4, role=ReplicaRole.PRIMARY)
+
+        def shipper(stats=None):
+            return LogShipper(
+                epoch,
+                [9],
+                send=lambda standby, payload: None,
+                wal=MemoryWAL(),
+                snapshots=MemorySnapshotStore(),
+                telemetry=telemetry,
+                stats=stats,
+            )
+
+        first = shipper()
+        first.record(1, RecordKind.PUBLISH, {"seq": 0})
+        first.flush(0.0)
+        restarted = shipper(stats=first.stats)
+        restarted.record(1, RecordKind.PUBLISH, {"seq": 1})
+        restarted.flush(1.0)
+        assert restarted.stats.batches == 2
+        assert telemetry.metrics.value("replication.batches") == 2
 
 
 class TestCatchUp:

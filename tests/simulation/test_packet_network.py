@@ -6,6 +6,7 @@ import pytest
 from repro.network import RoutingTable
 from repro.network.topology import Topology
 from repro.simulation import DiscreteEventSimulator, PacketNetwork
+from repro.telemetry import Telemetry
 
 
 def line_topology():
@@ -239,6 +240,16 @@ class TestMulticast:
         network.reset_links()
         assert network.log.transmissions == 0
         assert not network._busy_until
+
+    def test_reset_links_keeps_the_exposed_count_cumulative(self):
+        telemetry = Telemetry()
+        network = PacketNetwork(
+            line_topology(), DiscreteEventSimulator(), telemetry=telemetry
+        )
+        network.log.retransmissions = 3
+        network.reset_links()
+        network.log.retransmissions = 2
+        assert telemetry.metrics.value("net.link.retransmissions") == 5
 
 
 class TestValidation:

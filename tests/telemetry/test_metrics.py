@@ -1,5 +1,7 @@
 """Unit tests for counters, gauges, histograms and the registry."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.telemetry import (
     exponential_buckets,
     prometheus_text,
 )
+from repro.telemetry.metrics import tally
 
 
 class TestCounterGauge:
@@ -58,6 +61,70 @@ class TestCounterGauge:
 
     def test_value_default_for_missing(self):
         assert MetricsRegistry().value("absent", default=-1.0) == -1.0
+
+
+class _Tally:
+    def __init__(self, count=0):
+        self.count = count
+
+
+class TestExpose:
+    def test_value_is_read_when_asked(self):
+        registry = MetricsRegistry()
+        source = _Tally()
+        registry.expose("x", source, "count")
+        assert registry.value("x") == 0.0
+        source.count += 3
+        assert registry.value("x") == 3.0
+
+    def test_distinct_sources_add_up(self):
+        registry = MetricsRegistry()
+        registry.expose("x", _Tally(2), "count", shard="0")
+        registry.expose("x", _Tally(5), "count", shard="0")
+        registry.expose("x", _Tally(7), "count", shard="1")
+        assert registry.value("x", shard="0") == 7.0
+        assert registry.value("x", shard="1") == 7.0
+
+    def test_one_source_exposed_twice_counts_once(self):
+        registry = MetricsRegistry()
+        source = _Tally(4)
+        registry.expose("x", source, "count")
+        registry.expose("x", source, "count")
+        assert registry.value("x") == 4.0
+
+    def test_incrementing_an_exposed_name_raises(self):
+        registry = MetricsRegistry()
+        registry.expose("x", _Tally(), "count")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter("x")
+
+    def test_exposing_an_incremented_name_raises(self):
+        registry = MetricsRegistry()
+        registry.counter("x").inc()
+        with pytest.raises(ValueError, match="already registered"):
+            registry.expose("x", _Tally(), "count")
+
+    def test_exposed_renders_as_an_incremented_counter(self):
+        exposed, incremented = MetricsRegistry(), MetricsRegistry()
+        exposed.expose("net.tx", _Tally(3), "count", help="copies", link="1")
+        incremented.counter("net.tx", help="copies", link="1").inc(3)
+        assert prometheus_text(exposed) == prometheus_text(incremented)
+
+    def test_tally_fields_are_exposed_under_a_prefix(self):
+        @dataclasses.dataclass
+        class Stats:
+            sent: int = tally("messages sent")
+            kept: int = tally("messages kept", name="retained")
+            untracked: int = 0
+
+        registry = MetricsRegistry()
+        stats = Stats(sent=2, kept=1)
+        registry.expose_tallies("q", stats)
+        assert [f.name for f in registry.families()] == [
+            "q.sent", "q.retained",
+        ]
+        assert registry.get("q.sent").help == "messages sent"
+        assert registry.value("q.retained") == 1.0
 
 
 class TestHistogram:
@@ -171,5 +238,8 @@ class TestNullRegistry:
         assert a.value == 0.0
         registry.gauge("g").set(5)
         registry.histogram("h").observe(1.0)
+        registry.expose("e", _Tally(9), "count")
         assert registry.value("x") == 0.0
+        assert registry.value("e") == 0.0
+        assert list(registry.families()) == []
         assert prometheus_text(registry) == ""

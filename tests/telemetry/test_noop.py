@@ -144,3 +144,15 @@ class TestChaosRunsUnchanged:
         metered = instrumented.run()
         assert report.summary_rows() == metered.summary_rows()
         assert baseline.verdict(report) == instrumented.verdict(metered)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_null_telemetry_harness_registers_nothing(self, name):
+        """Components expose their tallies at construction; under
+        ``NullTelemetry`` that registers no family, counted or exposed."""
+        args = _build_parser().parse_args(
+            ["chaos", *SCENARIOS[name], "--events", "100",
+             "--subscriptions", "150"]
+        )
+        telemetry = NullTelemetry()
+        _assemble(args, telemetry).run()
+        assert list(telemetry.metrics.families()) == []
