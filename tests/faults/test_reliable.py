@@ -241,6 +241,31 @@ class TestRetryConfig:
         assert a._jitter(0, 5, 1) != c._jitter(0, 5, 1)
 
 
+class TestNegativeKey:
+    @pytest.mark.parametrize("max_jitter", [0.5, 0.0])
+    @pytest.mark.parametrize("first_pass", [False, True])
+    def test_refused_before_anything_happens(self, max_jitter, first_pass):
+        """The key must be non-negative; a refused publish tracks,
+        counts and queues nothing, whatever the jitter setting."""
+        sim, net, transport, deliveries, give_ups = make_stack(
+            FaultPlan(),
+            config=RetryConfig(ack_timeout=30.0, max_jitter=max_jitter),
+        )
+        before = vars(transport.stats).copy()
+        first = None
+        if first_pass:
+            def first(receive):
+                net.send_multicast(0, [2, 5], receive)
+        with pytest.raises(ValueError, match="non-negative"):
+            transport.publish(-1, source=0, targets=[2, 5], first_pass=first)
+        assert vars(transport.stats) == before
+        assert transport._pending == {}
+        assert sim.pending == 0
+        sim.run()
+        assert deliveries == [] and give_ups == []
+        assert net.log.transmissions == 0
+
+
 class TestFailureReasons:
     """Give-ups carry a structured reason code (the DLQ's input)."""
 
