@@ -16,7 +16,8 @@ A scheduled callable takes **no arguments**, and ``schedule`` /
 ``schedule_at`` take exactly ``(when, callback)``.  Whatever an event
 needs travels inside the callable — the packet network schedules small
 ``__slots__`` objects defined under :mod:`repro.simulation`, one per
-arriving copy.  ``bench/tracing.py`` relies on both halves:
+arriving copy (on a path, the copy's transit itself, carrying its
+arrival time).  ``bench/tracing.py`` relies on both halves:
 it wraps the two scheduling methods with that two-positional signature,
 and it books each callback's time to the package named by the
 callable's ``__module__`` — so an argument tuple pushed beside the
