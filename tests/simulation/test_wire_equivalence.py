@@ -384,10 +384,11 @@ REFERENCE = (ReferenceSimulator, ReferenceNetwork, ReferenceInjector)
 CURRENT = (DiscreteEventSimulator, PacketNetwork, FaultInjector)
 
 
-def play(classes, plan, hop_retries, traffic):
+def play(classes, plan, hop_retries, traffic, injector=None):
     simulator_cls, network_cls, injector_cls = classes
     sim = simulator_cls()
-    injector = None if plan is None else injector_cls(plan)
+    if injector is None and plan is not None:
+        injector = injector_cls(plan)
     network = network_cls(
         WIRE,
         sim,
@@ -420,7 +421,13 @@ def play(classes, plan, hop_retries, traffic):
         None if injector is None else injector.stats,
         sim.events_processed,
         final,
-        None if injector is None else injector._rng.bit_generator.state,
+        None if injector is None else (
+            injector._rng.bit_generator.state
+            if injector_cls is ReferenceInjector
+            # Draws come a block at a time; this is the state as of the
+            # last double the run used.
+            else injector.stream_state()
+        ),
     )
 
 
@@ -437,6 +444,17 @@ class TestWire:
         # (send, node, time) callbacks, in order, floats compared with ==.
         assert got[0] == expected[0]
         assert got[1:] == expected[1:]
+
+    @settings(max_examples=50, deadline=None)
+    @given(plans(), st.integers(0, 2), st.lists(sends, min_size=1, max_size=30))
+    def test_a_reset_injector_plays_the_run_again(
+        self, plan, hop_retries, traffic
+    ):
+        """``reset`` restarts the stream, whatever of a block was left."""
+        injector = FaultInjector(plan)
+        first = play(CURRENT, plan, hop_retries, traffic, injector)
+        injector.reset()
+        assert play(CURRENT, plan, hop_retries, traffic, injector) == first
 
     @settings(max_examples=50, deadline=None)
     @given(plans(), st.integers(0, 2), st.lists(sends, min_size=1, max_size=8))
