@@ -8,6 +8,7 @@ of validation and conversion glue the rest of the code shares.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -25,10 +26,10 @@ def as_point(coords: Sequence[float], ndim: int | None = None) -> Point:
     when any coordinate is not a finite real number (events are always
     concrete values; infinities belong to subscriptions only).
     """
-    point = tuple(float(x) for x in coords)
+    point = tuple(map(float, coords))
     if ndim is not None and len(point) != ndim:
         raise ValueError(f"expected {ndim} coordinates, got {len(point)}")
-    if not all(np.isfinite(point)):
+    if not all(map(math.isfinite, point)):
         raise ValueError(f"event coordinates must be finite: {point}")
     return point
 
