@@ -742,7 +742,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             shard = self.replicated[k]
             shipping += shard.shipping_stats()
             stats = shard.finalize_stats()
-            self.cstats.heartbeats += stats.heartbeats_sent
+            self.cstats.heartbeats += stats.sent.heartbeat
             self.cstats.stale_rejections += stats.stale_rejections
             self.cstats.fenced_writes += stats.fenced_writes
         view = self.membership.view()
