@@ -31,7 +31,7 @@ node that will never answer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 __all__ = ["ReplicaRole", "EpochState", "EpochDirectory"]

@@ -17,8 +17,13 @@ replaced ``sharded`` when the sharded harness became the zero-standby
 cluster: the same ledger, verdict and match digest, but the killed home
 is excluded once the membership view confirms it dead rather than at
 the kill, so the wire rows moved (4 442 link transmissions against
-3 552).  A change that means to move a digest regenerates the file
-with::
+3 552).  ``cluster`` and ``cluster-k1`` were re-pinned when a journal
+record stopped re-shipping unacked batches and heartbeats began riding
+on batches: the verdicts held, while the wire and shipping rows, the
+takeover digest (the standby held a different WAL prefix at takeover)
+and the stale rejections moved, and ``cluster`` lost its one stranded
+miss (6 755 link transmissions against 5 163).  A change that means to
+move a digest regenerates the file with::
 
     PYTHONPATH=src python -m repro.cli chaos <arguments> \\
         --events 100 --subscriptions 150 > tests/golden/chaos/<name>.txt
@@ -90,6 +95,9 @@ def test_stats_stdout_is_pinned(name, capsys):
     pinned for a sharded run) with the chaos file of that name.
     ``sessions`` is new with the sessions harness publishing through
     ``PubSubBroker.plan``: before it, ``stats`` refused ``--sessions``.
+    Every file then gained the "link transmissions / event" row, and
+    ``cluster`` and ``cluster-k1`` moved with their chaos files when
+    heartbeats began riding on shipped batches.
     """
     code = main(
         ["stats", *SCENARIOS[name], "--events", "100", "--subscriptions", "150"]
