@@ -1,8 +1,8 @@
 """The telemetry facade the rest of the pipeline is instrumented with.
 
-Every instrumentable component (broker, matcher, cost model, relay
-service, reliable transport, packet network, chaos harness) takes an
-optional ``telemetry=`` argument.  Passing nothing gets the shared
+Every instrumentable component (broker, matcher, cost model, reliable
+transport, packet network, chaos harness) takes an optional
+``telemetry=`` argument.  Passing nothing gets the shared
 :data:`NULL_TELEMETRY` — a true no-op whose counters, histograms and
 spans are inert singletons — so an uninstrumented run executes the
 exact same decision/cost code paths it always did.

@@ -18,7 +18,6 @@ from repro.faults.verifier import (
     build_chaos_plan,
     build_chaos_testbed,
 )
-from repro.relay.delivery import RelayDeliveryService
 from repro.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from repro.workload import PublicationGenerator
 from tests.faults.test_golden import SCENARIOS
@@ -85,24 +84,6 @@ class TestBrokerRunsUnchanged:
         broker.run(points, publishers)
         assert list(broker.telemetry.metrics.families()) == []
         assert broker.telemetry.tracer.spans == []
-
-
-class TestRelayRunsUnchanged:
-    def test_relay_tally_identical(
-        self, small_topology, small_table, small_events
-    ):
-        points, publishers = small_events
-        points, publishers = points[:50], publishers[:50]
-        baseline = RelayDeliveryService(small_topology, small_table)
-        instrumented = RelayDeliveryService(
-            small_topology, small_table, telemetry=Telemetry()
-        )
-        tally_base, outcomes_base = baseline.run(points, publishers)
-        tally_inst, outcomes_inst = instrumented.run(points, publishers)
-        assert dataclasses.asdict(tally_base) == dataclasses.asdict(
-            tally_inst
-        )
-        assert outcomes_base == outcomes_inst
 
 
 class TestChaosRunsUnchanged:

@@ -17,7 +17,6 @@ SUBPACKAGES = [
     "repro.analysis",
     "repro.experiments",
     "repro.simulation",
-    "repro.relay",
     "repro.faults",
     "repro.replication",
     "repro.durability",
