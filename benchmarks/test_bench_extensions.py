@@ -220,95 +220,6 @@ def test_bench_extension_adaptive_thresholds(benchmark, config, testbed):
     assert results["second"] <= results["tuned"] + 2.0
 
 
-def test_bench_extension_incremental_clustering(benchmark, config, testbed):
-    """Quality/cost of incremental maintenance vs full re-clustering
-    after subscription churn ([16]'s initial + incremental pairing)."""
-    import time
-
-    from repro.clustering import (
-        EventGrid,
-        IncrementalClusterMaintainer,
-    )
-    from repro.workload import StockSubscriptionGenerator
-
-    density = testbed.density(9)
-    results = {}
-
-    def run():
-        grid = EventGrid(
-            testbed.table.rectangles(),
-            [s.subscriber for s in testbed.table],
-            density=density,
-            cells_per_dim=config.cells_per_dim,
-        )
-        initial = ForgyKMeansClustering().cluster(
-            grid, 11, max_cells=config.max_cells
-        )
-        maintainer = IncrementalClusterMaintainer(grid, initial)
-
-        # Churn: 200 fresh subscriptions arrive.
-        fresh = StockSubscriptionGenerator(
-            testbed.topology, seed=config.seed + 321
-        ).generate(200)
-        for placed in fresh:
-            grid.add_subscription(placed.rectangle, placed.node)
-
-        start = time.perf_counter()
-        maintainer.refresh()
-        new_cells = [
-            cell
-            for cell in grid.top_cells(config.max_cells)
-            if not maintainer.contains(cell.index)
-        ]
-        maintainer.admit(new_cells)
-        moves = maintainer.rebalance(max_moves=30)
-        incremental_seconds = time.perf_counter() - start
-        incremental = maintainer.to_result()
-
-        start = time.perf_counter()
-        recluster = ForgyKMeansClustering().cluster(
-            grid, 11, max_cells=config.max_cells
-        )
-        recluster_seconds = time.perf_counter() - start
-
-        results.update(
-            incremental_ew=incremental.total_expected_waste(),
-            recluster_ew=recluster.total_expected_waste(),
-            incremental_seconds=incremental_seconds,
-            recluster_seconds=recluster_seconds,
-            moves=moves,
-            admitted=len(new_cells),
-        )
-        return results
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        "\nExtension — churn maintenance: incremental vs re-cluster"
-    )
-    print(
-        format_table(
-            ("strategy", "EW after churn", "time ms"),
-            [
-                (
-                    f"incremental (admit {results['admitted']}, "
-                    f"{results['moves']} moves)",
-                    f"{results['incremental_ew']:.1f}",
-                    f"{results['incremental_seconds'] * 1000:.0f}",
-                ),
-                (
-                    "full Forgy re-cluster",
-                    f"{results['recluster_ew']:.1f}",
-                    f"{results['recluster_seconds'] * 1000:.0f}",
-                ),
-            ],
-        )
-    )
-    # The incremental path must stay within shouting distance of the
-    # from-scratch quality (and may beat it — Forgy's top-weight
-    # seeding is a weak local optimum).
-    assert results["incremental_ew"] <= 2.5 * results["recluster_ew"]
-
-
 def test_bench_extension_subscription_churn(benchmark, config, testbed):
     density = testbed.density(9)
     points, publishers = testbed.publications(9)

@@ -79,17 +79,17 @@ def main() -> None:
         ],
     )
 
-    # A broad market-watcher: every large trade, any stock — written in
-    # the predicate language instead of interval objects.
-    from repro.core import parse_subscription
-
+    # A broad market-watcher: every large trade (bst == 3 and
+    # volume >= 50000), any stock.
     carol = stub_nodes[12]
     table.add_predicates(
         carol,
-        parse_subscription(
-            "bst == 3 and volume >= 50000",
-            ("bst", "name", "quote", "volume"),
-        ),
+        [
+            [parse_predicate("==", 3.0)],
+            [FULL_LINE],
+            [FULL_LINE],
+            [parse_predicate(">=", 50000.0)],
+        ],
     )
 
     # Plus a crowd of IBM price-band watchers to make multicast useful.

@@ -5,7 +5,10 @@ Implements the preprocessing substrate the paper takes as given
 a regular grid over the event space, the expected-waste distance, and
 the Forgy k-means / pairwise grouping / minimum spanning tree cell
 clustering algorithms, plus the conversion of clusters into the space
-partition ``S_0 .. S_n`` and multicast groups ``M_q``.
+partition ``S_0 .. S_n`` and multicast groups ``M_q``.  Clustering runs
+once per preprocess; under churn, groups only widen until
+:meth:`~repro.core.dynamic.DynamicPubSubBroker.repreprocess` clusters
+again from scratch.
 """
 
 from .base import DEFAULT_MAX_CELLS, CellClusteringAlgorithm, ClusteringResult
@@ -16,7 +19,6 @@ from .grid import (
     UniformCellProbability,
 )
 from .groups import MulticastGroup, SpacePartition
-from .incremental import IncrementalClusterMaintainer
 from .kmeans import BatchKMeansClustering, ForgyKMeansClustering
 from .mst import MinimumSpanningTreeClustering
 from .pairwise import PairwiseGroupingClustering
@@ -35,7 +37,6 @@ __all__ = [
     "GridCell",
     "UniformCellProbability",
     "MulticastGroup",
-    "IncrementalClusterMaintainer",
     "SpacePartition",
     "BatchKMeansClustering",
     "ForgyKMeansClustering",

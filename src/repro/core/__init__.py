@@ -6,7 +6,10 @@ interest rectangles, :class:`~repro.core.matching.MatchingEngine`
 answers point queries, :class:`~repro.core.distribution.ThresholdPolicy`
 makes the online multicast-vs-unicast call, and
 :class:`~repro.core.broker.PubSubBroker` runs the whole pipeline with
-network cost accounting.
+network cost accounting.  A subscription is written as per-attribute
+interval lists (``SubscriptionTable.add_predicates``);
+:class:`~repro.core.dynamic.DynamicPubSubBroker` adds churn, with
+``repreprocess`` as the one way to re-cluster.
 """
 
 from .adaptive import AdaptiveThresholdPolicy, run_adaptive
@@ -21,7 +24,6 @@ from .distribution import (
 from .dynamic import DynamicMatchingEngine, DynamicPubSubBroker
 from .event import Event
 from .matching import MATCHER_BACKENDS, MatchingEngine, MatchResult
-from .predicates import PredicateError, parse_subscription
 from .subscription import Subscription, SubscriptionTable, decompose_predicates
 from .tuning import (
     GroupEfficiency,
@@ -48,8 +50,6 @@ __all__ = [
     "MATCHER_BACKENDS",
     "MatchingEngine",
     "MatchResult",
-    "PredicateError",
-    "parse_subscription",
     "Subscription",
     "SubscriptionTable",
     "decompose_predicates",

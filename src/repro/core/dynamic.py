@@ -304,49 +304,6 @@ class DynamicPubSubBroker(PubSubBroker):
         if self.journal is not None:
             self.journal.log_unsubscribe(subscription_id)
 
-    def rebalance_partition(self, max_moves: int = 20) -> int:
-        """Incrementally refresh and improve the live partition.
-
-        The cheap alternative to :meth:`repreprocess` after a batch of
-        ``subscribe`` calls: re-derive cluster statistics from the
-        mutated grid cells, admit newly relevant top-weight cells, run
-        a bounded number of rebalance moves, and swap the improved
-        partition into service.  Returns the number of moves applied.
-
-        (Tombstoned *removals* still require :meth:`repreprocess` —
-        membership is only ever widened incrementally.)
-        """
-        from ..clustering.incremental import IncrementalClusterMaintainer
-
-        grid = self.partition.grid
-        maintainer = IncrementalClusterMaintainer(
-            grid, self._snapshot_clusters()
-        )
-        maintainer.refresh()
-        fresh = [
-            cell
-            for cell in grid.top_cells(self._max_cells)
-            if not maintainer.contains(cell.index)
-        ]
-        maintainer.admit(fresh)
-        moves = maintainer.rebalance(max_moves=max_moves)
-        self.partition = maintainer.to_partition()
-        self.costs.clear_cache()
-        return moves
-
-    def _snapshot_clusters(self):
-        """Rebuild a ClusteringResult view of the current partition."""
-        from ..clustering.base import ClusteringResult
-
-        grid = self.partition.grid
-        clusters: dict[int, list] = {}
-        for index, q in self.partition._cell_to_group.items():
-            clusters.setdefault(q, []).append(grid.cells[index])
-        return ClusteringResult(
-            algorithm=self.partition.algorithm,
-            clusters=[clusters[q] for q in sorted(clusters)],
-        )
-
     def repreprocess(self) -> None:
         """Re-run the static stage over the live subscription set."""
         live = SubscriptionTable(self.table.ndim)

@@ -302,34 +302,6 @@ class TestDynamicBroker:
             node in g.members for g in broker.partition.groups
         )
 
-    def test_rebalance_partition_keeps_invariant(
-        self, broker, small_events, small_topology, rng
-    ):
-        """After churn + incremental rebalance, delivered groups still
-        cover every interested subscriber."""
-        nodes = small_topology.all_stub_nodes()
-        for i in range(20):
-            lo = rng.uniform(-5, 15, size=4)
-            broker.subscribe(
-                int(rng.choice(nodes)),
-                Rectangle.from_bounds(lo, lo + rng.uniform(0.5, 10, 4)),
-            )
-        moves = broker.rebalance_partition(max_moves=15)
-        assert moves >= 0
-        points, publishers = small_events
-        for i, point in enumerate(points[:60]):
-            event = Event.create(i, int(publishers[i]), point)
-            record = broker.publish(event)
-            q = record.decision.group
-            if q > 0:
-                members = set(broker.partition.group(q).members)
-                assert set(record.match.subscribers) <= members
-
-    def test_rebalance_partition_preserves_group_count(self, broker):
-        before = broker.partition.num_groups
-        broker.rebalance_partition(max_moves=5)
-        assert broker.partition.num_groups == before
-
     def test_repreprocess_preserves_matching_semantics(
         self, broker, small_events
     ):
@@ -383,8 +355,8 @@ class TestChurnGuarantees:
 
 
 class TestSustainedChurnDelivery:
-    """rebalance_partition / repreprocess interleaved with a live event
-    stream: deliveries are never lost mid-rebuild."""
+    """repreprocess interleaved with a live event stream: deliveries are
+    never lost mid-rebuild."""
 
     @pytest.fixture()
     def broker(self, small_topology, small_placed, nine_mode_density):
@@ -418,7 +390,7 @@ class TestSustainedChurnDelivery:
         added = []
         for i, point in enumerate(points[:80]):
             # Sustained churn: add/remove every step, with periodic
-            # maintenance passes racing the publish stream.
+            # re-preprocessing racing the publish stream.
             if added and rng.random() < 0.4:
                 broker.unsubscribe(added.pop(int(rng.integers(len(added)))))
             else:
@@ -428,8 +400,6 @@ class TestSustainedChurnDelivery:
                     Rectangle.from_bounds(lo, lo + rng.uniform(0.5, 10, 4)),
                 )
                 added.append(sub.subscription_id)
-            if i % 17 == 11:
-                broker.rebalance_partition(max_moves=10)
             if i % 29 == 23:
                 broker.repreprocess()
                 # repreprocess() compacts the table and reassigns ids;
