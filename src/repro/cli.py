@@ -127,6 +127,14 @@ def probability(text: str) -> float:
     return value
 
 
+def count(text: str) -> int:
+    """argparse ``type=`` of ``--tail`` / ``--top-links``: an integer >= 0."""
+    value = int(text)  # not an integer: argparse names this function
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {text})")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repro",
@@ -478,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
     stats.add_argument(
         "--top-links",
-        type=int,
+        type=count,
         default=5,
         help="how many busiest links to list",
     )
@@ -517,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     wal.add_argument("--path", required=True, help="WAL file to scan")
     wal.add_argument(
         "--tail",
-        type=int,
+        type=count,
         default=10,
         help="how many trailing records to print (0: none)",
     )

@@ -549,6 +549,32 @@ class TestParser:
         )
         assert (args.loss, args.duplicate) == (0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wal", "--path", "broker.wal", "--tail", "-2"],
+            ["stats", "--top-links", "-1"],
+        ],
+    )
+    def test_counts_validated_at_the_boundary(self, argv, capsys):
+        """A negative count used to slice from the wrong end: ``--tail
+        -2`` printed every record but the first two, ``--top-links -1``
+        all links but the last."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: argument {argv[-2]}: must be >= 0 (got {argv[-1]})\n"
+        )
+
+    def test_zero_count_accepted(self):
+        args = _build_parser().parse_args(
+            ["wal", "--path", "broker.wal", "--tail", "0"]
+        )
+        assert args.tail == 0
+
     def test_one_scenario_option_list(self):
         """``stats`` and ``trace`` take what ``chaos`` takes plus their
         own output options: a second list cannot grow back."""
