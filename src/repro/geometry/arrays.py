@@ -24,8 +24,6 @@ __all__ = [
     "bulk_volume",
     "bulk_centers",
     "mbr_of",
-    "running_mbr_forward",
-    "running_mbr_backward",
 ]
 
 
@@ -107,26 +105,3 @@ def bulk_centers(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
 def mbr_of(lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Minimum bounding rectangle of all rows, as ``(lo, hi)`` vectors."""
     return lows.min(axis=0), highs.max(axis=0)
-
-
-def running_mbr_forward(
-    lows: np.ndarray, highs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Prefix MBRs: row ``i`` bounds rectangles ``0..i`` inclusive.
-
-    Used by the binarization sweep to evaluate every split point in one
-    pass: the MBR of the left part of a split after row ``q-1`` is the
-    forward running MBR at ``q-1``.
-    """
-    return np.minimum.accumulate(lows, axis=0), np.maximum.accumulate(
-        highs, axis=0
-    )
-
-
-def running_mbr_backward(
-    lows: np.ndarray, highs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Suffix MBRs: row ``i`` bounds rectangles ``i..k-1`` inclusive."""
-    rev_lo = np.minimum.accumulate(lows[::-1], axis=0)[::-1]
-    rev_hi = np.maximum.accumulate(highs[::-1], axis=0)[::-1]
-    return np.ascontiguousarray(rev_lo), np.ascontiguousarray(rev_hi)

@@ -14,8 +14,6 @@ from repro.geometry.arrays import (
     mbr_of,
     point_membership_mask,
     rectangles_to_arrays,
-    running_mbr_backward,
-    running_mbr_forward,
 )
 
 
@@ -95,35 +93,8 @@ class TestMeasures:
 
 
 class TestRunningMBRs:
-    def test_forward_matches_bruteforce(self, sample_arrays):
-        lows, highs = sample_arrays
-        fwd_lo, fwd_hi = running_mbr_forward(lows, highs)
-        for i in range(len(lows)):
-            assert np.array_equal(fwd_lo[i], lows[: i + 1].min(axis=0))
-            assert np.array_equal(fwd_hi[i], highs[: i + 1].max(axis=0))
-
-    def test_backward_matches_bruteforce(self, sample_arrays):
-        lows, highs = sample_arrays
-        bwd_lo, bwd_hi = running_mbr_backward(lows, highs)
-        for i in range(len(lows)):
-            assert np.array_equal(bwd_lo[i], lows[i:].min(axis=0))
-            assert np.array_equal(bwd_hi[i], highs[i:].max(axis=0))
-
     def test_mbr_of(self, sample_arrays):
         lows, highs = sample_arrays
         lo, hi = mbr_of(lows, highs)
         assert lo.tolist() == [-1.0, 0.0]
         assert hi.tolist() == [3.0, 5.0]
-
-    def test_split_consistency(self, sample_arrays):
-        # forward[q-1] + backward[q] together cover the whole set:
-        # their hull equals the global MBR for every split q.
-        lows, highs = sample_arrays
-        fwd_lo, fwd_hi = running_mbr_forward(lows, highs)
-        bwd_lo, bwd_hi = running_mbr_backward(lows, highs)
-        glo, ghi = mbr_of(lows, highs)
-        for q in range(1, len(lows)):
-            hull_lo = np.minimum(fwd_lo[q - 1], bwd_lo[q])
-            hull_hi = np.maximum(fwd_hi[q - 1], bwd_hi[q])
-            assert np.array_equal(hull_lo, glo)
-            assert np.array_equal(hull_hi, ghi)
