@@ -136,17 +136,6 @@ class Topology:
                     return int(neighbor)
         raise ValueError(f"stub {stub} has no transit gateway")
 
-    def transit_node_of(self, node: int) -> int:
-        """The broker (transit node) serving a node.
-
-        Transit nodes serve themselves; stub nodes are served by their
-        stub's gateway transit node.
-        """
-        data = self.graph.nodes[node]
-        if data["kind"] == "transit":
-            return int(node)
-        return self.stub_gateway_transit(int(data["stub"]))
-
     def edge_cost(self, u: int, v: int) -> float:
         """Cost attribute of the edge ``(u, v)``."""
         return float(self.graph.edges[u, v]["cost"])
