@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.gridmath import locate_cell, overlapped_cell_range
+from ..geometry.gridmath import locate_cell, overlapped_cell_box
+from ..geometry.gridmath import overlapped_cell_range
 from ..geometry.rectangle import Rectangle
 
 __all__ = ["CellProbability", "UniformCellProbability", "GridCell", "EventGrid"]
@@ -310,16 +311,16 @@ class EventGrid:
             self._bit_of[subscriber] = len(self.subscribers)
             self.subscribers.append(subscriber)
 
-        lows, highs = rectangle.to_arrays()
-        rows, first, stop = self._boxes(lows[None], highs[None])
-        if not rows:
-            return []
-        affected = list(product(*map(range, first[0], stop[0])))
+        box = overlapped_cell_box(
+            rectangle.lows, rectangle.highs, *self._locate_frame
+        )
+        affected = list(product(*box)) if box else []
         bit = 1 << self._bit_of[subscriber]
+        cells = self.cells
         for index in affected:
-            cell = self.cells.get(index)
+            cell = cells.get(index)
             if cell is None:
-                cell = self.cells[index] = self._make_cell(index)
+                cell = cells[index] = self._make_cell(index)
                 cell.probability = self.density.cell_probability(
                     cell.lows, cell.highs
                 )

@@ -124,11 +124,11 @@ class SpacePartition:
         :class:`repro.core.dynamic.DynamicPubSubBroker`).
         """
         affected_cells = self.grid.add_subscription(rectangle, subscriber)
+        # Every touched group once, in the order its first cell came.
+        touched = dict.fromkeys(map(self._cell_to_group.get, affected_cells))
+        touched.pop(None, None)
         grown: List[int] = []
-        for index in affected_cells:
-            q = self._cell_to_group.get(index)
-            if q is None:
-                continue
+        for q in touched:
             group = self.groups[q - 1]
             if subscriber in group.member_set:
                 continue

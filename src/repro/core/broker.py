@@ -118,9 +118,7 @@ class PubSubBroker:
         self.partition = partition
         self.policy = policy or ThresholdPolicy()
         self.telemetry = or_null(telemetry)
-        self.engine = MatchingEngine(
-            table, backend=matcher_backend, telemetry=telemetry
-        )
+        self.engine = self._make_engine(table, matcher_backend, telemetry)
         self.costs = cost_model or DeliveryCostModel(
             topology, telemetry=telemetry
         )
@@ -133,6 +131,33 @@ class PubSubBroker:
         self._table_encoder = TableEncoder()
 
     # -- construction -------------------------------------------------------
+
+    def _make_engine(
+        self,
+        table: SubscriptionTable,
+        matcher_backend: str,
+        telemetry: Optional[Telemetry],
+    ) -> MatchingEngine:
+        """The matching engine this broker queries (built once)."""
+        return MatchingEngine(table, matcher_backend, telemetry)
+
+    @staticmethod
+    def partition_table(
+        table: SubscriptionTable,
+        algorithm: CellClusteringAlgorithm,
+        num_groups: int,
+        density: Optional[CellProbability] = None,
+        cells_per_dim: int = 10,
+        max_cells: int = DEFAULT_MAX_CELLS,
+        grid_frame: Optional[tuple[Sequence[float], Sequence[float]]] = None,
+    ) -> SpacePartition:
+        """The static phase's clustering: grid, clusters, partition."""
+        grid = EventGrid(
+            table.rectangles(), [s.subscriber for s in table],
+            density=density, cells_per_dim=cells_per_dim, frame=grid_frame,
+        )
+        result = algorithm.cluster(grid, num_groups, max_cells=max_cells)
+        return SpacePartition(grid, result)
 
     @classmethod
     def preprocess(
@@ -161,15 +186,10 @@ class PubSubBroker:
         subscriptions' finite coordinates, which is right for dense
         generated workloads but can under-cover hand-built ones.
         """
-        grid = EventGrid(
-            table.rectangles(),
-            [s.subscriber for s in table],
-            density=density,
-            cells_per_dim=cells_per_dim,
-            frame=grid_frame,
+        partition = cls.partition_table(
+            table, algorithm, num_groups, density, cells_per_dim, max_cells,
+            grid_frame,
         )
-        result = algorithm.cluster(grid, num_groups, max_cells=max_cells)
-        partition = SpacePartition(grid, result)
         return cls(
             topology,
             table,

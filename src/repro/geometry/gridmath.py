@@ -20,7 +20,9 @@ the cells are their product; no cell is tested.  There are two:
   smallest representable point above ``lo`` to the cell of ``hi`` —
   exactly the cells a point of the rectangle can locate to.  The
   clustering grid takes it: its lists ``l(g)`` become multicast groups
-  and shard placements and nothing re-tests them later.
+  and shard placements and nothing re-tests them later.  For one
+  rectangle under churn, :func:`overlapped_cell_box` does the same
+  arithmetic in plain floats, as :func:`locate_cell` does for a point.
 - :func:`covered_cell_range`, **wide**: both ends quantised as points,
   so a low edge on a boundary also admits the cell below it.  The
   bucket matcher keeps it: it runs the exact containment test on every
@@ -29,12 +31,17 @@ the cells are their product; no cell is tested.  There are two:
 
 from __future__ import annotations
 
-from math import ceil
-from typing import Sequence, Tuple
+from math import ceil, inf, isfinite, nextafter
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["covered_cell_range", "locate_cell", "overlapped_cell_range"]
+__all__ = [
+    "covered_cell_range",
+    "locate_cell",
+    "overlapped_cell_box",
+    "overlapped_cell_range",
+]
 
 
 def covered_cell_range(
@@ -93,6 +100,36 @@ def overlapped_cell_range(
     cells = np.ceil((ends - frame_lo) / cell_width) - 1
     first, last = np.clip(cells, 0, cells_per_dim - 1).astype(int)
     return first, last
+
+
+def overlapped_cell_box(
+    lows: Sequence[float],
+    highs: Sequence[float],
+    frame_lo: Sequence[float],
+    frame_hi: Sequence[float],
+    cell_width: Sequence[float],
+    cells_per_dim: int,
+) -> List[range]:
+    """One rectangle's cells as a ``range`` per axis; ``[]`` when it is
+    empty or misses the frame.
+
+    What the grid's table-wide build computes for a row — unbounded
+    sides clipped to the frame, then :func:`overlapped_cell_range` —
+    float for float, without an array per call.
+    """
+    last = cells_per_dim - 1
+    box = []
+    for lo, hi, f_lo, f_hi, width in zip(
+        lows, highs, frame_lo, frame_hi, cell_width
+    ):
+        a = max(lo if isfinite(lo) else f_lo, f_lo)
+        b = min(hi if isfinite(hi) else f_hi, f_hi)
+        if hi <= lo or b <= a:
+            return []
+        first = ceil((nextafter(a, inf) - f_lo) / width) - 1
+        end = ceil((b - f_lo) / width) - 1
+        box.append(range(min(max(first, 0), last), min(max(end, 0), last) + 1))
+    return box
 
 
 def locate_cell(

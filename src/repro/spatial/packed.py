@@ -28,13 +28,14 @@ per query, each entry of a reached leaf as tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, nan, nextafter
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .base import PointMatcher, QueryStats
 
-__all__ = ["PackedTree", "PackedTreeMatcher"]
+__all__ = ["PackedTree", "PackedTreeMatcher", "fold_box"]
 
 #: ``inside(*boxes) -> mask``: which boxes one query reaches.
 Tester = Callable[..., np.ndarray]
@@ -140,6 +141,12 @@ def _fold(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         above = np.nextafter(lows, np.inf)
     above[lows == np.inf] = np.nan
     return np.concatenate((above, -highs))
+
+
+def fold_box(lows: Sequence[float], highs: Sequence[float]) -> List[float]:
+    """The fold of one box (``_fold``'s), in plain floats."""
+    above = [nan if x == inf else nextafter(x, inf) for x in lows]
+    return above + [-x for x in highs]
 
 
 class PackedTreeMatcher(PointMatcher):

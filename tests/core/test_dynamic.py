@@ -12,6 +12,7 @@ from repro.core import (
     SubscriptionTable,
 )
 from repro.geometry import Interval, Rectangle
+from repro.spatial import STree
 
 
 def rect4(lo, hi):
@@ -320,6 +321,64 @@ class TestDynamicBroker:
             for i in range(30)
         ]
         assert before == after
+
+
+class TestBrokerConfiguration:
+    """What ``preprocess_dynamic`` is told stays told: through
+    ``repreprocess``, with one index build each."""
+
+    PINNED = ((-1000.0,) * 4, (1000.0,) * 4)
+
+    @pytest.fixture()
+    def broker(self, small_topology, small_placed, nine_mode_density):
+        return DynamicPubSubBroker.preprocess_dynamic(
+            small_topology,
+            SubscriptionTable.from_placed(small_placed),
+            ForgyKMeansClustering(),
+            6,
+            density=nine_mode_density,
+            cells_per_dim=6,
+            max_cells=60,
+            rebuild_fraction=0.5,
+            grid_frame=self.PINNED,
+        )
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        real = STree.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(STree, "__init__", counted)
+        return builds
+
+    def test_repreprocess_keeps_the_rebuild_fraction(self, broker):
+        assert broker.engine.rebuild_fraction == 0.5
+        broker.repreprocess()
+        assert broker.engine.rebuild_fraction == 0.5
+
+    def test_repreprocess_keeps_the_pinned_frame(self, broker):
+        broker.repreprocess()
+        grid = broker.partition.grid
+        assert grid.frame_lo.tolist() == list(self.PINNED[0])
+        assert grid.frame_hi.tolist() == list(self.PINNED[1])
+
+    def test_one_index_build_each(
+        self, small_topology, small_placed, monkeypatch
+    ):
+        builds = self.count_builds(monkeypatch)
+        broker = DynamicPubSubBroker.preprocess_dynamic(
+            small_topology,
+            SubscriptionTable.from_placed(small_placed),
+            ForgyKMeansClustering(),
+            6,
+        )
+        assert len(builds) == 1
+        broker.repreprocess()
+        assert len(builds) == 2
 
 
 class TestChurnGuarantees:

@@ -249,6 +249,13 @@ class TestFlatReach:
         folded = packed_module._fold(lo, hi) <= np.concatenate((x, -x))
         assert np.array_equal(folded.all(axis=0), expected[0])
 
+    def test_one_box_folds_as_the_arrays_do(self):
+        lo, hi = (axis.ravel() for axis in np.meshgrid(SPECIAL, SPECIAL))
+        expected = packed_module._fold(lo[None, :], hi[None, :])
+        for row, (low, high) in enumerate(zip(lo.tolist(), hi.tolist())):
+            got = packed_module.fold_box([low], [high])
+            assert np.array_equal(got, expected[:, row], equal_nan=True)
+
     def test_box_tests_do_not_grow_with_depth(self):
         # The chain's leaves sit at every depth from 1 to >= 30; a walk
         # level by level tests once per level, the flat reach does not.
