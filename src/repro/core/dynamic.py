@@ -23,6 +23,7 @@ for a bulk-packed index under churn:
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import List, Optional, Sequence, Set
 
 import numpy as np
@@ -33,7 +34,7 @@ from ..geometry.rectangle import Rectangle
 from ..network.multicast import DeliveryCostModel
 from ..network.topology import Topology
 from ..spatial.base import QueryStats
-from ..spatial.packed import fold_box
+from ..spatial.packed import FOLD_SIGNS, fold_box
 from .broker import PubSubBroker
 from .distribution import DistributionPolicy
 from .event import Event
@@ -150,15 +151,15 @@ class DynamicMatchingEngine:
         matched = [] if self._base is None else self._base.match(point)
         ids = self._overflow_ids
         if ids:
-            at = np.array([*point, *(-x for x in point)], dtype=np.float64)
+            at = (FOLD_SIGNS * point).reshape(-1, 1)  # [x ; -x]
             folds = self._overflow_folds[:, : len(ids)]
-            hits = np.flatnonzero((folds <= at[:, None]).all(axis=0))
+            hits = (folds <= at).all(axis=0).nonzero()[0]
             # Every overflow id is newer than every base id, and the
             # base answer is sorted: appending keeps the order.
-            matched.extend(ids[i] for i in hits.tolist())
+            matched.extend(map(ids.__getitem__, hits.tolist()))
         removed = self._removed
         if removed:
-            matched = [sid for sid in matched if sid not in removed]
+            matched = list(filterfalse(removed.__contains__, matched))
         return MatchResult.from_ids(matched, self.table)
 
     def match(self, event: Event) -> MatchResult:

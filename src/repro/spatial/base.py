@@ -167,9 +167,7 @@ class PointMatcher(abc.ABC):
                 f"point must have {self.ndim} coordinates, got {at.shape}"
             )
         self.stats.queries += 1
-        result = self._match_ids(at)
-        result.sort()
-        return result
+        return self._match_ids(at)
 
     def count(self, point: Sequence[float]) -> int:
         """Number of rectangles containing ``point``."""
@@ -190,7 +188,7 @@ class PointMatcher(abc.ABC):
 
     @abc.abstractmethod
     def _match_ids(self, point: np.ndarray) -> List[int]:
-        """Return (unsorted) matching identifiers; update ``self.stats``."""
+        """Return the matching identifiers, sorted; update ``self.stats``."""
 
     # -- introspection ---------------------------------------------------------
 

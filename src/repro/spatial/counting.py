@@ -67,4 +67,4 @@ class CountingMatcher(PointMatcher):
         outside = ~(point > -np.inf)
         if outside.any():
             matched &= ~self._wildcard[:, outside].any(axis=1)
-        return [int(i) for i in self._ids[matched]]
+        return sorted(self._ids[matched].tolist())

@@ -103,7 +103,7 @@ class GridIndexMatcher(PointMatcher):
         lows = self._lows[candidates]
         highs = self._highs[candidates]
         mask = np.all((lows < point) & (point <= highs), axis=1)
-        return [int(i) for i in self._ids[candidates[mask]]]
+        return sorted(self._ids[candidates[mask]].tolist())
 
     @property
     def occupied_cells(self) -> int:

@@ -23,7 +23,7 @@ class LinearScanMatcher(PointMatcher):
     def _match_ids(self, point: np.ndarray) -> List[int]:
         self.stats.entries_tested += self.size
         mask = np.all((self._lows < point) & (point <= self._highs), axis=1)
-        return [int(i) for i in self._ids[mask]]
+        return sorted(self._ids[mask].tolist())
 
     def _match_rows(self, points: np.ndarray) -> List[List[int]]:
         """Bulk path: one (k, m) containment mask for the whole batch."""

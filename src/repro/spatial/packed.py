@@ -10,11 +10,12 @@ breadth-first (root 0) in parallel arrays: MBRs ``lows`` / ``highs``,
 Bounds are dimension-major, ``(N, count)``: a column ``take`` and a test
 reduced along the short axis cost 3-6x less than the row-major forms.
 
-A query (:meth:`PackedTree.reach`) takes the *flat reach*.  Every MBR
-is built bottom-up, so a box lies inside its parent's and, under
-``(lo, hi]``, a node is reached exactly when its own box passes (the
-root always): one test over every node box, one over the entries of the
-leaves it kept, whatever the depth.  ``match_many`` loops over it.
+A query takes the *flat reach*.  Every MBR is built bottom-up, so a
+box lies inside its parent's and, under ``(lo, hi]``, a node is reached
+exactly when its own box passes (the root always): one test over every
+node box, one over the entries of the leaves it kept, whatever the
+depth.  The point query and the S-tree's region query run their own
+tests inline and share the step between (:meth:`PackedTree.candidates`).
 Point tests read the bounds folded (``folds`` / ``entry_folds``):
 ``[nextafter(lo, +inf) ; -hi]``, NaN where ``lo`` is ``+inf``, so
 ``lo < x <= hi`` is one ``<=`` against ``[x ; -x]``, exact for every
@@ -29,19 +30,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, nan, nextafter
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .base import PointMatcher, QueryStats
 
-__all__ = ["PackedTree", "PackedTreeMatcher", "fold_box"]
+__all__ = ["FOLD_SIGNS", "PackedTree", "PackedTreeMatcher", "fold_box"]
 
-#: ``inside(*boxes) -> mask``: which boxes one query reaches.
-Tester = Callable[..., np.ndarray]
-#: Bounds of a set of boxes, one column per box, in the form a
-#: ``Tester`` reads: ``(lows, highs)`` or ``(folds,)``.
-Boxes = Tuple[np.ndarray, ...]
+#: ``(FOLD_SIGNS * x).reshape(-1, 1)`` is the column ``[x ; -x]`` a
+#: folded test reads: a product by ±1 is exact, and costs less than a
+#: ``concatenate``.
+FOLD_SIGNS = np.array([[1.0], [-1.0]])
+_all = np.logical_and.reduce
 
 
 @dataclass(frozen=True)
@@ -116,23 +117,20 @@ class PackedTree:
             start, end, level = end, end + below, level + 1
         return depth
 
-    def reach(
-        self, inside: Tester, nodes: Boxes, entries: Boxes, stats: QueryStats
-    ) -> np.ndarray:
-        """Slab rows of the entries one query reaches and ``inside`` keeps.
+    def candidates(self, hit: np.ndarray, stats: QueryStats) -> np.ndarray:
+        """Slab rows of the leaves one query reaches.
 
-        ``inside`` reads boxes as columns of the arrays it is given:
-        ``nodes`` (one column per node) or ``entries`` (per slab row).
+        ``hit`` is the query's test over every node box (modified: the
+        root is entered untested); the reach is counted into ``stats``.
         """
-        hit = inside(*nodes)
-        hit[0] = True  # the root is entered untested
+        hit[0] = True
         leaves = np.count_nonzero(hit & self.is_leaf)
         stats.nodes_visited += np.count_nonzero(hit) - leaves
         stats.leaves_visited += leaves
         # Internal nodes own no entries; leaves own theirs in slab order.
-        rows = np.flatnonzero(hit.repeat(self.entry_count))
+        rows = hit.repeat(self.entry_count).nonzero()[0]
         stats.entries_tested += rows.size
-        return rows[inside(*(box.take(rows, axis=1) for box in entries))]
+        return rows
 
 
 def _fold(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -154,22 +152,15 @@ class PackedTreeMatcher(PointMatcher):
 
     _packed: PackedTree
 
-    def _query(
-        self, inside: Tester, nodes: Boxes, entries: Boxes
-    ) -> List[int]:
-        rows = self._packed.reach(inside, nodes, entries, self.stats)
-        ids = self._packed.entry_ids.take(rows)
+    def _match_ids(self, point: np.ndarray) -> List[int]:
+        packed = self._packed
+        at = (FOLD_SIGNS * point).reshape(-1, 1)
+        rows = packed.candidates(_all(packed.folds <= at, axis=0), self.stats)
+        inside = _all(packed.entry_folds.take(rows, axis=1) <= at, axis=0)
+        ids = packed.entry_ids.take(rows[inside])
         ids.sort()
         result: List[int] = ids.tolist()
         return result
-
-    def _match_ids(self, point: np.ndarray) -> List[int]:
-        at = np.concatenate((point, -point))[:, None]
-        packed = self._packed
-        return self._query(
-            lambda fold: (fold <= at).all(axis=0),
-            (packed.folds,), (packed.entry_folds,),
-        )
 
     @property
     def height(self) -> int:

@@ -289,14 +289,15 @@ class STree(PackedTreeMatcher):
             )
         self.stats.queries += 1
         q_lo, q_hi = q_lo[:, None], q_hi[:, None]
+
+        def overlaps(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            return (np.maximum(lo, q_lo) < np.minimum(hi, q_hi)).all(axis=0)
+
         packed = self._packed
-        return self._query(
-            lambda lo, hi: (
-                np.maximum(lo, q_lo) < np.minimum(hi, q_hi)
-            ).all(axis=0),
-            (packed.lows, packed.highs),
-            (packed.entry_lows, packed.entry_highs),
-        )
+        rows = packed.candidates(overlaps(packed.lows, packed.highs), self.stats)
+        entries = (packed.entry_lows, packed.entry_highs)
+        rows = rows[overlaps(*(box.take(rows, axis=1) for box in entries))]
+        return sorted(packed.entry_ids.take(rows).tolist())
 
     # -- introspection ----------------------------------------------------------------
 

@@ -149,10 +149,12 @@ class TestLocate:
             simple_grid.locate((1.0,))
 
     def test_locate_agrees_with_cell_bounds(self, simple_grid, rng):
+        # A subscriber over the whole frame makes every cell exist.
+        simple_grid.add_subscription(rect2(0.0, 4.0, 0.0, 4.0), 300)
         for _ in range(100):
             point = rng.uniform(0.01, 4.0, size=2)
             index = simple_grid.locate(point)
-            cell = simple_grid._make_cell(index)
+            cell = simple_grid.cells[index]
             assert cell.rectangle().contains_point(tuple(point))
 
 
