@@ -26,8 +26,9 @@ The authority for ``l(g)`` is a dense table of 64-bit mask words,
 ``(C,) * N + (words,)``: the build ORs each rectangle's bit over its box
 of cells, and so does :meth:`EventGrid.add_subscription` (the word axis
 grows when a new bit needs it), touching no per-cell object.  The
-:class:`GridCell` objects clustering reads (``EventGrid.cells``) catch
-up with the table in one pass when read after an add.
+:class:`GridCell` objects clustering reads (``EventGrid.cells``) are
+made when that is first read, and catch up with the table in one pass
+when read after an add; a restored grid, never read, makes none.
 """
 
 from __future__ import annotations
@@ -84,16 +85,11 @@ class UniformCellProbability:
         self, edges: Sequence[np.ndarray]
     ) -> List[np.ndarray]:
         """Product-form fast path (see the same method on the mixtures)."""
-        masses: List[np.ndarray] = []
-        for d, edge in enumerate(edges):
-            clipped = np.clip(
-                np.asarray(edge, dtype=np.float64),
-                self.frame_lo[d],
-                self.frame_hi[d],
-            )
-            span = self.frame_hi[d] - self.frame_lo[d]
-            masses.append(np.diff(clipped) / span)
-        return masses
+        return [
+            np.diff(np.clip(np.asarray(edge, dtype=np.float64), lo, hi))
+            / (hi - lo)
+            for edge, lo, hi in zip(edges, self.frame_lo, self.frame_hi)
+        ]
 
 
 @dataclass
@@ -194,6 +190,7 @@ class EventGrid:
 
         self._cells: Dict[Tuple[int, ...], GridCell] = {}
         self._stale = False  # set by an add, cleared by reading ``cells``
+        self._unbuilt: Optional[tuple] = None  # (positions, pricer)
         self._populate(lows, highs, subscriber_ids)
 
     # -- construction ------------------------------------------------------
@@ -208,8 +205,8 @@ class EventGrid:
 
         Each rectangle ORs its subscriber's bit over its box of cells
         and paints its row into a first-touch table, last row first.
-        One pass then creates the touched cells in the order a walk
-        rectangle by rectangle would: by first row, then C order.
+        ``cells`` makes the touched cells on its first read, in the order
+        a walk rectangle by rectangle would: by first row, then C order.
         Product-form densities price a cell as the product of its
         per-axis masses, left to right; any other is asked per cell.
         """
@@ -228,7 +225,7 @@ class EventGrid:
         touched = np.flatnonzero(first_row != untouched)
         order = touched[np.argsort(first_row.ravel()[touched], kind="stable")]
         per_dim = getattr(self.density, "per_dimension_masses", None)
-        self._sync_cells(order, per_dim)
+        self._unbuilt = (order, per_dim)
 
     def _sync_cells(self, order: np.ndarray, per_dim=None) -> None:
         """Read the members of the cells at flat positions ``order`` off
@@ -335,8 +332,12 @@ class EventGrid:
 
     @property
     def cells(self) -> Dict[Tuple[int, ...], GridCell]:
-        """Every occupied cell by index; after an add, one pass over the
-        mask table refreshes members and appends new cells in C order."""
+        """Every occupied cell by index, made on the first read; after
+        an add, one pass over the mask table refreshes members and
+        appends new cells in C order."""
+        if self._unbuilt is not None:
+            self._sync_cells(*self._unbuilt)
+            self._unbuilt = None
         if self._stale:
             self._stale = False
             flat = self._masks.reshape(-1, self._masks.shape[-1])

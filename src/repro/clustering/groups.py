@@ -12,6 +12,8 @@ The clustering output becomes (paper Section 4):
 :class:`SpacePartition` resolves a publication point to its subset in
 O(N) (grid cell lookup plus one dict probe) and exposes each group's
 member nodes, which is everything the distribution-method scheme needs.
+Its durable form and that form's canonical text are made once and kept
+until a subscription grows a group, so checkpoints do not re-encode it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class MulticastGroup:
 
 class SpacePartition:
     """The ``(n + 1)``-way partition of the event space plus its groups."""
+
+    _durable: Optional[Tuple[Dict, str]] = None  # see durable_state
 
     def __init__(self, grid: EventGrid, result: ClusteringResult):
         result.validate_disjoint()
@@ -138,6 +142,8 @@ class SpacePartition:
                 expected_waste=group.expected_waste,
             )
             grown.append(q)
+        if grown:
+            self._durable = None
         return grown
 
     # -- persistence (checkpoint/recovery support) --------------------------
@@ -171,6 +177,16 @@ class SpacePartition:
             ],
         }
 
+    def durable_state(self) -> Tuple[Dict, str]:
+        """:meth:`to_state` and its canonical JSON, shared by every call
+        until a group grows (values: not to be mutated)."""
+        if self._durable is None:
+            from ..io import canonical_json  # repro.io imports repro.core
+
+            state = self.to_state()
+            self._durable = (state, canonical_json(state))
+        return self._durable
+
     @classmethod
     def restore(cls, grid: EventGrid, state: Dict) -> SpacePartition:
         """Rebuild a partition from :meth:`to_state` output.
@@ -202,8 +218,5 @@ class SpacePartition:
         Uses the grid's density; higher coverage means fewer events
         fall back to pure unicast.
         """
-        mass = 0.0
-        for index, q in self._cell_to_group.items():
-            cell = self.grid.cells[index]
-            mass += cell.probability
-        return mass
+        cells = self.grid.cells
+        return sum(cells[index].probability for index in self._cell_to_group)

@@ -416,17 +416,19 @@ class PubSubBroker:
         withdrawn ids, and the partition's group assignment.  The
         S-tree, the grid's membership lists and the routing caches are
         all recomputed from these on recovery (see
-        :mod:`repro.durability`).  ``table_text`` is ``table``'s
-        canonical JSON, so a checkpoint need not encode it again; both
-        are shared with the next call until the table grows or is
-        replaced — values, not scratch space.
+        :mod:`repro.durability`).  ``texts`` holds the canonical JSON of
+        ``table`` and ``partition``, so a checkpoint need not encode
+        them again; each is shared with the next call until the table
+        grows or a group grows, or either is replaced — values, not
+        scratch space.
         """
         table, table_text = self._table_encoder.encode(self.table)
+        partition, partition_text = self.partition.durable_state()
         state = {
             "table": table,
-            "table_text": table_text,
             "removed": sorted(getattr(self, "_removed", ()) or ()),
-            "partition": self.partition.to_state(),
+            "partition": partition,
+            "texts": {"table": table_text, "partition": partition_text},
         }
         if self.sessions is not None:
             state["sessions"] = self.sessions.to_state()

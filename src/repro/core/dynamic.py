@@ -311,6 +311,9 @@ class DynamicPubSubBroker(PubSubBroker):
         self.engine = self._make_engine(live, self.engine.backend)
         self._removed.clear()
         self.costs.clear_cache()
+        if self.journal is not None:
+            # Compaction renumbers the ids the WAL's records name.
+            self.journal.checkpoint()
 
     @property
     def live_subscriptions(self) -> int:

@@ -33,8 +33,8 @@ __all__ = ["BrokerJournal"]
 class BrokerJournal:
     """Write-ahead journaling + periodic checkpoints for one broker —
     anything whose ``durable_state()`` returns the ``table`` /
-    ``removed`` / ``partition`` (/ ``sessions`` / ``table_text``) a
-    snapshot stores."""
+    ``removed`` / ``partition`` (/ ``sessions``) a snapshot stores, and
+    (as ``texts``) the canonical text of those it already holds."""
 
     def __init__(
         self,
@@ -59,8 +59,7 @@ class BrokerJournal:
         #: sequence → targets still awaiting a DELIVER completion.
         self._intent_targets: Dict[int, Set[int]] = {}
         self._appends_since_checkpoint = 0
-        existing = self.store.ids()
-        self._next_snapshot_id = (max(existing) + 1) if existing else 0
+        self._next_snapshot_id = max(self.store.ids(), default=-1) + 1
         self.checkpoints = 0
         self.telemetry.expose(
             "wal.checkpoints", self, "checkpoints", help="checkpoints taken"
@@ -189,9 +188,7 @@ class BrokerJournal:
 
     def low_water_mark(self, checkpoint_lsn: int) -> int:
         """The highest LSN the WAL prefix may be truncated at."""
-        candidates = list(self._intent_lsn.values())
-        candidates.append(checkpoint_lsn)
-        return min(candidates)
+        return min([*self._intent_lsn.values(), checkpoint_lsn])
 
     def maybe_checkpoint(self) -> bool:
         """Checkpoint if enough records accumulated since the last one."""
@@ -219,7 +216,7 @@ class BrokerJournal:
             partition=state["partition"],
             taken_at=self.wal.clock(),
             sessions=state.get("sessions"),
-            table_text=state.get("table_text"),
+            texts=state.get("texts", {}),
         )
         self.store.save(snapshot)
         self._next_snapshot_id += 1
@@ -258,8 +255,7 @@ class BrokerJournal:
             for seq, entry in state.inflight.items()
         }
         self._appends_since_checkpoint = 0
-        existing = self.store.ids()
-        self._next_snapshot_id = (max(existing) + 1) if existing else 0
+        self._next_snapshot_id = max(self.store.ids(), default=-1) + 1
         if self.wal.end_lsn < state.checkpoint_lsn:
             self.checkpoint()
 

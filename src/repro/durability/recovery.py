@@ -165,8 +165,9 @@ def replay(
 
     Never raises on damaged input: a torn or corrupt WAL tail is
     truncated at the last valid record (``truncated_bytes`` /
-    ``corruption``), a damaged snapshot falls back to the previous one,
-    and a body a fold rejects (``KeyError`` / ``TypeError`` /
+    ``corruption``), a damaged snapshot falls back to the previous one
+    (``corruption`` names it when the WAL no longer reaches back to
+    it), and a body a fold rejects (``KeyError`` / ``TypeError`` /
     ``ValueError``) is counted in ``skipped``.
     """
     telemetry = or_null(telemetry)
@@ -181,6 +182,17 @@ def replay(
     state.truncated_bytes = wal.end_lsn - scan.valid_end
     state.corruption = scan.corruption
     state.valid_end = scan.valid_end
+    if wal.base_lsn > state.checkpoint_lsn:
+        # A checkpoint cut the log at a snapshot the store cannot read.
+        had = state.snapshot_id
+        gap = (
+            f"snapshot {had} ends at lsn {state.checkpoint_lsn}"
+            if had is not None else "there is no snapshot"
+        ) + (
+            f", but the WAL starts at lsn {wal.base_lsn}: the records "
+            "between were truncated and are lost"
+        )
+        state.corruption = "; ".join(filter(None, (gap, scan.corruption)))
     if not scan.clean:
         wal.repair()
 
@@ -376,23 +388,16 @@ def restore_broker(
         [s.subscriber for s in state.table],
         density=broker.partition.grid.density,
         cells_per_dim=int(partition_state["cells_per_dim"]),
-        frame=(
-            partition_state["frame_lo"],
-            partition_state["frame_hi"],
-        ),
+        frame=(partition_state["frame_lo"], partition_state["frame_hi"]),
     )
     partition = SpacePartition.restore(grid, partition_state)
     # Subscriptions replayed from the WAL post-date the snapshot, so
     # the restored partition never saw them; re-apply the same group
     # widening their original ``subscribe`` performed (replays are
     # strictly appended, so they are the table's tail).
-    for sid in range(
-        len(state.table) - state.subscriptions_replayed, len(state.table)
-    ):
-        subscription = state.table[sid]
-        partition.add_subscription(
-            subscription.rectangle, subscription.subscriber
-        )
+    tail = len(state.table) - state.subscriptions_replayed
+    for replayed in list(state.table)[tail:]:
+        partition.add_subscription(replayed.rectangle, replayed.subscriber)
     engine = DynamicMatchingEngine(
         state.table,
         backend=broker.engine.backend,

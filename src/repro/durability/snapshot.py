@@ -22,33 +22,32 @@ truncate-don't-trust policy.
 **Each thing is encoded once.**  The stored text is
 ``canonical_json(snapshot.to_dict())`` and the digest is BLAKE2b-16
 over the canonical text of the same payload without its ``digest`` and
-``format_version`` members — the bytes they have always been.  Neither
-is produced by encoding the payload whole: both are assembled by
-:func:`repro.io.canonical_object` from one canonical text per
-top-level field, and ``table``'s — nearly all of the payload — is the
-producer's (``durable_state()["table_text"]``, kept by a
-:class:`repro.io.TableEncoder` across checkpoints) whenever the
-producer has one, so a checkpoint of an unchanged table encodes the
-partition and a handful of scalars.  A snapshot computes its digest at
-most once and remembers the 32 characters, not the text they cover:
-memory stores keep every snapshot they are given.  Only a snapshot that
-is shipped also keeps its field texts, and ``table``'s is the
-``table_text`` it already holds.
+``format_version`` members — the bytes they have always been.  Both
+are assembled by :func:`repro.io.canonical_object` from one canonical
+text per top-level field: the producer's where it handed one over in
+``durable_state()["texts"]``, encoded otherwise.  A broker hands over
+``table``'s (nearly all of the payload, kept by a
+:class:`repro.io.TableEncoder`) and ``partition``'s (kept by the
+:class:`~repro.clustering.groups.SpacePartition` until a group grows),
+so a checkpoint of an unchanged broker encodes only scalars and
+tombstones.  A snapshot computes its digest at most once and remembers
+the 32 characters, not the text they cover: memory stores keep every
+snapshot they are given.  Only a shipped snapshot keeps its field
+texts, and the handed-over ones are strings the producer holds anyway.
 
-That memo, and the sharing of one encoded table between consecutive
-snapshots, rest on a contract: **a ``Snapshot`` and the dicts it holds
-are immutable once constructed.**  ``LogShipper`` re-ships one
-snapshot's :meth:`~Snapshot.shipped` form (each body field's canonical
-text, ``table``'s being ``table_text``, beside the digest) in every
+That memo, and the sharing of one encoded table and partition between
+consecutive snapshots, rest on a contract: **a ``Snapshot`` and the
+dicts it holds are immutable once constructed.**  ``LogShipper``
+re-ships one snapshot's :meth:`~Snapshot.shipped` form in every
 catch-up, ``MemorySnapshotStore`` hands the same instance to every
 ``latest()``, and recovery reads ``table`` / ``partition`` /
 ``sessions`` without copying the parts it does not change — all three
 rely on it.  Verification never does: :meth:`Snapshot.from_dict` and
 :meth:`Snapshot.from_shipped` build a new snapshot from what they were
-handed and compute that snapshot's digest from it — over the table
-text that arrived, which is also the text its ``table`` is parsed
-from — on every install; a payload's own ``digest`` member is only
-ever compared against.
+handed and compute its digest — over the field texts that arrived,
+which are also the texts its fields are parsed from — on every
+install; a payload's own ``digest`` member is only ever compared
+against.
 """
 
 from __future__ import annotations
@@ -93,10 +92,11 @@ class Snapshot:
     #: serialized payload (and the digest) when absent, so snapshots
     #: from session-less brokers are byte-identical to format v1.
     sessions: Optional[Dict] = None
-    #: ``canonical_json(table)`` when the producer already holds it
-    #: (see the module docstring); encoded on demand otherwise.
-    table_text: Optional[str] = field(
-        default=None, compare=False, repr=False
+    #: Canonical text of the body fields whose text the producer
+    #: already holds, by field name (see the module docstring); the
+    #: rest are encoded on demand.
+    texts: Dict[str, str] = field(
+        default_factory=dict, compare=False, repr=False
     )
     _digest: Optional[str] = field(
         default=None, init=False, compare=False, repr=False
@@ -127,13 +127,13 @@ class Snapshot:
         return payload
 
     def _body_texts(self) -> Dict[str, str]:
-        """Canonical text of each body field, ``table``'s encoded only
-        when the producer did not hand its text over."""
-        body = self._payload_body()
-        table = body.pop("table")
-        texts = {key: canonical_json(body[key]) for key in body}
-        texts["table"] = self.table_text or canonical_json(table)
-        return texts
+        """Canonical text of each body field, encoded only where the
+        producer did not hand it over."""
+        held = self.texts
+        return {
+            key: held.get(key) or canonical_json(value)
+            for key, value in self._payload_body().items()
+        }
 
     def _digest_of(self, texts: Dict[str, str]) -> str:
         """The digest over ``texts``, computed once and remembered."""
@@ -171,17 +171,17 @@ class Snapshot:
     def from_shipped(
         cls, shipped: Dict, held: Optional[Snapshot] = None
     ) -> Snapshot:
-        """Decode and verify a :meth:`shipped` form.  The table is the
-        one that arrived: its text is kept as ``table_text`` and parsed
-        — unless ``held`` already holds that very text parsed."""
+        """Decode and verify a :meth:`shipped` form.  Each field is the
+        text that arrived, kept as ``texts`` and parsed — the table's
+        unless ``held`` already holds that very text parsed."""
         texts = shipped["texts"]
         text = texts["table"]
         body = {k: json.loads(v) for k, v in texts.items() if k != "table"}
-        if held is not None and held.table_text == text:
+        if held is not None and held.texts.get("table") == text:
             body["table"] = held.table
         else:
             body["table"] = json.loads(text)
-        return cls._verified(body, shipped, table_text=text)
+        return cls._verified(body, shipped, texts)
 
     @classmethod
     def from_dict(cls, payload: Dict) -> Snapshot:
@@ -194,7 +194,7 @@ class Snapshot:
 
     @classmethod
     def _verified(
-        cls, body: Dict, payload: Dict, table_text: Optional[str] = None
+        cls, body: Dict, payload: Dict, texts: Optional[Dict] = None
     ) -> Snapshot:
         """A snapshot of ``body``'s values, whose own digest must equal
         the ``digest`` member ``payload`` carries."""
@@ -206,7 +206,7 @@ class Snapshot:
             partition=body.get("partition"),
             taken_at=float(body.get("taken_at", 0.0)),
             sessions=body.get("sessions"),
-            table_text=table_text,
+            texts=texts or {},
         )
         if "digest" not in payload:
             raise ValueError(
@@ -246,9 +246,8 @@ class MemorySnapshotStore(SnapshotStore):
         self._snapshots[snapshot.snapshot_id] = snapshot
 
     def latest(self) -> Optional[Snapshot]:
-        if not self._snapshots:
-            return None
-        return self._snapshots[max(self._snapshots)]
+        snapshots = self._snapshots
+        return snapshots[max(snapshots)] if snapshots else None
 
     def ids(self) -> List[int]:
         return sorted(self._snapshots)

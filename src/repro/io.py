@@ -76,37 +76,21 @@ def fsync_dir(path: Union[str, Path]) -> None:
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    """Write ``text`` to ``path`` all-or-nothing.
+    """:func:`atomic_write_bytes` of ``text`` encoded as UTF-8."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
+    """Write ``data`` to ``path`` all-or-nothing.
 
     The content goes to a temp file in the same directory and is
     :func:`os.replace`\\ d into place, so an interrupted write (crash,
     full disk, ctrl-C) leaves any previous file at ``path`` intact —
-    never a truncated hybrid.  The temp file is removed on failure,
-    and the directory is fsynced after the rename so the new entry
-    itself survives a host crash.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent or "."), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-        fsync_dir(path.parent or ".")
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
-    """Binary sibling of :func:`atomic_write_text`.
-
-    Same temp-file + :func:`os.replace` + directory-fsync contract;
-    used by the durability layer (WAL rewrites, snapshot stores) where
-    a torn write is precisely the corruption recovery must survive.
+    never a truncated hybrid; the durability layer (WAL rewrites,
+    snapshot stores) relies on it, a torn write being precisely the
+    corruption recovery must survive.  The temp file is removed on
+    failure, and the directory is fsynced after the rename so the new
+    entry itself survives a host crash.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(

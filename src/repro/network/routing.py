@@ -204,11 +204,6 @@ class RoutingTable:
         parents = self._pred[source].take(nodes)
         return list(zip(parents.tolist(), nodes.tolist()))
 
-    def eccentricity(self, source: int) -> float:
-        """Largest finite shortest-path cost out of ``source``."""
-        row = self._dist[source]
-        return float(row[np.isfinite(row)].max())
-
     def diameter(self) -> float:
         """Largest finite shortest-path cost between any node pair.
 

@@ -170,7 +170,7 @@ class Rebalancer:
             checkpoint_lsn=self.wal.end_lsn,
             table=encoded,
             taken_at=now,
-            table_text=text,
+            texts={"table": text},
         )
 
     def _install(

@@ -177,9 +177,11 @@ class ShardBroker:
         rows, text = _encode(self._entries, self._codec)
         return {
             "table": {"kind": _TABLE_KIND, "entries": rows},
-            "table_text": canonical_object(
-                {"kind": canonical_json(_TABLE_KIND), "entries": text}
-            ),
+            "texts": {
+                "table": canonical_object(
+                    {"kind": canonical_json(_TABLE_KIND), "entries": text}
+                )
+            },
             "removed": [],
             "partition": None,
         }

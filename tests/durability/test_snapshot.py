@@ -94,7 +94,7 @@ class TestShipped:
             sessions=snapshot.sessions or None,
         )
         assert arrived.digest() == snapshot.digest()
-        assert arrived.table_text == canonical_json(snapshot.table)
+        assert arrived.texts["table"] == canonical_json(snapshot.table)
 
     def test_built_once(self):
         original = snap()

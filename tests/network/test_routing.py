@@ -156,9 +156,6 @@ class TestAggregateCosts:
         table = RoutingTable(diamond)
         assert table.shortest_path_tree_cost(0, [0]) == 0.0
 
-    def test_eccentricity(self, line_graph):
-        assert RoutingTable(line_graph).eccentricity(0) == 6.0
-
 
 def reference_tree_walk(table, source, targets):
     """The tree walk as it was before the per-source rows: predecessor
