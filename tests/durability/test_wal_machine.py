@@ -3,10 +3,11 @@
 A Hypothesis state machine drives a :class:`MemoryWAL` and a
 :class:`FileWAL` through generated schedules of everything that puts
 bytes into a log or takes them out — ``append``, raw well-framed
-records whose stored JSON is *not* canonical, prefix truncation at a
-record boundary, raw garbage, torn tails, flipped bits, ``repair``,
-an anti-entropy ``copy_out`` → ``copy_in`` into a second log, a reopen
-— and after two steps in three compares what the log reports with
+records whose stored JSON is *not* canonical (or is no object, no
+JSON at all, or comes under a kind byte no record has), prefix
+truncation at a record boundary, raw garbage, torn tails, flipped
+bits, ``repair``, an anti-entropy ``copy_out`` → ``copy_in`` into a
+second log, a reopen — and after two steps in three compares what the log reports with
 :func:`reference_walk`: a copy, kept here on purpose, of the eager
 front-to-back loop ``scan`` was before the log remembered where its
 records start.  The reference sees only ``dump()``, so whatever the log
@@ -101,10 +102,31 @@ _bodies = st.dictionaries(
     st.one_of(st.integers(-5, 500), st.lists(st.integers(0, 9), max_size=3)),
     max_size=3,
 )
+#: Well-framed, CRC-valid payload texts that a decoder reading only
+#: canonical objects would get wrong: each must be accepted, or refused
+#: with its message, exactly as ``json.loads`` does.
+_ODD_TEXTS = [
+    b' {"a":1}', b'{"a":1} ', b'{"a":1}\n', b"\t{}", b"[1]", b"1",
+    b'"s"', b"null", b'{"a":1}{"b":2}', b'{"a":1} x', b"NaN", b"Infinity",
+    b"[NaN]", b'{"a":Infinity,"b":-Infinity}', b'{"a":1,"a":2}',
+    b"\xff\xfe", b'{"a":"\xc3"}', b'{"a":1', b"", b"{", b"}",
+    b'\xef\xbb\xbf{"a":1}', b'{"a":"\x01"}', b'{"a" : [1 , 2] }',
+    b'{"\\ud800":"\\u00e9"}', b'{"a":1e400}', b"{}",
+]
+#: Every kind byte, and some no record has (refused as an unknown kind).
+_kind_bytes = st.one_of(_kinds.map(int), st.sampled_from([0, 12, 255]))
 #: What every rule appends before it does its own thing — ``(kind, body,
-#: stored canonically?)`` — so the schedules in which Hypothesis switched
-#: the plain ``append`` rule off still have records to work on.
-_writes = st.lists(st.tuples(_kinds, _bodies, st.booleans()), max_size=3)
+#: how it is stored)`` — so the schedules in which Hypothesis switched
+#: the plain ``append`` rule off still have records to work on.  A body
+#: is stored canonically (``True``), as ``json.dumps`` writes it
+#: (``False``), or replaced by one of the odd texts under any kind byte.
+_writes = st.lists(
+    st.one_of(
+        st.tuples(_kinds, _bodies, st.booleans()),
+        st.tuples(_kind_bytes, st.just(None), st.sampled_from(_ODD_TEXTS)),
+    ),
+    max_size=3,
+)
 
 
 class WalMachine(RuleBasedStateMachine):
@@ -143,7 +165,10 @@ class WalMachine(RuleBasedStateMachine):
     def _write(self, writes):
         for kind, body, canonical in writes:
             self.written_at.append(self.wal.end_lsn)
-            if canonical:
+            if body is None:
+                # A raw payload: ``canonical`` holds its text.
+                self.wal._append_bytes(_framed(bytes([kind]) + canonical))
+            elif canonical:
                 assert self.wal.append(kind, body) == self.written_at[-1]
             else:
                 # Well framed, CRC-valid, but stored with json.dumps'
