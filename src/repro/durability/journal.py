@@ -73,18 +73,16 @@ class BrokerJournal:
         self.on_record: Optional[
             Callable[[int, RecordKind, Dict], None]
         ] = None
-        self.on_checkpoint: Optional[
-            Callable[[Snapshot, int], None]
-        ] = None
+        self.on_checkpoint: Optional[Callable[[Snapshot, int], None]] = None
 
     # -- record writers ------------------------------------------------------
 
     def _append(self, kind: RecordKind, body: Dict) -> int:
-        # Stamp the clock here rather than letting the WAL do it, so
-        # the body handed to ``on_record`` is the stored body verbatim —
-        # a standby re-appending it produces byte-identical records.
+        # Stamp the clock here, in the writer's own dict, not in the
+        # WAL, so ``on_record`` gets the stored body verbatim — a
+        # standby re-appending it produces byte-identical records.
         if "t" not in body:
-            body = {**body, "t": float(self.wal.clock())}
+            body["t"] = float(self.wal.clock())
         lsn = self.wal.append(kind, body)
         if self.telemetry.enabled:
             self.telemetry.counter(
@@ -112,17 +110,13 @@ class BrokerJournal:
 
     def log_subscribe(self, subscription) -> int:
         """Journal a subscription add (call before the engine mutates)."""
-        return self._log_entry(
-            subscription.subscription_id,
-            subscription.subscriber,
-            subscription.rectangle,
-        )
+        s = subscription
+        return self._log_entry(s.subscription_id, s.subscriber, s.rectangle)
 
     def log_unsubscribe(self, subscription_id: int) -> int:
         """Journal a subscription removal (tombstone)."""
-        return self._append(
-            RecordKind.UNSUBSCRIBE, {"sid": int(subscription_id)}
-        )
+        body = {"sid": int(subscription_id)}
+        return self._append(RecordKind.UNSUBSCRIBE, body)
 
     def log_publish(
         self,
@@ -137,11 +131,11 @@ class BrokerJournal:
         The intent's LSN becomes a truncation low-water candidate until
         every target's completion is journaled via :meth:`log_delivery`.
         """
-        target_set = {int(t) for t in targets}
+        seq, target_set = int(sequence), {int(t) for t in targets}
         lsn = self._append(
             RecordKind.PUBLISH,
             {
-                "seq": int(sequence),
+                "seq": seq,
                 "publisher": int(publisher),
                 "targets": sorted(target_set),
                 "method": method,
@@ -149,8 +143,8 @@ class BrokerJournal:
             },
         )
         if target_set:
-            self._intent_lsn[int(sequence)] = lsn
-            self._intent_targets[int(sequence)] = target_set
+            self._intent_lsn[seq] = lsn
+            self._intent_targets[seq] = target_set
         return lsn
 
     def log_session(self, body: Dict) -> int:
@@ -164,23 +158,19 @@ class BrokerJournal:
 
     def log_cursor(self, session_id: str, cursor: int) -> int:
         """Journal one session's delivery-cursor advance (on ack)."""
-        return self._append(
-            RecordKind.CURSOR,
-            {"id": str(session_id), "cursor": int(cursor)},
-        )
+        body = {"id": str(session_id), "cursor": int(cursor)}
+        return self._append(RecordKind.CURSOR, body)
 
     def log_delivery(self, sequence: int, target: int) -> int:
         """Journal one target's acked delivery; retires finished intents."""
-        lsn = self._append(
-            RecordKind.DELIVER,
-            {"seq": int(sequence), "target": int(target)},
-        )
-        remaining = self._intent_targets.get(int(sequence))
+        seq, target = int(sequence), int(target)
+        lsn = self._append(RecordKind.DELIVER, {"seq": seq, "target": target})
+        remaining = self._intent_targets.get(seq)
         if remaining is not None:
-            remaining.discard(int(target))
+            remaining.discard(target)
             if not remaining:
-                del self._intent_targets[int(sequence)]
-                del self._intent_lsn[int(sequence)]
+                del self._intent_targets[seq]
+                del self._intent_lsn[seq]
         self.maybe_checkpoint()
         return lsn
 
@@ -247,13 +237,9 @@ class BrokerJournal:
         exactly snapshot + replay — is checkpointed at the new end
         before the first append.
         """
-        self._intent_lsn = {
-            seq: entry.lsn for seq, entry in state.inflight.items()
-        }
-        self._intent_targets = {
-            seq: set(entry.targets)
-            for seq, entry in state.inflight.items()
-        }
+        inflight = state.inflight.items()
+        self._intent_lsn = {seq: entry.lsn for seq, entry in inflight}
+        self._intent_targets = {seq: set(e.targets) for seq, e in inflight}
         self._appends_since_checkpoint = 0
         self._next_snapshot_id = max(self.store.ids(), default=-1) + 1
         if self.wal.end_lsn < state.checkpoint_lsn:

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
+from typing import Set, Tuple, TypeVar
 
 from ..clustering.grid import EventGrid
 from ..clustering.groups import SpacePartition
+from ..core.distribution import typed_eq
 from ..core.subscription import SubscriptionTable
 from ..io import (
     canonical_json,
@@ -56,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InflightDelivery:
+class InflightDelivery(NamedTuple):
     """One journaled publish intent with its still-unacked targets."""
 
     sequence: int
@@ -65,6 +66,8 @@ class InflightDelivery:
     targets: Tuple[int, ...]
     #: LSN of the PUBLISH record (the truncation low-water mark).
     lsn: int
+
+    __eq__, __ne__, __hash__ = typed_eq, object.__ne__, tuple.__hash__
 
 
 @dataclass
@@ -100,10 +103,8 @@ class ReplayResult:
         Two recoveries from the same snapshot + WAL bytes produce the
         same digest — the seed-stability property the tests pin.
         """
-        canonical = canonical_json(self._digest_body())
-        return hashlib.blake2b(
-            canonical.encode("utf-8"), digest_size=16
-        ).hexdigest()
+        text = canonical_json(self._digest_body()).encode("utf-8")
+        return hashlib.blake2b(text, digest_size=16).hexdigest()
 
 
 @dataclass
@@ -132,11 +133,8 @@ class RecoveredState(ReplayResult):
         if self.sessions:
             # Only present for session-bearing brokers, so digests of
             # session-less recoveries match their pinned pre-session
-            # values byte for byte.
-            body["sessions"] = {
-                sid: dict(sorted(entry.items()))
-                for sid, entry in sorted(self.sessions.items())
-            }
+            # values byte for byte (canonical_json sorts the keys).
+            body["sessions"] = self.sessions
         return body
 
 
@@ -196,46 +194,41 @@ def replay(
     if not scan.clean:
         wal.repair()
 
-    pending: Dict[int, Dict[str, Any]] = {}  # seq -> {publisher, targets, lsn}
-    for record in scan.records:
-        body = record.body
+    # seq -> [publisher, unacked targets, lsn] of each unfinished intent.
+    pending: Dict[int, List[Any]] = {}
+    checkpoint_lsn, replayed, skipped = state.checkpoint_lsn, 0, 0
+    for lsn, kind, body, _ in scan.records:
         try:
-            if record.kind is RecordKind.PUBLISH:
-                intent = {
-                    "publisher": int(body["publisher"]),
-                    "targets": {int(t) for t in body["targets"]},
-                    "lsn": record.lsn,
-                }
-                # An intent with no targets owes nobody a delivery; the
-                # journal never tracked it, so it is not in flight.
-                if intent["targets"]:
-                    pending[int(body["seq"])] = intent
-            elif record.kind is RecordKind.DELIVER:
-                entry = pending.get(int(body["seq"]))
+            if kind is RecordKind.PUBLISH:
+                publisher = int(body["publisher"])
+                targets = {int(t) for t in body["targets"]}
+                # An intent with no targets owes nobody a delivery (the
+                # journal never tracked it): its ``seq`` is never read.
+                if targets:
+                    pending[int(body["seq"])] = [publisher, targets, lsn]
+            elif kind is RecordKind.DELIVER:
+                seq = int(body["seq"])
+                entry = pending.get(seq)
                 if entry is not None:
-                    entry["targets"].discard(int(body["target"]))
-                    if not entry["targets"]:
-                        del pending[int(body["seq"])]
-            elif record.kind in folds:
-                if record.lsn < state.checkpoint_lsn:
+                    entry[1].discard(int(body["target"]))
+                    if not entry[1]:
+                        del pending[seq]
+            elif kind in folds:
+                if lsn < checkpoint_lsn:
                     continue  # already folded into the snapshot
-                folds[record.kind](state, body)
+                folds[kind](state, body)
             # CHECKPOINT / MIGRATE_* markers are informational; the
             # snapshot store is the authority on which checkpoint
             # actually survived.
         except (KeyError, TypeError, ValueError):
-            state.skipped += 1
+            skipped += 1
             continue
-        state.replayed += 1
-
+        replayed += 1
+    state.replayed += replayed
+    state.skipped += skipped
     state.inflight = {
-        seq: InflightDelivery(
-            sequence=seq,
-            publisher=entry["publisher"],
-            targets=tuple(sorted(entry["targets"])),
-            lsn=entry["lsn"],
-        )
-        for seq, entry in sorted(pending.items())
+        seq: InflightDelivery(seq, publisher, tuple(sorted(targets)), lsn)
+        for seq, (publisher, targets, lsn) in sorted(pending.items())
     }
     if telemetry.enabled:
         telemetry.counter(
@@ -251,11 +244,8 @@ def replay(
         ).inc(sum(len(e.targets) for e in state.inflight.values()))
         span.set_attribute("replayed", state.replayed).set_attribute(
             "truncated_bytes", state.truncated_bytes
-        ).set_attribute(
-            "inflight", len(state.inflight)
-        ).set_attribute(
-            "snapshot",
-            state.snapshot_id if state.snapshot_id is not None else -1,
+        ).set_attribute("inflight", len(state.inflight)).set_attribute(
+            "snapshot", -1 if state.snapshot_id is None else state.snapshot_id
         ).finish()
     return state
 

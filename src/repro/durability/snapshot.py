@@ -185,12 +185,18 @@ class Snapshot:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> Snapshot:
+        """A verified snapshot, or ``ValueError`` for any other payload."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"snapshot payload is a {type(payload).__name__}")
         version = payload.get("format_version")
         if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported snapshot format version: {version!r}"
             )
-        return cls._verified(payload, payload)
+        try:
+            return cls._verified(payload, payload)
+        except (KeyError, TypeError) as error:
+            raise ValueError(f"malformed snapshot: {error!r}") from error
 
     @classmethod
     def _verified(
@@ -269,9 +275,8 @@ class FileSnapshotStore(SnapshotStore):
         )
 
     def save(self, snapshot: Snapshot) -> None:
-        # atomic_write_text renames into place and fsyncs the
-        # directory; a freshly written snapshot must survive a host
-        # crash, or recovery falls back to a stale checkpoint.
+        # Renamed into place, the directory fsynced: a snapshot a host
+        # crash loses sends recovery back to a stale checkpoint.
         atomic_write_text(
             self._path(snapshot.snapshot_id), snapshot.canonical()
         )
@@ -290,10 +295,9 @@ class FileSnapshotStore(SnapshotStore):
 
     def latest(self) -> Optional[Snapshot]:
         for snapshot_id in reversed(self.ids()):
-            path = self._path(snapshot_id)
             try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                return Snapshot.from_dict(payload)
+                text = self._path(snapshot_id).read_text(encoding="utf-8")
+                return Snapshot.from_dict(json.loads(text))
             except (ValueError, OSError):
                 # Torn or corrupt: fall back to the previous checkpoint,
                 # exactly like the WAL truncates at the last valid record.

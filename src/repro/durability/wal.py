@@ -16,10 +16,13 @@ The scan path is the whole point of the format: :meth:`WriteAheadLog.
 scan` walks records front to back, verifying the length prefix and the
 CRC of every payload, and stops — without raising — at the first
 evidence of a torn write (fewer bytes than the header promises) or
-corruption (CRC mismatch, absurd length, bad kind).  Recovery then
-:meth:`~WriteAheadLog.repair`\\ s the log by truncating the physical
-tail at the last valid record, which is exactly the "truncate, don't
-replay garbage" contract crash recovery needs.
+corruption (CRC mismatch, absurd length, bad kind or body).  Recovery
+then :meth:`~WriteAheadLog.repair`\\ s the log by truncating the
+physical tail at the last valid record, which is exactly the "truncate,
+don't replay garbage" contract crash recovery needs.  A body is decoded
+by ``json.loads``'s own scanner, built once, and kept when it is one
+object spanning the whole text (as every canonical body is); any other
+text goes to ``json.loads`` itself, which accepts it or names the fault.
 
 The log also keeps an in-memory **index**: the LSNs at which a walk (or
 its own ``append``) has already framed and validated a record.  It says
@@ -48,8 +51,9 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Generator, List, Optional, Tuple, Union
+from typing import Callable, Generator, List, NamedTuple, Optional, Tuple
 
+from ..core.distribution import typed_eq
 from ..io import atomic_write_bytes, canonical_json, open_append
 
 __all__ = [
@@ -88,8 +92,7 @@ class RecordKind(enum.IntEnum):
     CURSOR = 11        # a session's delivery cursor advanced (on ack)
 
 
-@dataclass(frozen=True)
-class WalRecord:
+class WalRecord(NamedTuple):
     """One decoded record: where it sits, what it says."""
 
     lsn: int
@@ -98,6 +101,8 @@ class WalRecord:
     #: LSN of the byte just past this record, as the walk found it (the
     #: stored JSON need not be the canonical encoding of ``body``).
     end_lsn: int
+
+    __eq__, __ne__, __hash__ = typed_eq, object.__ne__, tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,10 @@ class ScanResult:
 
 #: crc32 of each kind byte alone: a payload's CRC continues from it.
 _KIND_CRC = {int(kind): zlib.crc32(bytes([kind])) for kind in RecordKind}
+#: Each kind by its byte (a miss asks ``RecordKind``, which refuses it).
+_KINDS = {int(kind): kind for kind in RecordKind}
+#: ``json.loads``'s own scanner, built once: ``(value, end index)``.
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def encode_record(kind: RecordKind, body: dict) -> bytes:
@@ -238,8 +247,10 @@ class WriteAheadLog:
         reads from the physical start.  A walk from the start loads the
         body once; a seek reads only the records it yields, in windows
         sized by the index (a first seek completes it with one walk)
-        that double as the reader goes on.  The generator *returns*
-        ``(valid_end, corruption)`` as :class:`ScanResult` reports them.
+        that double as the reader goes on.  A body the cached scanner
+        does not take whole as an object is ``json.loads``'s to accept or
+        refuse.  The generator *returns* ``(valid_end, corruption)`` as
+        :class:`ScanResult` reports them.
         """
         base, end = self._base, self.end_lsn
         if from_lsn is None:
@@ -292,10 +303,16 @@ class WriteAheadLog:
                 corruption = f"CRC mismatch at lsn {lsn}"
                 break
             try:
-                kind = RecordKind(payload[0])
-                body = json.loads(payload[1:].decode("utf-8"))
-                if not isinstance(body, dict):
-                    raise ValueError("body is not an object")
+                kind = _KINDS.get(payload[0]) or RecordKind(payload[0])
+                text = payload[1:].decode("utf-8")
+                try:  # an object that is the whole text, at C speed
+                    body, at = _SCAN(text, 0)
+                except (StopIteration, ValueError):
+                    at = -1
+                if at != len(text) or type(body) is not dict:
+                    body = json.loads(text)  # accepts or refuses the rest
+                    if not isinstance(body, dict):
+                        raise ValueError("body is not an object")
             except (ValueError, UnicodeDecodeError) as error:
                 corruption = f"undecodable payload at lsn {lsn}: {error}"
                 break
@@ -482,15 +499,15 @@ class FileWAL(WriteAheadLog):
 
     def __init__(
         self,
-        path: Union[str, Path],
+        path: str | Path,
         clock: Optional[Callable[[], float]] = None,
     ):
         super().__init__(clock=clock)
         self.path = Path(path)
+        self._fspath = os.fspath(self.path)  # what every os.stat reads
         if self.path.exists():
             with self:  # refused or not, an unused handle holds no file
-                raw = os.pread(self._descriptor(), _HEADER.size, 0)
-                self._read_header(raw)
+                self._read_header(os.pread(self._descriptor(), _HEADER.size, 0))
         else:
             # Atomic creation + directory fsync: without the fsync, a
             # host crash after creation leaves no WAL at all and
@@ -528,13 +545,13 @@ class FileWAL(WriteAheadLog):
 
     def _descriptor(self) -> int:
         if self._fd is None:
-            self._fd = open_append(self.path)
+            self._fd = open_append(self._fspath)
             status = os.fstat(self._fd)
             self._held = (status.st_dev, status.st_ino)
         return self._fd
 
     def _size(self) -> int:
-        status = os.stat(self.path)
+        status = os.stat(self._fspath)
         if (status.st_dev, status.st_ino) != self._held:
             self.close()  # the path leads to another file now
         return max(0, status.st_size - _HEADER.size)

@@ -17,6 +17,7 @@ that gained *k* subscriptions encodes *k* entries.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -63,16 +64,12 @@ def fsync_dir(path: Union[str, Path]) -> None:
     ``OSError`` on the open or the fsync; durability there is
     best-effort and the error is swallowed.
     """
-    try:
+    with contextlib.suppress(OSError):
         fd = os.open(str(path), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
@@ -102,10 +99,8 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
         os.replace(tmp, path)
         fsync_dir(path.parent or ".")
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -194,12 +189,20 @@ def topology_from_dict(data: Dict) -> Topology:
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: ``_CANONICAL``'s C encoder, built once: ``JSONEncoder.encode`` builds
+#: a new one on every call.  No ``markers`` dict (a shared one keeps
+#: stale ids after a failed encode), so no circular-reference check.
+_ENCODE = json.encoder.c_make_encoder(
+    None, _CANONICAL.default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True,
+)
 
 
 def canonical_json(value: object) -> str:
     """The one canonical JSON text of ``value``: keys sorted, no
-    whitespace.  Digests and stored bytes are defined over it."""
-    return _CANONICAL.encode(value)
+    whitespace.  Digests and stored bytes are defined over it.  A
+    cyclic value raises ``RecursionError`` (nothing checks for one)."""
+    return "".join(_ENCODE(value, 0))
 
 
 def canonical_object(members: Mapping[str, str]) -> str:

@@ -6,15 +6,22 @@ one, and the records between the two checkpoints are gone from both.
 ``recover`` must say so in ``corruption`` — naming the snapshot, its
 LSN and the WAL base — and still never raise.  A fallback that loses
 nothing (the log still reaches back to the older snapshot) stays
-silent, as does every undamaged recovery.
+silent, as does every undamaged recovery.  A snapshot file that is
+still valid JSON but no intact snapshot — a member renamed by one
+flipped bit, a bare array — is skipped like one whose digest fails.
 """
 
 from __future__ import annotations
+
+import json
+
+import pytest
 
 from repro.durability import (
     BrokerJournal,
     FileSnapshotStore,
     FileWAL,
+    Snapshot,
     recover,
     restore_broker,
 )
@@ -113,3 +120,55 @@ def test_an_undamaged_recovery_reports_nothing(tmp_path):
     state = reopened(tmp_path)
     assert state.snapshot_id == 1 and len(state.table) == 68
     assert state.corruption is None
+
+
+def _rename_snapshot_id(text):
+    """One flipped bit: ``"snapshot_id"`` now reads ``"snapshot_ie"``."""
+    data = bytearray(text.encode("utf-8"))
+    data[data.index(b'"snapshot_id"') + len('"snapshot_i')] ^= 1
+    return data.decode("utf-8")
+
+
+def _edited(edit):
+    def rewrite(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload)
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        _rename_snapshot_id,
+        lambda text: "[]",
+        lambda text: "null",
+        lambda text: '"snapshot"',
+        _edited(lambda payload: payload.pop("table")),
+        _edited(lambda payload: payload.update(removed=5)),
+        _edited(lambda payload: payload.update(snapshot_id=[1])),
+    ],
+    ids=["renamed-member", "array", "null", "string", "no-table",
+         "removed-not-a-list", "id-not-a-number"],
+)
+def test_valid_json_that_is_no_snapshot_falls_back(tmp_path, rewrite):
+    """The store skips a damaged file that still parses as JSON, as it
+    does one whose digest does not match, and recovery never raises."""
+    broker, journal = journaled(tmp_path)
+    journal.log_publish(0, 1, [2], "unicast", 0)  # pins the log at 0
+    journal.checkpoint()
+    subscribe(broker, 5)
+    journal.checkpoint()
+    path = tmp_path / "snapshots" / "snapshot-00000001.json"
+    path.write_text(rewrite(path.read_text(encoding="utf-8")))
+
+    assert FileSnapshotStore(tmp_path / "snapshots").latest().snapshot_id == 0
+    state = reopened(tmp_path)
+    assert state.snapshot_id == 0 and len(state.table) == 65
+    assert state.corruption is None and state.skipped == 0
+
+
+@pytest.mark.parametrize("payload", [[], None, 7, "x"])
+def test_from_dict_refuses_a_payload_that_is_no_object(payload):
+    with pytest.raises(ValueError, match="snapshot payload is a"):
+        Snapshot.from_dict(payload)
