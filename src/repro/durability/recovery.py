@@ -166,7 +166,8 @@ def replay(
     ``corruption``), a damaged snapshot falls back to the previous one
     (``corruption`` names it when the WAL no longer reaches back to
     it), and a body a fold rejects (``KeyError`` / ``TypeError`` /
-    ``ValueError``) is counted in ``skipped``.
+    ``ValueError``, or ``OverflowError`` for an infinite integer field)
+    is counted in ``skipped``.
     """
     telemetry = or_null(telemetry)
     span = None
@@ -220,7 +221,7 @@ def replay(
             # CHECKPOINT / MIGRATE_* markers are informational; the
             # snapshot store is the authority on which checkpoint
             # actually survived.
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             skipped += 1
             continue
         replayed += 1

@@ -31,7 +31,7 @@ def fresh_reference(engine):
     live_ids = {
         s.subscription_id
         for s in engine.table
-        if s.subscription_id not in engine._removed
+        if not engine._tombstones[s.subscription_id]
     }
     id_map = {}
     for s in engine.table:
@@ -437,7 +437,7 @@ class TestSustainedChurnDelivery:
         return {
             s.subscriber
             for s in engine.table
-            if s.subscription_id not in engine._removed
+            if not engine._tombstones[s.subscription_id]
             and s.rectangle.contains_point(point)
         }
 

@@ -89,7 +89,7 @@ def reference_recover(dump, snapshot):
                 if lsn < state.checkpoint_lsn:
                     continue
                 folds[kind](state, body)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             state.skipped += 1
             continue
         state.replayed += 1
