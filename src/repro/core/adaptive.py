@@ -215,9 +215,7 @@ def run_adaptive(
         if decision.method is DeliveryMethod.NOT_SENT:
             tally.skip()
             continue
-        recipients = [
-            node for node in match.subscribers if node != event.publisher
-        ]
+        recipients = match.recipients_from(event.publisher)
         unicast_cost = broker.costs.unicast_cost(
             event.publisher, recipients
         )

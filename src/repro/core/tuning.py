@@ -154,9 +154,7 @@ class ThresholdTuner:
                 catchall += 1
                 continue
             group = broker.partition.group(q)
-            recipients = [
-                node for node in match.subscribers if node != event.publisher
-            ]
+            recipients = match.recipients_from(event.publisher)
             samples.setdefault(q, []).append(
                 GroupSample(
                     interested=match.num_subscribers,
@@ -251,9 +249,7 @@ def oracle_tally(
         if match.is_empty:
             tally.skip()
             continue
-        recipients = [
-            node for node in match.subscribers if node != event.publisher
-        ]
+        recipients = match.recipients_from(event.publisher)
         unicast = broker.costs.unicast_cost(event.publisher, recipients)
         ideal = broker.costs.ideal_cost(event.publisher, recipients)
         q = broker.partition.locate(event.point)

@@ -342,11 +342,8 @@ class OverloadChaosSimulation(ChaosSimulation):
             # receivers' local subscription filter) is still the exact
             # interested set, so the verifier computes it on the side.
             self.degraded_events += 1
-            recipients = [
-                node
-                for node in self.broker.engine.match(event).subscribers
-                if node != event.publisher
-            ]
+            exact = self.broker.engine.match(event)
+            recipients = list(exact.recipients_from(event.publisher))
         self._interested[sequence] = frozenset(recipients)
         self.outcomes.finish(sequence, "delivered")
         if plan.decision.method is not DeliveryMethod.NOT_SENT:
