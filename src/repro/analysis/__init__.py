@@ -18,7 +18,7 @@ from .histograms import (
     rank_frequency,
     survival_curve,
 )
-from .report import format_series, format_table, sparkline
+from .report import format_table, sparkline
 
 __all__ = [
     "NormalFit",
@@ -30,7 +30,6 @@ __all__ = [
     "density_histogram",
     "rank_frequency",
     "survival_curve",
-    "format_series",
     "format_table",
     "sparkline",
 ]

@@ -29,10 +29,6 @@ class HistogramSeries:
         """Center of the highest-density bin."""
         return float(self.centers[int(np.argmax(self.density))])
 
-    def total_mass(self) -> float:
-        """Integral of the histogram (≈1 for a proper density)."""
-        return float(self.density.sum() * self.bin_width)
-
 
 def density_histogram(
     data: np.ndarray,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-__all__ = ["format_table", "format_series", "sparkline"]
+__all__ = ["format_table", "sparkline"]
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -39,16 +39,6 @@ def format_table(
         if r == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def format_series(
-    name: str, xs: Sequence[float], ys: Sequence[float]
-) -> str:
-    """One labelled x/y series with a sparkline, for quick eyeballing."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must align")
-    pairs = "  ".join(f"{_fmt(x)}:{_fmt(y)}" for x, y in zip(xs, ys))
-    return f"{name}  [{sparkline(ys)}]\n  {pairs}"
 
 
 def sparkline(values: Sequence[float]) -> str:

@@ -24,7 +24,6 @@ from .mst import MinimumSpanningTreeClustering
 from .pairwise import PairwiseGroupingClustering
 from .waste import (
     ClusterState,
-    expected_waste_of_cells,
     paper_recursive_expected_waste,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "MinimumSpanningTreeClustering",
     "PairwiseGroupingClustering",
     "ClusterState",
-    "expected_waste_of_cells",
     "paper_recursive_expected_waste",
 ]

@@ -38,10 +38,6 @@ class ClusteringResult:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    @property
-    def num_cells(self) -> int:
-        return sum(len(c) for c in self.clusters)
-
     def total_expected_waste(self) -> float:
         """Publication-probability-weighted EW across clusters.
 

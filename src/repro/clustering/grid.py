@@ -107,11 +107,6 @@ class GridCell:
         """``n(g)`` — number of interested subscribers."""
         return self.members.bit_count()
 
-    @property
-    def weight(self) -> float:
-        """``p(g) * n(g)`` — the top-T ranking key."""
-        return self.probability * self.member_count
-
     def rectangle(self) -> Rectangle:
         """The cell as a half-open rectangle."""
         return Rectangle(self.lows, self.highs)

@@ -39,7 +39,6 @@ from .grid import GridCell
 
 __all__ = [
     "ClusterState",
-    "expected_waste_of_cells",
     "paper_recursive_expected_waste",
 ]
 
@@ -142,11 +141,6 @@ class ClusterState:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-
-def expected_waste_of_cells(cells: Sequence[GridCell]) -> float:
-    """``EW`` of a cell set, straight from the closed-form definition."""
-    return ClusterState.from_cells(cells).expected_waste
 
 
 def paper_recursive_expected_waste(cells: Sequence[GridCell]) -> float:

@@ -425,7 +425,7 @@ class PubSubBroker:
         partition, partition_text = self.partition.durable_state()
         state = {
             "table": table,
-            "removed": sorted(getattr(self, "_removed", ()) or ()),
+            "removed": list(self.engine.removed),
             "partition": partition,
             "texts": {"table": table_text, "partition": partition_text},
         }

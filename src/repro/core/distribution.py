@@ -99,11 +99,6 @@ class ThresholdPolicy:
         """
         return _threshold_rule(self.threshold, interested, group_size, group)
 
-    @classmethod
-    def static_multicast(cls) -> ThresholdPolicy:
-        """Threshold 0: the no-dynamic-decision baseline of Figure 6."""
-        return cls(threshold=0.0)
-
 
 @dataclass(frozen=True)
 class PerGroupThresholdPolicy:

@@ -23,7 +23,7 @@ for a bulk-packed index under churn:
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -187,6 +187,11 @@ class DynamicMatchingEngine:
         return self._base.stats
 
     @property
+    def removed(self) -> List[int]:
+        """The withdrawn ids, ascending: the tombstone mask's set bits."""
+        return np.flatnonzero(np.frombuffer(self._tombstones, bool)).tolist()
+
+    @property
     def pending_churn(self) -> int:
         """Inserts + deletes absorbed since the last repack."""
         return len(self._overflow_ids) + self._removals_since_rebuild
@@ -234,7 +239,6 @@ class DynamicPubSubBroker(PubSubBroker):
             algorithm=algorithm, num_groups=num_groups, density=density,
             cells_per_dim=cells_per_dim, max_cells=max_cells, grid_frame=None,
         )
-        self._removed: Set[int] = set()
         #: Optional durability hook (see :meth:`attach_journal`).
         self.journal = None
 
@@ -304,20 +308,19 @@ class DynamicPubSubBroker(PubSubBroker):
         superset) until :meth:`repreprocess`.
         """
         self.engine.remove(subscription_id)
-        self._removed.add(subscription_id)
         if self.journal is not None:
             self.journal.log_unsubscribe(subscription_id)
 
     def repreprocess(self) -> None:
         """Re-run the static stage over the live subscription set."""
         live = SubscriptionTable(self.table.ndim)
+        removed = set(self.engine.removed)
         for subscription in self.table:
-            if subscription.subscription_id not in self._removed:
+            if subscription.subscription_id not in removed:
                 live.add(subscription.subscriber, subscription.rectangle)
         self.partition = self.partition_table(live, **self._clustering)
         self.table = live
         self.engine = self._make_engine(live, self.engine.backend)
-        self._removed.clear()
         self.costs.clear_cache()
         if self.journal is not None:
             # Compaction renumbers the ids the WAL's records name.
@@ -326,4 +329,4 @@ class DynamicPubSubBroker(PubSubBroker):
     @property
     def live_subscriptions(self) -> int:
         """Number of currently active subscriptions."""
-        return len(self.table) - len(self._removed)
+        return len(self.table) - len(self.engine.removed)

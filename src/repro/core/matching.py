@@ -77,6 +77,10 @@ class MatchResult(NamedTuple):
 class MatchingEngine:
     """Point-query front end over a subscription table."""
 
+    #: A static engine withdraws nothing (see
+    #: :attr:`~repro.core.dynamic.DynamicMatchingEngine.removed`).
+    removed = ()
+
     def __init__(
         self,
         table: SubscriptionTable,

@@ -153,9 +153,6 @@ class SubscriptionTable:
         """Distinct subscriber identities, sorted."""
         return sorted(self._rank_of)
 
-    def subscriber_of(self, subscription_id: int) -> int:
-        return self._subscriptions[subscription_id].subscriber
-
     def subscribers_of(self, subscription_ids: Iterable[int]) -> List[int]:
         """Distinct subscribers behind matched subscriptions, sorted: one
         gather of their owners' ranks, one flag per rank, one pass."""

@@ -88,16 +88,6 @@ class GroupEfficiency:
     cost_at_best: float
     cost_at_oracle: float
 
-    @property
-    def threshold_regret(self) -> float:
-        """Training-cost gap between the tuned rule and the oracle.
-
-        Zero means a single threshold perfectly separates this group's
-        unicast-better events from its multicast-better events (which
-        happens exactly when the win/lose regions are ratio-monotone).
-        """
-        return self.cost_at_best - self.cost_at_oracle
-
 
 @dataclass
 class TuningReport:
@@ -107,13 +97,6 @@ class TuningReport:
     per_group: List[GroupEfficiency]
     catchall_events: int
     unmatched_events: int
-
-    def efficiency_of(self, group: int) -> GroupEfficiency:
-        """Lookup by 1-based group id."""
-        for row in self.per_group:
-            if row.group == group:
-                return row
-        raise KeyError(f"no efficiency record for group {group}")
 
 
 class ThresholdTuner:

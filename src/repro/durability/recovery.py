@@ -285,7 +285,7 @@ def _fold_subscribe(state: RecoveredState, body: Dict[str, Any]) -> None:
 
 def _fold_unsubscribe(state: RecoveredState, body: Dict[str, Any]) -> None:
     sid = int(body["sid"])
-    if state.table is None or sid >= len(state.table):
+    if state.table is None or not 0 <= sid < len(state.table):
         raise ValueError("tombstone for a subscription never seen")
     state.removed.add(sid)
     state.removals_replayed += 1
@@ -400,8 +400,6 @@ def restore_broker(
     broker.table = state.table
     broker.partition = partition
     broker.engine = engine
-    if hasattr(broker, "_removed"):
-        broker._removed = set(state.removed)
     broker.costs.clear_cache()
     if telemetry is not None and telemetry.enabled:
         telemetry.counter(

@@ -296,11 +296,6 @@ class FaultPlan:
             or self.wal_corruptions
         )
 
-    @classmethod
-    def uniform_loss(cls, rate: float, seed: int = 0) -> FaultPlan:
-        """Every link drops each transmission with probability ``rate``."""
-        return cls(seed=seed, default_loss=rate)
-
 
 @dataclass(frozen=True)
 class FaultState:
@@ -316,9 +311,6 @@ class FaultState:
     dead_nodes: FrozenSet[int]
     dead_links: FrozenSet[Tuple[int, int]]
 
-    def node_dead(self, node: int) -> bool:
-        return int(node) in self.dead_nodes
-
     def link_dead(self, u: int, v: int) -> bool:
         return (
             _link_key(u, v) in self.dead_links
@@ -329,11 +321,6 @@ class FaultState:
     @property
     def clear(self) -> bool:
         return not self.dead_nodes and not self.dead_links
-
-    @classmethod
-    def none(cls, time: float = 0.0) -> FaultState:
-        """A fault-free snapshot (useful as a neutral default)."""
-        return cls(time=time, dead_nodes=frozenset(), dead_links=frozenset())
 
 
 @dataclass
@@ -347,15 +334,6 @@ class FaultStats:
     receiver_down_drops: int = 0
     duplicates_injected: int = 0
     delays_injected: int = 0
-
-    @property
-    def total_drops(self) -> int:
-        return (
-            self.random_drops
-            + self.outage_drops
-            + self.sender_down_drops
-            + self.receiver_down_drops
-        )
 
 
 @dataclass(frozen=True)

@@ -720,14 +720,6 @@ class ReliableTransport:
 
     # -- introspection -------------------------------------------------------
 
-    def unacked(self) -> List[Tuple[int, int]]:
-        """(key, target) pairs neither acked nor abandoned (yet)."""
-        return [
-            pair
-            for pair, pending in self._pending.items()
-            if not pending.acked and not pending.failed
-        ]
-
     def failed(self) -> List[Tuple[int, int]]:
         """(key, target) pairs whose retry budget was exhausted."""
         return [

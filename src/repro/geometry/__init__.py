@@ -6,8 +6,8 @@ intervals ``(lo, hi]``, and publications are points.
 """
 
 from .interval import FULL_LINE, Interval, parse_predicate
-from .point import Point, as_point, points_to_array
-from .rectangle import Rectangle, bounding_rectangle
+from .point import Point, as_point
+from .rectangle import Rectangle
 
 __all__ = [
     "FULL_LINE",
@@ -15,7 +15,5 @@ __all__ = [
     "parse_predicate",
     "Point",
     "as_point",
-    "points_to_array",
     "Rectangle",
-    "bounding_rectangle",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 __all__ = ["Interval", "FULL_LINE"]
 
@@ -45,11 +45,6 @@ class Interval:
     def is_empty(self) -> bool:
         """True when the interval contains no points (``hi <= lo``)."""
         return self.hi <= self.lo
-
-    @property
-    def is_bounded(self) -> bool:
-        """True when both endpoints are finite."""
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
 
     def contains(self, x: float) -> bool:
         """Whether ``x`` lies in ``(lo, hi]``."""
@@ -88,49 +83,15 @@ class Interval:
 
     # -- set operations ----------------------------------------------------
 
-    def intersects(self, other: Interval) -> bool:
-        """Whether the two half-open intervals share at least one point."""
-        if self.is_empty or other.is_empty:
-            return False
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
-
     def intersection(self, other: Interval) -> Interval:
         """The (possibly empty) intersection of two intervals."""
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def hull(self, other: Interval) -> Interval:
-        """Smallest interval containing both (ignoring empties)."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def contains_interval(self, other: Interval) -> bool:
-        """Whether ``other`` is a subset of this interval."""
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        return self.lo <= other.lo and other.hi <= self.hi
-
     # -- helpers -----------------------------------------------------------
-
-    def clamp(self, lo: float, hi: float) -> Interval:
-        """Intersect with the bounded interval ``(lo, hi]``."""
-        return self.intersection(Interval(lo, hi))
 
     def split(self, x: float) -> tuple[Interval, Interval]:
         """Split at ``x`` into ``(lo, x]`` and ``(x, hi]``."""
         return Interval(self.lo, min(x, self.hi)), Interval(max(x, self.lo), self.hi)
-
-    @staticmethod
-    def hull_of(intervals: Iterable["Interval"]) -> Interval:
-        """Smallest interval containing every non-empty input interval."""
-        result = Interval(math.inf, -math.inf)  # canonical empty
-        for interval in intervals:
-            result = result.hull(interval)
-        return result
 
     def __iter__(self) -> Iterator[float]:
         yield self.lo

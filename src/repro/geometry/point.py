@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-import numpy as np
-
-__all__ = ["Point", "as_point", "points_to_array"]
+__all__ = ["Point", "as_point"]
 
 #: Type alias for an event-space point.
 Point = Tuple[float, ...]
@@ -32,13 +30,3 @@ def as_point(coords: Sequence[float], ndim: int | None = None) -> Point:
     if not all(map(math.isfinite, point)):
         raise ValueError(f"event coordinates must be finite: {point}")
     return point
-
-
-def points_to_array(points: Sequence[Sequence[float]]) -> np.ndarray:
-    """Stack points into a ``(len(points), N)`` float64 array."""
-    array = np.asarray(points, dtype=np.float64)
-    if array.ndim == 1:
-        array = array.reshape(1, -1)
-    if array.ndim != 2:
-        raise ValueError("points must form a 2-D array")
-    return array

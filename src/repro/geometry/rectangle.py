@@ -6,9 +6,8 @@ one range predicate per attribute, which is exactly an axis-aligned
 ``Omega ⊆ R^N``.  Each side is a half-open interval ``(lo, hi]`` (see
 :mod:`repro.geometry.interval`), and a published event is a point.
 
-This module also provides the measures the S-tree packing algorithm
-needs: volume, (semi-)perimeter and minimum bounding rectangles.
-Because unbounded predicates are common (``volume >= 1000``), volumes
+This module also provides the volume the S-tree packing algorithm
+needs.  Because unbounded predicates are common (``volume >= 1000``), volumes
 are computed against a *clipping frame* when one is supplied; an
 unclipped unbounded rectangle has infinite volume, which is a legal but
 rarely useful answer during packing.
@@ -18,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .interval import Interval
 
-__all__ = ["Rectangle", "bounding_rectangle"]
+__all__ = ["Rectangle"]
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,6 @@ class Rectangle:
         """True when any side is empty, i.e. the set contains no points."""
         return any(hi <= lo for lo, hi in zip(self.lows, self.highs))
 
-    @property
-    def is_bounded(self) -> bool:
-        """True when every endpoint is finite."""
-        return all(math.isfinite(x) for x in self.lows) and all(
-            math.isfinite(x) for x in self.highs
-        )
-
     def contains_point(self, point: Sequence[float]) -> bool:
         """Point query membership: ``lo < x <= hi`` in every dimension."""
         if len(point) != self.ndim:
@@ -122,32 +114,6 @@ class Rectangle:
     def __contains__(self, point: Sequence[float]) -> bool:
         return self.contains_point(point)
 
-    def intersects(self, other: Rectangle) -> bool:
-        """Whether the two rectangles share at least one point."""
-        self._check_ndim(other)
-        if self.is_empty or other.is_empty:
-            return False
-        return all(
-            max(a_lo, b_lo) < min(a_hi, b_hi)
-            for a_lo, a_hi, b_lo, b_hi in zip(
-                self.lows, self.highs, other.lows, other.highs
-            )
-        )
-
-    def contains_rectangle(self, other: Rectangle) -> bool:
-        """Whether ``other ⊆ self``."""
-        self._check_ndim(other)
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        return all(
-            a_lo <= b_lo and b_hi <= a_hi
-            for a_lo, a_hi, b_lo, b_hi in zip(
-                self.lows, self.highs, other.lows, other.highs
-            )
-        )
-
     # -- set operations ----------------------------------------------------------
 
     def intersection(self, other: Rectangle) -> Rectangle:
@@ -156,18 +122,6 @@ class Rectangle:
         return Rectangle(
             tuple(max(a, b) for a, b in zip(self.lows, other.lows)),
             tuple(min(a, b) for a, b in zip(self.highs, other.highs)),
-        )
-
-    def hull(self, other: Rectangle) -> Rectangle:
-        """Minimum bounding rectangle of the two (ignoring empties)."""
-        self._check_ndim(other)
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Rectangle(
-            tuple(min(a, b) for a, b in zip(self.lows, other.lows)),
-            tuple(max(a, b) for a, b in zip(self.highs, other.highs)),
         )
 
     def clip(self, frame: Rectangle) -> Rectangle:
@@ -188,31 +142,10 @@ class Rectangle:
         # finite sides underflowed the product before an unbounded one.
         return math.inf if result != result else result
 
-    def clipped_volume(self, frame: Rectangle) -> float:
-        """Volume of the intersection with a (typically bounded) frame."""
-        return self.intersection(frame).volume
-
-    @property
-    def semi_perimeter(self) -> float:
-        """Sum of side lengths (the S-tree packing tie-breaker measure)."""
-        if self.is_empty:
-            return 0.0
-        return float(sum(hi - lo for lo, hi in zip(self.lows, self.highs)))
-
     @property
     def center(self) -> Tuple[float, ...]:
         """Geometric center (per-dimension :attr:`Interval.center`)."""
         return tuple(side.center for side in self.sides)
-
-    def longest_dimension(self) -> int:
-        """Index of the dimension with the longest side.
-
-        Used by S-tree binarization to pick the sweep axis; unbounded
-        sides count as infinitely long, and ties resolve to the lowest
-        index for determinism.
-        """
-        lengths = [hi - lo for lo, hi in zip(self.lows, self.highs)]
-        return int(max(range(self.ndim), key=lambda d: (lengths[d], -d)))
 
     # -- conversions -------------------------------------------------------------
 
@@ -234,15 +167,3 @@ class Rectangle:
             f"({lo}, {hi}]" for lo, hi in zip(self.lows, self.highs)
         )
         return f"Rectangle[{sides}]"
-
-
-def bounding_rectangle(rectangles: Iterable[Rectangle]) -> Rectangle:
-    """Minimum bounding rectangle of a non-empty collection."""
-    iterator = iter(rectangles)
-    try:
-        result = next(iterator)
-    except StopIteration:
-        raise ValueError("bounding_rectangle() requires at least one rectangle")
-    for rect in iterator:
-        result = result.hull(rect)
-    return result

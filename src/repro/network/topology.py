@@ -24,7 +24,7 @@ the identical code path as GT-ITM's output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -176,15 +176,6 @@ class Topology:
             ),
         )
         return ranked[:count]
-
-    def degree_stats(self) -> Dict[str, float]:
-        """Mean/min/max degree (Figure 3's structural summary)."""
-        degrees = [d for _, d in self.graph.degree()]
-        return {
-            "mean": float(np.mean(degrees)),
-            "min": float(min(degrees)),
-            "max": float(max(degrees)),
-        }
 
     def validate(self) -> None:
         """Raise :class:`ValueError` if structural invariants are violated.

@@ -124,8 +124,3 @@ class HealthMonitor:
     def degraded(self) -> bool:
         """True in any protective state (DEGRADED or worse)."""
         return self.state is not BrokerHealth.HEALTHY
-
-    @property
-    def shedding(self) -> bool:
-        """True when admission should shed instead of queueing."""
-        return self.state is BrokerHealth.OVERLOADED

@@ -148,9 +148,6 @@ class EpochDirectory:
             seen.add(node)
         return node
 
-    def redirects(self, node: int) -> bool:
-        return self.resolve(node) != int(node)
-
     def entries(self) -> Tuple[Tuple[int, int], ...]:
         """Sorted (old, successor) pairs (diagnostics)."""
         return tuple(sorted(self._successor.items()))

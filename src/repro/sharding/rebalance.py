@@ -21,22 +21,20 @@ rolls *back* (the copy is discarded — the source never stopped
 owning), a ``CUTOVER`` without ``DONE`` rolls *forward* (ownership
 already flipped; only the source's cleanup is outstanding).
 
-:meth:`Rebalancer.propose` closes the loop with
-:mod:`repro.overload`: an ``OVERLOADED`` shard's heaviest subset is
-offered to the least-loaded healthy shard.
+:meth:`Rebalancer.propose` offers a distressed shard's heaviest subset
+to the least-loaded eligible shard.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from ..core.subscription import Subscription, SubscriptionTable
 from ..durability.snapshot import Snapshot
 from ..durability.wal import MemoryWAL, RecordKind, WriteAheadLog
 from ..io import TableEncoder, table_from_dict
-from ..overload.health import BrokerHealth
 from ..telemetry.base import Telemetry, or_null
 from .router import ShardRouter
 
@@ -306,24 +304,6 @@ class Rebalancer:
         q = max(subsets, key=lambda s: (self.map.load_of_subset(s), -s))
         dest = min(candidates, key=lambda s: (loads[s], s))
         return q, dest
-
-    def propose_from_health(
-        self, health: Mapping[int, BrokerHealth]
-    ) -> Optional[Tuple[int, int]]:
-        """React to overload signals: shed load off an OVERLOADED shard."""
-        overloaded = sorted(
-            shard
-            for shard, state in health.items()
-            if state is BrokerHealth.OVERLOADED
-        )
-        if not overloaded:
-            return None
-        unhealthy = {
-            shard
-            for shard, state in health.items()
-            if state is not BrokerHealth.HEALTHY
-        }
-        return self.propose(overloaded[0], exclude=unhealthy)
 
     # -- crash recovery -------------------------------------------------------
 

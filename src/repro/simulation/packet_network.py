@@ -357,26 +357,3 @@ class PacketNetwork:
             self.send_unicast(
                 source, root, lambda _node, time: start_tree(time)
             )
-
-    def backlog(self, now: float) -> float:
-        """Total committed-but-unserved link time at ``now``.
-
-        The sum over directed links of how much longer each stays
-        busy — a cheap congestion signal: zero on an idle network,
-        and growing without bound when senders outpace link capacity.
-        Overload monitors sample it alongside ingress-queue depth.
-        """
-        return sum(
-            busy - now
-            for busy in self._busy_until.values()
-            if busy > now
-        )
-
-    def reset_links(self) -> None:
-        """Clear link occupancy and statistics (fresh run, same tables)."""
-        self._busy_until.clear()
-        self.log = TransferLog()
-        # The old log stays exposed too: the metrics stay cumulative.
-        self.telemetry.expose_tallies("net.link", self.log)
-        if self.injector is not None:
-            self.injector.reset()

@@ -21,8 +21,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.arrays import rectangles_to_arrays
-from ..geometry.rectangle import Rectangle
 
 __all__ = ["QueryStats", "PointMatcher", "finite_frame", "validate_build_inputs"]
 
@@ -145,17 +143,6 @@ class PointMatcher(abc.ABC):
         """
         lows, highs, id_array = validate_build_inputs(lows, highs, ids)
         return cls(lows, highs, id_array, **kwargs)
-
-    @classmethod
-    def from_rectangles(
-        cls,
-        rectangles: Sequence[Rectangle],
-        ids: Optional[Sequence[int]] = None,
-        **kwargs: Any,
-    ) -> PointMatcher:
-        """Convenience builder from :class:`Rectangle` objects."""
-        lows, highs = rectangles_to_arrays(list(rectangles))
-        return cls.build(lows, highs, ids, **kwargs)
 
     # -- queries -----------------------------------------------------------------
 

@@ -104,8 +104,3 @@ class GridIndexMatcher(PointMatcher):
         highs = self._highs[candidates]
         mask = np.all((lows < point) & (point <= highs), axis=1)
         return sorted(self._ids[candidates[mask]].tolist())
-
-    @property
-    def occupied_cells(self) -> int:
-        """Number of grid cells holding at least one rectangle."""
-        return len(self._cells)

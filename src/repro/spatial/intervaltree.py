@@ -148,18 +148,3 @@ class StaticIntervalTree:
                 result.extend(int(i) for i in node.by_high_ids[cut:])
                 node = node.right
         return result
-
-    def count_stab(self, x: float) -> int:
-        """Number of intervals containing ``x`` (no id materialization)."""
-        count = 0
-        node = self._root
-        while node is not None:
-            if x <= node.center:
-                count += int(np.searchsorted(node.by_low, x, side="left"))
-                node = node.left
-            else:
-                count += len(node.by_high) - int(
-                    np.searchsorted(node.by_high, x, side="left")
-                )
-                node = node.right
-        return count

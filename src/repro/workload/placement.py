@@ -96,7 +96,3 @@ class SubscriberPlacement:
             self._stub_node_samplers[stub].sample()
         ]
         return block, stub, node
-
-    def place(self, count: int) -> List[tuple[int, int, int]]:
-        """Draw placements for ``count`` subscriptions."""
-        return [self.place_one() for _ in range(count)]

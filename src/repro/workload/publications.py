@@ -143,13 +143,6 @@ class ProductMixtureDistribution:
     def ndim(self) -> int:
         return len(self.dimensions)
 
-    @property
-    def num_modes(self) -> int:
-        modes = 1
-        for mixture in self.dimensions:
-            modes *= mixture.num_components
-        return modes
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw a ``(size, ndim)`` array of event points."""
         columns = [m.sample(rng, size) for m in self.dimensions]

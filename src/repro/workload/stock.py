@@ -87,11 +87,6 @@ class TradingDay:
         """Trade count per stock (unsorted)."""
         return np.bincount(self.stock, minlength=self.num_stocks)
 
-    def popularity_ranking(self) -> np.ndarray:
-        """Trade counts sorted decreasing — Figure 4(b)'s series."""
-        counts = self.trades_per_stock()
-        return np.sort(counts)[::-1]
-
     def top_stocks(self, k: int) -> np.ndarray:
         """Indices of the ``k`` most-traded stocks (Figure 5 uses k=3)."""
         counts = self.trades_per_stock()

@@ -78,22 +78,3 @@ class ZipfSampler(CategoricalSampler):
             rng if rng is not None else np.random.default_rng(seed),
         )
         self.theta = theta
-
-    def sample_shuffled(
-        self, items: Sequence, size: int
-    ) -> list:
-        """Draw ``size`` items Zipf-weighted by their position.
-
-        Convenience for "popularity follows a Zipf-like distribution":
-        ``items[0]`` is the most popular.  A mismatched ``items`` is
-        rejected before anything is drawn.
-        """
-        if len(items) != self.n:
-            raise ValueError(
-                f"items has {len(items)} entries but sampler covers {self.n}"
-            )
-        return [items[r] for r in np.atleast_1d(self.sample(size)).tolist()]
-
-    def expected_counts(self, total: int) -> np.ndarray:
-        """Expected number of draws per rank out of ``total`` draws."""
-        return self.probabilities * total

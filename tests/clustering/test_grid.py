@@ -58,9 +58,6 @@ class TestConstruction:
     def test_member_count_and_weight(self, simple_grid):
         cell = simple_grid.cells[(2, 2)]
         assert cell.member_count == 2
-        assert cell.weight == pytest.approx(
-            cell.probability * cell.member_count
-        )
 
     def test_uniform_density_by_default(self, simple_grid):
         # 16 equal cells, uniform density: 1/16 each.
@@ -161,7 +158,7 @@ class TestLocate:
 class TestTopCells:
     def test_ordering(self, simple_grid):
         top = simple_grid.top_cells(100)
-        weights = [c.weight for c in top]
+        weights = [c.probability * c.member_count for c in top]
         assert weights == sorted(weights, reverse=True)
 
     def test_count_limit(self, simple_grid):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.clustering import (
     ClusterState,
-    expected_waste_of_cells,
     paper_recursive_expected_waste,
 )
 from repro.clustering.grid import GridCell
@@ -29,19 +28,22 @@ class TestClusterState:
     def test_identical_membership_has_zero_waste(self):
         # Cells with the same subscriber set never waste a message.
         cells = [cell(i, 0b1011, 0.2) for i in range(4)]
-        assert expected_waste_of_cells(cells) == pytest.approx(0.0)
+        waste = ClusterState.from_cells(cells).expected_waste
+        assert waste == pytest.approx(0.0)
 
     def test_disjoint_membership_maximal_waste(self):
         # Two equal-probability cells with disjoint singleton members:
         # l(G) = 2; an event in either cell wastes exactly 1 message.
         cells = [cell(0, 0b01, 0.5), cell(1, 0b10, 0.5)]
-        assert expected_waste_of_cells(cells) == pytest.approx(1.0)
+        waste = ClusterState.from_cells(cells).expected_waste
+        assert waste == pytest.approx(1.0)
 
     def test_closed_form_formula(self):
         # EW = |l(G)| - sum(p*n)/p(G), hand-computed.
         cells = [cell(0, 0b011, 0.3), cell(1, 0b110, 0.1)]
         # l(G) = {0,1,2} -> 3; sum p*n = .3*2 + .1*2 = 0.8; p(G) = 0.4.
-        assert expected_waste_of_cells(cells) == pytest.approx(3 - 2.0)
+        waste = ClusterState.from_cells(cells).expected_waste
+        assert waste == pytest.approx(3 - 2.0)
 
     def test_order_independence(self):
         cells = [
@@ -49,8 +51,9 @@ class TestClusterState:
             cell(1, 0b0110, 0.5),
             cell(2, 0b1100, 0.3),
         ]
-        forward = expected_waste_of_cells(cells)
-        backward = expected_waste_of_cells(list(reversed(cells)))
+        forward = ClusterState.from_cells(cells).expected_waste
+        reverse = ClusterState.from_cells(list(reversed(cells)))
+        backward = reverse.expected_waste
         assert forward == pytest.approx(backward)
 
     def test_zero_probability_cluster(self):
@@ -138,7 +141,8 @@ class TestPaperRecursion:
         # docstring documents.)
         cells = [cell(0, 0b01, 0.4), cell(1, 0b10, 0.6)]
         assert paper_recursive_expected_waste(cells) == pytest.approx(0.6)
-        assert expected_waste_of_cells(cells) == pytest.approx(1.0)
+        waste = ClusterState.from_cells(cells).expected_waste
+        assert waste == pytest.approx(1.0)
 
     def test_nonnegative(self):
         cells = [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering import ClusterState, expected_waste_of_cells
+from repro.clustering import ClusterState
 from repro.clustering.grid import GridCell
 
 
@@ -37,7 +37,7 @@ class TestExpectedWasteProperties:
     @given(st.lists(cells(), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_nonnegative_and_bounded(self, cell_list):
-        ew = expected_waste_of_cells(cell_list)
+        ew = ClusterState.from_cells(cell_list).expected_waste
         union = 0
         for cell in cell_list:
             union |= cell.members
@@ -46,8 +46,9 @@ class TestExpectedWasteProperties:
     @given(st.lists(cells(), min_size=2, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_order_independence(self, cell_list):
-        forward = expected_waste_of_cells(cell_list)
-        backward = expected_waste_of_cells(list(reversed(cell_list)))
+        forward = ClusterState.from_cells(cell_list).expected_waste
+        reverse = ClusterState.from_cells(list(reversed(cell_list)))
+        backward = reverse.expected_waste
         assert forward == pytest.approx(backward)
 
     @given(st.lists(cells(), min_size=2, max_size=10))
@@ -101,9 +102,8 @@ class TestExpectedWasteProperties:
             )
             for i, cell in enumerate(cell_list)
         ]
-        assert expected_waste_of_cells(uniform) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        waste = ClusterState.from_cells(uniform).expected_waste
+        assert waste == pytest.approx(0.0, abs=1e-9)
 
     @given(st.lists(cells(), min_size=1, max_size=8), cells())
     @settings(max_examples=100, deadline=None)

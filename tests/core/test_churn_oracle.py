@@ -52,7 +52,7 @@ def expected_match(engine, live, point):
     """What a freshly built static engine answers over ``live``."""
     table = SubscriptionTable(NDIM)
     for sid in live:
-        table.add(engine.table.subscriber_of(sid), engine.table[sid].rectangle)
+        table.add(engine.table[sid].subscriber, engine.table[sid].rectangle)
     if not live:
         return (), ()
     result = MatchingEngine(table).match_point(point)

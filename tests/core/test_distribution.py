@@ -44,7 +44,7 @@ class TestThresholdPolicy:
 
     def test_zero_threshold_always_multicasts(self):
         # t=0 is the static scheme: any nonzero interest multicasts.
-        policy = ThresholdPolicy.static_multicast()
+        policy = ThresholdPolicy(threshold=0.0)
         decision = policy.decide(1, 10_000, group=2)
         assert decision.method is DeliveryMethod.MULTICAST
 

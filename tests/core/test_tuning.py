@@ -107,12 +107,9 @@ class TestThresholdTuner:
         assert report.per_group
         for row in report.per_group:
             assert 0.0 <= row.multicast_win_rate <= 1.0
-            assert row.threshold_regret >= -1e-9
+            assert row.cost_at_best - row.cost_at_oracle >= -1e-9
             assert 0.0 <= row.best_threshold <= 1.0
             assert row.events > 0
-            assert report.efficiency_of(row.group) is row
-        with pytest.raises(KeyError):
-            report.efficiency_of(999)
 
     def test_tuned_thresholds_cover_observed_groups_only(
         self, broker, small_events

@@ -66,7 +66,7 @@ class Churn:
         return [
             sid
             for sid in range(len(self.broker.table))
-            if sid not in self.broker._removed
+            if sid not in self.broker.engine.removed
         ]
 
     def _subscribe(self, subscriber, rectangle):

@@ -113,7 +113,7 @@ class _BrokerKit:
         return _rows(
             (s.subscription_id, s.subscriber, s.rectangle)
             for s in self.broker.table
-            if s.subscription_id not in self.broker._removed
+            if s.subscription_id not in self.broker.engine.removed
         )
 
     def add(self, subscriber, rectangle):

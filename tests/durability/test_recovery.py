@@ -64,10 +64,11 @@ class TestReplaySemantics:
         wal.append(RecordKind.SUBSCRIBE, subscribe_record(0))
         wal.append(RecordKind.UNSUBSCRIBE, {"sid": 0})
         wal.append(RecordKind.UNSUBSCRIBE, {"sid": 44})  # unknown id
+        wal.append(RecordKind.UNSUBSCRIBE, {"sid": -1})  # no such id either
         state = recover(wal, MemorySnapshotStore())
         assert state.removed == {0}
         assert state.removals_replayed == 1
-        assert state.skipped == 1
+        assert state.skipped == 2
 
     def test_records_below_checkpoint_lsn_are_not_replayed(self):
         from repro.durability import Snapshot
@@ -161,11 +162,15 @@ class TestRestoreBroker:
             restore_broker(broker, state)
 
     def test_round_trip_preserves_matching(self):
+        """Restored into a churn broker and into a plain one, the state
+        matches as the original does, and survives the restored
+        broker's own checkpoint with its withdrawn ids still withdrawn."""
         broker, density = _testbed()
         wal = MemoryWAL()
         store = MemorySnapshotStore()
         journal = BrokerJournal(broker, wal, store, checkpoint_every=10_000)
         broker.attach_journal(journal)
+        broker.unsubscribe(3)  # a tombstone the snapshot holds
         journal.checkpoint()
 
         # Post-checkpoint churn rides the WAL, not the snapshot.
@@ -174,35 +179,57 @@ class TestRestoreBroker:
         added = broker.subscribe(int(stub[0]), template)
         broker.unsubscribe(2)
 
-        reference, _ = _testbed()
         state = recover(wal, store)
         assert state.subscriptions_replayed == 1
         assert state.removals_replayed == 1
-        restore_broker(reference, state)
-
+        assert state.removed == {2, 3}
         points, _ = PublicationGenerator(
             density, stub, seed=77
         ).generate(40)
-        for point in points:
-            expected = broker.engine.match_point(point)
-            recovered = reference.engine.match_point(point)
-            assert recovered.subscription_ids == expected.subscription_ids
-            assert recovered.subscribers == expected.subscribers
-        # The replayed add is genuinely live in the recovered engine:
-        # probe a point inside its rectangle (lows < p <= highs).
+        # A point inside a subscription's rectangle (lows < p <= highs).
         inf = float("inf")
-        probe_point = tuple(
-            hi if hi != inf else (lo + 1.0 if lo != -inf else 0.0)
-            for lo, hi in zip(template.lows, template.highs)
-        )
-        probe = reference.engine.match_point(probe_point)
-        assert added.subscription_id in probe.subscription_ids
-        assert reference.partition.num_groups == broker.partition.num_groups
-        for q in range(1, reference.partition.num_groups + 1):
-            assert (
-                reference.partition.group(q).members
-                == broker.partition.group(q).members
+
+        def inside(rectangle):
+            return tuple(
+                hi if hi != inf else (lo + 1.0 if lo != -inf else 0.0)
+                for lo, hi in zip(rectangle.lows, rectangle.highs)
             )
+
+        for dynamic in (True, False):
+            reference, _ = _testbed(dynamic)
+            restore_broker(reference, state)
+            # One more round trip, from the restored broker's checkpoint.
+            again_wal, again_store = MemoryWAL(), MemorySnapshotStore()
+            BrokerJournal(reference, again_wal, again_store).checkpoint()
+            again = recover(again_wal, again_store)
+            assert again.removed == {2, 3}
+            restored, _ = _testbed(dynamic)
+            restore_broker(restored, again)
+
+            for recovered in (reference, restored):
+                for point in points:
+                    expected = broker.engine.match_point(point)
+                    got = recovered.engine.match_point(point)
+                    assert got.subscription_ids == expected.subscription_ids
+                    assert got.subscribers == expected.subscribers
+                # The replayed add is genuinely live in the recovered
+                # engine, and the withdrawn ids stay unmatched.
+                probe = recovered.engine.match_point(inside(template))
+                assert added.subscription_id in probe.subscription_ids
+                for sid in (2, 3):
+                    probe = recovered.engine.match_point(
+                        inside(broker.table[sid].rectangle)
+                    )
+                    assert sid not in probe.subscription_ids
+                assert (
+                    recovered.partition.num_groups
+                    == broker.partition.num_groups
+                )
+                for q in range(1, recovered.partition.num_groups + 1):
+                    assert (
+                        recovered.partition.group(q).members
+                        == broker.partition.group(q).members
+                    )
 
     def test_rebuilt_grid_and_groups_equal_the_grown_ones(self):
         """The grid a broker *grew* (``preprocess`` then ``subscribe``)
@@ -314,7 +341,7 @@ class TestRearm:
         assert added.subscription_id not in state.removed
 
 
-def _testbed():
+def _testbed(dynamic=True):
     return build_chaos_testbed(
-        seed=5, subscriptions=60, num_groups=5, dynamic=True
+        seed=5, subscriptions=60, num_groups=5, dynamic=dynamic
     )

@@ -303,7 +303,7 @@ def arrivals(broker, seed=77):
 def broker_state(broker):
     return (
         ref_table(broker.table),
-        sorted(broker._removed),
+        sorted(broker.engine.removed),
         broker.partition.to_state(),
     )
 

@@ -37,11 +37,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             BrokerCrash(0, start=2.0, end=1.0)
 
-    def test_uniform_loss_shortcut(self):
-        plan = FaultPlan.uniform_loss(0.25, seed=7)
-        assert plan.default_loss == 0.25
-        assert plan.seed == 7
-
 
 class TestWindowedFaults:
     def test_outage_window_is_half_open(self):
@@ -101,7 +96,7 @@ class TestFailureDetector:
         mid = injector.state_at(17.0)
         assert mid.link_dead(1, 2)
         assert mid.link_dead(2, 1)
-        assert mid.node_dead(5)
+        assert 5 in mid.dead_nodes
         # Links touching a dead node count as dead.
         assert mid.link_dead(5, 6)
 
@@ -121,9 +116,9 @@ class TestFailureDetector:
         assert lossy.state_at(0.0).clear
 
     def test_none_state_is_neutral(self):
-        state = FaultState.none()
+        state = FaultState(0.0, frozenset(), frozenset())
         assert state.clear
-        assert not state.node_dead(0)
+        assert 0 not in state.dead_nodes
         assert not state.link_dead(0, 1)
 
 
@@ -165,7 +160,9 @@ class TestProbabilisticStream:
             fate = injector.filter_transmission(0, 1, float(t))
             assert fate.sent and not fate.lost
             assert fate.copies == 1 and fate.extra_delay == 0.0
-        assert injector.stats.total_drops == 0
+        stats = injector.stats
+        assert stats.random_drops == stats.outage_drops == 0
+        assert stats.sender_down_drops == stats.receiver_down_drops == 0
         assert injector.stats.duplicates_injected == 0
         assert injector.stats.delays_injected == 0
 

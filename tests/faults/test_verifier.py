@@ -165,10 +165,10 @@ class TestZeroCostWhenDisabled:
         assert baseline == with_empty
 
     def test_neutral_fault_state_reproduces_broker_costs(self, chaos_setup):
-        # broker.publish(event, faults=FaultState.none()) must charge
+        # broker.publish(event, faults=<a clear FaultState>) must charge
         # bit-for-bit what the fault-free path charges.
         broker, points, publishers, _ = chaos_setup
-        neutral = FaultState.none()
+        neutral = FaultState(0.0, frozenset(), frozenset())
         for sequence in range(100):
             event = Event.create(
                 sequence, int(publishers[sequence]), points[sequence]

@@ -33,7 +33,7 @@ class TestContainment:
         assert left.contains(1.0)
         assert not right.contains(1.0)
         assert right.contains(1.5)
-        assert not left.intersects(right)
+        assert left.intersection(right).is_empty
 
     def test_full_line_contains_everything(self):
         assert FULL_LINE.contains(0.0)
@@ -85,30 +85,25 @@ class TestMeasures:
     def test_center_full_line_is_zero(self):
         assert FULL_LINE.center == 0.0
 
-    def test_is_bounded(self):
-        assert Interval(0.0, 1.0).is_bounded
-        assert not Interval(0.0, math.inf).is_bounded
-        assert not FULL_LINE.is_bounded
-
 
 class TestSetOperations:
     def test_intersects_overlapping(self):
-        assert Interval(0.0, 2.0).intersects(Interval(1.0, 3.0))
+        assert not Interval(0.0, 2.0).intersection(Interval(1.0, 3.0)).is_empty
 
     def test_intersects_is_symmetric(self):
         a, b = Interval(0.0, 2.0), Interval(1.0, 3.0)
-        assert a.intersects(b) == b.intersects(a)
+        assert a.intersection(b) == b.intersection(a)
 
     def test_touching_half_open_do_not_intersect(self):
-        assert not Interval(0.0, 1.0).intersects(Interval(1.0, 2.0))
+        assert Interval(0.0, 1.0).intersection(Interval(1.0, 2.0)).is_empty
 
     def test_disjoint_do_not_intersect(self):
-        assert not Interval(0.0, 1.0).intersects(Interval(5.0, 6.0))
+        assert Interval(0.0, 1.0).intersection(Interval(5.0, 6.0)).is_empty
 
     def test_empty_never_intersects(self):
         empty = Interval(1.0, 0.0)
-        assert not empty.intersects(FULL_LINE)
-        assert not FULL_LINE.intersects(empty)
+        assert empty.intersection(FULL_LINE).is_empty
+        assert FULL_LINE.intersection(empty).is_empty
 
     def test_intersection_overlap(self):
         result = Interval(0.0, 2.0).intersection(Interval(1.0, 3.0))
@@ -122,41 +117,8 @@ class TestSetOperations:
         interval = Interval(2.0, 5.0)
         assert interval.intersection(FULL_LINE) == interval
 
-    def test_hull(self):
-        assert Interval(0.0, 1.0).hull(Interval(3.0, 4.0)) == Interval(
-            0.0, 4.0
-        )
-
-    def test_hull_with_empty_returns_other(self):
-        interval = Interval(1.0, 2.0)
-        empty = Interval(5.0, 4.0)
-        assert interval.hull(empty) == interval
-        assert empty.hull(interval) == interval
-
-    def test_contains_interval(self):
-        assert Interval(0.0, 10.0).contains_interval(Interval(2.0, 3.0))
-        assert not Interval(0.0, 10.0).contains_interval(Interval(2.0, 11.0))
-
-    def test_contains_empty_interval_always(self):
-        assert Interval(0.0, 1.0).contains_interval(Interval(9.0, 8.0))
-
-    def test_empty_contains_nothing_nonempty(self):
-        assert not Interval(1.0, 0.0).contains_interval(Interval(0.0, 1.0))
-
-    def test_hull_of_many(self):
-        result = Interval.hull_of(
-            [Interval(3.0, 4.0), Interval(0.0, 1.0), Interval(2.0, 6.0)]
-        )
-        assert result == Interval(0.0, 6.0)
-
-    def test_hull_of_empty_iterable_is_empty(self):
-        assert Interval.hull_of([]).is_empty
-
 
 class TestHelpers:
-    def test_clamp(self):
-        assert Interval(0.0, 10.0).clamp(2.0, 5.0) == Interval(2.0, 5.0)
-
     def test_split(self):
         left, right = Interval(0.0, 10.0).split(4.0)
         assert left == Interval(0.0, 4.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry import as_point, points_to_array
+from repro.geometry import as_point
 
 
 class TestAsPoint:
@@ -27,17 +27,3 @@ class TestAsPoint:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             as_point([float("nan")])
-
-
-class TestPointsToArray:
-    def test_stacks_points(self):
-        array = points_to_array([(0, 1), (2, 3)])
-        assert array.shape == (2, 2)
-        assert array.dtype == np.float64
-
-    def test_single_point_promoted(self):
-        assert points_to_array([1.0, 2.0, 3.0]).shape == (1, 3)
-
-    def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            points_to_array(np.zeros((2, 2, 2)))

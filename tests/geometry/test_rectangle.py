@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.geometry import Interval, Rectangle, bounding_rectangle
+from repro.geometry import Interval, Rectangle
 
 
 def rect(*sides):
@@ -81,23 +81,11 @@ class TestContainment:
     def test_dunder_contains(self):
         assert (1.0, 1.0) in rect((0, 2), (0, 2))
 
-    def test_contains_rectangle(self):
-        outer = rect((0, 10), (0, 10))
-        inner = rect((2, 3), (4, 5))
-        assert outer.contains_rectangle(inner)
-        assert not inner.contains_rectangle(outer)
-
-    def test_contains_empty_rectangle(self):
-        assert rect((0, 1), (0, 1)).contains_rectangle(
-            rect((5, 4), (0, 1))
-        )
-
 
 class TestIntersection:
     def test_overlapping(self):
         a = rect((0, 2), (0, 2))
         b = rect((1, 3), (1, 3))
-        assert a.intersects(b)
         assert a.intersection(b) == rect((1, 2), (1, 2))
 
     def test_touching_faces_do_not_intersect(self):
@@ -105,45 +93,20 @@ class TestIntersection:
         # face x=1 of the first, which the second excludes.
         a = rect((0, 1), (0, 1))
         b = rect((1, 2), (0, 1))
-        assert not a.intersects(b)
         assert a.intersection(b).is_empty
 
     def test_disjoint_in_one_dimension_suffices(self):
         a = rect((0, 1), (0, 100))
         b = rect((5, 6), (0, 100))
-        assert not a.intersects(b)
+        assert a.intersection(b).is_empty
 
     def test_empty_never_intersects(self):
         empty = rect((1, 0), (0, 1))
-        assert not empty.intersects(rect((0, 1), (0, 1)))
+        assert empty.intersection(rect((0, 1), (0, 1))).is_empty
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            rect((0, 1), (0, 1)).intersects(Rectangle((0.0,), (1.0,)))
-
-
-class TestHull:
-    def test_hull_covers_both(self):
-        a = rect((0, 1), (0, 1))
-        b = rect((5, 6), (2, 3))
-        h = a.hull(b)
-        assert h == rect((0, 6), (0, 3))
-        assert h.contains_rectangle(a)
-        assert h.contains_rectangle(b)
-
-    def test_hull_with_empty(self):
-        a = rect((0, 1), (0, 1))
-        empty = rect((1, 0), (0, 1))
-        assert a.hull(empty) == a
-        assert empty.hull(a) == a
-
-    def test_bounding_rectangle(self):
-        rects = [rect((i, i + 1), (0, 1)) for i in range(5)]
-        assert bounding_rectangle(rects) == rect((0, 5), (0, 1))
-
-    def test_bounding_rectangle_empty_input(self):
-        with pytest.raises(ValueError):
-            bounding_rectangle([])
+            rect((0, 1), (0, 1)).intersection(Rectangle((0.0,), (1.0,)))
 
 
 class TestMeasures:
@@ -163,31 +126,15 @@ class TestMeasures:
         assert r.volume == math.inf
         # Clipped to a bounded frame the same sides give a finite volume.
         frame = rect((0, 1), (0, 1), (0, 1))
-        assert r.clipped_volume(frame) == 0.0
+        assert r.clip(frame).volume == 0.0
 
     def test_clipped_volume(self):
         unbounded = rect((0, math.inf), (0, 1))
         frame = rect((0, 10), (0, 10))
-        assert unbounded.clipped_volume(frame) == 10.0
-
-    def test_semi_perimeter(self):
-        assert rect((0, 2), (0, 3)).semi_perimeter == 5.0
+        assert unbounded.clip(frame).volume == 10.0
 
     def test_center(self):
         assert rect((0, 2), (0, 4)).center == (1.0, 2.0)
-
-    def test_longest_dimension(self):
-        assert rect((0, 1), (0, 10)).longest_dimension() == 1
-
-    def test_longest_dimension_tie_prefers_lowest(self):
-        assert rect((0, 5), (0, 5)).longest_dimension() == 0
-
-    def test_longest_dimension_unbounded_wins(self):
-        assert rect((0, 100), (0, math.inf)).longest_dimension() == 1
-
-    def test_is_bounded(self):
-        assert rect((0, 1), (0, 1)).is_bounded
-        assert not rect((0, math.inf), (0, 1)).is_bounded
 
 
 class TestConversions:

@@ -130,11 +130,6 @@ class TestTopologyAccessors:
         u, v = next(iter(paper_topology.graph.edges()))
         assert paper_topology.edge_cost(u, v) > 0
 
-    def test_degree_stats(self, paper_topology):
-        stats = paper_topology.degree_stats()
-        assert stats["min"] >= 1
-        assert stats["min"] <= stats["mean"] <= stats["max"]
-
     def test_validate_passes(self, paper_topology):
         paper_topology.validate()
 

@@ -87,8 +87,11 @@ class TestAccounting:
         assert monitor.samples[BrokerHealth.DEGRADED] == 2
 
     def test_flags(self, monitor):
-        assert not monitor.degraded and not monitor.shedding
+        assert not monitor.degraded
+        assert monitor.state is not BrokerHealth.OVERLOADED
         monitor.observe(0.0, 0.7)
-        assert monitor.degraded and not monitor.shedding
+        assert monitor.degraded
+        assert monitor.state is not BrokerHealth.OVERLOADED
         monitor.observe(1.0, 0.95)
-        assert monitor.degraded and monitor.shedding
+        assert monitor.degraded
+        assert monitor.state is BrokerHealth.OVERLOADED

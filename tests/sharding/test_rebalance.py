@@ -6,7 +6,6 @@ from repro.core import Event
 from repro.durability import MemoryWAL
 from repro.durability.wal import RecordKind
 from repro.faults.verifier import build_chaos_testbed
-from repro.overload import BrokerHealth
 from repro.sharding import (
     MigrationPhase,
     Rebalancer,
@@ -167,25 +166,3 @@ class TestProposals:
         pick = rebalancer.propose(0, exclude={1, 2})
         assert pick is not None
         assert pick[1] == 3
-
-    def test_propose_from_health_targets_overloaded_shard(self, testbed):
-        broker, _, _ = testbed
-        _, rebalancer, _ = _fresh(broker)
-        health = {
-            0: BrokerHealth.HEALTHY,
-            1: BrokerHealth.OVERLOADED,
-            2: BrokerHealth.DEGRADED,
-            3: BrokerHealth.HEALTHY,
-        }
-        pick = rebalancer.propose_from_health(health)
-        assert pick is not None
-        q, dest = pick
-        assert q in rebalancer.map.subsets_of(1)
-        # DEGRADED shards are not valid destinations either.
-        assert dest in (0, 3)
-
-    def test_all_healthy_proposes_nothing(self, testbed):
-        broker, _, _ = testbed
-        _, rebalancer, _ = _fresh(broker)
-        health = {s: BrokerHealth.HEALTHY for s in range(4)}
-        assert rebalancer.propose_from_health(health) is None

@@ -6,7 +6,6 @@ import pytest
 from repro.network import RoutingTable
 from repro.network.topology import Topology
 from repro.simulation import DiscreteEventSimulator, PacketNetwork
-from repro.telemetry import Telemetry
 
 
 def line_topology():
@@ -231,25 +230,6 @@ class TestMulticast:
             results[label] = (max(latest), network.log.transmissions)
         assert results["sparse"][0] > results["dense"][0]
         assert results["sparse"][1] > results["dense"][1]
-
-    def test_reset_links(self, line):
-        sim, network = line
-        network.send_unicast(0, 3, lambda n, t: None)
-        sim.run()
-        assert network.log.transmissions > 0
-        network.reset_links()
-        assert network.log.transmissions == 0
-        assert not network._busy_until
-
-    def test_reset_links_keeps_the_exposed_count_cumulative(self):
-        telemetry = Telemetry()
-        network = PacketNetwork(
-            line_topology(), DiscreteEventSimulator(), telemetry=telemetry
-        )
-        network.log.retransmissions = 3
-        network.reset_links()
-        network.log.retransmissions = 2
-        assert telemetry.metrics.value("net.link.retransmissions") == 5
 
 
 class TestValidation:

@@ -538,7 +538,7 @@ class _Detector:
     """A failure detector that reports whatever state it was handed."""
 
     def __init__(self):
-        self.state = FaultState.none()
+        self.state = FaultState(0.0, frozenset(), frozenset())
 
     def state_at(self, time):
         return self.state

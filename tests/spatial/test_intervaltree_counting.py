@@ -65,13 +65,6 @@ class TestStaticIntervalTree:
         tree = StaticIntervalTree([0.0], [1.0], ids=[42])
         assert tree.stab(0.5) == [42]
 
-    def test_count_matches_stab(self, rng):
-        lows = rng.uniform(-10, 10, 200)
-        highs = lows + rng.pareto(1.5, 200)
-        tree = StaticIntervalTree(lows, highs)
-        for x in rng.uniform(-12, 12, 50):
-            assert tree.count_stab(float(x)) == len(tree.stab(float(x)))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             StaticIntervalTree([0.0], [1.0, 2.0])

@@ -64,11 +64,6 @@ class TestGridIndex:
         with pytest.raises(ValueError):
             GridIndexMatcher.build(lows, highs, cells_per_dim=0)
 
-    def test_occupied_cells_positive(self, workload):
-        lows, highs, _ = workload
-        matcher = GridIndexMatcher.build(lows, highs)
-        assert matcher.occupied_cells > 0
-
     def test_candidate_filtering_prunes(self, rng):
         lows, highs, points = make_workload(rng, k=2000, unbounded=False)
         matcher = GridIndexMatcher.build(lows, highs, cells_per_dim=8)

@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro.geometry import Interval, Rectangle
 from repro.spatial import LinearScanMatcher, STree, STreeParams
 
 from .conftest import check_packed_invariants
@@ -116,15 +115,6 @@ class TestConstruction:
             )
         with pytest.raises(ValueError):
             STree.build(np.zeros((2, 2)), np.ones((2, 2)), ids=[1])
-
-    def test_from_rectangles(self):
-        rects = [
-            Rectangle.from_intervals([Interval(0, 1), Interval(0, 1)]),
-            Rectangle.from_intervals([Interval(2, 3), Interval(2, 3)]),
-        ]
-        tree = STree.from_rectangles(rects)
-        assert tree.match([0.5, 0.5]) == [0]
-        assert tree.match([2.5, 2.5]) == [1]
 
 
 class TestCorrectness:

@@ -84,9 +84,11 @@ class TestSamplerFallbackSeeding:
         assert not np.array_equal(a, b)
 
     def test_placement_default_is_reproducible(self, paper_topology):
-        a = SubscriberPlacement(paper_topology).place(32)
-        b = SubscriberPlacement(paper_topology).place(32)
-        assert a == b
+        a = SubscriberPlacement(paper_topology)
+        b = SubscriberPlacement(paper_topology)
+        assert [a.place_one() for _ in range(32)] == [
+            b.place_one() for _ in range(32)
+        ]
 
     def test_injected_rng_still_wins(self):
         # Two samplers sharing one injected generator draw from the

@@ -35,7 +35,7 @@ class TestCounterGauge:
     def test_gauge_moves_both_ways(self):
         gauge = MetricsRegistry().gauge("depth")
         gauge.set(10)
-        gauge.dec(3)
+        gauge.inc(-3)
         gauge.inc(1)
         assert gauge.value == 8.0
 

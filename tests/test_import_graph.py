@@ -6,7 +6,9 @@ without it (the one ``kstest``/``linregress`` and the mixture density
 import it where they are called).
 
 The library also ships only what runs: walking ``repro.cli``'s imports
-must reach every non-package module but the ones ``UNREACHED`` names.
+must reach every non-package module but the ones ``UNREACHED`` names,
+and every public function, class and method must be called from
+outside the tests, but the ones ``TEST_ONLY`` names.
 """
 
 from __future__ import annotations
@@ -187,3 +189,143 @@ def test_every_module_is_reached_from_the_cli():
         if not is_package and name not in reached
     }
     assert unreached == set(UNREACHED), sorted(unreached ^ set(UNREACHED))
+
+
+# -- what the library's own code calls ----------------------------------------
+
+#: Where a use counts besides the library itself: the benchmark, the
+#: pytest benchmarks and the examples (not ``tests/``).
+CALLER_ROOTS = ("bench", "benchmarks", "examples")
+
+#: Public names that only tests call, each with the reason it stays
+#: (the ``UNREACHED`` modules are skipped whole).
+TEST_ONLY = {
+    "STree.region_query": "the paper's region query "
+    "(docs/paper-mapping.md)",
+    "paper_recursive_expected_waste": "the paper's recursion, a reference "
+    "implementation tests/clustering/test_waste.py compares against",
+    "PointMatcher.match_many": "ROADMAP item 8 (publish_many) gives it "
+    "a batch kernel",
+    "PubSubBroker.attach_sessions": "session journaling, known and left "
+    "on purpose in the ROADMAP (tests/sessions/test_session.py)",
+    "DynamicPubSubBroker.repreprocess": "the paper's re-clustering of "
+    "the live set (docs/paper-mapping.md); the churn and checkpoint "
+    "oracles drive it",
+    "FaultInjector.stream_state": "read by the wire oracle, "
+    "tests/simulation/test_wire_equivalence.py",
+    "surviving_path": "read by the wire oracle, "
+    "tests/simulation/test_wire_equivalence.py",
+    "BrokerJournal.inflight_sequences": "read by the journal oracle, "
+    "tests/durability/test_journal_machine.py",
+    "Membership.is_usable": "read by the restart oracle, "
+    "tests/durability/test_crash_recovery.py",
+}
+
+
+def _python_files(top):
+    for directory, dirs, files in os.walk(top):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        for filename in files:
+            if filename.endswith(".py"):
+                yield os.path.join(directory, filename)
+
+
+def _public_definitions(module, tree):
+    """``(qualified name, node)`` of every public top-level function or
+    class and every public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(
+                    method, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method
+
+
+def _uses(tree):
+    """``(name, enclosing definitions)`` of every ``Name``, ``Attribute``
+    and string constant, ``__all__`` entries left out."""
+    listed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            listed.update(map(id, ast.walk(node.value)))
+
+    def walk(node, enclosing):
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.Name):
+            yield node.id, enclosing
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, enclosing
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in listed
+        ):
+            yield node.value, enclosing
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, enclosing)
+
+    yield from walk(tree, frozenset())
+
+
+def _uncalled():
+    """``file:line name`` of every public definition (outside the
+    ``UNREACHED`` modules) that nothing in ``src/`` or ``CALLER_ROOTS``
+    uses, by qualified name."""
+    graph = _ImportGraph()
+    # One tree per file, the library's shared with the graph, all kept
+    # alive: a definition is told from the bodies around a use by id.
+    trees = {
+        path: graph.trees[name] for name, (path, _) in graph.modules.items()
+    }
+    for root in CALLER_ROOTS:
+        for path in _python_files(os.path.join(ROOT, root)):
+            with open(path, encoding="utf-8") as handle:
+                trees[path] = ast.parse(handle.read(), filename=path)
+    uses = {}
+    for tree in trees.values():
+        for name, enclosing in _uses(tree):
+            uses.setdefault(name, []).append(enclosing)
+    uncalled = {}
+    for module, tree in sorted(graph.trees.items()):
+        if module in UNREACHED:
+            continue
+        for qualified, node in _public_definitions(module, tree):
+            name = qualified.rpartition(".")[2]
+            if not any(
+                id(node) not in enclosing for enclosing in uses.get(name, ())
+            ):
+                path = os.path.relpath(graph.modules[module][0], ROOT)
+                uncalled[qualified] = f"{path}:{node.lineno} {qualified}"
+    return uncalled
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public function, class or method must be used somewhere in
+    ``src/`` or ``CALLER_ROOTS`` outside its own body: as a name, an
+    attribute or a string (a patch point, a ``getattr``).  Its own
+    ``def``, imports and ``__all__`` entries do not count.  The match is
+    by name alone, so a method counts as called when any attribute of
+    that name is read."""
+    uncalled = _uncalled()
+    offenders = [uncalled[name] for name in uncalled if name not in TEST_ONLY]
+    assert not offenders, "called only from tests:\n" + "\n".join(offenders)
+
+
+def test_every_test_only_entry_is_still_test_only():
+    """An allow-list entry whose name is gone, or has gained a caller,
+    is stale."""
+    stale = set(TEST_ONLY) - set(_uncalled())
+    assert not stale, sorted(stale)

@@ -9,7 +9,8 @@ from repro.workload import SubscriberPlacement
 class TestPlacement:
     def test_placements_are_consistent(self, paper_topology, rng):
         placement = SubscriberPlacement(paper_topology, rng=rng)
-        for block, stub, node in placement.place(300):
+        for _ in range(300):
+            block, stub, node = placement.place_one()
             assert paper_topology.stub_block[stub] == block
             assert node in paper_topology.stub_members[stub]
 
@@ -18,13 +19,13 @@ class TestPlacement:
             paper_topology, block_shares=(0.8, 0.1, 0.1), rng=rng
         )
         blocks = np.bincount(
-            [b for b, _, _ in placement.place(3000)], minlength=3
+            [placement.place_one()[0] for _ in range(3000)], minlength=3
         ) / 3000
         assert blocks[0] == pytest.approx(0.8, abs=0.03)
 
     def test_zipf_concentration_within_blocks(self, paper_topology, rng):
         placement = SubscriberPlacement(paper_topology, rng=rng)
-        placements = placement.place(5000)
+        placements = [placement.place_one() for _ in range(5000)]
         # Within each block, the busiest stub should clearly dominate
         # the least busy one (Zipf-like skew).
         for block in range(3):
@@ -40,7 +41,7 @@ class TestPlacement:
             zipf_theta=0.0,
             rng=np.random.default_rng(3),
         )
-        placements = placement.place(5000)
+        placements = [placement.place_one() for _ in range(5000)]
         block0 = [s for b, s, _ in placements if b == 0]
         counts = sorted(
             (block0.count(s) for s in set(block0)), reverse=True
@@ -54,7 +55,7 @@ class TestPlacement:
             block_shares=(1.0,),
             rng=np.random.default_rng(4),
         )
-        blocks = {b for b, _, _ in placement.place(200)}
+        blocks = {placement.place_one()[0] for _ in range(200)}
         assert blocks == {0}
 
     def test_share_truncation(self, paper_topology):

@@ -113,13 +113,6 @@ class TestZipfSamplerAgainstChoice:
             reference.choice(7, p=np.full(7, 1 / 7)) for _ in range(500)
         ]
 
-    def test_shuffled_draws(self):
-        mine, reference = twins(9)
-        items = list("abcdefghij")
-        drawn = ZipfSampler(10, 1.0, mine).sample_shuffled(items, 200)
-        ranks = reference.choice(10, size=200, p=zipf_weights(10))
-        assert drawn == [items[r] for r in ranks]
-
 
 def reference_placement(topology, shares, theta, rng):
     """``SubscriberPlacement`` as written with ``Generator.choice``:
@@ -164,7 +157,7 @@ class TestPlacementAgainstChoice:
             paper_topology, block_shares=shares, zipf_theta=theta, rng=mine
         )
         expected = reference_placement(paper_topology, shares, theta, reference)
-        drawn = placement.place(2000)
+        drawn = [placement.place_one() for _ in range(2000)]
         assert drawn == [next(expected) for _ in drawn]
         assert same_state(mine, reference)
         zero = [b for b, share in enumerate(shares) if share == 0.0]

@@ -45,33 +45,13 @@ class TestZipfSampler:
         sampler = ZipfSampler(5, theta=1.0, rng=rng)
         draws = sampler.sample(50_000)
         counts = np.bincount(draws, minlength=5)
-        expected = sampler.expected_counts(50_000)
+        expected = sampler.probabilities * 50_000
         assert np.allclose(counts, expected, rtol=0.1)
 
     def test_rank_zero_most_popular(self, rng):
         draws = ZipfSampler(8, rng=rng).sample(20_000)
         counts = np.bincount(draws, minlength=8)
         assert counts[0] == counts.max()
-
-    def test_sample_shuffled(self, rng):
-        sampler = ZipfSampler(3, rng=rng)
-        items = ["a", "b", "c"]
-        picked = sampler.sample_shuffled(items, 100)
-        assert set(picked) <= set(items)
-        assert len(picked) == 100
-
-    def test_sample_shuffled_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            ZipfSampler(3, rng=rng).sample_shuffled(["a"], 5)
-
-    def test_rejected_shuffled_call_draws_nothing(self):
-        # The generator is shared with the rest of a workload: a call
-        # that is refused must not shift the draws after it.
-        sampler = ZipfSampler(3, rng=np.random.default_rng(8))
-        with pytest.raises(ValueError):
-            sampler.sample_shuffled(["a"], 5)
-        fresh = ZipfSampler(3, rng=np.random.default_rng(8))
-        assert sampler.sample(20).tolist() == fresh.sample(20).tolist()
 
 
 class TestParetoSampler:
