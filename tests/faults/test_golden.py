@@ -22,7 +22,12 @@ record stopped re-shipping unacked batches and heartbeats began riding
 on batches: the verdicts held, while the wire and shipping rows, the
 takeover digest (the standby held a different WAL prefix at takeover)
 and the stale rejections moved, and ``cluster`` lost its one stranded
-miss (6 755 link transmissions against 5 163).  A change that means to
+miss (6 755 link transmissions against 5 163).  ``cluster-migrate``,
+``cluster-partition``, ``cluster-double-kill`` and
+``cluster-migrate-under-kill`` were captured before the sharding half of
+the harness was folded into the cluster class: no file pinned the live
+migrations, the fenced zombie, the second takeover or the kill landing
+mid-copy, which are the paths that fold rewrote.  A change that means to
 move a digest regenerates the file with::
 
     PYTHONPATH=src python -m repro.cli chaos <arguments> \\
@@ -52,6 +57,14 @@ SCENARIOS = {
     "cluster-restart": [
         "--cluster", "--shards", "1", "--standbys", "0",
         "--cluster-scenario", "restart", "--crash-length", "20",
+    ],
+    "cluster-migrate": ["--cluster", "--cluster-scenario", "migrate"],
+    "cluster-partition": ["--cluster", "--cluster-scenario", "partition"],
+    "cluster-double-kill": [
+        "--cluster", "--cluster-scenario", "double-kill"
+    ],
+    "cluster-migrate-under-kill": [
+        "--cluster", "--cluster-scenario", "migrate-under-kill"
     ],
     "sessions": ["--sessions"],
 }
@@ -97,7 +110,8 @@ def test_stats_stdout_is_pinned(name, capsys):
     ``PubSubBroker.plan``: before it, ``stats`` refused ``--sessions``.
     Every file then gained the "link transmissions / event" row, and
     ``cluster`` and ``cluster-k1`` moved with their chaos files when
-    heartbeats began riding on shipped batches.
+    heartbeats began riding on shipped batches.  The four K = 4
+    scenario files were captured with their chaos files.
     """
     code = main(
         ["stats", *SCENARIOS[name], "--events", "100", "--subscriptions", "150"]
