@@ -10,7 +10,6 @@ assert "the analysis pipeline sees the law the workload encodes".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

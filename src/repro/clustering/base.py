@@ -10,8 +10,8 @@ multicast groups ``M_q`` (see :mod:`repro.clustering.groups`).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List
 
 from .grid import EventGrid, GridCell
 from .waste import ClusterState

@@ -34,7 +34,7 @@ when read after an add; a restored grid, never read, makes none.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 

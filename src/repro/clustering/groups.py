@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import ClusteringResult
-from .grid import EventGrid, GridCell
+from .grid import EventGrid
 from .waste import ClusterState
 
 __all__ = ["MulticastGroup", "SpacePartition"]

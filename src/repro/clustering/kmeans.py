@@ -26,7 +26,7 @@ complete the paper's algorithm roster.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .base import DEFAULT_MAX_CELLS, CellClusteringAlgorithm, ClusteringResult
 from .grid import EventGrid, GridCell

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .base import DEFAULT_MAX_CELLS, CellClusteringAlgorithm, ClusteringResult
 from .grid import EventGrid
 from .waste import ClusterState

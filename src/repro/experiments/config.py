@@ -11,7 +11,7 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = ["ExperimentConfig", "SMALL_CONFIG"]

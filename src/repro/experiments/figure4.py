@@ -17,7 +17,7 @@ parameters with goodness scores (for assertions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

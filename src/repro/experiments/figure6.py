@@ -17,7 +17,7 @@ strong algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from ..clustering.kmeans import ForgyKMeansClustering
 from ..core.distribution import ThresholdPolicy
 from ..simulation.delivery import DeliverySimulation, SimulationReport

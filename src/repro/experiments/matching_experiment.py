@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from ..core.matching import MATCHER_BACKENDS
 from ..core.subscription import SubscriptionTable

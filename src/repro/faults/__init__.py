@@ -20,9 +20,8 @@ story, in three layers:
   (:mod:`repro.overload`), with strict shed/expire accounting and
   per-subscriber circuit breakers (``repro chaos --overload``);
 - :mod:`repro.faults.cluster` — the sharded, full-stack harness: the
-  workload routed across K shard brokers (:mod:`repro.sharding`, whose
-  half of the harness is :mod:`repro.faults.sharded`) with live
-  migrations, every shard a :mod:`repro.cluster` replicated group
+  workload routed across K shard brokers (:mod:`repro.sharding`) with
+  live migrations, every shard a :mod:`repro.cluster` replicated group
   journaling to a write-ahead log (:mod:`repro.durability`), under a
   cluster-wide membership detector.  One rule answers a dead home: a
   standby succeeds it, or else it is excluded and rebalanced; a
@@ -46,8 +45,10 @@ from .cluster import (
     ClusterReport,
     ClusterStats,
     FullStackChaosSimulation,
+    PlannedMigration,
     StandbyWALCorruption,
     build_cluster_plan,
+    unsharded_match_digest,
 )
 from .overload import OverloadChaosSimulation, OverloadReport
 from .plan import (
@@ -75,13 +76,6 @@ from .sessions import (
     build_session_chaos,
     select_session_nodes,
 )
-from .sharded import (
-    PlannedMigration,
-    ShardedChaosSimulation,
-    ShardedReport,
-    ShardedStats,
-    unsharded_match_digest,
-)
 from .verifier import (
     ChaosReport,
     ChaosSimulation,
@@ -101,8 +95,10 @@ __all__ = [
     "ClusterReport",
     "ClusterStats",
     "FullStackChaosSimulation",
+    "PlannedMigration",
     "StandbyWALCorruption",
     "build_cluster_plan",
+    "unsharded_match_digest",
     "OverloadChaosSimulation",
     "OverloadReport",
     "BrokerCrash",
@@ -124,11 +120,6 @@ __all__ = [
     "SessionReport",
     "build_session_chaos",
     "select_session_nodes",
-    "PlannedMigration",
-    "ShardedChaosSimulation",
-    "ShardedReport",
-    "ShardedStats",
-    "unsharded_match_digest",
     "ChaosReport",
     "ChaosSimulation",
     "DeferQueue",

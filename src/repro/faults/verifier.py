@@ -26,7 +26,7 @@ the protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -42,7 +42,6 @@ from ..simulation.engine import DiscreteEventSimulator
 from ..simulation.packet_network import PacketNetwork
 from ..telemetry.base import Telemetry, or_null
 from ..workload import (
-    PublicationGenerator,
     StockSubscriptionGenerator,
     publication_distribution,
 )

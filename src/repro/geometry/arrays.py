@@ -16,7 +16,7 @@ __all__ = ["bulk_centers"]
 
 
 def bulk_centers(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Per-rectangle geometric centers, mirroring :meth:`Interval.center`.
+    """Per-rectangle geometric centers, one per side.
 
     Bounded sides use the midpoint; half-infinite sides use their
     finite endpoint; fully unbounded sides use 0.  (These centers feed

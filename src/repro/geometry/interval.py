@@ -62,25 +62,6 @@ class Interval:
             return 0.0
         return self.hi - self.lo
 
-    @property
-    def center(self) -> float:
-        """Geometric center.
-
-        For a half-infinite interval the finite endpoint is returned (a
-        pragmatic choice used only for ordering objects during the
-        S-tree sweep and for grid snapping); for a fully unbounded
-        interval 0 is returned.
-        """
-        lo_finite = math.isfinite(self.lo)
-        hi_finite = math.isfinite(self.hi)
-        if lo_finite and hi_finite:
-            return (self.lo + self.hi) / 2.0
-        if lo_finite:
-            return self.lo
-        if hi_finite:
-            return self.hi
-        return 0.0
-
     # -- set operations ----------------------------------------------------
 
     def intersection(self, other: Interval) -> Interval:
@@ -88,10 +69,6 @@ class Interval:
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     # -- helpers -----------------------------------------------------------
-
-    def split(self, x: float) -> tuple[Interval, Interval]:
-        """Split at ``x`` into ``(lo, x]`` and ``(x, hi]``."""
-        return Interval(self.lo, min(x, self.hi)), Interval(max(x, self.lo), self.hi)
 
     def __iter__(self) -> Iterator[float]:
         yield self.lo

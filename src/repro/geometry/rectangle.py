@@ -64,16 +64,6 @@ class Rectangle:
         """Build from parallel low/high sequences (e.g. numpy rows)."""
         return cls(tuple(float(x) for x in lows), tuple(float(x) for x in highs))
 
-    @classmethod
-    def cube(cls, lo: float, hi: float, ndim: int) -> Rectangle:
-        """The N-dimensional cube ``(lo, hi]^ndim``."""
-        return cls((lo,) * ndim, (hi,) * ndim)
-
-    @classmethod
-    def full(cls, ndim: int) -> Rectangle:
-        """The whole space ``R^ndim`` (every side is the full line)."""
-        return cls.cube(-math.inf, math.inf, ndim)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -124,10 +114,6 @@ class Rectangle:
             tuple(min(a, b) for a, b in zip(self.highs, other.highs)),
         )
 
-    def clip(self, frame: Rectangle) -> Rectangle:
-        """Intersect with a bounded clipping frame (alias of intersection)."""
-        return self.intersection(frame)
-
     # -- measures -------------------------------------------------------------------
 
     @property
@@ -141,11 +127,6 @@ class Rectangle:
         # Every side is positive here, so NaN can only be ``0.0 * inf``:
         # finite sides underflowed the product before an unbounded one.
         return math.inf if result != result else result
-
-    @property
-    def center(self) -> Tuple[float, ...]:
-        """Geometric center (per-dimension :attr:`Interval.center`)."""
-        return tuple(side.center for side in self.sides)
 
     # -- conversions -------------------------------------------------------------
 

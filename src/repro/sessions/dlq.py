@@ -20,7 +20,7 @@ sessions dlq``) and re-drivable once the operator fixes the consumer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..telemetry.base import Telemetry, or_null

@@ -28,7 +28,7 @@ to the least-loaded eligible shard.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from ..core.subscription import Subscription, SubscriptionTable

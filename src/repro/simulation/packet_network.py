@@ -37,8 +37,8 @@ see :mod:`repro.simulation.engine` for who relies on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..network.routing import RoutingTable
 from ..network.topology import Topology

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np

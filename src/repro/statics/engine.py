@@ -25,8 +25,6 @@ from pathlib import Path
 from typing import (
     Dict,
     FrozenSet,
-    Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -38,7 +36,7 @@ from typing import (
 from .baseline import Baseline
 from .findings import Finding
 from .resolve import ImportMap
-from .rules import ALL_RULES, LintContext, Rule, rules_by_code
+from .rules import LintContext, Rule, rules_by_code
 
 __all__ = ["LintResult", "lint_paths", "lint_source", "discover_files"]
 

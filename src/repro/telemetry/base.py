@@ -36,7 +36,7 @@ from .metrics import (
     NullMetricsRegistry,
     tally,
 )
-from .tracing import NULL_SPAN, NullTracer, Span, Tracer
+from .tracing import NullTracer, Span, Tracer
 
 __all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "or_null", "tally"]
 

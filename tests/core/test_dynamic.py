@@ -11,12 +11,16 @@ from repro.core import (
     MatchingEngine,
     SubscriptionTable,
 )
-from repro.geometry import Interval, Rectangle
+from repro.geometry import FULL_LINE, Interval, Rectangle
 from repro.spatial import STree
 
 
 def rect4(lo, hi):
-    return Rectangle.cube(lo, hi, 4)
+    return Rectangle((lo,) * 4, (hi,) * 4)
+
+
+def full4():
+    return Rectangle.from_intervals([FULL_LINE] * 4)
 
 
 @pytest.fixture()
@@ -57,14 +61,14 @@ class TestDynamicMatchingEngine:
 
     def test_add_visible_immediately(self, engine):
         before = engine.match_point([1.0, 1.0, 1.0, 1.0])
-        sub = engine.add(9999, Rectangle.full(4))
+        sub = engine.add(9999, full4())
         after = engine.match_point([1.0, 1.0, 1.0, 1.0])
         assert sub.subscription_id in after.subscription_ids
         assert 9999 in after.subscribers
         assert len(after.subscription_ids) == len(before.subscription_ids) + 1
 
     def test_remove_hides_immediately(self, engine):
-        sub = engine.add(9999, Rectangle.full(4))
+        sub = engine.add(9999, full4())
         engine.remove(sub.subscription_id)
         result = engine.match_point([1.0, 1.0, 1.0, 1.0])
         assert sub.subscription_id not in result.subscription_ids
@@ -72,7 +76,7 @@ class TestDynamicMatchingEngine:
     def test_remove_validation(self, engine):
         with pytest.raises(KeyError):
             engine.remove(10_000)
-        sub = engine.add(1, Rectangle.full(4))
+        sub = engine.add(1, full4())
         engine.remove(sub.subscription_id)
         with pytest.raises(KeyError):
             engine.remove(sub.subscription_id)
@@ -86,7 +90,7 @@ class TestDynamicMatchingEngine:
         assert engine.pending_churn < 40
 
     def test_removed_subscriptions_stay_dead_across_rebuilds(self, engine):
-        sub = engine.add(7777, Rectangle.full(4))
+        sub = engine.add(7777, full4())
         engine.remove(sub.subscription_id)
         engine.rebuild()  # must NOT resurrect the removed subscription
         result = engine.match_point([5.0, 5.0, 5.0, 5.0])
@@ -212,7 +216,7 @@ class TestDynamicMatchingEngine:
         table = SubscriptionTable(2)
         engine = DynamicMatchingEngine(table)
         assert engine.match_point([0.0, 0.0]).is_empty
-        engine.add(1, Rectangle.cube(0.0, 1.0, 2))
+        engine.add(1, Rectangle((0.0, 0.0), (1.0, 1.0)))
         assert engine.match_point([0.5, 0.5]).subscribers == (1,)
 
     def test_parameter_validation(self, small_placed):
@@ -246,7 +250,7 @@ class TestDynamicBroker:
         # Subscribers are network nodes; pick a transit node, which the
         # stock workload never uses, so it is guaranteed new.
         new_node = small_topology.all_transit_nodes()[0]
-        broker.subscribe(new_node, Rectangle.full(4))
+        broker.subscribe(new_node, full4())
         # The universal subscriber must now be in every group.
         for group in broker.partition.groups:
             assert new_node in group.members
@@ -275,7 +279,7 @@ class TestDynamicBroker:
 
     def test_unsubscribe_stops_matching(self, broker, small_topology):
         node = small_topology.all_transit_nodes()[1]
-        sub = broker.subscribe(node, Rectangle.full(4))
+        sub = broker.subscribe(node, full4())
         broker.unsubscribe(sub.subscription_id)
         event = Event.create(0, 0, (1.0, 10.0, 9.0, 9.0))
         record = broker.publish(event)
@@ -284,7 +288,7 @@ class TestDynamicBroker:
     def test_live_subscriptions_counter(self, broker, small_topology):
         initial = broker.live_subscriptions
         sub = broker.subscribe(
-            small_topology.all_transit_nodes()[2], Rectangle.full(4)
+            small_topology.all_transit_nodes()[2], full4()
         )
         assert broker.live_subscriptions == initial + 1
         broker.unsubscribe(sub.subscription_id)
@@ -292,7 +296,7 @@ class TestDynamicBroker:
 
     def test_repreprocess_drops_stale_members(self, broker, small_topology):
         node = small_topology.all_transit_nodes()[3]
-        sub = broker.subscribe(node, Rectangle.full(4))
+        sub = broker.subscribe(node, full4())
         broker.unsubscribe(sub.subscription_id)
         # Stale until re-preprocessing...
         assert any(
@@ -392,7 +396,7 @@ class TestChurnGuarantees:
         engine.rebuild()
         assert engine.pending_churn == 0
         # And the guarantee holds repeatedly, not just once.
-        sub = engine.add(8999, Rectangle.full(4))
+        sub = engine.add(8999, full4())
         engine.remove(sub.subscription_id)
         assert engine.pending_churn > 0
         engine.rebuild()
@@ -404,7 +408,7 @@ class TestChurnGuarantees:
         assert excinfo.value.args[0] == "unknown subscription id 10000"
 
     def test_remove_twice_message(self, engine):
-        sub = engine.add(1, Rectangle.full(4))
+        sub = engine.add(1, full4())
         engine.remove(sub.subscription_id)
         with pytest.raises(KeyError) as excinfo:
             engine.remove(sub.subscription_id)
@@ -482,7 +486,7 @@ class TestSustainedChurnDelivery:
     ):
         node = small_topology.all_stub_nodes()[0]
         subs = [
-            broker.subscribe(node, Rectangle.full(4)) for _ in range(10)
+            broker.subscribe(node, full4()) for _ in range(10)
         ]
         for sub in subs:
             broker.unsubscribe(sub.subscription_id)

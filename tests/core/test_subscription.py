@@ -68,7 +68,7 @@ class TestDecomposition:
 class TestSubscriptionTable:
     def test_add_assigns_sequential_ids(self):
         table = SubscriptionTable(2)
-        r = Rectangle.cube(0.0, 1.0, 2)
+        r = Rectangle((0.0, 0.0), (1.0, 1.0))
         first = table.add(10, r)
         second = table.add(20, r)
         assert first.subscription_id == 0
@@ -78,7 +78,7 @@ class TestSubscriptionTable:
     def test_dimension_checked(self):
         table = SubscriptionTable(2)
         with pytest.raises(ValueError):
-            table.add(1, Rectangle.cube(0.0, 1.0, 3))
+            table.add(1, Rectangle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
 
     def test_ndim_validation(self):
         with pytest.raises(ValueError):

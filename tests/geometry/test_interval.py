@@ -73,18 +73,6 @@ class TestMeasures:
     def test_unbounded_length(self):
         assert Interval(0.0, math.inf).length == math.inf
 
-    def test_center_bounded(self):
-        assert Interval(2.0, 6.0).center == 4.0
-
-    def test_center_lower_ray_is_finite_endpoint(self):
-        assert Interval(5.0, math.inf).center == 5.0
-
-    def test_center_upper_ray_is_finite_endpoint(self):
-        assert Interval(-math.inf, 7.0).center == 7.0
-
-    def test_center_full_line_is_zero(self):
-        assert FULL_LINE.center == 0.0
-
 
 class TestSetOperations:
     def test_intersects_overlapping(self):
@@ -119,19 +107,6 @@ class TestSetOperations:
 
 
 class TestHelpers:
-    def test_split(self):
-        left, right = Interval(0.0, 10.0).split(4.0)
-        assert left == Interval(0.0, 4.0)
-        assert right == Interval(4.0, 10.0)
-        # The split point belongs to the left half only.
-        assert left.contains(4.0)
-        assert not right.contains(4.0)
-
-    def test_split_outside_range(self):
-        left, right = Interval(0.0, 10.0).split(20.0)
-        assert left == Interval(0.0, 10.0)
-        assert right.is_empty
-
     def test_iteration_unpacks_endpoints(self):
         lo, hi = Interval(1.0, 2.0)
         assert (lo, hi) == (1.0, 2.0)

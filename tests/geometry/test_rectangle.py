@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.geometry import Interval, Rectangle
+from repro.geometry import FULL_LINE, Interval, Rectangle
 
 
 def rect(*sides):
@@ -25,12 +25,12 @@ class TestConstruction:
         assert r == rect((0, 1), (2, 3))
 
     def test_cube(self):
-        r = Rectangle.cube(0.0, 1.0, 3)
+        r = Rectangle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
         assert r.ndim == 3
         assert r.volume == 1.0
 
     def test_full_space(self):
-        r = Rectangle.full(2)
+        r = Rectangle.from_intervals([FULL_LINE] * 2)
         assert r.contains_point((1e300, -1e300))
 
     def test_dimension_mismatch_rejected(self):
@@ -126,15 +126,12 @@ class TestMeasures:
         assert r.volume == math.inf
         # Clipped to a bounded frame the same sides give a finite volume.
         frame = rect((0, 1), (0, 1), (0, 1))
-        assert r.clip(frame).volume == 0.0
+        assert r.intersection(frame).volume == 0.0
 
     def test_clipped_volume(self):
         unbounded = rect((0, math.inf), (0, 1))
         frame = rect((0, 10), (0, 10))
-        assert unbounded.clip(frame).volume == 10.0
-
-    def test_center(self):
-        assert rect((0, 2), (0, 4)).center == (1.0, 2.0)
+        assert unbounded.intersection(frame).volume == 10.0
 
 
 class TestConversions:

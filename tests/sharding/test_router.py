@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Event
-from repro.geometry import Rectangle
+from repro.geometry import FULL_LINE, Rectangle
 from repro.faults.verifier import build_chaos_testbed
 from repro.sharding import ShardMap, ShardRouter
 from repro.workload import PublicationGenerator
@@ -88,7 +88,7 @@ class TestScatter:
         assert router.shards_of_rectangle(rect) == list(
             range(router.map.num_shards)
         )
-        infinite = Rectangle.full(ndim)
+        infinite = Rectangle.from_intervals([FULL_LINE] * ndim)
         assert router.shards_of_rectangle(infinite) == list(
             range(router.map.num_shards)
         )

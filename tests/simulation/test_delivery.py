@@ -33,7 +33,7 @@ def hot_broker(small_topology):
     """
     table = SubscriptionTable(4)
     for node in small_topology.all_stub_nodes():
-        table.add(node, Rectangle.cube(0.0, 20.0, 4))
+        table.add(node, Rectangle((0.0,) * 4, (20.0,) * 4))
     return PubSubBroker.preprocess(
         small_topology,
         table,
@@ -159,7 +159,7 @@ class TestDeliverySimulation:
         for mode in ("dense", "sparse"):
             table = SubscriptionTable(4)
             for node in small_topology.all_stub_nodes():
-                table.add(node, Rectangle.cube(0.0, 20.0, 4))
+                table.add(node, Rectangle((0.0,) * 4, (20.0,) * 4))
             broker = PubSubBroker.preprocess(
                 small_topology,
                 table,

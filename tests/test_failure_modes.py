@@ -123,7 +123,7 @@ class TestDegenerateSubscriptionSets:
         assert engine.match_point([1e305, 0.0]).subscribers == (1,)
 
     def test_grid_over_identical_rectangles(self):
-        rect = Rectangle.cube(0.0, 1.0, 2)
+        rect = Rectangle((0.0, 0.0), (1.0, 1.0))
         grid = EventGrid([rect] * 50, list(range(50)), cells_per_dim=4)
         assert grid.num_subscribers == 50
         result = ForgyKMeansClustering().cluster(grid, 3, max_cells=20)
@@ -142,7 +142,7 @@ class TestBrokerEdgeCases:
     def tiny_broker(self, small_topology):
         table = SubscriptionTable(4)
         node = small_topology.all_stub_nodes()[0]
-        table.add(node, Rectangle.cube(0.0, 1.0, 4))
+        table.add(node, Rectangle((0.0,) * 4, (1.0,) * 4))
         return PubSubBroker.preprocess(
             small_topology,
             table,
@@ -174,7 +174,7 @@ class TestBrokerEdgeCases:
     def test_more_groups_than_cells(self, small_topology):
         table = SubscriptionTable(4)
         node = small_topology.all_stub_nodes()[0]
-        table.add(node, Rectangle.cube(0.0, 1.0, 4))
+        table.add(node, Rectangle((0.0,) * 4, (1.0,) * 4))
         broker = PubSubBroker.preprocess(
             small_topology,
             table,

@@ -7,8 +7,9 @@ import it where they are called).
 
 The library also ships only what runs: walking ``repro.cli``'s imports
 must reach every non-package module but the ones ``UNREACHED`` names,
-and every public function, class and method must be called from
-outside the tests, but the ones ``TEST_ONLY`` names.
+every public function, class and method must be called from outside
+the tests, but the ones ``TEST_ONLY`` names, and every name a module
+imports must be read by that module.
 """
 
 from __future__ import annotations
@@ -43,7 +44,11 @@ def test_core_imports_leave_scipy_stats_out():
 PACKAGE_ROOT = os.path.join(ROOT, "src", "repro")
 
 #: Modules no ``repro`` command reaches, each with the reason it stays.
-UNREACHED = {"repro.core.adaptive": "ROADMAP item 5 decides it"}
+UNREACHED = {
+    "repro.core.adaptive": "ROADMAP item 5 decides it",
+    "repro.faults.sharded": "an alias kept only for bench/layers.py's "
+    "patch row naming it; it goes when that row is dropped",
+}
 
 
 def _source_modules():
@@ -219,6 +224,13 @@ TEST_ONLY = {
     "tests/durability/test_journal_machine.py",
     "Membership.is_usable": "read by the restart oracle, "
     "tests/durability/test_crash_recovery.py",
+    "Interval.intersection": "the interval algebra the geometry "
+    "property oracle pins (tests/geometry/test_properties.py)",
+    "Rectangle.intersection": "the rectangle algebra the geometry "
+    "property oracle pins; tests spell a clipped volume with it",
+    "Rectangle.side": "a per-dimension accessor the subscription and "
+    "workload tests read; it only looked called while a loop variable "
+    "in the deleted Rectangle.center shared its name",
 }
 
 
@@ -329,3 +341,70 @@ def test_every_test_only_entry_is_still_test_only():
     is stale."""
     stale = set(TEST_ONLY) - set(_uncalled())
     assert not stale, sorted(stale)
+
+
+# -- what each module imports ----------------------------------------------
+
+
+def _module_level_imports(body):
+    """Import statements run at import time, in ``if`` and ``try``
+    blocks included."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            yield from _module_level_imports(node.body)
+            yield from _module_level_imports(node.orelse)
+            for handler in getattr(node, "handlers", ()):
+                yield from _module_level_imports(handler.body)
+            yield from _module_level_imports(getattr(node, "finalbody", ()))
+
+
+def _read_names(tree):
+    """Every name ``tree`` reads: ``Name`` nodes, the names inside
+    string annotations, and the entries of a module's ``__all__``."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, ast.AnnAssign):
+            annotation = node.annotation
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                read |= _read_names(ast.parse(part.value, mode="eval"))
+    for node in tree.body if isinstance(tree, ast.Module) else ():
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            read |= {
+                part.value
+                for part in ast.walk(node.value)
+                if isinstance(part, ast.Constant)
+            }
+    return read
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    """A package ``__init__`` imports to re-export; any other module
+    under ``src/repro`` that imports a name and never reads it carries
+    a dead dependency (and, for a module, its import cost)."""
+    graph = _ImportGraph()
+    unused = []
+    for module, tree in sorted(graph.trees.items()):
+        path, is_package = graph.modules[module]
+        if is_package:
+            continue
+        read = _read_names(tree)
+        for node in _module_level_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if _bound_name(alias) not in read:
+                    where = os.path.relpath(path, ROOT)
+                    unused.append(f"{where}:{node.lineno} {_bound_name(alias)}")
+    assert not unused, "imported and never read:\n" + "\n".join(unused)
