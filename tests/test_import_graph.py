@@ -47,7 +47,8 @@ PACKAGE_ROOT = os.path.join(ROOT, "src", "repro")
 UNREACHED = {
     "repro.core.adaptive": "ROADMAP item 5 decides it",
     "repro.faults.sharded": "an alias kept only for bench/layers.py's "
-    "patch row naming it; it goes when that row is dropped",
+    "patch row naming it; it goes when a bench-only change (ROADMAP "
+    "item 1) drops that row",
 }
 
 
