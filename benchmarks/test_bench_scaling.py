@@ -87,9 +87,9 @@ def test_bench_scaling_with_dimensions(benchmark, config):
             tree = STree.build(lows, highs)
             linear = LinearScanMatcher.build(lows, highs)
             start = time.perf_counter()
-            tree_results = [tree.match(p) for p in points]
+            tree_results = [tree.match(p).tolist() for p in points]
             tree_seconds = time.perf_counter() - start
-            linear_results = [linear.match(p) for p in points]
+            linear_results = [linear.match(p).tolist() for p in points]
             assert tree_results == linear_results
             rows.append(
                 (

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -287,14 +286,16 @@ class EventGrid:
 
     def add_subscription(
         self, rectangle: Rectangle, subscriber: int
-    ) -> List[Tuple[int, ...]]:
+    ) -> Tuple[slice, ...]:
         """Fold one new subscription into the membership lists.
 
         Registers the subscriber (a new bit position if unseen), ORs
         its bit over the covered cells of the mask table, and returns
-        their indices, in C order, so the space partition can widen the
-        corresponding groups.  A cell first covered here joins ``cells``
-        when that is next read, priced by the density cell by cell.
+        that box, one ``slice`` per axis (``()`` when it covers no
+        cell), so the space partition can read the groups it touches
+        off its own cell table without a tuple per cell.  A cell first
+        covered here joins ``cells`` when that is next read, priced by
+        the density cell by cell.
 
         This is the *incremental* half of churn maintenance; removing
         a subscription requires recomputing the affected masks from
@@ -318,12 +319,12 @@ class EventGrid:
             rectangle.lows, rectangle.highs, *self._locate_frame
         )
         if not box:
-            return []
+            return ()
         cover = tuple(slice(axis.start, axis.stop) for axis in box)
         word = self._masks[cover + (bit >> 6,)]
         word |= _WORD_BIT[bit & 63]
         self._stale = True
-        return list(product(*box))
+        return cover
 
     @property
     def cells(self) -> Dict[Tuple[int, ...], GridCell]:

@@ -44,6 +44,9 @@ __all__ = ["DynamicMatchingEngine", "DynamicPubSubBroker"]
 #: Rebuild once pending churn exceeds this fraction of the base index.
 DEFAULT_REBUILD_FRACTION = 0.25
 
+#: The answer of an engine with no base index, before its overflow.
+_NO_IDS = np.empty(0, np.int64)
+
 
 class DynamicMatchingEngine:
     """A matching engine that accepts subscribes and unsubscribes.
@@ -156,25 +159,27 @@ class DynamicMatchingEngine:
 
     def match_point(self, point: Sequence[float]) -> MatchResult:
         """All live subscriptions (and subscribers) containing a point:
-        the base answer, the overflow's hits appended (each overflow id
-        is newer than every base id), tombstones since the last repack
-        masked out.  A buffer with a live view cannot grow, so views of
-        the byte buffers never outlive a statement."""
-        matched = [] if self._base is None else self._base.match(point)
+        the base answer, the overflow's hits written after it in one
+        buffer (each overflow id is newer than every base id),
+        tombstones since the last repack masked out, all as one int64
+        array.  A buffer with a live view cannot grow, so views of the
+        byte buffers never outlive a statement."""
+        matched = _NO_IDS if self._base is None else self._base.match(point)
         used = len(self._overflow_ids)
         if used:
             at = (FOLD_SIGNS * point).reshape(-1, 1)  # [x ; -x]
             folds = self._overflow_folds[:, :used]
-            hits = (folds <= at).all(axis=0).nonzero()[0]
-            ids = np.empty(len(matched) + len(hits), np.intp)
-            ids[: len(matched)] = matched
-            ids[len(matched):] = np.frombuffer(
+            hits = np.logical_and.reduce(folds <= at, axis=0).nonzero()[0]
+            base = len(matched)
+            ids = np.empty(base + len(hits), np.int64)
+            ids[:base] = matched
+            ids[base:] = np.frombuffer(
                 self._overflow_ids, np.int64
             ).take(hits)
             matched = ids
         if self._removals_since_rebuild:
-            ids = np.asarray(matched, np.intp)
-            matched = ids[~np.frombuffer(self._tombstones, bool).take(ids)]
+            dead = np.frombuffer(self._tombstones, bool).take(matched)
+            matched = matched[~dead]
         return MatchResult.from_ids(matched, self.table)
 
     match = MatchingEngine.match

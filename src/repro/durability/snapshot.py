@@ -47,13 +47,18 @@ rely on it.  Verification never does: :meth:`Snapshot.from_dict` and
 handed and compute its digest — over the field texts that arrived,
 which are also the texts its fields are parsed from — on every
 install; a payload's own ``digest`` member is only ever compared
-against.
+against.  A stored canonical file less its ``digest`` and
+``format_version`` members (they sort right after ``checkpoint_lsn``)
+*is* the digested text, so a load hashes the file's own bytes and
+encodes nothing; only a file whose bytes do not match goes to
+:meth:`Snapshot.from_dict`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -68,6 +73,13 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
+
+#: The head of a canonical file: the ``checkpoint_lsn`` member, then the
+#: two members the digest leaves out (the digest captured).
+_STORED_HEAD = re.compile(
+    rb'\{"checkpoint_lsn":-?[0-9]+,("digest":"([0-9a-f]{32})",'
+    rb'"format_version":%d,)' % _FORMAT_VERSION
+)
 
 
 @dataclass(frozen=True)
@@ -204,16 +216,7 @@ class Snapshot:
     ) -> Snapshot:
         """A snapshot of ``body``'s values, whose own digest must equal
         the ``digest`` member ``payload`` carries."""
-        snapshot = cls(
-            snapshot_id=int(body["snapshot_id"]),
-            checkpoint_lsn=int(body["checkpoint_lsn"]),
-            table=body["table"],
-            removed=[int(x) for x in body.get("removed", [])],
-            partition=body.get("partition"),
-            taken_at=float(body.get("taken_at", 0.0)),
-            sessions=body.get("sessions"),
-            texts=texts or {},
-        )
+        snapshot = cls._of(body, texts)
         if "digest" not in payload:
             raise ValueError(
                 f"snapshot {snapshot.snapshot_id}: digest missing "
@@ -225,6 +228,20 @@ class Snapshot:
                 "(corrupt or tampered)"
             )
         return snapshot
+
+    @classmethod
+    def _of(cls, body: Dict, texts: Optional[Dict] = None) -> Snapshot:
+        """A snapshot of ``body``'s values, unverified."""
+        return cls(
+            snapshot_id=int(body["snapshot_id"]),
+            checkpoint_lsn=int(body["checkpoint_lsn"]),
+            table=body["table"],
+            removed=[int(x) for x in body.get("removed", [])],
+            partition=body.get("partition"),
+            taken_at=float(body.get("taken_at", 0.0)),
+            sessions=body.get("sessions"),
+            texts=texts or {},
+        )
 
 
 class SnapshotStore:
@@ -296,10 +313,32 @@ class FileSnapshotStore(SnapshotStore):
     def latest(self) -> Optional[Snapshot]:
         for snapshot_id in reversed(self.ids()):
             try:
-                text = self._path(snapshot_id).read_text(encoding="utf-8")
-                return Snapshot.from_dict(json.loads(text))
+                return _load(self._path(snapshot_id).read_bytes())
             except (ValueError, OSError):
                 # Torn or corrupt: fall back to the previous checkpoint,
                 # exactly like the WAL truncates at the last valid record.
                 continue
         return None
+
+
+def _load(data: bytes) -> Snapshot:
+    """The verified snapshot a stored file holds, or ``ValueError``:
+    its bytes hashed as they lie, less what :data:`_STORED_HEAD`
+    captures, or else :meth:`Snapshot.from_dict`'s judgement."""
+    payload = json.loads(data.decode("utf-8"))
+    head = _STORED_HEAD.match(data)
+    if head is not None and isinstance(payload, dict):
+        digest = hashlib.blake2b(data[: head.start(1)], digest_size=16)
+        digest.update(memoryview(data)[head.end(1):])
+        stored = head.group(2).decode("ascii")
+        if digest.hexdigest() == stored == payload.get("digest") and (
+            payload.get("format_version") == _FORMAT_VERSION
+        ):
+            try:
+                snapshot = Snapshot._of(payload)
+            except (KeyError, TypeError, ValueError):
+                pass  # from_dict says why
+            else:
+                object.__setattr__(snapshot, "_digest", stored)
+                return snapshot
+    return Snapshot.from_dict(payload)

@@ -349,10 +349,6 @@ class TransmissionFate:
     copies: int = 1
     extra_delay: float = 0.0
 
-    @property
-    def lost(self) -> bool:
-        return self.copies == 0
-
 
 _DELIVER = TransmissionFate()
 _SENDER_DOWN = TransmissionFate(sent=False, copies=0)

@@ -53,15 +53,6 @@ class Interval:
     def __contains__(self, x: float) -> bool:
         return self.contains(x)
 
-    # -- measures --------------------------------------------------------
-
-    @property
-    def length(self) -> float:
-        """Length of the interval; 0 for empty intervals, inf if unbounded."""
-        if self.is_empty:
-            return 0.0
-        return self.hi - self.lo
-
     # -- set operations ----------------------------------------------------
 
     def intersection(self, other: Interval) -> Interval:

@@ -71,10 +71,6 @@ class Rectangle:
         """Number of dimensions (attributes)."""
         return len(self.lows)
 
-    def side(self, dim: int) -> Interval:
-        """The interval forming dimension ``dim``."""
-        return Interval(self.lows[dim], self.highs[dim])
-
     @property
     def sides(self) -> Tuple[Interval, ...]:
         """All per-dimension intervals."""

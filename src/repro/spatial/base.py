@@ -146,8 +146,9 @@ class PointMatcher(abc.ABC):
 
     # -- queries -----------------------------------------------------------------
 
-    def match(self, point: Sequence[float]) -> List[int]:
-        """Identifiers of all rectangles containing ``point`` (sorted)."""
+    def match(self, point: Sequence[float]) -> np.ndarray:
+        """Identifiers of all rectangles containing ``point``: one
+        sorted, C-contiguous int64 array, each id once."""
         at = np.asarray(point, dtype=np.float64)
         if at.shape != (self.ndim,):
             raise ValueError(
@@ -160,8 +161,8 @@ class PointMatcher(abc.ABC):
         """Number of rectangles containing ``point``."""
         return len(self.match(point))
 
-    def match_many(self, points: np.ndarray) -> List[List[int]]:
-        """Match a batch of points; one sorted id list per row."""
+    def match_many(self, points: np.ndarray) -> List[np.ndarray]:
+        """Match a batch of points; one :meth:`match` answer per row."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.ndim:
             raise ValueError(
@@ -169,13 +170,13 @@ class PointMatcher(abc.ABC):
             )
         return self._match_rows(points)
 
-    def _match_rows(self, points: np.ndarray) -> List[List[int]]:
+    def _match_rows(self, points: np.ndarray) -> List[np.ndarray]:
         """``match_many`` on validated points; override for a bulk path."""
         return [self.match(point) for point in points]
 
     @abc.abstractmethod
-    def _match_ids(self, point: np.ndarray) -> List[int]:
-        """Return the matching identifiers, sorted; update ``self.stats``."""
+    def _match_ids(self, point: np.ndarray) -> np.ndarray:
+        """Return :meth:`match`'s answer; update ``self.stats``."""
 
     # -- introspection ---------------------------------------------------------
 

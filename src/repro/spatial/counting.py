@@ -54,7 +54,7 @@ class CountingMatcher(PointMatcher):
                 )
             )
 
-    def _match_ids(self, point: np.ndarray) -> List[int]:
+    def _match_ids(self, point: np.ndarray) -> np.ndarray:
         counts = np.zeros(self.size, dtype=np.int64)
         for dim, tree in enumerate(self._trees):
             stabbed = tree.stab(float(point[dim]))
@@ -67,4 +67,4 @@ class CountingMatcher(PointMatcher):
         outside = ~(point > -np.inf)
         if outside.any():
             matched &= ~self._wildcard[:, outside].any(axis=1)
-        return sorted(self._ids[matched].tolist())
+        return np.sort(self._ids[matched])

@@ -88,7 +88,7 @@ class GridIndexMatcher(PointMatcher):
         """Cell coordinates of a point, or None when outside the frame."""
         return locate_cell(point.tolist(), *self._locate_frame)
 
-    def _match_ids(self, point: np.ndarray) -> List[int]:
+    def _match_ids(self, point: np.ndarray) -> np.ndarray:
         cell = self._locate(point)
         if cell is None:
             # Outside the frame only unbounded rectangles can match;
@@ -96,11 +96,9 @@ class GridIndexMatcher(PointMatcher):
             candidates = np.arange(self.size)
         else:
             self.stats.leaves_visited += 1
-            candidates = np.asarray(self._cells.get(cell, []), dtype=np.int64)
-        if len(candidates) == 0:
-            return []
+            candidates = np.asarray(self._cells.get(cell, ()), dtype=np.int64)
         self.stats.entries_tested += len(candidates)
         lows = self._lows[candidates]
         highs = self._highs[candidates]
         mask = np.all((lows < point) & (point <= highs), axis=1)
-        return sorted(self._ids[candidates[mask]].tolist())
+        return np.sort(self._ids[candidates[mask]])

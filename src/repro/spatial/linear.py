@@ -20,19 +20,16 @@ __all__ = ["LinearScanMatcher"]
 class LinearScanMatcher(PointMatcher):
     """Exhaustive vectorized scan over all subscription rectangles."""
 
-    def _match_ids(self, point: np.ndarray) -> List[int]:
+    def _match_ids(self, point: np.ndarray) -> np.ndarray:
         self.stats.entries_tested += self.size
         mask = np.all((self._lows < point) & (point <= self._highs), axis=1)
-        return sorted(self._ids[mask].tolist())
+        return np.sort(self._ids[mask])
 
-    def _match_rows(self, points: np.ndarray) -> List[List[int]]:
+    def _match_rows(self, points: np.ndarray) -> List[np.ndarray]:
         """Bulk path: one (k, m) containment mask for the whole batch."""
         below = self._lows[:, None, :] < points[None, :, :]
         above = points[None, :, :] <= self._highs[:, None, :]
         mask = np.all(below & above, axis=2)
         self.stats.queries += points.shape[0]
         self.stats.entries_tested += self.size * points.shape[0]
-        return [
-            sorted(int(i) for i in self._ids[mask[:, j]])
-            for j in range(points.shape[0])
-        ]
+        return [np.sort(self._ids[column]) for column in mask.T]

@@ -152,15 +152,14 @@ class PackedTreeMatcher(PointMatcher):
 
     _packed: PackedTree
 
-    def _match_ids(self, point: np.ndarray) -> List[int]:
+    def _match_ids(self, point: np.ndarray) -> np.ndarray:
         packed = self._packed
         at = (FOLD_SIGNS * point).reshape(-1, 1)
         rows = packed.candidates(_all(packed.folds <= at, axis=0), self.stats)
         inside = _all(packed.entry_folds.take(rows, axis=1) <= at, axis=0)
         ids = packed.entry_ids.take(rows[inside])
         ids.sort()
-        result: List[int] = ids.tolist()
-        return result
+        return ids
 
     @property
     def height(self) -> int:

@@ -73,10 +73,6 @@ class Span:
     def is_recording(self) -> bool:
         return True
 
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
     def set_attribute(self, key: str, value: object) -> Span:
         self.attributes[key] = value
         return self

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.clustering import EventGrid, UniformCellProbability
 from repro.geometry import Interval, Rectangle
 from repro.workload import nine_mode_distribution
+from tests.clustering.cellbox import box_cells
 from tests.geometry.test_gridmath import probes_inside
 
 
@@ -446,7 +447,7 @@ class TestMembershipFollowsLocate:
             rectangles[:1], [0], cells_per_dim=cells, frame=frame
         )
         for subscriber, rectangle in enumerate(rectangles[1:], start=1):
-            affected = grid.add_subscription(rectangle, subscriber)
+            affected = box_cells(grid.add_subscription(rectangle, subscriber))
             assert len(affected) == len(set(affected))
             assert {
                 index

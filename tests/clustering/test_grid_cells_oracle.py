@@ -29,6 +29,7 @@ from repro.geometry import Rectangle
 from repro.geometry.gridmath import overlapped_cell_box, overlapped_cell_range
 from repro.workload import StockSubscriptionGenerator
 
+from tests.clustering.cellbox import box_cells
 from tests.clustering.test_grid_growth_oracle import STARTS, sequences
 
 _WORD_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -183,7 +184,7 @@ def grow_and_compare(grid, reference, rectangles, subscribers, reads):
     for step, (rectangle, subscriber) in enumerate(zip(rectangles, subscribers)):
         if step in reads:
             assert items(grid.cells) == items(reference.cells)
-        got = grid.add_subscription(rectangle, subscriber)
+        got = box_cells(grid.add_subscription(rectangle, subscriber))
         assert got == reference.add_subscription(rectangle, subscriber)
     assert items(grid.cells) == items(reference.cells)
     assert grid.subscribers == reference.subscribers

@@ -34,6 +34,8 @@ from repro.geometry import Rectangle
 from repro.geometry.gridmath import overlapped_cell_box
 from repro.workload import StockSubscriptionGenerator
 
+from .cellbox import box_cells
+
 INF = float("inf")
 
 
@@ -114,7 +116,7 @@ def grow(grid, rectangles, subscribers):
     goes; reading ``cells`` mid-way is part of the test."""
     reference = ReferenceGrowth(grid)
     for step, (rectangle, subscriber) in enumerate(zip(rectangles, subscribers)):
-        got = grid.add_subscription(rectangle, subscriber)
+        got = box_cells(grid.add_subscription(rectangle, subscriber))
         assert got == reference.add(rectangle, subscriber)
         if step % 7 == 3:
             assert cells_of(grid) == reference.cells

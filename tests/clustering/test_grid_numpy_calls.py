@@ -29,6 +29,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.testbed import build_testbed
 from repro.workload import StockSubscriptionGenerator
 
+from .cellbox import box_cells
+
 BUILD_CALLS_PER_RECTANGLE = 25
 ADD_CALLS_PER_SUBSCRIPTION = 0
 
@@ -83,9 +85,10 @@ def test_numpy_calls_do_not_scale_with_cells():
     marked = []
     add = numpy_c_calls(
         lambda: marked.extend(
-            len(grid.add_subscription(p.rectangle, p.node)) for p in placed
+            grid.add_subscription(p.rectangle, p.node) for p in placed
         )
     )
+    marked = [len(box_cells(box)) for box in marked]
     # The subscriptions are real ones (over a hundred cells each), so a
     # per-cell call could not hide under the bound.
     assert sum(marked) / len(placed) > 100

@@ -28,6 +28,8 @@ from repro.experiments.testbed import build_testbed
 from repro.geometry import Rectangle
 from repro.geometry.gridmath import covered_cell_range
 
+from .cellbox import box_cells
+
 INF = float("inf")
 
 
@@ -238,7 +240,8 @@ class TestAgainstTheReplacedWalk:
         )
         for rectangle, subscriber in zip(rectangles[1:], subscribers[1:]):
             expected = reference_cells_of(grown, rectangle)
-            assert grown.add_subscription(rectangle, subscriber) == expected
+            box = grown.add_subscription(rectangle, subscriber)
+            assert box_cells(box) == expected
         assert members_by_id(grown) == members_by_id(batch)
         assert sorted(grown.subscribers) == batch.subscribers
         for index, cell in grown.cells.items():

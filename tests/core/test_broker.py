@@ -221,8 +221,8 @@ class TestSharedGroupKey:
         )
         cell = next(
             index
-            for index, q in partition._cell_to_group.items()
-            if q == 1
+            for index in partition.grid.cells
+            if partition.group_of_cell(index) == 1
         )
         grown = partition.add_subscription(
             partition.grid.cells[cell].rectangle(), newcomer

@@ -38,18 +38,18 @@ class TestDecomposition:
     def test_empty_predicate_means_wildcard(self):
         rects = decompose_predicates([[], [Interval(0, 1)]])
         assert len(rects) == 1
-        assert rects[0].side(0) == FULL_LINE
+        assert rects[0].sides[0] == FULL_LINE
 
     def test_empty_intervals_dropped(self):
         rects = decompose_predicates(
             [[Interval(1, 0), Interval(0, 1)], [Interval(2, 3)]]
         )
         assert len(rects) == 1
-        assert rects[0].side(0) == Interval(0, 1)
+        assert rects[0].sides[0] == Interval(0, 1)
 
     def test_all_empty_falls_back_to_wildcard(self):
         rects = decompose_predicates([[Interval(1, 0)], [Interval(2, 3)]])
-        assert rects[0].side(0) == FULL_LINE
+        assert rects[0].sides[0] == FULL_LINE
 
     def test_multi_range_semantics(self):
         # price in (10,20] or (30,40] — an event in either range matches

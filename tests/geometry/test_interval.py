@@ -62,16 +62,7 @@ class TestEmptiness:
         empty = Interval(3.0, 1.0)
         assert not empty.contains(2.0)
 
-    def test_empty_length_zero(self):
-        assert Interval(3.0, 1.0).length == 0.0
 
-
-class TestMeasures:
-    def test_length(self):
-        assert Interval(1.0, 4.0).length == 3.0
-
-    def test_unbounded_length(self):
-        assert Interval(0.0, math.inf).length == math.inf
 
 
 class TestSetOperations:

@@ -46,9 +46,6 @@ class TestConstruction:
         assert r.sides == (Interval(0, 1), Interval(2, 3))
         assert list(r) == [Interval(0, 1), Interval(2, 3)]
 
-    def test_side_accessor(self):
-        assert rect((0, 1), (2, 3)).side(1) == Interval(2, 3)
-
 
 class TestContainment:
     def test_interior_point(self):

@@ -168,7 +168,7 @@ class ReferenceNetwork(PacketNetwork):
         self.log.transmissions += copies
         propagation = self.routing.edge_cost(u, v) * self.propagation_scale
         delivered_any = False
-        if not fate.lost:
+        if fate.copies:
             for copy in range(fate.copies):
                 arrival = (
                     depart

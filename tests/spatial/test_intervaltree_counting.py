@@ -96,37 +96,37 @@ class TestCountingMatcher:
         counting = CountingMatcher.build(lows, highs)
         linear = LinearScanMatcher.build(lows, highs)
         for point in points:
-            assert counting.match(point) == linear.match(point)
+            assert counting.match(point).tolist() == linear.match(point).tolist()
 
     def test_matches_brute_force_bounded(self, bounded_workload):
         lows, highs, points = bounded_workload
         counting = CountingMatcher.build(lows, highs)
         linear = LinearScanMatcher.build(lows, highs)
         for point in points[:80]:
-            assert counting.match(point) == linear.match(point)
+            assert counting.match(point).tolist() == linear.match(point).tolist()
 
     def test_all_wildcard_subscription(self):
         lows = np.array([[-np.inf, -np.inf], [0.0, 0.0]])
         highs = np.array([[np.inf, np.inf], [1.0, 1.0]])
         matcher = CountingMatcher.build(lows, highs)
-        assert matcher.match([0.5, 0.5]) == [0, 1]
-        assert matcher.match([100.0, 100.0]) == [0]
+        assert matcher.match([0.5, 0.5]).tolist() == [0, 1]
+        assert matcher.match([100.0, 100.0]).tolist() == [0]
 
     def test_partial_satisfaction_is_no_match(self):
         # One predicate satisfied, the other not: counter != required.
         lows = np.array([[0.0, 10.0]])
         highs = np.array([[1.0, 11.0]])
         matcher = CountingMatcher.build(lows, highs)
-        assert matcher.match([0.5, 5.0]) == []
-        assert matcher.match([0.5, 10.5]) == [0]
+        assert matcher.match([0.5, 5.0]).tolist() == []
+        assert matcher.match([0.5, 10.5]).tolist() == [0]
 
     def test_mixed_wildcard_dimensions(self):
         # Wildcard price, bounded volume: only the volume test counts.
         lows = np.array([[-np.inf, 0.0]])
         highs = np.array([[np.inf, 10.0]])
         matcher = CountingMatcher.build(lows, highs)
-        assert matcher.match([123.0, 5.0]) == [0]
-        assert matcher.match([123.0, 50.0]) == []
+        assert matcher.match([123.0, 5.0]).tolist() == [0]
+        assert matcher.match([123.0, 50.0]).tolist() == []
 
     def test_empty_infinite_sides_are_not_wildcards(self):
         # (+inf, +inf] and (-inf, -inf] hold nothing; only (-inf, +inf]
@@ -134,25 +134,25 @@ class TestCountingMatcher:
         lows = np.array([[np.inf, 0.0], [-np.inf, 0.0], [1.0, 0.0]])
         highs = np.array([[np.inf, 5.0], [-np.inf, 5.0], [3.0, 5.0]])
         matcher = CountingMatcher.build(lows, highs)
-        assert matcher.match([2.0, 3.0]) == [2]
-        assert matcher.match([np.inf, 3.0]) == []
-        assert matcher.match([-np.inf, 3.0]) == []
+        assert matcher.match([2.0, 3.0]).tolist() == [2]
+        assert matcher.match([np.inf, 3.0]).tolist() == []
+        assert matcher.match([-np.inf, 3.0]).tolist() == []
 
     def test_wildcard_excludes_minus_infinity(self):
         # -inf < -inf is false: a wildcard side does not hold -inf.
         lows = np.array([[-np.inf, 0.0], [-np.inf, -np.inf]])
         highs = np.array([[np.inf, 5.0], [np.inf, np.inf]])
         matcher = CountingMatcher.build(lows, highs)
-        assert matcher.match([-np.inf, 3.0]) == []
-        assert matcher.match([3.0, -np.inf]) == []
-        assert matcher.match([np.inf, 3.0]) == [0, 1]
-        assert matcher.match([np.nan, 3.0]) == []
+        assert matcher.match([-np.inf, 3.0]).tolist() == []
+        assert matcher.match([3.0, -np.inf]).tolist() == []
+        assert matcher.match([np.inf, 3.0]).tolist() == [0, 1]
+        assert matcher.match([np.nan, 3.0]).tolist() == []
 
     def test_custom_ids(self):
         lows = np.zeros((2, 1))
         highs = np.ones((2, 1))
         matcher = CountingMatcher.build(lows, highs, ids=[5, 9])
-        assert matcher.match([0.5]) == [5, 9]
+        assert matcher.match([0.5]).tolist() == [5, 9]
 
     def test_registered_as_backend(self):
         from repro.core import MATCHER_BACKENDS

@@ -14,20 +14,22 @@ class TestMatchMany:
         tree = STree.build(lows, highs)
         batch = tree.match_many(points[:50])
         for point, result in zip(points[:50], batch):
-            assert result == tree.match(point)
+            assert result.tolist() == tree.match(point).tolist()
 
     def test_linear_vectorized_batch_equals_loop(self, workload):
         lows, highs, points = workload
         matcher = LinearScanMatcher.build(lows, highs)
         batch = matcher.match_many(points[:50])
         for point, result in zip(points[:50], batch):
-            assert result == matcher.match(point)
+            assert result.tolist() == matcher.match(point).tolist()
 
     def test_linear_and_stree_batches_agree(self, workload):
         lows, highs, points = workload
         tree = STree.build(lows, highs)
         linear = LinearScanMatcher.build(lows, highs)
-        assert tree.match_many(points) == linear.match_many(points)
+        assert [ids.tolist() for ids in tree.match_many(points)] == [
+            ids.tolist() for ids in linear.match_many(points)
+        ]
 
     def test_batch_shape_validation(self, workload):
         lows, highs, _ = workload

@@ -71,7 +71,7 @@ def reference(lows, highs, point):
 def test_stree_equals_reference(rects, point):
     lows, highs = rects
     tree = STree.build(lows, highs, params=STreeParams(branch_factor=4))
-    assert tree.match(point) == reference(lows, highs, point)
+    assert tree.match(point).tolist() == reference(lows, highs, point)
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,7 +83,7 @@ def test_stree_longest_equals_reference(rects, point):
         highs,
         params=STreeParams(branch_factor=4, split_dimension="longest"),
     )
-    assert tree.match(point) == reference(lows, highs, point)
+    assert tree.match(point).tolist() == reference(lows, highs, point)
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,7 +91,7 @@ def test_stree_longest_equals_reference(rects, point):
 def test_rtree_equals_reference(rects, point):
     lows, highs = rects
     tree = HilbertRTree.build(lows, highs, branch_factor=4)
-    assert tree.match(point) == reference(lows, highs, point)
+    assert tree.match(point).tolist() == reference(lows, highs, point)
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,7 +99,7 @@ def test_rtree_equals_reference(rects, point):
 def test_grid_equals_reference(rects, point):
     lows, highs = rects
     matcher = GridIndexMatcher.build(lows, highs, cells_per_dim=4)
-    assert matcher.match(point) == reference(lows, highs, point)
+    assert matcher.match(point).tolist() == reference(lows, highs, point)
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,7 +107,7 @@ def test_grid_equals_reference(rects, point):
 def test_counting_equals_reference(rects, point):
     lows, highs = rects
     matcher = CountingMatcher.build(lows, highs)
-    assert matcher.match(point) == reference(lows, highs, point)
+    assert matcher.match(point).tolist() == reference(lows, highs, point)
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,7 +115,7 @@ def test_counting_equals_reference(rects, point):
 def test_linear_equals_reference(rects, point):
     lows, highs = rects
     matcher = LinearScanMatcher.build(lows, highs)
-    assert matcher.match(point) == reference(lows, highs, point)
+    assert matcher.match(point).tolist() == reference(lows, highs, point)
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,13 +125,13 @@ def test_all_backends_agree_3d(rects, point):
     results = {
         "stree": STree.build(
             lows, highs, params=STreeParams(branch_factor=4)
-        ).match(point),
+        ).match(point).tolist(),
         "rtree": HilbertRTree.build(lows, highs, branch_factor=4).match(
             point
-        ),
-        "grid": GridIndexMatcher.build(lows, highs).match(point),
-        "counting": CountingMatcher.build(lows, highs).match(point),
-        "linear": LinearScanMatcher.build(lows, highs).match(point),
+        ).tolist(),
+        "grid": GridIndexMatcher.build(lows, highs).match(point).tolist(),
+        "counting": CountingMatcher.build(lows, highs).match(point).tolist(),
+        "linear": LinearScanMatcher.build(lows, highs).match(point).tolist(),
     }
     assert len({tuple(v) for v in results.values()}) == 1, results
     assert results["linear"] == reference(lows, highs, point)
@@ -209,8 +209,10 @@ def test_all_backends_agree_on_boundaries(case):
     expected = [reference(lows, highs, point) for point in points]
     for name, build in BACKENDS.items():
         matcher = build(lows, highs)
-        assert [matcher.match(p) for p in points] == expected, name
-        assert matcher.match_many(points) == expected, name
+        assert [matcher.match(p).tolist() for p in points] == expected, name
+        assert [ids.tolist() for ids in matcher.match_many(points)] == (
+            expected
+        ), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,5 +222,7 @@ def test_all_backends_agree_on_boundaries_3d(case):
     expected = [reference(lows, highs, point) for point in points]
     for name, build in BACKENDS.items():
         matcher = build(lows, highs)
-        assert matcher.match_many(points) == expected, name
-        assert [matcher.match(p) for p in points] == expected, name
+        assert [ids.tolist() for ids in matcher.match_many(points)] == (
+            expected
+        ), name
+        assert [matcher.match(p).tolist() for p in points] == expected, name

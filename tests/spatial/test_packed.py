@@ -168,7 +168,7 @@ class TestCounterFidelity:
                 tree._packed, contains(point)
             )
             tree.stats.reset()
-            assert tree.match(point) == expected_ids
+            assert tree.match(point).tolist() == expected_ids
             assert counters_of(tree) == expected
             assert tree.stats.queries == 1
 
@@ -180,7 +180,8 @@ class TestCounterFidelity:
                 tree._packed, contains(point)
             )
             tree.stats.reset()
-            assert tree.match_many(point[None, :]) == [expected_ids]
+            (ids,) = tree.match_many(point[None, :])
+            assert ids.tolist() == expected_ids
             assert counters_of(tree) == expected
 
     @every(CASES)
@@ -192,7 +193,10 @@ class TestCounterFidelity:
         tree.stats.reset()
         found = []
         for first in range(0, len(points), batch):
-            found.extend(tree.match_many(points[first : first + batch]))
+            found.extend(
+                ids.tolist()
+                for ids in tree.match_many(points[first : first + batch])
+            )
         assert found == [ids for ids, _ in walks]
         totals = tuple(
             sum(counters[i] for _, counters in walks) for i in range(3)
@@ -272,7 +276,7 @@ class TestFlatReach:
         point[1] = np.nan
         expected = reference_walk(tree._packed, contains(point))
         assert expected[0] == []
-        assert tree.match(point) == []
+        assert tree.match(point).tolist() == []
         assert counters_of(tree) == expected[1]
 
 
@@ -290,5 +294,5 @@ class TestBatchEdges:
         )
         far = np.full((3, 2), 1e9)
         far[:, 0] = -1e9
-        assert tree.match_many(far) == [[], [], []]
+        assert [ids.tolist() for ids in tree.match_many(far)] == [[], [], []]
         assert tree.stats.leaves_visited == 0

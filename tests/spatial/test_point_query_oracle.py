@@ -6,7 +6,8 @@ against ``[x ; -x]``, one over the entries of the leaves kept.  The
 query it replaced built that test as a closure and handed it, with the
 node and entry bounds, to ``PackedTree.reach``; that walk is kept here,
 verbatim, as the reference.  Per query the two must agree on the ids
-(sorted, as Python ints) and on all four ``QueryStats`` counters, for
+(the answer one sorted int64 array, compared through ``tolist``) and on
+all four ``QueryStats`` counters, for
 the S-tree and the Hilbert R-tree, on generated tables (±inf sides,
 repeated rows) and on the benchmark's 1k / 4k / 8k testbeds, at points
 on and one ulp off every bound, at ±0.0, ±inf and NaN.  The S-tree's
@@ -106,8 +107,8 @@ def assert_points_agree(matcher, points):
     for point in points:
         got = matcher.match(point)
         want = reference_match(matcher, point, expected)
-        assert got == want, point
-        assert all(type(i) is int for i in got)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.tolist() == want, point
         assert stats_of(matcher.stats) == stats_of(expected), point
 
 
@@ -253,8 +254,8 @@ def test_testbeds_match_the_closure_walk(kind, subscriptions):
 
 @pytest.mark.parametrize("name", sorted(MATCHER_BACKENDS))
 def test_every_backend_answers_sorted_ids(name):
-    """``PointMatcher.match`` returns ``_match_ids``' list as it is, so
-    each backend sorts; ids in reverse row order make a row-order
+    """``PointMatcher.match`` returns ``_match_ids``' array as it is,
+    so each backend sorts; ids in reverse row order make a row-order
     answer unsorted."""
     rng = np.random.default_rng(11)
     lows = rng.uniform(0, 10, (300, 3))
@@ -265,7 +266,7 @@ def test_every_backend_answers_sorted_ids(name):
     answered = 0
     for point in rng.uniform(-1, 19, (200, 3)):
         got = matcher.match(point)
-        assert got == sorted(got)
-        assert all(type(i) is int for i in got)
+        assert got.tolist() == sorted(got.tolist())
+        assert got.dtype == np.int64 and got.ndim == 1
         answered += len(got) > 1
     assert answered > 50

@@ -18,7 +18,7 @@ class TestConstruction:
         tree = HilbertRTree.build(
             np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
         )
-        assert tree.match([0.5, 0.5]) == [0]
+        assert tree.match([0.5, 0.5]).tolist() == [0]
         assert tree.height == 0
 
     def test_height_is_logarithmic(self, rng):
@@ -51,26 +51,26 @@ class TestCorrectness:
         lows, highs, points = workload
         tree = HilbertRTree.build(lows, highs)
         for point in points:
-            assert tree.match(point) == brute_force(lows, highs, point)
+            assert tree.match(point).tolist() == brute_force(lows, highs, point)
 
     def test_matches_brute_force_small_fanout(self, workload):
         lows, highs, points = workload
         tree = HilbertRTree.build(lows, highs, branch_factor=4)
         for point in points[:80]:
-            assert tree.match(point) == brute_force(lows, highs, point)
+            assert tree.match(point).tolist() == brute_force(lows, highs, point)
 
     def test_half_open_semantics(self):
         tree = HilbertRTree.build(
             np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
         )
-        assert tree.match([0.0, 0.5]) == []
-        assert tree.match([1.0, 1.0]) == [0]
+        assert tree.match([0.0, 0.5]).tolist() == []
+        assert tree.match([1.0, 1.0]).tolist() == [0]
 
     def test_custom_ids(self):
         lows = np.zeros((3, 1))
         highs = np.ones((3, 1))
         tree = HilbertRTree.build(lows, highs, ids=[7, 8, 9])
-        assert tree.match([1.0]) == [7, 8, 9]
+        assert tree.match([1.0]).tolist() == [7, 8, 9]
 
 
 class TestStats:

@@ -48,8 +48,8 @@ class TestParams:
 class TestConstruction:
     def test_single_rectangle(self):
         tree = STree.build(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
-        assert tree.match([0.5, 0.5]) == [0]
-        assert tree.match([2.0, 2.0]) == []
+        assert tree.match([0.5, 0.5]).tolist() == [0]
+        assert tree.match([2.0, 2.0]).tolist() == []
 
     def test_small_set_becomes_single_leaf(self):
         lows = np.zeros((5, 2))
@@ -94,15 +94,15 @@ class TestConstruction:
         lows = np.zeros((3, 1))
         highs = np.ones((3, 1))
         tree = STree.build(lows, highs, ids=[10, 20, 30])
-        assert tree.match([0.5]) == [10, 20, 30]
+        assert tree.match([0.5]).tolist() == [10, 20, 30]
 
     def test_identical_rectangles(self):
         # Degenerate data: every rectangle the same.
         lows = np.zeros((200, 2))
         highs = np.ones((200, 2))
         tree = STree.build(lows, highs, params=STreeParams(branch_factor=10))
-        assert tree.match([0.5, 0.5]) == list(range(200))
-        assert tree.match([1.5, 0.5]) == []
+        assert tree.match([0.5, 0.5]).tolist() == list(range(200))
+        assert tree.match([1.5, 0.5]).tolist() == []
 
     def test_build_input_validation(self):
         with pytest.raises(ValueError):
@@ -122,13 +122,13 @@ class TestCorrectness:
         lows, highs, points = workload
         tree = STree.build(lows, highs)
         for point in points:
-            assert tree.match(point) == brute_force(lows, highs, point)
+            assert tree.match(point).tolist() == brute_force(lows, highs, point)
 
     def test_matches_brute_force_bounded(self, bounded_workload):
         lows, highs, points = bounded_workload
         tree = STree.build(lows, highs)
         for point in points:
-            assert tree.match(point) == brute_force(lows, highs, point)
+            assert tree.match(point).tolist() == brute_force(lows, highs, point)
 
     def test_longest_dimension_variant_correct(self, workload):
         lows, highs, points = workload
@@ -136,21 +136,21 @@ class TestCorrectness:
             lows, highs, params=STreeParams(split_dimension="longest")
         )
         for point in points[:50]:
-            assert tree.match(point) == brute_force(lows, highs, point)
+            assert tree.match(point).tolist() == brute_force(lows, highs, point)
 
     def test_half_open_semantics_at_boundaries(self):
         lows = np.array([[0.0, 0.0]])
         highs = np.array([[1.0, 1.0]])
         tree = STree.build(lows, highs)
-        assert tree.match([0.0, 0.5]) == []
-        assert tree.match([1.0, 1.0]) == [0]
+        assert tree.match([0.0, 0.5]).tolist() == []
+        assert tree.match([1.0, 1.0]).tolist() == [0]
 
     def test_unbounded_rectangle_matches_far_points(self):
         lows = np.array([[0.0, -np.inf]])
         highs = np.array([[np.inf, 0.0]])
         tree = STree.build(lows, highs)
-        assert tree.match([1e9, -1e9]) == [0]
-        assert tree.match([-1.0, -1.0]) == []
+        assert tree.match([1e9, -1e9]).tolist() == [0]
+        assert tree.match([-1.0, -1.0]).tolist() == []
 
     def test_count(self, workload):
         lows, highs, points = workload

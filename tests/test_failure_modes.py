@@ -133,8 +133,8 @@ class TestDegenerateSubscriptionSets:
         lows = np.full((100, 2), 5.0)
         highs = np.full((100, 2), np.nextafter(5.0, 6.0))
         tree = STree.build(lows, highs)
-        assert tree.match([np.nextafter(5.0, 6.0)] * 2) == list(range(100))
-        assert tree.match([5.0, 5.0]) == []
+        assert tree.match([np.nextafter(5.0, 6.0)] * 2).tolist() == list(range(100))
+        assert tree.match([5.0, 5.0]).tolist() == []
 
 
 class TestBrokerEdgeCases:

@@ -229,9 +229,6 @@ TEST_ONLY = {
     "property oracle pins (tests/geometry/test_properties.py)",
     "Rectangle.intersection": "the rectangle algebra the geometry "
     "property oracle pins; tests spell a clipped volume with it",
-    "Rectangle.side": "a per-dimension accessor the subscription and "
-    "workload tests read; it only looked called while a loop variable "
-    "in the deleted Rectangle.center shared its name",
 }
 
 
@@ -262,8 +259,8 @@ def _public_definitions(module, tree):
 
 
 def _uses(tree):
-    """``(name, enclosing definitions)`` of every ``Name``, ``Attribute``
-    and string constant, ``__all__`` entries left out."""
+    """``(name, node type, enclosing definitions)`` of every ``Name``,
+    ``Attribute`` and string constant, ``__all__`` entries left out."""
     listed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -278,15 +275,15 @@ def _uses(tree):
         ):
             enclosing = enclosing | {id(node)}
         if isinstance(node, ast.Name):
-            yield node.id, enclosing
+            yield node.id, ast.Name, enclosing
         elif isinstance(node, ast.Attribute):
-            yield node.attr, enclosing
+            yield node.attr, ast.Attribute, enclosing
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in listed
         ):
-            yield node.value, enclosing
+            yield node.value, ast.Constant, enclosing
         for child in ast.iter_child_nodes(node):
             yield from walk(child, enclosing)
 
@@ -309,16 +306,20 @@ def _uncalled():
                 trees[path] = ast.parse(handle.read(), filename=path)
     uses = {}
     for tree in trees.values():
-        for name, enclosing in _uses(tree):
-            uses.setdefault(name, []).append(enclosing)
+        for name, kind, enclosing in _uses(tree):
+            uses.setdefault(name, []).append((kind, enclosing))
     uncalled = {}
     for module, tree in sorted(graph.trees.items()):
         if module in UNREACHED:
             continue
         for qualified, node in _public_definitions(module, tree):
-            name = qualified.rpartition(".")[2]
+            owner, _, name = qualified.rpartition(".")
+            # A method is reached through an attribute (or named in a
+            # string); a bare name of its spelling is something else.
             if not any(
-                id(node) not in enclosing for enclosing in uses.get(name, ())
+                id(node) not in enclosing
+                and not (owner and kind is ast.Name)
+                for kind, enclosing in uses.get(name, ())
             ):
                 path = os.path.relpath(graph.modules[module][0], ROOT)
                 uncalled[qualified] = f"{path}:{node.lineno} {qualified}"
@@ -329,9 +330,12 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     """A public function, class or method must be used somewhere in
     ``src/`` or ``CALLER_ROOTS`` outside its own body: as a name, an
     attribute or a string (a patch point, a ``getattr``).  Its own
-    ``def``, imports and ``__all__`` entries do not count.  The match is
-    by name alone, so a method counts as called when any attribute of
-    that name is read."""
+    ``def``, imports and ``__all__`` entries do not count.  A method is
+    credited only through an attribute or a string of its name: a bare
+    name of the same spelling (a loop variable, a local) is not a call
+    of it, and a keyword argument is no name at all.  The match is still
+    by name, so a method counts as called when any attribute of that
+    name is read."""
     uncalled = _uncalled()
     offenders = [uncalled[name] for name in uncalled if name not in TEST_ONLY]
     assert not offenders, "called only from tests:\n" + "\n".join(offenders)

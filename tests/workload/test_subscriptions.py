@@ -159,7 +159,7 @@ class TestParametricFields:
         lengths = [
             s.rectangle.highs[DIM_QUOTE] - s.rectangle.lows[DIM_QUOTE]
             for s in many_subscriptions
-            if all(map(math.isfinite, s.rectangle.side(DIM_QUOTE)))
+            if all(map(math.isfinite, s.rectangle.sides[DIM_QUOTE]))
         ]
         assert min(lengths) >= PRICE_PARAMS.pareto_c - 1e-9
 
@@ -168,9 +168,9 @@ class TestParametricFields:
             paper_topology, pareto_cap=20.0, seed=3
         )
         for s in generator.generate(500):
-            side = s.rectangle.side(DIM_VOLUME)
+            side = s.rectangle.sides[DIM_VOLUME]
             if all(map(math.isfinite, side)):
-                assert side.length <= 20.0 + 1e-9
+                assert side.hi - side.lo <= 20.0 + 1e-9
 
 
 class TestPlacementIntegration:
