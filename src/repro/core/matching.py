@@ -48,13 +48,10 @@ class MatchResult(NamedTuple):
     __hash__ = tuple.__hash__
 
     @classmethod
-    def from_ids(
-        cls, ids: Sequence[int] | np.ndarray, table: SubscriptionTable
-    ) -> MatchResult:
-        """The result for matched ids (ascending: a list or an int
-        array), with their distinct subscribers."""
-        listed = ids.tolist() if isinstance(ids, np.ndarray) else ids
-        return cls(tuple(listed), tuple(table.subscribers_of(ids)))
+    def from_ids(cls, ids: np.ndarray, table: SubscriptionTable) -> MatchResult:
+        """The result for matched ids (an ascending int64 array), with
+        their distinct subscribers."""
+        return cls(tuple(ids.tolist()), tuple(table.subscribers_of(ids)))
 
     def recipients_from(self, publisher: int) -> Tuple[int, ...]:
         """Everyone an event from ``publisher`` must reach: the sorted

@@ -153,16 +153,16 @@ class SubscriptionTable:
         """Distinct subscriber identities, sorted."""
         return sorted(self._rank_of)
 
-    def subscribers_of(self, subscription_ids: Iterable[int]) -> List[int]:
+    def subscribers_of(
+        self, subscription_ids: Sequence[int] | np.ndarray
+    ) -> List[int]:
         """Distinct subscribers behind matched subscriptions, sorted: one
         gather of their owners' ranks, one flag per rank, one pass."""
         if len(self._by_rank) < len(self._rank_of):
             self._rerank()
-        ids = subscription_ids
-        if not isinstance(ids, (list, np.ndarray)):
-            ids = list(ids)
         flags = np.zeros(len(self._by_rank), bool)
-        flags[self._ranks[: len(self._subscriptions)].take(ids)] = True
+        ranks = self._ranks[: len(self._subscriptions)]
+        flags[ranks.take(subscription_ids)] = True
         listed: List[int] = self._by_rank[flags].tolist()
         return listed
 
