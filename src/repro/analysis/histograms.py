@@ -64,10 +64,8 @@ def rank_frequency(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ranks, nonzero
 
 
-def survival_curve(
-    data: np.ndarray, points: int = 100
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical ``P(X > x)`` on a log-spaced grid.
+def survival_curve(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Empirical ``P(X > x)`` on a 100-point log-spaced grid.
 
     Heavy-tailed samples (trade amounts) show up as a straight line in
     log-log coordinates with slope ``-alpha``.
@@ -80,7 +78,7 @@ def survival_curve(
     xs = np.logspace(
         np.log10(sorted_data[0]),
         np.log10(sorted_data[-1]),
-        points,
+        100,
     )
     survival = 1.0 - np.searchsorted(sorted_data, xs, side="right") / len(
         sorted_data

@@ -193,11 +193,10 @@ class SubscriptionTable:
         return lows, highs
 
     @classmethod
-    def from_placed(
-        cls, placed: Sequence, ndim: int = 4
-    ) -> SubscriptionTable:
-        """Build from workload ``PlacedSubscription`` records."""
-        table = cls(ndim)
+    def from_placed(cls, placed: Sequence) -> SubscriptionTable:
+        """Build from workload ``PlacedSubscription`` records (the stock
+        schema's four dimensions)."""
+        table = cls(4)
         for item in placed:
             table.add(item.node, item.rectangle)
         return table

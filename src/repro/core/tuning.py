@@ -106,13 +106,11 @@ class ThresholdTuner:
         self,
         broker: PubSubBroker,
         candidates: Sequence[float] = DEFAULT_CANDIDATES,
-        default_threshold: float = 0.15,
     ):
         if not candidates:
             raise ValueError("need at least one candidate threshold")
         self.broker = broker
         self.candidates = tuple(sorted(candidates))
-        self.default_threshold = default_threshold
 
     def collect(
         self, points: np.ndarray, publishers: Sequence[int]
@@ -183,10 +181,7 @@ class ThresholdTuner:
                     cost_at_oracle=oracle,
                 )
             )
-        policy = PerGroupThresholdPolicy(
-            default_threshold=self.default_threshold,
-            per_group=thresholds,
-        )
+        policy = PerGroupThresholdPolicy(per_group=thresholds)
         return TuningReport(
             policy=policy,
             per_group=per_group,

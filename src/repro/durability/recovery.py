@@ -343,11 +343,7 @@ def recover(
     return replay(wal, store, _from_snapshot, _BROKER_FOLDS, telemetry)
 
 
-def restore_broker(
-    broker,
-    state: RecoveredState,
-    telemetry: Optional[Telemetry] = None,
-) -> None:
+def restore_broker(broker, state: RecoveredState) -> None:
     """Point a broker at recovered state, rebuilding the derived pieces.
 
     The snapshot stores only what cannot be recomputed (the table, the
@@ -401,8 +397,3 @@ def restore_broker(
     broker.partition = partition
     broker.engine = engine
     broker.costs.clear_cache()
-    if telemetry is not None and telemetry.enabled:
-        telemetry.counter(
-            "recovery.rebuilt",
-            help="brokers rebuilt from snapshot + WAL replay",
-        ).inc()

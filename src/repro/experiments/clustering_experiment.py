@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from ..clustering.base import CellClusteringAlgorithm
 from ..clustering.grid import EventGrid
 from ..clustering.groups import SpacePartition
 from .config import ExperimentConfig
@@ -50,13 +49,11 @@ def run_clustering_comparison(
     config: ExperimentConfig,
     testbed: Optional[Testbed] = None,
     modes: int = 9,
-    algorithms: Optional[Sequence[CellClusteringAlgorithm]] = None,
 ) -> List[ClusteringRow]:
-    """Compare the clustering algorithms on one scenario."""
+    """Compare the :func:`default_algorithms` on one scenario."""
     if testbed is None:
         testbed = build_testbed(config)
-    if algorithms is None:
-        algorithms = default_algorithms()
+    algorithms = default_algorithms()
     density = testbed.density(modes)
     grid = EventGrid(
         testbed.table.rectangles(),

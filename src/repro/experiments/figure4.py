@@ -17,7 +17,6 @@ parameters with goodness scores (for assertions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from ..analysis.histograms import (
     rank_frequency,
     survival_curve,
 )
-from ..workload.stock import StockMarketModel, TradingDay
+from ..workload.stock import StockMarketModel
 from .config import ExperimentConfig
 
 __all__ = ["Figure4Result", "run_figure4"]
@@ -54,12 +53,9 @@ class Figure4Result:
     amount_fit: PowerLawFit                   # panel (c) fit
 
 
-def run_figure4(
-    config: ExperimentConfig, day: Optional[TradingDay] = None
-) -> Figure4Result:
-    """Generate (or accept) a trading day and analyze it."""
-    if day is None:
-        day = StockMarketModel(seed=config.seed + 4).generate_day()
+def run_figure4(config: ExperimentConfig) -> Figure4Result:
+    """Generate a trading day and analyze it."""
+    day = StockMarketModel(seed=config.seed + 4).generate_day()
 
     prices = day.normalized_prices()
     price_histogram = density_histogram(prices, bins=60)

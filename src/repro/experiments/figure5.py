@@ -8,7 +8,7 @@ around the mean) and the trade-amount tail (approximately Pareto).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..analysis.distributions import (
     NormalFit,
@@ -17,7 +17,7 @@ from ..analysis.distributions import (
     fit_pareto_tail,
 )
 from ..analysis.histograms import HistogramSeries, density_histogram
-from ..workload.stock import StockMarketModel, TradingDay
+from ..workload.stock import StockMarketModel
 from .config import ExperimentConfig
 
 __all__ = ["StockPanel", "run_figure5"]
@@ -35,15 +35,12 @@ class StockPanel:
 
 
 def run_figure5(
-    config: ExperimentConfig,
-    day: Optional[TradingDay] = None,
-    top_k: int = 3,
+    config: ExperimentConfig, top_k: int = 3
 ) -> List[StockPanel]:
     """Analyze the ``top_k`` most-traded stocks of a trading day."""
     if top_k < 1:
         raise ValueError("top_k must be positive")
-    if day is None:
-        day = StockMarketModel(seed=config.seed + 4).generate_day()
+    day = StockMarketModel(seed=config.seed + 4).generate_day()
     panels: List[StockPanel] = []
     for stock in day.top_stocks(top_k):
         prices, amounts = day.trades_of(int(stock))

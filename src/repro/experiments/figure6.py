@@ -122,13 +122,11 @@ def sweep_thresholds(
 def run_figure6(
     config: ExperimentConfig,
     testbed: Optional[Testbed] = None,
-    algorithms: Optional[Sequence[CellClusteringAlgorithm]] = None,
 ) -> List[SweepResult]:
-    """Run the full Figure 6 campaign."""
+    """Run the full Figure 6 campaign over the :func:`default_algorithms`."""
     if testbed is None:
         testbed = build_testbed(config)
-    if algorithms is None:
-        algorithms = default_algorithms()
+    algorithms = default_algorithms()
     results: List[SweepResult] = []
     for modes in config.mode_counts:
         points, publishers = testbed.publications(modes)

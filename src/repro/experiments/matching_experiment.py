@@ -44,7 +44,6 @@ def run_matching_comparison(
     testbed: Optional[Testbed] = None,
     subscription_counts: Sequence[int] = (250, 1000, 4000),
     num_queries: int = 200,
-    backends: Sequence[str] = ("stree", "rtree", "grid", "counting", "linear"),
 ) -> List[MatchingRow]:
     """Measure every backend at several subscription scales.
 
@@ -67,7 +66,7 @@ def run_matching_comparison(
     for count in subscription_counts:
         table = SubscriptionTable.from_placed(placed[:count])
         lows, highs = table.to_arrays()
-        for backend in backends:
+        for backend in ("stree", "rtree", "grid", "counting", "linear"):
             matcher_cls = MATCHER_BACKENDS[backend]
             start = time.perf_counter()
             matcher = matcher_cls.build(lows, highs)

@@ -3,7 +3,7 @@
 :class:`FullStackChaosSimulation` is the one sharded harness.  Every
 publication resolves to its owning shard via the
 :class:`~repro.sharding.router.ShardRouter` (after a routing hop of
-``route_delay``, so a publication can be *in flight* when ownership
+``ROUTE_DELAY``, so a publication can be *in flight* when ownership
 changes under it), gets matched by the shard's scattered subscription
 slice, and rides the reliable transport from the shard's home node.
 Every shard is a :class:`~repro.cluster.shard.ReplicatedShard` (primary
@@ -80,7 +80,6 @@ from ..sharding.rebalance import MigrationPhase, MigrationTicket, Rebalancer
 from ..sharding.router import ShardRouter
 from ..telemetry.base import Telemetry, tally
 from .plan import BrokerCrash, BrokerKill, FaultPlan, LinkOutage, WalCorruption
-from .reliable import RetryConfig
 from .verifier import (
     ChaosReport,
     ChaosSimulation,
@@ -110,6 +109,21 @@ CLUSTER_SCENARIOS = (
     "migrate-under-kill",
     "restart",
 )
+
+#: Simulated time the cluster tick runs past the last arrival, so
+#: retries, takeovers and rebalances finish before the ledger closes.
+SETTLE = 250.0
+#: The routing hop from an event's arrival to its owning shard: a
+#: publication can be in flight when ownership changes under it.
+ROUTE_DELAY = 0.5
+#: Events whose owner cannot serve wait in one defer queue: shed when
+#: it is full, expired after ``DEFER_TTL``.
+DEFER_CAPACITY = 256
+DEFER_TTL = 250.0
+#: Wait from a shard's exclusion to migrating its subsets away.
+REBALANCE_DELAY = 30.0
+#: A planned migration's copy phase, begin to cutover.
+COPY_TIME = 20.0
 
 
 @dataclass(frozen=True)
@@ -189,7 +203,7 @@ class PlannedMigration:
     at: float
     q: int
     dest: int
-    copy_time: float = 20.0
+    copy_time: float = COPY_TIME
 
 
 @dataclass
@@ -391,41 +405,19 @@ class FullStackChaosSimulation(ChaosSimulation):
         shard_homes: Sequence[int],
         migrations: Sequence[PlannedMigration] = (),
         corruptions: Sequence[StandbyWALCorruption] = (),
-        membership: Optional[MembershipConfig] = None,
         shipping: Optional[ShippingConfig] = None,
         checkpoint_every: int = 64,
         wal_factory: Optional[WalFactory] = None,
-        settle: float = 250.0,
-        route_delay: float = 0.5,
-        defer_capacity: int = 256,
-        defer_ttl: float = 250.0,
-        rebalance_delay: float = 30.0,
-        virtual_nodes: int = 64,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
-        self._defer = DeferQueue(int(defer_capacity), defer_ttl)
-        super().__init__(
-            broker,
-            plan,
-            reliable=True,
-            retry=retry,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            hop_retries=hop_retries,
-            telemetry=telemetry,
-        )
+        self._defer = DeferQueue(DEFER_CAPACITY, DEFER_TTL)
+        super().__init__(broker, plan, telemetry=telemetry)
         if len(shard_homes) != num_shards:
             raise ValueError("one home node per shard required")
         self.homes: Dict[int, int] = {
             k: int(shard_homes[k]) for k in range(num_shards)
         }
-        self.map = ShardMap.plan(
-            broker.partition, num_shards, virtual_nodes=virtual_nodes
-        )
+        self.map = ShardMap.plan(broker.partition, num_shards)
         self.router = ShardRouter(
             broker, self.map, homes=self.homes, telemetry=telemetry
         )
@@ -436,9 +428,6 @@ class FullStackChaosSimulation(ChaosSimulation):
         )
         self.planned = tuple(migrations)
         self.corruptions = tuple(corruptions)
-        self.route_delay = float(route_delay)
-        self.rebalance_delay = float(rebalance_delay)
-        self.settle = float(settle)
         self.sstats = ShardedStats()
         self.telemetry.expose_tallies("sharding", self.sstats)
         self.routed_per_shard: Dict[int, int] = {
@@ -493,7 +482,7 @@ class FullStackChaosSimulation(ChaosSimulation):
             | {int(s) for k in range(num_shards) for s in standby_map[k]}
         )
         self.membership = Membership(
-            nodes, membership or MembershipConfig(), now=0.0
+            nodes, MembershipConfig(), now=0.0
         )
         #: ``(dead_nodes, dead_links)`` -> the majority component.
         self._majority: Dict[tuple, FrozenSet[int]] = {}
@@ -549,7 +538,7 @@ class FullStackChaosSimulation(ChaosSimulation):
             )
         end = (
             float(arrival_times[-1]) if len(arrival_times) else 0.0
-        ) + self.settle
+        ) + SETTLE
         interval = self.membership.config.heartbeat_interval
         t = interval
         while t <= end:
@@ -738,6 +727,7 @@ class FullStackChaosSimulation(ChaosSimulation):
             if node in shard.members:
                 shard.mark_dead(node)
         self._wipe_senders(self._home_down)
+        self._evacuate(self._cascade_stranded())
 
     def _home_down(self, shard: int) -> bool:
         return self.injector.node_down(self.homes[shard], self.simulator.now)
@@ -846,15 +836,17 @@ class FullStackChaosSimulation(ChaosSimulation):
         self.sstats.shard_kills += 1
         if self.telemetry.enabled:
             self.telemetry.event("shard-kill", shard=shard)
-        # A kill can partition the network: a *live* shard whose home
-        # ends up cut off from the majority component can no longer
-        # reach most subscribers, so the failure detector declares it
-        # stranded and it gets evacuated exactly like a dead one.
-        newly = [shard] + self._cascade_stranded()
+        self._evacuate([shard] + self._cascade_stranded())
+
+    def _evacuate(self, newly: List[int]) -> None:
+        """Shards ``newly`` marked dead stop sending; each is
+        rebalanced away after ``REBALANCE_DELAY``."""
+        if not newly:
+            return
         self._wipe_senders(lambda s: s in self._dead)
         for dead in newly:
             self.simulator.schedule_at(
-                self.simulator.now + self.rebalance_delay,
+                self.simulator.now + REBALANCE_DELAY,
                 lambda s=dead: self._rebalance_away(s),
             )
 
@@ -881,36 +873,26 @@ class FullStackChaosSimulation(ChaosSimulation):
                 self.transport.publish(key, self.homes[owner], sorted(pending))
 
     def _cascade_stranded(self) -> List[int]:
-        """Live shards partitioned away from the majority component.
+        """Live shards a kill cut off from the majority component.
 
-        The surviving graph (dead homes removed) splits into
-        components; the one holding the most live shard homes (ties:
-        larger, then lowest node) is the majority.  Live shards outside
-        it are marked dead and returned for evacuation.
+        Any kill can strand a shard, its home's or another node's: a
+        live shard whose home is outside the fault state's majority
+        component (:meth:`_majority_component`, one per state) can no
+        longer reach most subscribers, so it is marked dead and
+        returned for evacuation exactly like a dead one.  A home that
+        is itself lost is failover's business, not stranding's.
         """
-        live = [
-            s for s in range(self.map.num_shards) if s not in self._dead
+        majority = self._majority_component(
+            self.injector.state_at(self.simulator.now)
+        )
+        lost = self._lost_nodes()
+        stranded = [
+            s
+            for s in range(self.map.num_shards)
+            if s not in self._dead
+            and self.homes[s] not in majority
+            and self.homes[s] not in lost
         ]
-        if not live:
-            return []
-        components = list(
-            nx.connected_components(
-                self.transport.surviving.without(
-                    {self.homes[s] for s in self._dead}, ()
-                )
-            )
-        )
-        if not components:
-            return []
-        majority = max(
-            components,
-            key=lambda c: (
-                sum(1 for s in live if self.homes[s] in c),
-                len(c),
-                -min(c),
-            ),
-        )
-        stranded = [s for s in live if self.homes[s] not in majority]
         for s in stranded:
             self._dead.add(s)
             self.sstats.stranded_shards += 1
@@ -1032,7 +1014,7 @@ class FullStackChaosSimulation(ChaosSimulation):
         rshard = self.replicated.get(shard)
         cluster_epoch = rshard.epoch if rshard is not None else 0
         self.simulator.schedule_at(
-            self.simulator.now + self.route_delay,
+            self.simulator.now + ROUTE_DELAY,
             lambda: self._arrive_cluster(
                 sequence, shard, home, cluster_epoch
             ),
@@ -1183,12 +1165,11 @@ class FullStackChaosSimulation(ChaosSimulation):
         publishers: Sequence[int],
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ClusterReport:
-        base = super().run(points, publishers, arrival_times)
+        finished_at = self._simulate(points, publishers, arrival_times)
         self.sstats.settle(len(points), self.outcomes, self._defer)
         self.sstats.migrations_completed = self.rebalancer.completed
         self.sstats.migrations_aborted = self.rebalancer.aborted
         self.sstats.imbalance = self.map.imbalance()
-        self._classify_misses(base.missing)
         if self.telemetry.enabled:
             self.telemetry.gauge(
                 "sharding.imbalance",
@@ -1236,8 +1217,9 @@ class FullStackChaosSimulation(ChaosSimulation):
             self.telemetry.gauge(
                 "cluster.epoch", help="membership view epoch"
             ).set(self.membership.epoch)
-        return ClusterReport(
-            **vars(base),
+        report = self._report(
+            finished_at,
+            ClusterReport,
             sharded=self.sstats,
             num_shards=self.map.num_shards,
             final_epoch=self.map.epoch,
@@ -1245,6 +1227,8 @@ class FullStackChaosSimulation(ChaosSimulation):
             cluster=self.cstats,
             shipping=shipping,
         )
+        self._classify_misses(report.missing)
+        return report
 
     @property
     def serviced_sequences(self) -> List[int]:
@@ -1258,11 +1242,9 @@ def build_cluster_plan(
     seed: int = 2003,
     loss: float = 0.05,
     duplicate: float = 0.0,
-    delay: float = 0.0,
     scenario: str = "kill",
     horizon: float = 300.0,
     standby_count: int = 2,
-    copy_time: float = 20.0,
     migrations: int = 2,
     crashes: int = 2,
     crash_length: float = 100.0,
@@ -1370,7 +1352,7 @@ def build_cluster_plan(
         owner = shard_map.owner_of_subset(q)
         others = [s for s in range(num_shards) if s != owner]
         dest = min(others, key=lambda s: (loads[s], s))
-        return PlannedMigration(at=at, q=q, dest=dest, copy_time=copy_time)
+        return PlannedMigration(at=at, q=q, dest=dest)
 
     if scenario == "migrate":
         ranked = sorted(
@@ -1433,14 +1415,13 @@ def build_cluster_plan(
         at = 0.35 * horizon
         planned = [migration(q, at)]
         kills = (
-            BrokerKill(node=homes[busiest], at=at + copy_time / 2.0),
+            BrokerKill(node=homes[busiest], at=at + COPY_TIME / 2.0),
         )
     corruptions = (StandbyWALCorruption(at=0.25 * horizon, shard=busiest),)
     plan = FaultPlan(
         seed=seed,
         default_loss=loss,
         default_duplicate=duplicate,
-        default_delay=delay,
         outages=outages,
         crashes=windows,
         broker_kills=kills,

@@ -35,7 +35,7 @@ byte-identical :class:`OverloadReport` on every rerun.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,11 +44,15 @@ from ..core.broker import PubSubBroker
 from ..core.distribution import DeliveryMethod
 from ..core.event import Event
 from ..overload import BrokerHealth, OverloadConfig
-from ..simulation.delivery import LatencyStats
 from ..telemetry.base import Telemetry
-from .plan import FaultPlan, FaultStats
-from .reliable import ReliabilityStats, RetryConfig
-from .verifier import ChaosSimulation, OutcomeLedger, dispatch
+from .plan import FaultPlan
+from .verifier import (
+    ChaosReport,
+    ChaosSimulation,
+    EventOutcomeStats,
+    OutcomeLedger,
+    dispatch,
+)
 
 __all__ = ["EventOutcome", "OverloadReport", "OverloadChaosSimulation"]
 
@@ -58,44 +62,24 @@ EventOutcome = str  # "delivered" | "shed" | "expired"
 
 
 @dataclass
-class OverloadReport:
-    """Everything one saturated run proved about the protection stack."""
+class OverloadReport(EventOutcomeStats, ChaosReport):
+    """Everything one saturated run proved about the protection stack:
+    the delivery ledger, the per-event ledger (delivered + shed +
+    expired == published) and the load machinery.  The harness fills
+    every field; the defaults only let them follow the bases' fields."""
 
-    # -- the per-event ledger (delivered + shed + expired == published) --
-    published: int
-    delivered_events: int
-    shed_events: int
-    expired_events: int
-    shed_reasons: Dict[str, int]
-    degraded_events: int          # delivered via group flood, match skipped
-    # -- load machinery ---------------------------------------------------
-    peak_queue_depth: int
-    queue_capacity: int
-    health_transitions: List[Tuple[float, str]]
-    health_samples: Dict[str, int]
-    admission_rejected: int
-    breaker_opens: int
-    breaker_closes: int
-    short_circuited: int
-    open_targets: List[int]
-    # -- per-delivery truth ----------------------------------------------
-    expected: int
-    delivered: int
-    duplicate_deliveries: int
-    late_drops: int               # receiver-side deadline drops
-    missing: List[Tuple[int, int, str]]
-    latency: LatencyStats
-    finished_at: float
-    fault_stats: FaultStats
-    reliability: Optional[ReliabilityStats] = None
-
-    @property
-    def accounted(self) -> bool:
-        """The ledger invariant every run must satisfy."""
-        return (
-            self.delivered_events + self.shed_events + self.expired_events
-            == self.published
-        )
+    shed_reasons: Dict[str, int] = field(default_factory=dict)
+    degraded_events: int = 0      # delivered via group flood, match skipped
+    peak_queue_depth: int = 0
+    queue_capacity: int = 0
+    health_transitions: List[Tuple[float, str]] = field(default_factory=list)
+    health_samples: Dict[str, int] = field(default_factory=dict)
+    admission_rejected: int = 0
+    breaker_opens: int = 0
+    breaker_closes: int = 0
+    short_circuited: int = 0
+    open_targets: List[int] = field(default_factory=list)
+    late_drops: int = 0           # receiver-side deadline drops
 
     @property
     def within_capacity(self) -> bool:
@@ -182,10 +166,6 @@ class OverloadChaosSimulation(ChaosSimulation):
         plan: FaultPlan,
         config: Optional[OverloadConfig] = None,
         reliable: bool = True,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
         self.config = config or OverloadConfig()
@@ -195,10 +175,6 @@ class OverloadChaosSimulation(ChaosSimulation):
             broker,
             plan,
             reliable=reliable,
-            retry=retry,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            hop_retries=hop_retries,
             telemetry=telemetry,
         )
         self.queue = self.config.build_queue()
@@ -386,17 +362,9 @@ class OverloadChaosSimulation(ChaosSimulation):
                 break
             self._shed(sequence, "unserved at simulation end")
 
-        counts = self.outcomes.counts
-        default_reason = (
-            "unacknowledged at simulation end"
-            if self.reliable
-            else "lost (no retransmission)"
-        )
-        return OverloadReport(
-            published=len(self._points),
-            delivered_events=counts["delivered"],
-            shed_events=counts["shed"],
-            expired_events=counts["expired"],
+        report = self._report(
+            finished_at,
+            OverloadReport,
             shed_reasons=dict(sorted(self.shed_reasons.items())),
             degraded_events=self.degraded_events,
             peak_queue_depth=self.queue.stats.peak_depth,
@@ -415,15 +383,7 @@ class OverloadChaosSimulation(ChaosSimulation):
             breaker_closes=self.breakers.stats.closes,
             short_circuited=self.breakers.stats.short_circuits,
             open_targets=self.breakers.open_targets(),
-            expected=self.ledger.expected_total,
-            delivered=self.ledger.delivered_distinct,
-            duplicate_deliveries=self.ledger.duplicate_deliveries,
             late_drops=self.late_drops,
-            missing=self.ledger.missing(default_reason),
-            latency=LatencyStats.from_samples(self.ledger.latencies),
-            finished_at=finished_at,
-            fault_stats=self.injector.stats,
-            reliability=(
-                self.transport.stats if self.transport is not None else None
-            ),
         )
+        report.settle(len(self._points), self.outcomes)
+        return report

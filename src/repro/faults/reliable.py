@@ -229,12 +229,6 @@ class ReliableTransport:
         ``(target, key, reason)`` — called when the retry budget for a
         target is exhausted, or when an open circuit breaker
         short-circuits the target up front.
-    on_ack:
-        ``(target, key, time)`` — called once per (message, target)
-        when the sender-side ack lands.  This is the durability hook:
-        a :class:`~repro.durability.journal.BrokerJournal` journals
-        the delivery completion here, so recovery knows which targets
-        are definitively done.
     breakers:
         Optional :class:`~repro.overload.breaker.BreakerBoard`.  When
         present, each target's breaker gates :meth:`publish`: an OPEN
@@ -274,7 +268,6 @@ class ReliableTransport:
         on_give_up: Optional[Callable[[int, int, str], None]] = None,
         telemetry: Optional[Telemetry] = None,
         breakers: Optional[BreakerBoard] = None,
-        on_ack: Optional[Callable[[int, int, float], None]] = None,
         directory=None,
         acceptor: Optional[Callable[[int, int, float], bool]] = None,
     ):
@@ -289,7 +282,11 @@ class ReliableTransport:
         self.surviving = SurvivingGraphs(self.graph)
         self.on_deliver = on_deliver or (lambda target, key, time: None)
         self.on_give_up = on_give_up or (lambda target, key, reason: None)
-        self.on_ack = on_ack or (lambda target, key, time: None)
+        #: ``(target, key, time)``, once per (message, target) when the
+        #: sender-side ack lands: the durability hook a harness assigns
+        #: (its journal records the delivery completion, so recovery
+        #: knows which targets are definitively done).
+        self.on_ack = lambda target, key, time: None
         self.telemetry = or_null(telemetry)
         self.breakers = breakers
         self.directory = directory

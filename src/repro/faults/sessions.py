@@ -222,10 +222,6 @@ class SessionChaosSimulation(ChaosSimulation):
         slow_queue_capacity: int = 4,
         slow_service_time: float = 10.0,
         slow_ttl: float = 15.0,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
         if scenario not in SESSION_SCENARIOS:
@@ -235,21 +231,12 @@ class SessionChaosSimulation(ChaosSimulation):
             )
         # Read by the base constructor when it builds the transport.
         self.breakers = BreakerBoard()
-        super().__init__(
-            broker,
-            plan,
-            retry=retry,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            hop_retries=hop_retries,
-            telemetry=telemetry,
+        super().__init__(broker, plan, telemetry=telemetry)
+        # Four attempts, not six: a delivery that keeps timing out is
+        # re-derived by catch-up replay rather than retried.
+        self.transport.config = RetryConfig.for_network(
+            self.network, max_attempts=4
         )
-        if retry is None:
-            # Four attempts, not six: a delivery that keeps timing out
-            # is re-derived by catch-up replay rather than retried.
-            self.transport.config = RetryConfig.for_network(
-                self.network, max_attempts=4
-            )
         self.transport.acceptor = self._accept
         self.scenario = scenario
         self.home = int(broker.topology.all_transit_nodes()[0])

@@ -63,6 +63,10 @@ __all__ = [
     "build_resubscribe_storm",
 ]
 
+#: Link-level ARQ attempts per hop in reliable mode: it masks random
+#: loss, so the end-to-end retries are left to outages and crashes.
+HOP_RETRIES = 4
+
 
 class DeliveryLedger:
     """Ground-truth bookkeeping: expected vs observed app deliveries."""
@@ -252,11 +256,15 @@ class EventOutcomeStats:
     deferred_events: int = 0
 
     def settle(
-        self, published: int, outcomes: OutcomeLedger, waiting: DeferQueue
+        self,
+        published: int,
+        outcomes: OutcomeLedger,
+        waiting: Optional[DeferQueue] = None,
     ) -> None:
         """Close the books at the end of a run: what still waits never
         found a serviceable owner, and expires."""
-        for sequence in waiting.drain(math.inf)[0]:
+        expired = waiting.drain(math.inf)[0] if waiting is not None else ()
+        for sequence in expired:
             outcomes.finish(sequence, "expired")
         counts = outcomes.counts
         self.published = published
@@ -426,10 +434,6 @@ class ChaosSimulation:
         broker: PubSubBroker,
         plan: FaultPlan,
         reliable: bool = True,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
         self.broker = broker
@@ -448,10 +452,8 @@ class ChaosSimulation:
         self.network = PacketNetwork(
             broker.topology,
             self.simulator,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
             injector=self.injector,
-            hop_retries=hop_retries if reliable else 0,
+            hop_retries=HOP_RETRIES if reliable else 0,
             telemetry=telemetry,
         )
         self.ledger = DeliveryLedger()
@@ -459,7 +461,7 @@ class ChaosSimulation:
         if reliable:
             self.transport = ReliableTransport(
                 self.network,
-                config=retry or RetryConfig.for_network(self.network),
+                config=RetryConfig.for_network(self.network),
                 seed=plan.seed + 1,
                 detector=self.injector,
                 on_deliver=self._on_deliver,
@@ -609,14 +611,17 @@ class ChaosSimulation:
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ChaosReport:
         """Publish the workload under faults and verify the guarantee."""
-        finished_at = self._simulate(points, publishers, arrival_times)
+        return self._report(self._simulate(points, publishers, arrival_times))
 
+    def _report(self, finished_at: float, cls=ChaosReport, **extra):
+        """The delivery-ledger fields every harness proves, as a ``cls``
+        report with a subclass's own fields in ``extra``."""
         default_reason = (
             "unacknowledged at simulation end"
             if self.reliable
             else "lost (no retransmission)"
         )
-        return ChaosReport(
+        return cls(
             events=len(self._points),
             reliable=self.reliable,
             expected=self.ledger.expected_total,
@@ -635,6 +640,7 @@ class ChaosSimulation:
             reliability=(
                 self.transport.stats if self.transport is not None else None
             ),
+            **extra,
         )
 
 
@@ -645,15 +651,14 @@ def build_chaos_testbed(
     seed: int = 2003,
     subscriptions: int = 300,
     num_groups: int = 11,
-    modes: int = 9,
     params: Optional[TransitStubParams] = None,
     dynamic: bool = False,
 ):
     """A ~100-node broker testbed sized for chaos experiments.
 
-    Returns ``(broker, density)``; pair with
-    :class:`~repro.workload.publications.PublicationGenerator` for the
-    event stream.  ``dynamic=True`` builds a
+    Returns ``(broker, density)``, the nine-mode publication density;
+    pair with :class:`~repro.workload.publications.PublicationGenerator`
+    for the event stream.  ``dynamic=True`` builds a
     :class:`~repro.core.dynamic.DynamicPubSubBroker` instead (required
     by churn scenarios such as :func:`build_resubscribe_storm`).
     """
@@ -669,7 +674,7 @@ def build_chaos_testbed(
         subscriptions
     )
     table = SubscriptionTable.from_placed(placed)
-    density = publication_distribution(modes)
+    density = publication_distribution(9)
     if dynamic:
         from ..core.dynamic import DynamicPubSubBroker
 
@@ -696,7 +701,6 @@ def build_chaos_plan(
     seed: int = 2003,
     loss: float = 0.1,
     duplicate: float = 0.0,
-    delay: float = 0.0,
     crashes: int = 2,
     crash_length: float = 150.0,
     horizon: float = 500.0,
@@ -731,7 +735,6 @@ def build_chaos_plan(
         seed=seed,
         default_loss=loss,
         default_duplicate=duplicate,
-        default_delay=delay,
         crashes=tuple(crash_windows),
     )
 
@@ -739,40 +742,27 @@ def build_chaos_plan(
 # -- overload chaos scenarios ------------------------------------------------
 
 
-def build_burst_storm_times(
-    events: int,
-    base_interval: float = 1.0,
-    bursts: int = 3,
-    burst_fraction: float = 0.5,
-    burst_interval: float = 0.02,
-) -> List[float]:
+def build_burst_storm_times(events: int) -> List[float]:
     """Arrival times for a bursty storm: calm baseline, violent spikes.
 
-    A ``burst_fraction`` share of the events is concentrated into
-    ``bursts`` near-instantaneous volleys (``burst_interval`` apart —
-    far faster than any broker's service rate) spread evenly through
-    an otherwise steady ``base_interval`` stream.  Deterministic: the
-    times are a pure function of the arguments.
+    Half the events are concentrated into three near-instantaneous
+    volleys (0.02 time units apart — far faster than any broker's
+    service rate) spread evenly through an otherwise steady stream of
+    one event a time unit.  Deterministic: the times are a pure
+    function of ``events``.
     """
     if events < 1:
         raise ValueError(f"events must be >= 1 (got {events})")
-    if not 0.0 <= burst_fraction <= 1.0:
-        raise ValueError(
-            f"burst_fraction must lie in [0, 1] (got {burst_fraction})"
-        )
-    burst_events = int(events * burst_fraction)
+    burst_events = events // 2
     calm_events = events - burst_events
-    times: List[float] = [i * base_interval for i in range(calm_events)]
-    horizon = max(calm_events * base_interval, 1.0)
-    if bursts > 0 and burst_events > 0:
-        per_burst = burst_events // bursts
-        extra = burst_events - per_burst * bursts
-        for index in range(bursts):
-            start = horizon * (index + 1) / (bursts + 1)
+    times: List[float] = [float(i) for i in range(calm_events)]
+    horizon = max(float(calm_events), 1.0)
+    if burst_events > 0:
+        per_burst, extra = divmod(burst_events, 3)
+        for index in range(3):
+            start = horizon * (index + 1) / 4
             count = per_burst + (1 if index < extra else 0)
-            times.extend(
-                start + k * burst_interval for k in range(count)
-            )
+            times.extend(start + k * 0.02 for k in range(count))
     times.sort()
     return times[:events]
 
@@ -781,18 +771,16 @@ def build_slow_subscriber_plan(
     topology,
     seed: int = 2003,
     horizon: float = 500.0,
-    slow_delay: float = 40.0,
-    slow_loss: float = 0.5,
     dead: bool = False,
 ) -> Tuple[FaultPlan, int]:
     """A plan where one deterministic stub subscriber is slow — or dead.
 
-    The victim (a stub node drawn from ``seed``) either answers over a
-    high-delay, lossy access path (``dead=False``: the slow-subscriber
-    scenario, which stalls `ReliableTransport` retries) or is crashed
-    for the entire horizon (``dead=True``: the permanently-dead
-    subscriber the circuit breakers must isolate).  Returns
-    ``(plan, victim_node)``.
+    The victim (a stub node drawn from ``seed``) either answers over an
+    access path with 40 units of delay and 50 % loss on every link
+    (``dead=False``: the slow-subscriber scenario, which stalls
+    `ReliableTransport` retries) or is crashed for the entire horizon
+    (``dead=True``: the permanently-dead subscriber the circuit
+    breakers must isolate).  Returns ``(plan, victim_node)``.
     """
     rng = np.random.default_rng(seed + 17)
     stubs = topology.all_stub_nodes()
@@ -804,9 +792,7 @@ def build_slow_subscriber_plan(
         )
         return plan, victim
     faults = tuple(
-        LinkFault(
-            u=victim, v=int(neighbor), loss=slow_loss, delay=slow_delay
-        )
+        LinkFault(u=victim, v=int(neighbor), loss=0.5, delay=40.0)
         for neighbor in topology.graph.neighbors(victim)
     )
     return FaultPlan(seed=seed, link_faults=faults), victim
@@ -816,15 +802,14 @@ def build_resubscribe_storm(
     broker,
     at: float,
     count: int = 50,
-    spacing: float = 0.05,
     seed: int = 2003,
 ) -> List[Tuple[float, object]]:
     """A thundering-resubscribe schedule for a dynamic broker.
 
     At time ``at`` a herd of subscribers unsubscribes and immediately
     resubscribes with the same rectangles (the classic reconnect storm
-    after a broker restart) — ``count`` churn pairs, ``spacing`` time
-    units apart, forcing overflow-index growth and possibly a full
+    after a broker restart) — ``count`` churn pairs, 0.05 time units
+    apart, forcing overflow-index growth and possibly a full
     repack mid-storm.  Returns ``(time, action)`` pairs for
     :meth:`~repro.faults.overload.OverloadChaosSimulation.run`'s
     ``churn`` argument.  Requires a broker with ``subscribe`` /
@@ -849,5 +834,5 @@ def build_resubscribe_storm(
             broker.unsubscribe(sid)
             broker.subscribe(node, rect)
 
-        schedule.append((at + index * spacing, churn))
+        schedule.append((at + index * 0.05, churn))
     return schedule

@@ -86,8 +86,9 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     never a truncated hybrid; the durability layer (WAL rewrites,
     snapshot stores) relies on it, a torn write being precisely the
     corruption recovery must survive.  The temp file is removed on
-    failure, and the directory is fsynced after the rename so the new
-    entry itself survives a host crash.
+    failure.  Its data is fsynced before the rename, and the directory
+    after it, so after a host crash the new entry exists and holds the
+    whole content, not an empty or short file.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
@@ -96,6 +97,8 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
         fsync_dir(path.parent or ".")
     except BaseException:

@@ -130,7 +130,6 @@ class ReplicaSet:
         simulator: Clock,
         send: Optional[Send] = None,
         wal_factory: Optional[WalFactory] = None,
-        store_factory: Optional[Callable[[int], SnapshotStore]] = None,
         shipping: Optional[ShippingConfig] = None,
         alive: Optional[Alive] = None,
         checkpoint_every: int = 64,
@@ -168,12 +167,11 @@ class ReplicaSet:
         wal_factory = wal_factory or (
             lambda node: MemoryWAL(clock=lambda: self.simulator.now)
         )
-        store_factory = store_factory or (lambda node: MemorySnapshotStore())
         self.wals: Dict[int, WriteAheadLog] = {
             node: wal_factory(node) for node in self.members
         }
         self.stores: Dict[int, SnapshotStore] = {
-            node: store_factory(node) for node in self.members
+            node: MemorySnapshotStore() for node in self.members
         }
         self.epochs: Dict[int, EpochState] = {
             node: EpochState(node=node) for node in self.members

@@ -89,14 +89,12 @@ class Rebalancer:
         wal: Optional[WriteAheadLog] = None,
         clock: Optional[Callable[[], float]] = None,
         telemetry: Optional[Telemetry] = None,
-        on_cutover: Optional[Callable[[MigrationTicket], None]] = None,
     ):
         self.router = router
         self.map = router.map
         self.clock = clock or (lambda: 0.0)
         self.wal = wal if wal is not None else MemoryWAL(clock=self.clock)
         self.telemetry = or_null(telemetry)
-        self.on_cutover = on_cutover
         self.completed = 0
         self.telemetry.expose(
             "sharding.migrations", self, "completed",
@@ -210,8 +208,6 @@ class Rebalancer:
         )
         ticket.phase = MigrationPhase.CUTOVER
         ticket.epoch = epoch
-        if self.on_cutover is not None:
-            self.on_cutover(ticket)
         return epoch
 
     def finish(self, ticket: MigrationTicket) -> MigrationTicket:

@@ -74,20 +74,10 @@ class SimulationReport:
 class DeliverySimulation:
     """Replays a workload through the packet network."""
 
-    def __init__(
-        self,
-        broker: PubSubBroker,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-    ):
+    def __init__(self, broker: PubSubBroker):
         self.broker = broker
         self.simulator = DiscreteEventSimulator()
-        self.network = PacketNetwork(
-            broker.topology,
-            self.simulator,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-        )
+        self.network = PacketNetwork(broker.topology, self.simulator)
 
     def run(
         self,

@@ -34,10 +34,8 @@ _FORMAT_VERSION = 1
 class Baseline:
     """A multiset of grandfathered ``(rule, fingerprint)`` pairs."""
 
-    def __init__(
-        self, entries: Union[Counter[Tuple[str, str]], None] = None
-    ) -> None:
-        self._entries: Counter[Tuple[str, str]] = Counter(entries or {})
+    def __init__(self) -> None:
+        self._entries: Counter[Tuple[str, str]] = Counter()
 
     def __len__(self) -> int:
         return sum(self._entries.values())

@@ -19,14 +19,14 @@ from .rules import ALL_RULES
 __all__ = ["render_text", "render_json", "render_rule_table"]
 
 
-def render_text(result: LintResult, verbose_hints: bool = True) -> str:
+def render_text(result: LintResult) -> str:
     """Human-readable report, deterministic line order."""
     lines: List[str] = []
     for finding in result.findings:
         lines.append(
             f"{finding.location()}: {finding.rule} {finding.message}"
         )
-        if verbose_hints and finding.hint:
+        if finding.hint:
             lines.append(f"    fix: {finding.hint}")
     for error in result.errors:
         lines.append(f"PARSE ERROR: {error}")

@@ -46,17 +46,10 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        seed: int = 0,
-        max_spans: int = 1_000_000,
-    ):
-        self.clock: Callable[[], float] = clock or time.perf_counter
+    def __init__(self, seed: int = 0):
+        self.clock: Callable[[], float] = time.perf_counter
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(
-            clock=lambda: self.clock(), seed=seed, max_spans=max_spans
-        )
+        self.tracer = Tracer(clock=lambda: self.clock(), seed=seed)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point span timestamps at a different time source.

@@ -36,12 +36,11 @@ class SubscriberPlacement:
         block_shares: Sequence[float] = DEFAULT_BLOCK_SHARES,
         zipf_theta: float = 1.0,
         rng: Optional[np.random.Generator] = None,
-        seed: int = 0,
     ):
         self.topology = topology
         # No ambient entropy: without an explicit generator the sampler
         # is seeded (deterministically) rather than drawn from the OS.
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
+        self._rng = rng if rng is not None else np.random.default_rng(0)
 
         shares = np.asarray(block_shares, dtype=np.float64)
         if np.any(shares < 0) or shares.sum() <= 0:

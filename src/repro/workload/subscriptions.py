@@ -25,7 +25,7 @@ Generated subscriptions take the form ``{bst, name, quote, volume}``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from ..geometry.interval import FULL_LINE, Interval
 from ..geometry.rectangle import Rectangle
 from ..network.topology import Topology
 from .pareto import ParetoSampler
-from .placement import DEFAULT_BLOCK_SHARES, SubscriberPlacement
+from .placement import SubscriberPlacement
 from .schema import BST_PROBABILITIES, bst_interval
 from .zipf import CategoricalSampler, ZipfSampler
 
@@ -41,6 +41,7 @@ __all__ = [
     "IntervalDistributionParams",
     "PRICE_PARAMS",
     "VOLUME_PARAMS",
+    "NAME_PARAMS",
     "NameFieldParams",
     "PlacedSubscription",
     "StockSubscriptionGenerator",
@@ -118,6 +119,9 @@ class NameFieldParams:
         return self.block_centers[-1]
 
 
+NAME_PARAMS = NameFieldParams()
+
+
 @dataclass(frozen=True)
 class PlacedSubscription:
     """One generated subscription, bound to its subscriber node."""
@@ -140,35 +144,26 @@ class StockSubscriptionGenerator:
     def __init__(
         self,
         topology: Topology,
-        price_params: IntervalDistributionParams = PRICE_PARAMS,
-        volume_params: IntervalDistributionParams = VOLUME_PARAMS,
-        name_params: NameFieldParams = NameFieldParams(),
-        block_shares: Sequence[float] = DEFAULT_BLOCK_SHARES,
         pareto_cap: Optional[float] = 100.0,
         seed: Optional[int] = None,
     ):
         self._rng = np.random.default_rng(seed)
         self.topology = topology
-        self.price_params = price_params
-        self.volume_params = volume_params
-        self.name_params = name_params
-        self.placement = SubscriberPlacement(
-            topology, block_shares=block_shares, rng=self._rng
-        )
+        self.placement = SubscriberPlacement(topology, rng=self._rng)
         self._price_length = ParetoSampler(
-            price_params.pareto_c,
-            price_params.pareto_alpha,
+            PRICE_PARAMS.pareto_c,
+            PRICE_PARAMS.pareto_alpha,
             cap=pareto_cap,
             rng=self._rng,
         )
         self._volume_length = ParetoSampler(
-            volume_params.pareto_c,
-            volume_params.pareto_alpha,
+            VOLUME_PARAMS.pareto_c,
+            VOLUME_PARAMS.pareto_alpha,
             cap=pareto_cap,
             rng=self._rng,
         )
         self._name_length = ZipfSampler(
-            name_params.max_length, name_params.length_theta, self._rng
+            NAME_PARAMS.max_length, NAME_PARAMS.length_theta, self._rng
         )
         self._bst_symbols = sorted(BST_PROBABILITIES)
         self._bst = CategoricalSampler(
@@ -182,8 +177,7 @@ class StockSubscriptionGenerator:
 
     def _draw_name(self, block: int) -> Interval:
         center = self._rng.normal(
-            self.name_params.center_for_block(block),
-            self.name_params.center_sigma,
+            NAME_PARAMS.center_for_block(block), NAME_PARAMS.center_sigma
         )
         # Zipf ranks are zero-based; length ranks 1..max_length.
         length = float(self._name_length.sample()) + 1.0
@@ -214,8 +208,8 @@ class StockSubscriptionGenerator:
             [
                 self._draw_bst(),
                 self._draw_name(block),
-                self._draw_parametric(self.price_params, self._price_length),
-                self._draw_parametric(self.volume_params, self._volume_length),
+                self._draw_parametric(PRICE_PARAMS, self._price_length),
+                self._draw_parametric(VOLUME_PARAMS, self._volume_length),
             ]
         )
         return PlacedSubscription(

@@ -69,12 +69,11 @@ class ZipfSampler(CategoricalSampler):
         n: int,
         theta: float = 1.0,
         rng: Optional[np.random.Generator] = None,
-        seed: int = 0,
     ):
         # No ambient entropy: without an explicit generator the sampler
         # is seeded (deterministically) rather than drawn from the OS.
         super().__init__(
             zipf_weights(n, theta),
-            rng if rng is not None else np.random.default_rng(seed),
+            rng if rng is not None else np.random.default_rng(0),
         )
         self.theta = theta

@@ -92,3 +92,32 @@ class TestSnapshotDurability:
             )
         )
         assert _inode(tmp_path / "snapshots") in recorder.dir_syncs
+
+
+class TestDataBeforeRename:
+    def test_the_temp_file_is_synced_before_it_is_renamed(
+        self, tmp_path, monkeypatch
+    ):
+        """A rename that reaches the disk before the data leaves an
+        empty or short file at the path after a host crash."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                events.append(("fsync", info.st_ino))
+            return real_fsync(fd)
+
+        def replace(source, target):
+            events.append(("replace", os.stat(source).st_ino))
+            return real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        atomic_write_text(tmp_path / "out.json", "payload")
+        renames = [i for i, (kind, _) in enumerate(events) if kind == "replace"]
+        assert len(renames) == 1
+        renamed = events[renames[0]][1]
+        assert ("fsync", renamed) in events[: renames[0]]
+        assert (tmp_path / "out.json").read_text() == "payload"

@@ -15,6 +15,7 @@ imports must be read by that module.
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -413,3 +414,368 @@ def test_no_module_imports_a_name_it_does_not_read():
                     where = os.path.relpath(path, ROOT)
                     unused.append(f"{where}:{node.lineno} {_bound_name(alias)}")
     assert not unused, "imported and never read:\n" + "\n".join(unused)
+
+
+# -- what the callers set ------------------------------------------------------
+
+#: Where a call counts as setting a parameter besides the library: the
+#: tests (a value a test sets to reach a path is a seam) and
+#: ``CALLER_ROOTS``.
+PARAMETER_ROOTS = ("tests",) + CALLER_ROOTS
+
+#: Defaulted parameters that no call sets, ``file:Callable.param`` with
+#: the file relative to ``src/repro``, each with the reason it stays a
+#: parameter and not a constant.
+FIXED_ON_PURPOSE = {}
+
+
+class _Signature:
+    """One ``def``: its parameter names and how a call binds them."""
+
+    def __init__(self, node, owner):
+        arguments = node.args
+        self.node = node
+        self.owner = owner
+        self.positional = [a.arg for a in arguments.posonlyargs + arguments.args]
+        self.keyword_only = [a.arg for a in arguments.kwonlyargs]
+        self.kwargs = arguments.kwarg.arg if arguments.kwarg else None
+        decorators = {
+            d.id for d in node.decorator_list if isinstance(d, ast.Name)
+        }
+        #: Leading parameters a call through an instance or class binds
+        #: itself (``self``, ``cls``).
+        self.bound = int(owner is not None and "staticmethod" not in decorators)
+        #: An instance method, which ``Class.method(obj, ...)`` calls
+        #: with the instance passed as the first argument.
+        self.instance_method = (
+            self.bound
+            and "classmethod" not in decorators
+            and node.name != "__init__"
+        )
+        positional = arguments.posonlyargs + arguments.args
+        self.defaulted = [
+            a.arg for a in positional[len(positional) - len(arguments.defaults):]
+        ] + [
+            a.arg
+            for a, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+            if default is not None
+        ]
+
+
+def _base_names(node):
+    for base in node.bases:
+        if isinstance(base, ast.Name):
+            yield base.id
+        elif isinstance(base, ast.Attribute):
+            yield base.attr
+
+
+class _Definitions:
+    """Every ``def`` and ``class`` in the walked trees, by name.
+
+    Resolution is by name, as in the caller walk: a call reaches every
+    definition of its spelling, so an ambiguous name keeps knobs rather
+    than losing them.
+    """
+
+    def __init__(self, trees):
+        self.functions, self.methods, self.classes = {}, {}, {}
+        self.subclasses = {}
+        #: Names some object stores a value under (``self.x = ...``,
+        #: ``x: T`` or ``x = ...`` in a class body): a call through one
+        #: may reach a callable the walk cannot see.
+        self.stored = set()
+        self.signatures = {}
+        for tree in trees:
+            self._index(tree.body, None)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Store
+                ):
+                    self.stored.add(node.attr)
+        for classes in self.classes.values():
+            for node in classes:
+                for base in _base_names(node):
+                    self.subclasses.setdefault(base, []).append(node)
+
+    def _index(self, body, owner):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                signature = _Signature(node, owner)
+                self.signatures[id(node)] = signature
+                table = self.methods if owner is not None else self.functions
+                table.setdefault(node.name, []).append(signature)
+                self._index(node.body, None)
+            elif isinstance(node, ast.ClassDef):
+                self.classes.setdefault(node.name, []).append(node)
+                self._index(node.body, node)
+            elif owner is not None and isinstance(
+                node, (ast.Assign, ast.AnnAssign)
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [
+                    node.target
+                ]
+                self.stored.update(
+                    t.id for t in targets if isinstance(t, ast.Name)
+                )
+            else:
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    inner = getattr(node, field, None)
+                    if isinstance(inner, list):
+                        self._index(inner, owner)
+
+    def constructors(self, node, seen=None):
+        """The ``__init__`` a call of class ``node`` runs (its own, or
+        the first a base by name defines)."""
+        seen = seen if seen is not None else set()
+        if id(node) in seen:
+            return []
+        seen.add(id(node))
+        for item in node.body:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name == "__init__"
+            ):
+                return [self.signatures[id(item)]]
+        return self.base_constructors(node, seen)
+
+    def base_constructors(self, node, seen=None):
+        seen = seen if seen is not None else {id(node)}
+        found = []
+        for base in _base_names(node):
+            for parent in self.classes.get(base, ()):
+                found += self.constructors(parent, seen)
+            if found:
+                break
+        return found
+
+    def family(self, node, seen=None):
+        """Class ``node`` and its subclasses, by name."""
+        seen = seen if seen is not None else set()
+        if id(node) in seen:
+            return []
+        seen.add(id(node))
+        found = [node]
+        for child in self.subclasses.get(node.name, ()):
+            found += self.family(child, seen)
+        return found
+
+
+def _import_aliases(tree):
+    """``{alias: name}`` of every ``from x import name as alias``."""
+    return {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+
+
+class _ParameterWalk:
+    """Which parameter names the calls in ``trees`` set, per ``def``."""
+
+    def __init__(self, trees):
+        self.definitions = _Definitions(trees)
+        #: ``id(def)`` -> keyword and parameter names its calls pass.
+        self.passed = {}
+        #: ``id(def)`` of each definition some call sets every parameter of.
+        self.everything = set()
+        #: Keywords passed to callees the walk cannot resolve.
+        self.loose = set()
+        #: ``(id(def), signatures)``: the def forwards its ``**kwargs``.
+        self.forwards = []
+        for tree in trees:
+            self.aliases = _import_aliases(tree)
+            self._walk(tree, None, None)
+        self._propagate()
+
+    def _walk(self, node, owner, function):
+        if isinstance(node, ast.ClassDef):
+            owner = node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = self.definitions.signatures.get(id(node))
+        elif isinstance(node, ast.Call):
+            self._call(node, owner, function)
+        for child in ast.iter_child_nodes(node):
+            self._walk(child, owner, function)
+
+    def _targets(self, call, owner):
+        """``(signatures, positional offset, resolved)`` of ``call``."""
+        defs = self.definitions
+        func = call.func
+        # ``cls(...)``, ``type(self)(...)``, ``self.__class__(...)``.
+        made_by_type = (
+            (isinstance(func, ast.Name) and func.id == "cls")
+            or (
+                isinstance(func, ast.Call)
+                and isinstance(func.func, ast.Name)
+                and func.func.id == "type"
+            )
+            or (isinstance(func, ast.Attribute) and func.attr == "__class__")
+        )
+        if made_by_type and owner is not None:
+            targets = [
+                s for c in defs.family(owner) for s in defs.constructors(c)
+            ]
+            return targets, True, bool(targets)
+        if isinstance(func, ast.Name):
+            name = self.aliases.get(func.id, func.id)
+            targets = [
+                s for c in defs.classes.get(name, ()) for s in defs.constructors(c)
+            ] + defs.functions.get(name, [])
+            resolved = bool(targets) or name in defs.classes
+            return targets, True, resolved
+        if not isinstance(func, ast.Attribute):
+            return [], True, False
+        name = func.attr
+        receiver = func.value
+        if (
+            isinstance(receiver, ast.Call)
+            and isinstance(receiver.func, ast.Name)
+            and receiver.func.id == "super"
+            and owner is not None
+        ):
+            if name == "__init__":
+                return defs.base_constructors(owner), True, True
+        targets = (
+            defs.methods.get(name, [])
+            + defs.functions.get(name, [])
+            + [s for c in defs.classes.get(name, ()) for s in defs.constructors(c)]
+        )
+        # ``Class.method(obj, ...)`` passes the instance itself.
+        unbound = isinstance(receiver, ast.Name) and receiver.id in defs.classes
+        resolved = (bool(targets) or name in defs.classes) and (
+            name not in defs.stored
+        )
+        return targets, not unbound, resolved
+
+    def _call(self, call, owner, function):
+        targets, bound, resolved = self._targets(call, owner)
+        keywords = {k.arg for k in call.keywords if k.arg is not None}
+        if not resolved:
+            self.loose |= keywords
+        mappings = [k.value for k in call.keywords if k.arg is None]
+        forwarded = function is not None and any(
+            isinstance(m, ast.Name) and m.id == function.kwargs for m in mappings
+        )
+        if forwarded:
+            self.forwards.append((id(function.node), targets, resolved))
+        unknown = any(isinstance(a, ast.Starred) for a in call.args) or any(
+            not (isinstance(m, ast.Name) and function is not None
+                 and m.id == function.kwargs)
+            for m in mappings
+        )
+        for signature in targets:
+            key = id(signature.node)
+            if unknown:
+                self.everything.add(key)
+                continue
+            skip = 0 if not bound and signature.instance_method else signature.bound
+            names = set(signature.positional[skip:][: len(call.args)])
+            self.passed.setdefault(key, set()).update(names | keywords)
+
+    def _propagate(self):
+        """What a caller passes to a ``def`` that forwards its ``**kwargs``
+        reaches the callees it forwards them to."""
+        changed = True
+        while changed:
+            changed = False
+            for source, targets, resolved in self.forwards:
+                passed = self.passed.get(source, set())
+                if not resolved and not passed <= self.loose:
+                    self.loose |= passed
+                    changed = True
+                for signature in targets:
+                    key = id(signature.node)
+                    if source in self.everything:
+                        if key not in self.everything:
+                            self.everything.add(key)
+                            changed = True
+                        continue
+                    have = self.passed.setdefault(key, set())
+                    if not passed <= have:
+                        have |= passed
+                        changed = True
+
+
+def _public_callables(tree):
+    """``(qualified name, def)`` of every public top-level function,
+    public method of a public top-level class and public class's
+    ``__init__`` (named by the class)."""
+    for node in tree.body:
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ) or node.name.startswith("_"):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if method.name == "__init__":
+                    yield node.name, method
+                elif not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method
+
+
+@functools.lru_cache(maxsize=None)
+def _unset_parameters():
+    """``{file:Callable.param: where}`` of every defaulted parameter of a
+    public callable (outside the ``UNREACHED`` modules) that no call in
+    ``src/`` or ``PARAMETER_ROOTS`` sets, and the count walked."""
+    graph = _ImportGraph()
+    trees = [graph.trees[name] for name in sorted(graph.trees)]
+    for root in PARAMETER_ROOTS:
+        for path in sorted(_python_files(os.path.join(ROOT, root))):
+            with open(path, encoding="utf-8") as handle:
+                trees.append(ast.parse(handle.read(), filename=path))
+    walk = _ParameterWalk(trees)
+    unset, walked = {}, 0
+    for module, tree in sorted(graph.trees.items()):
+        if module in UNREACHED:
+            continue
+        path = graph.modules[module][0]
+        for qualified, node in _public_callables(tree):
+            signature = walk.definitions.signatures[id(node)]
+            walked += len(signature.defaulted)
+            if signature.kwargs or id(node) in walk.everything:
+                continue
+            passed = walk.passed.get(id(node), set()) | walk.loose
+            for param in signature.defaulted:
+                if param in passed:
+                    continue
+                key = f"{os.path.relpath(path, PACKAGE_ROOT)}:{qualified}.{param}"
+                where = os.path.relpath(path, ROOT)
+                unset[key] = f"{where}:{node.lineno} {qualified}.{param}"
+    return unset, walked
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    """A defaulted parameter of a public function, method or class
+    constructor must be set by some call in ``src/``, ``tests/`` or
+    ``CALLER_ROOTS``: with one value in use it is a constant.
+
+    The walk is conservative, so a wrong guess keeps a knob.  A call
+    reaches every definition of its spelling; ``cls(...)`` reaches the
+    class and its subclasses, ``super().__init__`` the bases'; a
+    ``def`` that forwards its own ``**kwargs`` passes on what its
+    callers give it; ``*args`` or any other ``**mapping`` sets every
+    parameter; and a keyword passed to a callee the walk cannot
+    resolve (a stored callable such as ``self.journal_class``) sets
+    every parameter of that name.  A callable that takes ``**kwargs``
+    is exempt: removing a parameter would turn a caller's keyword into
+    something else silently."""
+    unset, _walked = _unset_parameters()
+    offenders = [unset[key] for key in sorted(unset) if key not in FIXED_ON_PURPOSE]
+    assert not offenders, "set by no call:\n" + "\n".join(offenders)
+
+
+def test_every_fixed_on_purpose_entry_is_still_unset():
+    """An allow-list entry whose parameter is gone, or is now set by
+    some call, is stale; every entry gives its reason."""
+    unset, _walked = _unset_parameters()
+    stale = set(FIXED_ON_PURPOSE) - set(unset)
+    assert not stale, sorted(stale)
+    assert all(reason.strip() for reason in FIXED_ON_PURPOSE.values())
