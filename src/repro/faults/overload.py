@@ -324,7 +324,7 @@ class OverloadChaosSimulation(ChaosSimulation):
         self.outcomes.finish(sequence, "delivered")
         if plan.decision.method is not DeliveryMethod.NOT_SENT:
             self.ledger.expect(sequence, recipients, self.simulator.now)
-        dispatch(
+        done = dispatch(
             self.broker,
             plan,
             self.network,
@@ -332,6 +332,7 @@ class OverloadChaosSimulation(ChaosSimulation):
             self.transport,
             telemetry=self.telemetry,
         )
+        self._counters[done.replace("degraded-", "")] += 1
 
     # -- the run -------------------------------------------------------------
 

@@ -435,9 +435,7 @@ class _Signature:
     def __init__(self, node, owner):
         arguments = node.args
         self.node = node
-        self.owner = owner
         self.positional = [a.arg for a in arguments.posonlyargs + arguments.args]
-        self.keyword_only = [a.arg for a in arguments.kwonlyargs]
         self.kwargs = arguments.kwarg.arg if arguments.kwarg else None
         decorators = {
             d.id for d in node.decorator_list if isinstance(d, ast.Name)
@@ -452,9 +450,8 @@ class _Signature:
             and "classmethod" not in decorators
             and node.name != "__init__"
         )
-        positional = arguments.posonlyargs + arguments.args
-        self.defaulted = [
-            a.arg for a in positional[len(positional) - len(arguments.defaults):]
+        self.defaulted = self.positional[
+            len(self.positional) - len(arguments.defaults):
         ] + [
             a.arg
             for a, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
@@ -583,7 +580,8 @@ class _ParameterWalk:
         self.everything = set()
         #: Keywords passed to callees the walk cannot resolve.
         self.loose = set()
-        #: ``(id(def), signatures)``: the def forwards its ``**kwargs``.
+        #: ``(id(def), signatures, resolved)``: the def forwards its
+        #: ``**kwargs`` to a call of these signatures.
         self.forwards = []
         for tree in trees:
             self.aliases = _import_aliases(tree)
@@ -601,7 +599,9 @@ class _ParameterWalk:
             self._walk(child, owner, function)
 
     def _targets(self, call, owner):
-        """``(signatures, positional offset, resolved)`` of ``call``."""
+        """``(signatures, bound, resolved)`` of ``call``: ``bound`` is
+        false for ``Class.method(obj, ...)``, where the call passes the
+        instance itself."""
         defs = self.definitions
         func = call.func
         # ``cls(...)``, ``type(self)(...)``, ``self.__class__(...)``.
@@ -631,19 +631,18 @@ class _ParameterWalk:
         name = func.attr
         receiver = func.value
         if (
-            isinstance(receiver, ast.Call)
+            name == "__init__"
+            and isinstance(receiver, ast.Call)
             and isinstance(receiver.func, ast.Name)
             and receiver.func.id == "super"
             and owner is not None
         ):
-            if name == "__init__":
-                return defs.base_constructors(owner), True, True
+            return defs.base_constructors(owner), True, True
         targets = (
             defs.methods.get(name, [])
             + defs.functions.get(name, [])
             + [s for c in defs.classes.get(name, ()) for s in defs.constructors(c)]
         )
-        # ``Class.method(obj, ...)`` passes the instance itself.
         unbound = isinstance(receiver, ast.Name) and receiver.id in defs.classes
         resolved = (bool(targets) or name in defs.classes) and (
             name not in defs.stored
@@ -656,15 +655,16 @@ class _ParameterWalk:
         if not resolved:
             self.loose |= keywords
         mappings = [k.value for k in call.keywords if k.arg is None]
-        forwarded = function is not None and any(
-            isinstance(m, ast.Name) and m.id == function.kwargs for m in mappings
-        )
-        if forwarded:
-            self.forwards.append((id(function.node), targets, resolved))
-        unknown = any(isinstance(a, ast.Starred) for a in call.args) or any(
-            not (isinstance(m, ast.Name) and function is not None
-                 and m.id == function.kwargs)
+        own = [
+            function is not None
+            and isinstance(m, ast.Name)
+            and m.id == function.kwargs
             for m in mappings
+        ]
+        if any(own):
+            self.forwards.append((id(function.node), targets, resolved))
+        unknown = not all(own) or any(
+            isinstance(a, ast.Starred) for a in call.args
         )
         for signature in targets:
             key = id(signature.node)
