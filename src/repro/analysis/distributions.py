@@ -3,8 +3,8 @@
 Section 5.1 of the paper extracts three laws from the NYSE tape:
 normalized prices are ~normal, popularity is ~Zipf, amounts are
 ~Pareto.  These fitters recover the parameters from (synthetic) trade
-data and report a goodness score, so the Figure 4/5 benchmarks can
-assert "the analysis pipeline sees the law the workload encodes".
+data and report a goodness score, so the Figure 4/5 tests can assert
+"the analysis pipeline sees the law the workload encodes".
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class NormalFit:
 
     @property
     def looks_normal(self) -> bool:
-        """Loose plausibility gate used by tests and benches.
+        """Loose plausibility gate the Figure 4/5 tests read.
 
         Real (and realistic synthetic) samples at n≈10^5 fail strict KS
         p-value tests for tiny deviations, so the gate is on the KS

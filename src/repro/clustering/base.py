@@ -34,10 +34,6 @@ class ClusteringResult:
     clusters: List[List[GridCell]]
     iterations: int = 0
 
-    @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
-
     def total_expected_waste(self) -> float:
         """Publication-probability-weighted EW across clusters.
 

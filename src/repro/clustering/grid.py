@@ -390,11 +390,6 @@ class EventGrid:
         return [s for bit, s in enumerate(self.subscribers) if mask >> bit & 1]
 
     @property
-    def num_occupied_cells(self) -> int:
-        """Cells intersected by at least one subscription."""
-        return sum(1 for c in self.cells.values() if c.member_count > 0)
-
-    @property
     def num_subscribers(self) -> int:
         return len(self.subscribers)
 

@@ -330,8 +330,3 @@ class DynamicPubSubBroker(PubSubBroker):
         if self.journal is not None:
             # Compaction renumbers the ids the WAL's records name.
             self.journal.checkpoint()
-
-    @property
-    def live_subscriptions(self) -> int:
-        """Number of currently active subscriptions."""
-        return len(self.table) - len(self.engine.removed)

@@ -51,10 +51,6 @@ class Subscription:
     def ndim(self) -> int:
         return self.rectangle.ndim
 
-    def matches(self, point: Sequence[float]) -> bool:
-        """Whether an event satisfies every predicate."""
-        return self.rectangle.contains_point(point)
-
 
 def decompose_predicates(
     predicates: Sequence[Sequence[Interval]],

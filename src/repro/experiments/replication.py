@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from ..clustering.kmeans import ForgyKMeansClustering
 from .config import ExperimentConfig
 from .figure6 import SweepResult, sweep_thresholds
@@ -45,23 +43,6 @@ class ReplicationSummary:
     """Across-seed statistics."""
 
     replicates: Tuple[Replicate, ...]
-
-    def _values(self, attribute: str) -> np.ndarray:
-        return np.asarray(
-            [getattr(r, attribute) for r in self.replicates]
-        )
-
-    def mean_best(self) -> float:
-        return float(self._values("best_improvement").mean())
-
-    def std_best(self) -> float:
-        return float(self._values("best_improvement").std())
-
-    def min_best(self) -> float:
-        return float(self._values("best_improvement").min())
-
-    def max_threshold(self) -> float:
-        return float(self._values("best_threshold").max())
 
     def all_shapes_hold(self) -> bool:
         """The reproduction's qualitative claims, on every seed."""

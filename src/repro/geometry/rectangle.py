@@ -57,13 +57,6 @@ class Rectangle:
             tuple(i.hi for i in intervals),
         )
 
-    @classmethod
-    def from_bounds(
-        cls, lows: Sequence[float], highs: Sequence[float]
-    ) -> Rectangle:
-        """Build from parallel low/high sequences (e.g. numpy rows)."""
-        return cls(tuple(float(x) for x in lows), tuple(float(x) for x in highs))
-
     # -- structure -----------------------------------------------------------
 
     @property

@@ -2,18 +2,18 @@
 
 Imposes the same kind of regular grid the clustering framework uses
 (Appendix A.2): each dimension is cut into ``cells_per_dim`` equal
-half-open intervals over the data's bounding frame.  Every cell stores
-the ids of the rectangles intersecting it; a point query locates its
-cell in O(N) and tests only that cell's candidates.
-
-This trades memory (a rectangle spanning many cells is recorded in all
-of them) for extremely cheap lookups, and degrades when subscriptions
-are large relative to cells — a useful contrast to the trees.
+half-open intervals over the data's bounding frame.  A build keeps
+each rectangle's ``[first, last]`` cells per axis; a point query
+locates its cell in O(N) and tests only that cell's candidates, the
+rows whose ranges cover it, listed on the cell's first query and kept
+(a ray spanning ``cells_per_dim ** N`` cells is one range, not an
+entry in each).  Lookups degrade when subscriptions are large
+relative to cells — a useful contrast to the trees.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -49,8 +49,9 @@ class GridIndexMatcher(PointMatcher):
             self._cell_width.tolist(),
             cells_per_dim,
         )
-        self._cells: Dict[Tuple[int, ...], List[int]] = {}
-        self._populate()
+        self._listed, self._first, self._last = self._cell_ranges()
+        #: Candidate rows of each cell a query has reached.
+        self._cells: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def _fit_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounding frame over the finite coordinates of the data."""
@@ -58,31 +59,36 @@ class GridIndexMatcher(PointMatcher):
         hi = np.where(hi > lo, hi, lo + 1.0)
         return lo, hi
 
-    def _populate(self) -> None:
-        from itertools import product
+    def _cell_ranges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows that can match, and each one's ``[first, last]``
+        cells per axis."""
+        lo = np.where(np.isfinite(self._lows), self._lows, self._frame_lo)
+        hi = np.where(np.isfinite(self._highs), self._highs, self._frame_hi)
+        # A genuinely empty rectangle matches nothing.
+        empty = np.any(hi <= lo, axis=1) & np.any(
+            self._highs <= self._lows, axis=1
+        )
+        listed = np.flatnonzero(~empty)
+        # Rounding-safe (see :mod:`repro.geometry.gridmath`): an
+        # endpoint on a cell boundary widens the range by one cell;
+        # the exact test at query time filters the extras.
+        first, last = covered_cell_range(
+            lo[listed],
+            hi[listed],
+            self._frame_lo,
+            self._cell_width,
+            self.cells_per_dim,
+        )
+        return listed, first, last
 
-        for row in range(self.size):
-            lo = np.where(
-                np.isfinite(self._lows[row]), self._lows[row], self._frame_lo
-            )
-            hi = np.where(
-                np.isfinite(self._highs[row]), self._highs[row], self._frame_hi
-            )
-            if np.any(hi <= lo) and np.any(self._highs[row] <= self._lows[row]):
-                continue  # genuinely empty rectangle matches nothing
-            # Rounding-safe (see :mod:`repro.geometry.gridmath`): an
-            # endpoint on a cell boundary widens the range by one cell;
-            # the exact test at query time filters the extras.
-            first, last = covered_cell_range(
-                lo,
-                hi,
-                self._frame_lo,
-                self._cell_width,
-                self.cells_per_dim,
-            )
-            ranges = [range(first[d], last[d] + 1) for d in range(self.ndim)]
-            for coords in product(*ranges):
-                self._cells.setdefault(coords, []).append(row)
+    def _candidates(self, cell: Tuple[int, ...]) -> np.ndarray:
+        """Ascending rows whose range covers ``cell`` on every axis."""
+        rows = self._cells.get(cell)
+        if rows is None:
+            at = np.asarray(cell)
+            covers = np.all((self._first <= at) & (at <= self._last), axis=1)
+            rows = self._cells[cell] = self._listed[covers]
+        return rows
 
     def _locate(self, point: np.ndarray) -> Tuple[int, ...] | None:
         """Cell coordinates of a point, or None when outside the frame."""
@@ -96,7 +102,7 @@ class GridIndexMatcher(PointMatcher):
             candidates = np.arange(self.size)
         else:
             self.stats.leaves_visited += 1
-            candidates = np.asarray(self._cells.get(cell, ()), dtype=np.int64)
+            candidates = self._candidates(cell)
         self.stats.entries_tested += len(candidates)
         lows = self._lows[candidates]
         highs = self._highs[candidates]

@@ -160,8 +160,3 @@ class PackedTreeMatcher(PointMatcher):
         ids = packed.entry_ids.take(rows[inside])
         ids.sort()
         return ids
-
-    @property
-    def height(self) -> int:
-        """Number of edges from the root to the deepest leaf."""
-        return int(self._packed.depths()[-1])

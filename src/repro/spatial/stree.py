@@ -129,11 +129,6 @@ class TreeShape:
     max_leaf_depth: int
     mean_branch_factor: float
 
-    @property
-    def skewness(self) -> int:
-        """Depth spread between the shallowest and deepest leaf."""
-        return self.max_leaf_depth - self.min_leaf_depth
-
 
 class _BinaryNode:
     """Intermediate node used during binarization and compression."""

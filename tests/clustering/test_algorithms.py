@@ -64,7 +64,7 @@ class TestCommonBehaviour:
     @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
     def test_produces_requested_groups(self, two_community_grid, algorithm):
         result = algorithm.cluster(two_community_grid, 2, max_cells=50)
-        assert result.num_clusters == 2
+        assert len(result.clusters) == 2
         result.validate_disjoint()
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
@@ -103,11 +103,11 @@ class TestCommonBehaviour:
     @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
     def test_groups_capped_by_cells(self, two_community_grid, algorithm):
         # Requesting more groups than working cells degrades gracefully.
-        occupied = two_community_grid.num_occupied_cells
+        occupied = len(two_community_grid.cells)
         result = algorithm.cluster(
             two_community_grid, occupied + 50, max_cells=occupied + 50
         )
-        assert result.num_clusters <= occupied
+        assert len(result.clusters) <= occupied
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
     def test_deterministic(self, stock_grid, algorithm):
@@ -127,7 +127,7 @@ class TestForgySeeding:
         result = ForgyKMeansClustering(seeding="spread").cluster(
             stock_grid, 6, max_cells=50
         )
-        assert result.num_clusters == 6
+        assert len(result.clusters) == 6
         result.validate_disjoint()
         clustered = {c.index for cells in result.clusters for c in cells}
         assert clustered == {
@@ -162,7 +162,7 @@ class TestForgySeeding:
         result = ForgyKMeansClustering(seeding="spread").cluster(
             stock_grid, 6, max_cells=6
         )
-        assert result.num_clusters == 6
+        assert len(result.clusters) == 6
 
 
 class TestForgySpecifics:
@@ -188,7 +188,7 @@ class TestForgySpecifics:
         result = ForgyKMeansClustering().cluster(
             two_community_grid, 6, max_cells=6
         )
-        assert result.num_clusters == 6
+        assert len(result.clusters) == 6
         assert all(len(c) == 1 for c in result.clusters)
 
 
@@ -218,7 +218,7 @@ class TestMstSpecifics:
         result = MinimumSpanningTreeClustering().cluster(
             stock_grid, 7, max_cells=30
         )
-        assert result.num_clusters == 7
+        assert len(result.clusters) == 7
         # Kruskal adds exactly T - n accepted edges.
         assert result.iterations == 30 - 7
 
@@ -226,5 +226,5 @@ class TestMstSpecifics:
         result = MinimumSpanningTreeClustering().cluster(
             stock_grid, 1, max_cells=20
         )
-        assert result.num_clusters == 1
+        assert len(result.clusters) == 1
         assert len(result.clusters[0]) == 20

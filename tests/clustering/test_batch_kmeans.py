@@ -24,7 +24,7 @@ class TestBatchKMeans:
         result = BatchKMeansClustering().cluster(
             stock_grid, 6, max_cells=50
         )
-        assert result.num_clusters == 6
+        assert len(result.clusters) == 6
         result.validate_disjoint()
 
     def test_covers_top_cells(self, stock_grid):
@@ -62,7 +62,7 @@ class TestBatchKMeans:
         # Not necessarily identical clusters after one iteration (the
         # update disciplines differ), but the same number of clusters
         # over the same cell universe.
-        assert b.num_clusters == f.num_clusters
+        assert len(b.clusters) == len(f.clusters)
         assert sum(map(len, b.clusters)) == sum(map(len, f.clusters))
 
     def test_quality_comparable_to_forgy(self, stock_grid):

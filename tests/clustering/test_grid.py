@@ -172,7 +172,7 @@ class TestTopCells:
             cells_per_dim=4,
             frame=((0.0, 0.0), (4.0, 4.0)),
         )
-        assert len(grid.top_cells(100)) == grid.num_occupied_cells == 1
+        assert len(grid.top_cells(100)) == len(grid.cells) == 1
 
     def test_density_weighting_changes_ranking(self):
         rectangles = [rect2(0.0, 1.0, 0.0, 1.0), rect2(3.0, 4.0, 3.0, 4.0)]

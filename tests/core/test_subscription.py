@@ -10,14 +10,12 @@ from repro.geometry import FULL_LINE, Interval, Rectangle
 
 
 class TestSubscription:
-    def test_matches(self):
+    def test_ndim_is_the_rectangles(self):
         sub = Subscription(
             0,
             42,
             Rectangle.from_intervals([Interval(0, 1), Interval(0, 1)]),
         )
-        assert sub.matches((0.5, 0.5))
-        assert not sub.matches((1.5, 0.5))
         assert sub.ndim == 2
 
 

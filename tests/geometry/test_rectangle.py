@@ -20,10 +20,6 @@ class TestConstruction:
         assert r.lows == (0, 2)
         assert r.highs == (1, 3)
 
-    def test_from_bounds(self):
-        r = Rectangle.from_bounds([0, 2], [1, 3])
-        assert r == rect((0, 1), (2, 3))
-
     def test_cube(self):
         r = Rectangle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
         assert r.ndim == 3

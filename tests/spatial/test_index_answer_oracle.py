@@ -87,9 +87,7 @@ def assert_answers_sorted_id_arrays(name, lows, highs, seed, **options):
 @pytest.mark.parametrize("name", sorted(MATCHER_BACKENDS))
 @given(table=tables_with_empty_sides())
 def test_every_backend_answers_one_sorted_id_array(name, table):
-    # The grid lists a ray in every cell it crosses: keep 6-D grids small.
-    options = {"cells_per_dim": 3} if name == "grid" else {}
-    assert_answers_sorted_id_arrays(name, *table, **options)
+    assert_answers_sorted_id_arrays(name, *table)
 
 
 @given(table=tables_with_empty_sides())

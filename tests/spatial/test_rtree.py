@@ -19,13 +19,13 @@ class TestConstruction:
             np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
         )
         assert tree.match([0.5, 0.5]).tolist() == [0]
-        assert tree.height == 0
+        assert tree._packed.depths()[-1] == 0
 
     def test_height_is_logarithmic(self, rng):
         lows, highs, _ = make_workload(rng, k=1000)
         tree = HilbertRTree.build(lows, highs, branch_factor=10)
         # 1000 entries, fanout 10: leaves=100, level1=10, root -> height 2.
-        assert tree.height == 2
+        assert tree._packed.depths()[-1] == 2
 
     def test_perfectly_balanced(self, rng):
         lows, highs, _ = make_workload(rng, k=777)
@@ -33,7 +33,7 @@ class TestConstruction:
         tree = HilbertRTree.build(lows, highs, branch_factor=8)
         leaves = check_packed_invariants(tree)
         depths = {depth for _, depth in leaves}
-        assert depths == {tree.height}  # all leaves at one depth
+        assert depths == {tree._packed.depths()[-1]}  # all leaves at one depth
         packed = tree._packed
         assert np.all(packed.entry_count[packed.is_leaf] <= 8)
         assert np.all(packed.child_count[~packed.is_leaf] <= 8)

@@ -516,4 +516,4 @@ class TestNumericalRobustness:
             Rectangle((0.0, 5.0), (1.0, 5.0 + 1e-12)) for _ in range(5)
         ]
         grid = EventGrid(rects, list(range(5)), cells_per_dim=4)
-        assert grid.num_occupied_cells > 0
+        assert len(grid.cells) > 0
